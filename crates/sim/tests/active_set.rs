@@ -10,7 +10,7 @@
 //! skips must be one the full scan would have found idle.
 
 use proptest::prelude::*;
-use quarc_core::config::NocConfig;
+use quarc_core::config::{FaultPlan, NocConfig, RecoveryPolicy};
 use quarc_core::ids::NodeId;
 use quarc_engine::DetRng;
 use quarc_sim::driver::NocSim;
@@ -172,6 +172,110 @@ proptest! {
             (TraceWorkload::new(16, records.clone()), TraceWorkload::new(16, records));
         lockstep(&mut a, &mut o, &mut wa, &mut wo, 800, "torus/trace");
     }
+}
+
+/// Everything [`fingerprint`] covers plus the fault/recovery ledger.
+fn fault_fingerprint(net: &dyn NocSim) -> impl PartialEq + std::fmt::Debug {
+    let m = net.metrics();
+    (
+        fingerprint(net),
+        (m.flits_dropped(), m.receivers_lost(), m.undeliverable_total()),
+        (m.retransmissions(), m.recovered_receivers(), m.acks_delivered()),
+        (m.dup_flits_suppressed(), m.ack_latency().mean().to_bits(), net.recovery_pending()),
+    )
+}
+
+/// Constructor closure for [`fault_lockstep`]: `(config, full_scan)` → net.
+macro_rules! fault_pair {
+    ($ty:ident) => {
+        |cfg, full_scan| {
+            let mut net = $ty::new(cfg);
+            net.set_full_scan(full_scan);
+            Box::new(net) as Box<dyn NocSim>
+        }
+    };
+}
+
+/// `FaultPlan × RecoveryPolicy` lockstep for one topology at buffer depth 1:
+/// faults are exactly the time-driven re-marking (watch lists, windows that
+/// open and close with the clock, recovery deadlines firing into an idle
+/// fabric) the full-scan oracle exists to police. Three plans per seed:
+/// lossy links with recovery on (ACK loss, duplicates, retransmission to the
+/// unacked subset); dead links with a one-retry budget (retry exhaustion
+/// writes receivers off and the drain must still terminate); and a transient
+/// window that opens during injection and closes during the drain, over
+/// lossy links with recovery off (header-drop write-offs).
+fn fault_lockstep(mk: impl Fn(NocConfig, bool) -> Box<dyn NocSim>, base: NocConfig, label: &str) {
+    const CYCLES: u64 = 700;
+    let plans = [
+        (
+            "lossy+recovery",
+            FaultPlan { onset: 50, lossy_links: 6, drop_per_64k: 9_000, ..FaultPlan::NONE },
+            RecoveryPolicy { seed: 3, ack_timeout: 120, max_retries: 4, jitter: 8 },
+        ),
+        (
+            "dead+exhaustion",
+            FaultPlan { onset: 100, dead_links: 3, ..FaultPlan::NONE },
+            RecoveryPolicy { seed: 4, ack_timeout: 90, max_retries: 1, jitter: 0 },
+        ),
+        (
+            "transient-crossing-drain",
+            FaultPlan {
+                onset: CYCLES - 150,
+                transient_links: 6,
+                transient_cycles: 400,
+                lossy_links: 3,
+                drop_per_64k: 6_000,
+                ..FaultPlan::NONE
+            },
+            RecoveryPolicy::NONE,
+        ),
+    ];
+    for seed in [11u64, 42, 0xD00D] {
+        for (plan_name, plan, recovery) in plans {
+            let cfg = base
+                .with_buffer_depth(1)
+                .with_fault(FaultPlan { seed, ..plan })
+                .with_recovery(recovery);
+            let (mut active, mut oracle) = (mk(cfg, false), mk(cfg, true));
+            active.probe_mut().configure(quarc_sim::ProbeConfig::all(1 << 10));
+            oracle.probe_mut().configure(quarc_sim::ProbeConfig::all(1 << 10));
+            let n = active.num_nodes();
+            let records = random_records(n, 40, seed ^ 0x5EED);
+            let (mut wa, mut wo) =
+                (TraceWorkload::new(n, records.clone()), TraceWorkload::new(n, records));
+            let tag = format!("{label}/{plan_name}/seed{seed}");
+            lockstep(active.as_mut(), oracle.as_mut(), &mut wa, &mut wo, CYCLES, &tag);
+            assert_eq!(
+                fault_fingerprint(active.as_ref()),
+                fault_fingerprint(oracle.as_ref()),
+                "{tag}: ledger"
+            );
+            if plan_name == "dead+exhaustion" {
+                assert!(active.metrics().flits_dropped() > 0, "{tag}: plan never bit");
+            }
+        }
+    }
+}
+
+#[test]
+fn quarc_fault_recovery_lockstep() {
+    fault_lockstep(fault_pair!(QuarcNetwork), NocConfig::quarc(16), "quarc");
+}
+
+#[test]
+fn spidergon_fault_recovery_lockstep() {
+    fault_lockstep(fault_pair!(SpidergonNetwork), NocConfig::spidergon(16), "spidergon");
+}
+
+#[test]
+fn mesh_fault_recovery_lockstep() {
+    fault_lockstep(fault_pair!(MeshNetwork), NocConfig::mesh(16), "mesh");
+}
+
+#[test]
+fn torus_fault_recovery_lockstep() {
+    fault_lockstep(fault_pair!(TorusNetwork), NocConfig::torus(16), "torus");
 }
 
 /// Random mixed-class traces on the Quarc at buffer_depth 1 (head-of-line

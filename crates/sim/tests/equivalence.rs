@@ -20,18 +20,32 @@
 //! is the observe-never-mutate invariant: turning every probe on must not
 //! change a single simulated bit.
 //!
+//! A third golden (`metrics_equivalence_faults.txt`) pins the fault and
+//! recovery subsystems the same way: all four topologies × {lossy,
+//! dead-link, transient, frozen} plans × recovery {off, on}, mixed
+//! multicast traces under a dead + lossy plan, and the Quarc link-stall
+//! API, each through the full driver protocol with the stall watchdog armed
+//! — fault/recovery counters, latency bits and a digest of the per-cycle
+//! counter series. It was generated from the four hand-copied simulators
+//! and held byte-identical across their merge into one `Fabric`.
+//!
 //! Regenerate (only when an intentional behaviour change is made) with:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test -p quarc-sim --test equivalence
 //! ```
 
-use quarc_core::config::NocConfig;
+use quarc_core::config::{FaultPlan, NocConfig, RecoveryPolicy};
 use quarc_core::flit::TrafficClass;
 use quarc_core::ids::NodeId;
+use quarc_core::topology::QuarcOut;
+use quarc_engine::mix64;
 use quarc_sim::mesh_net::MeshNetwork;
 use quarc_sim::torus_net::TorusNetwork;
-use quarc_sim::{NocSim, ProbeConfig, QuarcNetwork, SpidergonNetwork};
+use quarc_sim::{
+    build_any, run, run_mono_outcome, NocSim, ProbeConfig, QuarcNetwork, RunOutcome, RunSpec,
+    SpidergonNetwork,
+};
 use quarc_workloads::{
     Bursty, BurstyConfig, MessageRequest, Synthetic, SyntheticConfig, TraceRecord, TraceWorkload,
     Workload,
@@ -39,6 +53,7 @@ use quarc_workloads::{
 
 const GOLDEN: &str = include_str!("goldens/metrics_equivalence.txt");
 const GOLDEN_LARGE: &str = include_str!("goldens/metrics_equivalence_large.txt");
+const GOLDEN_FAULTS: &str = include_str!("goldens/metrics_equivalence_faults.txt");
 
 /// One scenario line: run `cycles` of injection, then drain up to `drain`
 /// cycles, and render every metric the figures consume.
@@ -238,6 +253,197 @@ fn large_scenarios() -> String {
         out.push_str(&run_scenario(name, net.as_mut(), &mut wl, cycles));
     }
     out
+}
+
+/// The fault/recovery ledger of a finished (or stalled) driver run: every
+/// counter PRs 7 and 10 added, latency means as exact bits, and a digest of
+/// the full-cadence counter time-series — so per-cycle backlog, buffering,
+/// worklist sizes and credit stalls are pinned, not just end totals.
+fn fault_line(name: &str, net: &dyn NocSim, outcome: &RunOutcome) -> String {
+    let m = net.metrics();
+    let how = match outcome {
+        RunOutcome::Finished(_) => "finished".to_string(),
+        RunOutcome::Stalled { cycle, diagnostics, .. } => format!("stalled@{cycle}[{diagnostics}]"),
+        RunOutcome::DeadlineExceeded { .. } => unreachable!("no deadline set"),
+    };
+    let r = outcome.result();
+    let mut line = format!(
+        "{name} {how} now={} quiesced={} sat={} hops={} flits={} done={} in_flight={}",
+        net.now(),
+        net.quiesced(),
+        r.saturated,
+        net.flit_hops(),
+        m.flits_delivered(),
+        m.completed_total(),
+        m.in_flight(),
+    );
+    for (tag, c) in [
+        ("u", TrafficClass::Unicast),
+        ("b", TrafficClass::Broadcast),
+        ("m", TrafficClass::Multicast),
+    ] {
+        line.push_str(&format!(
+            " {tag}={}:{}:{}",
+            m.created(c),
+            m.completed(c),
+            m.undeliverable(c)
+        ));
+    }
+    line.push_str(&format!(
+        " dropped={} rx={}:{}:{} frac={:016x} retx={} recovered={} acks={} dups={} ack_mean={:016x}",
+        m.flits_dropped(),
+        m.receivers_expected(),
+        m.receivers_delivered(),
+        m.receivers_lost(),
+        m.delivered_fraction().to_bits(),
+        m.retransmissions(),
+        m.recovered_receivers(),
+        m.acks_delivered(),
+        m.dup_flits_suppressed(),
+        m.ack_latency().mean().to_bits(),
+    ));
+    line.push_str(&format!(
+        " uc_mean={:016x} uc_n={} br_mean={:016x} bc_mean={:016x} mc_mean={:016x} \
+         thr={:016x} good={:016x} backlog={}",
+        m.unicast_latency().mean().to_bits(),
+        m.unicast_latency().count(),
+        m.broadcast_reception_latency().mean().to_bits(),
+        m.broadcast_completion_latency().mean().to_bits(),
+        m.multicast_completion_latency().mean().to_bits(),
+        r.throughput.to_bits(),
+        r.goodput.to_bits(),
+        r.end_backlog,
+    ));
+    let mut digest = 0u64;
+    for s in net.probe().samples() {
+        for b in s.csv_row().bytes() {
+            digest = mix64(digest ^ b as u64);
+        }
+    }
+    line.push_str(&format!(" ctr={}:{digest:016x}\n", net.probe().samples().len()));
+    line
+}
+
+/// Fault × recovery scenarios: every topology under a lossy, a dead-link
+/// and a transient plan, each with recovery off and on, driven through the
+/// full warmup/measure/drain protocol with the stall watchdog armed and all
+/// probes at full cadence; plus frozen-router runs (the watchdog must fire
+/// and its diagnostics are part of the line) and the Quarc link-stall API.
+fn fault_scenarios() -> String {
+    let mut out = String::new();
+    let spec = RunSpec {
+        warmup: 300,
+        measure: 1_500,
+        drain: 8_000,
+        stall_window: 1_000,
+        ..Default::default()
+    };
+    let plans = [
+        (
+            "lossy",
+            FaultPlan {
+                seed: 0xF1,
+                onset: 200,
+                lossy_links: 6,
+                drop_per_64k: 4_000,
+                ..FaultPlan::NONE
+            },
+        ),
+        ("dead", FaultPlan { seed: 0xF2, onset: 350, dead_links: 2, ..FaultPlan::NONE }),
+        (
+            "transient",
+            FaultPlan {
+                seed: 0xF3,
+                onset: 1_500,
+                transient_links: 5,
+                transient_cycles: 700,
+                ..FaultPlan::NONE
+            },
+        ),
+        ("frozen", FaultPlan { seed: 0xF4, onset: 600, frozen_routers: 1, ..FaultPlan::NONE }),
+    ];
+    let recoveries = [
+        ("off", RecoveryPolicy::NONE),
+        ("on", RecoveryPolicy { seed: 9, ack_timeout: 250, max_retries: 3, jitter: 16 }),
+    ];
+    let topologies = [
+        ("quarc", NocConfig::quarc(16), 0.012),
+        ("spidergon", NocConfig::spidergon(16), 0.004),
+        ("mesh", NocConfig::mesh(16), 0.01),
+        ("torus", NocConfig::torus(16).with_buffer_depth(2), 0.01),
+    ];
+    for (topo, base, rate) in topologies {
+        for (plan_name, plan) in plans {
+            for (rec_name, rec) in recoveries {
+                if plan_name == "frozen" && rec_name == "on" {
+                    continue;
+                }
+                let mut net = build_any(base.with_fault(plan).with_recovery(rec));
+                net.probe_mut().configure(ProbeConfig::all(1 << 12));
+                let n = net.num_nodes();
+                let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, 6, 0.1, 0xFA17));
+                let outcome = run_mono_outcome(&mut net, &mut wl, &spec);
+                out.push_str(&fault_line(
+                    &format!("{topo}/{plan_name}/{rec_name}"),
+                    &net,
+                    &outcome,
+                ));
+            }
+        }
+    }
+    // Explicit multicast/broadcast traces under a mixed dead + lossy plan
+    // live from cycle 0: exercises the per-model `receivers_beyond` replay
+    // on bitstring packets and, with recovery on, multicast retransmission
+    // to the unacked subset.
+    let trace_plan = FaultPlan {
+        seed: 0xF5,
+        onset: 0,
+        dead_links: 1,
+        lossy_links: 5,
+        drop_per_64k: 12_000,
+        ..FaultPlan::NONE
+    };
+    let trace_spec = RunSpec { warmup: 0, measure: 400, ..spec };
+    for (topo, base, _) in topologies {
+        for (rec_name, rec) in recoveries {
+            let mut net = build_any(base.with_fault(trace_plan).with_recovery(rec));
+            net.probe_mut().configure(ProbeConfig::all(1 << 12));
+            let n = net.num_nodes();
+            let mut wl = TraceWorkload::new(n, mixed_trace(n, true));
+            let outcome = run_mono_outcome(&mut net, &mut wl, &trace_spec);
+            out.push_str(&fault_line(&format!("{topo}/trace-mixed/{rec_name}"), &net, &outcome));
+        }
+    }
+    // Quarc's explicit link-stall API: lossless windows the credit flow
+    // control must absorb, opening and closing with the clock.
+    {
+        let mut net = QuarcNetwork::new(NocConfig::quarc(16).with_buffer_depth(2));
+        net.inject_link_stall(NodeId(0), QuarcOut::RimCw, 400, 900);
+        net.inject_link_stall(NodeId(8), QuarcOut::RimCcw, 600, 2_200);
+        net.inject_link_stall(NodeId(3), QuarcOut::CrossRight, 2, 500);
+        NocSim::probe_mut(&mut net).configure(ProbeConfig::all(1 << 12));
+        let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.02, 8, 0.1, 31));
+        let result = run(&mut net, &mut wl, &spec);
+        out.push_str(&fault_line("quarc/link-stall", &net, &RunOutcome::Finished(result)));
+    }
+    out
+}
+
+#[test]
+fn fault_recovery_metrics_are_bit_identical_to_goldens() {
+    let got = fault_scenarios();
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        let path =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/metrics_equivalence_faults.txt");
+        std::fs::write(path, &got).expect("write goldens");
+        eprintln!("fault goldens updated at {path}");
+        return;
+    }
+    assert_eq!(
+        got, GOLDEN_FAULTS,
+        "fault/recovery simulation output diverged from its goldens; \
+         if the change is intentional, regenerate with UPDATE_GOLDENS=1"
+    );
 }
 
 #[test]
