@@ -60,7 +60,7 @@
 use quarc_campaign::Json;
 use quarc_core::config::NocConfig;
 use quarc_core::topology::TopologyKind;
-use quarc_sim::{build_any, MonoStep, NocSim, Phase, ProbeConfig};
+use quarc_sim::{build_any, NocSim, Phase, ProbeConfig};
 use quarc_workloads::{Synthetic, SyntheticConfig};
 use std::time::Instant;
 

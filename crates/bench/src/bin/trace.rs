@@ -23,7 +23,7 @@
 use quarc_campaign::Json;
 use quarc_core::config::NocConfig;
 use quarc_core::topology::TopologyKind;
-use quarc_sim::{build_any, MonoStep, NocSim, ProbeConfig};
+use quarc_sim::{build_any, NocSim, ProbeConfig};
 use quarc_workloads::{Synthetic, SyntheticConfig};
 
 const USAGE: &str = "usage: trace [--topology quarc|spidergon|mesh|torus] [--n N] [--rate R] \

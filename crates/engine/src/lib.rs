@@ -2,10 +2,9 @@
 //!
 //! The deterministic simulation kernel underneath the Quarc NoC flit-level
 //! simulator: a cycle [`clock`], a FIFO-tie-broken [`events::EventQueue`],
-//! forkable seeded randomness ([`rng::DetRng`]), constant-memory online
-//! [`stats`] and a fast non-cryptographic hasher ([`fxhash`]) for
-//! simulator-internal maps. Nothing in this crate knows about networks;
-//! `quarc-sim` builds the NoC models on top.
+//! forkable seeded randomness ([`rng::DetRng`]) and constant-memory online
+//! [`stats`]. Nothing in this crate knows about networks; `quarc-sim` builds
+//! the NoC models on top.
 //!
 //! Determinism contract: given the same master seed and configuration, every
 //! simulation built on this kernel produces bit-identical results, because
@@ -18,12 +17,10 @@
 
 pub mod clock;
 pub mod events;
-pub mod fxhash;
 pub mod rng;
 pub mod stats;
 
 pub use clock::{Clock, Cycle};
 pub use events::EventQueue;
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::{mix64, DetRng};
 pub use stats::{BatchMeans, LatencyHistogram, OnlineStats, Throughput};

@@ -9,38 +9,10 @@
 
 pub use quarc_core::config::ArbPolicy;
 
-/// A round-robin pointer over `len` candidates.
-///
-/// Two bytes: arbiters are replicated per port per node, and the arbitration
-/// pass touches all of them every cycle — the whole router state should stay
-/// cache-resident. Candidate domains are tiny (≤ 8).
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    next: u8,
-    policy: ArbPolicy,
-}
-
-impl RoundRobin {
-    /// Fresh arbiter starting at candidate 0 with round-robin rotation.
-    pub fn new() -> Self {
-        RoundRobin { next: 0, policy: ArbPolicy::RoundRobin }
-    }
-
-    /// Fresh arbiter with an explicit policy.
-    pub fn with_policy(policy: ArbPolicy) -> Self {
-        RoundRobin { next: 0, policy }
-    }
-
-    /// Grant the first eligible candidate at or after the pointer, advancing
-    /// the pointer past the winner (round-robin) or keeping it at zero
-    /// (fixed priority). Returns `None` when nothing is eligible (the
-    /// pointer does not move).
-    pub fn pick(&mut self, len: usize, eligible: impl FnMut(usize) -> bool) -> Option<usize> {
-        pick_from(&mut self.next, self.policy, len, eligible)
-    }
-}
-
-/// The shared grant rule of [`RoundRobin`] and [`RoundRobinBank`].
+/// The grant rule: the first eligible candidate at or after the pointer
+/// wins, and the pointer advances past the winner (round-robin) or stays at
+/// zero (fixed priority). Returns `None` when nothing is eligible (the
+/// pointer does not move).
 #[inline]
 fn pick_from(
     next: &mut u8,
@@ -63,13 +35,12 @@ fn pick_from(
     None
 }
 
-/// Every arbiter pointer of one network in a single contiguous slab — the
-/// structure-of-arrays twin of a per-node `[RoundRobin; ports]` field.
+/// Every arbiter pointer of one network in a single contiguous slab.
 ///
-/// The arbitration pass walks the pointers of every *active* router every
-/// cycle; keeping them in one `Box<[u8]>` (indexed `node * ports + port` by
-/// the owning network) removes the per-node struct padding and keeps the
-/// whole bank cache-resident at any network size.
+/// One byte per arbiter (candidate domains are tiny, ≤ 8): the arbitration
+/// pass walks the pointers of every *active* router every cycle; keeping
+/// them in one `Box<[u8]>` (indexed `node * ports + port` by the owning
+/// network) keeps the whole bank cache-resident at any network size.
 #[derive(Debug, Clone)]
 pub struct RoundRobinBank {
     next: Box<[u8]>,
@@ -82,7 +53,7 @@ impl RoundRobinBank {
         RoundRobinBank { next: vec![0; count].into_boxed_slice(), policy }
     }
 
-    /// [`RoundRobin::pick`] on the arbiter at `idx`.
+    /// Apply the grant rule to the arbiter at `idx` over `len` candidates.
     #[inline(always)]
     pub fn pick(
         &mut self,
@@ -98,49 +69,54 @@ impl RoundRobinBank {
 mod tests {
     use super::*;
 
+    fn one(policy: ArbPolicy) -> RoundRobinBank {
+        RoundRobinBank::new(1, policy)
+    }
+
     #[test]
     fn rotates_fairly_under_full_load() {
-        let mut rr = RoundRobin::new();
-        let picks: Vec<usize> = (0..8).map(|_| rr.pick(4, |_| true).unwrap()).collect();
+        let mut rr = one(ArbPolicy::RoundRobin);
+        let picks: Vec<usize> = (0..8).map(|_| rr.pick(0, 4, |_| true).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn skips_ineligible() {
-        let mut rr = RoundRobin::new();
-        assert_eq!(rr.pick(4, |k| k == 2), Some(2));
-        assert_eq!(rr.pick(4, |k| k == 2), Some(2));
-        assert_eq!(rr.pick(4, |_| false), None);
+        let mut rr = one(ArbPolicy::RoundRobin);
+        assert_eq!(rr.pick(0, 4, |k| k == 2), Some(2));
+        assert_eq!(rr.pick(0, 4, |k| k == 2), Some(2));
+        assert_eq!(rr.pick(0, 4, |_| false), None);
     }
 
     #[test]
     fn empty_domain() {
-        let mut rr = RoundRobin::new();
-        assert_eq!(rr.pick(0, |_| true), None);
+        let mut rr = one(ArbPolicy::RoundRobin);
+        assert_eq!(rr.pick(0, 0, |_| true), None);
     }
 
     #[test]
     fn no_starvation_with_persistent_competitor() {
         // Candidate 0 always requests; candidate 1 requests always too.
         // Both must be served equally.
-        let mut rr = RoundRobin::new();
+        let mut rr = one(ArbPolicy::RoundRobin);
         let mut counts = [0usize; 2];
         for _ in 0..100 {
-            counts[rr.pick(2, |_| true).unwrap()] += 1;
+            counts[rr.pick(0, 2, |_| true).unwrap()] += 1;
         }
         assert_eq!(counts, [50, 50]);
     }
 
     #[test]
     fn bank_pointers_are_independent_and_match_scalar() {
-        // The bank must behave exactly like an array of scalar arbiters.
+        // Each arbiter of a bank must behave exactly like a bank of one fed
+        // the same requests, whatever its neighbours are doing.
         let mut bank = RoundRobinBank::new(3, ArbPolicy::RoundRobin);
-        let mut scalars = [RoundRobin::new(), RoundRobin::new(), RoundRobin::new()];
+        let mut scalars = [0, 1, 2].map(|_| one(ArbPolicy::RoundRobin));
         for round in 0..20usize {
             for (idx, scalar) in scalars.iter_mut().enumerate() {
                 let mask = (round + idx) % 7;
                 let got = bank.pick(idx, 4, |k| (mask >> (k % 3)) & 1 == 1);
-                let want = scalar.pick(4, |k| (mask >> (k % 3)) & 1 == 1);
+                let want = scalar.pick(0, 4, |k| (mask >> (k % 3)) & 1 == 1);
                 assert_eq!(got, want, "round {round} idx {idx}");
             }
         }
@@ -148,13 +124,13 @@ mod tests {
 
     #[test]
     fn fixed_priority_starves_low_priority() {
-        let mut fp = RoundRobin::with_policy(ArbPolicy::FixedPriority);
+        let mut fp = one(ArbPolicy::FixedPriority);
         let mut counts = [0usize; 2];
         for _ in 0..100 {
-            counts[fp.pick(2, |_| true).unwrap()] += 1;
+            counts[fp.pick(0, 2, |_| true).unwrap()] += 1;
         }
         assert_eq!(counts, [100, 0], "fixed priority must always grant index 0");
         // Candidate 1 is only served when 0 is silent.
-        assert_eq!(fp.pick(2, |k| k == 1), Some(1));
+        assert_eq!(fp.pick(0, 2, |k| k == 1), Some(1));
     }
 }

@@ -2,19 +2,20 @@
 //! detection — the protocol behind every latency-vs-load point in the
 //! paper's Figs. 9–11.
 //!
-//! The run protocol is written once, generically, over [`MonoStep`]: called
-//! through [`run_mono`] with an [`AnyNet`] and a concrete workload it
-//! monomorphizes into a fully static inner loop (enum dispatch per cycle, no
-//! virtual calls anywhere on the hot path — `run_point` and the perf harness
-//! take this road); called through [`run`] it degrades gracefully to the old
-//! object-safe facade for callers that only hold `&mut dyn NocSim`.
+//! The run protocol is written once, generically, over [`NocSim`]: every
+//! entry point ([`run`], [`run_mono_outcome`] and its deadline variant)
+//! monomorphizes it for the concrete `(network, workload)` pair it is handed
+//! — a [`crate::Fabric`] instantiation, or the [`AnyNet`] enum `build_any`
+//! returns (one predictable match per cycle) — so no virtual call sits on
+//! the per-cycle path. `NocSim` itself stays object-safe for helpers that
+//! only hold `&mut dyn NocSim`.
 
-use crate::mesh_net::MeshNetwork;
+use crate::grid_net::GridRouter;
 use crate::metrics::Metrics;
 use crate::probe::SimProbe;
 use crate::quarc_net::QuarcNetwork;
 use crate::spider_net::SpidergonNetwork;
-use crate::torus_net::TorusNetwork;
+use crate::Fabric;
 use quarc_core::flit::TrafficClass;
 use quarc_core::topology::TopologyKind;
 use quarc_engine::Cycle;
@@ -24,6 +25,19 @@ use quarc_workloads::Workload;
 pub trait NocSim {
     /// Advance one cycle, polling `workload` for new messages.
     fn step(&mut self, workload: &mut dyn Workload);
+    /// [`NocSim::step`], monomorphized: lets the run protocol inline the
+    /// per-cycle loop for a concrete `(network, workload)` pair instead of
+    /// paying a virtual dispatch per cycle plus one per poll. The default
+    /// degrades to the object-safe `step`.
+    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W)
+    where
+        Self: Sized,
+    {
+        // Re-borrow the (possibly unsized) workload through the blanket
+        // `impl Workload for &mut W` so it coerces to `&mut dyn Workload`.
+        let mut wl: &mut W = workload;
+        self.step(&mut wl);
+    }
     /// Tell the network the workload object passed to `step` is about to be
     /// replaced by a *different* one. The networks schedule polls from
     /// [`Workload::next_due`] answers, so a swap to a workload with earlier
@@ -299,7 +313,7 @@ impl RunOutcome {
     }
 
     /// Collapse to the statistics (a stalled run reads as saturated — the
-    /// legacy [`run`]/[`run_mono`] view).
+    /// [`run`] view).
     pub fn into_result(self) -> RunResult {
         match self {
             RunOutcome::Finished(r) => r,
@@ -326,53 +340,18 @@ impl Workload for Silence {
     }
 }
 
-/// The monomorphized stepping interface: a generic twin of [`NocSim::step`]
-/// that lets the run protocol inline the per-cycle loop for a concrete
-/// `(network, workload)` pair instead of paying two virtual dispatches per
-/// cycle (plus one per poll) through `dyn`.
-pub trait MonoStep: NocSim {
-    /// Advance one cycle, polling `workload` for new messages.
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W);
-}
-
-impl MonoStep for QuarcNetwork {
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        self.step_cycle(workload);
-    }
-}
-
-impl MonoStep for SpidergonNetwork {
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        self.step_cycle(workload);
-    }
-}
-
-impl MonoStep for MeshNetwork {
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        self.step_cycle(workload);
-    }
-}
-
-impl MonoStep for TorusNetwork {
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        self.step_cycle(workload);
-    }
-}
-
-/// The four concrete network simulators behind one enum, so the run loop
-/// dispatches with a predictable match instead of a vtable. The `dyn` facade
-/// ([`crate::build_network`], [`run`]) stays at the API boundary for callers
-/// that want type erasure.
+/// The three fabric instantiations behind one enum, so code that picks the
+/// topology at run time ([`crate::build_any`]) still steps through a
+/// predictable match instead of a vtable. Mesh and torus share the grid
+/// model, so both build the `Grid` variant.
 #[derive(Debug)]
 pub enum AnyNet {
     /// The paper's contribution.
     Quarc(QuarcNetwork),
     /// The one-port baseline.
     Spidergon(SpidergonNetwork),
-    /// The §4 mesh comparison grid.
-    Mesh(MeshNetwork),
-    /// The §4 torus comparison grid.
-    Torus(TorusNetwork),
+    /// The §4 mesh / torus comparison grids.
+    Grid(Fabric<GridRouter>),
 }
 
 macro_rules! for_each_net {
@@ -380,17 +359,18 @@ macro_rules! for_each_net {
         match $self {
             AnyNet::Quarc($n) => $e,
             AnyNet::Spidergon($n) => $e,
-            AnyNet::Mesh($n) => $e,
-            AnyNet::Torus($n) => $e,
+            AnyNet::Grid($n) => $e,
         }
     };
 }
 
-impl MonoStep for AnyNet {
-    #[inline]
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        for_each_net!(self, n => n.step_cycle(workload))
-    }
+/// Forward `&self` getters of [`NocSim`] to the wrapped fabric.
+macro_rules! forward_getters {
+    ($($name:ident -> $ret:ty),* $(,)?) => {
+        $(fn $name(&self) -> $ret {
+            for_each_net!(self, n => n.$name())
+        })*
+    };
 }
 
 impl NocSim for AnyNet {
@@ -398,127 +378,34 @@ impl NocSim for AnyNet {
         for_each_net!(self, n => n.step_cycle(workload))
     }
 
+    #[inline]
+    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
+        for_each_net!(self, n => n.step_cycle(workload))
+    }
+
     fn note_workload_change(&mut self) {
         for_each_net!(self, n => n.note_workload_change())
     }
 
-    fn now(&self) -> Cycle {
-        for_each_net!(self, n => NocSim::now(n))
-    }
-
-    fn num_nodes(&self) -> usize {
-        for_each_net!(self, n => NocSim::num_nodes(n))
-    }
-
-    fn kind(&self) -> TopologyKind {
-        for_each_net!(self, n => NocSim::kind(n))
-    }
-
-    fn metrics(&self) -> &Metrics {
-        for_each_net!(self, n => NocSim::metrics(n))
-    }
-
     fn metrics_mut(&mut self) -> &mut Metrics {
-        for_each_net!(self, n => NocSim::metrics_mut(n))
-    }
-
-    fn probe(&self) -> &SimProbe {
-        for_each_net!(self, n => NocSim::probe(n))
+        for_each_net!(self, n => n.metrics_mut())
     }
 
     fn probe_mut(&mut self) -> &mut SimProbe {
-        for_each_net!(self, n => NocSim::probe_mut(n))
+        for_each_net!(self, n => n.probe_mut())
     }
 
-    fn source_backlog(&self) -> usize {
-        for_each_net!(self, n => NocSim::source_backlog(n))
-    }
-
-    fn flit_hops(&self) -> u64 {
-        for_each_net!(self, n => NocSim::flit_hops(n))
-    }
-
-    fn quiesced(&self) -> bool {
-        for_each_net!(self, n => NocSim::quiesced(n))
-    }
-
-    fn recovery_pending(&self) -> u64 {
-        for_each_net!(self, n => NocSim::recovery_pending(n))
-    }
-
-    fn stall_diagnostics(&self) -> StallDiagnostics {
-        for_each_net!(self, n => NocSim::stall_diagnostics(n))
-    }
-}
-
-/// Adapter running the generic protocol over a type-erased network (one
-/// virtual `step` per cycle — the pre-refactor behaviour of [`run`]).
-struct DynNet<'a>(&'a mut dyn NocSim);
-
-impl NocSim for DynNet<'_> {
-    fn step(&mut self, workload: &mut dyn Workload) {
-        self.0.step(workload);
-    }
-
-    fn note_workload_change(&mut self) {
-        self.0.note_workload_change();
-    }
-
-    fn now(&self) -> Cycle {
-        self.0.now()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.0.num_nodes()
-    }
-
-    fn kind(&self) -> TopologyKind {
-        self.0.kind()
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.0.metrics()
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        self.0.metrics_mut()
-    }
-
-    fn probe(&self) -> &SimProbe {
-        self.0.probe()
-    }
-
-    fn probe_mut(&mut self) -> &mut SimProbe {
-        self.0.probe_mut()
-    }
-
-    fn source_backlog(&self) -> usize {
-        self.0.source_backlog()
-    }
-
-    fn flit_hops(&self) -> u64 {
-        self.0.flit_hops()
-    }
-
-    fn quiesced(&self) -> bool {
-        self.0.quiesced()
-    }
-
-    fn recovery_pending(&self) -> u64 {
-        self.0.recovery_pending()
-    }
-
-    fn stall_diagnostics(&self) -> StallDiagnostics {
-        self.0.stall_diagnostics()
-    }
-}
-
-impl MonoStep for DynNet<'_> {
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        // Re-borrow the (possibly unsized) workload through the blanket
-        // `impl Workload for &mut W` so it coerces to `&mut dyn Workload`.
-        let mut wl: &mut W = workload;
-        self.0.step(&mut wl);
+    forward_getters! {
+        now -> Cycle,
+        num_nodes -> usize,
+        kind -> TopologyKind,
+        metrics -> &Metrics,
+        probe -> &SimProbe,
+        source_backlog -> usize,
+        flit_hops -> u64,
+        quiesced -> bool,
+        recovery_pending -> u64,
+        stall_diagnostics -> StallDiagnostics,
     }
 }
 
@@ -555,7 +442,7 @@ impl Watchdog {
     }
 
     /// Call once per simulated cycle.
-    fn poll<N: MonoStep>(&mut self, net: &N) -> Option<Trip> {
+    fn poll<N: NocSim>(&mut self, net: &N) -> Option<Trip> {
         if self.window == 0 && self.deadline.is_none() {
             return None;
         }
@@ -596,14 +483,14 @@ impl Watchdog {
 /// window's edges. "Total" adds ACK control flits and suppressed duplicate
 /// data — fabric work the goodput definition excludes. The two components
 /// are equal whenever recovery is disabled.
-fn flits_moved<N: MonoStep>(net: &N) -> (u64, u64) {
+fn flits_moved<N: NocSim>(net: &N) -> (u64, u64) {
     let m = net.metrics();
     let data = m.flits_delivered();
     (data, data + m.acks_delivered() + m.dup_flits_suppressed())
 }
 
 /// Summarise a (possibly partial) run from the current network state.
-fn summarise<N: MonoStep>(
+fn summarise<N: NocSim>(
     net: &N,
     offered_rate: Option<f64>,
     spec: &RunSpec,
@@ -650,7 +537,7 @@ fn summarise<N: MonoStep>(
 /// `deadline` is the cooperative wall-clock cutoff (a campaign's
 /// `--point-timeout` budget), checked at the stall watchdog's cadence;
 /// `None` runs unbounded.
-fn run_protocol<N: MonoStep, W: Workload + ?Sized>(
+fn run_protocol<N: NocSim, W: Workload + ?Sized>(
     net: &mut N,
     workload: &mut W,
     spec: &RunSpec,
@@ -714,7 +601,7 @@ fn run_protocol<N: MonoStep, W: Workload + ?Sized>(
 
 /// Package a tripped sentinel as the matching outcome (diagnostics are only
 /// gathered for a genuine stall — the deadline cut is not a wedge).
-fn trip_outcome<N: MonoStep>(net: &N, trip: Trip, partial: RunResult) -> RunOutcome {
+fn trip_outcome<N: NocSim>(net: &N, trip: Trip, partial: RunResult) -> RunOutcome {
     match trip {
         Trip::Wedged => {
             RunOutcome::Stalled { cycle: net.now(), diagnostics: net.stall_diagnostics(), partial }
@@ -731,27 +618,21 @@ fn trip_outcome<N: MonoStep>(net: &N, trip: Trip, partial: RunResult) -> RunOutc
 /// in-flight measured messages still complete. A saturated network will not
 /// drain — the partial statistics plus the `saturated` flag are returned.
 ///
-/// This is the type-erased facade (one virtual `step` per cycle); the hot
-/// callers — `run_point`, the perf harness — use [`run_mono`], which
-/// monomorphizes the same protocol.
-pub fn run(net: &mut dyn NocSim, workload: &mut dyn Workload, spec: &RunSpec) -> RunResult {
-    run_protocol(&mut DynNet(net), workload, spec, None).into_result()
-}
-
-/// [`run`], monomorphized: the whole per-cycle loop — enum dispatch over the
-/// network, static dispatch into the workload — compiles to one specialised
-/// body per concrete workload type, with no virtual calls.
-pub fn run_mono<W: Workload + ?Sized>(
-    net: &mut AnyNet,
+/// Monomorphized per `(network, workload)` pair: the whole per-cycle loop
+/// compiles to one specialised body, with no virtual calls.
+pub fn run<N: NocSim, W: Workload + ?Sized>(
+    net: &mut N,
     workload: &mut W,
     spec: &RunSpec,
 ) -> RunResult {
     run_protocol(net, workload, spec, None).into_result()
 }
 
-/// [`run_mono`], but reporting how the run ended: [`RunOutcome::Stalled`]
-/// carries the watchdog's diagnostics instead of silently folding a wedged
-/// network into `saturated`. Fault-injection campaigns use this entry point.
+/// [`run`] over the run-time-selected [`AnyNet`] (enum dispatch over the
+/// network, static dispatch into the workload), reporting how the run
+/// ended: [`RunOutcome::Stalled`] carries the watchdog's diagnostics instead
+/// of silently folding a wedged network into `saturated`. Fault-injection
+/// campaigns use this entry point.
 pub fn run_mono_outcome<W: Workload + ?Sized>(
     net: &mut AnyNet,
     workload: &mut W,

@@ -1,6 +1,6 @@
 //! Deterministic fault injection: the expansion of a [`FaultPlan`] into
-//! concrete per-link / per-router fault state, shared by all four network
-//! models.
+//! concrete per-link / per-router fault state, plus explicit per-link block
+//! windows — the one lossless-block mechanism of the [`crate::Fabric`].
 //!
 //! A plan names *how many* components fail; this module decides *which*
 //! ones, by drawing from `DetRng` substreams seeded only by the plan — so
@@ -24,7 +24,8 @@
 //!   change it.
 //! * **Transient link**: blocks losslessly for `transient_cycles` from
 //!   `onset`; upstream arbitration simply finds the link infeasible and
-//!   credit-based flow control holds everything back.
+//!   credit-based flow control holds everything back. An explicit
+//!   [`FaultState::block_link`] window is the same thing on a chosen link.
 //! * **Frozen router**: from `onset` the router's arbiter grants nothing
 //!   (no forwarding, no ejection, no local injection). Traffic through it
 //!   wedges — which is exactly what the driver's stall watchdog exists to
@@ -34,9 +35,8 @@
 //! — a transient window opens and closes with the clock, and a header
 //! already waiting at a link when `onset` arrives flips from blocked to
 //! droppable without any tracked event — so the source nodes of every
-//! faulted link are listed in [`FaultState::watch_nodes`] and re-marked
-//! grantable each cycle while the plan is live (the same discipline as the
-//! Quarc model's stall windows). Frozen routers need no wakeups: a frozen
+//! faulted or blocked link are listed in [`FaultState::watch_nodes`] and
+//! re-marked grantable each cycle. Frozen routers need no wakeups: a frozen
 //! router never becomes grantable again.
 
 use quarc_core::config::FaultPlan;
@@ -50,11 +50,14 @@ pub struct FaultState {
     /// site pays when the plan is empty.
     any: bool,
     onset: Cycle,
-    transient_until: Cycle,
     /// Per-link: permanently dead from `onset`.
     dead: Box<[bool]>,
-    /// Per-link: blocked losslessly during `[onset, transient_until)`.
-    transient: Box<[bool]>,
+    /// Per-link lossless block window `[from, until)` (`(0, 0)` = none):
+    /// the plan's transient links, or an explicit [`FaultState::block_link`].
+    block: Box<[(Cycle, Cycle)]>,
+    /// Latest `until` of any block window: past it no link is blocked, so
+    /// the per-lane check stays one compare without touching `block`.
+    blocked_until: Cycle,
     /// Per-link: drop threshold in the upper 16 bits of a `u64` hash
     /// (0 = lossless).
     drop_thresh: Box<[u64]>,
@@ -100,9 +103,9 @@ impl FaultState {
         let mut state = FaultState {
             any: false,
             onset: plan.onset,
-            transient_until: plan.onset + plan.transient_cycles as u64,
             dead: vec![false; links].into_boxed_slice(),
-            transient: vec![false; links].into_boxed_slice(),
+            block: vec![(0, 0); links].into_boxed_slice(),
+            blocked_until: 0,
             drop_thresh: vec![0u64; links].into_boxed_slice(),
             drop_salt: vec![0u64; links].into_boxed_slice(),
             frozen: vec![false; nodes].into_boxed_slice(),
@@ -115,12 +118,7 @@ impl FaultState {
         let pool: Vec<usize> = (0..links).filter(|&l| link_exists(l)).collect();
         let root = DetRng::new(plan.seed);
         let mut scratch = vec![false; links];
-        let watch = |state: &mut FaultState, lid: usize| {
-            let src = node_of_link(lid) as u32;
-            if !state.watch_nodes.contains(&src) {
-                state.watch_nodes.push(src);
-            }
-        };
+        let watch = |state: &mut FaultState, lid: usize| state.watch(node_of_link(lid));
 
         let mut rng = root.fork(1);
         for lid in pick_distinct(&mut rng, &pool, plan.dead_links as usize, &mut scratch) {
@@ -143,7 +141,7 @@ impl FaultState {
         for lid in
             pick_distinct(&mut rng, &pool, plan.transient_links as usize, &mut transient_scratch)
         {
-            state.transient[lid] = true;
+            state.set_block(lid, plan.onset, plan.onset + plan.transient_cycles as u64);
             watch(&mut state, lid);
         }
         let mut rng = root.fork(4);
@@ -155,6 +153,30 @@ impl FaultState {
             state.frozen[node] = true;
         }
         state
+    }
+
+    /// Keep `node`'s router re-arbitrating every cycle.
+    fn watch(&mut self, node: usize) {
+        if !self.watch_nodes.contains(&(node as u32)) {
+            self.watch_nodes.push(node as u32);
+        }
+    }
+
+    /// Block link `lid` (leaving router `node`) losslessly while `from ≤ now
+    /// < until`, replacing any window the link already had: it refuses every
+    /// flit and credit-based flow control must absorb the stall with zero
+    /// loss. The window opens and closes with the clock alone, so `node`
+    /// joins the watch list.
+    pub fn block_link(&mut self, lid: usize, node: usize, from: Cycle, until: Cycle) {
+        assert!(from < until);
+        self.any = true;
+        self.set_block(lid, from, until);
+        self.watch(node);
+    }
+
+    fn set_block(&mut self, lid: usize, from: Cycle, until: Cycle) {
+        self.block[lid] = (from, until);
+        self.blocked_until = self.blocked_until.max(until);
     }
 
     /// A fault state scheduling nothing (for networks built without a plan).
@@ -181,10 +203,13 @@ impl FaultState {
         self.any && now >= self.onset && self.dead[lid]
     }
 
-    /// Whether `lid` is inside a transient lossless blocking window.
+    /// Whether `lid` is inside a lossless blocking window.
     #[inline]
     pub fn link_blocked(&self, lid: usize, now: Cycle) -> bool {
-        self.any && now >= self.onset && now < self.transient_until && self.transient[lid]
+        self.any && now < self.blocked_until && {
+            let (from, until) = self.block[lid];
+            now >= from && now < until
+        }
     }
 
     /// Whether routing `packet` onto `lid` at `now` drops it. Combines the
@@ -279,6 +304,24 @@ mod tests {
         assert!(!s.link_blocked(transient, 99));
         assert!(s.link_blocked(transient, 149));
         assert!(!s.link_blocked(transient, 150), "window closes");
+    }
+
+    #[test]
+    fn explicit_block_windows_open_close_and_join_the_watch_list() {
+        let mut s = FaultState::new(&FaultPlan::NONE, 16, 64, |l| l / 4, |_| true);
+        s.block_link(9, 2, 50, 80);
+        s.block_link(30, 7, 10, 20);
+        assert!(s.any());
+        assert_eq!(s.watch_nodes(), &[2, 7]);
+        assert!(!s.link_blocked(9, 49) && s.link_blocked(9, 50) && s.link_blocked(9, 79));
+        assert!(!s.link_blocked(9, 80), "window closes");
+        assert!(s.link_blocked(30, 15) && !s.link_blocked(30, 50), "windows are per link");
+        assert!(!s.link_blocked(8, 60), "other links stay open");
+        // Blocking is lossless and freezes nothing.
+        assert!(!s.drops_packet(9, PacketId(1), 60) && !s.node_frozen(2, 60));
+        // A later window replaces the link's earlier one.
+        s.block_link(9, 2, 100, 110);
+        assert!(!s.link_blocked(9, 60) && s.link_blocked(9, 105));
     }
 
     #[test]

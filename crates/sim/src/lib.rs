@@ -5,23 +5,30 @@
 //! for §3.2 ("we have developed a discrete event simulator operating at flit
 //! level").
 //!
-//! Two complete switch/network models are provided:
+//! There is **one simulator** — [`fabric::Fabric`], which owns the cycle
+//! loop, the active-set worklists, flow control, arbitration, and the single
+//! site where each of the probe, fault and recovery layers meets the network
+//! — instantiated over three [`fabric::RouterModel`]s that supply only what
+//! the paper says differs between the architectures:
 //!
-//! * [`quarc_net::QuarcNetwork`] — the paper's contribution: all-port router,
+//! * [`quarc_net::QuarcRouter`] — the paper's contribution: all-port router,
 //!   doubled cross links, clone-based true broadcast;
-//! * [`spider_net::SpidergonNetwork`] — the baseline: one-port router, single
+//! * [`spider_net::SpidergonRouter`] — the baseline: one-port router, single
 //!   cross link, broadcast by store-and-forward unicast chains;
+//! * [`grid_net::GridRouter`] — the paper's stated "next objective"
+//!   comparison grids: the 2D torus (wrap links, per-dimension dateline
+//!   VCs) and the 2D mesh, which is the same router with wrap links and
+//!   datelines off (XY routing, single VC).
 //!
-//! plus the paper's stated "next objective" comparison grids: a 2D mesh
-//! ([`mesh_net`], XY routing, single VC) and a 2D torus ([`torus_net`],
-//! wrap links with per-dimension dateline VCs). All four are first-class
-//! [`quarc_core::topology::TopologyKind`]s, carry every traffic class
-//! (mesh/torus collectives ride a dimension-ordered multicast tree planned
-//! at the source), and share the same building blocks ([`buffer`], [`link`],
-//! [`arbiter`]), the same measurement engine ([`metrics`]) and the same run
-//! protocol ([`driver`], [`sweep`]) — so a latency difference between
-//! networks can only come from the architectural differences the paper
-//! claims matter.
+//! [`QuarcNetwork`], [`SpidergonNetwork`], [`MeshNetwork`] and
+//! [`TorusNetwork`] are type aliases of the instantiations, and all four are
+//! first-class [`quarc_core::topology::TopologyKind`]s carrying every
+//! traffic class (mesh/torus collectives ride a dimension-ordered multicast
+//! tree planned at the source). Everything else is shared too — building
+//! blocks ([`buffer`], [`link`], [`arbiter`]), the measurement engine
+//! ([`metrics`]) and the run protocol ([`driver`], [`sweep`]) — so a latency
+//! difference between networks can only come from the architectural
+//! differences the paper claims matter.
 //!
 //! ## The hot path: packet table + zero-alloc invariant
 //!
@@ -30,7 +37,7 @@
 //! cycle loop is engineered to perform **zero heap allocations** and only
 //! O(1) bookkeeping per flit event:
 //!
-//! * **Interned packet metadata** — each network owns a
+//! * **Interned packet metadata** — the fabric owns a
 //!   [`quarc_core::flit::PacketTable`]; a `Flit` is a 16-byte `Copy` handle
 //!   (packet ref + seq + kind + payload). Metadata is written once at
 //!   injection, the slot is recycled when the tail is absorbed at the last
@@ -39,7 +46,7 @@
 //!   the arbitration transfer list, and per-port VC scans all use buffers
 //!   that live across cycles (fixed arrays where the bound is static,
 //!   `MAX_VCS`).
-//! * **Counter-maintained queries** — link occupancy ([`link::Link`]),
+//! * **Counter-maintained queries** — link occupancy ([`link::LinkBank`]),
 //!   sender-side credits (exact mirrors of downstream free space), source
 //!   backlog and buffered-flit totals are all updated at the event and read
 //!   in O(1); `quiesced()` is four counter compares, not a network walk.
@@ -47,10 +54,12 @@
 //!   only become grantable through a tracked event (arrival, injection,
 //!   commit, credit return), so quiescent routers are skipped exactly.
 //!
-//! The refactor is held to **bit-identical** behaviour by
+//! Every refactor of this path is held to **bit-identical** behaviour by
 //! `tests/equivalence.rs`: fixed-seed Synthetic/Bursty/Trace runs on all four
-//! networks against goldens generated before it, with latency means compared
-//! as exact `f64` bit patterns.
+//! topologies — healthy, and under fault plans with recovery off and on —
+//! against goldens generated before it, with latency means compared as
+//! exact `f64` bit patterns; `tests/active_set.rs` steps the active-set
+//! scheduler in lockstep with the full-scan oracle.
 //!
 //! Throughput is tracked by the `perf` harness in `quarc-bench`:
 //!
@@ -69,7 +78,9 @@
 pub mod arbiter;
 pub mod buffer;
 pub mod driver;
+pub mod fabric;
 pub mod fault;
+pub mod grid_net;
 pub mod link;
 pub mod mesh_net;
 pub mod metrics;
@@ -83,9 +94,10 @@ pub mod torus_net;
 
 pub use arbiter::ArbPolicy;
 pub use driver::{
-    run, run_mono, run_mono_outcome, run_mono_outcome_deadline, AnyNet, MonoStep, NocSim,
-    RunOutcome, RunResult, RunSpec, StallDiagnostics,
+    run, run_mono_outcome, run_mono_outcome_deadline, AnyNet, NocSim, RunOutcome, RunResult,
+    RunSpec, StallDiagnostics,
 };
+pub use fabric::{Fabric, RouterModel};
 pub use fault::FaultState;
 pub use mesh_net::MeshNetwork;
 pub use metrics::Metrics;
@@ -94,8 +106,8 @@ pub use quarc_net::QuarcNetwork;
 pub use recovery::{DataDelivery, RecoveryAction, RecoveryState};
 pub use spider_net::SpidergonNetwork;
 pub use sweep::{
-    build_any, build_network, curve_csv, geometric_rates, latency_curve, run_point,
-    run_point_outcome, run_point_outcome_deadline, CurvePoint, CurveSpec, PointError, PointOutcome,
-    PointRunOutcome, PointSpec,
+    build_any, curve_csv, geometric_rates, latency_curve, run_point, run_point_outcome,
+    run_point_outcome_deadline, CurvePoint, CurveSpec, PointError, PointOutcome, PointRunOutcome,
+    PointSpec,
 };
 pub use torus_net::TorusNetwork;

@@ -1,1102 +1,23 @@
-//! A 2D-mesh wormhole network with XY routing.
-//!
-//! Two roles, both taken from the paper: §3.2 validates the flit-level
-//! simulator "against analytical models for the Spidergon and mesh
-//! topologies employing wormhole routing", and §4 names mesh/torus the "next
-//! objective" comparison. XY dimension-ordered routing is deadlock-free on a
-//! mesh with a single VC, so this model runs every packet on VC0 and needs no
-//! dateline; everything else (buffers, links, credits, one-port local
-//! interface, single ejection port) matches the ring models so comparisons
-//! are apples-to-apples.
-//!
-//! ## Collectives: the dimension-ordered multicast tree
-//!
-//! Broadcast and multicast ride the same path-based scheme the Quarc uses
-//! (§2.5.3), adapted to the grid: the source transceiver partitions the
-//! target set by destination column and y direction
-//! ([`MeshTopology::multicast_branches_into`]) and emits one
-//! `TrafficClass::Multicast` packet per group, serialised straight into the
-//! injection queue. Each branch follows the ordinary XY route to its furthest
-//! target — branching out of the x run at the turn node — and its header
-//! bitstring marks which path nodes take a copy (bit 0 = next node, shifted
-//! every hop, exactly as in the Quarc model). Marked intermediate nodes
-//! absorb-and-forward at the ingress multiplexer — the copy bypasses the
-//! ejection arbiter, mirroring the Quarc's clone semantics so collective
-//! comparisons across topologies stay apples-to-apples — while the branch
-//! terminal delivers through the arbitrated ejection port like any unicast.
-//! A broadcast is the all-targets special case (one branch per column and
-//! y direction), so the mesh no longer restricts workloads to β = 0.
-//!
-//! State layout and per-cycle scheduling follow `quarc_net`: network-owned
-//! structure-of-arrays slabs and active-set worklists for links, routers and
-//! sources (see `crates/sim/HOTPATH.md`). Edge positions simply own dead
-//! link slots that are never sent on and therefore never enter the live set.
+//! The 2D mesh: the grid model ([`crate::grid_net`]) with wrap links and
+//! datelines off — XY routing is deadlock-free on a mesh with a single VC,
+//! so every packet runs on VC0 and edge routers simply own vacant link
+//! slots. Selected by [`quarc_core::topology::TopologyKind::Mesh`].
 
-use crate::arbiter::{ArbPolicy, RoundRobinBank};
-use crate::buffer::LaneBufs;
-use crate::driver::{NocSim, StallDiagnostics};
-use crate::fault::FaultState;
-use crate::link::{LinkBank, TaggedFlit};
-use crate::metrics::{grid_eject_site, grid_lane_site, Metrics};
-use crate::packets::{ack_meta, grid_expand_into, IdAlloc, PacketQueue};
-use crate::probe::{CounterSample, FlitEventKind, Phase, SimProbe};
-use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
-use quarc_core::config::{NocConfig, MAX_VCS};
-use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
-use quarc_core::ids::NodeId;
-use quarc_core::topology::{GridBranch, MeshOut, MeshTopology, TopologyKind};
-use quarc_core::vc::INJECTION_VC;
-use quarc_engine::{Clock, Cycle};
-use quarc_workloads::{MessageRequest, Workload};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::fabric::Fabric;
+use crate::grid_net::GridRouter;
 
-/// Direction outputs in index order (matches `MeshOut::index()` 0..4).
-const NET_OUT: [MeshOut; 4] = [MeshOut::East, MeshOut::West, MeshOut::North, MeshOut::South];
-/// Ejection pseudo-output index.
-const EJECT: usize = 4;
-
-/// The input port a flit sent via `out` arrives on (the opposite side).
-fn arrival_port(out: MeshOut) -> usize {
-    match out {
-        MeshOut::East => MeshOut::West.index(),
-        MeshOut::West => MeshOut::East.index(),
-        MeshOut::North => MeshOut::South.index(),
-        MeshOut::South => MeshOut::North.index(),
-        MeshOut::Eject => unreachable!(),
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Src {
-    Net { port: usize, vc: usize },
-    Local,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HopPlan {
-    /// Local PE takes a copy at the ingress multiplexer (marked multicast
-    /// node in transit; the branch terminal delivers via [`EJECT`] instead).
-    deliver: bool,
-    /// `0..4` = link, [`EJECT`] = deliver-and-stop.
-    out: usize,
-    /// The forward was suppressed by a fault: drain the packet's flits
-    /// without transmitting (the local copy, if any, still delivers). Set
-    /// only at header-plan time.
-    dropped: bool,
-    /// The delivery at *this* node (ingress copy or ejection) duplicates an
-    /// already-served receiver (recovery only): drain it without recording,
-    /// but still re-ack the tail. Decided at the header's commit, cached
-    /// here for the body.
-    dup: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PortReq {
-    src: Src,
-    plan: HopPlan,
-    is_header: bool,
-    is_tail: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Transfer {
-    node: usize,
-    req: PortReq,
-}
-
-/// The flit-level mesh network simulator. Per-router state is
-/// structure-of-arrays (flat `node * ports + port` slabs), stepped over
-/// active-set worklists exactly as in [`crate::quarc_net`].
-#[derive(Debug)]
-pub struct MeshNetwork {
-    topo: MeshTopology,
-    cfg: NocConfig,
-    clock: Clock,
-    /// The single local injection queue per node, holding whole packets
-    /// (flits materialise on pop).
-    inject_q: Box<[PacketQueue]>,
-    /// Plan of the packet currently streaming from each local queue.
-    inject_plan: Box<[Option<HopPlan>]>,
-    /// Input buffers, one bank; lane `(node * 4 + port) * vcs + vc`.
-    in_buf: LaneBufs,
-    /// Route state per input lane, set by the header.
-    in_route: Box<[Option<HopPlan>]>,
-    /// Wormhole ownership per output `node * 4 + out` (XY runs on VC0 only).
-    out_owner: Box<[Option<Src>]>,
-    /// Ejection-port ownership per node.
-    eject_owner: Box<[Option<Src>]>,
-    /// VC arbiter per network input port (`node * 4 + port`).
-    rr_in_vc: RoundRobinBank,
-    /// Grant arbiter per output (`node * 5 + out`; 4 links + eject).
-    rr_out: RoundRobinBank,
-    /// `node * 4 + out`; edge positions are dead slots never sent on.
-    links: LinkBank,
-    ids: IdAlloc,
-    metrics: Metrics,
-    /// Interned metadata of every in-flight packet (see [`PacketTable`]).
-    packets: PacketTable,
-    transfers: Vec<Transfer>,
-    /// Scratch for workload polling, reused across every poll of the run.
-    poll_buf: Vec<MessageRequest>,
-    /// Scratch for the multicast branch planner, reused across messages.
-    branch_buf: Vec<GridBranch>,
-    /// Total link traversals (observability; the perf harness reads deltas).
-    flit_hops: u64,
-    /// Precomputed `(downstream node, arrival port)` per `node * 4 + out`
-    /// (`None` at mesh edges).
-    targets: Vec<Option<(u32, u8)>>,
-    /// Sender-side credits per `node * 4 + out` (XY routing runs entirely on
-    /// VC0, so one counter per link mirrors downstream free minus in-flight).
-    credits: Vec<u32>,
-    /// Link id feeding input `node * 4 + in_port` (`u32::MAX` at edges,
-    /// which never receive).
-    feeder: Vec<u32>,
-    /// Active-set state (see `quarc_net` for the invariants).
-    node_active: Vec<bool>,
-    active_nodes: Vec<u32>,
-    node_worklist: Vec<u32>,
-    link_live: Vec<bool>,
-    live_links: Vec<u32>,
-    poll_heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    full_scan: bool,
-    /// O(1) counter twins for `backlog()` / `quiesced()`.
-    inject_backlog: usize,
-    buffered_flits: u64,
-    link_occupancy: u64,
-    /// Injected fault schedule (all-healthy when the plan is empty). Edge
-    /// positions are masked out of the selection pool at expansion.
-    fault: FaultState,
-    /// End-to-end ack/timeout/retransmit engine from
-    /// [`NocConfig::recovery`]. Disabled policies cost one predictable
-    /// branch per hook.
-    recovery: RecoveryState,
-    /// Scratch for retry-target extraction, reused across pump calls.
-    retry_targets: Vec<NodeId>,
-    /// Instrumentation (off by default; observe, never mutate).
-    probe: SimProbe,
-}
-
-impl MeshNetwork {
-    /// Build a near-square mesh of at least `cfg.n` nodes.
-    pub fn new(cfg: NocConfig) -> Self {
-        assert_eq!(cfg.kind, TopologyKind::Mesh, "config is not a mesh network");
-        cfg.validate().expect("invalid configuration");
-        let topo = MeshTopology::square(cfg.n);
-        let n = topo.num_nodes();
-        let targets: Vec<Option<(u32, u8)>> = (0..n * 4)
-            .map(|i| {
-                topo.link_target(NodeId::new(i / 4), NET_OUT[i % 4])
-                    .map(|to| (to.index() as u32, arrival_port(NET_OUT[i % 4]) as u8))
-            })
-            .collect();
-        let mut feeder = vec![u32::MAX; n * 4];
-        for (lid, t) in targets.iter().enumerate() {
-            if let Some((to, tin)) = t {
-                feeder[*to as usize * 4 + *tin as usize] = lid as u32;
-            }
-        }
-        let fault =
-            FaultState::new(&cfg.fault, n, n * 4, |lid| lid / 4, |lid| targets[lid].is_some());
-        MeshNetwork {
-            topo,
-            cfg,
-            clock: Clock::new(),
-            inject_q: (0..n).map(|_| PacketQueue::new()).collect(),
-            inject_plan: vec![None; n].into_boxed_slice(),
-            in_buf: LaneBufs::new(n * 4 * cfg.vcs, cfg.buffer_depth),
-            in_route: vec![None; n * 4 * cfg.vcs].into_boxed_slice(),
-            out_owner: vec![None; n * 4].into_boxed_slice(),
-            eject_owner: vec![None; n].into_boxed_slice(),
-            rr_in_vc: RoundRobinBank::new(n * 4, ArbPolicy::RoundRobin),
-            rr_out: RoundRobinBank::new(n * 5, ArbPolicy::RoundRobin),
-            links: LinkBank::new(n * 4, cfg.link_latency),
-            ids: IdAlloc::new(),
-            metrics: Metrics::new(),
-            // Sized so the longest XY branch's bitstring always fits; for
-            // n <= 64 every branch stays inline and the slab never allocates.
-            packets: PacketTable::with_bit_capacity(topo.diameter() + 1),
-            transfers: Vec::new(),
-            poll_buf: Vec::new(),
-            branch_buf: Vec::new(),
-            flit_hops: 0,
-            credits: vec![cfg.buffer_depth as u32; n * 4],
-            feeder,
-            targets,
-            node_active: vec![true; n],
-            active_nodes: (0..n as u32).collect(),
-            node_worklist: Vec::new(),
-            link_live: vec![false; n * 4],
-            live_links: Vec::new(),
-            poll_heap: (0..n as u32).map(|node| Reverse((0, node))).collect(),
-            full_scan: false,
-            inject_backlog: 0,
-            buffered_flits: 0,
-            link_occupancy: 0,
-            fault,
-            recovery: RecoveryState::new(cfg.recovery, n),
-            retry_targets: Vec::new(),
-            probe: SimProbe::new(),
-        }
-    }
-
-    /// The mesh dimensions chosen for this node count.
-    pub fn topology(&self) -> &MeshTopology {
-        &self.topo
-    }
-
-    /// Test oracle: scan everything every cycle (see
-    /// `QuarcNetwork::set_full_scan`). Call before the first `step`.
-    pub fn set_full_scan(&mut self, on: bool) {
-        assert_eq!(self.clock.now(), 0, "full-scan mode is a construction-time choice");
-        self.full_scan = on;
-    }
-
-    #[inline]
-    fn mark_node(&mut self, node: usize) {
-        if !self.node_active[node] {
-            self.node_active[node] = true;
-            self.active_nodes.push(node as u32);
-        }
-    }
-
-    /// Resolve the per-hop plan for a header at `node`. `from_net` marks
-    /// headers arriving on a network input: only those may clone (bit 0 of a
-    /// freshly injected multicast header refers to the node one hop out, not
-    /// to the source itself).
-    /// The fault drop decision is made here, once per packet per hop: a
-    /// forward onto a dead (or hash-selected lossy) link becomes a drop plan
-    /// the whole wormhole then follows. Ejection uses no link and is never
-    /// dropped, and a marked transit node's ingress copy still delivers.
-    fn plan_header(&self, node: usize, meta: &PacketMeta, from_net: bool) -> HopPlan {
-        match self.topo.route(NodeId::new(node), meta.dst) {
-            MeshOut::Eject => HopPlan { deliver: false, out: EJECT, dropped: false, dup: false },
-            out => HopPlan {
-                deliver: from_net && meta.class == TrafficClass::Multicast && meta.bitstring.bit0(),
-                out: out.index(),
-                dropped: self.fault.any()
-                    && self.fault.drops_packet(
-                        node * 4 + out.index(),
-                        meta.packet,
-                        self.clock.now(),
-                    ),
-                dup: false,
-            },
-        }
-    }
-
-    fn downstream_free(&self, node: usize, out: usize) -> usize {
-        if self.fault.any() && self.fault.link_blocked(node * 4 + out, self.clock.now()) {
-            return 0;
-        }
-        // One read of the sender-side credit counter (routes never leave the
-        // mesh, so the link always exists here).
-        self.credits[node * 4 + out] as usize
-    }
-
-    fn ownership_allows(&self, node: usize, plan: HopPlan, src: Src, is_header: bool) -> bool {
-        let owner = if plan.out == EJECT {
-            self.eject_owner[node]
-        } else {
-            self.out_owner[node * 4 + plan.out]
-        };
-        match owner {
-            Some(o) => o == src && !is_header,
-            None => is_header,
-        }
-    }
-
-    fn feasible(&self, node: usize, plan: HopPlan, src: Src, is_header: bool) -> bool {
-        // Drops consume the flit without claiming any output resource.
-        plan.dropped
-            || (self.ownership_allows(node, plan, src, is_header)
-                && (plan.out == EJECT || self.downstream_free(node, plan.out) > 0))
-    }
-
-    // Index loops couple several per-lane arrays; iterator forms obscure
-    // the coupling in this golden-pinned hot path.
-    #[allow(clippy::needless_range_loop)]
-    fn gather_net_port(&mut self, node: usize, p: usize) -> Option<PortReq> {
-        let vcs = self.cfg.vcs;
-        let base = (node * 4 + p) * vcs;
-        // Fixed-size scratch: runs per active router per cycle, must not
-        // allocate.
-        let mut feasible: [Option<PortReq>; MAX_VCS] = [None; MAX_VCS];
-        for vc in 0..vcs {
-            let Some(head) = self.in_buf.front(base + vc).copied() else {
-                continue;
-            };
-            let plan = match self.in_route[base + vc] {
-                Some(plan) => plan,
-                None => {
-                    assert!(head.is_header(), "wormhole violated");
-                    self.plan_header(node, self.packets.meta(head.packet), true)
-                }
-            };
-            let src = Src::Net { port: p, vc };
-            // Inlined `feasible` so the credit failure is distinguishable —
-            // probe-only: a lane head blocked purely on credits is a credit
-            // stall. Evaluation order matches `feasible` exactly.
-            let ok = plan.dropped
-                || (self.ownership_allows(node, plan, src, head.is_header())
-                    && (plan.out == EJECT || {
-                        let free = self.downstream_free(node, plan.out) > 0;
-                        if !free && self.probe.counters_on() {
-                            self.probe.note_credit_stall();
-                        }
-                        free
-                    }));
-            if ok {
-                feasible[vc] = Some(PortReq {
-                    src,
-                    plan,
-                    is_header: head.is_header(),
-                    is_tail: head.is_tail(),
-                });
-            }
-        }
-        let pick = self.rr_in_vc.pick(node * 4 + p, vcs, |vc| feasible[vc].is_some())?;
-        feasible[pick]
-    }
-
-    fn gather_local(&self, node: usize) -> Option<PortReq> {
-        let head = self.inject_q[node].front()?;
-        let plan = match self.inject_plan[node] {
-            Some(plan) => plan,
-            None => {
-                assert!(head.is_header(), "local queue must start with a header");
-                self.plan_header(node, self.packets.meta(head.packet), false)
-            }
-        };
-        self.feasible(node, plan, Src::Local, head.is_header()).then_some(PortReq {
-            src: Src::Local,
-            plan,
-            is_header: head.is_header(),
-            is_tail: head.is_tail(),
-        })
-    }
-
-    // Index loops couple several per-lane arrays; iterator forms obscure
-    // the coupling in this golden-pinned hot path.
-    #[allow(clippy::needless_range_loop)]
-    fn gather_node(&mut self, node: usize, transfers: &mut Vec<Transfer>) {
-        // A frozen router grants nothing: returning before any arbiter is
-        // consulted keeps full-scan and active-set arbiter state identical.
-        if self.fault.node_frozen(node, self.clock.now()) {
-            return;
-        }
-        let mut reqs: [Option<PortReq>; 5] = [None; 5];
-        for p in 0..4 {
-            reqs[p] = self.gather_net_port(node, p);
-        }
-        reqs[4] = self.gather_local(node);
-        // Drop plans claim no output: commit them directly instead of
-        // letting them contend in (and possibly lose) output arbitration.
-        for slot in 0..5 {
-            if let Some(r) = reqs[slot] {
-                if r.plan.dropped {
-                    reqs[slot] = None;
-                    transfers.push(Transfer { node, req: r });
-                }
-            }
-        }
-        for o in 0..5 {
-            // All five sources are arbitration candidates at every output.
-            let winner = self.rr_out.pick(
-                node * 5 + o,
-                5,
-                |slot| matches!(reqs[slot], Some(r) if r.plan.out == o),
-            );
-            if let Some(slot) = winner {
-                let req = reqs[slot].take().expect("winner exists");
-                transfers.push(Transfer { node, req });
-            }
-        }
-    }
-
-    fn commit(&mut self, t: Transfer) {
-        let now = self.clock.now();
-        let node = t.node;
-        let vcs = self.cfg.vcs;
-        // Any commit mutates this router's lane/ownership/credit state.
-        self.mark_node(node);
-        let flit = match t.req.src {
-            Src::Net { port, vc } => {
-                let lane = (node * 4 + port) * vcs + vc;
-                let flit = self.in_buf.pop(lane).expect("planned flit");
-                self.buffered_flits -= 1;
-                // The freed slot becomes a credit at the upstream sender.
-                let feeder = self.feeder[node * 4 + port] as usize;
-                self.credits[feeder] += 1;
-                self.mark_node(feeder / 4);
-                if t.req.is_header {
-                    self.in_route[lane] = Some(t.req.plan);
-                }
-                if t.req.is_tail {
-                    self.in_route[lane] = None;
-                }
-                flit
-            }
-            Src::Local => {
-                let flit = self.inject_q[node].pop().expect("planned flit");
-                self.inject_backlog -= 1;
-                if t.req.is_header {
-                    self.inject_plan[node] = Some(t.req.plan);
-                }
-                if t.req.is_tail {
-                    self.inject_plan[node] = None;
-                }
-                flit
-            }
-        };
-        if t.req.plan.out == EJECT {
-            if t.req.is_header {
-                self.eject_owner[node] = Some(t.req.src);
-            }
-            if t.req.is_tail {
-                self.eject_owner[node] = None;
-            }
-            let meta = *self.packets.meta(flit.packet);
-            if meta.class == TrafficClass::Ack {
-                // ACK absorbed at the data source: a control packet, never a
-                // tracked delivery (the data message may already be completed
-                // and its slot recycled). First ack per receiver closes its
-                // pending bit and samples the round trip; duplicates drain.
-                let fresh = self.recovery.on_ack(meta.message, meta.src, now);
-                if let Some(created_at) = fresh {
-                    self.metrics.record_ack_delivery(now, created_at);
-                }
-                if self.probe.trace_on() {
-                    self.probe.trace(
-                        FlitEventKind::Ack,
-                        now,
-                        meta.message.0,
-                        meta.class,
-                        meta.src.index() as u32,
-                        fresh.is_some() as u32,
-                    );
-                }
-                if t.req.is_tail {
-                    self.packets.release(flit.packet);
-                }
-            } else {
-                let dup = self.data_dup(&t, &meta, node);
-                if dup {
-                    self.metrics.note_dup_flit();
-                } else {
-                    // The single arbitrated ejection port is the delivery
-                    // site: it streams one packet at a time (eject_owner
-                    // pins it).
-                    self.metrics.record_flit_delivery(
-                        now,
-                        NodeId::new(node),
-                        grid_eject_site(node),
-                        &flit,
-                        &meta,
-                    );
-                }
-                if t.req.is_tail {
-                    if !dup && self.probe.trace_on() {
-                        let (msg, class) = (meta.message.0, meta.class);
-                        self.probe.trace(FlitEventKind::Deliver, now, msg, class, node as u32, 0);
-                    }
-                    // Every tail reception acks — fresh or duplicate: a
-                    // duplicate's re-ack may be the one that finally closes
-                    // the window when the original ack was itself dropped.
-                    if self.recovery.enabled() {
-                        self.emit_ack(node, &meta, now);
-                    }
-                    // The packet has fully left the network: retire it.
-                    self.packets.release(flit.packet);
-                }
-            }
-        } else {
-            // Ingress-mux multicast copy: the marked node absorbs while the
-            // flit moves on (the input lane is the delivery site — it streams
-            // one packet at a time, pinned by `in_route`).
-            if t.req.plan.deliver {
-                let Src::Net { port, vc } = t.req.src else {
-                    unreachable!("local injections never clone")
-                };
-                let meta = *self.packets.meta(flit.packet);
-                let dup = self.data_dup(&t, &meta, node);
-                if dup {
-                    self.metrics.note_dup_flit();
-                } else {
-                    self.metrics.record_flit_delivery(
-                        now,
-                        NodeId::new(node),
-                        grid_lane_site(node, port, vc),
-                        &flit,
-                        &meta,
-                    );
-                    if self.probe.trace_on() {
-                        let (msg, class) = (meta.message.0, meta.class);
-                        if flit.is_header() {
-                            // Ingress-mux clone: the local copy and the
-                            // forwarded flit move in the same cycle.
-                            let o = t.req.plan.out as u32;
-                            self.probe.trace(FlitEventKind::Clone, now, msg, class, node as u32, o);
-                        }
-                        if flit.is_tail() {
-                            self.probe.trace(
-                                FlitEventKind::Deliver,
-                                now,
-                                msg,
-                                class,
-                                node as u32,
-                                0,
-                            );
-                        }
-                    }
-                }
-                // Every tail reception acks — fresh or duplicate (see the
-                // ejection branch).
-                if self.recovery.enabled() && flit.is_tail() {
-                    self.emit_ack(node, &meta, now);
-                }
-            }
-            if t.req.plan.dropped {
-                // Fault drop: every flit is accounted; the header writes off
-                // the receivers the suppressed forward would still have
-                // served (the ingress copy above, if any, was not among
-                // them), so the message ledger balances and drains terminate.
-                // Dropped ACKs are pure control loss (the data source's
-                // timeout recovers them), and with recovery on every data
-                // loss is deferred to the retransmit window — the exhaust
-                // pump is the sole write-off site.
-                let meta = *self.packets.meta(flit.packet);
-                self.metrics.record_flit_drop(meta.class);
-                if t.req.is_header && meta.class != TrafficClass::Ack {
-                    let lost = if self.recovery.enabled() {
-                        0
-                    } else {
-                        self.receivers_beyond(node, t.req.src, &meta)
-                    };
-                    self.metrics.record_lost_receivers(meta.message, lost);
-                    if self.probe.trace_on() {
-                        self.probe.trace(
-                            FlitEventKind::Drop,
-                            now,
-                            meta.message.0,
-                            meta.class,
-                            node as u32,
-                            lost as u32,
-                        );
-                    }
-                }
-                if t.req.is_tail {
-                    // No flit of this packet exists anywhere any more.
-                    self.packets.release(flit.packet);
-                }
-                return;
-            }
-            let o = t.req.plan.out;
-            let lid = node * 4 + o;
-            if t.req.is_header {
-                self.out_owner[lid] = Some(t.req.src);
-            }
-            if t.req.is_tail {
-                self.out_owner[lid] = None;
-            }
-            // Routers shift multicast bitstrings as they forward headers, so
-            // bit 0 always answers "does the next node take a copy?".
-            if flit.is_header() && matches!(t.req.src, Src::Net { .. }) {
-                self.packets.advance_header(flit.packet);
-            }
-            if flit.is_header() && self.probe.trace_on() {
-                let m = self.packets.meta(flit.packet);
-                let (msg, class) = (m.message.0, m.class);
-                self.probe.trace(FlitEventKind::Hop, now, msg, class, node as u32, o as u32);
-            }
-            debug_assert!(self.targets[lid].is_some(), "route stays on the mesh");
-            self.flit_hops += 1;
-            self.link_occupancy += 1;
-            self.credits[lid] -= 1;
-            let idx = self.links.slot_index(now);
-            self.links.send(lid, idx, TaggedFlit { flit, vc: INJECTION_VC });
-            if !self.link_live[lid] {
-                self.link_live[lid] = true;
-                self.live_links.push(lid as u32);
-            }
-        }
-    }
-
-    /// Commit-time duplicate verdict for the data delivery at `node`
-    /// (gather is read-only arbitration). The header consults the recovery
-    /// window once; the verdict rides the cached plan so the worm's body
-    /// and tail agree with it.
-    fn data_dup(&mut self, t: &Transfer, meta: &PacketMeta, node: usize) -> bool {
-        if !self.recovery.enabled() {
-            return false;
-        }
-        if !t.req.is_header {
-            return t.req.plan.dup;
-        }
-        match self.recovery.on_data_header(meta.message, NodeId::new(node)) {
-            DataDelivery::Fresh { recovered } => {
-                if recovered {
-                    self.metrics.note_recovered_receiver();
-                }
-                false
-            }
-            DataDelivery::Dup => {
-                if let Src::Net { port, vc } = t.req.src {
-                    let lane = (node * 4 + port) * self.cfg.vcs + vc;
-                    if let Some(plan) = self.in_route[lane].as_mut() {
-                        plan.dup = true;
-                    }
-                } else if let Some(plan) = self.inject_plan[node].as_mut() {
-                    plan.dup = true;
-                }
-                true
-            }
-        }
-    }
-
-    /// Enqueue the single-flit ACK a receiver emits on absorbing a data
-    /// tail: a control unicast back to the data source, injected through
-    /// the single local port like any application packet.
-    fn emit_ack(&mut self, node: usize, meta: &PacketMeta, now: Cycle) {
-        let packet = self.ids.packet();
-        let pm = ack_meta(meta.message, NodeId::new(node), meta.src, packet, now);
-        let pref = self.packets.insert(pm);
-        let flits = self.inject_q[node].push_packet(pref, 1);
-        self.inject_backlog += flits;
-        self.mark_node(node);
-    }
-
-    /// Drain the recovery timer heap: re-inject each due message to its
-    /// unacked receiver subset, or write off the never-served receivers of
-    /// a retry-exhausted window. Runs in step phase (b) right after the
-    /// workload polls, so retransmissions enter the same injection path as
-    /// fresh traffic in a deterministic order.
-    fn pump_recovery(&mut self, now: Cycle) {
-        let mut targets = std::mem::take(&mut self.retry_targets);
-        let mut branches = std::mem::take(&mut self.branch_buf);
-        while let Some(action) = self.recovery.pop_action(now, &mut targets) {
-            match action {
-                RecoveryAction::Retry { message, src, class, len, attempt: _ } => {
-                    // Re-expand under the *original* message id (no
-                    // create_message / set_expected: the ledger entry is the
-                    // original's) narrowed to the unacked subset; collective
-                    // classes retransmit as a multicast over that subset,
-                    // riding a freshly planned dimension-ordered tree.
-                    let req = if class == TrafficClass::Unicast {
-                        branches.clear();
-                        MessageRequest::unicast(src, targets[0], len as usize)
-                    } else {
-                        self.topo.multicast_branches_into(
-                            src,
-                            targets.iter().copied(),
-                            self.packets.bits_mut(),
-                            &mut branches,
-                        );
-                        MessageRequest::multicast(src, targets.clone(), len as usize)
-                    };
-                    let node = src.index();
-                    let (_, flits) = grid_expand_into(
-                        &req,
-                        &branches,
-                        message,
-                        &mut self.ids,
-                        now,
-                        &mut self.packets,
-                        &mut self.inject_q[node],
-                    );
-                    self.inject_backlog += flits;
-                    self.mark_node(node);
-                    self.metrics.note_retransmission();
-                    if self.probe.trace_on() {
-                        self.probe.trace(
-                            FlitEventKind::Retry,
-                            now,
-                            message.0,
-                            class,
-                            node as u32,
-                            targets.len() as u32,
-                        );
-                    }
-                }
-                RecoveryAction::Exhaust { message, src, class, lost } => {
-                    if lost > 0 {
-                        self.metrics.record_lost_receivers(message, lost);
-                    }
-                    if self.probe.trace_on() {
-                        self.probe.trace(
-                            FlitEventKind::Expire,
-                            now,
-                            message.0,
-                            class,
-                            src.index() as u32,
-                            lost as u32,
-                        );
-                    }
-                }
-            }
-        }
-        self.retry_targets = targets;
-        self.branch_buf = branches;
-    }
-
-    /// Receivers a packet dropped at `node` would still have served: replay
-    /// the remaining XY route on a meta copy, counting marked transit copies
-    /// and the branch terminal. Cold path — runs once per dropped packet.
-    fn receivers_beyond(&self, node: usize, src: Src, meta: &PacketMeta) -> usize {
-        // Replay against the packet's bitstring through a read-only offset
-        // (`bit_at`) rather than shifting a meta copy: a slab-backed
-        // bitstring is shared with the live packet and must not be mutated.
-        let bits = meta.bitstring;
-        // Fresh local headers are not advanced before their first hop (bit 0
-        // of an injected multicast header refers to the node one hop out);
-        // net-sourced headers advance at every forward.
-        let mut advance = matches!(src, Src::Net { .. });
-        let mut shift = 0usize;
-        let mut cur = NodeId::new(node);
-        let mut count = 0usize;
-        loop {
-            let out = self.topo.route(cur, meta.dst);
-            debug_assert!(out != MeshOut::Eject, "ejections are never dropped");
-            if advance {
-                shift += 1;
-            }
-            advance = true;
-            cur = self.topo.link_target(cur, out).expect("route stays on the mesh");
-            if self.topo.route(cur, meta.dst) == MeshOut::Eject {
-                // The branch terminal delivers through the ejection port.
-                return count + 1;
-            }
-            if meta.class == TrafficClass::Multicast && self.packets.bits().bit_at(bits, shift) {
-                count += 1;
-            }
-        }
-    }
-
-    /// Deliver the flit arriving on link `lid` this cycle (if any).
-    #[inline]
-    fn arrive_link(&mut self, lid: usize, slot_index: usize) {
-        if let Some(tf) = self.links.arrive(lid, slot_index) {
-            let (to, tin) = self.targets[lid].expect("link exists");
-            let lane = (to as usize * 4 + tin as usize) * self.cfg.vcs + tf.vc.index();
-            self.in_buf.push(lane, tf.flit);
-            self.link_occupancy -= 1;
-            self.buffered_flits += 1;
-            self.mark_node(to as usize);
-        }
-    }
-
-    /// Poll one source and expand its messages (collectives ride the
-    /// dimension-ordered tree) into the local queue.
-    fn poll_node<W: Workload + ?Sized>(
-        &mut self,
-        workload: &mut W,
-        node: usize,
-        now: Cycle,
-        reqs: &mut Vec<MessageRequest>,
-        branches: &mut Vec<GridBranch>,
-    ) {
-        let n = self.topo.num_nodes();
-        reqs.clear();
-        workload.poll_into(NodeId::new(node), now, reqs);
-        for req in reqs.drain(..) {
-            // Collectives expand into the dimension-ordered tree: one
-            // path-based multicast packet per (column, y direction).
-            match req.class {
-                TrafficClass::Unicast => branches.clear(),
-                TrafficClass::Broadcast => self.topo.multicast_branches_into(
-                    req.src,
-                    (0..n).map(NodeId::new),
-                    self.packets.bits_mut(),
-                    branches,
-                ),
-                TrafficClass::Multicast => self.topo.multicast_branches_into(
-                    req.src,
-                    req.targets.iter().copied(),
-                    self.packets.bits_mut(),
-                    branches,
-                ),
-                other => panic!("applications do not inject {other} packets directly"),
-            }
-            let message = self.metrics.create_message(req.class, now);
-            let (expected, flits) = grid_expand_into(
-                &req,
-                branches,
-                message,
-                &mut self.ids,
-                now,
-                &mut self.packets,
-                &mut self.inject_q[node],
-            );
-            self.metrics.set_expected(message, expected);
-            if self.recovery.enabled() {
-                self.recovery.on_send(message, &req, now, expected);
-            }
-            self.inject_backlog += flits;
-            self.mark_node(node);
-            // Probe-only: Inject carries the expected reception count so the
-            // trace stream is self-contained for conservation checks.
-            self.probe.trace(
-                FlitEventKind::Inject,
-                now,
-                message.0,
-                req.class,
-                node as u32,
-                expected as u32,
-            );
-        }
-    }
-
-    /// Advance one cycle (monomorphized; see `QuarcNetwork::step_cycle`).
-    pub fn step_cycle<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        let now = self.clock.now();
-        let n = self.topo.num_nodes();
-        // Phase profiler marks (observe-only; see `QuarcNetwork::step_cycle`).
-        let mut mark = if self.probe.begin_profiled_cycle(now) {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let arrivals_walked = if mark.is_some() {
-            if self.full_scan {
-                n * 4
-            } else {
-                self.live_links.len()
-            }
-        } else {
-            0
-        };
-
-        // (a) Link arrivals — only links carrying flits.
-        let slot = self.links.slot_index(now);
-        if self.full_scan {
-            for lid in 0..n * 4 {
-                self.arrive_link(lid, slot);
-            }
-            let mut live = std::mem::take(&mut self.live_links);
-            for &lid in &live {
-                self.link_live[lid as usize] = false;
-            }
-            live.clear();
-            self.live_links = live;
-        } else {
-            let mut live = std::mem::take(&mut self.live_links);
-            live.retain(|&lid| {
-                self.arrive_link(lid as usize, slot);
-                let still = !self.links.is_empty(lid as usize);
-                if !still {
-                    self.link_live[lid as usize] = false;
-                }
-                still
-            });
-            self.live_links = live;
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Arrivals, m, arrivals_walked);
-        }
-
-        // (b) New messages from due sources.
-        let mut polled = 0usize;
-        let mut reqs = std::mem::take(&mut self.poll_buf);
-        let mut branches = std::mem::take(&mut self.branch_buf);
-        if self.full_scan {
-            polled = n;
-            for node in 0..n {
-                self.poll_node(workload, node, now, &mut reqs, &mut branches);
-            }
-        } else {
-            while self.poll_heap.peek().is_some_and(|&Reverse((due, _))| due <= now) {
-                let Reverse((due, node)) = self.poll_heap.pop().expect("peeked");
-                debug_assert!(due == now, "due cycles never pass unpolled");
-                polled += 1;
-                self.poll_node(workload, node as usize, now, &mut reqs, &mut branches);
-                let next = workload.next_due(NodeId::new(node as usize), now).max(now + 1);
-                self.poll_heap.push(Reverse((next, node)));
-            }
-        }
-        self.poll_buf = reqs;
-        self.branch_buf = branches;
-        // Recovery deadlines: retransmissions and write-offs join phase (b)
-        // alongside fresh traffic.
-        if self.recovery.enabled() {
-            self.pump_recovery(now);
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Polls, m, polled);
-        }
-
-        // Faulted links flip feasibility by time, not via a tracked event
-        // (a header waiting at a link when `onset` arrives becomes
-        // droppable in place): keep their source routers in the active set.
-        if self.fault.any() {
-            for i in 0..self.fault.watch_nodes().len() {
-                let node = self.fault.watch_nodes()[i] as usize;
-                self.mark_node(node);
-            }
-        }
-
-        // (c) Arbitration over the sorted routers-with-work worklist,
-        // (d) commit.
-        let mut transfers = std::mem::take(&mut self.transfers);
-        transfers.clear();
-        let gather_walked;
-        if self.full_scan {
-            let mut marks = std::mem::take(&mut self.active_nodes);
-            for &node in &marks {
-                self.node_active[node as usize] = false;
-            }
-            marks.clear();
-            self.active_nodes = marks;
-            gather_walked = n;
-            for node in 0..n {
-                self.gather_node(node, &mut transfers);
-            }
-        } else {
-            let mut worklist = std::mem::take(&mut self.node_worklist);
-            debug_assert!(worklist.is_empty());
-            std::mem::swap(&mut worklist, &mut self.active_nodes);
-            worklist.sort_unstable();
-            gather_walked = worklist.len();
-            for &node in &worklist {
-                self.node_active[node as usize] = false;
-                self.gather_node(node as usize, &mut transfers);
-            }
-            worklist.clear();
-            self.node_worklist = worklist;
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Gather, m, gather_walked);
-        }
-        let committed = transfers.len();
-        for t in transfers.drain(..) {
-            self.commit(t);
-        }
-        self.transfers = transfers;
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Commit, m, committed);
-        }
-
-        if self.probe.counters_due(now) {
-            let sample = CounterSample {
-                cycle: now,
-                backlog: self.inject_backlog as u64,
-                buffered: self.buffered_flits,
-                on_links: self.link_occupancy,
-                live_packets: self.packets.live() as u64,
-                live_links: self.live_links.len() as u64,
-                active_routers: self.active_nodes.len() as u64,
-                poll_sources: self.poll_heap.len() as u64,
-                in_flight: self.metrics.in_flight() as u64,
-                completed: self.metrics.completed_total(),
-                delivered: self.metrics.flits_delivered(),
-                dropped: self.metrics.flits_dropped(),
-                credit_stalls: self.probe.credit_stalls(),
-            };
-            self.probe.push_sample(sample);
-        }
-        self.clock.tick();
-    }
-
-    /// Total flits queued at sources. O(1).
-    pub fn backlog(&self) -> usize {
-        self.inject_backlog
-    }
-}
-
-impl NocSim for MeshNetwork {
-    fn step(&mut self, workload: &mut dyn Workload) {
-        self.step_cycle(workload);
-    }
-
-    fn note_workload_change(&mut self) {
-        let now = self.clock.now();
-        self.poll_heap.clear();
-        for node in 0..self.topo.num_nodes() as u32 {
-            self.poll_heap.push(Reverse((now, node)));
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        self.clock.now()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.topo.num_nodes()
-    }
-
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Mesh
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    fn probe(&self) -> &SimProbe {
-        &self.probe
-    }
-
-    fn probe_mut(&mut self) -> &mut SimProbe {
-        &mut self.probe
-    }
-
-    fn source_backlog(&self) -> usize {
-        self.backlog()
-    }
-
-    fn flit_hops(&self) -> u64 {
-        self.flit_hops
-    }
-
-    fn quiesced(&self) -> bool {
-        // Counters only — O(1) per call (drain loops poll this every cycle).
-        // `pending() > 0` keeps drains alive while a backoff timer holds the
-        // fabric idle: an empty network whose recovery window is not done is
-        // not quiet — a deadline will still fire.
-        self.metrics.in_flight() == 0
-            && self.inject_backlog == 0
-            && self.link_occupancy == 0
-            && self.buffered_flits == 0
-            && self.recovery.pending() == 0
-    }
-
-    fn recovery_pending(&self) -> u64 {
-        self.recovery.pending()
-    }
-
-    fn stall_diagnostics(&self) -> StallDiagnostics {
-        let vcs = self.cfg.vcs;
-        let mut busiest: Vec<(u32, u32)> = (0..self.topo.num_nodes())
-            .map(|node| {
-                let mut flits = 0usize;
-                for lane in node * 4 * vcs..(node + 1) * 4 * vcs {
-                    flits += self.in_buf.len(lane);
-                }
-                flits += self.inject_q[node].flits();
-                (node as u32, flits as u32)
-            })
-            .filter(|&(_, flits)| flits > 0)
-            .collect();
-        busiest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        busiest.truncate(StallDiagnostics::TOP_ROUTERS);
-        StallDiagnostics {
-            backlog: self.inject_backlog as u64,
-            buffered: self.buffered_flits,
-            on_links: self.link_occupancy,
-            in_flight: self.metrics.in_flight() as u64,
-            live_packets: self.packets.live() as u64,
-            fault: self.cfg.fault.to_string(),
-            busiest_routers: busiest,
-        }
-    }
-}
+/// The flit-level mesh network simulator (build from [`NocConfig::mesh`]).
+///
+/// [`NocConfig::mesh`]: quarc_core::config::NocConfig::mesh
+pub type MeshNetwork = Fabric<GridRouter>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::NocSim;
+    use quarc_core::config::NocConfig;
+    use quarc_core::flit::TrafficClass;
+    use quarc_core::ids::NodeId;
     use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
 
     #[test]
@@ -1230,21 +151,10 @@ mod tests {
 
     #[test]
     fn full_scan_oracle_matches_active_set() {
-        use quarc_workloads::{Synthetic, SyntheticConfig};
-        let run = |full_scan: bool| {
-            let mut net = MeshNetwork::new(NocConfig::mesh(16));
-            net.set_full_scan(full_scan);
-            let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.03, 8, 0.1, 55));
-            for _ in 0..3_000 {
-                net.step(&mut wl);
-            }
-            (
-                net.metrics().flits_delivered(),
-                net.flit_hops(),
-                net.metrics().unicast_latency().mean().to_bits(),
-                net.metrics().broadcast_completion_latency().mean().to_bits(),
-            )
-        };
-        assert_eq!(run(false), run(true));
+        crate::fabric::assert_full_scan_matches_active_set::<GridRouter>(
+            NocConfig::mesh(16),
+            0.03,
+            55,
+        );
     }
 }

@@ -13,32 +13,10 @@
 //! receives the same packet twice, unicasts arrive at their addressee, and a
 //! broadcast reaches every node exactly once.
 
-use quarc_core::config::MAX_VCS;
 use quarc_core::flit::{Flit, PacketMeta, TrafficClass};
 use quarc_core::ids::{MessageId, NodeId};
 use quarc_engine::stats::{LatencyHistogram, OnlineStats};
 use quarc_engine::Cycle;
-
-/// Delivery-site numbering shared by the grid models (`mesh_net` /
-/// `torus_net`): one site per input VC lane — where ingress-mux multicast
-/// copies are absorbed — plus one for the arbitrated ejection port. Each
-/// site streams one packet at a time (`in_route` / `eject_owner` pin it),
-/// which is exactly what [`Metrics::record_flit_delivery`]'s per-site
-/// in-order counter relies on; keeping the scheme in one place means the
-/// two models can never drift into colliding site indices.
-pub(crate) const GRID_SITES_PER_NODE: usize = 4 * MAX_VCS + 1;
-
-/// The ejection-port delivery site of `node` in a grid model.
-#[inline]
-pub(crate) fn grid_eject_site(node: usize) -> usize {
-    node * GRID_SITES_PER_NODE + 4 * MAX_VCS
-}
-
-/// The delivery site of input lane `(port, vc)` at `node` in a grid model.
-#[inline]
-pub(crate) fn grid_lane_site(node: usize, port: usize, vc: usize) -> usize {
-    node * GRID_SITES_PER_NODE + port * MAX_VCS + vc
-}
 
 /// Per-in-flight-message completion tracking (one slab slot per live
 /// message; kept small so the slab stays cache-friendly at saturation).

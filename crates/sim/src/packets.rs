@@ -10,7 +10,7 @@
 //! be allocation-free in steady state: each packet's [`PacketMeta`] is
 //! interned once in the network's [`PacketTable`] and the 16-byte flit
 //! handles are serialised **directly into the destination injection queue**
-//! ([`push_packet`]) — no intermediate `Vec<Flit>` per packet, no
+//! ([`PacketQueue::push_packet`]) — no intermediate `Vec<Flit>` per packet, no
 //! per-injection container. (The one exception is multicast, whose
 //! branch planner builds per-quadrant target partitions; multicast messages
 //! exist only in explicit traces, never in the paper's synthetic loads.)
@@ -107,12 +107,6 @@ impl PacketQueue {
     }
 }
 
-/// Serialise packet `packet` (whose interned meta says it has `len` flits)
-/// onto the back of `queue`. Returns the flit count.
-pub fn push_packet(queue: &mut PacketQueue, packet: PacketRef, len: u32) -> usize {
-    queue.push_packet(packet, len)
-}
-
 /// The recovery layer's single-flit ACK packet for data message `message`:
 /// a control unicast from acking receiver `from` back to the data source
 /// `to`. `message` names the *data* message — acks are never tracked
@@ -190,14 +184,14 @@ pub fn quarc_expand_into(
         TrafficClass::Unicast => {
             let dst = req.dst.expect("unicast carries dst");
             let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-            flits += push_packet(&mut queues[quadrant_of(ring, req.src, dst).index()], pref, len);
+            flits += queues[quadrant_of(ring, req.src, dst).index()].push_packet(pref, len);
             (1, flits)
         }
         TrafficClass::Broadcast => {
             for head in broadcast_branch_heads(ring, req.src).into_iter().flatten() {
                 let (quadrant, dst) = head;
                 let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-                flits += push_packet(&mut queues[quadrant.index()], pref, len);
+                flits += queues[quadrant.index()].push_packet(pref, len);
             }
             (ring.len() - 1, flits)
         }
@@ -211,7 +205,7 @@ pub fn quarc_expand_into(
                     bitstring: b.bitstring,
                     ..base
                 });
-                flits += push_packet(&mut queues[b.quadrant.index()], pref, len);
+                flits += queues[b.quadrant.index()].push_packet(pref, len);
             }
             (receivers, flits)
         }
@@ -249,7 +243,7 @@ pub fn spidergon_expand_into(
         TrafficClass::Unicast => {
             let dst = req.dst.expect("unicast carries dst");
             let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-            flits += push_packet(queue, pref, len);
+            flits += queue.push_packet(pref, len);
             (1, flits)
         }
         TrafficClass::Broadcast => {
@@ -262,7 +256,7 @@ pub fn spidergon_expand_into(
                     dir: seed.dir,
                     ..base
                 });
-                flits += push_packet(queue, pref, len);
+                flits += queue.push_packet(pref, len);
             }
             (ring.len() - 1, flits)
         }
@@ -275,7 +269,7 @@ pub fn spidergon_expand_into(
                     dst,
                     ..base
                 });
-                flits += push_packet(queue, pref, len);
+                flits += queue.push_packet(pref, len);
                 count += 1;
             }
             (count, flits)
@@ -316,7 +310,7 @@ pub fn grid_expand_into(
         TrafficClass::Unicast => {
             let dst = req.dst.expect("unicast carries dst");
             let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-            flits += push_packet(queue, pref, len);
+            flits += queue.push_packet(pref, len);
             (1, flits)
         }
         TrafficClass::Broadcast | TrafficClass::Multicast => {
@@ -333,7 +327,7 @@ pub fn grid_expand_into(
                     bitstring: b.bitstring,
                     ..base
                 });
-                flits += push_packet(queue, pref, len);
+                flits += queue.push_packet(pref, len);
             }
             (receivers, flits)
         }
@@ -375,7 +369,7 @@ mod tests {
         let mut table = PacketTable::new();
         let pref = table.insert(meta(5));
         let mut q = PacketQueue::new();
-        assert_eq!(push_packet(&mut q, pref, 5), 5);
+        assert_eq!(q.push_packet(pref, 5), 5);
         assert_eq!(q.flits(), 5);
         let flits = drain(q);
         assert_eq!(flits.len(), 5);
@@ -392,7 +386,7 @@ mod tests {
         let mut table = PacketTable::new();
         let pref = table.insert(meta(2));
         let mut q = PacketQueue::new();
-        push_packet(&mut q, pref, 2);
+        q.push_packet(pref, 2);
         assert_eq!(q.front().unwrap().kind, FlitKind::Header);
         assert_eq!(q.pop().unwrap().kind, FlitKind::Header);
         assert_eq!(q.front().unwrap().kind, FlitKind::Tail);
@@ -405,7 +399,7 @@ mod tests {
         let mut table = PacketTable::new();
         let pref = table.insert(ack_meta(MessageId(7), NodeId(3), NodeId(0), PacketId(9), 42));
         let mut q = PacketQueue::new();
-        assert_eq!(push_packet(&mut q, pref, 1), 1);
+        assert_eq!(q.push_packet(pref, 1), 1);
         let f = q.pop().unwrap();
         assert_eq!(f.kind, FlitKind::Single);
         assert!(f.is_header() && f.is_tail());
@@ -422,8 +416,8 @@ mod tests {
         let a = table.insert(meta(3));
         let b = table.insert(meta(2));
         let mut q = PacketQueue::new();
-        push_packet(&mut q, a, 3);
-        push_packet(&mut q, b, 2);
+        q.push_packet(a, 3);
+        q.push_packet(b, 2);
         assert_eq!(q.flits(), 5);
         assert_eq!(q.pop().unwrap().packet, a);
         assert_eq!(q.flits(), 4);

@@ -1,10 +1,12 @@
-//! The flit-level Quarc network model.
+//! The Quarc router model — the paper's contribution.
 //!
-//! Implements the paper's §2.2–§2.5 architecture:
+//! Supplies the [`Fabric`] with what §2.2–§2.5 change relative to
+//! Spidergon:
 //!
 //! * **all-port router** — four local ingress queues (one per quadrant) feed
 //!   four dedicated injection paths, so a message blocks only when *its*
-//!   quadrant's resources are busy;
+//!   quadrant's resources are busy, and every network input absorbs into the
+//!   PE in parallel (no ejection arbiter);
 //! * **doubled cross links** — cross-right and cross-left are independent
 //!   physical channels;
 //! * **absorb-and-forward** — broadcast/multicast flits are cloned at the
@@ -12,50 +14,28 @@
 //!   same cycle, or not at all;
 //! * **no routing logic in the switch** — every per-hop decision is
 //!   [`quarc_route`]: "local or straight on";
-//! * **two VCs per link** with the dateline discipline for deadlock freedom;
-//! * **wormhole switching** with credit-based flow control (the paper's
-//!   `CH_STATUS_N` back-pressure) and one flit per physical link per cycle.
+//! * **two VCs per link** with the dateline discipline for deadlock freedom.
 //!
-//! The per-cycle schedule is a deterministic two-phase update: link arrivals,
-//! then injection, then a read-only arbitration pass over every router, then
-//! a commit pass that moves at most one flit per input port and per output
-//! port. Router arbitration mirrors the paper's hardware: a per-input VC
-//! arbiter picks the requesting lane (§2.3.2), then a per-output round-robin
-//! grants one requester (the OPC master FSM, §2.3.3).
-//!
-//! ## Active-set scheduling
-//!
-//! Per-cycle cost is proportional to **live traffic**, not to `n` (see
-//! `crates/sim/HOTPATH.md` for the invariants): link arrivals walk a
-//! live-link worklist, arbitration walks a sorted worklist of routers that a
-//! tracked event (arrival, injection, commit, credit return, stall window)
-//! could have made grantable, and workload polling pops a per-node due-cycle
-//! heap fed by [`Workload::next_due`]. Router state is structure-of-arrays:
-//! one network-wide [`LaneBufs`], flat route/ownership slabs, and
-//! [`RoundRobinBank`]/[`LinkBank`] pointer slabs, all indexed by
-//! `node * ports + port`.
+//! Wormhole switching, credit flow control, arbitration and the cycle loop
+//! are the fabric's.
 
-use crate::arbiter::{ArbPolicy, RoundRobinBank};
-use crate::buffer::LaneBufs;
-use crate::driver::{NocSim, StallDiagnostics};
-use crate::fault::FaultState;
-use crate::link::{LinkBank, TaggedFlit};
-use crate::metrics::Metrics;
-use crate::packets::{ack_meta, quarc_expand_into, IdAlloc, PacketQueue};
-use crate::probe::{CounterSample, FlitEventKind, Phase, SimProbe};
-use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
-use quarc_core::bits::Bits;
-use quarc_core::config::{NocConfig, MAX_VCS};
+use crate::arbiter::ArbPolicy;
+use crate::fabric::{Fabric, Route, RouterModel, Src, ABSORB};
+use crate::packets::{quarc_expand_into, IdAlloc, PacketQueue};
+use quarc_core::bits::{BitSlab, Bits};
+use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
-use quarc_core::ids::{NodeId, VcId};
+use quarc_core::ids::{MessageId, NodeId, VcId};
+use quarc_core::quadrant::{quadrant_of, Quadrant};
 use quarc_core::ring::RingDir;
 use quarc_core::routing::{quarc_injection_out, quarc_route, RouteAction};
 use quarc_core::topology::{QuarcIn, QuarcOut, QuarcTopology, TopologyKind};
 use quarc_core::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
-use quarc_engine::{Clock, Cycle};
-use quarc_workloads::{MessageRequest, Workload};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use quarc_engine::Cycle;
+use quarc_workloads::MessageRequest;
+
+/// The flit-level Quarc network simulator.
+pub type QuarcNetwork = Fabric<QuarcRouter>;
 
 /// Network input ports in index order (matches `QuarcIn::index()` 0..4).
 const NET_IN: [QuarcIn; 4] =
@@ -64,1273 +44,184 @@ const NET_IN: [QuarcIn; 4] =
 const NET_OUT: [QuarcOut; 4] =
     [QuarcOut::RimCw, QuarcOut::RimCcw, QuarcOut::CrossRight, QuarcOut::CrossLeft];
 
-/// [`QuarcTopology::feeders`] per network output, pre-resolved to the
-/// request-slot indices `gather_node` uses (net inputs 0..4, local quadrant
-/// queues 4..8) — pinned to the topology tables by a test.
-const OUT_FEEDER_SLOTS: [&[usize]; 4] = [&[0, 2, 4], &[1, 3, 7], &[5], &[6]];
-
-/// A flit source within one router: a network input VC lane or a local
-/// quadrant queue. Byte-sized fields: ownership words are replicated per
-/// output lane per node, so the whole router state must stay cache-resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Src {
-    /// Network input `port` (0..4), VC lane `vc`.
-    Net {
-        /// Input port index.
-        port: u8,
-        /// VC lane index.
-        vc: u8,
-    },
-    /// Local ingress queue of quadrant `quad` (0..4).
-    Local {
-        /// Quadrant index.
-        quad: u8,
-    },
-}
-
-/// The resolved per-hop plan for the packet currently at the head of a lane
-/// (4 bytes; cached per lane for the whole worm).
-#[derive(Debug, Clone, Copy)]
-struct HopPlan {
-    /// Local PE takes a copy.
-    deliver: bool,
-    /// Continue on this network output (None = pure absorption or drop).
-    out: Option<u8>,
-    /// VC on the outgoing link.
-    out_vc: VcId,
-    /// The forward was suppressed by a fault: drain the packet's flits
-    /// without transmitting (the local copy, if any, still delivers). Set
-    /// only at header-plan time, so a fault never tears a worm mid-packet.
-    dropped: bool,
-    /// The local copy is a duplicate at an already-served receiver
-    /// (recovery only): drain it without recording, but still re-ack the
-    /// tail. Decided at the header's *commit* (a header that loses
-    /// arbitration re-plans, so gather must stay read-only) and cached
-    /// with the rest of the plan for the worm's body and tail.
-    dup: bool,
-}
-
-/// One input port's request for this cycle.
-#[derive(Debug, Clone, Copy)]
-struct PortReq {
-    src: Src,
-    plan: HopPlan,
-    is_header: bool,
-    is_tail: bool,
-}
-
-/// Planned flit movement, computed in the read-only phase.
-#[derive(Debug, Clone, Copy)]
-struct Transfer {
-    node: usize,
-    req: PortReq,
-}
-
-/// A scheduled transient link fault: the link refuses all traffic while
-/// `from ≤ now < until` (models a stalled downstream consumer or a link-level
-/// retransmission window; flow control must absorb it without loss).
-#[derive(Debug, Clone, Copy)]
-struct LinkStall {
-    from: Cycle,
-    until: Cycle,
-}
-
-/// The flit-level Quarc network simulator.
-///
-/// All per-router state lives in network-owned structure-of-arrays slabs
-/// (flat `node * ports + port` indexing); the "router" is purely a loop
-/// index. See the module docs for the active-set scheduling scheme.
+/// The Quarc [`RouterModel`]: ring geometry only — the switch holds no
+/// routing state.
 #[derive(Debug)]
-pub struct QuarcNetwork {
+pub struct QuarcRouter {
     topo: QuarcTopology,
-    cfg: NocConfig,
-    clock: Clock,
-    /// Per-quadrant injection queues, `node * 4 + quad`, holding whole
-    /// packets (flits materialise on pop). Unbounded: the paper keeps
-    /// packets in PE RAM and queues only addresses (§3.1).
-    inject_q: Box<[PacketQueue]>,
-    /// Outgoing VC of the packet streaming from local port `node * 4 + quad`.
-    inject_vc: Box<[Option<VcId>]>,
-    /// Whether the packet streaming from local port `node * 4 + quad` is
-    /// being drained by a fault drop (the local twin of the `dropped` bit
-    /// cached in `in_route` for network lanes).
-    inject_drop: Box<[bool]>,
-    /// Input buffers, one bank for the whole network; lane
-    /// `(node * 4 + port) * vcs + vc`.
-    in_buf: LaneBufs,
-    /// Ingress-mux state per input lane (same indexing as `in_buf`), set by
-    /// the header.
-    in_route: Box<[Option<HopPlan>]>,
-    /// Wormhole ownership per output lane `(node * 4 + out) * vcs + vc`.
-    out_owner: Box<[Option<Src>]>,
-    /// VC arbiter per network input port (`node * 4 + port`).
-    rr_in_vc: RoundRobinBank,
-    /// OPC grant arbiter per network output port (`node * 4 + out`).
-    rr_out: RoundRobinBank,
-    /// Directed links indexed by `node * 4 + out`.
-    links: LinkBank,
-    ids: IdAlloc,
-    metrics: Metrics,
-    /// Interned metadata of every in-flight packet (see [`PacketTable`]).
-    packets: PacketTable,
-    /// Scratch reused across cycles to avoid per-cycle allocation.
-    transfers: Vec<Transfer>,
-    /// Scratch for workload polling, reused across every poll of the run.
-    poll_buf: Vec<MessageRequest>,
-    /// Flits carried per link since construction (observability).
-    link_flits: Vec<u64>,
-    /// Scheduled transient stalls per link (failure injection).
-    stalls: Vec<Option<LinkStall>>,
-    /// Whether any stall was ever scheduled — lets the per-lane credit
-    /// check skip the stall-window read entirely in ordinary runs.
-    has_stalls: bool,
-    /// Realised fault schedule from [`NocConfig::fault`] (dead/lossy/
-    /// transient links, frozen routers). Empty plans cost one predictable
-    /// branch per site.
-    fault: FaultState,
-    /// End-to-end ack/timeout/retransmit engine from
-    /// [`NocConfig::recovery`]. Disabled policies cost one predictable
-    /// branch per hook site and mutate nothing.
-    recovery: RecoveryState,
-    /// Scratch for retransmission target sets (cold path, reused).
-    retry_targets: Vec<NodeId>,
-    /// Precomputed `link_target` per `node * 4 + out`: the downstream node
-    /// and input-port index.
-    targets: Vec<(u32, u8)>,
-    /// Sender-side credit counters per `(node * 4 + out) * vcs + vc`: an
-    /// exact mirror of `depth − buffered_downstream − in_flight_on_link`,
-    /// decremented on send and returned when the downstream router pops the
-    /// flit. Turns the per-lane credit check into one local array read.
-    credits: Vec<u32>,
-    /// Link id feeding network input `node * 4 + in_port` (inverse of
-    /// `targets`), for returning credits on buffer pops.
-    feeder: Vec<u32>,
-    /// Membership flag of `active_nodes` (one per node). A node whose router
-    /// produced no grant last cycle can only become grantable through a
-    /// tracked event — a link arrival, an injection, a commit at the node, or
-    /// a credit returned to it — each of which re-marks it. Skipping a
-    /// quiescent node is exactly behaviour-preserving: with no feasible
-    /// request, `gather_node` would move nothing and advance no arbiter.
-    node_active: Vec<bool>,
-    /// Routers-with-work worklist (unsorted accumulation; sorted into
-    /// canonical ascending order each cycle before arbitration).
-    active_nodes: Vec<u32>,
-    /// Per-cycle scratch the worklist is sorted into.
-    node_worklist: Vec<u32>,
-    /// Nodes with a scheduled link stall re-arbitrate every cycle: stall
-    /// windows open and close with time, which the event tracking above does
-    /// not see.
-    stalled_nodes: Vec<u32>,
-    /// Membership flag of `live_links` (one per link).
-    link_live: Vec<bool>,
-    /// Links-with-flits worklist. Iterated in insertion order, which is
-    /// deterministic and behaviour-neutral: each link feeds a distinct set
-    /// of input lanes, so arrival order across links cannot affect state.
-    live_links: Vec<u32>,
-    /// Sources-with-upcoming-work: min-heap of `(due cycle, node)` fed by
-    /// [`Workload::next_due`]. Nodes pop in ascending node order within a
-    /// cycle (all due entries carry the current cycle), preserving the
-    /// canonical poll order of the old full scan.
-    poll_heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    /// Test oracle: disable every worklist and scan all links/nodes/sources
-    /// each cycle. Set at construction time only (see
-    /// [`QuarcNetwork::set_full_scan`]).
-    full_scan: bool,
-    /// Flits queued in source (quadrant) injection queues — counter twin of
-    /// walking every `inject_q`, kept so `backlog()` is O(1).
-    inject_backlog: usize,
-    /// Flits buffered in network input VC lanes (counter twin of walking
-    /// every `in_buf`), for O(1) `quiesced()`.
-    buffered_flits: u64,
-    /// Flits in flight on links, for O(1) `quiesced()`.
-    link_occupancy: u64,
-    /// Instrumentation (off by default; observe, never mutate).
-    probe: SimProbe,
 }
 
-impl QuarcNetwork {
-    /// Build a network from a validated configuration. The output-arbitration
-    /// policy comes from [`NocConfig::arb`] (round-robin by default, the
-    /// paper's behaviour); it is part of the config so experiment grids can
-    /// sweep it and cache keys can include it.
-    pub fn new(cfg: NocConfig) -> Self {
-        let policy = cfg.arb;
+impl QuarcRouter {
+    /// The VC on the hop out of `node` through `out`, for a packet holding
+    /// `cur` (injections hold [`INJECTION_VC`]).
+    fn hop_vc(&self, node: usize, out: QuarcOut, cur: VcId) -> VcId {
+        let dir = match out {
+            QuarcOut::RimCw => RingDir::Cw,
+            QuarcOut::RimCcw => RingDir::Ccw,
+            QuarcOut::CrossRight | QuarcOut::CrossLeft => return vc_for_cross_hop(),
+            QuarcOut::Eject => unreachable!("eject is not a link"),
+        };
+        vc_after_rim_hop(self.topo.ring(), NodeId::new(node), dir, cur)
+    }
+}
+
+impl RouterModel for QuarcRouter {
+    const PORTS: usize = 4;
+    const QUEUES: usize = 4;
+    const EJECT_PORT: bool = false;
+    const DROPS_FIRST: bool = false;
+    /// [`QuarcTopology::feeders`] per network output, pre-resolved to
+    /// request slots (net inputs 0..4, quadrant queues 4..8) — pinned to the
+    /// topology tables by a test.
+    const FEEDERS: &'static [&'static [u8]] = &[&[0, 2, 4], &[1, 3, 7], &[5], &[6]];
+
+    fn new(cfg: &NocConfig) -> Self {
         assert_eq!(cfg.kind, TopologyKind::Quarc, "config is not a Quarc network");
-        cfg.validate().expect("invalid configuration");
-        Self::build(cfg, policy)
-    }
-
-    /// Build with an explicit output-arbitration policy (equivalent to
-    /// setting [`NocConfig::arb`] before [`QuarcNetwork::new`]).
-    pub fn with_arb_policy(cfg: NocConfig, policy: ArbPolicy) -> Self {
-        Self::new(cfg.with_arb(policy))
-    }
-
-    fn build(cfg: NocConfig, policy: ArbPolicy) -> Self {
-        let topo = QuarcTopology::new(cfg.n);
-        let n = cfg.n;
-        let targets: Vec<(u32, u8)> = (0..n * 4)
-            .map(|i| {
-                let (to, tin) =
-                    topo.link_target(NodeId::new(i / 4), NET_OUT[i % 4]).expect("network output");
-                (to.index() as u32, tin.index() as u8)
-            })
-            .collect();
-        let mut feeder = vec![u32::MAX; n * 4];
-        for (lid, &(to, tin)) in targets.iter().enumerate() {
-            feeder[to as usize * 4 + tin as usize] = lid as u32;
-        }
-        assert!(feeder.iter().all(|&f| f != u32::MAX), "every input port has a feeder");
-        QuarcNetwork {
-            topo,
-            cfg,
-            clock: Clock::new(),
-            inject_q: (0..n * 4).map(|_| PacketQueue::new()).collect(),
-            inject_vc: vec![None; n * 4].into_boxed_slice(),
-            inject_drop: vec![false; n * 4].into_boxed_slice(),
-            in_buf: LaneBufs::new(n * 4 * cfg.vcs, cfg.buffer_depth),
-            in_route: vec![None; n * 4 * cfg.vcs].into_boxed_slice(),
-            out_owner: vec![None; n * 4 * cfg.vcs].into_boxed_slice(),
-            rr_in_vc: RoundRobinBank::new(n * 4, ArbPolicy::RoundRobin),
-            rr_out: RoundRobinBank::new(n * 4, policy),
-            links: LinkBank::new(n * 4, cfg.link_latency),
-            ids: IdAlloc::new(),
-            metrics: Metrics::new(),
-            // A Quarc branch bitstring never exceeds quarter-depth + 1 bits;
-            // for n <= 64 every bitstring stays inline (no slab rows).
-            packets: PacketTable::with_bit_capacity(topo.ring().quarter() + 2),
-            transfers: Vec::new(),
-            poll_buf: Vec::new(),
-            link_flits: vec![0; n * 4],
-            stalls: vec![None; n * 4],
-            has_stalls: false,
-            fault: FaultState::new(&cfg.fault, n, n * 4, |lid| lid / 4, |_| true),
-            recovery: RecoveryState::new(cfg.recovery, n),
-            retry_targets: Vec::new(),
-            credits: vec![cfg.buffer_depth as u32; n * 4 * cfg.vcs],
-            feeder,
-            targets,
-            node_active: vec![true; n],
-            active_nodes: (0..n as u32).collect(),
-            node_worklist: Vec::new(),
-            stalled_nodes: Vec::new(),
-            link_live: vec![false; n * 4],
-            live_links: Vec::new(),
-            poll_heap: (0..n as u32).map(|node| Reverse((0, node))).collect(),
-            full_scan: false,
-            inject_backlog: 0,
-            buffered_flits: 0,
-            link_occupancy: 0,
-            probe: SimProbe::new(),
-        }
-    }
-
-    /// The configuration this network was built with.
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
-    }
-
-    /// Test oracle: disable the active-set worklists and scan every link,
-    /// router and source each cycle (the naive reference the lockstep
-    /// proptests step against). Call before the first `step`.
-    pub fn set_full_scan(&mut self, on: bool) {
-        assert_eq!(self.clock.now(), 0, "full-scan mode is a construction-time choice");
-        self.full_scan = on;
-    }
-
-    /// Mark `node`'s router as possibly grantable next arbitration pass.
-    #[inline]
-    fn mark_node(&mut self, node: usize) {
-        if !self.node_active[node] {
-            self.node_active[node] = true;
-            self.active_nodes.push(node as u32);
-        }
-    }
-
-    /// The VC used on the first hop out of `node` through `out`.
-    fn injection_vc(&self, node: usize, out: QuarcOut) -> VcId {
-        match out {
-            QuarcOut::RimCw => {
-                vc_after_rim_hop(self.topo.ring(), NodeId::new(node), RingDir::Cw, INJECTION_VC)
-            }
-            QuarcOut::RimCcw => {
-                vc_after_rim_hop(self.topo.ring(), NodeId::new(node), RingDir::Ccw, INJECTION_VC)
-            }
-            QuarcOut::CrossRight | QuarcOut::CrossLeft => vc_for_cross_hop(),
-            QuarcOut::Eject => unreachable!("injection never targets eject"),
-        }
-    }
-
-    /// The VC used when forwarding from `node` through `out`, arriving on
-    /// VC `cur`.
-    fn forward_vc(&self, node: usize, out: QuarcOut, cur: VcId) -> VcId {
-        match out {
-            QuarcOut::RimCw => {
-                vc_after_rim_hop(self.topo.ring(), NodeId::new(node), RingDir::Cw, cur)
-            }
-            QuarcOut::RimCcw => {
-                vc_after_rim_hop(self.topo.ring(), NodeId::new(node), RingDir::Ccw, cur)
-            }
-            QuarcOut::CrossRight | QuarcOut::CrossLeft => vc_for_cross_hop(),
-            QuarcOut::Eject => unreachable!("forwarding never targets eject"),
-        }
-    }
-
-    /// Free space (in flits) on the far side of `(node, out)` for `vc`,
-    /// accounting for flits still in flight on the link and for injected
-    /// transient stalls. One read of the sender-side credit counter.
-    fn downstream_free(&self, node: usize, out: usize, vc: VcId) -> usize {
-        let lid = node * 4 + out;
-        if self.has_stalls {
-            if let Some(s) = self.stalls[lid] {
-                let now = self.clock.now();
-                if now >= s.from && now < s.until {
-                    return 0;
-                }
-            }
-        }
-        if self.fault.any() && self.fault.link_blocked(lid, self.clock.now()) {
-            return 0;
-        }
-        self.credits[lid * self.cfg.vcs + vc.index()] as usize
-    }
-
-    /// Schedule a transient fault on the link leaving `node` through `out`:
-    /// it refuses every flit while `from ≤ now < until`. Credit-based flow
-    /// control must absorb the stall with zero loss — asserted by the
-    /// fault-injection tests.
-    pub fn inject_link_stall(&mut self, node: NodeId, out: QuarcOut, from: Cycle, until: Cycle) {
-        assert!(out != QuarcOut::Eject, "eject is not a link");
-        assert!(from < until);
-        self.stalls[node.index() * 4 + out.index()] = Some(LinkStall { from, until });
-        self.has_stalls = true;
-        // Stall windows change feasibility purely with time; keep this
-        // node's router re-arbitrating unconditionally.
-        if !self.stalled_nodes.contains(&(node.index() as u32)) {
-            self.stalled_nodes.push(node.index() as u32);
-        }
-    }
-
-    /// Flits carried so far by the link leaving `node` through `out`.
-    pub fn link_flits(&self, node: NodeId, out: QuarcOut) -> u64 {
-        self.link_flits[node.index() * 4 + out.index()]
-    }
-
-    /// Mean utilisation (flits per cycle) of every rim link vs every cross
-    /// link — the balance the topology was designed for.
-    pub fn utilisation_by_kind(&self) -> (f64, f64) {
-        let cycles = self.clock.now().max(1) as f64;
-        let n = self.cfg.n as f64;
-        let mut rim = 0u64;
-        let mut cross = 0u64;
-        for node in 0..self.cfg.n {
-            rim += self.link_flits[node * 4] + self.link_flits[node * 4 + 1];
-            cross += self.link_flits[node * 4 + 2] + self.link_flits[node * 4 + 3];
-        }
-        (rim as f64 / (2.0 * n * cycles), cross as f64 / (2.0 * n * cycles))
-    }
-
-    /// The number of receivers a packet at `node` (headed by `src`) would
-    /// still have served strictly downstream of `node`, had its forward not
-    /// been fault-dropped. Computed by replaying the remaining route on a
-    /// copy of the meta — exact for every class by construction, and cold:
-    /// it runs once per dropped packet.
-    fn receivers_beyond(&self, node: usize, src: Src, meta: &PacketMeta) -> usize {
-        // Replay on a meta copy whose bitstring is synthesised inline, one
-        // bit at a time, from a read-only offset (`bit_at`) into the
-        // packet's (possibly slab-backed) bitstring: the live row is shared
-        // with the packet and must not be shifted by this accounting.
-        let bits = meta.bitstring;
-        let mut shift = 0usize;
-        let (mut meta, mut out, mut advance) = match src {
-            Src::Net { port, .. } => {
-                let action =
-                    quarc_route(self.topo.ring(), NodeId::new(node), NET_IN[port as usize], meta);
-                let out = match action {
-                    RouteAction::Forward(o) | RouteAction::DeliverAndForward(o) => o,
-                    RouteAction::Deliver => unreachable!("pure absorptions are never dropped"),
-                };
-                // Forwarding from a net lane shifts the bitstring (see
-                // `commit`); injections forward the meta unchanged.
-                (*meta, out, true)
-            }
-            Src::Local { quad } => (
-                *meta,
-                quarc_injection_out(quarc_core::quadrant::Quadrant::ALL[quad as usize]),
-                false,
-            ),
-        };
-        let mut node = node;
-        let mut count = 0usize;
-        loop {
-            if advance && meta.class == TrafficClass::Multicast {
-                shift += 1;
-                meta.bitstring = Bits::inline(u64::from(self.packets.bits().bit_at(bits, shift)));
-            }
-            advance = true;
-            let (to, tin) = self.targets[node * 4 + out.index()];
-            let to = to as usize;
-            match quarc_route(self.topo.ring(), NodeId::new(to), NET_IN[tin as usize], &meta) {
-                RouteAction::Deliver => return count + 1,
-                RouteAction::Forward(o) => {
-                    node = to;
-                    out = o;
-                }
-                RouteAction::DeliverAndForward(o) => {
-                    count += 1;
-                    node = to;
-                    out = o;
-                }
-            }
-        }
-    }
-
-    /// Whether `src` may move a flit to `(out, vc)` under wormhole ownership.
-    fn ownership_allows(
-        &self,
-        node: usize,
-        out: usize,
-        vc: VcId,
-        src: Src,
-        is_header: bool,
-    ) -> bool {
-        match self.out_owner[(node * 4 + out) * self.cfg.vcs + vc.index()] {
-            Some(owner) => owner == src && !is_header,
-            None => is_header,
-        }
-    }
-
-    /// Build the request (if any) of network input port `p` at `node`.
-    /// Read-only; the VC arbiter pointer is advanced optimistically.
-    // Index loops couple several per-lane arrays; iterator forms obscure
-    // the coupling in this golden-pinned hot path.
-    #[allow(clippy::needless_range_loop)]
-    fn gather_net_port(&mut self, node: usize, p: usize) -> Option<PortReq> {
-        let vcs = self.cfg.vcs;
-        let base = (node * 4 + p) * vcs;
-        // Collect feasibility per VC lane first (immutably). Fixed-size
-        // scratch: this runs per active router per cycle and must not
-        // allocate.
-        let mut feasible: [Option<PortReq>; MAX_VCS] = [None; MAX_VCS];
-        for vc in 0..vcs {
-            let Some(head) = self.in_buf.front(base + vc).copied() else {
-                continue;
-            };
-            let plan = match self.in_route[base + vc] {
-                Some(plan) => {
-                    debug_assert!(!head.is_header(), "route state present at header");
-                    plan
-                }
-                None => {
-                    assert!(
-                        head.is_header(),
-                        "wormhole violated: non-header {head} without route state"
-                    );
-                    let meta = self.packets.meta(head.packet);
-                    let action = quarc_route(self.topo.ring(), NodeId::new(node), NET_IN[p], meta);
-                    let planned = match action {
-                        RouteAction::Deliver => HopPlan {
-                            deliver: true,
-                            out: None,
-                            out_vc: INJECTION_VC,
-                            dropped: false,
-                            dup: false,
-                        },
-                        RouteAction::Forward(out) => HopPlan {
-                            deliver: false,
-                            out: Some(out.index() as u8),
-                            out_vc: self.forward_vc(node, out, VcId(vc as u8)),
-                            dropped: false,
-                            dup: false,
-                        },
-                        RouteAction::DeliverAndForward(out) => HopPlan {
-                            deliver: true,
-                            out: Some(out.index() as u8),
-                            out_vc: self.forward_vc(node, out, VcId(vc as u8)),
-                            dropped: false,
-                            dup: false,
-                        },
-                    };
-                    match planned.out {
-                        // Fail-stop at packet granularity: a faulted link
-                        // suppresses the forward at header-plan time. The
-                        // decision is pure in (link, packet) plus the onset
-                        // gate, and the plan is cached in `in_route` at the
-                        // header's commit, so the worm is never torn.
-                        Some(o)
-                            if self.fault.drops_packet(
-                                node * 4 + o as usize,
-                                meta.packet,
-                                self.clock.now(),
-                            ) =>
-                        {
-                            HopPlan {
-                                deliver: planned.deliver,
-                                out: None,
-                                out_vc: INJECTION_VC,
-                                dropped: true,
-                                dup: false,
-                            }
-                        }
-                        _ => planned,
-                    }
-                }
-            };
-            let src = Src::Net { port: p as u8, vc: vc as u8 };
-            let ok = match plan.out {
-                None => true, // pure absorption: the all-port PE always sinks
-                Some(o) => {
-                    self.ownership_allows(node, o as usize, plan.out_vc, src, head.is_header()) && {
-                        let free = self.downstream_free(node, o as usize, plan.out_vc) > 0;
-                        // Probe-only: a lane head whose granted-path check
-                        // fails purely on credits is a credit stall.
-                        if !free && self.probe.counters_on() {
-                            self.probe.note_credit_stall();
-                        }
-                        free
-                    }
-                }
-            };
-            if ok {
-                feasible[vc] = Some(PortReq {
-                    src,
-                    plan,
-                    is_header: head.is_header(),
-                    is_tail: head.is_tail(),
-                });
-            }
-        }
-        let pick = self.rr_in_vc.pick(node * 4 + p, vcs, |vc| feasible[vc].is_some())?;
-        feasible[pick]
-    }
-
-    /// Build the request (if any) of local quadrant queue `quad` at `node`.
-    fn gather_local_port(&self, node: usize, quad: usize) -> Option<PortReq> {
-        let head = self.inject_q[node * 4 + quad].front()?;
-        let src = Src::Local { quad: quad as u8 };
-        let drop_plan =
-            HopPlan { deliver: false, out: None, out_vc: INJECTION_VC, dropped: true, dup: false };
-        // Continuation of a packet whose injection link fault-dropped its
-        // header: keep draining the queue without transmitting.
-        if self.inject_drop[node * 4 + quad] {
-            debug_assert!(!head.is_header());
-            return Some(PortReq {
-                src,
-                plan: drop_plan,
-                is_header: false,
-                is_tail: head.is_tail(),
-            });
-        }
-        let out = quarc_injection_out(quarc_core::quadrant::Quadrant::ALL[quad]);
-        let o = out.index();
-        let out_vc = match self.inject_vc[node * 4 + quad] {
-            Some(vc) => {
-                debug_assert!(!head.is_header());
-                vc
-            }
-            None => {
-                assert!(head.is_header(), "local queue must start with a header");
-                // Fail-stop at the source: a fresh packet whose injection
-                // link is faulted never enters the network (decision cached
-                // in `inject_drop` at the header's commit).
-                if self.fault.drops_packet(
-                    node * 4 + o,
-                    self.packets.meta(head.packet).packet,
-                    self.clock.now(),
-                ) {
-                    return Some(PortReq {
-                        src,
-                        plan: drop_plan,
-                        is_header: true,
-                        is_tail: head.is_tail(),
-                    });
-                }
-                self.injection_vc(node, out)
-            }
-        };
-        let ok = self.ownership_allows(node, o, out_vc, src, head.is_header())
-            && self.downstream_free(node, o, out_vc) > 0;
-        ok.then_some(PortReq {
-            src,
-            plan: HopPlan {
-                deliver: false,
-                out: Some(o as u8),
-                out_vc,
-                dropped: false,
-                dup: false,
-            },
-            is_header: head.is_header(),
-            is_tail: head.is_tail(),
-        })
-    }
-
-    /// Read-only arbitration over one router; appends winning transfers.
-    // Index loops couple several per-lane arrays; iterator forms obscure
-    // the coupling in this golden-pinned hot path.
-    #[allow(clippy::needless_range_loop)]
-    fn gather_node(&mut self, node: usize, transfers: &mut Vec<Transfer>) {
-        // A frozen router grants nothing: no forwarding, no absorption, no
-        // local injection. Returning before any arbiter is consulted keeps
-        // full-scan and active-set state identical (the node simply stops
-        // producing grants and falls out of the active set).
-        if self.fault.node_frozen(node, self.clock.now()) {
-            return;
-        }
-        // Phase 1: each input port (VC arbiter) elects at most one request.
-        let mut reqs: [Option<PortReq>; 8] = [None; 8];
-        for p in 0..4 {
-            reqs[p] = self.gather_net_port(node, p);
-        }
-        for quad in 0..4 {
-            reqs[4 + quad] = self.gather_local_port(node, quad);
-        }
-
-        // Phase 2: per-output grant (OPC master FSM). Feeder candidate lists
-        // are the topology's static tables (pre-resolved to request slots in
-        // [`OUT_FEEDER_SLOTS`]), so the arbiter state has a fixed,
-        // hardware-like domain.
-        for (o, feeders) in OUT_FEEDER_SLOTS.iter().enumerate() {
-            let winner = self.rr_out.pick(
-                node * 4 + o,
-                feeders.len(),
-                |k| matches!(reqs[feeders[k]], Some(r) if r.plan.out == Some(o as u8)),
-            );
-            if let Some(k) = winner {
-                let req = reqs[feeders[k]].take().expect("winner exists");
-                transfers.push(Transfer { node, req });
-            }
-        }
-
-        // Pure absorptions (Deliver with no forward) proceed unconditionally:
-        // the all-port router absorbs on every input in parallel (§2.2 (iii)).
-        for req in reqs.iter().flatten() {
-            if req.plan.out.is_none() {
-                transfers.push(Transfer { node, req: *req });
-            }
-        }
-    }
-
-    /// Apply one planned transfer.
-    fn commit(&mut self, t: Transfer) {
-        let now = self.clock.now();
-        let node = t.node;
-        let vcs = self.cfg.vcs;
-        // Any commit mutates this router's lane/ownership/credit state.
-        self.mark_node(node);
-        // Pop the flit from its source and update per-packet lane state.
-        let flit = match t.req.src {
-            Src::Net { port, vc } => {
-                let (port, vc) = (port as usize, vc as usize);
-                let lane = (node * 4 + port) * vcs + vc;
-                let flit = self.in_buf.pop(lane).expect("planned flit");
-                self.buffered_flits -= 1;
-                // The freed slot becomes a credit at the upstream sender,
-                // which may unblock its router.
-                let feeder = self.feeder[node * 4 + port] as usize;
-                self.credits[feeder * vcs + vc] += 1;
-                self.mark_node(feeder / 4);
-                if t.req.is_header {
-                    self.in_route[lane] = Some(t.req.plan);
-                }
-                if t.req.is_tail {
-                    self.in_route[lane] = None;
-                }
-                flit
-            }
-            Src::Local { quad } => {
-                let q = node * 4 + quad as usize;
-                let flit = self.inject_q[q].pop().expect("planned flit");
-                self.inject_backlog -= 1;
-                if t.req.is_header {
-                    self.inject_vc[q] = Some(t.req.plan.out_vc);
-                    self.inject_drop[q] = t.req.plan.dropped;
-                }
-                if t.req.is_tail {
-                    self.inject_vc[q] = None;
-                    self.inject_drop[q] = false;
-                }
-                flit
-            }
-        };
-
-        // Fault drop: the forward this plan would have made is suppressed.
-        // Every flit is accounted; the header additionally writes off the
-        // receivers the suppressed forward would have served, so the message
-        // ledger still balances (`expected == delivered + lost`) and drain
-        // loops terminate.
-        if t.req.plan.dropped {
-            let meta = *self.packets.meta(flit.packet);
-            self.metrics.record_flit_drop(meta.class);
-            // Dropped ACKs are pure control loss: the data source's timeout
-            // covers them. Data drops write off their unreached receivers —
-            // unless recovery is on, in which case every loss is deferred to
-            // the retry window (the exhaust pump is the sole write-off site,
-            // so a drop racing the final deadline can never double-count).
-            if t.req.is_header && meta.class != TrafficClass::Ack {
-                let lost = if self.recovery.enabled() {
-                    0
-                } else {
-                    self.receivers_beyond(node, t.req.src, &meta)
-                };
-                self.metrics.record_lost_receivers(meta.message, lost);
-                if self.probe.trace_on() {
-                    self.probe.trace(
-                        FlitEventKind::Drop,
-                        now,
-                        meta.message.0,
-                        meta.class,
-                        node as u32,
-                        lost as u32,
-                    );
-                }
-            }
-        }
-
-        // Local copy (absorption or ingress-mux clone). The delivery site is
-        // the input lane: only network lanes ever deliver (local plans are
-        // forward-only), and a lane streams one packet at a time.
-        if t.req.plan.deliver {
-            let Src::Net { port, vc } = t.req.src else {
-                unreachable!("local injection queues never deliver")
-            };
-            let lane = (node * 4 + port as usize) * vcs + vc as usize;
-            let site = (node * 4 + port as usize) * MAX_VCS + vc as usize;
-            let meta = *self.packets.meta(flit.packet);
-            if meta.class == TrafficClass::Ack {
-                // ACK absorbed at the data source: a control packet, never a
-                // tracked delivery (the data message may already be completed
-                // and its slot recycled). First ack per receiver closes its
-                // pending bit and samples the round trip; duplicates drain.
-                let fresh = self.recovery.on_ack(meta.message, meta.src, now);
-                if let Some(created_at) = fresh {
-                    self.metrics.record_ack_delivery(now, created_at);
-                }
-                if self.probe.trace_on() {
-                    self.probe.trace(
-                        FlitEventKind::Ack,
-                        now,
-                        meta.message.0,
-                        meta.class,
-                        meta.src.index() as u32,
-                        fresh.is_some() as u32,
-                    );
-                }
-            } else {
-                let mut dup = false;
-                if self.recovery.enabled() {
-                    if t.req.is_header {
-                        // Commit-time dup decision (gather is read-only
-                        // arbitration); the verdict rides the cached plan so
-                        // the worm's body and tail agree with its header.
-                        match self.recovery.on_data_header(meta.message, NodeId::new(node)) {
-                            DataDelivery::Fresh { recovered } => {
-                                if recovered {
-                                    self.metrics.note_recovered_receiver();
-                                }
-                            }
-                            DataDelivery::Dup => {
-                                dup = true;
-                                if let Some(plan) = self.in_route[lane].as_mut() {
-                                    plan.dup = true;
-                                }
-                            }
-                        }
-                    } else {
-                        dup = t.req.plan.dup;
-                    }
-                }
-                if dup {
-                    self.metrics.note_dup_flit();
-                } else {
-                    self.metrics.record_flit_delivery(now, NodeId::new(node), site, &flit, &meta);
-                    if self.probe.trace_on() {
-                        let (msg, class) = (meta.message.0, meta.class);
-                        if let (true, Some(out)) = (flit.is_header(), t.req.plan.out) {
-                            // Ingress-mux clone: the local copy and the
-                            // forwarded flit move in the same cycle (§2.2
-                            // absorb-and-forward).
-                            self.probe.trace(
-                                FlitEventKind::Clone,
-                                now,
-                                msg,
-                                class,
-                                node as u32,
-                                out as u32,
-                            );
-                        }
-                        if flit.is_tail() {
-                            self.probe.trace(
-                                FlitEventKind::Deliver,
-                                now,
-                                msg,
-                                class,
-                                node as u32,
-                                0,
-                            );
-                        }
-                    }
-                }
-                // Every tail reception acks — fresh or duplicate: a
-                // duplicate's re-ack may be the one that finally closes the
-                // window when the original ack was itself dropped.
-                if self.recovery.enabled() && flit.is_tail() {
-                    self.emit_ack(node, &meta, now);
-                }
-            }
-        }
-
-        // Forwarding.
-        if let Some(o) = t.req.plan.out.map(usize::from) {
-            let vc = t.req.plan.out_vc;
-            let lid = node * 4 + o;
-            if t.req.is_header {
-                self.out_owner[lid * vcs + vc.index()] = Some(t.req.src);
-            }
-            if t.req.is_tail {
-                self.out_owner[lid * vcs + vc.index()] = None;
-            }
-            // Routers (not sources) shift multicast bitstrings hop by hop.
-            // Only headers are routed, so shifting the interned meta in place
-            // is equivalent to the old per-flit copy-and-shift.
-            if flit.is_header() && matches!(t.req.src, Src::Net { .. }) {
-                self.packets.advance_header(flit.packet);
-            }
-            if flit.is_header() && self.probe.trace_on() {
-                let m = self.packets.meta(flit.packet);
-                let (msg, class) = (m.message.0, m.class);
-                self.probe.trace(FlitEventKind::Hop, now, msg, class, node as u32, o as u32);
-            }
-            self.link_flits[lid] += 1;
-            self.link_occupancy += 1;
-            self.credits[lid * vcs + vc.index()] -= 1;
-            let idx = self.links.slot_index(now);
-            self.links.send(lid, idx, TaggedFlit { flit, vc });
-            if !self.link_live[lid] {
-                self.link_live[lid] = true;
-                self.live_links.push(lid as u32);
-            }
-        } else if t.req.is_tail {
-            // Pure absorption of the tail: wormhole in-order delivery means
-            // no flit of this packet exists anywhere any more — retire it.
-            self.packets.release(flit.packet);
-        }
-    }
-
-    /// Deliver the flit arriving on link `lid` this cycle (if any) into the
-    /// downstream input lane.
-    #[inline]
-    fn arrive_link(&mut self, lid: usize, slot_index: usize) {
-        if let Some(tf) = self.links.arrive(lid, slot_index) {
-            let (to, tin) = self.targets[lid];
-            let lane = (to as usize * 4 + tin as usize) * self.cfg.vcs + tf.vc.index();
-            self.in_buf.push(lane, tf.flit);
-            self.link_occupancy -= 1;
-            self.buffered_flits += 1;
-            self.mark_node(to as usize);
-        }
-    }
-
-    /// Poll one source and expand whatever it produced into injection
-    /// queues. Returns via side effects; `reqs` is the reusable scratch.
-    fn poll_node<W: Workload + ?Sized>(
-        &mut self,
-        workload: &mut W,
-        node: usize,
-        now: Cycle,
-        reqs: &mut Vec<MessageRequest>,
-    ) {
-        reqs.clear();
-        workload.poll_into(NodeId::new(node), now, reqs);
-        for req in reqs.drain(..) {
-            debug_assert_eq!(req.src, NodeId::new(node), "workload src mismatch");
-            let message = self.metrics.create_message(req.class, now);
-            let queues: &mut [PacketQueue; 4] = (&mut self.inject_q[node * 4..node * 4 + 4])
-                .try_into()
-                .expect("four quadrant queues per node");
-            let (expected, flits) = quarc_expand_into(
-                self.topo.ring(),
-                &req,
-                message,
-                &mut self.ids,
-                now,
-                &mut self.packets,
-                queues,
-            );
-            self.inject_backlog += flits;
-            self.mark_node(node);
-            self.metrics.set_expected(message, expected);
-            if self.recovery.enabled() {
-                self.recovery.on_send(message, &req, now, expected);
-            }
-            // Probe-only: the Inject event carries the expected reception
-            // count so the trace stream is self-contained for conservation
-            // checks.
-            self.probe.trace(
-                FlitEventKind::Inject,
-                now,
-                message.0,
-                req.class,
-                node as u32,
-                expected as u32,
-            );
-        }
-    }
-
-    /// Enqueue the single-flit ACK a receiver emits on absorbing a data
-    /// tail: a control unicast back to the data source, injected through
-    /// the quadrant queue that routes `node → meta.src` — the same
-    /// contended path as any application packet.
-    fn emit_ack(&mut self, node: usize, meta: &PacketMeta, now: Cycle) {
-        let packet = self.ids.packet();
-        let pm = ack_meta(meta.message, NodeId::new(node), meta.src, packet, now);
-        let quad = quarc_core::quadrant::quadrant_of(self.topo.ring(), pm.src, pm.dst);
-        let pref = self.packets.insert(pm);
-        let flits = self.inject_q[node * 4 + quad.index()].push_packet(pref, 1);
-        self.inject_backlog += flits;
-        self.mark_node(node);
-    }
-
-    /// Drain the recovery timer heap: re-inject each due message to its
-    /// unacked receiver subset, or write off the never-served receivers of
-    /// a retry-exhausted window. Runs in step phase (b) right after the
-    /// workload polls, so retransmissions enter the same injection path as
-    /// fresh traffic in a deterministic order.
-    fn pump_recovery(&mut self, now: Cycle) {
-        let mut targets = std::mem::take(&mut self.retry_targets);
-        while let Some(action) = self.recovery.pop_action(now, &mut targets) {
-            match action {
-                RecoveryAction::Retry { message, src, class, len, attempt: _ } => {
-                    // Re-expand under the *original* message id (no
-                    // create_message / set_expected: the ledger entry is the
-                    // original's) narrowed to the unacked subset; collective
-                    // classes retransmit as a multicast over that subset.
-                    let req = if class == TrafficClass::Unicast {
-                        MessageRequest::unicast(src, targets[0], len as usize)
-                    } else {
-                        MessageRequest::multicast(src, targets.clone(), len as usize)
-                    };
-                    let node = src.index();
-                    let queues: &mut [PacketQueue; 4] = (&mut self.inject_q
-                        [node * 4..node * 4 + 4])
-                        .try_into()
-                        .expect("four quadrant queues per node");
-                    let (_, flits) = quarc_expand_into(
-                        self.topo.ring(),
-                        &req,
-                        message,
-                        &mut self.ids,
-                        now,
-                        &mut self.packets,
-                        queues,
-                    );
-                    self.inject_backlog += flits;
-                    self.mark_node(node);
-                    self.metrics.note_retransmission();
-                    if self.probe.trace_on() {
-                        self.probe.trace(
-                            FlitEventKind::Retry,
-                            now,
-                            message.0,
-                            class,
-                            node as u32,
-                            targets.len() as u32,
-                        );
-                    }
-                }
-                RecoveryAction::Exhaust { message, src, class, lost } => {
-                    if lost > 0 {
-                        self.metrics.record_lost_receivers(message, lost);
-                    }
-                    if self.probe.trace_on() {
-                        self.probe.trace(
-                            FlitEventKind::Expire,
-                            now,
-                            message.0,
-                            class,
-                            src.index() as u32,
-                            lost as u32,
-                        );
-                    }
-                }
-            }
-        }
-        self.retry_targets = targets;
-    }
-
-    /// Advance one cycle, polling `workload` for new messages. Monomorphized
-    /// per workload type — the enum-dispatched run loop in
-    /// [`crate::driver`] calls this directly; [`NocSim::step`] is the
-    /// object-safe facade.
-    pub fn step_cycle<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        let now = self.clock.now();
-        // Phase profiler: the mark is taken and lapped purely for
-        // observation — wall time never feeds back into simulated behaviour.
-        let mut mark = if self.probe.begin_profiled_cycle(now) {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let arrivals_walked = if mark.is_some() {
-            if self.full_scan {
-                self.cfg.n * 4
-            } else {
-                self.live_links.len()
-            }
-        } else {
-            0
-        };
-
-        // (a) Link arrivals from last cycle — only links carrying flits.
-        let slot = self.links.slot_index(now);
-        if self.full_scan {
-            for lid in 0..self.cfg.n * 4 {
-                self.arrive_link(lid, slot);
-            }
-            // Keep the (unused) live set empty so sends cannot grow it
-            // without bound.
-            let mut live = std::mem::take(&mut self.live_links);
-            for &lid in &live {
-                self.link_live[lid as usize] = false;
-            }
-            live.clear();
-            self.live_links = live;
-        } else {
-            let mut live = std::mem::take(&mut self.live_links);
-            live.retain(|&lid| {
-                self.arrive_link(lid as usize, slot);
-                let still = !self.links.is_empty(lid as usize);
-                if !still {
-                    self.link_live[lid as usize] = false;
-                }
-                still
-            });
-            debug_assert!(self.live_links.is_empty(), "no sends happen during arrivals");
-            self.live_links = live;
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Arrivals, m, arrivals_walked);
-        }
-
-        // (b) New messages from due sources (scratch buffer reused across
-        // the whole run — no per-cycle allocation).
-        let mut polled = 0usize;
-        let mut reqs = std::mem::take(&mut self.poll_buf);
-        if self.full_scan {
-            polled = self.cfg.n;
-            for node in 0..self.cfg.n {
-                self.poll_node(workload, node, now, &mut reqs);
-            }
-        } else {
-            while self.poll_heap.peek().is_some_and(|&Reverse((due, _))| due <= now) {
-                let Reverse((due, node)) = self.poll_heap.pop().expect("peeked");
-                debug_assert!(due == now, "due cycles never pass unpolled");
-                polled += 1;
-                self.poll_node(workload, node as usize, now, &mut reqs);
-                let next = workload.next_due(NodeId::new(node as usize), now).max(now + 1);
-                self.poll_heap.push(Reverse((next, node)));
-            }
-        }
-        self.poll_buf = reqs;
-        // Recovery deadlines: retransmissions and write-offs join phase (b)
-        // as extra injections (one predictable branch when disabled).
-        if self.recovery.enabled() {
-            self.pump_recovery(now);
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Polls, m, polled);
-        }
-
-        // (c) Read-only arbitration over the routers-with-work worklist, in
-        // canonical ascending order (metric accumulation order depends on
-        // it), skipping routers that cannot have become grantable since they
-        // last produced no grant.
-        for i in 0..self.stalled_nodes.len() {
-            let node = self.stalled_nodes[i] as usize;
-            self.mark_node(node);
-        }
-        // Fault watch list: sources of faulted links re-arbitrate every
-        // cycle, for the same reason as stall windows — their feasibility
-        // changes with time, which event tracking does not see.
-        if self.fault.any() {
-            for i in 0..self.fault.watch_nodes().len() {
-                let node = self.fault.watch_nodes()[i] as usize;
-                self.mark_node(node);
-            }
-        }
-        let mut transfers = std::mem::take(&mut self.transfers);
-        transfers.clear();
-        let gather_walked;
-        if self.full_scan {
-            let mut marks = std::mem::take(&mut self.active_nodes);
-            for &node in &marks {
-                self.node_active[node as usize] = false;
-            }
-            marks.clear();
-            self.active_nodes = marks;
-            gather_walked = self.cfg.n;
-            for node in 0..self.cfg.n {
-                self.gather_node(node, &mut transfers);
-            }
-        } else {
-            let mut worklist = std::mem::take(&mut self.node_worklist);
-            debug_assert!(worklist.is_empty());
-            std::mem::swap(&mut worklist, &mut self.active_nodes);
-            worklist.sort_unstable();
-            gather_walked = worklist.len();
-            for &node in &worklist {
-                self.node_active[node as usize] = false;
-                self.gather_node(node as usize, &mut transfers);
-            }
-            worklist.clear();
-            self.node_worklist = worklist;
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Gather, m, gather_walked);
-        }
-
-        // (d) Commit.
-        let committed = transfers.len();
-        for t in transfers.drain(..) {
-            self.commit(t);
-        }
-        self.transfers = transfers;
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Commit, m, committed);
-        }
-
-        if self.probe.counters_due(now) {
-            let sample = CounterSample {
-                cycle: now,
-                backlog: self.inject_backlog as u64,
-                buffered: self.buffered_flits,
-                on_links: self.link_occupancy,
-                live_packets: self.packets.live() as u64,
-                live_links: self.live_links.len() as u64,
-                active_routers: self.active_nodes.len() as u64,
-                poll_sources: self.poll_heap.len() as u64,
-                in_flight: self.metrics.in_flight() as u64,
-                completed: self.metrics.completed_total(),
-                delivered: self.metrics.flits_delivered(),
-                dropped: self.metrics.flits_dropped(),
-                credit_stalls: self.probe.credit_stalls(),
-            };
-            self.probe.push_sample(sample);
-        }
-
-        self.clock.tick();
-    }
-
-    /// Total flits queued at source transceivers (injection backlog). O(1).
-    pub fn backlog(&self) -> usize {
-        self.inject_backlog
-    }
-
-    /// Packets currently interned (in flight end to end). Observability for
-    /// tests of the packet-table recycling.
-    pub fn live_packets(&self) -> usize {
-        self.packets.live()
-    }
-}
-
-impl NocSim for QuarcNetwork {
-    fn step(&mut self, workload: &mut dyn Workload) {
-        self.step_cycle(workload);
-    }
-
-    fn note_workload_change(&mut self) {
-        let now = self.clock.now();
-        self.poll_heap.clear();
-        for node in 0..self.cfg.n as u32 {
-            self.poll_heap.push(Reverse((now, node)));
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        self.clock.now()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.cfg.n
+        QuarcRouter { topo: QuarcTopology::new(cfg.n) }
     }
 
     fn kind(&self) -> TopologyKind {
         TopologyKind::Quarc
     }
 
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
+    fn num_nodes(&self) -> usize {
+        self.topo.num_nodes()
     }
 
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+    fn packet_table(&self) -> PacketTable {
+        // A Quarc branch bitstring never exceeds quarter-depth + 1 bits;
+        // for n <= 64 every bitstring stays inline (no slab rows).
+        PacketTable::with_bit_capacity(self.topo.ring().quarter() + 2)
     }
 
-    fn probe(&self) -> &SimProbe {
-        &self.probe
+    /// The paper's OPC arbitration is a sweepable design parameter.
+    fn out_policy(cfg: &NocConfig) -> ArbPolicy {
+        cfg.arb
     }
 
-    fn probe_mut(&mut self) -> &mut SimProbe {
-        &mut self.probe
+    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
+        let (to, tin) = self.topo.link_target(NodeId::new(node), NET_OUT[out])?;
+        Some((to.index(), tin.index()))
     }
 
-    fn source_backlog(&self) -> usize {
-        self.backlog()
-    }
-
-    fn flit_hops(&self) -> u64 {
-        self.link_flits.iter().sum()
-    }
-
-    fn quiesced(&self) -> bool {
-        // All terms are counters — drain loops poll this every cycle, so it
-        // must not walk nodes × ports × VCs. An empty network with an open
-        // recovery window is not done: a deadline will still fire.
-        self.metrics.in_flight() == 0
-            && self.inject_backlog == 0
-            && self.link_occupancy == 0
-            && self.buffered_flits == 0
-            && self.recovery.pending() == 0
-    }
-
-    fn recovery_pending(&self) -> u64 {
-        self.recovery.pending()
-    }
-
-    fn stall_diagnostics(&self) -> StallDiagnostics {
-        let vcs = self.cfg.vcs;
-        let mut busiest: Vec<(u32, u32)> = (0..self.cfg.n)
-            .map(|node| {
-                let mut flits = 0usize;
-                for lane in node * 4 * vcs..(node + 1) * 4 * vcs {
-                    flits += self.in_buf.len(lane);
-                }
-                for quad in 0..4 {
-                    flits += self.inject_q[node * 4 + quad].flits();
-                }
-                (node as u32, flits as u32)
-            })
-            .filter(|&(_, flits)| flits > 0)
-            .collect();
-        busiest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        busiest.truncate(StallDiagnostics::TOP_ROUTERS);
-        StallDiagnostics {
-            backlog: self.inject_backlog as u64,
-            buffered: self.buffered_flits,
-            on_links: self.link_occupancy,
-            in_flight: self.metrics.in_flight() as u64,
-            live_packets: self.packets.live() as u64,
-            fault: self.cfg.fault.to_string(),
-            busiest_routers: busiest,
+    fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route {
+        let forward = |deliver, out: QuarcOut| Route {
+            deliver,
+            out: out.index() as u8,
+            out_vc: self.hop_vc(node, out, VcId(vc as u8)),
+        };
+        match quarc_route(self.topo.ring(), NodeId::new(node), NET_IN[port], meta) {
+            RouteAction::Deliver => Route { deliver: true, out: ABSORB, out_vc: INJECTION_VC },
+            RouteAction::Forward(out) => forward(false, out),
+            RouteAction::DeliverAndForward(out) => forward(true, out),
         }
+    }
+
+    fn route_local(&self, node: usize, queue: usize, _meta: &PacketMeta) -> Route {
+        let out = quarc_injection_out(Quadrant::ALL[queue]);
+        Route {
+            deliver: false,
+            out: out.index() as u8,
+            out_vc: self.hop_vc(node, out, INJECTION_VC),
+        }
+    }
+
+    fn expand_into(
+        &mut self,
+        req: &MessageRequest,
+        message: MessageId,
+        now: Cycle,
+        ids: &mut IdAlloc,
+        table: &mut PacketTable,
+        queues: &mut [PacketQueue],
+    ) -> (usize, usize) {
+        let queues = queues.try_into().expect("four quadrant queues per node");
+        quarc_expand_into(self.topo.ring(), req, message, ids, now, table, queues)
+    }
+
+    fn ack_queue(&self, node: NodeId, to: NodeId) -> usize {
+        quadrant_of(self.topo.ring(), node, to).index()
+    }
+
+    /// Replays the remaining route on a copy of the meta — exact for every
+    /// class by construction.
+    fn receivers_beyond(&self, slab: &BitSlab, node: usize, src: Src, meta: &PacketMeta) -> usize {
+        // The replayed meta's bitstring is synthesised inline, one bit at a
+        // time, from a read-only offset (`bit_at`) into the packet's
+        // (possibly slab-backed) bitstring.
+        let bits = meta.bitstring;
+        let mut shift = 0usize;
+        let ring = self.topo.ring();
+        let (mut out, mut advance) = match src {
+            Src::Net { port, .. } => {
+                match quarc_route(ring, NodeId::new(node), NET_IN[port as usize], meta) {
+                    // Forwarding from a net lane shifts the bitstring;
+                    // injections forward the meta unchanged.
+                    RouteAction::Forward(o) | RouteAction::DeliverAndForward(o) => (o, true),
+                    RouteAction::Deliver => unreachable!("pure absorptions are never dropped"),
+                }
+            }
+            Src::Local { queue } => (quarc_injection_out(Quadrant::ALL[queue as usize]), false),
+        };
+        let mut meta = *meta;
+        let mut node = NodeId::new(node);
+        let mut count = 0usize;
+        loop {
+            if advance && meta.class == TrafficClass::Multicast {
+                shift += 1;
+                meta.bitstring = Bits::inline(u64::from(slab.bit_at(bits, shift)));
+            }
+            advance = true;
+            let (to, tin) = self.topo.link_target(node, out).expect("network output");
+            match quarc_route(ring, to, tin, &meta) {
+                RouteAction::Deliver => return count + 1,
+                RouteAction::Forward(o) => out = o,
+                RouteAction::DeliverAndForward(o) => {
+                    count += 1;
+                    out = o;
+                }
+            }
+            node = to;
+        }
+    }
+}
+
+impl QuarcNetwork {
+    /// Schedule a transient fault on the link leaving `node` through `out`:
+    /// it refuses every flit while `from ≤ now < until`. Credit-based flow
+    /// control must absorb the stall with zero loss — asserted by the
+    /// fault-injection tests.
+    pub fn inject_link_stall(&mut self, node: NodeId, out: QuarcOut, from: Cycle, until: Cycle) {
+        assert!(out != QuarcOut::Eject, "eject is not a link");
+        self.block_link(node.index() * 4 + out.index(), from, until);
+    }
+
+    /// Flits carried so far by the link leaving `node` through `out`.
+    pub fn link_flits(&self, node: NodeId, out: QuarcOut) -> u64 {
+        self.link_flit_counts()[node.index() * 4 + out.index()]
+    }
+
+    /// Mean utilisation (flits per cycle) of every rim link vs every cross
+    /// link — the balance the topology was designed for.
+    pub fn utilisation_by_kind(&self) -> (f64, f64) {
+        use crate::driver::NocSim;
+        let cycles = self.now().max(1) as f64;
+        let n = self.num_nodes() as f64;
+        let (mut rim, mut cross) = (0u64, 0u64);
+        for per_node in self.link_flit_counts().chunks_exact(4) {
+            rim += per_node[0] + per_node[1];
+            cross += per_node[2] + per_node[3];
+        }
+        (rim as f64 / (2.0 * n * cycles), cross as f64 / (2.0 * n * cycles))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarc_core::flit::TrafficClass;
+    use crate::driver::NocSim;
     use quarc_core::quadrant::unicast_hops;
-    use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
+    use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload, Workload};
 
     /// Drive a network until quiescent (with a hard cycle cap).
     fn run_until_quiet(net: &mut QuarcNetwork, workload: &mut dyn Workload, cap: u64) {
@@ -1554,34 +445,23 @@ mod tests {
     #[test]
     fn out_feeder_slots_match_topology_tables() {
         for (o, out) in NET_OUT.iter().enumerate() {
-            let want: Vec<usize> = QuarcTopology::feeders(*out)
+            let want: Vec<u8> = QuarcTopology::feeders(*out)
                 .iter()
                 .map(|f| match f {
-                    QuarcIn::Local(q) => 4 + q.index(),
-                    other => other.index(),
+                    QuarcIn::Local(q) => 4 + q.index() as u8,
+                    other => other.index() as u8,
                 })
                 .collect();
-            assert_eq!(OUT_FEEDER_SLOTS[o], want.as_slice(), "output {out:?}");
+            assert_eq!(QuarcRouter::FEEDERS[o], want.as_slice(), "output {out:?}");
         }
     }
 
     #[test]
     fn full_scan_oracle_matches_active_set() {
-        use quarc_workloads::{Synthetic, SyntheticConfig};
-        let run = |full_scan: bool| {
-            let mut net = QuarcNetwork::new(NocConfig::quarc(16));
-            net.set_full_scan(full_scan);
-            let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.05, 8, 0.1, 77));
-            for _ in 0..3_000 {
-                net.step(&mut wl);
-            }
-            (
-                net.metrics().flits_delivered(),
-                net.flit_hops(),
-                net.metrics().unicast_latency().mean().to_bits(),
-                net.metrics().broadcast_completion_latency().mean().to_bits(),
-            )
-        };
-        assert_eq!(run(false), run(true));
+        crate::fabric::assert_full_scan_matches_active_set::<QuarcRouter>(
+            NocConfig::quarc(16),
+            0.05,
+            77,
+        );
     }
 }

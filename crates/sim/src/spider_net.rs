@@ -1,7 +1,7 @@
-//! The flit-level Spidergon network model — the paper's baseline.
+//! The Spidergon router model — the paper's baseline.
 //!
-//! Implements the STMicroelectronics architecture as the paper describes it
-//! (§2.1) and as the comparison requires (§2.2, §3.2):
+//! Supplies the [`Fabric`] with the STMicroelectronics architecture as the
+//! paper describes it (§2.1) and as the comparison requires (§2.2, §3.2):
 //!
 //! * **one-port router** — a single local injection queue, so "messages may
 //!   block on an occupied injection channel even when their required network
@@ -12,1047 +12,153 @@
 //!   (deadlock-free, same as Quarc);
 //! * **broadcast by unicast** (ref. [9]): replication chains that are fully
 //!   absorbed, header-rewritten and *re-injected through the single local
-//!   port* at every hop — the N−1 store-and-forward traversals that make
-//!   Spidergon broadcast an order of magnitude slower.
-//!
-//! State layout and per-cycle scheduling follow `quarc_net`: network-owned
-//! structure-of-arrays slabs, active-set worklists for links/routers/sources
-//! (see `crates/sim/HOTPATH.md`), plus one extra event source — the chain
-//! replication queue, whose re-injections mark their node active.
+//!   port* at every hop ([`RouterModel::respawn`]) — the N−1
+//!   store-and-forward traversals that make Spidergon broadcast an order of
+//!   magnitude slower.
 
-use crate::arbiter::{ArbPolicy, RoundRobinBank};
-use crate::buffer::LaneBufs;
-use crate::driver::{NocSim, StallDiagnostics};
-use crate::fault::FaultState;
-use crate::link::{LinkBank, TaggedFlit};
-use crate::metrics::Metrics;
-use crate::packets::{ack_meta, push_packet, spidergon_expand_into, IdAlloc, PacketQueue};
-use crate::probe::{CounterSample, FlitEventKind, Phase, SimProbe};
-use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
-use quarc_core::bits::Bits;
-use quarc_core::config::{NocConfig, MAX_VCS};
-use quarc_core::flit::{PacketMeta, PacketRef, PacketTable, TrafficClass};
-use quarc_core::ids::{NodeId, VcId};
+use crate::fabric::{Fabric, Route, RouterModel, Src};
+use crate::packets::{spidergon_expand_into, IdAlloc, PacketQueue};
+use quarc_core::bits::{BitSlab, Bits};
+use quarc_core::config::NocConfig;
+use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
+use quarc_core::ids::{MessageId, NodeId, VcId};
 use quarc_core::ring::RingDir;
 use quarc_core::routing::{chain_continuations, spidergon_route, RouteAction};
-use quarc_core::topology::{SpiIn, SpiOut, SpidergonTopology, TopologyKind};
+use quarc_core::topology::{SpiOut, SpidergonTopology, TopologyKind};
 use quarc_core::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
-use quarc_engine::{Clock, Cycle, EventQueue};
-use quarc_workloads::{MessageRequest, Workload};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use quarc_engine::Cycle;
+use quarc_workloads::MessageRequest;
+
+/// The flit-level Spidergon network simulator.
+pub type SpidergonNetwork = Fabric<SpidergonRouter>;
 
 /// Network output ports in index order (matches `SpiOut::index()` 0..3).
 const NET_OUT: [SpiOut; 3] = [SpiOut::RimCw, SpiOut::RimCcw, SpiOut::Cross];
-/// Index of the ejection "output" in arbitration tables.
-const EJECT: usize = 3;
 
-/// A flit source within one router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Src {
-    /// Network input `port` (0..3), VC lane `vc`.
-    Net {
-        /// Input port index.
-        port: usize,
-        /// VC lane index.
-        vc: usize,
-    },
-    /// The single local ingress queue.
-    Local,
-}
-
-/// Per-hop plan for the packet at the head of a lane.
-#[derive(Debug, Clone, Copy)]
-struct HopPlan {
-    /// `0..3` = forward on that link; [`EJECT`] = deliver locally.
-    out: usize,
-    /// Outgoing VC (meaningless for ejection).
-    out_vc: VcId,
-    /// The forward was suppressed by a fault: drain the packet's flits
-    /// without transmitting or delivering. Set only at header-plan time.
-    dropped: bool,
-    /// This worm is a duplicate delivery of an already-served receiver
-    /// (recovery only): drain it without recording, but still re-ack the
-    /// tail. Decided at the header's commit, cached here for the body.
-    dup: bool,
-}
-
-/// One input port's request for this cycle.
-#[derive(Debug, Clone, Copy)]
-struct PortReq {
-    src: Src,
-    plan: HopPlan,
-    is_header: bool,
-    is_tail: bool,
-}
-
-/// Planned flit movement.
-#[derive(Debug, Clone, Copy)]
-struct Transfer {
-    node: usize,
-    req: PortReq,
-}
-
-/// The flit-level Spidergon network simulator. Per-router state is
-/// structure-of-arrays (flat `node * ports + port` slabs), stepped over
-/// active-set worklists exactly as in [`crate::quarc_net`].
+/// The Spidergon [`RouterModel`].
 #[derive(Debug)]
-pub struct SpidergonNetwork {
+pub struct SpidergonRouter {
     topo: SpidergonTopology,
-    cfg: NocConfig,
-    clock: Clock,
-    /// The single local injection queue per node (one-port router),
-    /// holding whole packets (flits materialise on pop).
-    inject_q: Box<[PacketQueue]>,
-    /// Plan of the packet currently streaming from each local queue.
-    inject_plan: Box<[Option<HopPlan>]>,
-    /// Input buffers, one bank; lane `(node * 3 + port) * vcs + vc`.
-    in_buf: LaneBufs,
-    /// Route state per input lane, set by the header.
-    in_route: Box<[Option<HopPlan>]>,
-    /// Wormhole ownership per output lane `(node * 3 + out) * vcs + vc`.
-    out_owner: Box<[Option<Src>]>,
-    /// Ejection-port ownership per node (single channel to the PE).
-    eject_owner: Box<[Option<Src>]>,
-    /// VC arbiter per network input port (`node * 3 + port`).
-    rr_in_vc: RoundRobinBank,
-    /// Grant arbiter per output port (`node * 4 + out`; 3 links + eject).
-    rr_out: RoundRobinBank,
-    /// Directed links indexed by `node * 3 + out`.
-    links: LinkBank,
-    ids: IdAlloc,
-    metrics: Metrics,
-    /// Interned metadata of every in-flight packet (see [`PacketTable`]).
-    packets: PacketTable,
-    /// Chain packets awaiting re-injection (already interned): `(node,
-    /// packet, len)` due at a cycle. One cycle of header-rewrite latency per
-    /// replication hop.
-    pending: EventQueue<(usize, PacketRef, u32)>,
-    transfers: Vec<Transfer>,
-    /// Scratch for workload polling, reused across every poll of the run.
-    poll_buf: Vec<MessageRequest>,
-    /// Total link traversals (observability; the perf harness reads deltas).
-    flit_hops: u64,
-    /// Precomputed `link_target` per `node * 3 + out`.
-    targets: Vec<(u32, u8)>,
-    /// Sender-side credits per `(node * 3 + out) * vcs + vc` (exact mirror
-    /// of downstream free space minus in-flight flits, as in `quarc_net`).
-    credits: Vec<u32>,
-    /// Link id feeding input `node * 3 + in_port` (inverse of `targets`).
-    feeder: Vec<u32>,
-    /// Active-set state (see `quarc_net` for the invariants).
-    node_active: Vec<bool>,
-    active_nodes: Vec<u32>,
-    node_worklist: Vec<u32>,
-    link_live: Vec<bool>,
-    live_links: Vec<u32>,
-    poll_heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    full_scan: bool,
-    /// O(1) counter twins for `backlog()` / `quiesced()`.
-    inject_backlog: usize,
-    buffered_flits: u64,
-    link_occupancy: u64,
-    /// Injected fault schedule (all-healthy when the plan is empty).
-    fault: FaultState,
-    /// End-to-end ack/timeout/retransmit engine from
-    /// [`NocConfig::recovery`]. Disabled policies cost one predictable
-    /// branch per hook.
-    recovery: RecoveryState,
-    /// Scratch for retry-target extraction, reused across pump calls.
-    retry_targets: Vec<NodeId>,
-    /// Instrumentation (off by default; observe, never mutate).
-    probe: SimProbe,
 }
 
-impl SpidergonNetwork {
-    /// Build a network from a validated configuration.
-    pub fn new(cfg: NocConfig) -> Self {
-        assert_eq!(cfg.kind, TopologyKind::Spidergon, "config is not a Spidergon network");
-        cfg.validate().expect("invalid configuration");
-        let topo = SpidergonTopology::new(cfg.n);
-        let n = cfg.n;
-        let targets: Vec<(u32, u8)> = (0..n * 3)
-            .map(|i| {
-                let (to, tin) =
-                    topo.link_target(NodeId::new(i / 3), NET_OUT[i % 3]).expect("network output");
-                (to.index() as u32, tin.index() as u8)
-            })
-            .collect();
-        let mut feeder = vec![u32::MAX; n * 3];
-        for (lid, &(to, tin)) in targets.iter().enumerate() {
-            feeder[to as usize * 3 + tin as usize] = lid as u32;
-        }
-        assert!(feeder.iter().all(|&f| f != u32::MAX), "every input port has a feeder");
-        SpidergonNetwork {
-            topo,
-            cfg,
-            clock: Clock::new(),
-            inject_q: (0..n).map(|_| PacketQueue::new()).collect(),
-            inject_plan: vec![None; n].into_boxed_slice(),
-            in_buf: LaneBufs::new(n * 3 * cfg.vcs, cfg.buffer_depth),
-            in_route: vec![None; n * 3 * cfg.vcs].into_boxed_slice(),
-            out_owner: vec![None; n * 3 * cfg.vcs].into_boxed_slice(),
-            eject_owner: vec![None; n].into_boxed_slice(),
-            rr_in_vc: RoundRobinBank::new(n * 3, ArbPolicy::RoundRobin),
-            rr_out: RoundRobinBank::new(n * 4, ArbPolicy::RoundRobin),
-            links: LinkBank::new(n * 3, cfg.link_latency),
-            ids: IdAlloc::new(),
-            metrics: Metrics::new(),
-            packets: PacketTable::new(),
-            pending: EventQueue::new(),
-            transfers: Vec::new(),
-            poll_buf: Vec::new(),
-            flit_hops: 0,
-            credits: vec![cfg.buffer_depth as u32; n * 3 * cfg.vcs],
-            feeder,
-            targets,
-            node_active: vec![true; n],
-            active_nodes: (0..n as u32).collect(),
-            node_worklist: Vec::new(),
-            link_live: vec![false; n * 3],
-            live_links: Vec::new(),
-            poll_heap: (0..n as u32).map(|node| Reverse((0, node))).collect(),
-            full_scan: false,
-            inject_backlog: 0,
-            buffered_flits: 0,
-            link_occupancy: 0,
-            fault: FaultState::new(&cfg.fault, n, n * 3, |lid| lid / 3, |_| true),
-            recovery: RecoveryState::new(cfg.recovery, n),
-            retry_targets: Vec::new(),
-            probe: SimProbe::new(),
-        }
-    }
-
-    /// The configuration this network was built with.
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
-    }
-
-    /// Test oracle: scan everything every cycle (see
-    /// `QuarcNetwork::set_full_scan`). Call before the first `step`.
-    pub fn set_full_scan(&mut self, on: bool) {
-        assert_eq!(self.clock.now(), 0, "full-scan mode is a construction-time choice");
-        self.full_scan = on;
-    }
-
-    #[inline]
-    fn mark_node(&mut self, node: usize) {
-        if !self.node_active[node] {
-            self.node_active[node] = true;
-            self.active_nodes.push(node as u32);
-        }
-    }
-
-    /// Resolve the route of a header at `node` into a hop plan.
-    ///
-    /// The fault drop decision is made here, once per packet per hop: a
-    /// forward onto a dead (or hash-selected lossy) link becomes a drop
-    /// plan the whole wormhole then follows, so packets are never torn
-    /// mid-stream. Ejection uses no link and is never dropped.
-    fn plan_header(&self, node: usize, meta: &PacketMeta, cur_vc: VcId) -> HopPlan {
-        match spidergon_route(self.topo.ring(), NodeId::new(node), meta.dst) {
-            RouteAction::Deliver => {
-                HopPlan { out: EJECT, out_vc: INJECTION_VC, dropped: false, dup: false }
-            }
+impl SpidergonRouter {
+    /// Across-first route of a header at `node` holding VC `cur`.
+    fn route(&self, node: usize, meta: &PacketMeta, cur: VcId) -> Route {
+        let ring = self.topo.ring();
+        let here = NodeId::new(node);
+        let (out, out_vc) = match spidergon_route(ring, here, meta.dst) {
+            RouteAction::Deliver => (SpiOut::Eject, INJECTION_VC),
             RouteAction::Forward(out) => {
-                let out_vc = match out {
-                    SpiOut::RimCw => {
-                        vc_after_rim_hop(self.topo.ring(), NodeId::new(node), RingDir::Cw, cur_vc)
-                    }
-                    SpiOut::RimCcw => {
-                        vc_after_rim_hop(self.topo.ring(), NodeId::new(node), RingDir::Ccw, cur_vc)
-                    }
+                let vc = match out {
+                    SpiOut::RimCw => vc_after_rim_hop(ring, here, RingDir::Cw, cur),
+                    SpiOut::RimCcw => vc_after_rim_hop(ring, here, RingDir::Ccw, cur),
                     SpiOut::Cross => vc_for_cross_hop(),
-                    SpiOut::Eject => unreachable!(),
+                    SpiOut::Eject => unreachable!("eject is not a link"),
                 };
-                let dropped = self.fault.any()
-                    && self.fault.drops_packet(
-                        node * 3 + out.index(),
-                        meta.packet,
-                        self.clock.now(),
-                    );
-                HopPlan { out: out.index(), out_vc, dropped, dup: false }
+                (out, vc)
             }
             RouteAction::DeliverAndForward(_) => {
                 unreachable!("Spidergon switches cannot clone (§2.2)")
             }
-        }
-    }
-
-    /// Free downstream space for `(node, out, vc)`, minus in-flight flits.
-    /// One read of the sender-side credit counter.
-    fn downstream_free(&self, node: usize, out: usize, vc: VcId) -> usize {
-        if self.fault.any() && self.fault.link_blocked(node * 3 + out, self.clock.now()) {
-            return 0;
-        }
-        self.credits[(node * 3 + out) * self.cfg.vcs + vc.index()] as usize
-    }
-
-    /// Wormhole ownership check for link outputs and the ejection port.
-    fn ownership_allows(&self, node: usize, plan: HopPlan, src: Src, is_header: bool) -> bool {
-        let owner = if plan.out == EJECT {
-            self.eject_owner[node]
-        } else {
-            self.out_owner[(node * 3 + plan.out) * self.cfg.vcs + plan.out_vc.index()]
         };
-        match owner {
-            Some(o) => o == src && !is_header,
-            None => is_header,
-        }
-    }
-
-    /// Whether the resources of `plan` are available to `src` this cycle.
-    fn feasible(&self, node: usize, plan: HopPlan, src: Src, is_header: bool) -> bool {
-        if plan.dropped {
-            // Drops consume the flit without claiming any output resource.
-            return true;
-        }
-        if !self.ownership_allows(node, plan, src, is_header) {
-            return false;
-        }
-        plan.out == EJECT || self.downstream_free(node, plan.out, plan.out_vc) > 0
-    }
-
-    /// Request of network input port `p` at `node`.
-    // Index loops couple several per-lane arrays; iterator forms obscure
-    // the coupling in this golden-pinned hot path.
-    #[allow(clippy::needless_range_loop)]
-    fn gather_net_port(&mut self, node: usize, p: usize) -> Option<PortReq> {
-        let vcs = self.cfg.vcs;
-        let base = (node * 3 + p) * vcs;
-        // Fixed-size scratch: runs per active router per cycle, must not
-        // allocate.
-        let mut feasible: [Option<PortReq>; MAX_VCS] = [None; MAX_VCS];
-        for vc in 0..vcs {
-            let Some(head) = self.in_buf.front(base + vc).copied() else {
-                continue;
-            };
-            let plan = match self.in_route[base + vc] {
-                Some(plan) => {
-                    debug_assert!(!head.is_header());
-                    plan
-                }
-                None => {
-                    assert!(head.is_header(), "wormhole violated on {p}/{vc}");
-                    self.plan_header(node, self.packets.meta(head.packet), VcId(vc as u8))
-                }
-            };
-            let src = Src::Net { port: p, vc };
-            // Inlined `feasible` so the credit failure is distinguishable —
-            // probe-only: a lane head blocked purely on credits is a credit
-            // stall. Evaluation order matches `feasible` exactly.
-            let ok = plan.dropped
-                || (self.ownership_allows(node, plan, src, head.is_header())
-                    && (plan.out == EJECT || {
-                        let free = self.downstream_free(node, plan.out, plan.out_vc) > 0;
-                        if !free && self.probe.counters_on() {
-                            self.probe.note_credit_stall();
-                        }
-                        free
-                    }));
-            if ok {
-                feasible[vc] = Some(PortReq {
-                    src,
-                    plan,
-                    is_header: head.is_header(),
-                    is_tail: head.is_tail(),
-                });
-            }
-        }
-        let pick = self.rr_in_vc.pick(node * 3 + p, vcs, |vc| feasible[vc].is_some())?;
-        feasible[pick]
-    }
-
-    /// Request of the single local queue at `node`.
-    fn gather_local_port(&self, node: usize) -> Option<PortReq> {
-        let head = self.inject_q[node].front()?;
-        let plan = match self.inject_plan[node] {
-            Some(plan) => {
-                debug_assert!(!head.is_header());
-                plan
-            }
-            None => {
-                assert!(head.is_header(), "local queue must start with a header");
-                let meta = self.packets.meta(head.packet);
-                debug_assert_ne!(meta.dst, NodeId::new(node), "self-message injected");
-                self.plan_header(node, meta, INJECTION_VC)
-            }
-        };
-        let src = Src::Local;
-        self.feasible(node, plan, src, head.is_header()).then_some(PortReq {
-            src,
-            plan,
-            is_header: head.is_header(),
-            is_tail: head.is_tail(),
-        })
-    }
-
-    /// Read-only arbitration over one router.
-    // Index loops couple several per-lane arrays; iterator forms obscure
-    // the coupling in this golden-pinned hot path.
-    #[allow(clippy::needless_range_loop)]
-    fn gather_node(&mut self, node: usize, transfers: &mut Vec<Transfer>) {
-        // A frozen router grants nothing: returning before any arbiter is
-        // consulted keeps full-scan and active-set arbiter state identical.
-        if self.fault.node_frozen(node, self.clock.now()) {
-            return;
-        }
-        // Phase 1: VC arbiter per input port.
-        let mut reqs: [Option<PortReq>; 4] = [None; 4];
-        for p in 0..3 {
-            reqs[p] = self.gather_net_port(node, p);
-        }
-        reqs[3] = self.gather_local_port(node);
-
-        // Drop plans claim no output: commit them directly instead of
-        // letting them contend in (and possibly lose) output arbitration.
-        for slot in 0..4 {
-            if let Some(r) = reqs[slot] {
-                if r.plan.dropped {
-                    reqs[slot] = None;
-                    transfers.push(Transfer { node, req: r });
-                }
-            }
-        }
-
-        // Phase 2: per-output grant over the topology's feeder lists.
-        for o in 0..4 {
-            let feeders: &[SpiIn] = if o == EJECT {
-                SpidergonTopology::feeders(SpiOut::Eject)
-            } else {
-                SpidergonTopology::feeders(NET_OUT[o])
-            };
-            let winner = self.rr_out.pick(node * 4 + o, feeders.len(), |k| {
-                let slot = feeders[k].index();
-                matches!(reqs[slot], Some(r) if r.plan.out == o)
-            });
-            if let Some(k) = winner {
-                let slot = feeders[k].index();
-                let req = reqs[slot].take().expect("winner exists");
-                transfers.push(Transfer { node, req });
-            }
-        }
-    }
-
-    /// Apply one planned transfer.
-    fn commit(&mut self, t: Transfer) {
-        let now = self.clock.now();
-        let node = t.node;
-        let vcs = self.cfg.vcs;
-        // Any commit mutates this router's lane/ownership/credit state.
-        self.mark_node(node);
-        let flit = match t.req.src {
-            Src::Net { port, vc } => {
-                let lane = (node * 3 + port) * vcs + vc;
-                let flit = self.in_buf.pop(lane).expect("planned flit");
-                self.buffered_flits -= 1;
-                // The freed slot becomes a credit at the upstream sender.
-                let feeder = self.feeder[node * 3 + port] as usize;
-                self.credits[feeder * vcs + vc] += 1;
-                self.mark_node(feeder / 3);
-                if t.req.is_header {
-                    self.in_route[lane] = Some(t.req.plan);
-                }
-                if t.req.is_tail {
-                    self.in_route[lane] = None;
-                }
-                flit
-            }
-            Src::Local => {
-                let flit = self.inject_q[node].pop().expect("planned flit");
-                self.inject_backlog -= 1;
-                if t.req.is_header {
-                    self.inject_plan[node] = Some(t.req.plan);
-                }
-                if t.req.is_tail {
-                    self.inject_plan[node] = None;
-                }
-                flit
-            }
-        };
-
-        if t.req.plan.dropped {
-            // Fault drop: every flit is accounted; the header writes off the
-            // receivers the suppressed forward (and, for chain packets, every
-            // continuation it would have spawned) would have served, so the
-            // message ledger still balances and drain loops terminate.
-            let meta = *self.packets.meta(flit.packet);
-            self.metrics.record_flit_drop(meta.class);
-            // Dropped ACKs are pure control loss: the data source's timeout
-            // recovers them, and no receiver accounting is owed. Data drops
-            // write receivers off here — unless recovery is on, in which
-            // case every loss is deferred to the retransmit window and the
-            // exhaust pump is the sole write-off site.
-            if t.req.is_header && meta.class != TrafficClass::Ack {
-                let lost = if self.recovery.enabled() { 0 } else { chain_receivers(&meta) };
-                self.metrics.record_lost_receivers(meta.message, lost);
-                if self.probe.trace_on() {
-                    self.probe.trace(
-                        FlitEventKind::Drop,
-                        now,
-                        meta.message.0,
-                        meta.class,
-                        node as u32,
-                        lost as u32,
-                    );
-                }
-            }
-            if t.req.is_tail {
-                // No flit of this packet exists anywhere any more.
-                self.packets.release(flit.packet);
-            }
-        } else if t.req.plan.out == EJECT {
-            if t.req.is_header {
-                self.eject_owner[node] = Some(t.req.src);
-            }
-            if t.req.is_tail {
-                self.eject_owner[node] = None;
-            }
-            let meta = *self.packets.meta(flit.packet);
-            if meta.class == TrafficClass::Ack {
-                // ACK absorbed at the data source: a control packet, never a
-                // tracked delivery (the data message may already be completed
-                // and its slot recycled). First ack per receiver closes its
-                // pending bit and samples the round trip; duplicates drain.
-                let fresh = self.recovery.on_ack(meta.message, meta.src, now);
-                if let Some(created_at) = fresh {
-                    self.metrics.record_ack_delivery(now, created_at);
-                }
-                if self.probe.trace_on() {
-                    self.probe.trace(
-                        FlitEventKind::Ack,
-                        now,
-                        meta.message.0,
-                        meta.class,
-                        meta.src.index() as u32,
-                        fresh.is_some() as u32,
-                    );
-                }
-                if t.req.is_tail {
-                    self.packets.release(flit.packet);
-                }
-            } else {
-                let mut dup = false;
-                if self.recovery.enabled() {
-                    if t.req.is_header {
-                        // Commit-time dup decision (gather is read-only
-                        // arbitration); the verdict rides the cached plan so
-                        // the worm's body and tail agree with its header.
-                        match self.recovery.on_data_header(meta.message, NodeId::new(node)) {
-                            DataDelivery::Fresh { recovered } => {
-                                if recovered {
-                                    self.metrics.note_recovered_receiver();
-                                }
-                            }
-                            DataDelivery::Dup => {
-                                dup = true;
-                                if let Src::Net { port, vc } = t.req.src {
-                                    let lane = (node * 3 + port) * vcs + vc;
-                                    if let Some(plan) = self.in_route[lane].as_mut() {
-                                        plan.dup = true;
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        dup = t.req.plan.dup;
-                    }
-                }
-                if dup {
-                    self.metrics.note_dup_flit();
-                } else {
-                    // The single arbitrated ejection port is the delivery
-                    // site: it streams one packet at a time (eject_owner
-                    // pins it).
-                    self.metrics.record_flit_delivery(now, NodeId::new(node), node, &flit, &meta);
-                }
-                if t.req.is_tail {
-                    if !dup {
-                        self.probe.trace(
-                            FlitEventKind::Deliver,
-                            now,
-                            meta.message.0,
-                            meta.class,
-                            node as u32,
-                            0,
-                        );
-                        // Broadcast-by-unicast: the tail of a chain packet
-                        // triggers the replication logic, which rewrites the
-                        // header and re-injects through the single local port
-                        // one cycle later (§2.2). The continuations are fresh
-                        // packets, interned now and serialised at their due
-                        // cycle. Duplicate tails spawn nothing: their
-                        // downstream coverage is owed to the source's open
-                        // recovery window, not a second chain.
-                        if meta.class.is_chain() {
-                            for seed in
-                                chain_continuations(self.topo.ring(), NodeId::new(node), &meta)
-                            {
-                                self.probe.trace(
-                                    FlitEventKind::Clone,
-                                    now,
-                                    meta.message.0,
-                                    meta.class,
-                                    node as u32,
-                                    seed.dst.index() as u32,
-                                );
-                                let pref = self.packets.insert(PacketMeta {
-                                    packet: self.ids.packet(),
-                                    class: seed.class,
-                                    dst: seed.dst,
-                                    bitstring: Bits::inline(seed.remaining as u64),
-                                    dir: seed.dir,
-                                    ..meta
-                                });
-                                self.pending.push(now + 1, (node, pref, meta.len));
-                            }
-                        }
-                    }
-                    // Every tail reception acks — fresh or duplicate: a
-                    // duplicate's re-ack may be the one that finally closes
-                    // the window when the original ack was itself dropped.
-                    if self.recovery.enabled() {
-                        self.emit_ack(node, &meta, now);
-                    }
-                    // The ejected packet has fully left the network: retire it.
-                    self.packets.release(flit.packet);
-                }
-            }
-        } else {
-            let o = t.req.plan.out;
-            let vc = t.req.plan.out_vc;
-            let lid = node * 3 + o;
-            if t.req.is_header {
-                self.out_owner[lid * vcs + vc.index()] = Some(t.req.src);
-            }
-            if t.req.is_tail {
-                self.out_owner[lid * vcs + vc.index()] = None;
-            }
-            if flit.is_header() && self.probe.trace_on() {
-                let m = self.packets.meta(flit.packet);
-                let (msg, class) = (m.message.0, m.class);
-                self.probe.trace(FlitEventKind::Hop, now, msg, class, node as u32, o as u32);
-            }
-            self.flit_hops += 1;
-            self.link_occupancy += 1;
-            self.credits[lid * vcs + vc.index()] -= 1;
-            let idx = self.links.slot_index(now);
-            self.links.send(lid, idx, TaggedFlit { flit, vc });
-            if !self.link_live[lid] {
-                self.link_live[lid] = true;
-                self.live_links.push(lid as u32);
-            }
-        }
-    }
-
-    /// Deliver the flit arriving on link `lid` this cycle (if any).
-    #[inline]
-    fn arrive_link(&mut self, lid: usize, slot_index: usize) {
-        if let Some(tf) = self.links.arrive(lid, slot_index) {
-            let (to, tin) = self.targets[lid];
-            let lane = (to as usize * 3 + tin as usize) * self.cfg.vcs + tf.vc.index();
-            self.in_buf.push(lane, tf.flit);
-            self.link_occupancy -= 1;
-            self.buffered_flits += 1;
-            self.mark_node(to as usize);
-        }
-    }
-
-    /// Poll one source and expand its messages into the local queue.
-    fn poll_node<W: Workload + ?Sized>(
-        &mut self,
-        workload: &mut W,
-        node: usize,
-        now: Cycle,
-        reqs: &mut Vec<MessageRequest>,
-    ) {
-        reqs.clear();
-        workload.poll_into(NodeId::new(node), now, reqs);
-        for req in reqs.drain(..) {
-            debug_assert_eq!(req.src, NodeId::new(node));
-            let message = self.metrics.create_message(req.class, now);
-            let (expected, flits) = spidergon_expand_into(
-                self.topo.ring(),
-                &req,
-                message,
-                &mut self.ids,
-                now,
-                &mut self.packets,
-                &mut self.inject_q[node],
-            );
-            self.inject_backlog += flits;
-            self.mark_node(node);
-            self.metrics.set_expected(message, expected);
-            if self.recovery.enabled() {
-                self.recovery.on_send(message, &req, now, expected);
-            }
-            // Probe-only: Inject carries the expected reception count so the
-            // trace stream is self-contained for conservation checks.
-            self.probe.trace(
-                FlitEventKind::Inject,
-                now,
-                message.0,
-                req.class,
-                node as u32,
-                expected as u32,
-            );
-        }
-    }
-
-    /// Enqueue the single-flit ACK a receiver emits on absorbing a data
-    /// tail: a control unicast back to the data source, injected through
-    /// the single local port — acks contend for the same one-port router
-    /// as application packets and chain re-injections.
-    fn emit_ack(&mut self, node: usize, meta: &PacketMeta, now: Cycle) {
-        let packet = self.ids.packet();
-        let pm = ack_meta(meta.message, NodeId::new(node), meta.src, packet, now);
-        let pref = self.packets.insert(pm);
-        let flits = push_packet(&mut self.inject_q[node], pref, 1);
-        self.inject_backlog += flits;
-        self.mark_node(node);
-    }
-
-    /// Drain the recovery timer heap: re-inject each due message to its
-    /// unacked receiver subset, or write off the never-served receivers of
-    /// a retry-exhausted window. Runs in step phase (b) right after the
-    /// workload polls, so retransmissions enter the same injection path as
-    /// fresh traffic in a deterministic order.
-    fn pump_recovery(&mut self, now: Cycle) {
-        let mut targets = std::mem::take(&mut self.retry_targets);
-        while let Some(action) = self.recovery.pop_action(now, &mut targets) {
-            match action {
-                RecoveryAction::Retry { message, src, class, len, attempt: _ } => {
-                    // Re-expand under the *original* message id (no
-                    // create_message / set_expected: the ledger entry is the
-                    // original's) narrowed to the unacked subset; collective
-                    // classes retransmit as a multicast over that subset,
-                    // which Spidergon expands as per-target unicasts.
-                    let req = if class == TrafficClass::Unicast {
-                        MessageRequest::unicast(src, targets[0], len as usize)
-                    } else {
-                        MessageRequest::multicast(src, targets.clone(), len as usize)
-                    };
-                    let node = src.index();
-                    let (_, flits) = spidergon_expand_into(
-                        self.topo.ring(),
-                        &req,
-                        message,
-                        &mut self.ids,
-                        now,
-                        &mut self.packets,
-                        &mut self.inject_q[node],
-                    );
-                    self.inject_backlog += flits;
-                    self.mark_node(node);
-                    self.metrics.note_retransmission();
-                    if self.probe.trace_on() {
-                        self.probe.trace(
-                            FlitEventKind::Retry,
-                            now,
-                            message.0,
-                            class,
-                            node as u32,
-                            targets.len() as u32,
-                        );
-                    }
-                }
-                RecoveryAction::Exhaust { message, src, class, lost } => {
-                    if lost > 0 {
-                        self.metrics.record_lost_receivers(message, lost);
-                    }
-                    if self.probe.trace_on() {
-                        self.probe.trace(
-                            FlitEventKind::Expire,
-                            now,
-                            message.0,
-                            class,
-                            src.index() as u32,
-                            lost as u32,
-                        );
-                    }
-                }
-            }
-        }
-        self.retry_targets = targets;
-    }
-
-    /// Advance one cycle (monomorphized; see `QuarcNetwork::step_cycle`).
-    pub fn step_cycle<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        let now = self.clock.now();
-        // Phase profiler marks (observe-only; see `QuarcNetwork::step_cycle`).
-        let mut mark = if self.probe.begin_profiled_cycle(now) {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let arrivals_walked = if mark.is_some() {
-            if self.full_scan {
-                self.cfg.n * 3
-            } else {
-                self.live_links.len()
-            }
-        } else {
-            0
-        };
-
-        // (a) Link arrivals — only links carrying flits.
-        let slot = self.links.slot_index(now);
-        if self.full_scan {
-            for lid in 0..self.cfg.n * 3 {
-                self.arrive_link(lid, slot);
-            }
-            let mut live = std::mem::take(&mut self.live_links);
-            for &lid in &live {
-                self.link_live[lid as usize] = false;
-            }
-            live.clear();
-            self.live_links = live;
-        } else {
-            let mut live = std::mem::take(&mut self.live_links);
-            live.retain(|&lid| {
-                self.arrive_link(lid as usize, slot);
-                let still = !self.links.is_empty(lid as usize);
-                if !still {
-                    self.link_live[lid as usize] = false;
-                }
-                still
-            });
-            self.live_links = live;
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Arrivals, m, arrivals_walked);
-        }
-
-        // (b) Re-injections from the replication logic, then new messages
-        // from due sources.
-        let mut polled = 0usize;
-        while let Some((_, (node, pref, len))) = self.pending.pop_due(now) {
-            self.inject_backlog += push_packet(&mut self.inject_q[node], pref, len);
-            self.mark_node(node);
-            polled += 1;
-        }
-        let mut reqs = std::mem::take(&mut self.poll_buf);
-        if self.full_scan {
-            polled += self.cfg.n;
-            for node in 0..self.cfg.n {
-                self.poll_node(workload, node, now, &mut reqs);
-            }
-        } else {
-            while self.poll_heap.peek().is_some_and(|&Reverse((due, _))| due <= now) {
-                let Reverse((due, node)) = self.poll_heap.pop().expect("peeked");
-                debug_assert!(due == now, "due cycles never pass unpolled");
-                polled += 1;
-                self.poll_node(workload, node as usize, now, &mut reqs);
-                let next = workload.next_due(NodeId::new(node as usize), now).max(now + 1);
-                self.poll_heap.push(Reverse((next, node)));
-            }
-        }
-        self.poll_buf = reqs;
-        // Recovery deadlines: retransmissions and write-offs join phase (b)
-        // alongside chain re-injections and fresh traffic.
-        if self.recovery.enabled() {
-            self.pump_recovery(now);
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Polls, m, polled);
-        }
-
-        // Faulted links flip feasibility by time, not via a tracked event
-        // (a header waiting at a link when `onset` arrives becomes
-        // droppable in place): keep their source routers in the active set.
-        if self.fault.any() {
-            for i in 0..self.fault.watch_nodes().len() {
-                let node = self.fault.watch_nodes()[i] as usize;
-                self.mark_node(node);
-            }
-        }
-
-        // (c) Arbitration over the sorted routers-with-work worklist,
-        // (d) commit.
-        let mut transfers = std::mem::take(&mut self.transfers);
-        transfers.clear();
-        let gather_walked;
-        if self.full_scan {
-            let mut marks = std::mem::take(&mut self.active_nodes);
-            for &node in &marks {
-                self.node_active[node as usize] = false;
-            }
-            marks.clear();
-            self.active_nodes = marks;
-            gather_walked = self.cfg.n;
-            for node in 0..self.cfg.n {
-                self.gather_node(node, &mut transfers);
-            }
-        } else {
-            let mut worklist = std::mem::take(&mut self.node_worklist);
-            debug_assert!(worklist.is_empty());
-            std::mem::swap(&mut worklist, &mut self.active_nodes);
-            worklist.sort_unstable();
-            gather_walked = worklist.len();
-            for &node in &worklist {
-                self.node_active[node as usize] = false;
-                self.gather_node(node as usize, &mut transfers);
-            }
-            worklist.clear();
-            self.node_worklist = worklist;
-        }
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Gather, m, gather_walked);
-        }
-        let committed = transfers.len();
-        for t in transfers.drain(..) {
-            self.commit(t);
-        }
-        self.transfers = transfers;
-        if let Some(m) = mark.as_mut() {
-            self.probe.phase_lap(Phase::Commit, m, committed);
-        }
-
-        if self.probe.counters_due(now) {
-            let sample = CounterSample {
-                cycle: now,
-                backlog: self.inject_backlog as u64,
-                buffered: self.buffered_flits,
-                on_links: self.link_occupancy,
-                live_packets: self.packets.live() as u64,
-                live_links: self.live_links.len() as u64,
-                active_routers: self.active_nodes.len() as u64,
-                poll_sources: self.poll_heap.len() as u64,
-                in_flight: self.metrics.in_flight() as u64,
-                completed: self.metrics.completed_total(),
-                delivered: self.metrics.flits_delivered(),
-                dropped: self.metrics.flits_dropped(),
-                credit_stalls: self.probe.credit_stalls(),
-            };
-            self.probe.push_sample(sample);
-        }
-
-        self.clock.tick();
-    }
-
-    /// Total flits queued at source transceivers. O(1).
-    pub fn backlog(&self) -> usize {
-        self.inject_backlog
-    }
-
-    /// Packets currently interned (in flight or awaiting re-injection).
-    pub fn live_packets(&self) -> usize {
-        self.packets.live()
+        // `SpiOut::Eject.index()` is 3 == PORTS, the ejection output.
+        Route { deliver: false, out: out.index() as u8, out_vc }
     }
 }
 
-impl NocSim for SpidergonNetwork {
-    fn step(&mut self, workload: &mut dyn Workload) {
-        self.step_cycle(workload);
-    }
+impl RouterModel for SpidergonRouter {
+    const PORTS: usize = 3;
+    const QUEUES: usize = 1;
+    const EJECT_PORT: bool = true;
+    const DROPS_FIRST: bool = true;
+    /// [`SpidergonTopology::feeders`] per output (three links, then eject)
+    /// as request slots (`SpiIn::index()`; the local queue is slot 3) —
+    /// pinned to the topology tables by a test.
+    const FEEDERS: &'static [&'static [u8]] = &[&[0, 2, 3], &[1, 2, 3], &[3], &[0, 1, 2]];
 
-    fn note_workload_change(&mut self) {
-        let now = self.clock.now();
-        self.poll_heap.clear();
-        for node in 0..self.cfg.n as u32 {
-            self.poll_heap.push(Reverse((now, node)));
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        self.clock.now()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.cfg.n
+    fn new(cfg: &NocConfig) -> Self {
+        assert_eq!(cfg.kind, TopologyKind::Spidergon, "config is not a Spidergon network");
+        SpidergonRouter { topo: SpidergonTopology::new(cfg.n) }
     }
 
     fn kind(&self) -> TopologyKind {
         TopologyKind::Spidergon
     }
 
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
+    fn num_nodes(&self) -> usize {
+        self.topo.num_nodes()
     }
 
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+    fn packet_table(&self) -> PacketTable {
+        // Chain counters always fit inline; no bitstring rows are needed.
+        PacketTable::new()
     }
 
-    fn probe(&self) -> &SimProbe {
-        &self.probe
+    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
+        let (to, tin) = self.topo.link_target(NodeId::new(node), NET_OUT[out])?;
+        Some((to.index(), tin.index()))
     }
 
-    fn probe_mut(&mut self) -> &mut SimProbe {
-        &mut self.probe
+    fn route_net(&self, node: usize, _port: usize, vc: usize, meta: &PacketMeta) -> Route {
+        self.route(node, meta, VcId(vc as u8))
     }
 
-    fn source_backlog(&self) -> usize {
-        self.backlog()
+    fn route_local(&self, node: usize, _queue: usize, meta: &PacketMeta) -> Route {
+        debug_assert_ne!(meta.dst, NodeId::new(node), "self-message injected");
+        self.route(node, meta, INJECTION_VC)
     }
 
-    fn flit_hops(&self) -> u64 {
-        self.flit_hops
+    /// Broadcast becomes three chain seeds and multicast one unicast per
+    /// target, all through the single local queue.
+    fn expand_into(
+        &mut self,
+        req: &MessageRequest,
+        message: MessageId,
+        now: Cycle,
+        ids: &mut IdAlloc,
+        table: &mut PacketTable,
+        queues: &mut [PacketQueue],
+    ) -> (usize, usize) {
+        spidergon_expand_into(self.topo.ring(), req, message, ids, now, table, &mut queues[0])
     }
 
-    fn quiesced(&self) -> bool {
-        // Counters only — O(1) per call (drain loops poll this every cycle).
-        // `pending() > 0` keeps drains alive while a backoff timer holds the
-        // fabric idle: an empty network whose recovery window is not done is
-        // not quiet — a deadline will still fire.
-        self.metrics.in_flight() == 0
-            && self.inject_backlog == 0
-            && self.pending.is_empty()
-            && self.link_occupancy == 0
-            && self.buffered_flits == 0
-            && self.recovery.pending() == 0
-    }
-
-    fn recovery_pending(&self) -> u64 {
-        self.recovery.pending()
-    }
-
-    fn stall_diagnostics(&self) -> StallDiagnostics {
-        let vcs = self.cfg.vcs;
-        let mut busiest: Vec<(u32, u32)> = (0..self.cfg.n)
-            .map(|node| {
-                let mut flits = 0usize;
-                for lane in node * 3 * vcs..(node + 1) * 3 * vcs {
-                    flits += self.in_buf.len(lane);
-                }
-                flits += self.inject_q[node].flits();
-                (node as u32, flits as u32)
-            })
-            .filter(|&(_, flits)| flits > 0)
-            .collect();
-        busiest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        busiest.truncate(StallDiagnostics::TOP_ROUTERS);
-        StallDiagnostics {
-            backlog: self.inject_backlog as u64,
-            buffered: self.buffered_flits,
-            on_links: self.link_occupancy,
-            in_flight: self.metrics.in_flight() as u64,
-            live_packets: self.packets.live() as u64,
-            fault: self.cfg.fault.to_string(),
-            busiest_routers: busiest,
+    /// The dropped packet's own delivery plus, for chain packets, every node
+    /// the continuations it would have spawned would cover (a rim chain with
+    /// `remaining = r` covers `1 + r` nodes; a cross seed's receiver spawns
+    /// two rim chains of `remaining − 1` each, so it covers `1 + 2·r`).
+    fn receivers_beyond(&self, _: &BitSlab, _: usize, _: Src, meta: &PacketMeta) -> usize {
+        match meta.class {
+            TrafficClass::ChainRim => 1 + meta.bitstring.inline_value() as usize,
+            TrafficClass::ChainCross => 1 + 2 * meta.bitstring.inline_value() as usize,
+            _ => 1,
         }
     }
-}
 
-/// Receivers a dropped packet would still have served: its own delivery
-/// plus, for chain packets, every node the continuations it would have
-/// spawned at delivery would cover (a rim chain with `remaining = r` covers
-/// `1 + r` nodes; a cross seed's receiver spawns two rim chains of
-/// `remaining − 1` each, so it covers `1 + 2·remaining`).
-fn chain_receivers(meta: &PacketMeta) -> usize {
-    match meta.class {
-        TrafficClass::ChainRim => 1 + meta.bitstring.inline_value() as usize,
-        TrafficClass::ChainCross => 1 + 2 * meta.bitstring.inline_value() as usize,
-        _ => 1,
+    /// Broadcast-by-unicast: the tail of a chain packet triggers the
+    /// replication logic, which rewrites the header and re-injects through
+    /// the single local port one cycle later (§2.2).
+    fn respawn(&self, node: NodeId, meta: &PacketMeta, spawn: &mut dyn FnMut(PacketMeta)) {
+        if meta.class.is_chain() {
+            for seed in chain_continuations(self.topo.ring(), node, meta) {
+                spawn(PacketMeta {
+                    class: seed.class,
+                    dst: seed.dst,
+                    bitstring: Bits::inline(seed.remaining as u64),
+                    dir: seed.dir,
+                    ..*meta
+                });
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarc_core::flit::TrafficClass;
+    use crate::driver::NocSim;
     use quarc_core::routing::spidergon_hops;
-    use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
+    use quarc_core::topology::SpiIn;
+    use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload, Workload};
 
     fn run_until_quiet(net: &mut SpidergonNetwork, wl: &mut dyn Workload, cap: u64) {
         for _ in 0..cap {
@@ -1220,21 +326,19 @@ mod tests {
 
     #[test]
     fn full_scan_oracle_matches_active_set() {
-        use quarc_workloads::{Synthetic, SyntheticConfig};
-        let run = |full_scan: bool| {
-            let mut net = SpidergonNetwork::new(NocConfig::spidergon(16));
-            net.set_full_scan(full_scan);
-            let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.02, 8, 0.05, 99));
-            for _ in 0..3_000 {
-                net.step(&mut wl);
-            }
-            (
-                net.metrics().flits_delivered(),
-                net.flit_hops(),
-                net.metrics().unicast_latency().mean().to_bits(),
-                net.metrics().broadcast_completion_latency().mean().to_bits(),
-            )
-        };
-        assert_eq!(run(false), run(true));
+        crate::fabric::assert_full_scan_matches_active_set::<SpidergonRouter>(
+            NocConfig::spidergon(16),
+            0.02,
+            99,
+        );
+    }
+
+    #[test]
+    fn feeder_slots_match_topology_tables() {
+        for (o, out) in NET_OUT.iter().chain([&SpiOut::Eject]).enumerate() {
+            let want: Vec<u8> =
+                SpidergonTopology::feeders(*out).iter().map(|f: &SpiIn| f.index() as u8).collect();
+            assert_eq!(SpidergonRouter::FEEDERS[o], want.as_slice(), "output {out:?}");
+        }
     }
 }

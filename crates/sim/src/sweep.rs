@@ -9,10 +9,7 @@
 use crate::driver::{
     run_mono_outcome_deadline, AnyNet, NocSim, RunOutcome, RunResult, RunSpec, StallDiagnostics,
 };
-use crate::mesh_net::MeshNetwork;
-use crate::quarc_net::QuarcNetwork;
-use crate::spider_net::SpidergonNetwork;
-use crate::torus_net::TorusNetwork;
+use crate::fabric::Fabric;
 use quarc_core::config::{ConfigError, NocConfig};
 use quarc_core::topology::TopologyKind;
 use quarc_engine::stats::LatencyHistogram;
@@ -22,27 +19,16 @@ use std::fmt;
 
 /// Instantiate the simulator matching a configuration, enum-dispatched.
 ///
-/// This is the form the hot callers want: [`run_mono`] over an [`AnyNet`]
-/// monomorphizes the whole per-cycle loop. Note the mesh and torus models
-/// round `cfg.n` up to a near-square node count — size the workload from
-/// [`NocSim::num_nodes`], not from `cfg.n`.
+/// [`crate::run`] over an [`AnyNet`] monomorphizes the whole per-cycle loop
+/// (one predictable match per cycle). Note the grid model rounds `cfg.n` up to a near-square node count —
+/// size the workload from [`NocSim::num_nodes`], not from `cfg.n`. The
+/// result is `Send`, so whole simulations can be handed to worker threads.
 pub fn build_any(cfg: NocConfig) -> AnyNet {
     match cfg.kind {
-        TopologyKind::Quarc => AnyNet::Quarc(QuarcNetwork::new(cfg)),
-        TopologyKind::Spidergon => AnyNet::Spidergon(SpidergonNetwork::new(cfg)),
-        TopologyKind::Mesh => AnyNet::Mesh(MeshNetwork::new(cfg)),
-        TopologyKind::Torus => AnyNet::Torus(TorusNetwork::new(cfg)),
+        TopologyKind::Quarc => AnyNet::Quarc(Fabric::new(cfg)),
+        TopologyKind::Spidergon => AnyNet::Spidergon(Fabric::new(cfg)),
+        TopologyKind::Mesh | TopologyKind::Torus => AnyNet::Grid(Fabric::new(cfg)),
     }
-}
-
-/// Instantiate the simulator matching a configuration, type-erased.
-///
-/// The box is `Send` so whole simulations can be handed to worker threads
-/// (none of the network models hold thread-local state). Kept as the API
-/// boundary for callers that want `dyn NocSim`; the run protocol itself goes
-/// through [`build_any`] + [`run_mono`].
-pub fn build_network(cfg: NocConfig) -> Box<dyn NocSim + Send> {
-    Box::new(build_any(cfg))
 }
 
 /// Why a sweep point could not be simulated.
@@ -329,10 +315,10 @@ mod tests {
 
     #[test]
     fn build_network_matches_kind() {
-        assert_eq!(build_network(NocConfig::quarc(8)).kind(), TopologyKind::Quarc);
-        assert_eq!(build_network(NocConfig::spidergon(8)).kind(), TopologyKind::Spidergon);
-        assert_eq!(build_network(NocConfig::mesh(16)).kind(), TopologyKind::Mesh);
-        assert_eq!(build_network(NocConfig::torus(16)).kind(), TopologyKind::Torus);
+        assert_eq!(build_any(NocConfig::quarc(8)).kind(), TopologyKind::Quarc);
+        assert_eq!(build_any(NocConfig::spidergon(8)).kind(), TopologyKind::Spidergon);
+        assert_eq!(build_any(NocConfig::mesh(16)).kind(), TopologyKind::Mesh);
+        assert_eq!(build_any(NocConfig::torus(16)).kind(), TopologyKind::Torus);
     }
 
     #[test]

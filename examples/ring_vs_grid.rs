@@ -14,7 +14,7 @@ use quarc::sim::torus_net::TorusNetwork;
 use quarc::sim::QuarcNetwork;
 use quarc::workloads::{Synthetic, SyntheticConfig};
 
-fn measure(net: &mut dyn NocSim, n: usize, rate: f64, m: usize) -> (f64, bool) {
+fn measure(net: &mut impl NocSim, n: usize, rate: f64, m: usize) -> (f64, bool) {
     let spec = RunSpec { warmup: 1_500, measure: 12_000, drain: 20_000, ..Default::default() };
     let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, m, 0.0, 55));
     let r = run(net, &mut wl, &spec);
