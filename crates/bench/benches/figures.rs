@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quarc_core::config::NocConfig;
-use quarc_sim::{run, CurveSpec, QuarcNetwork, RunSpec, SpidergonNetwork};
+use quarc_sim::{run, QuarcNetwork, RunSpec, SpidergonNetwork};
 use quarc_workloads::{Synthetic, SyntheticConfig};
 
 fn quick_spec() -> RunSpec {
@@ -37,14 +37,6 @@ fn bench_points(c: &mut Criterion) {
             let mut net = QuarcNetwork::new(NocConfig::quarc(64));
             let mut wl = Synthetic::new(64, SyntheticConfig::paper(0.005, 16, 0.10, 2));
             run(&mut net, &mut wl, &quick_spec()).unicast_mean
-        })
-    });
-
-    // Full mini-curve through the sweep helper.
-    g.bench_function("mini_curve_quarc", |b| {
-        b.iter(|| {
-            let spec = CurveSpec { noc: NocConfig::quarc(16), msg_len: 8, beta: 0.05, seed: 3 };
-            quarc_sim::latency_curve(&spec, &[0.005, 0.02], &quick_spec()).unwrap().len()
         })
     });
 

@@ -2,10 +2,9 @@
 //! input-buffer depth, link latency and the broadcast mechanism itself
 //! (Quarc true broadcast vs Spidergon chains on otherwise-identical rings).
 //!
-//! The grid sections (buffer depth, link latency, β) run as campaign
-//! presets — in parallel, with replication confidence intervals. The
-//! arbitration-policy section stays a direct run: `ArbPolicy` is a
-//! constructor argument the campaign grid deliberately does not expose.
+//! Every section (buffer depth, link latency, β, arbitration policy) runs
+//! as a campaign preset — in parallel, with replication confidence
+//! intervals.
 //!
 //! ```text
 //! cargo run -p quarc-bench --bin ablation --release
@@ -13,9 +12,6 @@
 
 use quarc_bench::presets;
 use quarc_campaign::{run_campaign, CampaignOptions, CampaignSpec};
-use quarc_core::config::NocConfig;
-use quarc_sim::{run, ArbPolicy, QuarcNetwork, RunSpec};
-use quarc_workloads::{Synthetic, SyntheticConfig};
 
 fn run_preset(title: &str, spec: &CampaignSpec) {
     let report = run_campaign(spec, &CampaignOptions { quiet: true, ..Default::default() })
@@ -36,21 +32,8 @@ fn main() {
          Quarc knee throughout, so the degradation is attributable to beta alone)",
         &presets::ablation_beta(),
     );
-
-    println!("# Ablation: output-arbitration policy (round-robin vs fixed priority)");
-    println!("policy,unicast_mean,unicast_p95,bcast_completion_mean,saturated");
-    let spec = RunSpec { warmup: 2_000, measure: 15_000, drain: 20_000, ..Default::default() };
-    let (n, m, beta, rate) = (16usize, 16usize, 0.05, 0.02);
-    for policy in [ArbPolicy::RoundRobin, ArbPolicy::FixedPriority] {
-        let mut net = QuarcNetwork::with_arb_policy(NocConfig::quarc(n), policy);
-        let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, m, beta, 24));
-        let r = run(&mut net, &mut wl, &spec);
-        println!(
-            "{policy:?},{:.2},{},{:.2},{}",
-            r.unicast_mean,
-            r.unicast_p95.map_or_else(|| "-".into(), |p| p.to_string()),
-            r.bcast_completion_mean,
-            r.saturated
-        );
-    }
+    run_preset(
+        "Ablation: output-arbitration policy (round-robin vs fixed priority)",
+        &presets::ablation_arb(),
+    );
 }

@@ -1,15 +1,13 @@
 //! # quarc-bench
 //!
-//! The figure-regeneration harness: one binary per table/figure of the
-//! paper's evaluation (§3), plus Criterion micro-benchmarks of the simulator
-//! itself. The binaries print CSV to stdout and a human-readable summary as
-//! `#`-prefixed comment lines, so their output can be piped straight into a
-//! plotting tool or diffed against `EXPERIMENTS.md`.
+//! The campaign front ends: the `campaign` CLI, one thin binary per
+//! table/figure of the paper's evaluation (§3) over the named [`presets`],
+//! and the `perf`/`trace`/`simulate`/`validate` tools. The figure binaries
+//! print CSV to stdout and a human-readable summary as `#`-prefixed comment
+//! lines, so their output can be piped straight into a plotting tool.
+//! `benches/` holds Criterion canaries for the simulator's hot path.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod figures;
 pub mod presets;
-
-pub use figures::{run_figure, FigureCurve, FigureResult};

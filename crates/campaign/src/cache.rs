@@ -99,13 +99,9 @@ impl ResultCache {
 
     /// Look up a saturation-search result.
     pub fn load_saturation(&self, hash: u64, merge_key: &str) -> Option<SaturationResult> {
-        let payload = self.load_entry(hash, merge_key, "saturation")?;
-        match PointOutcomeKind::from_json(&payload)? {
-            PointOutcomeKind::Saturation(s) => Some(s),
-            // Anything else under a "saturation" kind is a malformed entry:
-            // quarantine outcomes in particular are never cached.
-            _ => None,
-        }
+        // Anything but a search under a "saturation" kind is a malformed
+        // entry: quarantine outcomes in particular are never cached.
+        SaturationResult::from_json(&self.load_entry(hash, merge_key, "saturation")?)
     }
 
     /// Store a saturation-search result.
@@ -117,23 +113,6 @@ impl ResultCache {
     ) -> io::Result<()> {
         let payload = PointOutcomeKind::Saturation(result.clone()).to_json();
         self.store_entry(hash, merge_key, "saturation", payload)
-    }
-
-    /// Number of entries currently on disk (diagnostics).
-    pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -149,12 +128,17 @@ mod tests {
         std::env::temp_dir().join(format!("quarc-campaign-cache-{tag}-{}", std::process::id()))
     }
 
+    /// Files in the cache directory — entries and any stray temp file.
+    fn files(cache: &ResultCache) -> usize {
+        std::fs::read_dir(cache.dir()).unwrap().count()
+    }
+
     fn sample_series(reps: u32) -> Vec<RepOutcome> {
         let template =
             PointSpec { noc: NocConfig::quarc(8), msg_len: 4, beta: 0.05, seed: 0, rate: 0.01 };
         let run = RunSpec { warmup: 100, measure: 600, drain: 1_200, ..Default::default() };
         let mut series = Vec::new();
-        extend_series(&mut series, &template, &run, 7, 11, reps);
+        extend_series(&mut series, &template, &run, 7, 11, reps, None).unwrap();
         series
     }
 
@@ -163,10 +147,10 @@ mod tests {
         let dir = unique_dir("roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::open(&dir).unwrap();
-        assert!(cache.is_empty());
+        assert_eq!(files(&cache), 0);
         let series = sample_series(3);
         cache.store_series(42, "key-a", &series).unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(files(&cache), 1);
         assert_eq!(cache.load_series(42, "key-a"), Some(series));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -181,7 +165,7 @@ mod tests {
         assert_eq!(cache.load_series(42, "key-a").unwrap().len(), 2);
         // A top-up stores the full series; the old entry is superseded.
         cache.store_series(42, "key-a", &series).unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(files(&cache), 1);
         assert_eq!(cache.load_series(42, "key-a"), Some(series));
         std::fs::remove_dir_all(&dir).unwrap();
     }

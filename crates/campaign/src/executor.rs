@@ -8,7 +8,7 @@
 //! shape, coarse Mutex deques instead of lock-free CAS — point execution
 //! dominates by orders of magnitude, so queue contention is irrelevant).
 //!
-//! Tasks may be **re-enqueueable**: [`run_work_stealing_tasks`] lets a task
+//! Tasks are **re-enqueueable**: [`run_work_stealing`] lets a task
 //! return [`Step::Yield`] to park its state and go back on the queue instead
 //! of running to completion. Convergence-controlled campaign points use this
 //! to execute one replication batch at a time, so a point that needs 40
@@ -64,7 +64,8 @@ impl WorkerStats {
 }
 
 /// Run re-enqueueable tasks over every item on `workers` threads; results in
-/// item order.
+/// item order, plus per-worker [`WorkerStats`] (one entry per pool thread
+/// actually spawned).
 ///
 /// Each task starts from `init(idx, item)`; `step(idx, item, state)` is then
 /// called — possibly repeatedly, possibly on different workers — until it
@@ -76,25 +77,7 @@ impl WorkerStats {
 /// poison flag on its way out so the idle-wait loops exit instead of
 /// waiting forever for a task that will never finish, and the scope join
 /// then rethrows the panic.
-pub fn run_work_stealing_tasks<T, S, R, I, F>(
-    items: &[T],
-    workers: usize,
-    init: I,
-    step: F,
-) -> Vec<R>
-where
-    T: Sync,
-    S: Send,
-    R: Send,
-    I: Fn(usize, &T) -> S + Sync,
-    F: Fn(usize, &T, S) -> Step<S, R> + Sync,
-{
-    run_work_stealing_tasks_with_stats(items, workers, init, step).0
-}
-
-/// [`run_work_stealing_tasks`] plus per-worker [`WorkerStats`] (one entry
-/// per pool thread actually spawned).
-pub fn run_work_stealing_tasks_with_stats<T, S, R, I, F>(
+pub fn run_work_stealing<T, S, R, I, F>(
     items: &[T],
     workers: usize,
     init: I,
@@ -209,18 +192,6 @@ where
     (results, stats)
 }
 
-/// Run `f` over every item on `workers` threads; results in item order.
-///
-/// The single-step special case of [`run_work_stealing_tasks`].
-pub fn run_work_stealing<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_work_stealing_tasks(items, workers, |_, _| (), |idx, item, ()| Step::Done(f(idx, item)))
-}
-
 fn steal(deques: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
     // Pick the victim with the most queued work (snapshot; racy but only
     // affects efficiency, never correctness).
@@ -251,19 +222,27 @@ mod tests {
     #[test]
     fn results_are_in_item_order() {
         let items: Vec<usize> = (0..97).collect();
-        let results = run_work_stealing(&items, 8, |idx, &item| {
-            assert_eq!(idx, item);
-            item * 3
-        });
+        let (results, _) = run_work_stealing(
+            &items,
+            8,
+            |_, _| (),
+            |idx, &item, ()| {
+                assert_eq!(idx, item);
+                Step::Done(item * 3)
+            },
+        );
         assert_eq!(results, (0..97).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        run_work_stealing(&(0..50).collect::<Vec<_>>(), 4, |idx, _| {
-            counts[idx].fetch_add(1, Ordering::SeqCst);
-        });
+        run_work_stealing(
+            &(0..50).collect::<Vec<_>>(),
+            4,
+            |_, _| (),
+            |idx, _, ()| Step::Done(counts[idx].fetch_add(1, Ordering::SeqCst)),
+        );
         assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
     }
 
@@ -272,27 +251,36 @@ mod tests {
         // One pathological item 100× the cost of the rest: with 4 workers
         // the other shards must drain via stealing long before it finishes.
         let items: Vec<u64> = (0..40).map(|i| if i == 0 { 2_000_000 } else { 20_000 }).collect();
-        let results = run_work_stealing(&items, 4, |_, &spins| {
-            let mut acc = 0u64;
-            for i in 0..spins {
-                acc = acc.wrapping_add(i).rotate_left(7);
-            }
-            std::hint::black_box(acc);
-            spins
-        });
+        let (results, _) = run_work_stealing(
+            &items,
+            4,
+            |_, _| (),
+            |_, &spins, ()| {
+                let mut acc = 0u64;
+                for i in 0..spins {
+                    acc = acc.wrapping_add(i).rotate_left(7);
+                }
+                std::hint::black_box(acc);
+                Step::Done(spins)
+            },
+        );
         assert_eq!(results, items);
     }
 
     #[test]
     fn single_worker_and_oversubscription_work() {
         let items = vec![1, 2, 3];
-        assert_eq!(run_work_stealing(&items, 1, |_, &x| x), items);
-        assert_eq!(run_work_stealing(&items, 64, |_, &x| x), items);
+        for workers in [1, 64] {
+            let (results, _) =
+                run_work_stealing(&items, workers, |_, _| (), |_, &x, ()| Step::Done(x));
+            assert_eq!(results, items);
+        }
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let results: Vec<u32> = run_work_stealing(&[] as &[u32], 4, |_, &x| x);
+        let (results, _) =
+            run_work_stealing(&[] as &[u32], 4, |_, _| (), |_, &x, ()| Step::Done(x));
         assert!(results.is_empty());
     }
 
@@ -302,7 +290,7 @@ mod tests {
         // steps actually executed. Every worker count must agree.
         let items: Vec<u32> = (0..23).collect();
         for workers in [1, 4, 16] {
-            let results = run_work_stealing_tasks(
+            let (results, _) = run_work_stealing(
                 &items,
                 workers,
                 |_, &k| k, // state: yields left
@@ -325,7 +313,7 @@ mod tests {
         // zero — without the poison flag the other workers would wait for
         // it forever and the panic would never surface.
         let items: Vec<u32> = (0..8).collect();
-        run_work_stealing_tasks(
+        run_work_stealing(
             &items,
             4,
             |_, _| (),
@@ -346,7 +334,7 @@ mod tests {
         // picked up — the run completing at all under a 4-worker pool with
         // sleeps between yields exercises exactly that window.
         let items: Vec<u64> = (0..12).map(|i| u64::from(i == 0) * 6).collect();
-        let results = run_work_stealing_tasks(
+        let (results, _) = run_work_stealing(
             &items,
             4,
             |_, _| 0u64,

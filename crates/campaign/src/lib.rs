@@ -30,6 +30,10 @@
 //!    the final `n`, every achieved half-width and a `converged` verdict,
 //!    all rendered with the in-tree [`json`] module.
 //!
+//! One function per layer: `quarc_sim::run_point` simulates a replication,
+//! [`extend_series`] grows a point's series, [`merge_series`] folds the
+//! prefix [`decide`] picked, [`run_work_stealing`] is the pool.
+//!
 //! **Determinism contract.** Results are a pure function of the spec. Worker
 //! count, scheduling order, replication batch size, cache state and
 //! `--force` can change how long a campaign takes, never what it measures —
@@ -57,18 +61,15 @@ pub mod saturation;
 pub mod spec;
 
 pub use cache::ResultCache;
-pub use executor::{
-    default_workers, run_work_stealing, run_work_stealing_tasks,
-    run_work_stealing_tasks_with_stats, Step, WorkerStats,
-};
+pub use executor::{default_workers, run_work_stealing, Step, WorkerStats};
 pub use json::Json;
 pub use replicate::{
-    decide, extend_series, extend_series_checked, merge_series, replication_seed, run_replicated,
-    Converged, Decision, MeanCi, MergedRun, RepInterrupt, RepOutcome, RepStall,
+    decide, extend_series, merge_series, replication_seed, Converged, Decision, MeanCi, MergedRun,
+    RepInterrupt, RepOutcome,
 };
 pub use result::{PointOutcomeKind, PointResult};
 pub use runner::{
-    execute_point, run_campaign, CampaignError, CampaignOptions, CampaignReport, PointTelemetry,
+    run_campaign, CampaignError, CampaignOptions, CampaignReport, PointTelemetry,
     DEFAULT_BATCH_REPS,
 };
 pub use saturation::{find_saturation, Probe, SaturationResult};

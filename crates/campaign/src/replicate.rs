@@ -24,7 +24,7 @@ use crate::json::Json;
 use crate::spec::{CiTarget, ReplicationPolicy};
 use quarc_engine::stats::{LatencyHistogram, OnlineStats};
 use quarc_engine::DetRng;
-use quarc_sim::{run_point, run_point_outcome_deadline, PointRunOutcome, PointSpec, RunSpec};
+use quarc_sim::{run_point, PointSpec, RunOutcome, RunSpec};
 use std::time::Instant;
 
 /// Two-sided 95% Student-t quantiles for ν = n − 1 degrees of freedom
@@ -47,8 +47,7 @@ fn t95(df: u32) -> f64 {
 /// The convergence verdict of a reported replication prefix.
 ///
 /// Serialised into artifacts as `true` / `false` /
-/// `"abandoned-saturated"`, so pre-existing artifacts (booleans only) keep
-/// parsing.
+/// `"abandoned-saturated"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Converged {
     /// The protocol's CI target was met at the reported prefix (vacuously
@@ -67,27 +66,12 @@ pub enum Converged {
 }
 
 impl Converged {
-    /// Whether the CI target itself was met.
-    pub fn met_target(self) -> bool {
-        self == Converged::Yes
-    }
-
     /// JSON form (`true` / `false` / `"abandoned-saturated"`).
     pub fn to_json(self) -> Json {
         match self {
             Converged::Yes => Json::Bool(true),
             Converged::No => Json::Bool(false),
             Converged::AbandonedSaturated => Json::Str("abandoned-saturated".into()),
-        }
-    }
-
-    /// Parse the JSON form.
-    pub fn from_json(v: &Json) -> Option<Converged> {
-        match v {
-            Json::Bool(true) => Some(Converged::Yes),
-            Json::Bool(false) => Some(Converged::No),
-            Json::Str(s) if s == "abandoned-saturated" => Some(Converged::AbandonedSaturated),
-            _ => None,
         }
     }
 }
@@ -140,15 +124,6 @@ impl MeanCi {
             ("ci95", Json::Num(self.ci95)),
             ("n", Json::UInt(self.n as u64)),
         ])
-    }
-
-    /// Parse the JSON form.
-    pub fn from_json(v: &Json) -> Option<MeanCi> {
-        Some(MeanCi {
-            mean: v.get("mean")?.as_f64()?,
-            ci95: v.get("ci95")?.as_f64()?,
-            n: v.get("n")?.as_u64()? as u32,
-        })
     }
 }
 
@@ -326,34 +301,6 @@ impl MergedRun {
             ("converged", self.converged.to_json()),
         ])
     }
-
-    /// Parse the JSON form.
-    pub fn from_json(v: &Json) -> Option<MergedRun> {
-        Some(MergedRun {
-            reps: v.get("reps")?.as_u64()? as u32,
-            unicast_mean: MeanCi::from_json(v.get("unicast_mean")?)?,
-            bcast_reception_mean: MeanCi::from_json(v.get("bcast_reception_mean")?)?,
-            bcast_completion_mean: MeanCi::from_json(v.get("bcast_completion_mean")?)?,
-            throughput: MeanCi::from_json(v.get("throughput")?)?,
-            unicast_p95: match v.get("unicast_p95")? {
-                Json::Null => None,
-                other => Some(other.as_u64()?),
-            },
-            bcast_completion_p95: match v.get("bcast_completion_p95")? {
-                Json::Null => None,
-                other => Some(other.as_u64()?),
-            },
-            unicast_samples: v.get("unicast_samples")?.as_u64()?,
-            bcast_samples: v.get("bcast_samples")?.as_u64()?,
-            saturated_reps: v.get("saturated_reps")?.as_u64()? as u32,
-            saturated: v.get("saturated")?.as_bool()?,
-            delivered_fraction: MeanCi::from_json(v.get("delivered_fraction")?)?,
-            undeliverable: v.get("undeliverable")?.as_u64()?,
-            retransmissions: v.get("retransmissions")?.as_u64()?,
-            recovered_receivers: v.get("recovered_receivers")?.as_u64()?,
-            converged: Converged::from_json(v.get("converged")?)?,
-        })
-    }
 }
 
 /// The workload seed for replication `rep` of the point whose merge hash
@@ -364,20 +311,7 @@ pub fn replication_seed(base_seed: u64, point_stream: u64, rep: u32) -> u64 {
     DetRng::new(base_seed).fork(point_stream).fork(rep as u64).next_u64()
 }
 
-/// A replication the stall watchdog cut off: the wedged run's coordinates,
-/// rendered for quarantine records and operator eyes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepStall {
-    /// Replication index that stalled.
-    pub rep: u32,
-    /// Cycle at which the watchdog fired.
-    pub cycle: u64,
-    /// Where the traffic was wedged ([`quarc_sim::StallDiagnostics`],
-    /// rendered).
-    pub diagnostics: String,
-}
-
-/// Why a checked series extension stopped before reaching its target length.
+/// Why a series extension stopped before reaching its target length.
 ///
 /// Either way, the interrupted replication contributes nothing to the
 /// series — only the replications completed before the cut are valid
@@ -385,7 +319,15 @@ pub struct RepStall {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RepInterrupt {
     /// The stall watchdog fired: the network wedged under this replication.
-    Stall(RepStall),
+    Stall {
+        /// Replication index that stalled.
+        rep: u32,
+        /// Cycle at which the watchdog fired.
+        cycle: u64,
+        /// Where the traffic was wedged ([`quarc_sim::StallDiagnostics`],
+        /// rendered for quarantine records and operator eyes).
+        diagnostics: String,
+    },
     /// The cooperative wall-clock deadline expired mid-replication (the
     /// campaign's `--point-timeout` budget reaching inside a run instead of
     /// waiting for the batch boundary).
@@ -397,52 +339,13 @@ pub enum RepInterrupt {
     },
 }
 
-fn rep_outcome(outcome: quarc_sim::PointOutcome) -> RepOutcome {
-    let r = &outcome.result;
-    RepOutcome {
-        unicast_mean: r.unicast_mean,
-        bcast_reception_mean: r.bcast_reception_mean,
-        bcast_completion_mean: r.bcast_completion_mean,
-        throughput: r.throughput,
-        bcast_samples: r.bcast_samples,
-        saturated: r.saturated,
-        delivered_fraction: r.delivered_fraction,
-        undeliverable: r.undeliverable,
-        retransmissions: r.retransmissions,
-        recovered_receivers: r.recovered_receivers,
-        unicast_hist: outcome.unicast_hist,
-        bcast_hist: outcome.bcast_completion_hist,
-    }
-}
-
 /// Simulate replications `series.len()..upto` of `template` (its `seed`
 /// field is overwritten per replication) and append them to `series`.
 ///
 /// Appending is the only mutation a series ever sees, so any interleaving of
-/// cache loads and top-up batches yields the same outcome at every index.
-/// A stalled replication is folded into its partial statistics (flagged
-/// saturated) — campaign execution uses [`extend_series_checked`] instead,
-/// which quarantines the point.
-pub fn extend_series(
-    series: &mut Vec<RepOutcome>,
-    template: &PointSpec,
-    run_spec: &RunSpec,
-    base_seed: u64,
-    point_stream: u64,
-    upto: u32,
-) {
-    for rep in series.len() as u32..upto {
-        let mut point = *template;
-        point.seed = replication_seed(base_seed, point_stream, rep);
-        // Campaign points are validated at expansion, so a config error here
-        // is a programming error, not an input error.
-        let outcome = run_point(&point, run_spec).expect("expansion validated this configuration");
-        series.push(rep_outcome(outcome));
-    }
-}
-
-/// [`extend_series`], but a stalled or over-deadline replication stops the
-/// extension and reports why instead of masquerading as a saturated sample.
+/// cache loads and top-up batches yields the same outcome at every index. A
+/// stalled or over-deadline replication stops the extension and reports why
+/// instead of masquerading as a saturated sample.
 ///
 /// The series keeps every replication completed *before* the interrupt —
 /// those are valid outcomes, safe to persist and to resume from. The
@@ -453,7 +356,7 @@ pub fn extend_series(
 /// absolute instant; `None` runs unbounded. It is checked cooperatively at
 /// the stall watchdog's cadence inside each replication, so one over-budget
 /// replication yields mid-run instead of pinning a worker to completion.
-pub fn extend_series_checked(
+pub fn extend_series(
     series: &mut Vec<RepOutcome>,
     template: &PointSpec,
     run_spec: &RunSpec,
@@ -465,18 +368,30 @@ pub fn extend_series_checked(
     for rep in series.len() as u32..upto {
         let mut point = *template;
         point.seed = replication_seed(base_seed, point_stream, rep);
-        let outcome = run_point_outcome_deadline(&point, run_spec, deadline)
-            .expect("expansion validated this configuration");
-        match outcome {
-            PointRunOutcome::Finished(outcome) => series.push(rep_outcome(outcome)),
-            PointRunOutcome::Stalled { cycle, diagnostics, .. } => {
-                return Err(RepInterrupt::Stall(RepStall {
-                    rep,
-                    cycle,
-                    diagnostics: diagnostics.to_string(),
-                }));
+        // Campaign points are validated at expansion, so a config error here
+        // is a programming error, not an input error.
+        let run =
+            run_point(&point, run_spec, deadline).expect("expansion validated this configuration");
+        match run.outcome {
+            RunOutcome::Finished(r) => series.push(RepOutcome {
+                unicast_mean: r.unicast_mean,
+                bcast_reception_mean: r.bcast_reception_mean,
+                bcast_completion_mean: r.bcast_completion_mean,
+                throughput: r.throughput,
+                bcast_samples: r.bcast_samples,
+                saturated: r.saturated,
+                delivered_fraction: r.delivered_fraction,
+                undeliverable: r.undeliverable,
+                retransmissions: r.retransmissions,
+                recovered_receivers: r.recovered_receivers,
+                unicast_hist: run.unicast_hist,
+                bcast_hist: run.bcast_completion_hist,
+            }),
+            RunOutcome::Stalled { cycle, diagnostics, .. } => {
+                let diagnostics = diagnostics.to_string();
+                return Err(RepInterrupt::Stall { rep, cycle, diagnostics });
             }
-            PointRunOutcome::DeadlineExceeded { cycle, .. } => {
+            RunOutcome::DeadlineExceeded { cycle, .. } => {
                 return Err(RepInterrupt::Deadline { rep, cycle });
             }
         }
@@ -504,22 +419,14 @@ pub enum Decision {
     },
 }
 
-/// Tracked metrics of a series prefix, in a fixed order. Every one of them
-/// must meet the convergence target.
-fn prefix_stats(reps: &[RepOutcome], n: usize) -> [OnlineStats; 4] {
-    let mut stats =
-        [OnlineStats::new(), OnlineStats::new(), OnlineStats::new(), OnlineStats::new()];
-    for rep in &reps[..n] {
-        stats[0].push(rep.unicast_mean);
-        stats[1].push(rep.bcast_reception_mean);
-        stats[2].push(rep.bcast_completion_mean);
-        stats[3].push(rep.throughput);
-    }
-    stats
-}
-
-fn target_met(stats: &[OnlineStats; 4], target: CiTarget) -> bool {
-    stats.iter().all(|s| MeanCi::from_stats(s).meets(target))
+/// Fold one replication into the tracked metrics — the one place their
+/// list and order are written. [`decide`] needs every one of them to meet
+/// the convergence target; [`merge_series`] reports them in this order.
+fn push_tracked(stats: &mut [OnlineStats; 4], rep: &RepOutcome) {
+    stats[0].push(rep.unicast_mean);
+    stats[1].push(rep.bcast_reception_mean);
+    stats[2].push(rep.bcast_completion_mean);
+    stats[3].push(rep.throughput);
 }
 
 /// Apply the replication protocol to a (possibly partial) series: the
@@ -546,28 +453,26 @@ pub fn decide(policy: &ReplicationPolicy, reps: &[RepOutcome], batch: u32) -> De
             // validation enforces this, the clamp covers direct callers.
             let min_reps = min_reps.max(2);
             let scan_to = have.min(max_reps);
-            if scan_to >= min_reps {
-                let mut stats = prefix_stats(reps, min_reps as usize - 1);
-                let mut all_saturated = reps[..min_reps as usize - 1].iter().all(|r| r.saturated);
-                for n in min_reps..=scan_to {
-                    let rep = &reps[n as usize - 1];
-                    stats[0].push(rep.unicast_mean);
-                    stats[1].push(rep.bcast_reception_mean);
-                    stats[2].push(rep.bcast_completion_mean);
-                    stats[3].push(rep.throughput);
-                    all_saturated = all_saturated && rep.saturated;
-                    if target_met(&stats, target) {
-                        return Decision::Ready { n, converged: Converged::Yes };
-                    }
-                    // Early abandon (ROADMAP): once the saturation verdict
-                    // is unanimous over a full prefix, the point is past the
-                    // knee and its latency CIs will never tighten — stop
-                    // spending replications on it. Prefix-pure: the answer
-                    // is the smallest all-saturated prefix ≥ min_reps,
-                    // independent of how the series got its length.
-                    if all_saturated {
-                        return Decision::Ready { n, converged: Converged::AbandonedSaturated };
-                    }
+            let mut stats = [(); 4].map(|()| OnlineStats::new());
+            let mut all_saturated = true;
+            for n in 1..=scan_to {
+                let rep = &reps[n as usize - 1];
+                push_tracked(&mut stats, rep);
+                all_saturated = all_saturated && rep.saturated;
+                if n < min_reps {
+                    continue;
+                }
+                if stats.iter().all(|s| MeanCi::from_stats(s).meets(target)) {
+                    return Decision::Ready { n, converged: Converged::Yes };
+                }
+                // Early abandon (ROADMAP): once the saturation verdict is
+                // unanimous over a full prefix, the point is past the knee
+                // and its latency CIs will never tighten — stop spending
+                // replications on it. Prefix-pure: the answer is the
+                // smallest all-saturated prefix ≥ min_reps, independent of
+                // how the series got its length.
+                if all_saturated {
+                    return Decision::Ready { n, converged: Converged::AbandonedSaturated };
                 }
             }
             if have >= max_reps {
@@ -590,10 +495,7 @@ pub fn decide(policy: &ReplicationPolicy, reps: &[RepOutcome], batch: u32) -> De
 /// on the prefix).
 pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> MergedRun {
     assert!(n >= 1 && (n as usize) <= reps.len());
-    let mut unicast = OnlineStats::new();
-    let mut reception = OnlineStats::new();
-    let mut completion = OnlineStats::new();
-    let mut throughput = OnlineStats::new();
+    let mut tracked = [(); 4].map(|()| OnlineStats::new());
     let mut delivered = OnlineStats::new();
     let mut pooled_unicast = LatencyHistogram::new();
     let mut pooled_bcast = LatencyHistogram::new();
@@ -603,10 +505,7 @@ pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> Merged
     let mut retransmissions = 0;
     let mut recovered_receivers = 0;
     for rep in &reps[..n as usize] {
-        unicast.push(rep.unicast_mean);
-        reception.push(rep.bcast_reception_mean);
-        completion.push(rep.bcast_completion_mean);
-        throughput.push(rep.throughput);
+        push_tracked(&mut tracked, rep);
         delivered.push(rep.delivered_fraction);
         pooled_unicast.merge(&rep.unicast_hist);
         pooled_bcast.merge(&rep.bcast_hist);
@@ -618,10 +517,10 @@ pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> Merged
     }
     MergedRun {
         reps: n,
-        unicast_mean: MeanCi::from_stats(&unicast),
-        bcast_reception_mean: MeanCi::from_stats(&reception),
-        bcast_completion_mean: MeanCi::from_stats(&completion),
-        throughput: MeanCi::from_stats(&throughput),
+        unicast_mean: MeanCi::from_stats(&tracked[0]),
+        bcast_reception_mean: MeanCi::from_stats(&tracked[1]),
+        bcast_completion_mean: MeanCi::from_stats(&tracked[2]),
+        throughput: MeanCi::from_stats(&tracked[3]),
         unicast_p95: pooled_unicast.percentile(95.0),
         bcast_completion_p95: pooled_bcast.percentile(95.0),
         unicast_samples: pooled_unicast.count(),
@@ -634,23 +533,6 @@ pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> Merged
         recovered_receivers,
         converged,
     }
-}
-
-/// Run `reps` independent replications of `template` (its `seed` field is
-/// overwritten per replication) and merge. The one-shot convenience wrapper
-/// over [`extend_series`] + [`merge_series`]; campaign execution goes
-/// through those directly so it can resume cached series.
-pub fn run_replicated(
-    template: &PointSpec,
-    run_spec: &RunSpec,
-    base_seed: u64,
-    point_stream: u64,
-    reps: u32,
-) -> MergedRun {
-    assert!(reps >= 1);
-    let mut series = Vec::with_capacity(reps as usize);
-    extend_series(&mut series, template, run_spec, base_seed, point_stream, reps);
-    merge_series(&series, reps, Converged::Yes)
 }
 
 #[cfg(test)]
@@ -666,6 +548,19 @@ mod tests {
         RunSpec { warmup: 200, measure: 1_500, drain: 3_000, ..Default::default() }
     }
 
+    /// Grow `series` to `upto` replications of the template; healthy runs
+    /// never interrupt.
+    fn extend(series: &mut Vec<RepOutcome>, upto: u32) {
+        extend_series(series, &template(), &quick(), 7, 11, upto, None).unwrap();
+    }
+
+    /// A fresh series of `reps` replications, merged whole.
+    fn replicated(reps: u32) -> MergedRun {
+        let mut series = Vec::new();
+        extend(&mut series, reps);
+        merge_series(&series, reps, Converged::Yes)
+    }
+
     #[test]
     fn replication_seeds_are_stable_and_distinct() {
         let a = replication_seed(1, 99, 0);
@@ -677,7 +572,7 @@ mod tests {
 
     #[test]
     fn merge_pools_samples_and_bounds_ci() {
-        let merged = run_replicated(&template(), &quick(), 7, 11, 3);
+        let merged = replicated(3);
         assert_eq!(merged.reps, 3);
         assert_eq!(merged.unicast_mean.n, 3);
         assert!(merged.unicast_mean.mean > 0.0);
@@ -695,33 +590,16 @@ mod tests {
     }
 
     #[test]
-    fn checked_extension_matches_unchecked_on_healthy_runs() {
-        let mut checked = Vec::new();
-        extend_series_checked(&mut checked, &template(), &quick(), 7, 11, 3, None).unwrap();
-        let mut plain = Vec::new();
-        extend_series(&mut plain, &template(), &quick(), 7, 11, 3);
-        assert_eq!(checked, plain);
-    }
-
-    #[test]
     fn single_replication_has_zero_ci() {
-        let merged = run_replicated(&template(), &quick(), 7, 11, 1);
+        let merged = replicated(1);
         assert_eq!(merged.unicast_mean.ci95, 0.0);
         assert_eq!(merged.unicast_mean.n, 1);
     }
 
     #[test]
-    fn merged_run_json_roundtrip() {
-        let merged = run_replicated(&template(), &quick(), 7, 11, 2);
-        let json = merged.to_json();
-        let back = MergedRun::from_json(&Json::parse(&json.to_pretty()).unwrap()).unwrap();
-        assert_eq!(back, merged);
-    }
-
-    #[test]
     fn rep_outcome_json_roundtrip_is_bit_exact() {
         let mut series = Vec::new();
-        extend_series(&mut series, &template(), &quick(), 7, 11, 2);
+        extend(&mut series, 2);
         for rep in &series {
             let text = rep.to_json().to_pretty();
             let back = RepOutcome::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -736,11 +614,11 @@ mod tests {
         // 1 + 2 + 1 replications in three calls == 4 in one call: batching
         // cannot move a sample.
         let mut batched = Vec::new();
-        extend_series(&mut batched, &template(), &quick(), 7, 11, 1);
-        extend_series(&mut batched, &template(), &quick(), 7, 11, 3);
-        extend_series(&mut batched, &template(), &quick(), 7, 11, 4);
+        extend(&mut batched, 1);
+        extend(&mut batched, 3);
+        extend(&mut batched, 4);
         let mut oneshot = Vec::new();
-        extend_series(&mut oneshot, &template(), &quick(), 7, 11, 4);
+        extend(&mut oneshot, 4);
         assert_eq!(batched, oneshot);
         // And a round-trip through JSON mid-way changes nothing either.
         let mut resumed: Vec<RepOutcome> = batched[..2]
@@ -749,17 +627,16 @@ mod tests {
                 RepOutcome::from_json(&Json::parse(&r.to_json().to_pretty()).unwrap()).unwrap()
             })
             .collect();
-        extend_series(&mut resumed, &template(), &quick(), 7, 11, 4);
+        extend(&mut resumed, 4);
         assert_eq!(resumed, oneshot);
     }
 
     #[test]
-    fn merge_series_prefix_matches_run_replicated() {
+    fn merge_series_prefix_matches_a_shorter_series() {
         let mut series = Vec::new();
-        extend_series(&mut series, &template(), &quick(), 7, 11, 5);
+        extend(&mut series, 5);
         for n in 1..=5u32 {
-            let direct = run_replicated(&template(), &quick(), 7, 11, n);
-            assert_eq!(merge_series(&series, n, Converged::Yes), direct, "prefix {n}");
+            assert_eq!(merge_series(&series, n, Converged::Yes), replicated(n), "prefix {n}");
         }
     }
 
@@ -885,16 +762,6 @@ mod tests {
             decide(&policy, &series, 4),
             Decision::Ready { n: 2, converged: Converged::Yes }
         );
-    }
-
-    #[test]
-    fn converged_json_roundtrips_and_accepts_legacy_booleans() {
-        for c in [Converged::Yes, Converged::No, Converged::AbandonedSaturated] {
-            assert_eq!(Converged::from_json(&c.to_json()), Some(c));
-        }
-        assert_eq!(Converged::from_json(&Json::Bool(true)), Some(Converged::Yes));
-        assert_eq!(Converged::from_json(&Json::Str("nonsense".into())), None);
-        assert_eq!(Converged::AbandonedSaturated.to_string(), "abandoned-saturated");
     }
 
     #[test]

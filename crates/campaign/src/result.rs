@@ -42,14 +42,6 @@ pub enum PointOutcomeKind {
 }
 
 impl PointOutcomeKind {
-    /// Whether this outcome is a quarantine record rather than a
-    /// measurement.
-    pub fn is_quarantined(&self) -> bool {
-        matches!(self, PointOutcomeKind::Stalled { .. } | PointOutcomeKind::Failed { .. })
-    }
-}
-
-impl PointOutcomeKind {
     /// JSON form (stable field order).
     pub fn to_json(&self) -> Json {
         match self {
@@ -90,46 +82,35 @@ impl PointOutcomeKind {
             ]),
         }
     }
+}
 
-    /// Parse the JSON form.
-    pub fn from_json(v: &Json) -> Option<PointOutcomeKind> {
-        match v.get("kind")?.as_str()? {
-            "rate" => Some(PointOutcomeKind::Rate {
-                rate: v.get("rate")?.as_f64()?,
-                merged: MergedRun::from_json(v.get("merged")?)?,
-            }),
-            "stalled" => Some(PointOutcomeKind::Stalled {
-                rate: v.get("rate")?.as_f64()?,
-                rep: v.get("rep")?.as_u64()? as u32,
-                cycle: v.get("cycle")?.as_u64()?,
-                diagnostics: v.get("diagnostics")?.as_str()?.to_string(),
-            }),
-            "failed" => {
-                Some(PointOutcomeKind::Failed { reason: v.get("reason")?.as_str()?.to_string() })
-            }
-            "saturation" => {
-                let probes = v
-                    .get("probes")?
-                    .as_arr()?
-                    .iter()
-                    .map(|p| {
-                        Some(Probe {
-                            rate: p.get("rate")?.as_f64()?,
-                            saturated: p.get("saturated")?.as_bool()?,
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                Some(PointOutcomeKind::Saturation(SaturationResult {
-                    sustained: v.get("sustained")?.as_f64()?,
-                    collapsed: match v.get("collapsed")? {
-                        Json::Null => None,
-                        other => Some(other.as_f64()?),
-                    },
-                    probes,
-                }))
-            }
-            _ => None,
+impl SaturationResult {
+    /// Parse the `"saturation"` form [`PointOutcomeKind::to_json`] writes —
+    /// the one outcome kind that is ever read back (the result cache stores
+    /// searches whole; artifacts are write-only).
+    pub fn from_json(v: &Json) -> Option<SaturationResult> {
+        if v.get("kind")?.as_str()? != "saturation" {
+            return None;
         }
+        let probes = v
+            .get("probes")?
+            .as_arr()?
+            .iter()
+            .map(|p| {
+                Some(Probe {
+                    rate: p.get("rate")?.as_f64()?,
+                    saturated: p.get("saturated")?.as_bool()?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(SaturationResult {
+            sustained: v.get("sustained")?.as_f64()?,
+            collapsed: match v.get("collapsed")? {
+                Json::Null => None,
+                other => Some(other.as_f64()?),
+            },
+            probes,
+        })
     }
 }
 
@@ -268,24 +249,20 @@ mod tests {
     }
 
     #[test]
-    fn rate_outcome_roundtrips() {
-        let outcome = PointOutcomeKind::Rate { rate: 0.0125, merged: merged() };
-        let text = outcome.to_json().to_pretty();
-        assert_eq!(PointOutcomeKind::from_json(&Json::parse(&text).unwrap()).unwrap(), outcome);
-    }
-
-    #[test]
     fn saturation_outcome_roundtrips() {
-        let outcome = PointOutcomeKind::Saturation(SaturationResult {
+        let search = SaturationResult {
             sustained: 0.021,
             collapsed: None,
             probes: vec![
                 Probe { rate: 0.01, saturated: false },
                 Probe { rate: 0.04, saturated: true },
             ],
-        });
-        let text = outcome.to_json().to_compact();
-        assert_eq!(PointOutcomeKind::from_json(&Json::parse(&text).unwrap()).unwrap(), outcome);
+        };
+        let text = PointOutcomeKind::Saturation(search.clone()).to_json().to_compact();
+        assert_eq!(SaturationResult::from_json(&Json::parse(&text).unwrap()), Some(search));
+        // No other outcome kind decodes as a search.
+        let failed = PointOutcomeKind::Failed { reason: "boom".into() }.to_json();
+        assert_eq!(SaturationResult::from_json(&failed), None);
     }
 
     #[test]
@@ -332,22 +309,5 @@ mod tests {
         let failed =
             PointResult { outcome: PointOutcomeKind::Failed { reason: "boom".into() }, ..result };
         assert_eq!(failed.csv_row().trim_end().split(',').count(), header_cols);
-    }
-
-    #[test]
-    fn quarantine_outcomes_roundtrip() {
-        for outcome in [
-            PointOutcomeKind::Stalled {
-                rate: 0.02,
-                rep: 3,
-                cycle: 77_000,
-                diagnostics: "backlog=12 buffered=40 busiest=[5:12]".into(),
-            },
-            PointOutcomeKind::Failed { reason: "panicked: chaos".into() },
-        ] {
-            let text = outcome.to_json().to_pretty();
-            assert!(outcome.is_quarantined());
-            assert_eq!(PointOutcomeKind::from_json(&Json::parse(&text).unwrap()).unwrap(), outcome);
-        }
     }
 }

@@ -3,11 +3,11 @@
 
 use crate::artifact;
 use crate::cache::ResultCache;
-use crate::executor::{default_workers, run_work_stealing_tasks_with_stats, Step, WorkerStats};
+use crate::executor::{default_workers, run_work_stealing, Step, WorkerStats};
 use crate::json::Json;
 use crate::replicate::{
-    decide, extend_series_checked, merge_series, replication_seed, Converged, Decision,
-    RepInterrupt, RepOutcome,
+    decide, extend_series, merge_series, replication_seed, Converged, Decision, RepInterrupt,
+    RepOutcome,
 };
 use crate::result::{PointOutcomeKind, PointResult};
 use crate::saturation::find_saturation;
@@ -139,7 +139,7 @@ impl CampaignReport {
     /// still exits 0 with quarantined points — callers that want to gate on
     /// them read this.
     pub fn quarantined(&self) -> usize {
-        self.results.iter().filter(|r| r.outcome.is_quarantined()).count()
+        self.stalled() + self.failed()
     }
 
     /// Points whose stall watchdog fired.
@@ -268,36 +268,13 @@ impl From<io::Error> for CampaignError {
     }
 }
 
-/// Simulate one point to completion (no cache involvement). Pure function
-/// of `(point, spec)` — see the determinism notes on [`run_campaign`].
-pub fn execute_point(point: &CampaignPoint, spec: &CampaignSpec) -> PointOutcomeKind {
-    let mut task = PointTask::new(*point);
-    let ctx = PointContext {
-        spec,
-        cache: None,
-        force: false,
-        batch: u32::MAX, // no cache to interleave with: run every batch at once
-        quiet: true,
-        point_timeout: None,
-        chaos_panic_ids: &[],
-    };
-    loop {
-        match task.step(&ctx) {
-            Step::Yield(next) => task = next,
-            Step::Done(done) => return done.outcome,
-        }
-    }
-}
-
 /// Everything a point task needs besides its own state.
 struct PointContext<'a> {
     spec: &'a CampaignSpec,
+    opts: &'a CampaignOptions,
     cache: Option<&'a ResultCache>,
-    force: bool,
+    /// `opts.batch_reps` with its default resolved.
     batch: u32,
-    quiet: bool,
-    point_timeout: Option<Duration>,
-    chaos_panic_ids: &'a [usize],
 }
 
 /// The parked state of one point between trips through the pool.
@@ -309,25 +286,10 @@ struct PointTask {
     consulted_cache: bool,
     /// Replications loaded from the cache.
     cached_reps: usize,
-    /// Replications simulated by this run.
+    /// Replications (or saturation probes) simulated by this run.
     simulated_reps: usize,
     /// Wall time across this point's batches so far.
     busy: Duration,
-}
-
-/// A completed point plus its execution accounting.
-struct PointDone {
-    outcome: PointOutcomeKind,
-    /// Replications simulated by this run (0 for a full cache hit).
-    simulated_reps: usize,
-    /// Cached replications that entered the reported merge.
-    reps_cached_used: usize,
-    /// Served entirely from the cache.
-    from_cache: bool,
-    /// Wall time across all of this point's batches.
-    wall: Duration,
-    /// Quarantined by the per-point wall-clock budget.
-    timed_out: bool,
 }
 
 /// Best-effort human rendering of a panic payload.
@@ -342,15 +304,48 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl PointTask {
-    fn new(point: CampaignPoint) -> PointTask {
-        PointTask {
-            point,
-            series: Vec::new(),
-            consulted_cache: false,
-            cached_reps: 0,
-            simulated_reps: 0,
-            busy: Duration::ZERO,
-        }
+    /// Close the point: the one place its artifact record and its execution
+    /// accounting are assembled. `wall` is the time across all of the
+    /// point's batches; `timed_out` marks a quarantine by the wall-clock
+    /// budget.
+    fn finish(
+        &self,
+        ctx: &PointContext<'_>,
+        outcome: PointOutcomeKind,
+        wall: Duration,
+        timed_out: bool,
+    ) -> (PointResult, PointTelemetry) {
+        // Cached replications count only where they entered a reported
+        // merge; a search is served from the cache exactly when it probed
+        // nothing (a simulated search always probes its floor).
+        let (reps_cached, from_cache) = match &outcome {
+            PointOutcomeKind::Rate { merged, .. } => (
+                self.cached_reps.min(merged.reps as usize),
+                self.simulated_reps == 0 && self.cached_reps > 0,
+            ),
+            PointOutcomeKind::Saturation(_) => (0, self.simulated_reps == 0),
+            PointOutcomeKind::Stalled { .. } | PointOutcomeKind::Failed { .. } => (0, false),
+        };
+        let label = PointResult::label_for(&self.point);
+        (
+            PointResult {
+                id: self.point.id,
+                label: label.clone(),
+                point: self.point,
+                content_hash: self.point.content_hash(ctx.spec),
+                from_cache,
+                outcome,
+            },
+            PointTelemetry {
+                id: self.point.id,
+                label,
+                wall,
+                simulated_reps: self.simulated_reps,
+                reps_cached,
+                from_cache,
+                timed_out,
+            },
+        )
     }
 
     /// Run one batch of this point, fail-soft. A panic anywhere inside the
@@ -359,127 +354,99 @@ impl PointTask {
     /// so the rest of the campaign keeps running; the per-point wall-clock
     /// budget is enforced at the same boundary. Nothing quarantined is ever
     /// cached.
-    fn step(self, ctx: &PointContext<'_>) -> Step<PointTask, PointDone> {
-        let busy = self.busy;
-        if ctx.chaos_panic_ids.contains(&self.point.id) {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                panic!("chaos hook: point {} configured to panic", self.point.id)
-            }));
-            let payload = caught.expect_err("the chaos closure always panics");
-            return Step::Done(PointDone {
-                outcome: PointOutcomeKind::Failed {
-                    reason: format!("panicked: {}", panic_reason(payload)),
-                },
-                simulated_reps: self.simulated_reps,
-                reps_cached_used: 0,
-                from_cache: false,
-                wall: busy,
-                timed_out: false,
-            });
-        }
-        if let Some(budget) = ctx.point_timeout {
+    fn step(mut self, ctx: &PointContext<'_>) -> Step<PointTask, (PointResult, PointTelemetry)> {
+        let failed = |reason: String| PointOutcomeKind::Failed { reason };
+        if let Some(budget) = ctx.opts.point_timeout {
             if self.busy >= budget {
-                return Step::Done(PointDone {
-                    outcome: PointOutcomeKind::Failed {
-                        reason: format!(
-                            "wall-clock budget exhausted: {:.1}s spent of {:.1}s allowed",
-                            self.busy.as_secs_f64(),
-                            budget.as_secs_f64(),
-                        ),
-                    },
-                    simulated_reps: self.simulated_reps,
-                    reps_cached_used: 0,
-                    from_cache: false,
-                    wall: busy,
-                    timed_out: true,
-                });
+                let reason = format!(
+                    "wall-clock budget exhausted: {:.1}s spent of {:.1}s allowed",
+                    self.busy.as_secs_f64(),
+                    budget.as_secs_f64(),
+                );
+                return Step::Done(self.finish(ctx, failed(reason), self.busy, true));
             }
         }
-        let simulated_so_far = self.simulated_reps;
-        match catch_unwind(AssertUnwindSafe(move || self.step_inner(ctx))) {
-            Ok(step) => step,
-            Err(payload) => Step::Done(PointDone {
-                outcome: PointOutcomeKind::Failed {
-                    reason: format!("panicked: {}", panic_reason(payload)),
-                },
-                simulated_reps: simulated_so_far,
-                reps_cached_used: 0,
-                from_cache: false,
-                wall: busy,
-                timed_out: false,
-            }),
+        // `busy` moves only when a batch parks the task and `simulated_reps`
+        // only once its replications are in the series, so after a panic
+        // both still describe completed work.
+        match catch_unwind(AssertUnwindSafe(|| {
+            if ctx.opts.chaos_panic_ids.contains(&self.point.id) {
+                panic!("chaos hook: point {} configured to panic", self.point.id);
+            }
+            self.step_inner(ctx)
+        })) {
+            Ok(Some(done)) => Step::Done(done),
+            Ok(None) => Step::Yield(self),
+            Err(payload) => {
+                let reason = format!("panicked: {}", panic_reason(payload));
+                Step::Done(self.finish(ctx, failed(reason), self.busy, false))
+            }
         }
     }
 
-    /// Run one batch of this point. Rate points consult the cache once,
-    /// then alternate `decide` → simulate-batch → persist, yielding between
-    /// batches so convergence top-ups interleave with the rest of the grid.
-    fn step_inner(mut self, ctx: &PointContext<'_>) -> Step<PointTask, PointDone> {
+    /// Run one batch of this point; `None` parks it for another trip through
+    /// the pool. Rate points consult the cache once, then alternate `decide`
+    /// → simulate-batch → persist, yielding between batches so convergence
+    /// top-ups interleave with the rest of the grid.
+    fn step_inner(&mut self, ctx: &PointContext<'_>) -> Option<(PointResult, PointTelemetry)> {
         let t0 = Instant::now();
         let merge_key = self.point.merge_key(ctx.spec);
         let merge_hash = self.point.merge_hash(ctx.spec);
-        match self.point.work {
+        let curve = self.point.curve;
+        // `seed` is overwritten per replication; searches pin it below.
+        let point_at = |rate| PointSpec {
+            noc: curve.noc(),
+            msg_len: curve.msg_len,
+            beta: curve.beta,
+            seed: 0,
+            rate,
+        };
+        let cache_failed = |e: io::Error| {
+            if !ctx.opts.quiet {
+                eprintln!("campaign: failed to cache {merge_key}: {e}");
+            }
+        };
+        let mut timed_out = false;
+        let outcome = match self.point.work {
             PointWork::Saturation { lo, hi, rel_tol, max_probes } => {
                 // Searches are a single sequential bisection: no batching.
-                if !ctx.force {
-                    if let Some(hit) =
-                        ctx.cache.and_then(|c| c.load_saturation(merge_hash, &merge_key))
-                    {
-                        return Step::Done(PointDone {
-                            outcome: PointOutcomeKind::Saturation(hit),
-                            simulated_reps: 0,
-                            reps_cached_used: 0,
-                            from_cache: true,
-                            wall: self.busy + t0.elapsed(),
-                            timed_out: false,
-                        });
+                let cached = if ctx.opts.force {
+                    None
+                } else {
+                    ctx.cache.and_then(|c| c.load_saturation(merge_hash, &merge_key))
+                };
+                PointOutcomeKind::Saturation(cached.unwrap_or_else(|| {
+                    // Common random numbers across probes: one seed
+                    // (replication 0) for the whole search keeps the
+                    // frontier estimate monotone.
+                    let seed = replication_seed(ctx.spec.base_seed, merge_hash, 0);
+                    let result = find_saturation(
+                        |rate| {
+                            // No mid-probe deadline; a stalled probe reads
+                            // as saturated.
+                            run_point(&PointSpec { seed, ..point_at(rate) }, &ctx.spec.run, None)
+                                .expect("expansion validated this configuration")
+                                .outcome
+                                .result()
+                                .saturated
+                        },
+                        lo,
+                        hi,
+                        rel_tol,
+                        max_probes,
+                    );
+                    self.simulated_reps = result.probes.len();
+                    if let Some(c) = ctx.cache {
+                        c.store_saturation(merge_hash, &merge_key, &result)
+                            .unwrap_or_else(cache_failed);
                     }
-                }
-                let noc = self.point.curve.noc();
-                // Common random numbers across probes: one seed (replication
-                // 0) for the whole search keeps the frontier estimate
-                // monotone.
-                let seed = replication_seed(ctx.spec.base_seed, merge_hash, 0);
-                let result = find_saturation(
-                    |rate| {
-                        let probe = PointSpec {
-                            noc,
-                            msg_len: self.point.curve.msg_len,
-                            beta: self.point.curve.beta,
-                            seed,
-                            rate,
-                        };
-                        run_point(&probe, &ctx.spec.run)
-                            .expect("expansion validated this configuration")
-                            .result
-                            .saturated
-                    },
-                    lo,
-                    hi,
-                    rel_tol,
-                    max_probes,
-                );
-                let probes = result.probes.len();
-                if let Some(c) = ctx.cache {
-                    if let Err(e) = c.store_saturation(merge_hash, &merge_key, &result) {
-                        if !ctx.quiet {
-                            eprintln!("campaign: failed to cache {merge_key}: {e}");
-                        }
-                    }
-                }
-                Step::Done(PointDone {
-                    outcome: PointOutcomeKind::Saturation(result),
-                    simulated_reps: probes,
-                    reps_cached_used: 0,
-                    from_cache: false,
-                    wall: self.busy + t0.elapsed(),
-                    timed_out: false,
-                })
+                    result
+                }))
             }
             PointWork::Rate(rate) => {
                 if !self.consulted_cache {
                     self.consulted_cache = true;
-                    if !ctx.force {
+                    if !ctx.opts.force {
                         if let Some(series) =
                             ctx.cache.and_then(|c| c.load_series(merge_hash, &merge_key))
                         {
@@ -489,35 +456,23 @@ impl PointTask {
                     }
                 }
                 match decide(&ctx.spec.policy(), &self.series, ctx.batch) {
-                    Decision::Ready { n, converged } => {
-                        let merged = merge_series(&self.series, n, converged);
-                        Step::Done(PointDone {
-                            outcome: PointOutcomeKind::Rate { rate, merged },
-                            simulated_reps: self.simulated_reps,
-                            reps_cached_used: self.cached_reps.min(n as usize),
-                            from_cache: self.simulated_reps == 0 && self.cached_reps > 0,
-                            wall: self.busy + t0.elapsed(),
-                            timed_out: false,
-                        })
-                    }
+                    Decision::Ready { n, converged } => PointOutcomeKind::Rate {
+                        rate,
+                        merged: merge_series(&self.series, n, converged),
+                    },
                     Decision::NeedMore { upto } => {
-                        let template = PointSpec {
-                            noc: self.point.curve.noc(),
-                            msg_len: self.point.curve.msg_len,
-                            beta: self.point.curve.beta,
-                            seed: 0, // overwritten per replication
-                            rate,
-                        };
                         let before = self.series.len();
                         // The remaining wall-clock budget, as an absolute
                         // deadline the replication loop checks cooperatively
                         // (step() already quarantined the point if the
                         // budget was spent before this batch).
-                        let deadline =
-                            ctx.point_timeout.map(|budget| t0 + budget.saturating_sub(self.busy));
-                        let interrupted = extend_series_checked(
+                        let deadline = ctx
+                            .opts
+                            .point_timeout
+                            .map(|budget| t0 + budget.saturating_sub(self.busy));
+                        let interrupted = extend_series(
                             &mut self.series,
-                            &template,
+                            &point_at(rate),
                             &ctx.spec.run,
                             ctx.spec.base_seed,
                             merge_hash,
@@ -533,59 +488,71 @@ impl PointTask {
                         // re-diagnoses on every run until the config is fixed.
                         if !self.series.is_empty() {
                             if let Some(c) = ctx.cache {
-                                if let Err(e) = c.store_series(merge_hash, &merge_key, &self.series)
-                                {
-                                    if !ctx.quiet {
-                                        eprintln!("campaign: failed to cache {merge_key}: {e}");
-                                    }
-                                }
+                                c.store_series(merge_hash, &merge_key, &self.series)
+                                    .unwrap_or_else(cache_failed);
                             }
                         }
                         match interrupted {
-                            Ok(()) => {}
-                            Err(RepInterrupt::Stall(stall)) => {
-                                return Step::Done(PointDone {
-                                    outcome: PointOutcomeKind::Stalled {
-                                        rate,
-                                        rep: stall.rep,
-                                        cycle: stall.cycle,
-                                        diagnostics: stall.diagnostics,
-                                    },
-                                    simulated_reps: self.simulated_reps,
-                                    reps_cached_used: 0,
-                                    from_cache: false,
-                                    wall: self.busy + t0.elapsed(),
-                                    timed_out: false,
-                                });
+                            Ok(()) => {
+                                self.busy += t0.elapsed();
+                                return None;
+                            }
+                            Err(RepInterrupt::Stall { rep, cycle, diagnostics }) => {
+                                PointOutcomeKind::Stalled { rate, rep, cycle, diagnostics }
                             }
                             Err(RepInterrupt::Deadline { rep, cycle }) => {
                                 let budget = ctx
+                                    .opts
                                     .point_timeout
                                     .expect("deadline interrupts only occur with a budget");
-                                return Step::Done(PointDone {
-                                    outcome: PointOutcomeKind::Failed {
-                                        reason: format!(
-                                            "wall-clock budget exhausted mid-replication: \
-                                             rep {rep} cut off at cycle {cycle} \
-                                             ({:.1}s allowed)",
-                                            budget.as_secs_f64(),
-                                        ),
-                                    },
-                                    simulated_reps: self.simulated_reps,
-                                    reps_cached_used: 0,
-                                    from_cache: false,
-                                    wall: self.busy + t0.elapsed(),
-                                    timed_out: true,
-                                });
+                                timed_out = true;
+                                PointOutcomeKind::Failed {
+                                    reason: format!(
+                                        "wall-clock budget exhausted mid-replication: \
+                                         rep {rep} cut off at cycle {cycle} \
+                                         ({:.1}s allowed)",
+                                        budget.as_secs_f64(),
+                                    ),
+                                }
                             }
                         }
-                        self.busy += t0.elapsed();
-                        Step::Yield(self)
                     }
                 }
             }
-        }
+        };
+        Some(self.finish(ctx, outcome, self.busy + t0.elapsed(), timed_out))
     }
+}
+
+/// One finished point's line of live progress: where its numbers came from
+/// and its verdict.
+fn progress_line(result: &PointResult, telemetry: &PointTelemetry) -> String {
+    let how = if telemetry.from_cache {
+        "cache".to_string()
+    } else if telemetry.reps_cached > 0 {
+        format!("top-up +{}", telemetry.simulated_reps)
+    } else {
+        "ran".to_string()
+    };
+    let verdict = match &result.outcome {
+        PointOutcomeKind::Rate { merged, .. } => {
+            format!(
+                " n={}{}",
+                merged.reps,
+                match merged.converged {
+                    Converged::Yes => "",
+                    Converged::No => " !conv",
+                    Converged::AbandonedSaturated => " sat-abandoned",
+                }
+            )
+        }
+        PointOutcomeKind::Saturation(_) => String::new(),
+        PointOutcomeKind::Stalled { rep, cycle, .. } => {
+            format!(" STALLED rep {rep} @ cycle {cycle}")
+        }
+        PointOutcomeKind::Failed { reason } => format!(" FAILED: {reason}"),
+    };
+    format!("{:<40} ({how}{verdict})", result.label)
 }
 
 /// Run a campaign: expand the grid, resume known points from the cache,
@@ -611,103 +578,51 @@ pub fn run_campaign(
     let workers = if opts.workers == 0 { default_workers() } else { opts.workers };
     let ctx = PointContext {
         spec,
+        opts,
         cache: cache.as_ref(),
-        force: opts.force,
         batch: if opts.batch_reps == 0 { DEFAULT_BATCH_REPS } else { opts.batch_reps },
-        quiet: opts.quiet,
-        point_timeout: opts.point_timeout,
-        chaos_panic_ids: &opts.chaos_panic_ids,
     };
 
     let total = expansion.points.len();
+    // Live progress is the only state the workers share; every total below
+    // is folded from the per-point records the pool returns.
     let done = AtomicUsize::new(0);
-    let executed = AtomicUsize::new(0);
-    let hits = AtomicUsize::new(0);
-    let reps_simulated = AtomicUsize::new(0);
-    let reps_cached = AtomicUsize::new(0);
-    let telemetry: Vec<std::sync::Mutex<Option<PointTelemetry>>> =
-        expansion.points.iter().map(|_| std::sync::Mutex::new(None)).collect();
     let start = Instant::now();
 
-    let (results, worker_stats) = run_work_stealing_tasks_with_stats(
+    let (records, worker_stats) = run_work_stealing(
         &expansion.points,
         workers,
-        |_, point| PointTask::new(*point),
-        |idx, point, task| match task.step(&ctx) {
-            Step::Yield(task) => Step::Yield(task),
-            Step::Done(out) => {
-                if out.from_cache {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    executed.fetch_add(1, Ordering::Relaxed);
-                }
-                reps_simulated.fetch_add(out.simulated_reps, Ordering::Relaxed);
-                reps_cached.fetch_add(out.reps_cached_used, Ordering::Relaxed);
-                let label = PointResult::label_for(point);
-                *telemetry[idx].lock().expect("telemetry poisoned") = Some(PointTelemetry {
-                    id: point.id,
-                    label: label.clone(),
-                    wall: out.wall,
-                    simulated_reps: out.simulated_reps,
-                    reps_cached: out.reps_cached_used,
-                    from_cache: out.from_cache,
-                    timed_out: out.timed_out,
-                });
+        |_, &point| PointTask {
+            point,
+            series: Vec::new(),
+            consulted_cache: false,
+            cached_reps: 0,
+            simulated_reps: 0,
+            busy: Duration::ZERO,
+        },
+        |_, _, task| {
+            let step = task.step(&ctx);
+            if let Step::Done((result, telemetry)) = &step {
                 if !opts.quiet {
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    let how = if out.from_cache {
-                        "cache".to_string()
-                    } else if out.reps_cached_used > 0 {
-                        format!("top-up +{}", out.simulated_reps)
-                    } else {
-                        "ran".to_string()
-                    };
-                    let verdict = match &out.outcome {
-                        PointOutcomeKind::Rate { merged, .. } => {
-                            format!(
-                                " n={}{}",
-                                merged.reps,
-                                match merged.converged {
-                                    Converged::Yes => "",
-                                    Converged::No => " !conv",
-                                    Converged::AbandonedSaturated => " sat-abandoned",
-                                }
-                            )
-                        }
-                        PointOutcomeKind::Saturation(_) => String::new(),
-                        PointOutcomeKind::Stalled { rep, cycle, .. } => {
-                            format!(" STALLED rep {rep} @ cycle {cycle}")
-                        }
-                        PointOutcomeKind::Failed { reason } => format!(" FAILED: {reason}"),
-                    };
-                    eprintln!("campaign [{n:>4}/{total}] {label:<40} ({how}{verdict})");
+                    eprintln!("campaign [{n:>4}/{total}] {}", progress_line(result, telemetry));
                 }
-                Step::Done(PointResult {
-                    id: point.id,
-                    label,
-                    point: *point,
-                    content_hash: point.content_hash(spec),
-                    from_cache: out.from_cache,
-                    outcome: out.outcome,
-                })
             }
+            step
         },
     );
     let wall = start.elapsed();
-    let point_telemetry: Vec<PointTelemetry> = telemetry
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("telemetry poisoned").expect("every point was executed")
-        })
-        .collect();
+    let (results, point_telemetry): (Vec<PointResult>, Vec<PointTelemetry>) =
+        records.into_iter().unzip();
+    let from_cache = point_telemetry.iter().filter(|p| p.from_cache).count();
 
     let mut report = CampaignReport {
         results,
         skipped: expansion.skipped,
-        executed: executed.into_inner(),
-        from_cache: hits.into_inner(),
-        reps_simulated: reps_simulated.into_inner(),
-        reps_cached: reps_cached.into_inner(),
+        executed: total - from_cache,
+        from_cache,
+        reps_simulated: point_telemetry.iter().map(|p| p.simulated_reps).sum(),
+        reps_cached: point_telemetry.iter().map(|p| p.reps_cached).sum(),
         workers,
         artifacts: Vec::new(),
         wall,

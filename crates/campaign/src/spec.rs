@@ -214,21 +214,15 @@ impl CampaignSpec {
         if self.name.is_empty() || !self.name.chars().all(valid_name_char) {
             return Err(SpecError::new("name must be non-empty and use only [a-zA-Z0-9._-]"));
         }
-        for (axis, empty) in [
-            ("topologies", self.topologies.is_empty()),
-            ("sizes", self.sizes.is_empty()),
-            ("msg_lens", self.msg_lens.is_empty()),
-            ("betas", self.betas.is_empty()),
-            ("buffer_depths", self.buffer_depths.is_empty()),
-            ("link_latencies", self.link_latencies.is_empty()),
-            ("arbs", self.arbs.is_empty()),
-            ("faults", self.faults.is_empty()),
-            ("recoveries", self.recoveries.is_empty()),
-        ] {
-            if empty {
-                return Err(SpecError::new_owned(format!("axis {axis} is empty")));
-            }
-        }
+        check_axis("topologies", &self.topologies)?;
+        check_axis("sizes", &self.sizes)?;
+        check_axis("msg_lens", &self.msg_lens)?;
+        check_axis("betas", &self.betas)?;
+        check_axis("buffer_depths", &self.buffer_depths)?;
+        check_axis("link_latencies", &self.link_latencies)?;
+        check_axis("arbs", &self.arbs)?;
+        check_axis("faults", &self.faults)?;
+        check_axis("recoveries", &self.recoveries)?;
         if self.replications == 0 {
             return Err(SpecError::new("replications must be at least 1"));
         }
@@ -247,8 +241,9 @@ impl CampaignSpec {
         }
         match &self.rates {
             RateAxis::Explicit(rates) => {
-                if rates.is_empty() || rates.iter().any(|r| *r <= 0.0 || r.is_nan()) {
-                    return Err(SpecError::new("explicit rates must be positive"));
+                check_axis("rates", rates)?;
+                if rates.iter().any(|r| !(*r > 0.0 && r.is_finite())) {
+                    return Err(SpecError::new("explicit rates must be positive and finite"));
                 }
             }
             RateAxis::Geometric { lo, hi, steps } => {
@@ -369,6 +364,19 @@ impl CampaignSpec {
             }
         }
     }
+}
+
+/// An axis must name at least one value and no value twice: repeated values
+/// expand to points that share a merge hash, which two workers would then
+/// run at once, writing one cache entry through one temp path.
+fn check_axis<T: PartialEq>(name: &str, axis: &[T]) -> Result<(), SpecError> {
+    if axis.is_empty() {
+        return Err(SpecError::new_owned(format!("axis {name} is empty")));
+    }
+    if axis.iter().enumerate().any(|(i, v)| axis[..i].contains(v)) {
+        return Err(SpecError::new_owned(format!("axis {name} repeats a value")));
+    }
+    Ok(())
 }
 
 fn valid_name_char(c: char) -> bool {
@@ -869,6 +877,19 @@ mod tests {
 
         let mut bad = small();
         bad.arbs = vec![];
+        assert!(bad.expand().is_err());
+
+        // Repeated axis values would run one cache entry on two workers.
+        let mut bad = small();
+        bad.sizes = vec![16, 16];
+        assert!(bad.expand().unwrap_err().to_string().contains("sizes repeats"));
+
+        let mut bad = small();
+        bad.rates = RateAxis::Explicit(vec![0.01, 0.01]);
+        assert!(bad.expand().unwrap_err().to_string().contains("rates repeats"));
+
+        let mut bad = small();
+        bad.rates = RateAxis::Explicit(vec![0.01, f64::INFINITY]);
         assert!(bad.expand().is_err());
     }
 

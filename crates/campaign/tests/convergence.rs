@@ -73,7 +73,7 @@ fn convergent_points_report_reached_targets_and_replication_counts() {
         assert!(merged.reps >= 2, "convergence needs a variance estimate");
         assert!(merged.reps <= 24, "the cap is a hard ceiling");
         assert!(
-            merged.converged.met_target(),
+            merged.converged == Converged::Yes,
             "comfortably unsaturated point failed to converge: {} n={} unicast ci95={}",
             r.label,
             merged.reps,

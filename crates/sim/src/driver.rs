@@ -2,13 +2,13 @@
 //! detection — the protocol behind every latency-vs-load point in the
 //! paper's Figs. 9–11.
 //!
-//! The run protocol is written once, generically, over [`NocSim`]: every
-//! entry point ([`run`], [`run_mono_outcome`] and its deadline variant)
-//! monomorphizes it for the concrete `(network, workload)` pair it is handed
-//! — a [`crate::Fabric`] instantiation, or the [`AnyNet`] enum `build_any`
-//! returns (one predictable match per cycle) — so no virtual call sits on
-//! the per-cycle path. `NocSim` itself stays object-safe for helpers that
-//! only hold `&mut dyn NocSim`.
+//! The run protocol is written once, generically, over [`NocSim`]:
+//! [`run_mono_outcome_deadline`] is the protocol and [`run`] its collapsed
+//! view. Both monomorphize for the concrete `(network, workload)` pair they
+//! are handed — a [`crate::Fabric`] instantiation, or the [`AnyNet`] enum
+//! `build_any` returns (one predictable match per cycle) — so no virtual
+//! call sits on the per-cycle path. `NocSim` itself stays object-safe for
+//! helpers that only hold `&mut dyn NocSim`.
 
 use crate::grid_net::GridRouter;
 use crate::metrics::Metrics;
@@ -533,11 +533,26 @@ fn summarise<N: NocSim>(
     }
 }
 
-/// The warmup/measure/drain protocol, written once for every dispatch mode.
+/// The warmup/measure/drain protocol, written once for every network and
+/// workload, reporting how the run ended.
+///
+/// Injection runs for `warmup + measure` cycles; only messages created inside
+/// the measurement window contribute latency samples. After measurement the
+/// workload is silenced and the network drains (bounded by `spec.drain`) so
+/// in-flight measured messages still complete. A saturated network will not
+/// drain — the partial statistics plus the `saturated` flag are returned. A
+/// wedged one ends as [`RunOutcome::Stalled`] with the watchdog's
+/// diagnostics instead of silently folding into `saturated`.
+///
 /// `deadline` is the cooperative wall-clock cutoff (a campaign's
-/// `--point-timeout` budget), checked at the stall watchdog's cadence;
-/// `None` runs unbounded.
-fn run_protocol<N: NocSim, W: Workload + ?Sized>(
+/// `--point-timeout` budget), checked at the stall watchdog's cadence: once
+/// it passes the run yields [`RunOutcome::DeadlineExceeded`] within one
+/// window instead of pinning its worker to the cycle cap. `None` runs
+/// unbounded.
+///
+/// Monomorphized per `(network, workload)` pair: the whole per-cycle loop
+/// compiles to one specialised body, with no virtual calls.
+pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
     net: &mut N,
     workload: &mut W,
     spec: &RunSpec,
@@ -610,49 +625,14 @@ fn trip_outcome<N: NocSim>(net: &N, trip: Trip, partial: RunResult) -> RunOutcom
     }
 }
 
-/// Run the warmup/measure/drain protocol and summarise.
-///
-/// Injection runs for `warmup + measure` cycles; only messages created inside
-/// the measurement window contribute latency samples. After measurement the
-/// workload is silenced and the network drains (bounded by `spec.drain`) so
-/// in-flight measured messages still complete. A saturated network will not
-/// drain — the partial statistics plus the `saturated` flag are returned.
-///
-/// Monomorphized per `(network, workload)` pair: the whole per-cycle loop
-/// compiles to one specialised body, with no virtual calls.
+/// [`run_mono_outcome_deadline`] without a deadline, collapsed to the
+/// statistics: a stalled run reads as saturated.
 pub fn run<N: NocSim, W: Workload + ?Sized>(
     net: &mut N,
     workload: &mut W,
     spec: &RunSpec,
 ) -> RunResult {
-    run_protocol(net, workload, spec, None).into_result()
-}
-
-/// [`run`] over the run-time-selected [`AnyNet`] (enum dispatch over the
-/// network, static dispatch into the workload), reporting how the run
-/// ended: [`RunOutcome::Stalled`] carries the watchdog's diagnostics instead
-/// of silently folding a wedged network into `saturated`. Fault-injection
-/// campaigns use this entry point.
-pub fn run_mono_outcome<W: Workload + ?Sized>(
-    net: &mut AnyNet,
-    workload: &mut W,
-    spec: &RunSpec,
-) -> RunOutcome {
-    run_protocol(net, workload, spec, None)
-}
-
-/// [`run_mono_outcome`] with a cooperative wall-clock deadline: the run
-/// checks `deadline` at the stall watchdog's cadence and yields
-/// [`RunOutcome::DeadlineExceeded`] once it passes, so an over-budget
-/// campaign point stops within one window instead of pinning its worker to
-/// the cycle cap. `None` is exactly [`run_mono_outcome`].
-pub fn run_mono_outcome_deadline<W: Workload + ?Sized>(
-    net: &mut AnyNet,
-    workload: &mut W,
-    spec: &RunSpec,
-    deadline: Option<std::time::Instant>,
-) -> RunOutcome {
-    run_protocol(net, workload, spec, deadline)
+    run_mono_outcome_deadline(net, workload, spec, None).into_result()
 }
 
 #[cfg(test)]

@@ -26,9 +26,13 @@
 //! traffic class (mesh/torus collectives ride a dimension-ordered multicast
 //! tree planned at the source). Everything else is shared too — building
 //! blocks ([`buffer`], [`link`], [`arbiter`]), the measurement engine
-//! ([`metrics`]) and the run protocol ([`driver`], [`sweep`]) — so a latency
-//! difference between networks can only come from the architectural
-//! differences the paper claims matter.
+//! ([`metrics`]) and the run protocol — so a latency difference between
+//! networks can only come from the architectural differences the paper
+//! claims matter. The protocol has three entry points: [`run`] (a network
+//! and a workload in, the statistics out), [`run_mono_outcome_deadline`]
+//! (the same, reporting stalls and honouring a wall-clock deadline) and
+//! [`run_point`] (a [`PointSpec`] in, the outcome plus its latency
+//! histograms out — the unit `quarc-campaign` replicates).
 //!
 //! ## The hot path: packet table + zero-alloc invariant
 //!
@@ -94,8 +98,8 @@ pub mod torus_net;
 
 pub use arbiter::ArbPolicy;
 pub use driver::{
-    run, run_mono_outcome, run_mono_outcome_deadline, AnyNet, NocSim, RunOutcome, RunResult,
-    RunSpec, StallDiagnostics,
+    run, run_mono_outcome_deadline, AnyNet, NocSim, RunOutcome, RunResult, RunSpec,
+    StallDiagnostics,
 };
 pub use fabric::{Fabric, RouterModel};
 pub use fault::FaultState;
@@ -105,9 +109,5 @@ pub use probe::{CounterSample, FlitEvent, FlitEventKind, Phase, ProbeConfig, Sim
 pub use quarc_net::QuarcNetwork;
 pub use recovery::{DataDelivery, RecoveryAction, RecoveryState};
 pub use spider_net::SpidergonNetwork;
-pub use sweep::{
-    build_any, curve_csv, geometric_rates, latency_curve, run_point, run_point_outcome,
-    run_point_outcome_deadline, CurvePoint, CurveSpec, PointError, PointOutcome, PointRunOutcome,
-    PointSpec,
-};
+pub use sweep::{build_any, geometric_rates, run_point, PointOutcome, PointSpec};
 pub use torus_net::TorusNetwork;

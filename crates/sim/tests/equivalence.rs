@@ -43,8 +43,8 @@ use quarc_engine::mix64;
 use quarc_sim::mesh_net::MeshNetwork;
 use quarc_sim::torus_net::TorusNetwork;
 use quarc_sim::{
-    build_any, run, run_mono_outcome, NocSim, ProbeConfig, QuarcNetwork, RunOutcome, RunSpec,
-    SpidergonNetwork,
+    build_any, run, run_mono_outcome_deadline, NocSim, ProbeConfig, QuarcNetwork, RunOutcome,
+    RunSpec, SpidergonNetwork,
 };
 use quarc_workloads::{
     Bursty, BurstyConfig, MessageRequest, Synthetic, SyntheticConfig, TraceRecord, TraceWorkload,
@@ -382,7 +382,7 @@ fn fault_scenarios() -> String {
                 net.probe_mut().configure(ProbeConfig::all(1 << 12));
                 let n = net.num_nodes();
                 let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, 6, 0.1, 0xFA17));
-                let outcome = run_mono_outcome(&mut net, &mut wl, &spec);
+                let outcome = run_mono_outcome_deadline(&mut net, &mut wl, &spec, None);
                 out.push_str(&fault_line(
                     &format!("{topo}/{plan_name}/{rec_name}"),
                     &net,
@@ -410,7 +410,7 @@ fn fault_scenarios() -> String {
             net.probe_mut().configure(ProbeConfig::all(1 << 12));
             let n = net.num_nodes();
             let mut wl = TraceWorkload::new(n, mixed_trace(n, true));
-            let outcome = run_mono_outcome(&mut net, &mut wl, &trace_spec);
+            let outcome = run_mono_outcome_deadline(&mut net, &mut wl, &trace_spec, None);
             out.push_str(&fault_line(&format!("{topo}/trace-mixed/{rec_name}"), &net, &outcome));
         }
     }

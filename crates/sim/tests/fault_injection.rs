@@ -19,7 +19,7 @@ use quarc_core::ids::NodeId;
 use quarc_engine::DetRng;
 use quarc_sim::driver::NocSim;
 use quarc_sim::{
-    run_point_outcome, FlitEventKind, MeshNetwork, PointSpec, ProbeConfig, QuarcNetwork, RunSpec,
+    run_point, FlitEventKind, MeshNetwork, PointSpec, ProbeConfig, QuarcNetwork, RunSpec,
     SpidergonNetwork, TorusNetwork,
 };
 use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
@@ -187,7 +187,7 @@ proptest! {
             NocConfig::torus(16).with_buffer_depth(1),
         ] {
             let point = PointSpec { noc, msg_len: 4, beta: 0.05, seed, rate };
-            let outcome = run_point_outcome(&point, &run).expect("valid config");
+            let outcome = run_point(&point, &run, None).expect("valid config").outcome;
             prop_assert!(
                 !outcome.is_stalled(),
                 "watchdog fired on a fault-free {} run",

@@ -20,7 +20,9 @@ use quarc_core::config::{FaultPlan, NocConfig, RecoveryPolicy};
 use quarc_core::ids::NodeId;
 use quarc_engine::DetRng;
 use quarc_sim::driver::NocSim;
-use quarc_sim::{build_any, run_mono_outcome, FlitEventKind, ProbeConfig, RunOutcome, RunSpec};
+use quarc_sim::{
+    build_any, run_mono_outcome_deadline, FlitEventKind, ProbeConfig, RunOutcome, RunSpec,
+};
 use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
 use std::collections::HashMap;
 
@@ -241,7 +243,7 @@ proptest! {
                 n,
                 quarc_workloads::SyntheticConfig::paper(0.004, 4, 0.05, seed),
             );
-            let outcome = run_mono_outcome(&mut net, &mut wl, &run);
+            let outcome = run_mono_outcome_deadline(&mut net, &mut wl, &run, None);
             prop_assert!(
                 !matches!(outcome, RunOutcome::Stalled { .. }),
                 "watchdog fired on a transient-only {} run", cfg.kind,

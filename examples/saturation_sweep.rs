@@ -7,54 +7,58 @@
 //! ```
 
 use quarc::core::config::NocConfig;
-use quarc::sim::{geometric_rates, latency_curve, CurveSpec, RunSpec};
+use quarc::sim::{geometric_rates, run_point, PointSpec, RunSpec};
+
+/// `(unicast mean, broadcast completion mean, saturated)` per rate, stopping
+/// once two consecutive points saturate (the curve has gone vertical, as in
+/// the paper's plots).
+fn curve(noc: NocConfig, rates: &[f64], run_spec: &RunSpec) -> Vec<(f64, f64, bool)> {
+    let mut points = Vec::new();
+    for &rate in rates {
+        let point = PointSpec { noc, msg_len: 8, beta: 0.05, seed: 42, rate };
+        let run = run_point(&point, run_spec, None).expect("valid configuration");
+        let r = run.outcome.result();
+        points.push((r.unicast_mean, r.bcast_completion_mean, r.saturated));
+        if let [.., (_, _, true), (_, _, true)] = points[..] {
+            break;
+        }
+    }
+    points
+}
 
 fn main() {
     let n = 16;
-    let msg_len = 8;
-    let beta = 0.05;
     let rates = geometric_rates(0.003, 0.12, 8);
     let run_spec = RunSpec { warmup: 1_000, measure: 8_000, drain: 12_000, ..Default::default() };
 
-    println!("latency vs offered load: N={n}, M={msg_len}, beta={}%\n", beta * 100.0);
+    println!("latency vs offered load: N={n}, M=8, beta=5%\n");
     println!(
         "{:<11} {:>12} {:>14} {:>16} {:>10}",
         "rate", "quarc uni", "spidergon uni", "quarc bcast", "spi bcast"
     );
 
-    let quarc = latency_curve(
-        &CurveSpec { noc: NocConfig::quarc(n), msg_len, beta, seed: 42 },
-        &rates,
-        &run_spec,
-    )
-    .expect("valid configuration");
-    let spider = latency_curve(
-        &CurveSpec { noc: NocConfig::spidergon(n), msg_len, beta, seed: 42 },
-        &rates,
-        &run_spec,
-    )
-    .expect("valid configuration");
+    let quarc = curve(NocConfig::quarc(n), &rates, &run_spec);
+    let spider = curve(NocConfig::spidergon(n), &rates, &run_spec);
 
     for (i, rate) in rates.iter().enumerate() {
-        let q = quarc.get(i);
-        let s = spider.get(i);
         let fmt = |v: Option<(f64, bool)>| match v {
             Some((lat, false)) => format!("{lat:>10.1}"),
             Some((_, true)) => format!("{:>10}", "SAT"),
             None => format!("{:>10}", "-"),
         };
+        let (q, s) = (quarc.get(i), spider.get(i));
         println!(
             "{:<11.5} {} {} {} {}",
             rate,
-            fmt(q.map(|p| (p.result.unicast_mean, p.result.saturated))),
-            fmt(s.map(|p| (p.result.unicast_mean, p.result.saturated))),
-            fmt(q.map(|p| (p.result.bcast_completion_mean, p.result.saturated))),
-            fmt(s.map(|p| (p.result.bcast_completion_mean, p.result.saturated))),
+            fmt(q.map(|&(uni, _, sat)| (uni, sat))),
+            fmt(s.map(|&(uni, _, sat)| (uni, sat))),
+            fmt(q.map(|&(_, bcast, sat)| (bcast, sat))),
+            fmt(s.map(|&(_, bcast, sat)| (bcast, sat))),
         );
     }
 
-    let sustain = |points: &[quarc::sim::CurvePoint]| {
-        points.iter().rev().find(|p| !p.result.saturated).map(|p| p.rate)
+    let sustain = |points: &[(f64, f64, bool)]| {
+        points.iter().rposition(|&(_, _, saturated)| !saturated).map(|i| rates[i])
     };
     println!(
         "\nmax sustainable rate: quarc {:?}, spidergon {:?}",
