@@ -891,6 +891,16 @@ mod tests {
         let mut bad = small();
         bad.rates = RateAxis::Explicit(vec![0.01, f64::INFINITY]);
         assert!(bad.expand().is_err());
+
+        // Above the configuration caps these used to pass `expand` and then
+        // panic in the lane buffers / abort the process in the link bank.
+        let mut bad = small();
+        bad.buffer_depths = vec![4, 70_000];
+        assert!(bad.expand().unwrap_err().to_string().contains("buffer_depth"));
+
+        let mut bad = small();
+        bad.link_latencies = vec![4_000_000_000];
+        assert!(bad.expand().unwrap_err().to_string().contains("link_latency"));
     }
 
     #[test]

@@ -22,6 +22,19 @@ pub const MAX_VCS: usize = 4;
 /// a 256×256 mesh/torus, and a 16,384-deep Quarc quadrant.
 pub const MAX_SIM_NODES: usize = 65_536;
 
+/// Upper bound on [`NocConfig::buffer_depth`], enforced by
+/// [`NocConfig::validate`]: 16× the deepest lane any preset uses. Lane state
+/// is 16 bits per lane and the flit slab `lanes × depth` flits, so an
+/// unbounded depth is a construction-time panic or an allocation the host
+/// cannot serve rather than a configuration.
+pub const MAX_BUFFER_DEPTH: usize = 256;
+
+/// Upper bound on [`NocConfig::link_latency`], enforced by
+/// [`NocConfig::validate`]: 64× the slowest link any preset uses. Every link
+/// owns one pipeline slot per cycle of latency, so an unbounded latency is
+/// an allocation that aborts the process.
+pub const MAX_LINK_LATENCY: u64 = 256;
+
 /// Output-arbitration policy (the DESIGN.md §6 ablation knob). Lives in the
 /// configuration so experiment grids can sweep it and cache keys can include
 /// it; only the Quarc model's OPC grant arbiters consult it today.
@@ -402,16 +415,16 @@ impl NocConfig {
                               (XY on a mesh is the only single-VC-safe discipline)",
             });
         }
-        if self.buffer_depth < 1 {
+        if self.buffer_depth < 1 || self.buffer_depth > MAX_BUFFER_DEPTH {
             return Err(ConfigError::BadParameter {
                 name: "buffer_depth",
-                requirement: "at least one flit of buffering per VC lane",
+                requirement: "1 ≤ buffer_depth ≤ 256 flits per VC lane",
             });
         }
-        if self.link_latency < 1 {
+        if self.link_latency < 1 || self.link_latency > MAX_LINK_LATENCY {
             return Err(ConfigError::BadParameter {
                 name: "link_latency",
-                requirement: "links take at least one cycle",
+                requirement: "1 ≤ link_latency ≤ 256 cycles",
             });
         }
         self.fault.validate()?;
@@ -504,6 +517,23 @@ mod tests {
         assert_eq!(c.buffer_depth, 8);
         assert!(c.validate().is_ok());
         assert!(NocConfig::quarc(16).with_buffer_depth(0).validate().is_err());
+    }
+
+    #[test]
+    fn buffer_depth_and_link_latency_are_capped() {
+        let named = |cfg: NocConfig| match cfg.validate() {
+            Err(ConfigError::BadParameter { name, .. }) => Some(name),
+            _ => None,
+        };
+        let base = NocConfig::quarc(16);
+        assert_eq!(named(base.with_buffer_depth(MAX_BUFFER_DEPTH)), None);
+        assert_eq!(named(base.with_buffer_depth(MAX_BUFFER_DEPTH + 1)), Some("buffer_depth"));
+        // What used to panic in the lane buffers (depth > u16::MAX) ...
+        assert_eq!(named(base.with_buffer_depth(70_000)), Some("buffer_depth"));
+        assert_eq!(named(NocConfig { link_latency: MAX_LINK_LATENCY, ..base }), None);
+        assert_eq!(named(NocConfig { link_latency: 0, ..base }), Some("link_latency"));
+        // ... and what used to abort the process in the link bank's allocation.
+        assert_eq!(named(NocConfig { link_latency: 4_000_000_000, ..base }), Some("link_latency"));
     }
 
     #[test]

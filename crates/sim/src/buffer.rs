@@ -18,12 +18,12 @@ use quarc_core::flit::{Flit, FlitKind, PacketRef};
 /// `(node * ports + port) * vcs + vc`).
 ///
 /// The head flit of every lane is mirrored into a dense `heads` slab: the
-/// arbitration pass inspects the head of every lane of every *active* router
-/// every cycle, and the mirror turns that inspection into sequential reads
-/// of per-node-contiguous memory instead of chasing each lane's ring
+/// arbitration pass inspects the head of every occupied lane of every
+/// *active* router every cycle, and the mirror turns that inspection into
+/// reads of per-node-contiguous memory instead of chasing each lane's ring
 /// position. Push/pop pay one extra 16-byte copy to maintain it — they run
-/// once per flit movement, while `front` runs once per lane per arbitration
-/// pass.
+/// once per flit movement, while `head` runs once per occupied lane per
+/// arbitration pass.
 #[derive(Debug, Clone)]
 pub struct LaneBufs {
     /// Ring storage, `depth` slots per lane.
@@ -55,19 +55,25 @@ impl LaneBufs {
     pub fn push(&mut self, lane: usize, flit: Flit) {
         let (head, len) = self.state[lane];
         assert!((len as usize) < self.depth, "VC buffer overflow: credit accounting broken");
-        let slot = lane * self.depth + (head as usize + len as usize) % self.depth;
-        self.flits[slot] = flit;
+        // Compare-and-wrap, not `% depth`: no run-time division per flit.
+        let mut pos = head as usize + len as usize;
+        if pos >= self.depth {
+            pos -= self.depth;
+        }
+        self.flits[lane * self.depth + pos] = flit;
         if len == 0 {
             self.heads[lane] = flit;
         }
         self.state[lane].1 = len + 1;
     }
 
-    /// The flit at the head of `lane`, if any.
+    /// The flit at the head of `lane`, which the caller knows to be
+    /// non-empty (the fabric's occupancy mask says so): one load of the
+    /// mirror, no length check.
     #[inline]
-    pub fn front(&self, lane: usize) -> Option<&Flit> {
-        let (_, len) = self.state[lane];
-        (len > 0).then(|| &self.heads[lane])
+    pub fn head(&self, lane: usize) -> &Flit {
+        debug_assert!(!self.is_empty(lane), "head of an empty lane");
+        &self.heads[lane]
     }
 
     /// Remove and return the head flit of `lane`.
@@ -78,7 +84,7 @@ impl LaneBufs {
             return None;
         }
         let flit = self.heads[lane];
-        let next = (head as usize + 1) % self.depth;
+        let next = if head as usize + 1 == self.depth { 0 } else { head as usize + 1 };
         self.state[lane] = (next as u16, len - 1);
         if len > 1 {
             self.heads[lane] = self.flits[lane * self.depth + next];
@@ -96,18 +102,6 @@ impl LaneBufs {
     #[inline]
     pub fn is_empty(&self, lane: usize) -> bool {
         self.state[lane].1 == 0
-    }
-
-    /// Free slots of `lane` (the complement of `full`/`ch_status_n`).
-    #[inline]
-    pub fn free(&self, lane: usize) -> usize {
-        self.depth - self.len(lane)
-    }
-
-    /// Buffer capacity per lane, in flits.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 }
 
@@ -127,7 +121,6 @@ mod tests {
         }
         b.push(1, flit(99));
         assert_eq!(b.len(0), 4);
-        assert_eq!(b.free(0), 0);
         for i in 0..4 {
             assert_eq!(b.pop(0).unwrap().seq, i);
         }
@@ -157,9 +150,9 @@ mod tests {
     fn front_does_not_consume() {
         let mut b = LaneBufs::new(1, 2);
         b.push(0, flit(7));
-        assert_eq!(b.front(0).unwrap().seq, 7);
+        assert_eq!(b.head(0).seq, 7);
         assert_eq!(b.len(0), 1);
-        assert!(b.front(1 - 1).is_some());
+        assert!(!b.is_empty(0));
     }
 
     #[test]
@@ -168,8 +161,8 @@ mod tests {
         b.push(0, flit(1));
         b.push(2, flit(2));
         assert!(b.is_empty(1));
-        assert_eq!(b.front(0).unwrap().seq, 1);
-        assert_eq!(b.front(2).unwrap().seq, 2);
+        assert_eq!(b.head(0).seq, 1);
+        assert_eq!(b.head(2).seq, 2);
         assert_eq!(b.pop(1), None);
     }
 }

@@ -20,10 +20,12 @@
 //!   commit pass moving at most one flit per input and per output port;
 //! * **active-set scheduling** — per-cycle cost proportional to live
 //!   traffic, not `n`: arrivals walk a live-link worklist, arbitration walks
-//!   a sorted worklist of routers a tracked event could have made
-//!   grantable, polling pops a due-cycle heap fed by
-//!   [`Workload::next_due`]; `set_full_scan` is the naive oracle the
-//!   lockstep tests step against (invariants in `crates/sim/HOTPATH.md`);
+//!   an index-ordered bitmap of routers a tracked event could have made
+//!   grantable — and, within a router, only the set bits of its occupancy
+//!   mask — polling pops a due-cycle heap fed by [`Workload::next_due`];
+//!   `set_full_scan` is the naive oracle the lockstep tests step against
+//!   and [`Fabric::audit`] the cold recount of everything kept
+//!   incrementally (invariants in `crates/sim/HOTPATH.md`);
 //! * **the commit skeleton** — pop → eject / ingress-mux copy → fault drop →
 //!   forward, with the probe, fault and recovery hooks at their one site.
 //!
@@ -77,7 +79,7 @@ pub enum Src {
 }
 
 /// A model's per-hop routing decision for one header.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route {
     /// The local PE takes a copy at the ingress multiplexer.
     pub deliver: bool,
@@ -125,6 +127,8 @@ pub trait RouterModel: std::fmt::Debug + Sized {
     /// port)`; `None` for a vacant slot (a mesh edge).
     fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)>;
     /// Route the header at the head of network input lane `(port, vc)`.
+    /// Pure in its arguments: the fabric memoises the answer while the
+    /// header waits (likewise [`RouterModel::route_local`]).
     fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route;
     /// Route the header at the head of local queue `queue`.
     fn route_local(&self, node: usize, queue: usize, meta: &PacketMeta) -> Route;
@@ -167,9 +171,24 @@ struct HopPlan {
     /// The delivery at this node duplicates an already-served receiver
     /// (recovery only): drain it without recording, but still re-ack the
     /// tail. Decided at the header's *commit* (a header that loses
-    /// arbitration re-plans, so gather must stay read-only) and cached with
-    /// the rest of the plan for the worm's body and tail.
+    /// arbitration re-plans, and gather must not touch the recovery window)
+    /// and cached with the rest of the plan for the worm's body and tail.
     dup: bool,
+}
+
+/// Header-to-tail state of the packet at the head of an input lane or an
+/// injection queue.
+#[derive(Debug, Clone, Copy)]
+enum LanePlan {
+    /// Between packets: the next head flit is a header nobody has routed.
+    Idle,
+    /// A waiting header's route, memoised by the arbitration pass so a
+    /// header that loses arbitration is not re-routed every cycle it waits.
+    /// Only the model's pure [`Route`] lives here: the fault-drop verdict
+    /// moves with time and the `dup` verdict with the recovery window.
+    Routed(Route),
+    /// The header has committed: the plan its body and tail follow.
+    Streaming(HopPlan),
 }
 
 /// One input's request for this cycle.
@@ -192,14 +211,15 @@ struct Transfer {
 const NO_LINK: u32 = u32::MAX;
 
 /// Per-worm state held from a packet's header to its tail: the header sets
-/// it, the tail clears it (a single-flit packet does both, leaving it clear).
+/// it to `held`, the tail resets it to `idle` (a single-flit packet does
+/// both, leaving it idle).
 #[inline]
-fn hold<T>(slot: &mut Option<T>, value: T, is_header: bool, is_tail: bool) {
+fn hold<T>(slot: &mut T, held: T, idle: T, is_header: bool, is_tail: bool) {
     if is_header {
-        *slot = Some(value);
+        *slot = held;
     }
     if is_tail {
-        *slot = None;
+        *slot = idle;
     }
 }
 
@@ -215,12 +235,17 @@ pub struct Fabric<R: RouterModel> {
     /// (flits materialise on pop). Unbounded: the paper keeps packets in PE
     /// RAM and queues only addresses (§3.1).
     inject_q: Box<[PacketQueue]>,
-    /// Plan of the packet currently streaming from each injection queue.
-    inject_plan: Box<[Option<HopPlan>]>,
     /// Input buffers; lane `(node * PORTS + port) * vcs + vc`.
     in_buf: LaneBufs,
-    /// Route state per input lane, set by the header's commit.
-    in_route: Box<[Option<HopPlan>]>,
+    /// Request lines per router (the `empty` signals of §2.3.1, inverted):
+    /// bit `port * vcs + vc` ⇔ that input lane holds a flit, bit `PORTS *
+    /// vcs + queue` ⇔ that injection queue does. Set where a flit enters a
+    /// slot, cleared by the commit pop that empties it; arbitration visits
+    /// set bits only.
+    occ: Vec<u32>,
+    /// Plan state of the packet at the head of each request slot, in the
+    /// occupancy mask's numbering: `node * (PORTS * vcs + QUEUES) + bit`.
+    plans: Box<[LanePlan]>,
     /// Wormhole ownership per output lane `(node * PORTS + out) * vcs + vc`.
     out_owner: Box<[Option<Src>]>,
     /// Ejection-port ownership per node (empty without an ejection port).
@@ -254,13 +279,15 @@ pub struct Fabric<R: RouterModel> {
     credits: Vec<u32>,
     /// Link feeding each network input (inverse of `targets`).
     feeder: Vec<u32>,
-    /// Routers-with-work worklist and its membership flags. A router that
-    /// produced no grant can only become grantable through a tracked event
-    /// — a link arrival, an injection, a commit at the node, a credit
-    /// returned to it — each of which re-marks it.
-    node_active: Vec<bool>,
-    active_nodes: Vec<u32>,
-    node_worklist: Vec<u32>,
+    /// Routers-with-work bitmap (bit `node`) and its popcount. A router
+    /// that produced no grant can only become grantable through a tracked
+    /// event — a link arrival, an injection, a commit at the node, a credit
+    /// returned to it — each of which re-marks it. Swapped each cycle with
+    /// the all-zero `mark_scratch` and walked word by word: ascending order
+    /// for free.
+    marked: Vec<u64>,
+    marked_count: usize,
+    mark_scratch: Vec<u64>,
     /// Links-with-flits worklist (insertion-ordered; arrival targets are
     /// disjoint, so order cannot affect state).
     link_live: Vec<bool>,
@@ -289,6 +316,7 @@ impl<R: RouterModel> Fabric<R> {
         let model = R::new(&cfg);
         let n = model.num_nodes();
         let (ports, vcs) = (R::PORTS, cfg.vcs);
+        assert!(ports * MAX_VCS + R::QUEUES <= 32, "a router's request lines fit one word");
         let targets: Vec<(u32, u8)> = (0..n * ports)
             .map(|lid| match model.link_target(lid / ports, lid % ports) {
                 Some((to, tin)) => (to as u32, tin as u8),
@@ -308,14 +336,14 @@ impl<R: RouterModel> Fabric<R> {
             |lid| lid / ports,
             |lid| targets[lid].0 != NO_LINK,
         );
-        Fabric {
+        let mut fabric = Fabric {
             cfg,
             nodes: n,
             clock: Clock::new(),
             inject_q: (0..n * R::QUEUES).map(|_| PacketQueue::new()).collect(),
-            inject_plan: vec![None; n * R::QUEUES].into_boxed_slice(),
             in_buf: LaneBufs::new(n * ports * vcs, cfg.buffer_depth),
-            in_route: vec![None; n * ports * vcs].into_boxed_slice(),
+            occ: vec![0; n],
+            plans: vec![LanePlan::Idle; n * (ports * vcs + R::QUEUES)].into_boxed_slice(),
             out_owner: vec![None; n * ports * vcs].into_boxed_slice(),
             eject_owner: vec![None; if R::EJECT_PORT { n } else { 0 }].into_boxed_slice(),
             rr_in_vc: RoundRobinBank::new(n * ports, ArbPolicy::RoundRobin),
@@ -333,9 +361,9 @@ impl<R: RouterModel> Fabric<R> {
             credits: vec![cfg.buffer_depth as u32; n * ports * vcs],
             feeder,
             targets,
-            node_active: vec![true; n],
-            active_nodes: (0..n as u32).collect(),
-            node_worklist: Vec::new(),
+            marked: vec![0; n.div_ceil(64)],
+            marked_count: 0,
+            mark_scratch: vec![0; n.div_ceil(64)],
             link_live: vec![false; n * ports],
             live_links: Vec::new(),
             poll_heap: (0..n as u32).map(|node| Reverse((0, node))).collect(),
@@ -347,18 +375,10 @@ impl<R: RouterModel> Fabric<R> {
             recovery: RecoveryState::new(cfg.recovery, n),
             probe: SimProbe::new(),
             model,
-        }
-    }
-
-    /// Build with an explicit output-arbitration policy (equivalent to
-    /// setting [`NocConfig::arb`] before [`Fabric::new`]).
-    pub fn with_arb_policy(cfg: NocConfig, policy: ArbPolicy) -> Self {
-        Self::new(cfg.with_arb(policy))
-    }
-
-    /// The configuration this network was built with.
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
+        };
+        // Every router starts marked.
+        (0..n).for_each(|node| fabric.mark_node(node));
+        fabric
     }
 
     /// Test oracle: disable the active-set worklists and scan every link,
@@ -367,16 +387,6 @@ impl<R: RouterModel> Fabric<R> {
     pub fn set_full_scan(&mut self, on: bool) {
         assert_eq!(self.clock.now(), 0, "full-scan mode is a construction-time choice");
         self.full_scan = on;
-    }
-
-    /// Total flits queued at source transceivers. O(1).
-    pub fn backlog(&self) -> usize {
-        self.inject_backlog
-    }
-
-    /// Packets currently interned (in flight or awaiting re-injection).
-    pub fn live_packets(&self) -> usize {
-        self.packets.live()
     }
 
     /// Flits carried so far per link, indexed `node * PORTS + out`.
@@ -391,13 +401,73 @@ impl<R: RouterModel> Fabric<R> {
         self.fault.block_link(lid, lid / R::PORTS, from, until);
     }
 
+    /// Cold recount of everything the hot path keeps incrementally —
+    /// occupancy masks, route memos, the worklists, credit mirrors and the
+    /// counter twins — failing with the first broken invariant by name.
+    /// Valid between steps; walks the whole network, so never per cycle.
+    pub fn audit(&self) -> Result<(), String> {
+        let (vcs, depth, now) = (self.cfg.vcs, self.cfg.buffer_depth, self.clock.now());
+        let check = |ok: bool, what: &str, at: (usize, usize)| {
+            ok.then_some(()).ok_or_else(|| format!("audit: {what} violated at {at:?}, cycle {now}"))
+        };
+        // A request line says whether its slot holds a flit; a memoised
+        // route belongs to a header at the head of its slot and is what the
+        // model answers for it now.
+        type Fresh<'a> = &'a dyn Fn(&PacketMeta) -> Route;
+        let slot = |node: usize, bit: usize, head: Option<Flit>, fresh: Fresh<'_>| {
+            let line = self.occ[node] >> bit & 1 != 0;
+            check(line == head.is_some(), "occupancy bit ⇔ slot non-empty", (node, bit))?;
+            let LanePlan::Routed(memo) = self.plans[self.plan_at(node, bit)] else { return Ok(()) };
+            let ok =
+                head.is_some_and(|h| h.is_header() && fresh(self.packets.meta(h.packet)) == memo);
+            check(ok, "route memo = the model's route for the head header", (node, bit))
+        };
+        let (mut buffered, mut backlog, mut on_links) = (0, 0, 0);
+        for node in 0..self.nodes {
+            for bit in 0..R::PORTS * vcs {
+                let (lane, p, vc) = (node * R::PORTS * vcs + bit, bit / vcs, bit % vcs);
+                buffered += self.in_buf.len(lane) as u64;
+                let head = (!self.in_buf.is_empty(lane)).then(|| *self.in_buf.head(lane));
+                let fresh = |meta: &PacketMeta| self.model.route_net(node, p, vc, meta);
+                slot(node, bit, head, &fresh)?;
+            }
+            for queue in 0..R::QUEUES {
+                let q = node * R::QUEUES + queue;
+                backlog += self.inject_q[q].flits();
+                let fresh = |meta: &PacketMeta| self.model.route_local(node, queue, meta);
+                slot(node, R::PORTS * vcs + queue, self.inject_q[q].front(), &fresh)?;
+            }
+        }
+        let wired = self.targets.iter().enumerate().filter(|(_, target)| target.0 != NO_LINK);
+        for (lid, &(to, tin)) in wired {
+            let flying = self.links.in_flight(lid).count();
+            on_links += flying as u64;
+            let counted = self.links.is_empty(lid) == (flying == 0);
+            check(counted, "LinkBank occupancy = slot walk", (lid, 0))?;
+            // The full-scan oracle bypasses the live-link worklist.
+            let flagged = self.full_scan || self.link_live[lid] == (flying > 0);
+            check(flagged, "link_live ⇔ !LinkBank::is_empty", (lid, 0))?;
+            for vc in 0..vcs {
+                let down = (to as usize * R::PORTS + tin as usize) * vcs + vc;
+                let sent = self.links.in_flight(lid).filter(|tf| tf.vc.index() == vc).count();
+                let mirror = self.credits[lid * vcs + vc] as usize + self.in_buf.len(down) + sent;
+                check(mirror == depth, "credit = depth − buffered − in flight", (lid, vc))?;
+            }
+        }
+        check(buffered == self.buffered_flits, "buffered_flits = lane walk", (0, 0))?;
+        check(backlog == self.inject_backlog, "inject_backlog = queue walk", (0, 0))?;
+        check(on_links == self.link_occupancy, "link_occupancy = link walk", (0, 0))?;
+        let marks: u32 = self.marked.iter().map(|w| w.count_ones()).sum();
+        check(marks as usize == self.marked_count, "worklist popcount = counter", (0, 0))?;
+        check(self.mark_scratch.iter().all(|&w| w == 0), "scratch worklist is zero", (0, 0))
+    }
+
     /// Mark `node`'s router as possibly grantable next arbitration pass.
     #[inline]
     fn mark_node(&mut self, node: usize) {
-        if !self.node_active[node] {
-            self.node_active[node] = true;
-            self.active_nodes.push(node as u32);
-        }
+        let (word, bit) = (&mut self.marked[node >> 6], 1u64 << (node & 63));
+        self.marked_count += (*word & bit == 0) as usize;
+        *word |= bit;
     }
 
     /// Turn a model's route into the lane's plan. The fault-drop decision is
@@ -405,13 +475,13 @@ impl<R: RouterModel> Fabric<R> {
     /// the onset gate, and the plan is cached at the header's commit, so a
     /// worm is never torn. A dropped forward claims no output.
     #[inline]
-    fn plan_header(&self, node: usize, route: Route, meta: &PacketMeta) -> HopPlan {
+    fn plan_header(&self, node: usize, route: Route, packet: PacketRef) -> HopPlan {
         let Route { deliver, out, out_vc } = route;
         let dropped = (out as usize) < R::PORTS
             && self.fault.any()
             && self.fault.drops_packet(
                 node * R::PORTS + out as usize,
-                meta.packet,
+                self.packets.meta(packet).packet,
                 self.clock.now(),
             );
         if dropped {
@@ -426,7 +496,7 @@ impl<R: RouterModel> Fabric<R> {
     /// downstream credit — one read of the sender-side mirror. `count_stall`
     /// is probe-only: a lane head blocked purely on credits is a credit
     /// stall (it must not change the short-circuit order).
-    #[inline]
+    #[inline(always)] // into `request`, itself inlined per slot
     fn feasible(
         &mut self,
         node: usize,
@@ -460,173 +530,195 @@ impl<R: RouterModel> Fabric<R> {
         free
     }
 
-    /// The request (if any) of network input port `p` at `node`: the VC
-    /// arbiter elects one feasible lane. Read-only apart from the arbiter
-    /// pointer, which only moves when it elects.
-    // Index loops couple several per-lane arrays; iterator forms obscure
-    // the coupling in this golden-pinned hot path.
-    #[allow(clippy::needless_range_loop)]
-    #[inline(always)] // `p` becomes a constant once `gather_node` unrolls its port loop
-    fn gather_net_port(&mut self, node: usize, p: usize) -> Option<PortReq> {
-        let vcs = self.cfg.vcs;
-        let base = (node * R::PORTS + p) * vcs;
-        // Fixed-size scratch: runs per active router per cycle, must not
-        // allocate.
-        let mut feasible: [Option<PortReq>; MAX_VCS] = [None; MAX_VCS];
-        for vc in 0..vcs {
-            let Some(head) = self.in_buf.front(base + vc).copied() else {
-                continue;
-            };
-            let plan = match self.in_route[base + vc] {
-                Some(plan) => {
-                    debug_assert!(!head.is_header(), "route state present at header");
-                    plan
-                }
-                None => {
-                    assert!(head.is_header(), "wormhole violated: non-header {head} on {p}/{vc}");
-                    let meta = self.packets.meta(head.packet);
-                    self.plan_header(node, self.model.route_net(node, p, vc, meta), meta)
-                }
-            };
-            let src = Src::Net { port: p as u8, vc: vc as u8 };
-            if self.feasible(node, plan, src, head.is_header(), true) {
-                feasible[vc] = Some(PortReq {
-                    src,
-                    plan,
-                    is_header: head.is_header(),
-                    is_tail: head.is_tail(),
-                });
-            }
-        }
-        let pick = self.rr_in_vc.pick(node * R::PORTS + p, vcs, |vc| feasible[vc].is_some())?;
-        feasible[pick]
+    /// Where the plan state of request slot `bit` of `node` lives.
+    #[inline(always)]
+    fn plan_at(&self, node: usize, bit: usize) -> usize {
+        node * (R::PORTS * self.cfg.vcs + R::QUEUES) + bit
     }
 
-    /// The request (if any) of local injection queue `queue` at `node`.
-    #[inline(always)] // as `gather_net_port`
-    fn gather_local_port(&mut self, node: usize, queue: usize) -> Option<PortReq> {
-        let q = node * R::QUEUES + queue;
-        let head = self.inject_q[q].front()?;
-        let plan = match self.inject_plan[q] {
-            Some(plan) => {
-                debug_assert!(!head.is_header());
+    /// `src`'s request-slot number within its router (its occupancy bit).
+    #[inline(always)]
+    fn slot_bit(&self, src: Src) -> usize {
+        match src {
+            Src::Net { port, vc } => port as usize * self.cfg.vcs + vc as usize,
+            Src::Local { queue } => R::PORTS * self.cfg.vcs + queue as usize,
+        }
+    }
+
+    /// The request (if any) of the flit `head` at the head of slot `src`
+    /// (occupancy bit `bit`): plan it — a fresh header is routed through the
+    /// model once and the route memoised while it waits — and test its
+    /// resources. Read-only but for that idempotent memo.
+    #[inline(always)] // `src` is a constant at every call site but for the VC
+    fn request(&mut self, node: usize, src: Src, bit: usize, head: Flit) -> Option<PortReq> {
+        let at = self.plan_at(node, bit);
+        let plan = match self.plans[at] {
+            LanePlan::Streaming(plan) => {
+                debug_assert!(!head.is_header(), "plan state present at header");
                 plan
             }
-            None => {
-                assert!(head.is_header(), "local queue must start with a header");
-                let meta = self.packets.meta(head.packet);
-                self.plan_header(node, self.model.route_local(node, queue, meta), meta)
+            memo => {
+                assert!(head.is_header(), "wormhole violated: non-header {head} at {src:?}");
+                let route = if let LanePlan::Routed(route) = memo {
+                    route
+                } else {
+                    let meta = self.packets.meta(head.packet);
+                    let route = match src {
+                        Src::Net { port, vc } => {
+                            self.model.route_net(node, port as usize, vc as usize, meta)
+                        }
+                        Src::Local { queue } => self.model.route_local(node, queue as usize, meta),
+                    };
+                    self.plans[at] = LanePlan::Routed(route);
+                    route
+                };
+                self.plan_header(node, route, head.packet)
             }
         };
-        let src = Src::Local { queue: queue as u8 };
-        self.feasible(node, plan, src, head.is_header(), false).then_some(PortReq {
-            src,
-            plan,
-            is_header: head.is_header(),
-            is_tail: head.is_tail(),
-        })
+        let (is_header, is_tail) = (head.is_header(), head.is_tail());
+        // Only lane heads count as credit stalls (probe-only).
+        self.feasible(node, plan, src, is_header, matches!(src, Src::Net { .. }))
+            .then_some(PortReq { src, plan, is_header, is_tail })
+    }
+
+    /// The request (if any) of network input port `p` at `node`, whose
+    /// occupied lanes are the set bits of `lanes`: the VC arbiter elects one
+    /// feasible lane (its pointer only moves when it elects).
+    #[inline(always)] // `p` becomes a constant once `gather_node` unrolls its port loop
+    fn gather_net_port(&mut self, node: usize, p: usize, mut lanes: u32) -> Option<PortReq> {
+        let vcs = self.cfg.vcs;
+        // Fixed-size scratch: runs per active router per cycle, never allocates.
+        let mut reqs: [Option<PortReq>; MAX_VCS] = [None; MAX_VCS];
+        let mut feasible = 0u32;
+        while lanes != 0 {
+            let vc = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            let (src, bit) = (Src::Net { port: p as u8, vc: vc as u8 }, p * vcs + vc);
+            let head = *self.in_buf.head(node * R::PORTS * vcs + bit);
+            if let Some(req) = self.request(node, src, bit, head) {
+                feasible |= 1 << vc;
+                reqs[vc] = Some(req);
+            }
+        }
+        reqs[self.rr_in_vc.pick(node * R::PORTS + p, vcs, feasible)?]
     }
 
     /// Read-only arbitration over one router; appends winning transfers.
+    /// Looks at request lines, never into an empty buffer: only the set bits
+    /// of the router's occupancy mask are visited.
     // Constant-bound index loops: the per-port gathers inline and unroll
     // (an `enumerate()` over the slot slice measured 1.4–2× slower here).
-    #[allow(clippy::needless_range_loop)]
     fn gather_node(&mut self, node: usize, transfers: &mut Vec<Transfer>) {
-        // A frozen router grants nothing. Returning before any arbiter is
-        // consulted keeps full-scan and active-set arbiter state identical
-        // (the node simply falls out of the active set).
-        if self.fault.node_frozen(node, self.clock.now()) {
+        // A marked-but-empty router (a credit return, the fault watch list)
+        // costs this one load; a frozen router grants nothing either.
+        // Returning before any arbiter is consulted keeps full-scan and
+        // active-set arbiter state identical (the node just falls out of the
+        // active set).
+        let occ = self.occ[node];
+        if occ == 0 || self.fault.node_frozen(node, self.clock.now()) {
             return;
         }
-        // Phase 1: each input (VC arbiter) elects at most one request.
+        let vcs = self.cfg.vcs;
+        // Phase 1: each occupied input (VC arbiter) elects at most one
+        // request, filed by what it asks for: `wants[o]` is the bitmask of
+        // slots requesting output `o`, `absorbs` of those claiming none.
         let mut reqs: [Option<PortReq>; MAX_SLOTS] = [None; MAX_SLOTS];
+        let (mut wants, mut absorbs) = ([0u32; MAX_SLOTS], 0u32);
+        let node32 = node as u32;
+        let mut file = |slot: usize, req: Option<PortReq>| {
+            let Some(r) = req else { return };
+            if R::DROPS_FIRST && r.plan.dropped {
+                // Drop plans claim no output: where the model says so, they
+                // commit ahead of the grants, not with the other absorptions.
+                transfers.push(Transfer { node: node32, req: r });
+                return;
+            }
+            match r.plan.out {
+                ABSORB => absorbs |= 1 << slot,
+                out => wants[out as usize] |= 1 << slot,
+            }
+            reqs[slot] = req;
+        };
         for p in 0..R::PORTS {
-            reqs[p] = self.gather_net_port(node, p);
+            let lanes = occ >> (p * vcs) & ((1 << vcs) - 1);
+            if lanes != 0 {
+                file(p, self.gather_net_port(node, p, lanes));
+            }
         }
         for queue in 0..R::QUEUES {
-            reqs[R::PORTS + queue] = self.gather_local_port(node, queue);
-        }
-        let reqs = &mut reqs[..R::PORTS + R::QUEUES];
-        let node = node as u32;
-        // Drop plans claim no output: where the model says so, commit them
-        // ahead of the grants instead of with the other absorptions.
-        if R::DROPS_FIRST && self.fault.any() {
-            for slot in reqs.iter_mut() {
-                if let Some(req) = slot.take_if(|r| r.plan.dropped) {
-                    transfers.push(Transfer { node, req });
-                }
+            let bit = R::PORTS * vcs + queue;
+            if occ >> bit & 1 != 0 {
+                let head = self.inject_q[node * R::QUEUES + queue].front().expect("occupied");
+                let src = Src::Local { queue: queue as u8 };
+                file(R::PORTS + queue, self.request(node, src, bit, head));
             }
         }
         // Phase 2: per-output grant (the OPC master FSM). Candidate lists
         // are the model's static tables, so each arbiter has a fixed,
-        // hardware-like domain. `wants[o]` is the bitmask of slots
-        // requesting output `o`; an output nobody requests is skipped, which
+        // hardware-like domain. An output nobody requests is skipped, which
         // is exact — an arbiter with no eligible candidate does not move.
-        let mut wants = [0u8; MAX_SLOTS];
-        for (slot, req) in reqs.iter().enumerate() {
-            if let Some(r) = req {
-                if r.plan.out != ABSORB {
-                    wants[r.plan.out as usize] |= 1 << slot;
-                }
-            }
-        }
         for (o, feeders) in R::FEEDERS.iter().enumerate() {
-            let want = wants[o];
-            if want == 0 {
+            if wants[o] == 0 {
                 continue;
             }
-            let winner =
-                self.rr_out.pick(node as usize * R::FEEDERS.len() + o, feeders.len(), |k| {
-                    want >> feeders[k] & 1 != 0
-                });
-            if let Some(k) = winner {
-                let req = reqs[feeders[k] as usize].take().expect("winner exists");
-                transfers.push(Transfer { node, req });
+            // Slot mask → candidate mask (bit `k` ⇔ `feeders[k]` requests).
+            let mut eligible = 0u32;
+            for (k, &slot) in feeders.iter().enumerate() {
+                eligible |= (wants[o] >> slot & 1) << k;
+            }
+            if let Some(k) = self.rr_out.pick(node * R::FEEDERS.len() + o, feeders.len(), eligible)
+            {
+                let req = reqs[feeders[k] as usize].expect("winner exists");
+                transfers.push(Transfer { node: node32, req });
             }
         }
         // Un-arbitrated requests claim no output and proceed unconditionally
         // (an all-port router absorbs on every input in parallel, §2.2 iii).
-        for req in reqs.iter().flatten() {
-            if req.plan.out == ABSORB {
-                transfers.push(Transfer { node, req: *req });
-            }
+        while absorbs != 0 {
+            let req = reqs[absorbs.trailing_zeros() as usize].expect("filed above");
+            absorbs &= absorbs - 1;
+            transfers.push(Transfer { node: node32, req });
         }
     }
 
-    /// Apply one planned transfer: pop → deliver → drop → forward.
-    fn commit(&mut self, t: Transfer) {
+    /// Apply one planned transfer: pop → deliver → drop → forward. `slot` is
+    /// this cycle's [`LinkBank::slot_index`].
+    fn commit(&mut self, t: Transfer, slot: usize) {
         let now = self.clock.now();
         let node = t.node as usize;
         let vcs = self.cfg.vcs;
         let PortReq { src, plan, is_header, is_tail } = t.req;
         // Any commit mutates this router's lane/ownership/credit state.
         self.mark_node(node);
-        let flit = match src {
+        let bit = self.slot_bit(src);
+        let (flit, emptied) = match src {
             Src::Net { port, vc } => {
-                let (port, vc) = (port as usize, vc as usize);
-                let lane = (node * R::PORTS + port) * vcs + vc;
+                let lane = node * R::PORTS * vcs + bit;
                 let flit = self.in_buf.pop(lane).expect("planned flit");
                 self.buffered_flits -= 1;
                 // The freed slot becomes a credit at the upstream sender,
                 // which may unblock its router.
-                let feeder = self.feeder[node * R::PORTS + port] as usize;
-                self.credits[feeder * vcs + vc] += 1;
+                let feeder = self.feeder[node * R::PORTS + port as usize] as usize;
+                self.credits[feeder * vcs + vc as usize] += 1;
                 self.mark_node(feeder / R::PORTS);
-                hold(&mut self.in_route[lane], plan, is_header, is_tail);
-                flit
+                (flit, self.in_buf.is_empty(lane))
             }
             Src::Local { queue } => {
                 let q = node * R::QUEUES + queue as usize;
                 let flit = self.inject_q[q].pop().expect("planned flit");
                 self.inject_backlog -= 1;
-                hold(&mut self.inject_plan[q], plan, is_header, is_tail);
-                flit
+                (flit, self.inject_q[q].is_empty())
             }
         };
+        if emptied {
+            self.occ[node] &= !(1 << bit);
+        }
+        let (at, held) = (self.plan_at(node, bit), LanePlan::Streaming(plan));
+        hold(&mut self.plans[at], held, LanePlan::Idle, is_header, is_tail);
 
         let eject = R::EJECT_PORT && plan.out as usize == R::PORTS;
         if eject {
-            hold(&mut self.eject_owner[node], src, is_header, is_tail);
+            hold(&mut self.eject_owner[node], Some(src), None, is_header, is_tail);
         }
         if eject || plan.deliver {
             self.deliver(node, src, &flit, plan, is_header, eject);
@@ -670,7 +762,7 @@ impl<R: RouterModel> Fabric<R> {
             let o = plan.out as usize;
             let lid = node * R::PORTS + o;
             let lane = lid * vcs + plan.out_vc.index();
-            hold(&mut self.out_owner[lane], src, is_header, is_tail);
+            hold(&mut self.out_owner[lane], Some(src), None, is_header, is_tail);
             // Routers (not sources) shift multicast bitstrings hop by hop,
             // so bit 0 always answers "does the next node take a copy?".
             if flit.is_header() && matches!(src, Src::Net { .. }) {
@@ -685,8 +777,7 @@ impl<R: RouterModel> Fabric<R> {
             self.flit_hops += 1;
             self.link_occupancy += 1;
             self.credits[lane] -= 1;
-            let idx = self.links.slot_index(now);
-            self.links.send(lid, idx, TaggedFlit { flit, vc: plan.out_vc });
+            self.links.send(lid, slot, TaggedFlit { flit, vc: plan.out_vc });
             if !self.link_live[lid] {
                 self.link_live[lid] = true;
                 self.live_links.push(lid as u32);
@@ -702,7 +793,7 @@ impl<R: RouterModel> Fabric<R> {
     /// Hand one flit to the PE at `node`: through the arbitrated ejection
     /// port (`eject`), or as the ingress-mux copy of input lane `src`. The
     /// delivery site streams one packet at a time (`eject_owner` /
-    /// `in_route` pin it), which the metrics' in-order check relies on.
+    /// `plans` pin it), which the metrics' in-order check relies on.
     #[inline(always)] // one call site, on the per-flit commit path
     fn deliver(
         &mut self,
@@ -808,16 +899,8 @@ impl<R: RouterModel> Fabric<R> {
                 false
             }
             DataDelivery::Dup => {
-                let cached = match src {
-                    Src::Net { port, vc } => {
-                        let lane = (node * R::PORTS + port as usize) * self.cfg.vcs + vc as usize;
-                        &mut self.in_route[lane]
-                    }
-                    Src::Local { queue } => {
-                        &mut self.inject_plan[node * R::QUEUES + queue as usize]
-                    }
-                };
-                if let Some(plan) = cached.as_mut() {
+                let at = self.plan_at(node, self.slot_bit(src));
+                if let LanePlan::Streaming(plan) = &mut self.plans[at] {
                     plan.dup = true;
                 }
                 true
@@ -831,11 +914,13 @@ impl<R: RouterModel> Fabric<R> {
     fn arrive_link(&mut self, lid: usize, slot_index: usize) {
         if let Some(tf) = self.links.arrive(lid, slot_index) {
             let (to, tin) = self.targets[lid];
-            let lane = (to as usize * R::PORTS + tin as usize) * self.cfg.vcs + tf.vc.index();
-            self.in_buf.push(lane, tf.flit);
+            let (to, vcs) = (to as usize, self.cfg.vcs);
+            let bit = tin as usize * vcs + tf.vc.index();
+            self.in_buf.push(to * R::PORTS * vcs + bit, tf.flit);
+            self.occ[to] |= 1 << bit;
             self.link_occupancy -= 1;
             self.buffered_flits += 1;
-            self.mark_node(to as usize);
+            self.mark_node(to);
         }
     }
 
@@ -852,6 +937,11 @@ impl<R: RouterModel> Fabric<R> {
             &mut self.inject_q[node * R::QUEUES..(node + 1) * R::QUEUES],
         );
         self.inject_backlog += flits;
+        for queue in 0..R::QUEUES {
+            if !self.inject_q[node * R::QUEUES + queue].is_empty() {
+                self.occ[node] |= 1 << (R::PORTS * self.cfg.vcs + queue);
+            }
+        }
         self.mark_node(node);
         expected
     }
@@ -891,8 +981,9 @@ impl<R: RouterModel> Fabric<R> {
         let from = NodeId::new(node);
         let packet = self.ids.packet();
         let pref = self.packets.insert(ack_meta(meta.message, from, meta.src, packet, now));
-        let q = node * R::QUEUES + self.model.ack_queue(from, meta.src);
-        self.inject_backlog += self.inject_q[q].push_packet(pref, 1);
+        let queue = self.model.ack_queue(from, meta.src);
+        self.inject_backlog += self.inject_q[node * R::QUEUES + queue].push_packet(pref, 1);
+        self.occ[node] |= 1 << (R::PORTS * self.cfg.vcs + queue);
         self.mark_node(node);
     }
 
@@ -983,6 +1074,7 @@ impl<R: RouterModel> Fabric<R> {
         while let Some((_, (node, pref, len))) = self.reinject.pop_due(now) {
             let q = node as usize * R::QUEUES;
             self.inject_backlog += self.inject_q[q].push_packet(pref, len);
+            self.occ[node as usize] |= 1 << (R::PORTS * self.cfg.vcs);
             self.mark_node(node as usize);
             polled += 1;
         }
@@ -1021,34 +1113,31 @@ impl<R: RouterModel> Fabric<R> {
             }
         }
 
-        // (c) Read-only arbitration over the routers-with-work worklist, in
-        // canonical ascending order (metric accumulation order depends on
-        // it), skipping routers that cannot have become grantable since they
-        // last produced no grant.
+        // (c) Read-only arbitration over the routers-with-work bitmap, word
+        // by word — canonical ascending order (metric accumulation order
+        // depends on it) — skipping routers that cannot have become
+        // grantable since they last produced no grant. Marks made from here
+        // on land in the other, all-zero bitmap.
         let mut transfers = std::mem::take(&mut self.transfers);
         transfers.clear();
-        let mut worklist = std::mem::take(&mut self.node_worklist);
-        debug_assert!(worklist.is_empty());
-        std::mem::swap(&mut worklist, &mut self.active_nodes);
-        let gather_walked;
+        let mut work = std::mem::replace(&mut self.marked, std::mem::take(&mut self.mark_scratch));
+        let mut gather_walked = std::mem::take(&mut self.marked_count);
         if self.full_scan {
-            for &node in &worklist {
-                self.node_active[node as usize] = false;
-            }
+            work.fill(0);
             gather_walked = n;
             for node in 0..n {
                 self.gather_node(node, &mut transfers);
             }
         } else {
-            worklist.sort_unstable();
-            gather_walked = worklist.len();
-            for &node in &worklist {
-                self.node_active[node as usize] = false;
-                self.gather_node(node as usize, &mut transfers);
+            for (w, word) in work.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    self.gather_node(w << 6 | bits.trailing_zeros() as usize, &mut transfers);
+                    bits &= bits - 1;
+                }
             }
         }
-        worklist.clear();
-        self.node_worklist = worklist;
+        self.mark_scratch = work;
         if let Some(m) = mark.as_mut() {
             self.probe.phase_lap(Phase::Gather, m, gather_walked);
         }
@@ -1056,7 +1145,7 @@ impl<R: RouterModel> Fabric<R> {
         // (d) Commit.
         let committed = transfers.len();
         for t in transfers.drain(..) {
-            self.commit(t);
+            self.commit(t, slot);
         }
         self.transfers = transfers;
         if let Some(m) = mark.as_mut() {
@@ -1071,7 +1160,7 @@ impl<R: RouterModel> Fabric<R> {
                 on_links: self.link_occupancy,
                 live_packets: self.packets.live() as u64,
                 live_links: self.live_links.len() as u64,
-                active_routers: self.active_nodes.len() as u64,
+                active_routers: self.marked_count as u64,
                 poll_sources: self.poll_heap.len() as u64,
                 in_flight: self.metrics.in_flight() as u64,
                 completed: self.metrics.completed_total(),

@@ -56,7 +56,9 @@
 //!   in O(1); `quiesced()` is four counter compares, not a network walk.
 //! * **Event-driven arbitration skip** — a router that produced no grant can
 //!   only become grantable through a tracked event (arrival, injection,
-//!   commit, credit return), so quiescent routers are skipped exactly.
+//!   commit, credit return), so quiescent routers are skipped exactly; within
+//!   a visited router a per-router occupancy mask names the non-empty slots,
+//!   so arbitration is word operations over request lines, never a scan.
 //!
 //! Every refactor of this path is held to **bit-identical** behaviour by
 //! `tests/equivalence.rs`: fixed-seed Synthetic/Bursty/Trace runs on all four
@@ -65,16 +67,10 @@
 //! exact `f64` bit patterns; `tests/active_set.rs` steps the active-set
 //! scheduler in lockstep with the full-scan oracle.
 //!
-//! Throughput is tracked by the `perf` harness in `quarc-bench`:
-//!
-//! ```text
-//! cargo run --release -p quarc-bench --bin perf            # writes BENCH_sim.json
-//! cargo run --release -p quarc-bench --bin perf -- --quick # CI smoke grid
-//! ```
-//!
-//! It reports cycles/s and Mflit-hops/s per (topology × size × load) point;
-//! `headline` is the largest Quarc network near saturation. CI runs the quick
-//! grid and validates the artifact shape on every push.
+//! Host speed is priced by the repository's benchmark (`benchmark/`,
+//! `BENCHMARK.json`): ns per flit-hop and per phase on dense, sparse and
+//! fault + recovery workloads, judged by interleaved parent/change pairs
+//! (procedure in `crates/sim/HOTPATH.md`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

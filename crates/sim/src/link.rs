@@ -90,6 +90,12 @@ impl LinkBank {
         self.occupied[link] == 0
     }
 
+    /// The flits in flight on `link`, in no particular order. Walks the
+    /// link's slots — for audits, not the hot path.
+    pub fn in_flight(&self, link: usize) -> impl Iterator<Item = &TaggedFlit> {
+        self.slots[link * self.latency..(link + 1) * self.latency].iter().flatten()
+    }
+
     /// Number of links in the bank.
     #[allow(clippy::len_without_is_empty)] // per-link `is_empty(link)` is the meaningful query
     #[inline]

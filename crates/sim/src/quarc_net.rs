@@ -402,7 +402,7 @@ mod tests {
     fn arbitration_policies_both_conserve_traffic() {
         use quarc_workloads::{Synthetic, SyntheticConfig};
         let run_policy = |policy: ArbPolicy| {
-            let mut net = QuarcNetwork::with_arb_policy(NocConfig::quarc(16), policy);
+            let mut net = QuarcNetwork::new(NocConfig::quarc(16).with_arb(policy));
             let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.04, 8, 0.1, 9));
             for _ in 0..4_000 {
                 net.step(&mut wl);
@@ -437,9 +437,9 @@ mod tests {
             }],
         );
         net.step(&mut wl); // injection happens, nothing sent yet
-        assert!(net.backlog() > 0);
+        assert!(net.source_backlog() > 0);
         run_until_quiet(&mut net, &mut wl, 100);
-        assert_eq!(net.backlog(), 0);
+        assert_eq!(net.source_backlog(), 0);
     }
 
     #[test]

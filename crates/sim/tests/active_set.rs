@@ -7,14 +7,17 @@
 //! metric fingerprints must agree at every checkpoint, through drain, at
 //! minimal buffer depth, and at large n. This pins the scheduling
 //! invariants of `crates/sim/HOTPATH.md` — a node or link the active set
-//! skips must be one the full scan would have found idle.
+//! skips must be one the full scan would have found idle. Both twins run
+//! the same word-level gather (occupancy masks, route memo), which the
+//! oracle therefore cannot police: `Fabric::audit` recounts that state from
+//! scratch on both sides every 16 cycles and after the drain.
 
 use proptest::prelude::*;
 use quarc_core::config::{FaultPlan, NocConfig, RecoveryPolicy};
 use quarc_core::ids::NodeId;
 use quarc_engine::DetRng;
 use quarc_sim::driver::NocSim;
-use quarc_sim::{MeshNetwork, QuarcNetwork, SpidergonNetwork, TorusNetwork};
+use quarc_sim::{Fabric, MeshNetwork, QuarcNetwork, RouterModel, SpidergonNetwork, TorusNetwork};
 use quarc_workloads::{
     MessageRequest, Synthetic, SyntheticConfig, TraceRecord, TraceWorkload, Workload,
 };
@@ -35,12 +38,32 @@ fn fingerprint(net: &dyn NocSim) -> (u64, u64, u64, usize, u64, u64, u64, usize,
     )
 }
 
+/// A simulator the lockstep can also audit (object-safe over the models).
+trait Net: NocSim {
+    fn audit(&self) -> Result<(), String>;
+}
+
+impl<R: RouterModel> Net for Fabric<R> {
+    fn audit(&self) -> Result<(), String> {
+        Fabric::audit(self)
+    }
+}
+
+/// Both twins' incrementally kept state must equal its cold recount.
+fn audit_both(active: &dyn Net, oracle: &dyn Net, label: &str) {
+    for (side, net) in [("active", active), ("oracle", oracle)] {
+        if let Err(broken) = net.audit() {
+            panic!("{label}: {side} {broken}");
+        }
+    }
+}
+
 /// Step `active` (worklists) and `oracle` (full scan) in lockstep under
 /// identically-seeded workloads, checking the fingerprints at every
 /// checkpoint, then drain both and compare the final state.
 fn lockstep(
-    active: &mut dyn NocSim,
-    oracle: &mut dyn NocSim,
+    active: &mut dyn Net,
+    oracle: &mut dyn Net,
     wl_a: &mut dyn Workload,
     wl_o: &mut dyn Workload,
     cycles: u64,
@@ -49,6 +72,9 @@ fn lockstep(
     for c in 0..cycles {
         active.step(wl_a);
         oracle.step(wl_o);
+        if c % 16 == 0 {
+            audit_both(active, oracle, label);
+        }
         if c % 64 == 0 {
             assert_eq!(fingerprint(active), fingerprint(oracle), "{label}: diverged at cycle {c}");
         }
@@ -65,6 +91,7 @@ fn lockstep(
     }
     assert!(active.quiesced() && oracle.quiesced(), "{label}: failed to drain");
     assert_eq!(fingerprint(active), fingerprint(oracle), "{label}: diverged after drain");
+    audit_both(active, oracle, label);
 }
 
 /// A random mixed-class trace (unicast/broadcast/multicast) for lockstep
@@ -191,48 +218,65 @@ macro_rules! fault_pair {
         |cfg, full_scan| {
             let mut net = $ty::new(cfg);
             net.set_full_scan(full_scan);
-            Box::new(net) as Box<dyn NocSim>
+            Box::new(net) as Box<dyn Net>
         }
     };
 }
 
-/// `FaultPlan × RecoveryPolicy` lockstep for one topology at buffer depth 1:
-/// faults are exactly the time-driven re-marking (watch lists, windows that
-/// open and close with the clock, recovery deadlines firing into an idle
-/// fabric) the full-scan oracle exists to police. Three plans per seed:
-/// lossy links with recovery on (ACK loss, duplicates, retransmission to the
+/// Injection cycles of a [`fault_lockstep`] run (the drain follows).
+const CYCLES: u64 = 700;
+
+type Plan = (&'static str, FaultPlan, RecoveryPolicy);
+
+/// The three fault × recovery plans every topology is stepped under: lossy
+/// links with recovery on (ACK loss, duplicates, retransmission to the
 /// unacked subset); dead links with a one-retry budget (retry exhaustion
 /// writes receivers off and the drain must still terminate); and a transient
 /// window that opens during injection and closes during the drain, over
 /// lossy links with recovery off (header-drop write-offs).
-fn fault_lockstep(mk: impl Fn(NocConfig, bool) -> Box<dyn NocSim>, base: NocConfig, label: &str) {
-    const CYCLES: u64 = 700;
-    let plans = [
-        (
-            "lossy+recovery",
-            FaultPlan { onset: 50, lossy_links: 6, drop_per_64k: 9_000, ..FaultPlan::NONE },
-            RecoveryPolicy { seed: 3, ack_timeout: 120, max_retries: 4, jitter: 8 },
-        ),
-        (
-            "dead+exhaustion",
-            FaultPlan { onset: 100, dead_links: 3, ..FaultPlan::NONE },
-            RecoveryPolicy { seed: 4, ack_timeout: 90, max_retries: 1, jitter: 0 },
-        ),
-        (
-            "transient-crossing-drain",
-            FaultPlan {
-                onset: CYCLES - 150,
-                transient_links: 6,
-                transient_cycles: 400,
-                lossy_links: 3,
-                drop_per_64k: 6_000,
-                ..FaultPlan::NONE
-            },
-            RecoveryPolicy::NONE,
-        ),
-    ];
-    for seed in [11u64, 42, 0xD00D] {
-        for (plan_name, plan, recovery) in plans {
+const PLANS: [Plan; 3] = [
+    (
+        "lossy+recovery",
+        FaultPlan { onset: 50, lossy_links: 6, drop_per_64k: 9_000, ..FaultPlan::NONE },
+        RecoveryPolicy { seed: 3, ack_timeout: 120, max_retries: 4, jitter: 8 },
+    ),
+    (
+        "dead+exhaustion",
+        FaultPlan { onset: 100, dead_links: 3, ..FaultPlan::NONE },
+        RecoveryPolicy { seed: 4, ack_timeout: 90, max_retries: 1, jitter: 0 },
+    ),
+    (
+        "transient-crossing-drain",
+        FaultPlan {
+            onset: CYCLES - 150,
+            transient_links: 6,
+            transient_cycles: 400,
+            lossy_links: 3,
+            drop_per_64k: 6_000,
+            ..FaultPlan::NONE
+        },
+        RecoveryPolicy::NONE,
+    ),
+];
+
+/// The healthy fabric and the plan that exercises the most state (drops,
+/// ACKs, duplicates, retransmissions).
+const HEALTHY_AND_LOSSY: [Plan; 2] = [("healthy", FaultPlan::NONE, RecoveryPolicy::NONE), PLANS[0]];
+
+/// `FaultPlan × RecoveryPolicy` lockstep for one topology at buffer depth 1,
+/// every plan under every seed: faults are exactly the time-driven
+/// re-marking (watch lists, windows that open and close with the clock,
+/// recovery deadlines firing into an idle fabric) the full-scan oracle
+/// exists to police.
+fn fault_lockstep(
+    mk: impl Fn(NocConfig, bool) -> Box<dyn Net>,
+    base: NocConfig,
+    plans: &[Plan],
+    seeds: &[u64],
+    label: &str,
+) {
+    for &seed in seeds {
+        for &(plan_name, plan, recovery) in plans {
             let cfg = base
                 .with_buffer_depth(1)
                 .with_fault(FaultPlan { seed, ..plan })
@@ -246,11 +290,8 @@ fn fault_lockstep(mk: impl Fn(NocConfig, bool) -> Box<dyn NocSim>, base: NocConf
                 (TraceWorkload::new(n, records.clone()), TraceWorkload::new(n, records));
             let tag = format!("{label}/{plan_name}/seed{seed}");
             lockstep(active.as_mut(), oracle.as_mut(), &mut wa, &mut wo, CYCLES, &tag);
-            assert_eq!(
-                fault_fingerprint(active.as_ref()),
-                fault_fingerprint(oracle.as_ref()),
-                "{tag}: ledger"
-            );
+            let (active, oracle): (&dyn NocSim, &dyn NocSim) = (&*active, &*oracle);
+            assert_eq!(fault_fingerprint(active), fault_fingerprint(oracle), "{tag}: ledger");
             if plan_name == "dead+exhaustion" {
                 assert!(active.metrics().flits_dropped() > 0, "{tag}: plan never bit");
             }
@@ -258,24 +299,63 @@ fn fault_lockstep(mk: impl Fn(NocConfig, bool) -> Box<dyn NocSim>, base: NocConf
     }
 }
 
+const SEEDS: [u64; 3] = [11, 42, 0xD00D];
+
 #[test]
 fn quarc_fault_recovery_lockstep() {
-    fault_lockstep(fault_pair!(QuarcNetwork), NocConfig::quarc(16), "quarc");
+    fault_lockstep(fault_pair!(QuarcNetwork), NocConfig::quarc(16), &PLANS, &SEEDS, "quarc");
 }
 
 #[test]
 fn spidergon_fault_recovery_lockstep() {
-    fault_lockstep(fault_pair!(SpidergonNetwork), NocConfig::spidergon(16), "spidergon");
+    let base = NocConfig::spidergon(16);
+    fault_lockstep(fault_pair!(SpidergonNetwork), base, &PLANS, &SEEDS, "spidergon");
 }
 
 #[test]
 fn mesh_fault_recovery_lockstep() {
-    fault_lockstep(fault_pair!(MeshNetwork), NocConfig::mesh(16), "mesh");
+    fault_lockstep(fault_pair!(MeshNetwork), NocConfig::mesh(16), &PLANS, &SEEDS, "mesh");
 }
 
 #[test]
 fn torus_fault_recovery_lockstep() {
-    fault_lockstep(fault_pair!(TorusNetwork), NocConfig::torus(16), "torus");
+    fault_lockstep(fault_pair!(TorusNetwork), NocConfig::torus(16), &PLANS, &SEEDS, "torus");
+}
+
+/// The router worklist is a bitmap walked word by word; every case above is
+/// n = 16 (one word). Two words with 36 bits in the last (a 10 × 10 mesh)
+/// and three with 4 (spidergon n = 132) pin the ragged-edge handling.
+#[test]
+fn ragged_multiword_worklist_lockstep() {
+    let (plans, seeds) = (&HEALTHY_AND_LOSSY, &[7]);
+    fault_lockstep(fault_pair!(MeshNetwork), NocConfig::mesh(100), plans, seeds, "mesh100");
+    let base = NocConfig::spidergon(132);
+    fault_lockstep(fault_pair!(SpidergonNetwork), base, plans, seeds, "spidergon132");
+}
+
+/// A router's occupancy mask is laid out `port * vcs + vc`, then the queues;
+/// every case above has `vcs = 2` (mesh: 1). `vcs = 4` is the widest layout
+/// of each model (4·4 + 4 = 20 bits on Quarc).
+#[test]
+fn four_vc_mask_lockstep() {
+    let (plans, seeds) = (&HEALTHY_AND_LOSSY, &[23]);
+    let wide = |cfg| NocConfig { vcs: 4, ..cfg };
+    fault_lockstep(
+        fault_pair!(QuarcNetwork),
+        wide(NocConfig::quarc(16)),
+        plans,
+        seeds,
+        "quarc/4vc",
+    );
+    let base = wide(NocConfig::spidergon(16));
+    fault_lockstep(fault_pair!(SpidergonNetwork), base, plans, seeds, "spidergon/4vc");
+    fault_lockstep(
+        fault_pair!(TorusNetwork),
+        wide(NocConfig::torus(16)),
+        plans,
+        seeds,
+        "torus/4vc",
+    );
 }
 
 /// Random mixed-class traces on the Quarc at buffer_depth 1 (head-of-line
