@@ -1,0 +1,127 @@
+//! The mesh and torus routing functions, pinned as FNV digests.
+//!
+//! Every decision the grid topologies make — the dimension-ordered `route`
+//! of every pair, `hops`, the `link_target` wiring, `diameter`, the dateline
+//! `next_vc` of every hop and the multicast planner's `(dst, bitstring)`
+//! branch list — is folded into one number per shape, over odd, even (the
+//! half-way tie) and non-square sides. The constants were generated from the
+//! two separate `MeshTopology` / `TorusTopology` definitions, so a rewrite
+//! of the grid arithmetic that changes any decision changes a digest.
+
+use quarc_core::prelude::*;
+
+/// FNV-1a over 64-bit words, one byte at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn fold(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// A fixed target set of up to five nodes spread over the address range
+/// (duplicates and the source itself are left in: the planner must ignore
+/// both).
+fn fixed_targets(n: usize) -> Vec<NodeId> {
+    [0, n / 3, n / 2, (2 * n) / 3 + 1, n - 1]
+        .into_iter()
+        .filter(|&i| i < n)
+        .map(NodeId::new)
+        .collect()
+}
+
+/// Fold every routing decision of one grid. A macro because the two
+/// topologies are distinct types with distinct port enums; `$next_vc` is the
+/// VC rule for a hop (the mesh has no `next_vc` of its own: the simulator
+/// runs it on VC0).
+macro_rules! grid_digest {
+    ($topo:expr, $outs:expr, $next_vc:expr) => {{
+        let t = $topo;
+        let n = t.num_nodes();
+        let mut h = Fnv::new();
+        h.fold(t.diameter() as u64);
+        for s in (0..n).map(NodeId::new) {
+            for d in (0..n).map(NodeId::new) {
+                h.fold(t.route(s, d).index() as u64);
+                h.fold(t.hops(s, d) as u64);
+            }
+            for out in $outs {
+                h.fold(t.link_target(s, out).map_or(u64::MAX, |to| to.index() as u64));
+                for vc in [VcId::VC0, VcId::VC1] {
+                    let next: VcId = $next_vc(&t, s, out, vc);
+                    h.fold(next.index() as u64);
+                }
+            }
+            let mut slab = BitSlab::new(t.diameter() + 1);
+            let mut branches = Vec::new();
+            let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+            for targets in [all, fixed_targets(n)] {
+                t.multicast_branches_into(s, targets, &mut slab, &mut branches);
+                h.fold(branches.len() as u64);
+                for b in &branches {
+                    let bits = slab.to_u128(b.bitstring);
+                    h.fold(b.dst.index() as u64);
+                    h.fold(bits as u64);
+                    h.fold((bits >> 64) as u64);
+                    slab.release(b.bitstring);
+                }
+            }
+        }
+        h.0
+    }};
+}
+
+fn mesh_digest(cols: usize, rows: usize) -> u64 {
+    grid_digest!(MeshTopology::new(cols, rows), MeshOut::ALL, |_: &MeshTopology, _, _, _| {
+        INJECTION_VC
+    })
+}
+
+fn torus_digest(cols: usize, rows: usize) -> u64 {
+    grid_digest!(
+        TorusTopology::new(cols, rows),
+        TorusOut::ALL,
+        |t: &TorusTopology, node, out, vc| t.next_vc(node, out, vc)
+    )
+}
+
+/// Compare every shape's digest at once, so a failure prints the whole table.
+fn assert_pinned(digest: fn(usize, usize) -> u64, want: &[(usize, usize, u64)]) {
+    let got: Vec<_> =
+        want.iter().map(|&(cols, rows, _)| (cols, rows, digest(cols, rows))).collect();
+    assert_eq!(got, want, "got {got:#x?}");
+}
+
+#[test]
+fn mesh_routing_digests_are_pinned() {
+    assert_pinned(
+        mesh_digest,
+        &[
+            (1, 1, 0xb35e_5ad3_17f6_be79),
+            (4, 4, 0xc271_75e7_1e65_1e5e),
+            (5, 3, 0x5ffd_1954_fd75_2330),
+            (3, 5, 0x4789_e544_d2e2_9a38),
+            (9, 9, 0xdf65_9c3a_7767_caca),
+        ],
+    );
+}
+
+#[test]
+fn torus_routing_digests_are_pinned() {
+    assert_pinned(
+        torus_digest,
+        &[
+            (2, 2, 0x5d3b_a951_f30a_8567),
+            (4, 4, 0x3eb8_0015_d9ac_ed05),
+            (5, 3, 0x7178_7ab7_ee9a_8eb4),
+            (3, 5, 0x1db0_4092_90d0_aefd),
+            (8, 8, 0x01f1_fbb2_d78d_8b0d),
+        ],
+    );
+}
