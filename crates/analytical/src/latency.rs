@@ -37,11 +37,11 @@
 
 use crate::linkload::{mesh_loads, quarc_loads, spidergon_loads, LinkLoads};
 use crate::mg1::{mg1_wait, DEFAULT_CV2};
+use quarc_core::grid::{GridOut, GridTopology};
 use quarc_core::ids::NodeId;
 use quarc_core::quadrant::{quadrant_of, unicast_hops, Quadrant};
 use quarc_core::ring::Ring;
 use quarc_core::routing::spidergon_hops;
-use quarc_core::topology::MeshTopology;
 use quarc_core::vc::{quarc_route_channels, spidergon_route_channels};
 
 /// Mean unicast latency of an `n`-node Quarc at rate `lambda` (messages per
@@ -110,7 +110,7 @@ pub fn spidergon_unicast_latency(n: usize, m: usize, lambda: f64) -> Option<f64>
 
 /// Mean unicast latency of a mesh under XY routing. `None` above saturation.
 /// The mesh is not vertex-symmetric, so all sources are averaged.
-pub fn mesh_unicast_latency(topo: &MeshTopology, m: usize, lambda: f64) -> Option<f64> {
+pub fn mesh_unicast_latency(topo: &GridTopology, m: usize, lambda: f64) -> Option<f64> {
     let n = topo.num_nodes();
     let loads: LinkLoads = mesh_loads(topo);
     let m_f = m as f64;
@@ -131,11 +131,11 @@ pub fn mesh_unicast_latency(topo: &MeshTopology, m: usize, lambda: f64) -> Optio
             let mut cur = src;
             loop {
                 let out = topo.route(cur, dst);
-                if out == quarc_core::topology::MeshOut::Eject {
+                if out == GridOut::Eject {
                     break;
                 }
                 l += wait(loads.count((cur.index() * 4 + out.index()) as u64))?;
-                cur = topo.link_target(cur, out).expect("XY stays on mesh");
+                cur = topo.link_target(cur, out).expect("route stays on the grid");
             }
             total += l;
         }
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn mesh_model_zero_load() {
-        let topo = MeshTopology::new(4, 4);
+        let topo = GridTopology::mesh(4, 4);
         let l = mesh_unicast_latency(&topo, 8, 1e-9).unwrap();
         // Mean Manhattan distance over ordered pairs s ≠ t of a 4×4 mesh:
         // E[|dx|+|dy|] = 2.5 including s = t, rescaled by 256/240.

@@ -7,9 +7,9 @@
 //! of the Spidergon causes the number of messages that cross each physical
 //! link to vary severely").
 
+use quarc_core::grid::{GridOut, GridTopology};
 use quarc_core::ids::NodeId;
 use quarc_core::ring::Ring;
-use quarc_core::topology::MeshTopology;
 use quarc_core::vc::{quarc_route_channels, spidergon_route_channels};
 use std::collections::HashMap;
 
@@ -94,9 +94,9 @@ pub fn spidergon_loads(n: usize) -> LinkLoads {
     LinkLoads { counts, pairs: n * (n - 1) }
 }
 
-/// Link loads of a mesh under uniform all-pairs XY traffic. Link ids encode
-/// `node * 4 + out`.
-pub fn mesh_loads(topo: &MeshTopology) -> LinkLoads {
+/// Link loads of a mesh (or torus) under uniform all-pairs dimension-ordered
+/// traffic. Link ids encode `node * 4 + out`.
+pub fn mesh_loads(topo: &GridTopology) -> LinkLoads {
     let n = topo.num_nodes();
     let mut counts = HashMap::new();
     for s in 0..n {
@@ -108,11 +108,11 @@ pub fn mesh_loads(topo: &MeshTopology) -> LinkLoads {
             let mut cur = src;
             loop {
                 let out = topo.route(cur, dst);
-                if out == quarc_core::topology::MeshOut::Eject {
+                if out == GridOut::Eject {
                     break;
                 }
                 *counts.entry((cur.index() * 4 + out.index()) as u64).or_insert(0) += 1;
-                cur = topo.link_target(cur, out).expect("XY stays on mesh");
+                cur = topo.link_target(cur, out).expect("route stays on the grid");
             }
         }
     }
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn mesh_center_links_busier_than_edges() {
-        let topo = MeshTopology::new(4, 4);
+        let topo = GridTopology::mesh(4, 4);
         let loads = mesh_loads(&topo);
         // East link out of (0,0) vs east link out of (1,1) — centre is busier
         // under XY routing.

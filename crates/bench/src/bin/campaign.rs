@@ -22,7 +22,6 @@ use quarc_campaign::{
     PointOutcomeKind, RateAxis,
 };
 use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
-use quarc_core::topology::TopologyKind;
 use quarc_sim::RunSpec;
 use std::path::PathBuf;
 use std::process::exit;
@@ -119,20 +118,6 @@ fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
         .filter(|s| !s.is_empty())
         .map(|s| {
             s.trim().parse().unwrap_or_else(|_| usage_error(&format!("bad value {s:?} in {flag}")))
-        })
-        .collect()
-}
-
-fn parse_topologies(value: &str) -> Vec<TopologyKind> {
-    value
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| match s.trim() {
-            "quarc" => TopologyKind::Quarc,
-            "spidergon" => TopologyKind::Spidergon,
-            "mesh" => TopologyKind::Mesh,
-            "torus" => TopologyKind::Torus,
-            other => usage_error(&format!("unknown topology {other:?}")),
         })
         .collect()
 }
@@ -298,7 +283,7 @@ fn parse_cli() -> Cli {
                 custom_touched = true;
             }
             "--topologies" => {
-                custom.topologies = parse_topologies(&value);
+                custom.topologies = parse_list(&flag, &value);
                 custom_touched = true;
             }
             "--sizes" => {

@@ -13,15 +13,18 @@
 //! `--warmup C`, `--measure C`, `--seed S`.
 
 use quarc_core::config::NocConfig;
-use quarc_sim::driver::NocSim;
-use quarc_sim::mesh_net::MeshNetwork;
-use quarc_sim::torus_net::TorusNetwork;
-use quarc_sim::{run, QuarcNetwork, RunResult, RunSpec, SpidergonNetwork};
+use quarc_core::topology::TopologyKind;
+use quarc_sim::{build_any, run, NocSim, RunResult, RunSpec};
 use quarc_workloads::{Pattern, Synthetic, SyntheticConfig};
+use std::process::exit;
+
+const USAGE: &str = "usage: simulate [--topology quarc|spidergon|mesh|torus] [--nodes N] \
+     [--rate R] [--msg-len M] [--beta B] [--pattern P] [--buffer-depth D] \
+     [--warmup C] [--measure C] [--seed S]";
 
 #[derive(Debug)]
 struct Args {
-    topology: String,
+    topology: TopologyKind,
     nodes: usize,
     rate: f64,
     msg_len: usize,
@@ -36,7 +39,7 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            topology: "quarc".into(),
+            topology: TopologyKind::Quarc,
             nodes: 16,
             rate: 0.01,
             msg_len: 8,
@@ -50,48 +53,55 @@ impl Default for Args {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate [--topology quarc|spidergon|mesh|torus] [--nodes N] \
-         [--rate R] [--msg-len M] [--beta B] [--pattern P] [--buffer-depth D] \
-         [--warmup C] [--measure C] [--seed S]"
-    );
-    std::process::exit(2)
+/// A malformed command line: one line saying why, the usage, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("simulate: {msg}\n{USAGE}");
+    exit(2)
+}
+
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage_error(&format!("bad value {value:?} for {flag}")))
 }
 
 fn parse_args() -> Args {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let Some(value) = it.next() else { usage() };
-        let ok = match flag.as_str() {
-            "--topology" => {
-                args.topology = value;
-                true
-            }
-            "--nodes" => value.parse().map(|v| args.nodes = v).is_ok(),
-            "--rate" => value.parse().map(|v| args.rate = v).is_ok(),
-            "--msg-len" => value.parse().map(|v| args.msg_len = v).is_ok(),
-            "--beta" => value.parse().map(|v| args.beta = v).is_ok(),
-            "--buffer-depth" => value.parse().map(|v| args.buffer_depth = v).is_ok(),
-            "--warmup" => value.parse().map(|v| args.warmup = v).is_ok(),
-            "--measure" => value.parse().map(|v| args.measure = v).is_ok(),
-            "--seed" => value.parse().map(|v| args.seed = v).is_ok(),
+        let Some(value) = it.next() else { usage_error(&format!("{flag} needs a value")) };
+        match flag.as_str() {
+            "--topology" => args.topology = parse(&flag, &value),
+            "--nodes" => args.nodes = parse(&flag, &value),
+            "--rate" => args.rate = parse(&flag, &value),
+            "--msg-len" => args.msg_len = parse(&flag, &value),
+            "--beta" => args.beta = parse(&flag, &value),
+            "--buffer-depth" => args.buffer_depth = parse(&flag, &value),
+            "--warmup" => args.warmup = parse(&flag, &value),
+            "--measure" => args.measure = parse(&flag, &value),
+            "--seed" => args.seed = parse(&flag, &value),
             "--pattern" => {
                 args.pattern = match value.as_str() {
                     "uniform" => Pattern::Uniform,
                     "complement" => Pattern::Complement,
                     "neighbour" | "neighbor" => Pattern::Neighbour,
                     "bit-reversal" => Pattern::BitReversal,
-                    _ => usage(),
-                };
-                true
+                    other => usage_error(&format!("unknown pattern {other:?}")),
+                }
             }
-            _ => usage(),
-        };
-        if !ok {
-            usage()
+            other => usage_error(&format!("unknown flag {other}")),
         }
+    }
+    // What the workload generator would otherwise assert on.
+    if !(args.rate.is_finite() && args.rate > 0.0) {
+        usage_error("--rate must be positive and finite");
+    }
+    if !(0.0..=1.0).contains(&args.beta) {
+        usage_error("--beta must lie in [0, 1]");
+    }
+    if args.msg_len < 2 {
+        usage_error("--msg-len must be at least 2 (a packet is header + tail)");
+    }
+    if args.nodes < 2 {
+        usage_error("--nodes must be at least 2");
     }
     args
 }
@@ -101,7 +111,7 @@ fn main() {
     let spec = RunSpec {
         warmup: a.warmup,
         measure: a.measure,
-        drain: 2 * a.measure,
+        drain: a.measure.saturating_mul(2),
         ..Default::default()
     };
     let wl_cfg = SyntheticConfig {
@@ -112,34 +122,23 @@ fn main() {
         seed: a.seed,
     };
 
-    let result: RunResult = match a.topology.as_str() {
-        "quarc" => {
-            let cfg = NocConfig::quarc(a.nodes).with_buffer_depth(a.buffer_depth);
-            let mut net = QuarcNetwork::new(cfg);
-            let mut wl = Synthetic::new(a.nodes, wl_cfg);
-            run(&mut net, &mut wl, &spec)
-        }
-        "spidergon" => {
-            let cfg = NocConfig::spidergon(a.nodes).with_buffer_depth(a.buffer_depth);
-            let mut net = SpidergonNetwork::new(cfg);
-            let mut wl = Synthetic::new(a.nodes, wl_cfg);
-            run(&mut net, &mut wl, &spec)
-        }
-        "mesh" => {
-            let mut cfg = NocConfig::mesh(a.nodes).with_buffer_depth(a.buffer_depth);
-            cfg.vcs = 1;
-            let mut net = MeshNetwork::new(cfg);
-            let mut wl = Synthetic::new(net.num_nodes(), wl_cfg);
-            run(&mut net, &mut wl, &spec)
-        }
-        "torus" => {
-            let cfg = NocConfig::torus(a.nodes).with_buffer_depth(a.buffer_depth);
-            let mut net = TorusNetwork::new(cfg);
-            let mut wl = Synthetic::new(net.num_nodes(), wl_cfg);
-            run(&mut net, &mut wl, &spec)
-        }
-        _ => usage(),
+    let mut cfg = NocConfig {
+        kind: a.topology,
+        n: a.nodes,
+        buffer_depth: a.buffer_depth,
+        ..Default::default()
     };
+    if a.topology == TopologyKind::Mesh {
+        cfg.vcs = 1; // XY on a mesh needs no dateline VC
+    }
+    if let Err(e) = cfg.validate() {
+        eprintln!("simulate: {e}");
+        exit(1);
+    }
+    let mut net = build_any(cfg);
+    // The grids round `--nodes` up to a near-square count.
+    let mut wl = Synthetic::new(net.num_nodes(), wl_cfg);
+    let result = run(&mut net, &mut wl, &spec);
 
     println!("{}", RunResult::csv_header());
     println!("{}", result.csv_row());

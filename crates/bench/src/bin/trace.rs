@@ -25,9 +25,14 @@ use quarc_core::config::NocConfig;
 use quarc_core::topology::TopologyKind;
 use quarc_sim::{build_any, NocSim, ProbeConfig};
 use quarc_workloads::{Synthetic, SyntheticConfig};
+use std::process::exit;
 
 const USAGE: &str = "usage: trace [--topology quarc|spidergon|mesh|torus] [--n N] [--rate R] \
      [--beta B] [--cycles C] [--capacity CAP] [--out PATH] | trace --validate PATH";
+
+/// Largest event ring `--capacity` may ask for (the ring is allocated up
+/// front, 32 bytes an event).
+const MAX_CAPACITY: usize = 1 << 24;
 
 /// Check the Chrome trace-event shape. Returns (metadata records, instant
 /// events) or a description of the first problem found.
@@ -71,8 +76,17 @@ fn validate(text: &str) -> Result<(usize, usize), String> {
     Ok((meta, instants))
 }
 
+/// A malformed command line: one line saying why, the usage, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("trace: {msg}\n{USAGE}");
+    exit(2)
+}
+
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage_error(&format!("bad value {value:?} for {flag}")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut topology = TopologyKind::Quarc;
     let mut n: usize = 16;
     let mut rate: f64 = 0.05;
@@ -81,52 +95,57 @@ fn main() {
     let mut capacity: usize = 1 << 16;
     let mut out = String::from("trace.json");
     let mut validate_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match a.as_str() {
-            "--topology" => {
-                topology = match next("--topology").as_str() {
-                    "quarc" => TopologyKind::Quarc,
-                    "spidergon" => TopologyKind::Spidergon,
-                    "mesh" => TopologyKind::Mesh,
-                    "torus" => TopologyKind::Torus,
-                    other => panic!("unknown topology {other}"),
-                }
-            }
-            "--n" => n = next("--n").parse().expect("--n must be an integer"),
-            "--rate" => rate = next("--rate").parse().expect("--rate must be a number"),
-            "--beta" => beta = next("--beta").parse().expect("--beta must be a number"),
-            "--cycles" => cycles = next("--cycles").parse().expect("--cycles must be an integer"),
-            "--capacity" => {
-                capacity = next("--capacity").parse().expect("--capacity must be an integer")
-            }
-            "--out" => out = next("--out").clone(),
-            "--validate" => validate_path = Some(next("--validate").clone()),
-            other => {
-                eprintln!("unknown argument {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        let Some(value) = it.next() else { usage_error(&format!("{flag} needs a value")) };
+        match flag.as_str() {
+            "--topology" => topology = parse(&flag, &value),
+            "--n" => n = parse(&flag, &value),
+            "--rate" => rate = parse(&flag, &value),
+            "--beta" => beta = parse(&flag, &value),
+            "--cycles" => cycles = parse(&flag, &value),
+            "--capacity" => capacity = parse(&flag, &value),
+            "--out" => out = value,
+            "--validate" => validate_path = Some(value),
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
 
     if let Some(path) = validate_path {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        match validate(&text) {
+        let verdict = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read: {e}"))
+            .and_then(|text| validate(&text).map_err(|why| format!("MALFORMED: {why}")));
+        match verdict {
             Ok((meta, instants)) => {
                 println!("# {path}: OK ({meta} metadata record(s), {instants} flit events)")
             }
             Err(why) => {
-                eprintln!("{path}: MALFORMED: {why}");
-                std::process::exit(1);
+                eprintln!("{path}: {why}");
+                exit(1);
             }
         }
         return;
     }
 
-    assert!(capacity > 0, "--capacity must be positive (0 disables tracing)");
-    let mut net = build_any(NocConfig { kind: topology, n, ..Default::default() });
+    // What the tracer and the workload generator would otherwise assert on.
+    if capacity == 0 || capacity > MAX_CAPACITY {
+        usage_error("--capacity must lie in 1..=16777216 events (0 disables tracing)");
+    }
+    if !(rate.is_finite() && rate > 0.0) {
+        usage_error("--rate must be positive and finite");
+    }
+    if !(0.0..=1.0).contains(&beta) {
+        usage_error("--beta must lie in [0, 1]");
+    }
+    if n < 2 {
+        usage_error("--n must be at least 2");
+    }
+    let cfg = NocConfig { kind: topology, n, ..Default::default() };
+    if let Err(e) = cfg.validate() {
+        eprintln!("trace: {e}");
+        exit(1);
+    }
+    let mut net = build_any(cfg);
     let nodes = net.num_nodes();
     net.probe_mut().configure(ProbeConfig { trace_capacity: capacity, ..ProbeConfig::off() });
     let mut wl = Synthetic::new(nodes, SyntheticConfig::paper(rate, 8, beta, 0xBE7C));
@@ -136,8 +155,10 @@ fn main() {
     let probe = net.probe();
     let captured = probe.events().count();
     let label = format!("{topology} n={nodes} rate={rate} beta={beta}");
-    std::fs::write(&out, probe.chrome_trace_json(&label))
-        .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    if let Err(e) = std::fs::write(&out, probe.chrome_trace_json(&label)) {
+        eprintln!("trace: cannot write {out}: {e}");
+        exit(1);
+    }
     println!(
         "# {out}: {captured} events over {cycles} cycles ({} overwritten at capacity {capacity})",
         probe.events_dropped()

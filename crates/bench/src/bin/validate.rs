@@ -14,7 +14,7 @@
 
 use quarc_analytical as ana;
 use quarc_core::config::NocConfig;
-use quarc_core::topology::MeshTopology;
+use quarc_core::grid::GridTopology;
 use quarc_sim::{run, RunSpec};
 
 fn main() {
@@ -60,7 +60,7 @@ fn main() {
                 quarc_workloads::SyntheticConfig::paper(rate, m, 0.0, 13),
             );
             let res = run(&mut net, &mut wl, &spec);
-            let topo = MeshTopology::square(n);
+            let topo = GridTopology::square_mesh(n);
             let model = ana::mesh_unicast_latency(&topo, m, rate).unwrap_or(f64::NAN);
             print_row("mesh", n, m, rate, res.unicast_mean, model);
         }

@@ -2,10 +2,10 @@
 //!
 //! The campaign front ends: the `campaign` CLI, one thin binary per
 //! table/figure of the paper's evaluation (§3) over the named [`presets`],
-//! and the `perf`/`trace`/`simulate`/`validate` tools. The figure binaries
-//! print CSV to stdout and a human-readable summary as `#`-prefixed comment
-//! lines, so their output can be piped straight into a plotting tool.
-//! `benches/` holds Criterion canaries for the simulator's hot path.
+//! and the `trace`/`simulate`/`validate` tools. The figure binaries print
+//! CSV to stdout and a human-readable summary as `#`-prefixed comment lines,
+//! so their output can be piped straight into a plotting tool. Speed is
+//! measured by the `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

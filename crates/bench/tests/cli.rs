@@ -1,0 +1,110 @@
+//! The command-line front ends, run as built binaries: malformed input exits
+//! with the documented code (2 = usage, 1 = invalid spec, configuration or
+//! file) and never panics; well-formed input produces well-formed output.
+
+use std::process::{Command, Output};
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe).args(args).output().expect("binary runs")
+}
+
+fn simulate(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_simulate"), args)
+}
+
+fn trace(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_trace"), args)
+}
+
+fn campaign(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_campaign"), args)
+}
+
+/// The process exited with `code`, said something on stderr and did not
+/// panic on the way.
+fn assert_rejected(out: &Output, code: i32, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{what}: {stderr}");
+    assert!(!stderr.is_empty(), "{what}: silent failure");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+}
+
+#[test]
+fn malformed_flags_are_usage_errors() {
+    for args in [
+        &["--nodes", "abc"][..],
+        &["--rate", "-1"],
+        &["--rate", "nan"],
+        &["--beta", "1.5"],
+        &["--msg-len", "1"],
+        &["--nodes", "1"],
+        &["--topology", "ring"],
+        &["--pattern", "zigzag"],
+        &["--frobnicate", "1"],
+        &["--nodes"],
+    ] {
+        let out = simulate(args);
+        assert_rejected(&out, 2, &format!("simulate {args:?}"));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "simulate {args:?}");
+    }
+    for args in [
+        &["--n", "abc"][..],
+        &["--capacity", "0"],
+        &["--capacity", "99999999999999"],
+        &["--rate", "-1"],
+        &["--topology", "ring"],
+        &["--out"],
+    ] {
+        let out = trace(args);
+        assert_rejected(&out, 2, &format!("trace {args:?}"));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "trace {args:?}");
+    }
+    assert_rejected(&campaign(&["--sizes", "x"]), 2, "campaign --sizes x");
+    assert_rejected(&campaign(&["--topologies", "ring"]), 2, "campaign --topologies ring");
+}
+
+#[test]
+fn invalid_configurations_and_files_exit_one() {
+    let out = simulate(&["--nodes", "7"]);
+    assert_rejected(&out, 1, "simulate --nodes 7");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("invalid node count 7"));
+    assert_rejected(&simulate(&["--buffer-depth", "0"]), 1, "simulate --buffer-depth 0");
+    assert_rejected(&trace(&["--n", "7"]), 1, "trace --n 7");
+    assert_rejected(&trace(&["--validate", "/nonexistent/trace.json"]), 1, "trace --validate");
+    assert_rejected(
+        &campaign(&["--rates", "list:-0.1", "--quick", "--no-cache"]),
+        1,
+        "campaign with a negative rate",
+    );
+}
+
+#[test]
+fn simulate_prints_one_csv_row_on_every_topology() {
+    for topology in ["quarc", "spidergon", "mesh", "torus"] {
+        let out = simulate(&["--topology", topology, "--measure", "2000", "--warmup", "200"]);
+        assert!(out.status.success(), "{topology}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 CSV");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 2, "{topology}: header + one row\n{stdout}");
+        assert!(lines[0].starts_with("topology,n,rate,"), "{topology}: {}", lines[0]);
+        assert!(lines[1].starts_with(&format!("{topology},16,")), "{topology}: {}", lines[1]);
+        assert_eq!(lines[0].split(',').count(), lines[1].split(',').count(), "{topology}");
+    }
+}
+
+#[test]
+fn trace_writes_what_its_validator_accepts() {
+    let path = std::env::temp_dir().join(format!("quarc-cli-trace-{}.json", std::process::id()));
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = trace(&["--cycles", "300", "--out", path_str]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = trace(&["--validate", path_str]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("OK"));
+
+    // The validator rejects a truncated artifact.
+    let text = std::fs::read_to_string(&path).expect("trace file");
+    std::fs::write(&path, &text[..text.len() / 2]).expect("rewrite trace file");
+    assert_rejected(&trace(&["--validate", path_str]), 1, "trace --validate on a truncated file");
+    std::fs::remove_file(&path).ok();
+}

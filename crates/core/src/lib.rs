@@ -3,7 +3,8 @@
 //! Core abstractions of the **Quarc Network-on-Chip** (Moadeli, Maji,
 //! Vanderbauwhede, *"Design and implementation of the Quarc Network on-Chip"*,
 //! IEEE IPDPS 2009): the 34-bit flit wire format, packet metadata, the Quarc
-//! and Spidergon ring topologies (plus a 2D mesh used for validation), the
+//! and Spidergon ring topologies, the 2D mesh/torus grid the paper names as
+//! its next comparison (one [`grid::GridTopology`] for both), the
 //! quadrant calculator that constitutes the entirety of Quarc routing, the
 //! BRCP broadcast/multicast branch planner, Spidergon's broadcast-by-unicast
 //! replication plan, and the dateline virtual-channel discipline with a
@@ -37,12 +38,14 @@
 pub mod bits;
 pub mod config;
 pub mod flit;
+pub mod grid;
 pub mod ids;
 pub mod quadrant;
 pub mod ring;
 pub mod routing;
 pub mod topology;
-pub mod torus;
+#[cfg(test)]
+mod torus;
 pub mod vc;
 
 /// Convenient re-exports of the types used by nearly every downstream module.
@@ -50,6 +53,7 @@ pub mod prelude {
     pub use crate::bits::{BitSlab, Bits};
     pub use crate::config::{ArbPolicy, ConfigError, NocConfig, MAX_VCS};
     pub use crate::flit::{Flit, FlitKind, PacketMeta, PacketRef, PacketTable, TrafficClass};
+    pub use crate::grid::{GridBranch, GridOut, GridTopology};
     pub use crate::ids::{MessageId, NodeId, PacketId, VcId};
     pub use crate::quadrant::{
         broadcast_branch_heads, broadcast_branches, multicast_branches, quadrant_of, unicast_hops,
@@ -61,9 +65,7 @@ pub mod prelude {
         spidergon_hops, spidergon_route, ChainSeed, ChainSeeds, RouteAction,
     };
     pub use crate::topology::{
-        GridBranch, MeshOut, MeshTopology, QuarcIn, QuarcOut, QuarcTopology, SpiIn, SpiOut,
-        SpidergonTopology, TopologyKind,
+        QuarcIn, QuarcOut, QuarcTopology, SpiIn, SpiOut, SpidergonTopology, TopologyKind,
     };
-    pub use crate::torus::{TorusOut, TorusTopology};
     pub use crate::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
 }

@@ -1,7 +1,7 @@
 //! Topology descriptions: port enumerations, link maps and feeder tables for
-//! the Quarc and Spidergon NoCs (plus a 2D mesh used for simulator
-//! validation, mirroring the paper's §3.2, and as the paper's stated "next
-//! objective" comparison point).
+//! the Quarc and Spidergon NoCs. (The 2D mesh and torus — simulator
+//! validation in the paper's §3.2 and its stated "next objective" comparison
+//! — are one parameterised definition in [`crate::grid`].)
 //!
 //! A *feeder table* lists, for every output port of a switch, which input
 //! ports may ever request it under the deterministic routing discipline. The
@@ -10,11 +10,11 @@
 //! they are defined here once and shared by the behavioural router, the RTL
 //! crossbar and the area model.
 
-use crate::bits::{BitSlab, Bits};
 use crate::ids::NodeId;
 use crate::quadrant::Quadrant;
 use crate::ring::Ring;
 use std::fmt;
+use std::str::FromStr;
 
 /// Which network family a configuration refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,7 +28,7 @@ pub enum TopologyKind {
     /// 2D mesh with XY routing (validation / extension).
     Mesh,
     /// 2D torus: the mesh with wrap links, dimension-ordered routing and
-    /// per-dimension dateline VCs (see [`crate::torus`]) — the second half of
+    /// per-dimension dateline VCs (see [`crate::grid`]) — the second half of
     /// the paper's §4 "next objective" comparison.
     Torus,
 }
@@ -42,6 +42,21 @@ impl fmt::Display for TopologyKind {
             TopologyKind::Torus => "torus",
         };
         write!(f, "{s}")
+    }
+}
+
+/// Inverse of [`TopologyKind`]'s `Display`; the error is the rejected name.
+impl FromStr for TopologyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "quarc" => Ok(TopologyKind::Quarc),
+            "spidergon" => Ok(TopologyKind::Spidergon),
+            "mesh" => Ok(TopologyKind::Mesh),
+            "torus" => Ok(TopologyKind::Torus),
+            other => Err(format!("unknown topology {other:?}")),
+        }
     }
 }
 
@@ -417,236 +432,11 @@ impl SpidergonTopology {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Mesh (validation / extension)
-// ---------------------------------------------------------------------------
-
-/// Output ports of a mesh router (XY dimension-ordered routing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MeshOut {
-    /// +x direction.
-    East,
-    /// −x direction.
-    West,
-    /// +y direction.
-    North,
-    /// −y direction.
-    South,
-    /// Delivery to the local PE.
-    Eject,
-}
-
-impl MeshOut {
-    /// All five ports.
-    pub const ALL: [MeshOut; 5] =
-        [MeshOut::East, MeshOut::West, MeshOut::North, MeshOut::South, MeshOut::Eject];
-
-    /// Stable index (0..5).
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            MeshOut::East => 0,
-            MeshOut::West => 1,
-            MeshOut::North => 2,
-            MeshOut::South => 3,
-            MeshOut::Eject => 4,
-        }
-    }
-}
-
-/// A `cols × rows` 2D mesh with XY routing; node `i` sits at
-/// `(i % cols, i / cols)`.
-#[derive(Debug, Clone, Copy)]
-pub struct MeshTopology {
-    cols: usize,
-    rows: usize,
-}
-
-impl MeshTopology {
-    /// Build a mesh. Panics if either dimension is zero.
-    pub fn new(cols: usize, rows: usize) -> Self {
-        assert!(cols >= 1 && rows >= 1, "mesh dimensions must be positive");
-        assert!(cols * rows <= u32::MAX as usize);
-        MeshTopology { cols, rows }
-    }
-
-    /// A near-square mesh of at least `n` nodes (used to compare against ring
-    /// topologies of size `n`).
-    pub fn square(n: usize) -> Self {
-        let side = (n as f64).sqrt().ceil() as usize;
-        MeshTopology::new(side, side)
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.cols * self.rows
-    }
-
-    /// Columns (x extent).
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Rows (y extent).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Node coordinates.
-    #[inline]
-    pub fn coords(&self, node: NodeId) -> (usize, usize) {
-        (node.index() % self.cols, node.index() / self.cols)
-    }
-
-    /// Node at coordinates.
-    #[inline]
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
-        debug_assert!(x < self.cols && y < self.rows);
-        NodeId::new(y * self.cols + x)
-    }
-
-    /// Where a network output of `node` lands (inputs are identified by the
-    /// *opposite* output direction at the receiver). `None` at mesh edges.
-    pub fn link_target(&self, node: NodeId, out: MeshOut) -> Option<NodeId> {
-        let (x, y) = self.coords(node);
-        match out {
-            MeshOut::East if x + 1 < self.cols => Some(self.node_at(x + 1, y)),
-            MeshOut::West if x > 0 => Some(self.node_at(x - 1, y)),
-            MeshOut::North if y + 1 < self.rows => Some(self.node_at(x, y + 1)),
-            MeshOut::South if y > 0 => Some(self.node_at(x, y - 1)),
-            _ => None,
-        }
-    }
-
-    /// XY-routing decision: x first, then y, then eject.
-    pub fn route(&self, cur: NodeId, dst: NodeId) -> MeshOut {
-        let (cx, cy) = self.coords(cur);
-        let (dx, dy) = self.coords(dst);
-        if dx > cx {
-            MeshOut::East
-        } else if dx < cx {
-            MeshOut::West
-        } else if dy > cy {
-            MeshOut::North
-        } else if dy < cy {
-            MeshOut::South
-        } else {
-            MeshOut::Eject
-        }
-    }
-
-    /// Manhattan hop count.
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> usize {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        sx.abs_diff(dx) + sy.abs_diff(dy)
-    }
-
-    /// Mesh diameter `2(√n − 1)` for a square mesh — the paper compares the
-    /// Quarc diameter `n/4` against this in §2.6.
-    pub fn diameter(&self) -> usize {
-        (self.cols - 1) + (self.rows - 1)
-    }
-
-    /// Plan the dimension-ordered multicast tree for `targets` — the grid
-    /// counterpart of [`crate::quadrant::multicast_branches`], shared by the
-    /// mesh and (with wrap arithmetic) the torus.
-    ///
-    /// Targets are partitioned by destination column and y direction; each
-    /// non-empty group becomes one source-routed branch whose path is the XY
-    /// route to the group's furthest target, branching out of the x run at
-    /// the turn node. The header [`GridBranch::bitstring`] marks which nodes
-    /// along that path take a copy (bit `i` = the node after `i + 1` hops —
-    /// exactly the semantics the routers shift per hop). Targets equal to
-    /// `src` are ignored; duplicates set the same bit once. Broadcast is the
-    /// all-targets special case. `out` is cleared and refilled, so a reused
-    /// buffer makes steady-state expansion allocation-free; bitstrings are
-    /// emitted into `slab` (branches within 63 hops stay inline and never
-    /// touch it).
-    pub fn multicast_branches_into(
-        &self,
-        src: NodeId,
-        targets: impl IntoIterator<Item = NodeId>,
-        slab: &mut BitSlab,
-        out: &mut Vec<GridBranch>,
-    ) {
-        out.clear();
-        assert!(
-            self.cols <= GRID_MC_MAX_SIDE,
-            "grid multicast planner scratch caps the side at {GRID_MC_MAX_SIDE} (n ≤ 65,536)"
-        );
-        let (sx, sy) = self.coords(src);
-        let mut acc = [[None::<GridBranchAcc>; 2]; GRID_MC_MAX_SIDE];
-        for t in targets {
-            if t == src {
-                continue;
-            }
-            let (tx, ty) = self.coords(t);
-            let dist_x = sx.abs_diff(tx);
-            // `dy == 0` targets sit on the x run and ride the "up" branch.
-            let (down, dy) = if ty >= sy { (0, ty - sy) } else { (1, sy - ty) };
-            acc[tx][down].get_or_insert_with(GridBranchAcc::default).add(slab, dist_x + dy, dy);
-        }
-        for (tx, pair) in acc.iter().enumerate() {
-            for (down, a) in pair.iter().enumerate() {
-                if let Some(a) = a {
-                    let ry = if down == 0 { sy + a.max_dy } else { sy - a.max_dy };
-                    out.push(GridBranch { dst: self.node_at(tx, ry), bitstring: a.bits });
-                }
-            }
-        }
-    }
-}
-
-/// Upper bound on mesh/torus side length in the multicast planner's scratch
-/// (a 256×256 grid = the simulator's n = 65,536 cap). Shared with the torus
-/// planner in [`crate::torus`].
-pub(crate) const GRID_MC_MAX_SIDE: usize = 256;
-
-/// Per-`(column, y-direction)` accumulator of the grid multicast planners
-/// (mesh here, torus in [`crate::torus`] — same algorithm, different wrap
-/// arithmetic).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct GridBranchAcc {
-    pub(crate) bits: Bits,
-    pub(crate) max_dy: usize,
-}
-
-impl GridBranchAcc {
-    /// Record a target `hops` hops along the branch path, `dy` of them in y.
-    pub(crate) fn add(&mut self, slab: &mut BitSlab, hops: usize, dy: usize) {
-        debug_assert!(hops >= 1, "src is never a target");
-        slab.set_bit(&mut self.bits, hops - 1);
-        self.max_dy = self.max_dy.max(dy);
-    }
-}
-
-/// One source-routed branch of a mesh/torus multicast tree (see
-/// [`MeshTopology::multicast_branches_into`]). The flat `Copy` shape keeps
-/// the planner's output buffer reusable in the simulators' injection path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridBranch {
-    /// Header destination: the last node of the branch (always a target).
-    pub dst: NodeId,
-    /// Bit `i` ⇒ the node reached after `i + 1` hops takes a copy. The
-    /// terminal `dst` bit is always set. Long branches hold a row in the
-    /// slab the planner emitted into.
-    pub bitstring: Bits,
-}
-
-impl GridBranch {
-    /// Receivers this branch delivers to.
-    pub fn receivers(&self, slab: &BitSlab) -> usize {
-        slab.popcount(self.bitstring) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::{BitSlab, Bits};
+    use crate::grid::{branch_deliveries, GridOut, GridTopology};
 
     #[test]
     fn quarc_port_indices_are_dense() {
@@ -764,9 +554,11 @@ mod tests {
         assert_eq!(s.links().len(), 96);
     }
 
+    // The mesh cases of `crate::grid` (the torus cases are in `torus::tests`).
+
     #[test]
     fn mesh_coords_roundtrip() {
-        let m = MeshTopology::new(4, 4);
+        let m = GridTopology::mesh(4, 4);
         for i in 0..16usize {
             let n = NodeId::new(i);
             let (x, y) = m.coords(n);
@@ -776,7 +568,7 @@ mod tests {
 
     #[test]
     fn mesh_xy_route_reaches_destination() {
-        let m = MeshTopology::new(4, 4);
+        let m = GridTopology::mesh(4, 4);
         for s in 0..16usize {
             for t in 0..16usize {
                 let (src, dst) = (NodeId::new(s), NodeId::new(t));
@@ -784,7 +576,7 @@ mod tests {
                 let mut hops = 0;
                 loop {
                     match m.route(cur, dst) {
-                        MeshOut::Eject => break,
+                        GridOut::Eject => break,
                         out => {
                             cur = m.link_target(cur, out).expect("route stays in mesh");
                             hops += 1;
@@ -800,11 +592,11 @@ mod tests {
 
     #[test]
     fn mesh_edges_have_no_neighbours_outside() {
-        let m = MeshTopology::new(3, 3);
-        assert_eq!(m.link_target(NodeId(2), MeshOut::East), None);
-        assert_eq!(m.link_target(NodeId(0), MeshOut::West), None);
-        assert_eq!(m.link_target(NodeId(0), MeshOut::South), None);
-        assert_eq!(m.link_target(NodeId(8), MeshOut::North), None);
+        let m = GridTopology::mesh(3, 3);
+        assert_eq!(m.link_target(NodeId(2), GridOut::XPlus), None);
+        assert_eq!(m.link_target(NodeId(0), GridOut::XMinus), None);
+        assert_eq!(m.link_target(NodeId(0), GridOut::YMinus), None);
+        assert_eq!(m.link_target(NodeId(8), GridOut::YPlus), None);
     }
 
     #[test]
@@ -814,10 +606,10 @@ mod tests {
         // topologies stop being competitive somewhere below n = 64
         // (16 vs 14 at n = 64).
         for n in [16usize, 36] {
-            let mesh = MeshTopology::square(n);
+            let mesh = GridTopology::square_mesh(n);
             assert!(n / 4 <= mesh.diameter(), "n={n}");
         }
-        assert!(64 / 4 > MeshTopology::square(64).diameter());
+        assert!(64 / 4 > GridTopology::square_mesh(64).diameter());
     }
 
     #[test]
@@ -828,45 +620,27 @@ mod tests {
         assert_eq!(TopologyKind::Torus.to_string(), "torus");
     }
 
-    /// Decode a planned branch back into its delivery set by walking the XY
-    /// route the router will take (the oracle for the planner tests).
-    fn mesh_branch_deliveries(
-        m: &MeshTopology,
-        src: NodeId,
-        b: &GridBranch,
-        slab: &BitSlab,
-    ) -> Vec<NodeId> {
-        let mut deliveries = Vec::new();
-        let mut cur = src;
-        let mut k = 0usize;
-        while cur != b.dst {
-            cur = match m.route(cur, b.dst) {
-                MeshOut::Eject => unreachable!("walk ends at dst"),
-                port => m.link_target(cur, port).expect("XY stays on the mesh"),
-            };
-            if slab.bit_at(b.bitstring, k) {
-                deliveries.push(cur);
-            }
-            k += 1;
+    #[test]
+    fn topology_kind_parses_what_it_displays() {
+        for kind in
+            [TopologyKind::Quarc, TopologyKind::Spidergon, TopologyKind::Mesh, TopologyKind::Torus]
+        {
+            assert_eq!(kind.to_string().parse(), Ok(kind));
         }
-        assert_eq!(
-            slab.popcount(b.bitstring) as usize,
-            deliveries.len(),
-            "bits past the branch terminal"
-        );
-        deliveries
+        assert!("Quarc".parse::<TopologyKind>().is_err());
+        assert!("".parse::<TopologyKind>().is_err());
     }
 
     #[test]
     fn mesh_multicast_branches_cover_targets_exactly_once() {
-        let m = MeshTopology::new(4, 4);
+        let m = GridTopology::mesh(4, 4);
         let src = NodeId(5); // (1, 1)
         let targets = vec![NodeId(0), NodeId(3), NodeId(7), NodeId(12), NodeId(15), NodeId(6)];
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(m.diameter() + 1);
         m.multicast_branches_into(src, targets.iter().copied(), &mut slab, &mut branches);
         let mut delivered: Vec<NodeId> =
-            branches.iter().flat_map(|b| mesh_branch_deliveries(&m, src, b, &slab)).collect();
+            branches.iter().flat_map(|b| branch_deliveries(&m, src, b, &slab)).collect();
         delivered.sort();
         let mut want = targets.clone();
         want.sort();
@@ -881,7 +655,7 @@ mod tests {
     #[test]
     fn mesh_broadcast_branches_cover_every_node_exactly_once() {
         for (c, r) in [(4usize, 4usize), (3, 5), (8, 8)] {
-            let m = MeshTopology::new(c, r);
+            let m = GridTopology::mesh(c, r);
             for s in 0..m.num_nodes() {
                 let src = NodeId::new(s);
                 let mut branches = Vec::new();
@@ -894,7 +668,7 @@ mod tests {
                 );
                 let mut seen = std::collections::HashSet::new();
                 for b in &branches {
-                    for d in mesh_branch_deliveries(&m, src, b, &slab) {
+                    for d in branch_deliveries(&m, src, b, &slab) {
                         assert!(seen.insert(d), "{c}x{r} src={src}: {d} covered twice");
                         assert_ne!(d, src);
                     }
@@ -906,7 +680,7 @@ mod tests {
 
     #[test]
     fn mesh_multicast_ignores_source_and_duplicates() {
-        let m = MeshTopology::new(4, 4);
+        let m = GridTopology::mesh(4, 4);
         let src = NodeId(0);
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(m.diameter() + 1);
@@ -923,7 +697,7 @@ mod tests {
     fn mesh_turn_row_target_rides_the_up_branch() {
         // Source (0,0), targets (2,0) and (2,3): one branch through the turn
         // node (2,0), which takes its copy on the x run.
-        let m = MeshTopology::new(4, 4);
+        let m = GridTopology::mesh(4, 4);
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(m.diameter() + 1);
         m.multicast_branches_into(NodeId(0), [NodeId(2), NodeId(14)], &mut slab, &mut branches);

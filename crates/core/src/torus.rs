@@ -1,318 +1,31 @@
-//! 2D torus topology with dimension-ordered routing and per-dimension
-//! dateline virtual channels.
-//!
-//! The paper closes with "Our next objective is to compare the performance
-//! of the Quarc against other widely used NoC architectures such as mesh and
-//! torus" (§4). The mesh lives in [`crate::topology`]; this module supplies
-//! the torus: every row and column is a unidirectional ring pair, so each
-//! dimension needs the same dateline VC discipline the Quarc rims use —
-//! which lets the torus share the deadlock-freedom machinery of [`crate::vc`].
-//!
-//! Routing is dimension-ordered (x then y) taking the shorter way around
-//! each ring, with ties broken toward increasing coordinates so routes stay
-//! deterministic.
+//! The torus cases of [`crate::grid`]'s unit tests. Mesh and torus are one
+//! [`GridTopology`], but tier-1 test ids are module paths, so these stay at
+//! `torus::tests` (and the mesh cases in `topology::tests`).
 
-use crate::bits::BitSlab;
-use crate::ids::{NodeId, VcId};
-use crate::ring::{Ring, RingDir};
-use crate::topology::{GridBranch, GridBranchAcc, GRID_MC_MAX_SIDE};
-use crate::vc::{vc_after_rim_hop, ChannelDepGraph, INJECTION_VC};
-use std::fmt;
-
-/// Output ports of a torus router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TorusOut {
-    /// +x (wrapping).
-    XPlus,
-    /// −x (wrapping).
-    XMinus,
-    /// +y (wrapping).
-    YPlus,
-    /// −y (wrapping).
-    YMinus,
-    /// Delivery to the local PE.
-    Eject,
-}
-
-impl TorusOut {
-    /// All five ports.
-    pub const ALL: [TorusOut; 5] =
-        [TorusOut::XPlus, TorusOut::XMinus, TorusOut::YPlus, TorusOut::YMinus, TorusOut::Eject];
-
-    /// The four network ports.
-    pub const NETWORK: [TorusOut; 4] =
-        [TorusOut::XPlus, TorusOut::XMinus, TorusOut::YPlus, TorusOut::YMinus];
-
-    /// Stable index (0..5).
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            TorusOut::XPlus => 0,
-            TorusOut::XMinus => 1,
-            TorusOut::YPlus => 2,
-            TorusOut::YMinus => 3,
-            TorusOut::Eject => 4,
-        }
-    }
-}
-
-impl fmt::Display for TorusOut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TorusOut::XPlus => "x+",
-            TorusOut::XMinus => "x-",
-            TorusOut::YPlus => "y+",
-            TorusOut::YMinus => "y-",
-            TorusOut::Eject => "eject",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// A `cols × rows` torus; node `i` sits at `(i % cols, i / cols)`.
-#[derive(Debug, Clone, Copy)]
-pub struct TorusTopology {
-    cols: usize,
-    rows: usize,
-}
-
-impl TorusTopology {
-    /// Build a torus. Both dimensions must be ≥ 2 for the wrap links to be
-    /// distinct from the direct ones.
-    pub fn new(cols: usize, rows: usize) -> Self {
-        assert!(cols >= 2 && rows >= 2, "torus dimensions must be ≥ 2");
-        assert!(cols * rows <= u32::MAX as usize);
-        TorusTopology { cols, rows }
-    }
-
-    /// A near-square torus of at least `n` nodes.
-    pub fn square(n: usize) -> Self {
-        let side = (n as f64).sqrt().ceil() as usize;
-        TorusTopology::new(side.max(2), side.max(2))
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.cols * self.rows
-    }
-
-    /// Columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Node coordinates.
-    #[inline]
-    pub fn coords(&self, node: NodeId) -> (usize, usize) {
-        (node.index() % self.cols, node.index() / self.cols)
-    }
-
-    /// Node at coordinates (wrapping).
-    #[inline]
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
-        NodeId::new((y % self.rows) * self.cols + (x % self.cols))
-    }
-
-    /// Where a network output of `node` lands (always `Some` — torus links
-    /// wrap).
-    pub fn link_target(&self, node: NodeId, out: TorusOut) -> Option<NodeId> {
-        let (x, y) = self.coords(node);
-        match out {
-            TorusOut::XPlus => Some(self.node_at(x + 1, y)),
-            TorusOut::XMinus => Some(self.node_at(x + self.cols - 1, y)),
-            TorusOut::YPlus => Some(self.node_at(x, y + 1)),
-            TorusOut::YMinus => Some(self.node_at(x, y + self.rows - 1)),
-            TorusOut::Eject => None,
-        }
-    }
-
-    /// Shortest signed offset from `a` to `b` on a ring of length `len`:
-    /// positive = travel in `+` direction. Ties (exactly half way) go `+`.
-    fn signed_offset(a: usize, b: usize, len: usize) -> isize {
-        let fwd = (b + len - a) % len;
-        if fwd <= len / 2 {
-            fwd as isize
-        } else {
-            fwd as isize - len as isize
-        }
-    }
-
-    /// Dimension-ordered routing decision: fix x first, then y.
-    pub fn route(&self, cur: NodeId, dst: NodeId) -> TorusOut {
-        let (cx, cy) = self.coords(cur);
-        let (dx, dy) = self.coords(dst);
-        let ox = Self::signed_offset(cx, dx, self.cols);
-        if ox > 0 {
-            return TorusOut::XPlus;
-        }
-        if ox < 0 {
-            return TorusOut::XMinus;
-        }
-        let oy = Self::signed_offset(cy, dy, self.rows);
-        if oy > 0 {
-            TorusOut::YPlus
-        } else if oy < 0 {
-            TorusOut::YMinus
-        } else {
-            TorusOut::Eject
-        }
-    }
-
-    /// Shortest-path hop count under this routing.
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> usize {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        (Self::signed_offset(sx, dx, self.cols).unsigned_abs())
-            + (Self::signed_offset(sy, dy, self.rows).unsigned_abs())
-    }
-
-    /// Torus diameter: `⌊cols/2⌋ + ⌊rows/2⌋`.
-    pub fn diameter(&self) -> usize {
-        self.cols / 2 + self.rows / 2
-    }
-
-    /// The VC for a hop leaving `node` via `out` while holding `vc`,
-    /// applying the dateline of the ring the hop travels on (x-rings date
-    /// at column `cols−1 → 0`, y-rings at row `rows−1 → 0`).
-    pub fn next_vc(&self, node: NodeId, out: TorusOut, vc: VcId) -> VcId {
-        let (x, y) = self.coords(node);
-        match out {
-            TorusOut::XPlus => {
-                vc_after_rim_hop(&Ring::new(self.cols), NodeId::new(x), RingDir::Cw, vc)
-            }
-            TorusOut::XMinus => {
-                vc_after_rim_hop(&Ring::new(self.cols), NodeId::new(x), RingDir::Ccw, vc)
-            }
-            // A packet turning from x to y starts fresh on the y dateline
-            // scheme (dimension order makes x- and y-channels disjoint).
-            TorusOut::YPlus => {
-                vc_after_rim_hop(&Ring::new(self.rows), NodeId::new(y), RingDir::Cw, vc)
-            }
-            TorusOut::YMinus => {
-                vc_after_rim_hop(&Ring::new(self.rows), NodeId::new(y), RingDir::Ccw, vc)
-            }
-            TorusOut::Eject => vc,
-        }
-    }
-
-    /// The channel sequence of a route, as `(link id, vc)` pairs for the
-    /// deadlock checker. Link ids encode `node * 4 + out`.
-    pub fn route_channels(&self, src: NodeId, dst: NodeId) -> Vec<(u64, VcId)> {
-        let mut channels = Vec::new();
-        let mut cur = src;
-        let mut vc = INJECTION_VC;
-        let mut turned = false;
-        loop {
-            let out = self.route(cur, dst);
-            match out {
-                TorusOut::Eject => return channels,
-                _ => {
-                    // Reset the VC class when the packet turns into y.
-                    let is_y = matches!(out, TorusOut::YPlus | TorusOut::YMinus);
-                    if is_y && !turned {
-                        vc = INJECTION_VC;
-                        turned = true;
-                    }
-                    vc = self.next_vc(cur, out, vc);
-                    channels.push(((cur.index() * 4 + out.index()) as u64, vc));
-                    cur = self.link_target(cur, out).expect("network port");
-                }
-            }
-        }
-    }
-
-    /// Plan the dimension-ordered multicast tree for `targets` — the torus
-    /// analogue of [`crate::topology::MeshTopology::multicast_branches_into`],
-    /// with each dimension taking the shorter way around its ring.
-    ///
-    /// Targets are grouped by destination column and (shortest-way) y
-    /// direction; each group becomes one source-routed branch whose path is
-    /// this topology's [`Self::route`] walk to the group's furthest target,
-    /// branching out of the x run at the turn node. Bit `i` of the branch
-    /// bitstring marks the node after `i + 1` hops, the same per-hop shift
-    /// semantics the routers apply. `out` is cleared and refilled so a reused
-    /// buffer keeps steady-state expansion allocation-free; bitstrings are
-    /// emitted into `slab` (branches within 63 hops stay inline).
-    pub fn multicast_branches_into(
-        &self,
-        src: NodeId,
-        targets: impl IntoIterator<Item = NodeId>,
-        slab: &mut BitSlab,
-        out: &mut Vec<GridBranch>,
-    ) {
-        out.clear();
-        assert!(
-            self.cols <= GRID_MC_MAX_SIDE,
-            "grid multicast planner scratch caps the side at {GRID_MC_MAX_SIDE} (n ≤ 65,536)"
-        );
-        let (sx, sy) = self.coords(src);
-        let mut acc = [[None::<GridBranchAcc>; 2]; GRID_MC_MAX_SIDE];
-        for t in targets {
-            if t == src {
-                continue;
-            }
-            let (tx, ty) = self.coords(t);
-            let dist_x = Self::signed_offset(sx, tx, self.cols).unsigned_abs();
-            let oy = Self::signed_offset(sy, ty, self.rows);
-            // `oy == 0` targets sit on the x run and ride the `y+` branch.
-            let (minus, dy) = if oy >= 0 { (0, oy as usize) } else { (1, oy.unsigned_abs()) };
-            acc[tx][minus].get_or_insert_with(GridBranchAcc::default).add(slab, dist_x + dy, dy);
-        }
-        for (tx, pair) in acc.iter().enumerate() {
-            for (minus, a) in pair.iter().enumerate() {
-                if let Some(a) = a {
-                    let ry = if minus == 0 { sy + a.max_dy } else { sy + self.rows - a.max_dy };
-                    out.push(GridBranch { dst: self.node_at(tx, ry), bitstring: a.bits });
-                }
-            }
-        }
-    }
-
-    /// Build the full channel dependency graph of all unicast routes and
-    /// check it for cycles (used by tests; exposed for the explorer
-    /// example).
-    pub fn dependency_graph(&self) -> ChannelDepGraph {
-        let n = self.num_nodes();
-        let mut g = ChannelDepGraph::new();
-        for s in 0..n {
-            for t in 0..n {
-                g.add_route(&self.route_channels(NodeId::new(s), NodeId::new(t)));
-            }
-        }
-        g
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::bits::{BitSlab, Bits};
+    use crate::grid::{branch_deliveries, GridOut, GridTopology};
+    use crate::ids::{NodeId, VcId};
+    use crate::vc::ChannelDepGraph;
 
     #[test]
     fn coords_roundtrip_and_wrap() {
-        let t = TorusTopology::new(4, 4);
-        assert_eq!(t.link_target(NodeId(3), TorusOut::XPlus), Some(NodeId(0)));
-        assert_eq!(t.link_target(NodeId(0), TorusOut::XMinus), Some(NodeId(3)));
-        assert_eq!(t.link_target(NodeId(12), TorusOut::YPlus), Some(NodeId(0)));
-        assert_eq!(t.link_target(NodeId(0), TorusOut::YMinus), Some(NodeId(12)));
+        let t = GridTopology::torus(4, 4);
+        assert_eq!(t.link_target(NodeId(3), GridOut::XPlus), Some(NodeId(0)));
+        assert_eq!(t.link_target(NodeId(0), GridOut::XMinus), Some(NodeId(3)));
+        assert_eq!(t.link_target(NodeId(12), GridOut::YPlus), Some(NodeId(0)));
+        assert_eq!(t.link_target(NodeId(0), GridOut::YMinus), Some(NodeId(12)));
     }
 
     #[test]
     fn routes_reach_destination_in_hops() {
-        let t = TorusTopology::new(4, 4);
+        let t = GridTopology::torus(4, 4);
         for s in 0..16usize {
             for d in 0..16usize {
                 let (src, dst) = (NodeId::new(s), NodeId::new(d));
                 let mut cur = src;
                 let mut steps = 0;
-                while t.route(cur, dst) != TorusOut::Eject {
+                while t.route(cur, dst) != GridOut::Eject {
                     cur = t.link_target(cur, t.route(cur, dst)).unwrap();
                     steps += 1;
                     assert!(steps <= t.diameter(), "route diverged {s}->{d}");
@@ -326,16 +39,16 @@ mod tests {
     #[test]
     fn torus_shorter_than_mesh() {
         // Wrap links halve the worst-case distance vs the mesh.
-        let t = TorusTopology::new(8, 8);
+        let t = GridTopology::torus(8, 8);
         assert_eq!(t.diameter(), 8);
-        let m = crate::topology::MeshTopology::new(8, 8);
+        let m = GridTopology::mesh(8, 8);
         assert_eq!(m.diameter(), 14);
     }
 
     #[test]
     fn torus_channel_graph_is_acyclic() {
         for (c, r) in [(4usize, 4usize), (5, 3), (8, 8)] {
-            let t = TorusTopology::new(c, r);
+            let t = GridTopology::torus(c, r);
             assert!(
                 !t.dependency_graph().has_cycle(),
                 "{c}x{r} torus dependency graph has a cycle"
@@ -347,12 +60,12 @@ mod tests {
     fn single_vc_torus_ring_would_cycle() {
         // Sanity: without the dateline the x-rings alone are cyclic. Build
         // routes with a fixed VC0 and check the detector fires.
-        let t = TorusTopology::new(4, 4);
+        let t = GridTopology::torus(4, 4);
         let mut g = ChannelDepGraph::new();
         for y in 0..4usize {
             for x in 0..4usize {
                 let a = t.node_at(x, y);
-                let b = t.node_at(x + 1, y);
+                let b = t.node_at((x + 1) % 4, y);
                 g.add_dependency(
                     ((a.index() * 4) as u64, VcId::VC0),
                     ((b.index() * 4) as u64, VcId::VC0),
@@ -365,48 +78,21 @@ mod tests {
     #[test]
     fn tie_breaking_is_deterministic() {
         // Exactly half way around an even ring: the + direction wins.
-        let t = TorusTopology::new(4, 4);
-        assert_eq!(t.route(NodeId(0), NodeId(2)), TorusOut::XPlus);
-        assert_eq!(t.route(NodeId(2), NodeId(0)), TorusOut::XPlus);
+        let t = GridTopology::torus(4, 4);
+        assert_eq!(t.route(NodeId(0), NodeId(2)), GridOut::XPlus);
+        assert_eq!(t.route(NodeId(2), NodeId(0)), GridOut::XPlus);
     }
 
     #[test]
     fn square_builder_covers_n() {
-        assert!(TorusTopology::square(16).num_nodes() >= 16);
-        assert!(TorusTopology::square(17).num_nodes() >= 17);
-    }
-
-    /// Decode a branch bitstring by walking the route the router will take.
-    fn branch_deliveries(
-        t: &TorusTopology,
-        src: NodeId,
-        b: &crate::topology::GridBranch,
-        slab: &BitSlab,
-    ) -> Vec<NodeId> {
-        let mut deliveries = Vec::new();
-        let mut cur = src;
-        let mut k = 0usize;
-        while cur != b.dst {
-            let port = t.route(cur, b.dst);
-            assert_ne!(port, TorusOut::Eject);
-            cur = t.link_target(cur, port).expect("torus links wrap");
-            if slab.bit_at(b.bitstring, k) {
-                deliveries.push(cur);
-            }
-            k += 1;
-        }
-        assert_eq!(
-            slab.popcount(b.bitstring) as usize,
-            deliveries.len(),
-            "bits past the branch terminal"
-        );
-        deliveries
+        assert!(GridTopology::square_torus(16).num_nodes() >= 16);
+        assert!(GridTopology::square_torus(17).num_nodes() >= 17);
     }
 
     #[test]
     fn torus_broadcast_branches_cover_every_node_exactly_once() {
         for (c, r) in [(4usize, 4usize), (5, 3), (8, 8)] {
-            let t = TorusTopology::new(c, r);
+            let t = GridTopology::torus(c, r);
             for s in 0..t.num_nodes() {
                 let src = NodeId::new(s);
                 let mut branches = Vec::new();
@@ -433,19 +119,19 @@ mod tests {
     fn torus_multicast_uses_wrap_shortcuts() {
         // Source (0,0) on 4×4; target (3,3) is one x− and one y− wrap hop
         // away: a 2-hop branch, not the mesh's 6-hop one.
-        let t = TorusTopology::new(4, 4);
+        let t = GridTopology::torus(4, 4);
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(t.diameter() + 1);
         t.multicast_branches_into(NodeId(0), [NodeId(15)], &mut slab, &mut branches);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].dst, NodeId(15));
-        assert_eq!(branches[0].bitstring, crate::bits::Bits::inline(0b10));
+        assert_eq!(branches[0].bitstring, Bits::inline(0b10));
         assert_eq!(branch_deliveries(&t, NodeId(0), &branches[0], &slab), vec![NodeId(15)]);
     }
 
     #[test]
     fn torus_multicast_covers_explicit_targets() {
-        let t = TorusTopology::new(4, 4);
+        let t = GridTopology::torus(4, 4);
         let src = NodeId(5);
         let targets = vec![NodeId(0), NodeId(2), NodeId(7), NodeId(8), NodeId(13), NodeId(15)];
         let mut branches = Vec::new();

@@ -5,8 +5,9 @@
 //! `next_vc` of every hop and the multicast planner's `(dst, bitstring)`
 //! branch list — is folded into one number per shape, over odd, even (the
 //! half-way tie) and non-square sides. The constants were generated from the
-//! two separate `MeshTopology` / `TorusTopology` definitions, so a rewrite
-//! of the grid arithmetic that changes any decision changes a digest.
+//! two separate mesh and torus definitions that `GridTopology` replaced (the
+//! mesh had no `next_vc` then; the simulator ran it on VC0), so a rewrite of
+//! the grid arithmetic that changes any decision changes a digest.
 
 use quarc_core::prelude::*;
 
@@ -36,72 +37,51 @@ fn fixed_targets(n: usize) -> Vec<NodeId> {
         .collect()
 }
 
-/// Fold every routing decision of one grid. A macro because the two
-/// topologies are distinct types with distinct port enums; `$next_vc` is the
-/// VC rule for a hop (the mesh has no `next_vc` of its own: the simulator
-/// runs it on VC0).
-macro_rules! grid_digest {
-    ($topo:expr, $outs:expr, $next_vc:expr) => {{
-        let t = $topo;
-        let n = t.num_nodes();
-        let mut h = Fnv::new();
-        h.fold(t.diameter() as u64);
-        for s in (0..n).map(NodeId::new) {
-            for d in (0..n).map(NodeId::new) {
-                h.fold(t.route(s, d).index() as u64);
-                h.fold(t.hops(s, d) as u64);
-            }
-            for out in $outs {
-                h.fold(t.link_target(s, out).map_or(u64::MAX, |to| to.index() as u64));
-                for vc in [VcId::VC0, VcId::VC1] {
-                    let next: VcId = $next_vc(&t, s, out, vc);
-                    h.fold(next.index() as u64);
-                }
-            }
-            let mut slab = BitSlab::new(t.diameter() + 1);
-            let mut branches = Vec::new();
-            let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-            for targets in [all, fixed_targets(n)] {
-                t.multicast_branches_into(s, targets, &mut slab, &mut branches);
-                h.fold(branches.len() as u64);
-                for b in &branches {
-                    let bits = slab.to_u128(b.bitstring);
-                    h.fold(b.dst.index() as u64);
-                    h.fold(bits as u64);
-                    h.fold((bits >> 64) as u64);
-                    slab.release(b.bitstring);
-                }
+/// Fold every routing decision of one grid.
+fn grid_digest(t: GridTopology) -> u64 {
+    let n = t.num_nodes();
+    let mut h = Fnv::new();
+    h.fold(t.diameter() as u64);
+    for s in (0..n).map(NodeId::new) {
+        for d in (0..n).map(NodeId::new) {
+            h.fold(t.route(s, d).index() as u64);
+            h.fold(t.hops(s, d) as u64);
+        }
+        for out in GridOut::ALL {
+            h.fold(t.link_target(s, out).map_or(u64::MAX, |to| to.index() as u64));
+            for vc in [VcId::VC0, VcId::VC1] {
+                h.fold(t.next_vc(s, out, vc).index() as u64);
             }
         }
-        h.0
-    }};
-}
-
-fn mesh_digest(cols: usize, rows: usize) -> u64 {
-    grid_digest!(MeshTopology::new(cols, rows), MeshOut::ALL, |_: &MeshTopology, _, _, _| {
-        INJECTION_VC
-    })
-}
-
-fn torus_digest(cols: usize, rows: usize) -> u64 {
-    grid_digest!(
-        TorusTopology::new(cols, rows),
-        TorusOut::ALL,
-        |t: &TorusTopology, node, out, vc| t.next_vc(node, out, vc)
-    )
+        let mut slab = BitSlab::new(t.diameter() + 1);
+        let mut branches = Vec::new();
+        let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+        for targets in [all, fixed_targets(n)] {
+            t.multicast_branches_into(s, targets, &mut slab, &mut branches);
+            h.fold(branches.len() as u64);
+            for b in &branches {
+                let bits = slab.to_u128(b.bitstring);
+                h.fold(b.dst.index() as u64);
+                h.fold(bits as u64);
+                h.fold((bits >> 64) as u64);
+                slab.release(b.bitstring);
+            }
+        }
+    }
+    h.0
 }
 
 /// Compare every shape's digest at once, so a failure prints the whole table.
-fn assert_pinned(digest: fn(usize, usize) -> u64, want: &[(usize, usize, u64)]) {
+fn assert_pinned(build: fn(usize, usize) -> GridTopology, want: &[(usize, usize, u64)]) {
     let got: Vec<_> =
-        want.iter().map(|&(cols, rows, _)| (cols, rows, digest(cols, rows))).collect();
+        want.iter().map(|&(cols, rows, _)| (cols, rows, grid_digest(build(cols, rows)))).collect();
     assert_eq!(got, want, "got {got:#x?}");
 }
 
 #[test]
 fn mesh_routing_digests_are_pinned() {
     assert_pinned(
-        mesh_digest,
+        GridTopology::mesh,
         &[
             (1, 1, 0xb35e_5ad3_17f6_be79),
             (4, 4, 0xc271_75e7_1e65_1e5e),
@@ -115,7 +95,7 @@ fn mesh_routing_digests_are_pinned() {
 #[test]
 fn torus_routing_digests_are_pinned() {
     assert_pinned(
-        torus_digest,
+        GridTopology::torus,
         &[
             (2, 2, 0x5d3b_a951_f30a_8567),
             (4, 4, 0x3eb8_0015_d9ac_ed05),

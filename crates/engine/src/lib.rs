@@ -23,4 +23,4 @@ pub mod stats;
 pub use clock::{Clock, Cycle};
 pub use events::EventQueue;
 pub use rng::{mix64, DetRng};
-pub use stats::{BatchMeans, LatencyHistogram, OnlineStats, Throughput};
+pub use stats::{LatencyHistogram, OnlineStats};

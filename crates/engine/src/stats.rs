@@ -2,10 +2,8 @@
 //!
 //! Latency samples arrive one packet at a time over millions of cycles, so
 //! everything here is single-pass and constant-memory: Welford mean/variance
-//! ([`OnlineStats`]), a power-of-two histogram with percentile queries
-//! ([`LatencyHistogram`]), and batch-means steady-state estimation
-//! ([`BatchMeans`]) used by the load-sweep harness to decide when a point has
-//! converged or saturated.
+//! ([`OnlineStats`], which campaign convergence control builds on) and a
+//! power-of-two histogram with percentile queries ([`LatencyHistogram`]).
 
 /// Single-pass mean / variance / extrema (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -191,114 +189,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Batch-means steady-state estimation: samples are grouped into fixed-size
-/// batches; the variance of batch means estimates the Monte-Carlo error of
-/// the grand mean far better than the raw sample variance does for the
-/// autocorrelated samples a queueing simulation produces.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_count: u64,
-    batch_means: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Accumulator with the given batch size (samples per batch).
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0);
-        BatchMeans { batch_size, current_sum: 0.0, current_count: 0, batch_means: Vec::new() }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batch_means.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> usize {
-        self.batch_means.len()
-    }
-
-    /// Grand mean over completed batches (`None` until one completes).
-    pub fn mean(&self) -> Option<f64> {
-        if self.batch_means.is_empty() {
-            return None;
-        }
-        Some(self.batch_means.iter().sum::<f64>() / self.batch_means.len() as f64)
-    }
-
-    /// Standard error of the grand mean (`None` until two batches complete).
-    pub fn std_error(&self) -> Option<f64> {
-        let k = self.batch_means.len();
-        if k < 2 {
-            return None;
-        }
-        let mean = self.mean().expect("non-empty");
-        let var =
-            self.batch_means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / (k - 1) as f64;
-        Some((var / k as f64).sqrt())
-    }
-
-    /// Whether the estimate has converged to the requested relative
-    /// half-width (e.g. `0.05` for ±5%), with at least `min_batches` batches.
-    pub fn converged(&self, rel: f64, min_batches: usize) -> bool {
-        if self.batches() < min_batches.max(2) {
-            return false;
-        }
-        let mean = self.mean().expect("non-empty");
-        let se = self.std_error().expect(">=2 batches");
-        // Student-t at 95% ≈ 2 for the batch counts we use.
-        mean.abs() > f64::EPSILON && 2.0 * se / mean.abs() <= rel
-    }
-}
-
-/// A windowed throughput meter: counts events and reports events/cycle.
-#[derive(Debug, Clone, Default)]
-pub struct Throughput {
-    events: u64,
-    start: u64,
-    end: u64,
-}
-
-impl Throughput {
-    /// Meter measuring from `start` (cycle).
-    pub fn new(start: u64) -> Self {
-        Throughput { events: 0, start, end: start }
-    }
-
-    /// Record `k` events at cycle `now`.
-    pub fn record(&mut self, now: u64, k: u64) {
-        self.events += k;
-        self.end = self.end.max(now);
-    }
-
-    /// Mark the end of the measurement window.
-    pub fn close(&mut self, now: u64) {
-        self.end = self.end.max(now);
-    }
-
-    /// Total events recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Events per cycle over the window (0 for an empty window).
-    pub fn per_cycle(&self) -> f64 {
-        if self.end <= self.start {
-            0.0
-        } else {
-            self.events as f64 / (self.end - self.start) as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,39 +291,5 @@ mod tests {
         assert_eq!(rebuilt.count(), h.count());
         assert_eq!(rebuilt.percentile(95.0), h.percentile(95.0));
         assert_eq!(LatencyHistogram::from_parts([0; 65], 0), LatencyHistogram::new());
-    }
-
-    #[test]
-    fn batch_means_converges_on_constant_stream() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..100 {
-            bm.push(42.0);
-        }
-        assert_eq!(bm.batches(), 10);
-        assert_eq!(bm.mean(), Some(42.0));
-        assert_eq!(bm.std_error(), Some(0.0));
-        assert!(bm.converged(0.01, 5));
-    }
-
-    #[test]
-    fn batch_means_not_converged_early() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..15 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.batches(), 1);
-        assert!(!bm.converged(0.5, 2));
-        assert!(bm.std_error().is_none());
-    }
-
-    #[test]
-    fn throughput_rate() {
-        let mut t = Throughput::new(100);
-        t.record(150, 25);
-        t.close(200);
-        assert_eq!(t.events(), 25);
-        assert!((t.per_cycle() - 0.25).abs() < 1e-12);
-        let empty = Throughput::new(10);
-        assert_eq!(empty.per_cycle(), 0.0);
     }
 }

@@ -2,7 +2,7 @@
 //! statistical correctness of the accumulators, reproducibility of the RNG.
 
 use proptest::prelude::*;
-use quarc_engine::stats::{BatchMeans, LatencyHistogram, OnlineStats};
+use quarc_engine::stats::{LatencyHistogram, OnlineStats};
 use quarc_engine::{DetRng, EventQueue};
 
 proptest! {
@@ -89,23 +89,6 @@ proptest! {
         let mut b = DetRng::new(seed).fork(stream);
         for _ in 0..16 {
             prop_assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    /// Batch-means grand mean equals the plain mean over complete batches.
-    #[test]
-    fn batch_means_mean_is_exact(xs in prop::collection::vec(0f64..100.0, 10..200)) {
-        let batch = 5u64;
-        let mut bm = BatchMeans::new(batch);
-        for &x in &xs {
-            bm.push(x);
-        }
-        let complete = (xs.len() / batch as usize) * batch as usize;
-        if complete > 0 {
-            let plain = xs[..complete].iter().sum::<f64>() / complete as f64;
-            prop_assert!((bm.mean().unwrap() - plain).abs() < 1e-9);
-        } else {
-            prop_assert!(bm.mean().is_none());
         }
     }
 }

@@ -66,8 +66,8 @@ pub trait NocSim {
     /// Flits queued at source transceivers.
     fn source_backlog(&self) -> usize;
     /// Total link traversals (flit-hops) since construction. One flit moving
-    /// over one physical link for one cycle counts once; the perf harness
-    /// divides deltas of this by wall time to get Mflit-hops/s.
+    /// over one physical link for one cycle counts once; it is the
+    /// benchmark's unit of simulator work (`work_per_s`, `sim.ns_per_flit_hop`).
     fn flit_hops(&self) -> u64;
     /// Whether no traffic is anywhere in the system.
     fn quiesced(&self) -> bool;

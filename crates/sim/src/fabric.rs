@@ -267,7 +267,7 @@ pub struct Fabric<R: RouterModel> {
     poll_buf: Vec<MessageRequest>,
     retry_targets: Vec<NodeId>,
     /// Total link traversals — a scalar beside the per-link array, because
-    /// the stall watchdog and the perf harness read it per sample.
+    /// the stall watchdog reads it per sample.
     flit_hops: u64,
     /// Flits carried per link since construction.
     link_flits: Vec<u64>,

@@ -2,13 +2,13 @@
 //! objective" comparison (§4; §3.2 also validates the simulator against the
 //! analytical mesh model).
 //!
-//! One model serves both: the torus is the general case — every link wraps,
-//! so every row/column is a ring and packets carry the per-dimension
-//! dateline VC class of [`TorusTopology::next_vc`] (the discipline that
-//! keeps the Quarc rims deadlock-free) — and the **mesh is the same router
-//! with wrap links and datelines off**: edge positions own vacant link slots
-//! that are never sent on, and XY routing runs every packet on VC0. Which
-//! one a network is comes from [`NocConfig::kind`].
+//! One model serves both, over the one [`GridTopology`] of `quarc-core`:
+//! on the torus every link wraps, so every row/column is a ring and packets
+//! carry the per-dimension dateline VC class of [`GridTopology::next_vc`]
+//! (the discipline that keeps the Quarc rims deadlock-free); on the mesh
+//! edge positions own vacant link slots that are never sent on, and XY
+//! routing runs every packet on VC0. Which one a network is comes from
+//! [`NocConfig::kind`]; past [`GridRouter::new`] the model does not ask.
 //!
 //! Both are one-port routers (one local injection queue, one arbitrated
 //! ejection port) with dimension-ordered routing, so comparisons with the
@@ -34,78 +34,25 @@ use crate::packets::{grid_expand_into, IdAlloc, PacketQueue};
 use quarc_core::bits::BitSlab;
 use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
+use quarc_core::grid::{GridBranch, GridOut, GridTopology};
 use quarc_core::ids::{MessageId, NodeId, VcId};
-use quarc_core::topology::{GridBranch, MeshOut, MeshTopology, TopologyKind};
-use quarc_core::torus::{TorusOut, TorusTopology};
+use quarc_core::topology::TopologyKind;
 use quarc_core::vc::INJECTION_VC;
 use quarc_engine::Cycle;
 use quarc_workloads::MessageRequest;
 
-/// Link ports in index order, shared by both topologies' `index()` schemes:
-/// +x, −x, +y, −y. The opposite side — the input a flit sent through `out`
-/// arrives on — is `out ^ 1`.
-const MESH_OUT: [MeshOut; 4] = [MeshOut::East, MeshOut::West, MeshOut::North, MeshOut::South];
-const TORUS_OUT: [TorusOut; 4] =
-    [TorusOut::XPlus, TorusOut::XMinus, TorusOut::YPlus, TorusOut::YMinus];
-/// Ejection output index (`MeshOut::Eject.index()`, `TorusOut::Eject.index()`).
+/// Ejection output index (`GridOut::Eject.index()`). The link ports before
+/// it are +x, −x, +y, −y ([`GridOut::NETWORK`] order); the opposite side —
+/// the input a flit sent through `out` arrives on — is `out ^ 1`.
 const EJECT: usize = 4;
 /// Every request slot: the four inputs, then the local queue.
 const ALL_SLOTS: &[u8] = &[0, 1, 2, 3, 4];
 
-/// The two grid shapes behind one routing interface.
-#[derive(Debug, Clone, Copy)]
-enum GridTopo {
-    Mesh(MeshTopology),
-    Torus(TorusTopology),
-}
-
-impl GridTopo {
-    /// Dimension-ordered routing decision as an output index (or [`EJECT`]).
-    #[inline]
-    fn route(&self, cur: NodeId, dst: NodeId) -> usize {
-        match self {
-            GridTopo::Mesh(t) => t.route(cur, dst).index(),
-            GridTopo::Torus(t) => t.route(cur, dst).index(),
-        }
-    }
-
-    fn link_target(&self, node: NodeId, out: usize) -> Option<NodeId> {
-        match self {
-            GridTopo::Mesh(t) => t.link_target(node, MESH_OUT[out]),
-            GridTopo::Torus(t) => t.link_target(node, TORUS_OUT[out]),
-        }
-    }
-
-    /// The VC for the hop leaving `node` via `out` while holding class `cur`:
-    /// the dateline of the ring the hop travels on, or VC0 on a mesh.
-    #[inline]
-    fn next_vc(&self, node: NodeId, out: usize, cur: VcId) -> VcId {
-        match self {
-            GridTopo::Mesh(_) => INJECTION_VC,
-            GridTopo::Torus(t) => t.next_vc(node, TORUS_OUT[out], cur),
-        }
-    }
-
-    fn multicast_branches_into(
-        &self,
-        src: NodeId,
-        targets: impl IntoIterator<Item = NodeId>,
-        slab: &mut BitSlab,
-        out: &mut Vec<GridBranch>,
-    ) {
-        match self {
-            GridTopo::Mesh(t) => t.multicast_branches_into(src, targets, slab, out),
-            GridTopo::Torus(t) => t.multicast_branches_into(src, targets, slab, out),
-        }
-    }
-}
-
 /// The mesh/torus [`RouterModel`].
 #[derive(Debug)]
 pub struct GridRouter {
-    topo: GridTopo,
-    nodes: usize,
-    diameter: usize,
+    topo: GridTopology,
+    kind: TopologyKind,
     /// Scratch for the multicast branch planner, reused across messages.
     branches: Vec<GridBranch>,
 }
@@ -120,16 +67,16 @@ impl GridRouter {
         &self,
         node: usize,
         meta: &PacketMeta,
-        out: usize,
+        out: GridOut,
         cur: VcId,
         from_net: bool,
     ) -> Route {
-        if out == EJECT {
+        if out == GridOut::Eject {
             return Route { deliver: false, out: EJECT as u8, out_vc: INJECTION_VC };
         }
         Route {
             deliver: from_net && meta.class == TrafficClass::Multicast && meta.bitstring.bit0(),
-            out: out as u8,
+            out: out.index() as u8,
             out_vc: self.topo.next_vc(NodeId::new(node), out, cur),
         }
     }
@@ -146,39 +93,30 @@ impl RouterModel for GridRouter {
 
     /// A near-square grid of at least `cfg.n` nodes.
     fn new(cfg: &NocConfig) -> Self {
-        let (topo, nodes, diameter) = match cfg.kind {
-            TopologyKind::Mesh => {
-                let t = MeshTopology::square(cfg.n);
-                (GridTopo::Mesh(t), t.num_nodes(), t.diameter())
-            }
-            TopologyKind::Torus => {
-                let t = TorusTopology::square(cfg.n);
-                (GridTopo::Torus(t), t.num_nodes(), t.diameter())
-            }
+        let topo = match cfg.kind {
+            TopologyKind::Mesh => GridTopology::square_mesh(cfg.n),
+            TopologyKind::Torus => GridTopology::square_torus(cfg.n),
             other => panic!("config is not a mesh or torus network: {other}"),
         };
-        GridRouter { topo, nodes, diameter, branches: Vec::new() }
+        GridRouter { topo, kind: cfg.kind, branches: Vec::new() }
     }
 
     fn kind(&self) -> TopologyKind {
-        match self.topo {
-            GridTopo::Mesh(_) => TopologyKind::Mesh,
-            GridTopo::Torus(_) => TopologyKind::Torus,
-        }
+        self.kind
     }
 
     fn num_nodes(&self) -> usize {
-        self.nodes
+        self.topo.num_nodes()
     }
 
     fn packet_table(&self) -> PacketTable {
         // Sized so the longest dimension-ordered branch's bitstring fits;
         // small networks stay inline and the slab never allocates.
-        PacketTable::with_bit_capacity(self.diameter + 1)
+        PacketTable::with_bit_capacity(self.topo.diameter() + 1)
     }
 
     fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
-        let to = self.topo.link_target(NodeId::new(node), out)?;
+        let to = self.topo.link_target(NodeId::new(node), GridOut::NETWORK[out])?;
         Some((to.index(), out ^ 1))
     }
 
@@ -186,7 +124,7 @@ impl RouterModel for GridRouter {
         let out = self.topo.route(NodeId::new(node), meta.dst);
         // Continuing in-dimension carries the lane's dateline class forward;
         // a packet turning into y starts fresh on that dimension's class.
-        let same_dim = out != EJECT && out / 2 == port / 2;
+        let same_dim = out != GridOut::Eject && out.index() / 2 == port / 2;
         let cur = if same_dim { VcId(vc as u8) } else { INJECTION_VC };
         self.route(node, meta, out, cur, true)
     }
@@ -213,7 +151,7 @@ impl RouterModel for GridRouter {
             TrafficClass::Unicast => branches.clear(),
             TrafficClass::Broadcast => topo.multicast_branches_into(
                 req.src,
-                (0..self.nodes).map(NodeId::new),
+                (0..topo.num_nodes()).map(NodeId::new),
                 slab,
                 branches,
             ),
@@ -237,13 +175,13 @@ impl RouterModel for GridRouter {
         let mut count = 0usize;
         loop {
             let out = self.topo.route(cur, meta.dst);
-            debug_assert!(out != EJECT, "ejections are never dropped");
+            debug_assert!(out != GridOut::Eject, "ejections are never dropped");
             if advance {
                 shift += 1;
             }
             advance = true;
             cur = self.topo.link_target(cur, out).expect("route stays on the grid");
-            if self.topo.route(cur, meta.dst) == EJECT {
+            if self.topo.route(cur, meta.dst) == GridOut::Eject {
                 // The branch terminal delivers through the ejection port.
                 return count + 1;
             }

@@ -16,9 +16,9 @@
 //! * [`spider_net::SpidergonRouter`] — the baseline: one-port router, single
 //!   cross link, broadcast by store-and-forward unicast chains;
 //! * [`grid_net::GridRouter`] — the paper's stated "next objective"
-//!   comparison grids: the 2D torus (wrap links, per-dimension dateline
-//!   VCs) and the 2D mesh, which is the same router with wrap links and
-//!   datelines off (XY routing, single VC).
+//!   comparison grids, over the one [`quarc_core::grid::GridTopology`]: the
+//!   2D torus (wrap links, per-dimension dateline VCs) and the 2D mesh (no
+//!   wrap links, XY routing on a single VC).
 //!
 //! [`QuarcNetwork`], [`SpidergonNetwork`], [`MeshNetwork`] and
 //! [`TorusNetwork`] are type aliases of the instantiations, and all four are

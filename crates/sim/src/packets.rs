@@ -17,11 +17,11 @@
 
 use quarc_core::bits::Bits;
 use quarc_core::flit::{Flit, FlitKind, PacketMeta, PacketRef, PacketTable, TrafficClass};
+use quarc_core::grid::GridBranch;
 use quarc_core::ids::{MessageId, NodeId, PacketId};
 use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches, quadrant_of};
 use quarc_core::ring::{Ring, RingDir};
 use quarc_core::routing::spidergon_broadcast_seeds;
-use quarc_core::topology::GridBranch;
 use quarc_engine::Cycle;
 use quarc_workloads::MessageRequest;
 use std::collections::VecDeque;
@@ -280,8 +280,8 @@ pub fn spidergon_expand_into(
 
 /// Expand a message into mesh/torus packets, given the pre-planned
 /// dimension-ordered tree `branches` (from
-/// [`quarc_core::topology::MeshTopology::multicast_branches_into`] or its
-/// torus twin; ignored for unicast). Every branch becomes one path-based
+/// [`quarc_core::grid::GridTopology::multicast_branches_into`]; ignored for
+/// unicast). Every branch becomes one path-based
 /// `Multicast` packet serialised into the single local queue. Returns
 /// `(expected receivers, flits enqueued)`.
 pub fn grid_expand_into(

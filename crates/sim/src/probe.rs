@@ -16,14 +16,15 @@
 //! 2. **Counter time-series** — one [`CounterSample`] row every
 //!    `counters_every`-th cycle: source backlog, buffered flits, link
 //!    occupancy, live packet-table slots, the three worklist sizes, metric
-//!    totals and the cumulative credit-stall count. Exported as CSV or JSON.
+//!    totals and the cumulative credit-stall count. Exported as CSV.
 //! 3. **Flit-event trace** — structured inject / hop / clone / deliver
 //!    events in a bounded ring buffer (drops counted, never blocking),
 //!    exportable as Chrome trace-event JSON (`chrome://tracing`, Perfetto)
 //!    via `quarc-bench trace`.
 //!
 //! The compiled-in cost with everything disabled is one branch per record
-//! site; the perf gate holds the headline to that claim.
+//! site; the benchmark's traced run prices each channel when on
+//! (`probe.{profile,counters,trace}_on_ratio`).
 
 use quarc_core::flit::TrafficClass;
 use quarc_engine::Cycle;
@@ -51,16 +52,6 @@ pub enum Phase {
 impl Phase {
     /// All phases in step order.
     pub const ALL: [Phase; 4] = [Phase::Arrivals, Phase::Polls, Phase::Gather, Phase::Commit];
-
-    /// Lower-case phase name (stable; used in exports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Arrivals => "arrivals",
-            Phase::Polls => "polls",
-            Phase::Gather => "gather",
-            Phase::Commit => "commit",
-        }
-    }
 }
 
 /// What to observe. Everything defaults to **off**; a disabled channel costs
@@ -136,28 +127,6 @@ impl CounterSample {
     pub fn csv_row(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.cycle,
-            self.backlog,
-            self.buffered,
-            self.on_links,
-            self.live_packets,
-            self.live_links,
-            self.active_routers,
-            self.poll_sources,
-            self.in_flight,
-            self.completed,
-            self.delivered,
-            self.dropped,
-            self.credit_stalls,
-        )
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"cycle\":{},\"backlog\":{},\"buffered\":{},\"on_links\":{},\
-             \"live_packets\":{},\"live_links\":{},\"active_routers\":{},\
-             \"poll_sources\":{},\"in_flight\":{},\"completed\":{},\
-             \"delivered\":{},\"dropped\":{},\"credit_stalls\":{}}}",
             self.cycle,
             self.backlog,
             self.buffered,
@@ -324,31 +293,6 @@ impl SimProbe {
         self.phase_items[phase as usize]
     }
 
-    /// The phase profile as a JSON object: per-phase totals, means per
-    /// profiled cycle, and the phase's share of the profiled step time.
-    pub fn profile_json(&self) -> String {
-        let cycles = self.profiled_cycles.max(1) as f64;
-        let total_ns: u64 = self.phase_ns.iter().sum();
-        let mut out = String::from("{");
-        out.push_str(&format!("\"profiled_cycles\":{},\"phases\":{{", self.profiled_cycles));
-        for (i, p) in Phase::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ns = self.phase_ns[p as usize];
-            out.push_str(&format!(
-                "\"{}\":{{\"ns\":{},\"items\":{},\"ns_per_cycle\":{:.1},\"share\":{:.4}}}",
-                p.name(),
-                ns,
-                self.phase_items[p as usize],
-                ns as f64 / cycles,
-                ns as f64 / total_ns.max(1) as f64,
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-
     // ---- counter time-series -------------------------------------------
 
     /// Whether the counter registry is being sampled at all (gates the
@@ -405,19 +349,6 @@ impl SimProbe {
             out.push_str(&s.csv_row());
             out.push('\n');
         }
-        out
-    }
-
-    /// The counter time-series as a JSON array of row objects.
-    pub fn counters_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.json());
-        }
-        out.push(']');
         out
     }
 
@@ -546,9 +477,8 @@ mod tests {
         // The mark advanced: an immediate second lap is near-zero.
         p.phase_lap(Phase::Commit, &mut mark, 1);
         assert!(p.phase_nanos(Phase::Commit) < p.phase_nanos(Phase::Gather));
-        let json = p.profile_json();
-        assert!(json.contains("\"gather\""), "{json}");
-        assert!(json.contains("\"profiled_cycles\":1"), "{json}");
+        assert_eq!(p.phase_items(Phase::Commit), 1);
+        assert_eq!(p.profiled_cycles(), 1);
     }
 
     #[test]
@@ -564,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_csv_and_json_round_the_same_rows() {
+    fn counters_sample_on_cadence_and_export_as_csv() {
         let mut p = SimProbe::new();
         p.configure(ProbeConfig { counters_every: 2, ..ProbeConfig::off() });
         assert!(p.counters_due(0) && !p.counters_due(1) && p.counters_due(2));
@@ -587,7 +517,6 @@ mod tests {
         let csv = p.counters_csv();
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.lines().nth(1).unwrap().ends_with(",1"), "{csv}");
-        assert!(p.counters_json().contains("\"credit_stalls\":1"));
     }
 
     #[test]

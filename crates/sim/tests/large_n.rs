@@ -12,9 +12,9 @@
 
 use quarc_core::bits::BitSlab;
 use quarc_core::config::NocConfig;
+use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
 use quarc_core::ring::Ring;
-use quarc_core::torus::TorusTopology;
 use quarc_sim::torus_net::TorusNetwork;
 use quarc_sim::{NocSim, QuarcNetwork};
 use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
@@ -66,7 +66,7 @@ fn quarc_full_range_multicast_conserves_at_n8192() {
 
 #[test]
 fn torus_full_range_multicast_conserves_beyond_u128() {
-    let topo = TorusTopology::square(N);
+    let topo = GridTopology::square_torus(N);
     let n = topo.num_nodes();
     let src = NodeId::new(7);
     let targets = full_range_targets(n);

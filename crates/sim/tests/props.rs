@@ -7,10 +7,9 @@
 use proptest::prelude::*;
 use quarc_core::config::NocConfig;
 use quarc_core::flit::TrafficClass;
+use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
 use quarc_core::ring::Ring;
-use quarc_core::topology::{GridBranch, MeshTopology};
-use quarc_core::torus::TorusTopology;
 use quarc_engine::DetRng;
 use quarc_sim::driver::NocSim;
 use quarc_sim::{MeshNetwork, QuarcNetwork, SpidergonNetwork, TorusNetwork};
@@ -77,30 +76,27 @@ fn expected_flits(n: usize, records: &[TraceRecord]) -> usize {
 
 /// Expected flit deliveries on a mesh/torus (branch planner as the oracle —
 /// `GridBranch::receivers` counts the distinct bitstring positions).
-fn expected_grid_flits(
-    n: usize,
-    records: &[TraceRecord],
-    plan: impl Fn(NodeId, &[NodeId], &mut quarc_core::bits::BitSlab, &mut Vec<GridBranch>),
-) -> usize {
+fn expected_grid_flits(topo: &GridTopology, records: &[TraceRecord]) -> usize {
+    let n = topo.num_nodes();
     let mut branches = Vec::new();
     let mut slab = quarc_core::bits::BitSlab::new(n);
     let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     records
         .iter()
         .map(|r| {
-            let receivers = match r.request.class {
-                TrafficClass::Unicast => 1,
-                TrafficClass::Broadcast => {
-                    plan(r.request.src, &all, &mut slab, &mut branches);
-                    branches.iter().map(|b| b.receivers(&slab)).sum()
-                }
-                TrafficClass::Multicast => {
-                    plan(r.request.src, &r.request.targets, &mut slab, &mut branches);
-                    branches.iter().map(|b| b.receivers(&slab)).sum()
-                }
+            let targets = match r.request.class {
+                TrafficClass::Unicast => return r.request.len,
+                TrafficClass::Broadcast => &all,
+                TrafficClass::Multicast => &r.request.targets,
                 _ => unreachable!(),
             };
-            receivers * r.request.len
+            topo.multicast_branches_into(
+                r.request.src,
+                targets.iter().copied(),
+                &mut slab,
+                &mut branches,
+            );
+            branches.iter().map(|b| b.receivers(&slab)).sum::<usize>() * r.request.len
         })
         .sum()
 }
@@ -193,9 +189,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let records = random_records(n, count, seed);
-        let topo = MeshTopology::square(n);
-        let want_flits =
-            expected_grid_flits(n, &records, |s, t, slab, out| topo.multicast_branches_into(s, t.iter().copied(), slab, out)) as u64;
+        let want_flits = expected_grid_flits(&GridTopology::square_mesh(n), &records) as u64;
         let want_msgs = records.len() as u64;
         let mut net = MeshNetwork::new(NocConfig::mesh(n));
         let (flits, msgs) = run_to_quiescence(&mut net, records);
@@ -213,9 +207,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let records = random_records(n, count, seed);
-        let topo = TorusTopology::square(n);
-        let want_flits =
-            expected_grid_flits(n, &records, |s, t, slab, out| topo.multicast_branches_into(s, t.iter().copied(), slab, out)) as u64;
+        let want_flits = expected_grid_flits(&GridTopology::square_torus(n), &records) as u64;
         let want_msgs = records.len() as u64;
         let mut net = TorusNetwork::new(NocConfig::torus(n).with_buffer_depth(1));
         let (flits, msgs) = run_to_quiescence(&mut net, records);

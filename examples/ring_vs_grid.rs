@@ -49,8 +49,8 @@ fn main() {
     println!("\nGeometry notes (why the numbers look the way they do):");
     for n in [16usize, 64] {
         let ring = quarc::core::ring::Ring::new(n);
-        let mesh = quarc::core::topology::MeshTopology::square(n);
-        let torus = quarc::core::torus::TorusTopology::square(n);
+        let mesh = quarc::core::grid::GridTopology::square_mesh(n);
+        let torus = quarc::core::grid::GridTopology::square_torus(n);
         println!(
             "  n={n:<3} diameters: quarc {} | mesh {} | torus {}   (quarc mean hops {:.2})",
             quarc::core::quadrant::diameter(&ring),

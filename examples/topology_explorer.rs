@@ -8,10 +8,10 @@
 //! ```
 
 use quarc::analytical as ana;
+use quarc::core::grid::GridTopology;
 use quarc::core::ids::NodeId;
 use quarc::core::quadrant::{diameter, mean_hops, quadrant_of};
 use quarc::core::ring::Ring;
-use quarc::core::topology::MeshTopology;
 use quarc::core::vc::{ring_link_id, RingLinkKind};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     println!("{:<6} {:>14} {:>12} {:>14}", "n", "quarc diam", "mean hops", "mesh diam");
     for n in [8usize, 16, 32, 64] {
         let ring = Ring::new(n);
-        let mesh = MeshTopology::square(n);
+        let mesh = GridTopology::square_mesh(n);
         println!(
             "{n:<6} {:>14} {:>12.2} {:>14}",
             diameter(&ring),

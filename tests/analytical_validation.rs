@@ -6,7 +6,7 @@
 
 use quarc::analytical as ana;
 use quarc::core::config::NocConfig;
-use quarc::core::topology::MeshTopology;
+use quarc::core::grid::GridTopology;
 use quarc::sim::driver::{run, RunSpec};
 use quarc::sim::mesh_net::MeshNetwork;
 use quarc::sim::{QuarcNetwork, SpidergonNetwork};
@@ -58,7 +58,7 @@ fn mesh_simulator_matches_model_at_low_load() {
     let mut net = MeshNetwork::new(cfg);
     let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, m, 0.0, 11));
     let res = run(&mut net, &mut wl, &spec());
-    let model = ana::mesh_unicast_latency(&MeshTopology::square(n), m, rate).expect("stable");
+    let model = ana::mesh_unicast_latency(&GridTopology::square_mesh(n), m, rate).expect("stable");
     let rel = (res.unicast_mean - model).abs() / model;
     assert!(rel < 0.15, "mesh: sim {:.2} vs model {model:.2} (rel {rel:.3})", res.unicast_mean);
 }
