@@ -23,8 +23,9 @@
 //! A third golden (`metrics_equivalence_faults.txt`) pins the fault and
 //! recovery subsystems the same way: all four topologies × {lossy,
 //! dead-link, transient, frozen} plans × recovery {off, on}, mixed
-//! multicast traces under a dead + lossy plan, and the Quarc link-stall
-//! API, each through the full driver protocol with the stall watchdog armed
+//! multicast traces under a dead + lossy plan (at n = 16, and at Quarc
+//! n = 256 / a 33 × 33 mesh where bitstrings are slab rows), and the Quarc
+//! link-stall API, each through the full driver protocol with the stall watchdog armed
 //! — fault/recovery counters, latency bits and a digest of the per-cycle
 //! counter series. It was generated from the four hand-copied simulators
 //! and held byte-identical across their merge into one `Fabric`.
@@ -425,6 +426,48 @@ fn fault_scenarios() -> String {
         let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.02, 8, 0.1, 31));
         let result = run(&mut net, &mut wl, &spec);
         out.push_str(&fault_line("quarc/link-stall", &net, &RunOutcome::Finished(result)));
+    }
+    // Slab-row bitstrings: Quarc n = 256 and a 33 × 33 mesh, where the
+    // furthest target of a branch sits 64 hops out, so the bitstrings that
+    // `receivers_beyond` replays after a drop are slab rows, not inline words.
+    // Broadcasts and long-span multicasts under a dead + lossy plan live from
+    // cycle 0, recovery off (every drop writes receivers off).
+    let slab_plan = FaultPlan {
+        seed: 0xF6,
+        onset: 0,
+        dead_links: 8,
+        lossy_links: 96,
+        drop_per_64k: 16_000,
+        ..FaultPlan::NONE
+    };
+    let quarc_offsets = [1, 20, 40, 63, 64, 65, 90, 127, 128, 150, 190, 191, 192, 220, 255];
+    let mesh_offsets = [1, 32, 33, 64, 500, 544, 1000, 1056, 1087, 1088];
+    for (name, base, sources, offsets) in [
+        (
+            "quarc/n256-slab-rows/off",
+            NocConfig::quarc(256),
+            &[0usize, 77, 150, 201][..],
+            &quarc_offsets[..],
+        ),
+        ("mesh/33x33-slab-rows/off", NocConfig::mesh(1089), &[0, 544, 1088], &mesh_offsets),
+    ] {
+        let mut net = build_any(base.with_fault(slab_plan));
+        net.probe_mut().configure(ProbeConfig::all(1 << 12));
+        let n = net.num_nodes();
+        let mut records = Vec::new();
+        for (i, &src) in sources.iter().enumerate() {
+            let targets = offsets.iter().map(|&k| NodeId::new((src + k) % n)).collect();
+            let src = NodeId::new(src);
+            let cycle = 3 * i as u64;
+            records.push(TraceRecord { cycle, request: MessageRequest::broadcast(src, 4) });
+            records.push(TraceRecord {
+                cycle: cycle + 1,
+                request: MessageRequest::multicast(src, targets, 5),
+            });
+        }
+        let mut wl = TraceWorkload::new(n, records);
+        let outcome = run_mono_outcome_deadline(&mut net, &mut wl, &trace_spec, None);
+        out.push_str(&fault_line(name, &net, &outcome));
     }
     out
 }
