@@ -10,15 +10,15 @@
 //! cargo run -p quarc-bench --bin ablation --release
 //! ```
 
-use quarc_bench::presets;
+use quarc_bench::{out, outln, presets};
 use quarc_campaign::{run_campaign, CampaignOptions, CampaignSpec};
 
 fn run_preset(title: &str, spec: &CampaignSpec) {
     let report = run_campaign(spec, &CampaignOptions { quiet: true, ..Default::default() })
         .expect("ablation campaign");
-    println!("# {title}");
-    print!("{}", report.csv());
-    println!("#");
+    outln!("# {title}");
+    out!("{}", report.csv());
+    outln!("#");
 }
 
 fn main() {

@@ -16,7 +16,8 @@
 //!     --topologies quarc,spidergon --sizes 64 --rates sat:0.05:24
 //! ```
 
-use quarc_bench::presets;
+use quarc_bench::cli::Cli;
+use quarc_bench::{outln, presets};
 use quarc_campaign::{
     run_campaign, CampaignOptions, CampaignSpec, CiTarget, Converged, Convergence,
     PointOutcomeKind, RateAxis,
@@ -107,17 +108,16 @@ more replications (higher --replications, or --converge with a still-too-
 wide CI) resumes the stored series and simulates only the missing tail.
 ";
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("campaign: {msg}\n\n{USAGE}");
-    exit(2)
-}
+const CLI: Cli = Cli { name: "campaign", usage: USAGE };
 
 fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
     value
         .split(',')
         .filter(|s| !s.is_empty())
         .map(|s| {
-            s.trim().parse().unwrap_or_else(|_| usage_error(&format!("bad value {s:?} in {flag}")))
+            s.trim()
+                .parse()
+                .unwrap_or_else(|_| CLI.usage_error(&format!("bad value {s:?} in {flag}")))
         })
         .collect()
 }
@@ -129,14 +129,14 @@ fn parse_arbs(value: &str) -> Vec<ArbPolicy> {
         .map(|s| match s.trim() {
             "rr" | "round-robin" => ArbPolicy::RoundRobin,
             "fp" | "fixed-priority" => ArbPolicy::FixedPriority,
-            other => usage_error(&format!("unknown arbitration policy {other:?}")),
+            other => CLI.usage_error(&format!("unknown arbitration policy {other:?}")),
         })
         .collect()
 }
 
 fn parse_converge(value: &str) -> CiTarget {
     fn bad(value: &str) -> ! {
-        usage_error(&format!("bad --converge spec {value:?} (want rel:R or abs:W)"))
+        CLI.usage_error(&format!("bad --converge spec {value:?} (want rel:R or abs:W)"))
     }
     match value.split_once(':') {
         Some(("rel", r)) => CiTarget::Rel(r.parse().unwrap_or_else(|_| bad(value))),
@@ -148,10 +148,10 @@ fn parse_converge(value: &str) -> CiTarget {
 fn parse_rates(value: &str) -> RateAxis {
     let parts: Vec<&str> = value.split(':').collect();
     fn num(value: &str, s: &str) -> f64 {
-        s.parse().unwrap_or_else(|_| usage_error(&format!("bad --rates spec {value:?}")))
+        s.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --rates spec {value:?}")))
     }
     fn int(value: &str, s: &str) -> usize {
-        s.parse().unwrap_or_else(|_| usage_error(&format!("bad --rates spec {value:?}")))
+        s.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --rates spec {value:?}")))
     }
     match parts.as_slice() {
         ["list", rates] => RateAxis::Explicit(parse_list("--rates", rates)),
@@ -167,7 +167,7 @@ fn parse_rates(value: &str) -> RateAxis {
             rel_tol: num(value, rel_tol),
             max_probes: int(value, max_probes) as u32,
         },
-        _ => usage_error(&format!("bad --rates spec {value:?}")),
+        _ => CLI.usage_error(&format!("bad --rates spec {value:?}")),
     }
 }
 
@@ -178,10 +178,10 @@ fn parse_fault(value: &str) -> FaultPlan {
     let mut plan = FaultPlan::NONE;
     for pair in value.split(',').filter(|s| !s.is_empty()) {
         let Some((key, v)) = pair.split_once('=') else {
-            usage_error(&format!("bad --fault entry {pair:?} (want key=value)"));
+            CLI.usage_error(&format!("bad --fault entry {pair:?} (want key=value)"));
         };
         fn num<T: std::str::FromStr>(pair: &str, v: &str) -> T {
-            v.parse().unwrap_or_else(|_| usage_error(&format!("bad --fault value in {pair:?}")))
+            v.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --fault value in {pair:?}")))
         }
         match key.trim() {
             "seed" => plan.seed = num(pair, v),
@@ -192,11 +192,11 @@ fn parse_fault(value: &str) -> FaultPlan {
             "p64k" => plan.drop_per_64k = num(pair, v),
             "transient" => plan.transient_links = num(pair, v),
             "window" => plan.transient_cycles = num(pair, v),
-            other => usage_error(&format!("unknown --fault key {other:?}")),
+            other => CLI.usage_error(&format!("unknown --fault key {other:?}")),
         }
     }
     if let Err(e) = plan.validate() {
-        usage_error(&format!("bad --fault spec {value:?}: {e}"));
+        CLI.usage_error(&format!("bad --fault spec {value:?}: {e}"));
     }
     plan
 }
@@ -208,26 +208,27 @@ fn parse_recovery(value: &str) -> RecoveryPolicy {
     let mut policy = RecoveryPolicy::NONE;
     for pair in value.split(',').filter(|s| !s.is_empty()) {
         let Some((key, v)) = pair.split_once('=') else {
-            usage_error(&format!("bad --recovery entry {pair:?} (want key=value)"));
+            CLI.usage_error(&format!("bad --recovery entry {pair:?} (want key=value)"));
         };
         fn num<T: std::str::FromStr>(pair: &str, v: &str) -> T {
-            v.parse().unwrap_or_else(|_| usage_error(&format!("bad --recovery value in {pair:?}")))
+            v.parse()
+                .unwrap_or_else(|_| CLI.usage_error(&format!("bad --recovery value in {pair:?}")))
         }
         match key.trim() {
             "seed" => policy.seed = num(pair, v),
             "timeout" => policy.ack_timeout = num(pair, v),
             "retries" => policy.max_retries = num(pair, v),
             "jitter" => policy.jitter = num(pair, v),
-            other => usage_error(&format!("unknown --recovery key {other:?}")),
+            other => CLI.usage_error(&format!("unknown --recovery key {other:?}")),
         }
     }
     if let Err(e) = policy.validate() {
-        usage_error(&format!("bad --recovery spec {value:?}: {e}"));
+        CLI.usage_error(&format!("bad --recovery spec {value:?}: {e}"));
     }
     policy
 }
 
-struct Cli {
+struct Args {
     specs: Vec<CampaignSpec>,
     opts: CampaignOptions,
     out_dir: PathBuf,
@@ -235,7 +236,7 @@ struct Cli {
     cache_dir: Option<PathBuf>,
 }
 
-fn parse_cli() -> Cli {
+fn parse_cli() -> Args {
     let mut presets_requested: Vec<String> = Vec::new();
     let mut custom = CampaignSpec::new("custom");
     custom.msg_lens = vec![16];
@@ -254,7 +255,7 @@ fn parse_cli() -> Cli {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             exit(0);
         }
         if flag == "--quick" {
@@ -274,7 +275,7 @@ fn parse_cli() -> Cli {
             continue;
         }
         let Some(value) = it.next() else {
-            usage_error(&format!("flag {flag} needs a value"));
+            CLI.usage_error(&format!("flag {flag} needs a value"));
         };
         match flag.as_str() {
             "--preset" => presets_requested.push(value),
@@ -324,7 +325,7 @@ fn parse_cli() -> Cli {
             }
             "--replications" => {
                 custom.replications =
-                    value.parse().unwrap_or_else(|_| usage_error("bad --replications"));
+                    value.parse().unwrap_or_else(|_| CLI.usage_error("bad --replications"));
                 custom_touched = true;
             }
             "--converge" => {
@@ -332,18 +333,21 @@ fn parse_cli() -> Cli {
                 custom_touched = true;
             }
             "--max-reps" => {
-                max_reps = Some(value.parse().unwrap_or_else(|_| usage_error("bad --max-reps")));
+                max_reps =
+                    Some(value.parse().unwrap_or_else(|_| CLI.usage_error("bad --max-reps")));
                 custom_touched = true;
             }
             "--batch-reps" => {
-                opts.batch_reps = value.parse().unwrap_or_else(|_| usage_error("bad --batch-reps"));
+                opts.batch_reps =
+                    value.parse().unwrap_or_else(|_| CLI.usage_error("bad --batch-reps"));
             }
             "--seed" => {
-                custom.base_seed = value.parse().unwrap_or_else(|_| usage_error("bad --seed"));
+                custom.base_seed = value.parse().unwrap_or_else(|_| CLI.usage_error("bad --seed"));
                 custom_touched = true;
             }
             "--warmup" | "--measure" | "--drain" | "--stall-window" => {
-                let cycles = value.parse().unwrap_or_else(|_| usage_error(&format!("bad {flag}")));
+                let cycles =
+                    value.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad {flag}")));
                 run_overrides.push((
                     match flag.as_str() {
                         "--warmup" => "warmup",
@@ -356,18 +360,18 @@ fn parse_cli() -> Cli {
             }
             "--point-timeout" => {
                 let secs: f64 =
-                    value.parse().unwrap_or_else(|_| usage_error("bad --point-timeout"));
+                    value.parse().unwrap_or_else(|_| CLI.usage_error("bad --point-timeout"));
                 if !secs.is_finite() || secs <= 0.0 {
-                    usage_error("bad --point-timeout");
+                    CLI.usage_error("bad --point-timeout");
                 }
                 opts.point_timeout = Some(Duration::from_secs_f64(secs));
             }
             "--workers" => {
-                opts.workers = value.parse().unwrap_or_else(|_| usage_error("bad --workers"));
+                opts.workers = value.parse().unwrap_or_else(|_| CLI.usage_error("bad --workers"));
             }
             "--out" => out_dir = PathBuf::from(value),
             "--cache" => cache_dir = Some(PathBuf::from(value)),
-            other => usage_error(&format!("unknown flag {other}")),
+            other => CLI.usage_error(&format!("unknown flag {other}")),
         }
     }
 
@@ -382,7 +386,7 @@ fn parse_cli() -> Cli {
         (Some(target), max) => {
             custom.convergence = Some(Convergence { target, max_reps: max.unwrap_or(64) });
         }
-        (None, Some(_)) => usage_error("--max-reps requires --converge"),
+        (None, Some(_)) => CLI.usage_error("--max-reps requires --converge"),
         (None, None) => {}
     }
 
@@ -391,7 +395,7 @@ fn parse_cli() -> Cli {
         specs.push(custom);
     } else {
         if custom_touched {
-            usage_error("--preset cannot be combined with custom axis flags");
+            CLI.usage_error("--preset cannot be combined with custom axis flags");
         }
         for name in &presets_requested {
             if name == "paper" {
@@ -399,7 +403,7 @@ fn parse_cli() -> Cli {
             } else {
                 match presets::by_name(name) {
                     Some(spec) => specs.push(spec),
-                    None => usage_error(&format!(
+                    None => CLI.usage_error(&format!(
                         "unknown preset {name:?} (expected one of {})",
                         presets::PRESET_NAMES.join(", ")
                     )),
@@ -422,7 +426,7 @@ fn parse_cli() -> Cli {
         }
     }
 
-    Cli { specs, opts, out_dir, no_cache, cache_dir }
+    Args { specs, opts, out_dir, no_cache, cache_dir }
 }
 
 fn main() {
@@ -452,7 +456,7 @@ fn main() {
         grand_executed += report.executed;
         grand_cached += report.from_cache;
 
-        println!(
+        outln!(
             "# campaign {}: {} points ({} simulated, {} from cache; {} reps run, {} cached reps reused) on {} workers in {:.1}s",
             spec.name,
             report.results.len(),
@@ -467,14 +471,14 @@ fn main() {
         // numbers land in <name>.telemetry.json (never in the pure
         // campaign artifacts).
         let topups = report.topups();
-        println!(
+        outln!(
             "#   cache: {} hit(s), {} miss(es), {} top-up(s)",
             report.from_cache,
             report.executed - topups,
             topups,
         );
         for (w, s) in report.worker_stats.iter().enumerate() {
-            println!(
+            outln!(
                 "#   worker {w}: {:>3.0}% busy, {} step(s), {} stolen",
                 s.busy_fraction() * 100.0,
                 s.steps,
@@ -482,7 +486,7 @@ fn main() {
             );
         }
         if let Some(slowest) = report.point_telemetry.iter().max_by(|a, b| a.wall.cmp(&b.wall)) {
-            println!(
+            outln!(
                 "#   slowest point: {} ({:.2}s, {} rep(s) simulated)",
                 slowest.label,
                 slowest.wall.as_secs_f64(),
@@ -490,17 +494,17 @@ fn main() {
             );
         }
         for s in &report.skipped {
-            println!("#   skipped: {s}");
+            outln!("#   skipped: {s}");
         }
         for path in &report.artifacts {
-            println!("#   wrote {}", path.display());
+            outln!("#   wrote {}", path.display());
         }
         // Fail-soft summary: quarantined points are structured artifact
         // entries, not fatal errors — the campaign still exits 0, every
         // healthy point completed, and the failures are enumerated here.
         if report.quarantined() > 0 {
             grand_quarantined += report.quarantined();
-            println!(
+            outln!(
                 "#   quarantined: {} point(s) ({} stalled, {} failed)",
                 report.quarantined(),
                 report.stalled(),
@@ -508,12 +512,12 @@ fn main() {
             );
             for r in &report.results {
                 match &r.outcome {
-                    PointOutcomeKind::Stalled { rep, cycle, .. } => println!(
+                    PointOutcomeKind::Stalled { rep, cycle, .. } => outln!(
                         "#   STALLED {:<36} rep {rep} @ cycle {cycle} (diagnostics in the JSON artifact)",
                         r.label,
                     ),
                     PointOutcomeKind::Failed { reason } => {
-                        println!("#   FAILED  {:<36} {reason}", r.label);
+                        outln!("#   FAILED  {:<36} {reason}", r.label);
                     }
                     _ => {}
                 }
@@ -533,7 +537,7 @@ fn main() {
                 })
                 .min_by(|a, b| a.0.total_cmp(&b.0));
             if let Some((df, undeliverable, label)) = worst {
-                println!(
+                outln!(
                     "#   delivered fraction: worst {df:.4} ({undeliverable} undeliverable) at {label}"
                 );
             }
@@ -547,7 +551,7 @@ fn main() {
                     recovered += merged.recovered_receivers;
                 }
             }
-            println!(
+            outln!(
                 "#   recovery: {retransmissions} retransmission(s), \
                  {recovered} receiver(s) served by a retry"
             );
@@ -562,22 +566,24 @@ fn main() {
                         Converged::AbandonedSaturated => abandoned += 1,
                         Converged::No => {
                             capped += 1;
-                            println!(
+                            outln!(
                                 "#   NOT CONVERGED {:<36} n={} unicast ci95={:.3}",
-                                r.label, merged.reps, merged.unicast_mean.ci95
+                                r.label,
+                                merged.reps,
+                                merged.unicast_mean.ci95
                             );
                         }
                     }
                 }
             }
-            println!(
+            outln!(
                 "#   converged: {converged}, capped: {capped}, abandoned saturated: {abandoned}"
             );
         }
         // Per-curve knee summary for quick reading.
         for r in &report.results {
             if let PointOutcomeKind::Saturation(s) = &r.outcome {
-                println!(
+                outln!(
                     "#   {:<36} sustains {:.5}{}",
                     r.label,
                     s.sustained,
@@ -586,10 +592,10 @@ fn main() {
             }
         }
     }
-    println!("# total: {grand_executed} points simulated, {grand_cached} served from cache");
+    outln!("# total: {grand_executed} points simulated, {grand_cached} served from cache");
     if grand_quarantined > 0 {
         // Deliberately exit 0: a fail-soft campaign that completed every
         // healthy point and *recorded* its failures succeeded at its job.
-        println!("# total: {grand_quarantined} point(s) quarantined (see artifacts)");
+        outln!("# total: {grand_quarantined} point(s) quarantined (see artifacts)");
     }
 }

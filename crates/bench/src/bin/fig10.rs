@@ -9,13 +9,13 @@
 //! cargo run -p quarc-bench --bin fig10 --release
 //! ```
 
-use quarc_bench::presets;
+use quarc_bench::{out, outln, presets};
 use quarc_campaign::{run_campaign, CampaignOptions};
 
 fn main() {
     let spec = presets::fig10();
     let report = run_campaign(&spec, &CampaignOptions { quiet: true, ..Default::default() })
         .expect("fig10 campaign");
-    println!("# Fig. 10: M=16, beta=10%, N in {{16,32,64}} ({} workers)", report.workers);
-    print!("{}", report.csv());
+    outln!("# Fig. 10: M=16, beta=10%, N in {{16,32,64}} ({} workers)", report.workers);
+    out!("{}", report.csv());
 }

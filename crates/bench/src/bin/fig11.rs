@@ -9,13 +9,13 @@
 //! cargo run -p quarc-bench --bin fig11 --release
 //! ```
 
-use quarc_bench::presets;
+use quarc_bench::{out, outln, presets};
 use quarc_campaign::{run_campaign, CampaignOptions};
 
 fn main() {
     let spec = presets::fig11();
     let report = run_campaign(&spec, &CampaignOptions { quiet: true, ..Default::default() })
         .expect("fig11 campaign");
-    println!("# Fig. 11: N=64, M=16, beta in {{0,5,10}}% ({} workers)", report.workers);
-    print!("{}", report.csv());
+    outln!("# Fig. 11: N=64, M=16, beta in {{0,5,10}}% ({} workers)", report.workers);
+    out!("{}", report.csv());
 }

@@ -6,16 +6,17 @@
 //! ```
 
 use quarc_area::fig12_series;
+use quarc_bench::outln;
 
 fn main() {
-    println!("# Fig. 12: cost comparison between Quarc and Spidergon switches");
-    println!("width_bits,quarc_slices,spidergon_slices,quarc_over_spidergon");
+    outln!("# Fig. 12: cost comparison between Quarc and Spidergon switches");
+    outln!("width_bits,quarc_slices,spidergon_slices,quarc_over_spidergon");
     for (w, q, s) in fig12_series() {
-        println!("{w},{q:.0},{s:.0},{:.3}", q / s);
+        outln!("{w},{q:.0},{s:.0},{:.3}", q / s);
     }
-    println!("#");
-    println!("# shape check: Quarc < Spidergon at every width; both grow sub-linearly in width");
+    outln!("#");
+    outln!("# shape check: Quarc < Spidergon at every width; both grow sub-linearly in width");
     let series = fig12_series();
     let ok = series.iter().all(|(_, q, s)| q < s);
-    println!("# quarc_smaller_everywhere = {ok}");
+    outln!("# quarc_smaller_everywhere = {ok}");
 }

@@ -9,13 +9,13 @@
 //! cargo run -p quarc-bench --bin fig9 --release
 //! ```
 
-use quarc_bench::presets;
+use quarc_bench::{out, outln, presets};
 use quarc_campaign::{run_campaign, CampaignOptions};
 
 fn main() {
     let spec = presets::fig9();
     let report = run_campaign(&spec, &CampaignOptions { quiet: true, ..Default::default() })
         .expect("fig9 campaign");
-    println!("# Fig. 9: N=16, beta=5%, M in {{8,16,32}} ({} workers)", report.workers);
-    print!("{}", report.csv());
+    outln!("# Fig. 9: N=16, beta=5%, M in {{8,16,32}} ({} workers)", report.workers);
+    out!("{}", report.csv());
 }

@@ -12,15 +12,20 @@
 //! uniform|complement|neighbour|bit-reversal`, `--buffer-depth D`,
 //! `--warmup C`, `--measure C`, `--seed S`.
 
+use quarc_bench::cli::Cli;
+use quarc_bench::outln;
 use quarc_core::config::NocConfig;
 use quarc_core::topology::TopologyKind;
 use quarc_sim::{build_any, run, NocSim, RunResult, RunSpec};
 use quarc_workloads::{Pattern, Synthetic, SyntheticConfig};
 use std::process::exit;
 
-const USAGE: &str = "usage: simulate [--topology quarc|spidergon|mesh|torus] [--nodes N] \
+const CLI: Cli = Cli {
+    name: "simulate",
+    usage: "usage: simulate [--topology quarc|spidergon|mesh|torus] [--nodes N] \
      [--rate R] [--msg-len M] [--beta B] [--pattern P] [--buffer-depth D] \
-     [--warmup C] [--measure C] [--seed S]";
+     [--warmup C] [--measure C] [--seed S]",
+};
 
 #[derive(Debug)]
 struct Args {
@@ -53,55 +58,45 @@ impl Default for Args {
     }
 }
 
-/// A malformed command line: one line saying why, the usage, exit 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("simulate: {msg}\n{USAGE}");
-    exit(2)
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| usage_error(&format!("bad value {value:?} for {flag}")))
-}
-
 fn parse_args() -> Args {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let Some(value) = it.next() else { usage_error(&format!("{flag} needs a value")) };
+        let Some(value) = it.next() else { CLI.usage_error(&format!("{flag} needs a value")) };
         match flag.as_str() {
-            "--topology" => args.topology = parse(&flag, &value),
-            "--nodes" => args.nodes = parse(&flag, &value),
-            "--rate" => args.rate = parse(&flag, &value),
-            "--msg-len" => args.msg_len = parse(&flag, &value),
-            "--beta" => args.beta = parse(&flag, &value),
-            "--buffer-depth" => args.buffer_depth = parse(&flag, &value),
-            "--warmup" => args.warmup = parse(&flag, &value),
-            "--measure" => args.measure = parse(&flag, &value),
-            "--seed" => args.seed = parse(&flag, &value),
+            "--topology" => args.topology = CLI.parse(&flag, &value),
+            "--nodes" => args.nodes = CLI.parse(&flag, &value),
+            "--rate" => args.rate = CLI.parse(&flag, &value),
+            "--msg-len" => args.msg_len = CLI.parse(&flag, &value),
+            "--beta" => args.beta = CLI.parse(&flag, &value),
+            "--buffer-depth" => args.buffer_depth = CLI.parse(&flag, &value),
+            "--warmup" => args.warmup = CLI.parse(&flag, &value),
+            "--measure" => args.measure = CLI.parse(&flag, &value),
+            "--seed" => args.seed = CLI.parse(&flag, &value),
             "--pattern" => {
                 args.pattern = match value.as_str() {
                     "uniform" => Pattern::Uniform,
                     "complement" => Pattern::Complement,
                     "neighbour" | "neighbor" => Pattern::Neighbour,
                     "bit-reversal" => Pattern::BitReversal,
-                    other => usage_error(&format!("unknown pattern {other:?}")),
+                    other => CLI.usage_error(&format!("unknown pattern {other:?}")),
                 }
             }
-            other => usage_error(&format!("unknown flag {other}")),
+            other => CLI.usage_error(&format!("unknown flag {other}")),
         }
     }
     // What the workload generator would otherwise assert on.
     if !(args.rate.is_finite() && args.rate > 0.0) {
-        usage_error("--rate must be positive and finite");
+        CLI.usage_error("--rate must be positive and finite");
     }
     if !(0.0..=1.0).contains(&args.beta) {
-        usage_error("--beta must lie in [0, 1]");
+        CLI.usage_error("--beta must lie in [0, 1]");
     }
     if args.msg_len < 2 {
-        usage_error("--msg-len must be at least 2 (a packet is header + tail)");
+        CLI.usage_error("--msg-len must be at least 2 (a packet is header + tail)");
     }
     if args.nodes < 2 {
-        usage_error("--nodes must be at least 2");
+        CLI.usage_error("--nodes must be at least 2");
     }
     args
 }
@@ -140,6 +135,6 @@ fn main() {
     let mut wl = Synthetic::new(net.num_nodes(), wl_cfg);
     let result = run(&mut net, &mut wl, &spec);
 
-    println!("{}", RunResult::csv_header());
-    println!("{}", result.csv_row());
+    outln!("{}", RunResult::csv_header());
+    outln!("{}", result.csv_row());
 }

@@ -8,26 +8,25 @@
 use quarc_area::{
     quarc_switch, quarc_transceiver, spidergon_switch, spidergon_transceiver, SwitchParams,
 };
+use quarc_bench::outln;
 
 fn main() {
     let p = SwitchParams::with_width(32);
 
-    println!(
-        "# Table 1: module-wise cost analysis of a 32-bit Quarc switch (Virtex-II Pro slices)"
-    );
-    println!("design,module,slices");
+    outln!("# Table 1: module-wise cost analysis of a 32-bit Quarc switch (Virtex-II Pro slices)");
+    outln!("design,module,slices");
     for b in
         [quarc_switch(&p), spidergon_switch(&p), quarc_transceiver(&p), spidergon_transceiver(&p)]
     {
         for m in &b.modules {
-            println!("{},{},{:.0}", b.design, m.name, m.slices);
+            outln!("{},{},{:.0}", b.design, m.name, m.slices);
         }
-        println!("{},TOTAL,{:.0}", b.design, b.total());
+        outln!("{},TOTAL,{:.0}", b.design, b.total());
     }
 
-    println!("#");
-    println!("# paper anchors: Quarc switch total 1453 (735/7/186/30/64/431); Spidergon switch total 1700");
-    println!(
+    outln!("#");
+    outln!("# paper anchors: Quarc switch total 1453 (735/7/186/30/64/431); Spidergon switch total 1700");
+    outln!(
         "# model totals:  Quarc switch {:.0}; Spidergon switch {:.0}",
         quarc_switch(&p).total(),
         spidergon_switch(&p).total()

@@ -20,6 +20,8 @@
 //! `process_name` metadata record first and at least one instant event, and
 //! `ph`/`ts`/`pid`/`tid` on every event — exiting non-zero on any problem.
 
+use quarc_bench::cli::Cli;
+use quarc_bench::outln;
 use quarc_campaign::Json;
 use quarc_core::config::NocConfig;
 use quarc_core::topology::TopologyKind;
@@ -27,8 +29,11 @@ use quarc_sim::{build_any, NocSim, ProbeConfig};
 use quarc_workloads::{Synthetic, SyntheticConfig};
 use std::process::exit;
 
-const USAGE: &str = "usage: trace [--topology quarc|spidergon|mesh|torus] [--n N] [--rate R] \
-     [--beta B] [--cycles C] [--capacity CAP] [--out PATH] | trace --validate PATH";
+const CLI: Cli = Cli {
+    name: "trace",
+    usage: "usage: trace [--topology quarc|spidergon|mesh|torus] [--n N] [--rate R] \
+     [--beta B] [--cycles C] [--capacity CAP] [--out PATH] | trace --validate PATH",
+};
 
 /// Largest event ring `--capacity` may ask for (the ring is allocated up
 /// front, 32 bytes an event).
@@ -76,16 +81,6 @@ fn validate(text: &str) -> Result<(usize, usize), String> {
     Ok((meta, instants))
 }
 
-/// A malformed command line: one line saying why, the usage, exit 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("trace: {msg}\n{USAGE}");
-    exit(2)
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| usage_error(&format!("bad value {value:?} for {flag}")))
-}
-
 fn main() {
     let mut topology = TopologyKind::Quarc;
     let mut n: usize = 16;
@@ -97,17 +92,17 @@ fn main() {
     let mut validate_path: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let Some(value) = it.next() else { usage_error(&format!("{flag} needs a value")) };
+        let Some(value) = it.next() else { CLI.usage_error(&format!("{flag} needs a value")) };
         match flag.as_str() {
-            "--topology" => topology = parse(&flag, &value),
-            "--n" => n = parse(&flag, &value),
-            "--rate" => rate = parse(&flag, &value),
-            "--beta" => beta = parse(&flag, &value),
-            "--cycles" => cycles = parse(&flag, &value),
-            "--capacity" => capacity = parse(&flag, &value),
+            "--topology" => topology = CLI.parse(&flag, &value),
+            "--n" => n = CLI.parse(&flag, &value),
+            "--rate" => rate = CLI.parse(&flag, &value),
+            "--beta" => beta = CLI.parse(&flag, &value),
+            "--cycles" => cycles = CLI.parse(&flag, &value),
+            "--capacity" => capacity = CLI.parse(&flag, &value),
             "--out" => out = value,
             "--validate" => validate_path = Some(value),
-            other => usage_error(&format!("unknown flag {other}")),
+            other => CLI.usage_error(&format!("unknown flag {other}")),
         }
     }
 
@@ -117,7 +112,7 @@ fn main() {
             .and_then(|text| validate(&text).map_err(|why| format!("MALFORMED: {why}")));
         match verdict {
             Ok((meta, instants)) => {
-                println!("# {path}: OK ({meta} metadata record(s), {instants} flit events)")
+                outln!("# {path}: OK ({meta} metadata record(s), {instants} flit events)")
             }
             Err(why) => {
                 eprintln!("{path}: {why}");
@@ -129,16 +124,16 @@ fn main() {
 
     // What the tracer and the workload generator would otherwise assert on.
     if capacity == 0 || capacity > MAX_CAPACITY {
-        usage_error("--capacity must lie in 1..=16777216 events (0 disables tracing)");
+        CLI.usage_error("--capacity must lie in 1..=16777216 events (0 disables tracing)");
     }
     if !(rate.is_finite() && rate > 0.0) {
-        usage_error("--rate must be positive and finite");
+        CLI.usage_error("--rate must be positive and finite");
     }
     if !(0.0..=1.0).contains(&beta) {
-        usage_error("--beta must lie in [0, 1]");
+        CLI.usage_error("--beta must lie in [0, 1]");
     }
     if n < 2 {
-        usage_error("--n must be at least 2");
+        CLI.usage_error("--n must be at least 2");
     }
     let cfg = NocConfig { kind: topology, n, ..Default::default() };
     if let Err(e) = cfg.validate() {
@@ -159,9 +154,9 @@ fn main() {
         eprintln!("trace: cannot write {out}: {e}");
         exit(1);
     }
-    println!(
+    outln!(
         "# {out}: {captured} events over {cycles} cycles ({} overwritten at capacity {capacity})",
         probe.events_dropped()
     );
-    println!("# load in chrome://tracing or https://ui.perfetto.dev");
+    outln!("# load in chrome://tracing or https://ui.perfetto.dev");
 }

@@ -13,13 +13,14 @@
 //! ```
 
 use quarc_analytical as ana;
+use quarc_bench::outln;
 use quarc_core::config::NocConfig;
 use quarc_core::grid::GridTopology;
 use quarc_sim::{run, RunSpec};
 
 fn main() {
-    println!("# Simulator-vs-analytical validation (uniform unicast traffic)");
-    println!("topology,n,m,rate,sim_latency,model_latency,rel_err");
+    outln!("# Simulator-vs-analytical validation (uniform unicast traffic)");
+    outln!("topology,n,m,rate,sim_latency,model_latency,rel_err");
     let spec = RunSpec { warmup: 3_000, measure: 30_000, drain: 40_000, ..Default::default() };
 
     for (n, m) in [(16usize, 8usize), (16, 16), (32, 16)] {
@@ -66,16 +67,16 @@ fn main() {
         }
     }
 
-    println!("#");
-    println!("# zero-load broadcast formulas vs paper shape:");
+    outln!("#");
+    outln!("# zero-load broadcast formulas vs paper shape:");
     for (n, m) in [(16usize, 8usize), (64, 16)] {
         let q = ana::quarc_broadcast_zero_load(n, m);
         let s = ana::spidergon_broadcast_zero_load(n, m);
-        println!("# n={n} m={m}: quarc {q:.0}, spidergon {s:.0}, ratio {:.1}x", s / q);
+        outln!("# n={n} m={m}: quarc {q:.0}, spidergon {s:.0}, ratio {:.1}x", s / q);
     }
 }
 
 fn print_row(topo: &str, n: usize, m: usize, rate: f64, sim: f64, model: f64) {
     let rel = if model.is_finite() && model > 0.0 { (sim - model).abs() / model } else { f64::NAN };
-    println!("{topo},{n},{m},{rate:.5},{sim:.2},{model:.2},{rel:.3}");
+    outln!("{topo},{n},{m},{rate:.5},{sim:.2},{model:.2},{rel:.3}");
 }

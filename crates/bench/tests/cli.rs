@@ -1,8 +1,9 @@
 //! The command-line front ends, run as built binaries: malformed input exits
 //! with the documented code (2 = usage, 1 = invalid spec, configuration or
-//! file) and never panics; well-formed input produces well-formed output.
+//! file) and never panics; well-formed input produces well-formed output; a
+//! reader that leaves early ends the run quietly.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe).args(args).output().expect("binary runs")
@@ -90,6 +91,24 @@ fn simulate_prints_one_csv_row_on_every_topology() {
         assert!(lines[1].starts_with(&format!("{topology},16,")), "{topology}: {}", lines[1]);
         assert_eq!(lines[0].split(',').count(), lines[1].split(',').count(), "{topology}");
     }
+}
+
+/// `simulate … | head -0`: the reader is gone before the first line. The
+/// binary must end quietly with exit 0 — `println!` would panic on the
+/// broken pipe.
+#[test]
+fn closed_stdout_ends_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--measure", "3000", "--warmup", "300"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("simulate starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("simulate exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 #[test]

@@ -276,8 +276,10 @@ impl PacketTable {
         &mut self.bits
     }
 
-    /// Per-hop multicast header advance: shift `packet`'s bitstring right by
-    /// one (O(1) cursor bump for slab rows). No-op for other classes.
+    /// Per-hop multicast header advance, applied when a router forwards the
+    /// header: shift `packet`'s bitstring right by one (O(1) cursor bump for
+    /// slab rows), so bit 0 always answers "does the *next* node take a
+    /// copy?" (§2.5.3). No-op for other classes.
     #[inline]
     pub fn advance_header(&mut self, packet: PacketRef) {
         let meta = &mut self.slots[packet.index()];

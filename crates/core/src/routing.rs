@@ -107,25 +107,6 @@ pub fn quarc_route(
     }
 }
 
-/// Header bookkeeping applied when a Quarc switch forwards a header flit:
-/// multicast bitstrings shift one position per hop so that bit 0 always
-/// answers "does the *next* node take a copy?" (§2.5.3).
-///
-/// This free-function form handles only inline bitstrings (the RTL model
-/// and tests); the simulators route every shift through
-/// [`crate::flit::PacketTable::advance_header`], which also advances
-/// slab-backed rows.
-#[inline]
-pub fn advance_header(meta: &mut PacketMeta) {
-    if meta.class == TrafficClass::Multicast {
-        debug_assert!(
-            meta.bitstring.is_inline(),
-            "slab-backed bitstrings must be advanced via PacketTable::advance_header"
-        );
-        meta.bitstring = crate::bits::Bits::inline(meta.bitstring.inline_value() >> 1);
-    }
-}
-
 /// The across-first Spidergon routing function (paper §2.1 / ref. [5]).
 ///
 /// `q = ⌊n/4⌋`; CW for `d ∈ [1, q]`, CCW for `d ∈ [n − q, n)`, cross
@@ -327,6 +308,7 @@ pub fn chain_continuations(ring: &Ring, node: NodeId, meta: &PacketMeta) -> Chai
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit::PacketTable;
     use crate::ids::{MessageId, PacketId};
     use std::collections::HashSet;
 
@@ -419,16 +401,19 @@ mod tests {
             quarc_route(&ring, NodeId(1), QuarcIn::RimCw, &miss),
             RouteAction::Forward(QuarcOut::RimCw)
         );
-        let mut m = hit;
-        advance_header(&mut m);
-        assert_eq!(m.bitstring, crate::bits::Bits::inline(0b10));
+        // Forwarding shifts the bitstring: bit 0 now speaks for the next node.
+        let mut table = PacketTable::new();
+        let p = table.insert(hit);
+        table.advance_header(p);
+        assert_eq!(table.meta(p).bitstring, crate::bits::Bits::inline(0b10));
     }
 
     #[test]
     fn advance_header_only_touches_multicast() {
-        let mut m = meta(TrafficClass::Broadcast, 0, 4, 0xFFFF, RingDir::Cw);
-        advance_header(&mut m);
-        assert_eq!(m.bitstring, crate::bits::Bits::inline(0xFFFF));
+        let mut table = PacketTable::new();
+        let p = table.insert(meta(TrafficClass::Broadcast, 0, 4, 0xFFFF, RingDir::Cw));
+        table.advance_header(p);
+        assert_eq!(table.meta(p).bitstring, crate::bits::Bits::inline(0xFFFF));
     }
 
     #[test]

@@ -103,6 +103,13 @@ impl LaneBufs {
     pub fn is_empty(&self, lane: usize) -> bool {
         self.state[lane].1 == 0
     }
+
+    /// The flits of `lane`, head first (cold: the audit walks it).
+    pub fn iter(&self, lane: usize) -> impl Iterator<Item = &Flit> + '_ {
+        let (head, len) = self.state[lane];
+        (0..len as usize)
+            .map(move |i| &self.flits[lane * self.depth + (head as usize + i) % self.depth])
+    }
 }
 
 #[cfg(test)]
@@ -136,6 +143,9 @@ mod tests {
             assert_eq!(b.pop(0).unwrap().seq, round);
         }
         assert!(b.is_empty(0));
+        // The head now sits mid-ring: a full lane wraps, head first.
+        (20..23).for_each(|s| b.push(0, flit(s)));
+        assert_eq!(b.iter(0).map(|f| f.seq).collect::<Vec<_>>(), [20, 21, 22]);
     }
 
     #[test]

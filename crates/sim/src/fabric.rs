@@ -38,16 +38,16 @@ use crate::driver::{NocSim, StallDiagnostics};
 use crate::fault::FaultState;
 use crate::link::{LinkBank, TaggedFlit};
 use crate::metrics::Metrics;
-use crate::packets::{ack_meta, IdAlloc, PacketQueue};
+use crate::packets::{message_meta, IdAlloc, PacketQueue};
 use crate::probe::{CounterSample, FlitEventKind, Phase, SimProbe};
 use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
-use quarc_core::bits::BitSlab;
+use quarc_core::bits::{BitSlab, Bits};
 use quarc_core::config::{NocConfig, MAX_VCS};
 use quarc_core::flit::{Flit, PacketMeta, PacketRef, PacketTable, TrafficClass};
 use quarc_core::ids::{MessageId, NodeId, VcId};
 use quarc_core::topology::TopologyKind;
 use quarc_core::vc::INJECTION_VC;
-use quarc_engine::{Clock, Cycle, EventQueue};
+use quarc_engine::{Clock, Cycle};
 use quarc_workloads::{MessageRequest, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -113,8 +113,6 @@ pub trait RouterModel: std::fmt::Debug + Sized {
 
     /// Build the model for a validated configuration of its own kind.
     fn new(cfg: &NocConfig) -> Self;
-    /// Topology family.
-    fn kind(&self) -> TopologyKind;
     /// Router count (grids round `cfg.n` up to a near-square).
     fn num_nodes(&self) -> usize;
     /// An empty packet table sized for the model's longest bitstring.
@@ -127,34 +125,61 @@ pub trait RouterModel: std::fmt::Debug + Sized {
     /// port)`; `None` for a vacant slot (a mesh edge).
     fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)>;
     /// Route the header at the head of network input lane `(port, vc)`.
-    /// Pure in its arguments: the fabric memoises the answer while the
-    /// header waits (likewise [`RouterModel::route_local`]).
+    /// Pure in its arguments, and reads a multicast bitstring's bit 0 only:
+    /// the fabric memoises the answer while the header waits, and
+    /// [`RouterModel::receivers_beyond`] replays it (likewise
+    /// [`RouterModel::route_local`]).
     fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route;
     /// Route the header at the head of local queue `queue`.
     fn route_local(&self, node: usize, queue: usize, meta: &PacketMeta) -> Route;
-    /// Expand `req` into packets of `message`, interned in `table` and
-    /// serialised into the source node's `queues`. Returns `(expected
-    /// receivers, flits enqueued)`.
-    fn expand_into(
+    /// Route the header at the head of request slot `src`.
+    #[inline(always)] // `src` is a constant at the gather call sites
+    fn route_slot(&self, node: usize, src: Src, meta: &PacketMeta) -> Route {
+        match src {
+            Src::Net { port, vc } => self.route_net(node, port as usize, vc as usize, meta),
+            Src::Local { queue } => self.route_local(node, queue as usize, meta),
+        }
+    }
+    /// The transceiver's packet plan for `req`: one `(local queue, meta)`
+    /// pair per packet, appended to `out` in injection order, each derived
+    /// from `base` (the fabric assigns packet ids). Multicast bitstrings go
+    /// into `bits`, the packet table's slab. Returns the receivers served.
+    /// An ACK is the unicast plan of a `base` of class `Ack`.
+    fn plan(
         &mut self,
         req: &MessageRequest,
-        message: MessageId,
-        now: Cycle,
-        ids: &mut IdAlloc,
-        table: &mut PacketTable,
-        queues: &mut [PacketQueue],
-    ) -> (usize, usize);
-    /// The local queue a control packet from `node` to `to` injects through.
-    fn ack_queue(&self, _node: NodeId, _to: NodeId) -> usize {
-        0
+        base: &PacketMeta,
+        bits: &mut BitSlab,
+        out: &mut Vec<(usize, PacketMeta)>,
+    ) -> usize;
+    /// Receivers a packet whose forward was fault-dropped at `node` (from
+    /// slot `src`) would still have served downstream: the remaining route
+    /// replayed through `route_*` over `link_target`. A hop that leaves the
+    /// links (`out ≥ PORTS`) is the terminal delivery; a transit hop counts
+    /// its `deliver`. Cold. The bitstring is read through `bit_at` offsets,
+    /// never shifted: a copied handle aliases the live packet's slab row.
+    fn receivers_beyond(&self, bits: &BitSlab, node: usize, src: Src, meta: &PacketMeta) -> usize {
+        // Bitstrings advance at every forward out of a network lane, never
+        // out of a local queue: `shift` is the offset of the next node's bit.
+        let (mut route, mut node, mut view) = (self.route_slot(node, src, meta), node, *meta);
+        let (mut shift, mut count) = (usize::from(matches!(src, Src::Net { .. })), 0);
+        loop {
+            let (to, port) = self.link_target(node, route.out as usize).expect("a wired link");
+            if meta.class == TrafficClass::Multicast {
+                view.bitstring = Bits::inline(u64::from(bits.bit_at(meta.bitstring, shift)));
+            }
+            route = self.route_net(to, port, route.out_vc.index(), &view);
+            if route.out as usize >= Self::PORTS {
+                return count + 1;
+            }
+            count += usize::from(route.deliver);
+            (node, shift) = (to, shift + 1);
+        }
     }
-    /// Receivers a packet whose forward was fault-dropped at `node` would
-    /// still have served downstream. Cold; must read `bits` through offsets
-    /// and never shift (the row is shared with the live packet).
-    fn receivers_beyond(&self, bits: &BitSlab, node: usize, src: Src, meta: &PacketMeta) -> usize;
     /// Packets the PE at `node` re-injects one cycle after freshly receiving
-    /// the tail of `meta`'s packet (packet ids are assigned by the fabric).
-    fn respawn(&self, _node: NodeId, _meta: &PacketMeta, _spawn: &mut dyn FnMut(PacketMeta)) {}
+    /// the tail of `meta`'s packet, as `(local queue, meta)` pairs like
+    /// [`RouterModel::plan`]'s.
+    fn respawn(&self, _node: NodeId, _meta: &PacketMeta, _out: &mut Vec<(usize, PacketMeta)>) {}
 }
 
 /// The resolved per-hop plan for the packet at the head of a lane, cached
@@ -259,10 +284,11 @@ pub struct Fabric<R: RouterModel> {
     ids: IdAlloc,
     metrics: Metrics,
     packets: PacketTable,
-    /// Packets a PE re-injects after a header-rewrite cycle (already
-    /// interned): `(node, packet, len)` — see [`RouterModel::respawn`].
-    reinject: EventQueue<(u32, PacketRef, u32)>,
+    /// Packets a PE re-injects a header-rewrite cycle after the tail that
+    /// interned them: `(node, queue, packet)` — see [`RouterModel::respawn`].
+    respawned: Vec<(u32, u32, PacketRef)>,
     /// Scratch reused across cycles (no per-cycle allocation).
+    plan: Vec<(usize, PacketMeta)>,
     transfers: Vec<Transfer>,
     poll_buf: Vec<MessageRequest>,
     retry_targets: Vec<NodeId>,
@@ -352,7 +378,8 @@ impl<R: RouterModel> Fabric<R> {
             ids: IdAlloc::new(),
             metrics: Metrics::new(),
             packets: model.packet_table(),
-            reinject: EventQueue::new(),
+            respawned: Vec::new(),
+            plan: Vec::new(),
             transfers: Vec::new(),
             poll_buf: Vec::new(),
             retry_targets: Vec::new(),
@@ -402,8 +429,9 @@ impl<R: RouterModel> Fabric<R> {
     }
 
     /// Cold recount of everything the hot path keeps incrementally —
-    /// occupancy masks, route memos, the worklists, credit mirrors and the
-    /// counter twins — failing with the first broken invariant by name.
+    /// occupancy masks, route memos, the worklists, credit mirrors, the
+    /// counter twins and the packet table's live slots and slab rows —
+    /// failing with the first broken invariant by name.
     /// Valid between steps; walks the whole network, so never per cycle.
     pub fn audit(&self) -> Result<(), String> {
         let (vcs, depth, now) = (self.cfg.vcs, self.cfg.buffer_depth, self.clock.now());
@@ -413,35 +441,47 @@ impl<R: RouterModel> Fabric<R> {
         // A request line says whether its slot holds a flit; a memoised
         // route belongs to a header at the head of its slot and is what the
         // model answers for it now.
-        type Fresh<'a> = &'a dyn Fn(&PacketMeta) -> Route;
-        let slot = |node: usize, bit: usize, head: Option<Flit>, fresh: Fresh<'_>| {
+        let slot = |node: usize, src: Src, head: Option<Flit>| {
+            let bit = self.slot_bit(src);
             let line = self.occ[node] >> bit & 1 != 0;
             check(line == head.is_some(), "occupancy bit ⇔ slot non-empty", (node, bit))?;
             let LanePlan::Routed(memo) = self.plans[self.plan_at(node, bit)] else { return Ok(()) };
-            let ok =
-                head.is_some_and(|h| h.is_header() && fresh(self.packets.meta(h.packet)) == memo);
+            let fresh = |h: Flit| self.model.route_slot(node, src, self.packets.meta(h.packet));
+            let ok = head.is_some_and(|h| h.is_header() && fresh(h) == memo);
             check(ok, "route memo = the model's route for the head header", (node, bit))
         };
+        // Every interned packet is reachable — from a queue, a lane, a link
+        // or the re-injection list — and holds a slab row iff its bitstring
+        // spilled: a missed `release` leaks both.
+        let (mut seen, mut packets, mut rows) = (vec![false; self.packets.capacity()], 0, 0);
+        let mut reach = |p: PacketRef| {
+            if !std::mem::replace(&mut seen[p.index()], true) {
+                packets += 1;
+                rows += usize::from(!self.packets.meta(p).bitstring.is_inline());
+            }
+        };
+        self.respawned.iter().for_each(|&(_, _, p)| reach(p));
         let (mut buffered, mut backlog, mut on_links) = (0, 0, 0);
         for node in 0..self.nodes {
             for bit in 0..R::PORTS * vcs {
-                let (lane, p, vc) = (node * R::PORTS * vcs + bit, bit / vcs, bit % vcs);
+                let lane = node * R::PORTS * vcs + bit;
                 buffered += self.in_buf.len(lane) as u64;
+                self.in_buf.iter(lane).for_each(|f| reach(f.packet));
                 let head = (!self.in_buf.is_empty(lane)).then(|| *self.in_buf.head(lane));
-                let fresh = |meta: &PacketMeta| self.model.route_net(node, p, vc, meta);
-                slot(node, bit, head, &fresh)?;
+                slot(node, Src::Net { port: (bit / vcs) as u8, vc: (bit % vcs) as u8 }, head)?;
             }
             for queue in 0..R::QUEUES {
                 let q = node * R::QUEUES + queue;
                 backlog += self.inject_q[q].flits();
-                let fresh = |meta: &PacketMeta| self.model.route_local(node, queue, meta);
-                slot(node, R::PORTS * vcs + queue, self.inject_q[q].front(), &fresh)?;
+                self.inject_q[q].packets().for_each(&mut reach);
+                slot(node, Src::Local { queue: queue as u8 }, self.inject_q[q].front())?;
             }
         }
         let wired = self.targets.iter().enumerate().filter(|(_, target)| target.0 != NO_LINK);
         for (lid, &(to, tin)) in wired {
             let flying = self.links.in_flight(lid).count();
             on_links += flying as u64;
+            self.links.in_flight(lid).for_each(|tf| reach(tf.flit.packet));
             let counted = self.links.is_empty(lid) == (flying == 0);
             check(counted, "LinkBank occupancy = slot walk", (lid, 0))?;
             // The full-scan oracle bypasses the live-link worklist.
@@ -457,6 +497,8 @@ impl<R: RouterModel> Fabric<R> {
         check(buffered == self.buffered_flits, "buffered_flits = lane walk", (0, 0))?;
         check(backlog == self.inject_backlog, "inject_backlog = queue walk", (0, 0))?;
         check(on_links == self.link_occupancy, "link_occupancy = link walk", (0, 0))?;
+        check(packets == self.packets.live(), "packet table live = reachable packets", (0, 0))?;
+        check(rows == self.packets.bits().live_rows(), "slab rows = reachable rows", (0, 0))?;
         let marks: u32 = self.marked.iter().map(|w| w.count_ones()).sum();
         check(marks as usize == self.marked_count, "worklist popcount = counter", (0, 0))?;
         check(self.mark_scratch.iter().all(|&w| w == 0), "scratch worklist is zero", (0, 0))
@@ -562,13 +604,7 @@ impl<R: RouterModel> Fabric<R> {
                 let route = if let LanePlan::Routed(route) = memo {
                     route
                 } else {
-                    let meta = self.packets.meta(head.packet);
-                    let route = match src {
-                        Src::Net { port, vc } => {
-                            self.model.route_net(node, port as usize, vc as usize, meta)
-                        }
-                        Src::Local { queue } => self.model.route_local(node, queue as usize, meta),
-                    };
+                    let route = self.model.route_slot(node, src, self.packets.meta(head.packet));
                     self.plans[at] = LanePlan::Routed(route);
                     route
                 };
@@ -816,14 +852,8 @@ impl<R: RouterModel> Fabric<R> {
                 self.metrics.record_ack_delivery(now, created_at);
             }
             if self.probe.trace_on() {
-                self.probe.trace(
-                    FlitEventKind::Ack,
-                    now,
-                    meta.message.0,
-                    meta.class,
-                    meta.src.index() as u32,
-                    fresh.is_some() as u32,
-                );
+                let (msg, class, from) = (meta.message.0, meta.class, meta.src.index() as u32);
+                self.probe.trace(FlitEventKind::Ack, now, msg, class, from, fresh.is_some() as u32);
             }
             return;
         }
@@ -853,23 +883,25 @@ impl<R: RouterModel> Fabric<R> {
             if flit.is_tail() {
                 // Store-and-forward replication (Spidergon broadcast
                 // chains): continuations are fresh packets, interned now and
-                // serialised into the local queue one header-rewrite cycle
-                // later. Duplicate tails spawn nothing: their downstream
-                // coverage is owed to the source's open recovery window.
-                let Fabric { model, ids, packets, reinject, probe, .. } = self;
-                model.respawn(NodeId::new(node), &meta, &mut |seed| {
+                // enqueued one header-rewrite cycle later. Duplicate tails
+                // spawn nothing: their downstream coverage is owed to the
+                // source's open recovery window.
+                self.model.respawn(NodeId::new(node), &meta, &mut self.plan);
+                for i in 0..self.plan.len() {
+                    let (queue, seed) = self.plan[i];
                     let dst = seed.dst.index() as u32;
-                    probe.trace(FlitEventKind::Clone, now, msg, class, node as u32, dst);
-                    let pref = packets.insert(PacketMeta { packet: ids.packet(), ..seed });
-                    reinject.push(now + 1, (node as u32, pref, seed.len));
-                });
+                    self.probe.trace(FlitEventKind::Clone, now, msg, class, node as u32, dst);
+                    let packet = self.intern(seed);
+                    self.respawned.push((node as u32, queue as u32, packet));
+                }
+                self.plan.clear();
             }
         }
         // Every tail reception acks — fresh or duplicate: a duplicate's
         // re-ack may be the one that finally closes the window when the
         // original ack was itself dropped.
         if self.recovery.enabled() && flit.is_tail() {
-            self.emit_ack(node, &meta, now);
+            self.emit_ack(node, &meta);
         }
     }
 
@@ -924,26 +956,38 @@ impl<R: RouterModel> Fabric<R> {
         }
     }
 
-    /// Expand `req` (fresh, or a retransmission under its original id) into
-    /// the source node's injection queues.
-    fn inject(&mut self, req: &MessageRequest, message: MessageId, now: Cycle) -> usize {
-        let node = req.src.index();
-        let (expected, flits) = self.model.expand_into(
-            req,
-            message,
-            now,
-            &mut self.ids,
-            &mut self.packets,
-            &mut self.inject_q[node * R::QUEUES..(node + 1) * R::QUEUES],
-        );
-        self.inject_backlog += flits;
-        for queue in 0..R::QUEUES {
-            if !self.inject_q[node * R::QUEUES + queue].is_empty() {
-                self.occ[node] |= 1 << (R::PORTS * self.cfg.vcs + queue);
-            }
+    /// Plan `req` as packets of `message` — fresh, a retransmission under its
+    /// original id, or (class `Ack`) an acknowledgement — and enqueue them at
+    /// the source in plan order. Returns the receivers the plan serves.
+    fn inject(&mut self, req: &MessageRequest, message: MessageId, class: TrafficClass) -> usize {
+        let base = message_meta(req, message, class, self.clock.now());
+        let expected = self.model.plan(req, &base, self.packets.bits_mut(), &mut self.plan);
+        for i in 0..self.plan.len() {
+            let (queue, meta) = self.plan[i];
+            let packet = self.intern(meta);
+            self.enqueue(req.src.index(), queue, packet);
         }
-        self.mark_node(node);
+        self.plan.clear();
         expected
+    }
+
+    /// Give `meta` the next packet id and intern it. Ids are drawn when a
+    /// packet is planned — lossy links hash them (`fault.rs`) — which for a
+    /// chain continuation is a cycle before it is enqueued.
+    #[inline]
+    fn intern(&mut self, meta: PacketMeta) -> PacketRef {
+        self.packets.insert(PacketMeta { packet: self.ids.packet(), ..meta })
+    }
+
+    /// The one way flits enter an injection queue: push `packet` onto queue
+    /// `queue` of `node`, count it into the backlog, raise the queue's
+    /// request line and mark the router.
+    #[inline]
+    fn enqueue(&mut self, node: usize, queue: usize, packet: PacketRef) {
+        let len = self.packets.meta(packet).len;
+        self.inject_backlog += self.inject_q[node * R::QUEUES + queue].push_packet(packet, len);
+        self.occ[node] |= 1 << (R::PORTS * self.cfg.vcs + queue);
+        self.mark_node(node);
     }
 
     /// Poll one source and inject whatever it produced. `reqs` is the
@@ -960,7 +1004,7 @@ impl<R: RouterModel> Fabric<R> {
         for req in reqs.drain(..) {
             debug_assert_eq!(req.src, NodeId::new(node), "workload src mismatch");
             let message = self.metrics.create_message(req.class, now);
-            let expected = self.inject(&req, message, now);
+            let expected = self.inject(&req, message, req.class);
             self.metrics.set_expected(message, expected);
             if self.recovery.enabled() {
                 self.recovery.on_send(message, &req, now, expected);
@@ -974,17 +1018,13 @@ impl<R: RouterModel> Fabric<R> {
     }
 
     /// Enqueue the single-flit ACK a receiver emits on absorbing a data
-    /// tail: a control unicast back to the data source, injected through
-    /// the local queue that routes `node → meta.src` — the same contended
-    /// path as any application packet.
-    fn emit_ack(&mut self, node: usize, meta: &PacketMeta, now: Cycle) {
-        let from = NodeId::new(node);
-        let packet = self.ids.packet();
-        let pref = self.packets.insert(ack_meta(meta.message, from, meta.src, packet, now));
-        let queue = self.model.ack_queue(from, meta.src);
-        self.inject_backlog += self.inject_q[node * R::QUEUES + queue].push_packet(pref, 1);
-        self.occ[node] |= 1 << (R::PORTS * self.cfg.vcs + queue);
-        self.mark_node(node);
+    /// tail: the model's unicast plan from `node` back to the data source,
+    /// with class `Ack` and the *data* message's id — the same contended
+    /// path as any application packet. Acks are never tracked messages of
+    /// their own (no `create_message`, no receiver ledger entry).
+    fn emit_ack(&mut self, node: usize, meta: &PacketMeta) {
+        let ack = MessageRequest::unicast(NodeId::new(node), meta.src, 1);
+        self.inject(&ack, meta.message, TrafficClass::Ack);
     }
 
     /// Drain the recovery timer heap: re-inject each due message to its
@@ -997,7 +1037,7 @@ impl<R: RouterModel> Fabric<R> {
         while let Some(action) = self.recovery.pop_action(now, &mut targets) {
             let (kind, message, src, class, arg) = match action {
                 RecoveryAction::Retry { message, src, class, len, attempt: _ } => {
-                    // Re-expand under the *original* message id (no
+                    // Re-plan under the *original* message id (no
                     // create_message / set_expected: the ledger entry is the
                     // original's) narrowed to the unacked subset; collective
                     // classes retransmit as a multicast over that subset.
@@ -1006,7 +1046,7 @@ impl<R: RouterModel> Fabric<R> {
                     } else {
                         MessageRequest::multicast(src, targets.clone(), len as usize)
                     };
-                    self.inject(&req, message, now);
+                    self.inject(&req, message, req.class);
                     self.metrics.note_retransmission();
                     (FlitEventKind::Retry, message, src, class, targets.len())
                 }
@@ -1070,14 +1110,12 @@ impl<R: RouterModel> Fabric<R> {
         // (b) Re-injections from PE replication logic, then new messages
         // from due sources (scratch reused across the whole run), then
         // recovery deadlines as extra injections.
-        let mut polled = 0usize;
-        while let Some((_, (node, pref, len))) = self.reinject.pop_due(now) {
-            let q = node as usize * R::QUEUES;
-            self.inject_backlog += self.inject_q[q].push_packet(pref, len);
-            self.occ[node as usize] |= 1 << (R::PORTS * self.cfg.vcs);
-            self.mark_node(node as usize);
-            polled += 1;
+        let mut polled = self.respawned.len();
+        for i in 0..polled {
+            let (node, queue, packet) = self.respawned[i];
+            self.enqueue(node as usize, queue as usize, packet);
         }
+        self.respawned.clear();
         let mut reqs = std::mem::take(&mut self.poll_buf);
         if self.full_scan {
             polled += n;
@@ -1199,7 +1237,7 @@ impl<R: RouterModel> NocSim for Fabric<R> {
     }
 
     fn kind(&self) -> TopologyKind {
-        self.model.kind()
+        self.cfg.kind
     }
 
     fn metrics(&self) -> &Metrics {
@@ -1232,7 +1270,7 @@ impl<R: RouterModel> NocSim for Fabric<R> {
         // recovery window is not done: a deadline will still fire.
         self.metrics.in_flight() == 0
             && self.inject_backlog == 0
-            && self.reinject.is_empty()
+            && self.respawned.is_empty()
             && self.link_occupancy == 0
             && self.buffered_flits == 0
             && self.recovery.pending() == 0

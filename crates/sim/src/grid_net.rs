@@ -29,16 +29,14 @@
 //! ejection port like any unicast. Branch paths are unicast routes, so the
 //! deadlock-freedom argument carries over unchanged.
 
-use crate::fabric::{Route, RouterModel, Src};
-use crate::packets::{grid_expand_into, IdAlloc, PacketQueue};
+use crate::fabric::{Route, RouterModel};
 use quarc_core::bits::BitSlab;
 use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
 use quarc_core::grid::{GridBranch, GridOut, GridTopology};
-use quarc_core::ids::{MessageId, NodeId, VcId};
+use quarc_core::ids::{NodeId, VcId};
 use quarc_core::topology::TopologyKind;
 use quarc_core::vc::INJECTION_VC;
-use quarc_engine::Cycle;
 use quarc_workloads::MessageRequest;
 
 /// Ejection output index (`GridOut::Eject.index()`). The link ports before
@@ -52,7 +50,6 @@ const ALL_SLOTS: &[u8] = &[0, 1, 2, 3, 4];
 #[derive(Debug)]
 pub struct GridRouter {
     topo: GridTopology,
-    kind: TopologyKind,
     /// Scratch for the multicast branch planner, reused across messages.
     branches: Vec<GridBranch>,
 }
@@ -98,11 +95,7 @@ impl RouterModel for GridRouter {
             TopologyKind::Torus => GridTopology::square_torus(cfg.n),
             other => panic!("config is not a mesh or torus network: {other}"),
         };
-        GridRouter { topo, kind: cfg.kind, branches: Vec::new() }
-    }
-
-    fn kind(&self) -> TopologyKind {
-        self.kind
+        GridRouter { topo, branches: Vec::new() }
     }
 
     fn num_nodes(&self) -> usize {
@@ -134,60 +127,36 @@ impl RouterModel for GridRouter {
         self.route(node, meta, out, INJECTION_VC, false)
     }
 
-    /// Collectives expand into the dimension-ordered tree: one path-based
-    /// multicast packet per (column, y direction); a broadcast is the
-    /// all-targets special case.
-    fn expand_into(
+    /// Collectives become the dimension-ordered tree: one path-based
+    /// `Multicast` packet per (column, y direction), on the single local
+    /// queue; a broadcast is the all-targets case (the message keeps its own
+    /// class for the metrics).
+    fn plan(
         &mut self,
         req: &MessageRequest,
-        message: MessageId,
-        now: Cycle,
-        ids: &mut IdAlloc,
-        table: &mut PacketTable,
-        queues: &mut [PacketQueue],
-    ) -> (usize, usize) {
-        let (topo, slab, branches) = (&self.topo, table.bits_mut(), &mut self.branches);
+        base: &PacketMeta,
+        bits: &mut BitSlab,
+        out: &mut Vec<(usize, PacketMeta)>,
+    ) -> usize {
+        let (topo, branches) = (&self.topo, &mut self.branches);
         match req.class {
-            TrafficClass::Unicast => branches.clear(),
-            TrafficClass::Broadcast => topo.multicast_branches_into(
-                req.src,
-                (0..topo.num_nodes()).map(NodeId::new),
-                slab,
-                branches,
-            ),
+            TrafficClass::Unicast => {
+                out.push((0, PacketMeta { dst: req.dst.expect("unicast carries dst"), ..*base }));
+                return 1;
+            }
+            TrafficClass::Broadcast => {
+                let all = (0..topo.num_nodes()).map(NodeId::new);
+                topo.multicast_branches_into(req.src, all, bits, branches)
+            }
             TrafficClass::Multicast => {
-                topo.multicast_branches_into(req.src, req.targets.iter().copied(), slab, branches)
+                topo.multicast_branches_into(req.src, req.targets.iter().copied(), bits, branches)
             }
             other => panic!("applications do not inject {other} packets directly"),
         }
-        grid_expand_into(req, &self.branches, message, ids, now, table, &mut queues[0])
-    }
-
-    /// Replays the remaining dimension-ordered route, counting marked
-    /// transit copies and the branch terminal.
-    fn receivers_beyond(&self, slab: &BitSlab, node: usize, src: Src, meta: &PacketMeta) -> usize {
-        // Fresh local headers are not advanced before their first hop (bit 0
-        // of an injected multicast header refers to the node one hop out);
-        // net-sourced headers advance at every forward.
-        let mut advance = matches!(src, Src::Net { .. });
-        let mut shift = 0usize;
-        let mut cur = NodeId::new(node);
-        let mut count = 0usize;
-        loop {
-            let out = self.topo.route(cur, meta.dst);
-            debug_assert!(out != GridOut::Eject, "ejections are never dropped");
-            if advance {
-                shift += 1;
-            }
-            advance = true;
-            cur = self.topo.link_target(cur, out).expect("route stays on the grid");
-            if self.topo.route(cur, meta.dst) == GridOut::Eject {
-                // The branch terminal delivers through the ejection port.
-                return count + 1;
-            }
-            if meta.class == TrafficClass::Multicast && slab.bit_at(meta.bitstring, shift) {
-                count += 1;
-            }
+        let class = TrafficClass::Multicast;
+        for b in branches.iter() {
+            out.push((0, PacketMeta { class, dst: b.dst, bitstring: b.bitstring, ..*base }));
         }
+        branches.iter().map(|b| b.receivers(bits)).sum()
     }
 }

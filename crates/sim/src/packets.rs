@@ -1,27 +1,22 @@
-//! Message → packet expansion: the transmit half of the transceiver.
+//! The transmit half of the transceiver, as far as it is topology-free.
 //!
 //! The write controller of the paper's transceiver "divides the packet into a
 //! number of flits" and "adds the flit type" (§2.4); the quadrant calculator
-//! decides the injection port. For collectives the transceiver emits one
-//! packet per branch — four tagged streams for a Quarc broadcast (§2.5.2),
-//! three chain seeds for a Spidergon broadcast (§2.2 / ref. [9]).
-//!
-//! Expansion runs inside the per-cycle simulation loop, so it is written to
-//! be allocation-free in steady state: each packet's [`PacketMeta`] is
-//! interned once in the network's [`PacketTable`] and the 16-byte flit
-//! handles are serialised **directly into the destination injection queue**
-//! ([`PacketQueue::push_packet`]) — no intermediate `Vec<Flit>` per packet, no
-//! per-injection container. (The one exception is multicast, whose
-//! branch planner builds per-quadrant target partitions; multicast messages
-//! exist only in explicit traces, never in the paper's synthetic loads.)
+//! decides the injection port. Which packets a message becomes — four tagged
+//! streams for a Quarc broadcast (§2.5.2), three chain seeds for a Spidergon
+//! broadcast (§2.2 / ref. [9]), one bitstring branch per multicast group — is
+//! each router model's [`RouterModel::plan`](crate::fabric::RouterModel::plan):
+//! `(local queue, meta)` pairs derived from the [`message_meta`] template.
+//! The fabric then draws packet ids ([`IdAlloc`]), interns each meta once in
+//! its `PacketTable` and enqueues it, through one routine, into a
+//! [`PacketQueue`] that holds whole packets and materialises their flits on
+//! pop — no intermediate `Vec<Flit>` per packet, nothing allocated per
+//! injection in steady state.
 
 use quarc_core::bits::Bits;
-use quarc_core::flit::{Flit, FlitKind, PacketMeta, PacketRef, PacketTable, TrafficClass};
-use quarc_core::grid::GridBranch;
-use quarc_core::ids::{MessageId, NodeId, PacketId};
-use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches, quadrant_of};
-use quarc_core::ring::{Ring, RingDir};
-use quarc_core::routing::spidergon_broadcast_seeds;
+use quarc_core::flit::{Flit, FlitKind, PacketMeta, PacketRef, TrafficClass};
+use quarc_core::ids::{MessageId, PacketId};
+use quarc_core::ring::RingDir;
 use quarc_engine::Cycle;
 use quarc_workloads::MessageRequest;
 use std::collections::VecDeque;
@@ -105,30 +100,31 @@ impl PacketQueue {
     pub fn flits(&self) -> usize {
         self.entries.iter().map(|&(_, len)| len as usize).sum::<usize>() - self.head_seq as usize
     }
+
+    /// The queued packets, head first.
+    pub fn packets(&self) -> impl Iterator<Item = PacketRef> + '_ {
+        self.entries.iter().map(|&(packet, _)| packet)
+    }
 }
 
-/// The recovery layer's single-flit ACK packet for data message `message`:
-/// a control unicast from acking receiver `from` back to the data source
-/// `to`. `message` names the *data* message — acks are never tracked
-/// messages of their own (no `create_message`, no receiver ledger entry).
-/// The caller interns the meta and serialises it into whichever injection
-/// queue its topology routes `from → to` through.
-pub fn ack_meta(
+/// The header template every packet of `req` derives from: message, class
+/// (the request's own, or `Ack` for an acknowledgement of data message
+/// `message`), source, length, creation cycle. The model fills in the rest.
+pub fn message_meta(
+    req: &MessageRequest,
     message: MessageId,
-    from: NodeId,
-    to: NodeId,
-    packet: PacketId,
+    class: TrafficClass,
     now: Cycle,
 ) -> PacketMeta {
     PacketMeta {
         message,
-        packet,
-        class: TrafficClass::Ack,
-        src: from,
-        dst: to,
+        packet: PacketId(0),
+        class,
+        src: req.src,
+        dst: req.src,
         bitstring: Bits::ZERO,
         dir: RingDir::Cw,
-        len: 1,
+        len: req.len as u32,
         created_at: now,
     }
 }
@@ -155,191 +151,15 @@ impl IdAlloc {
     }
 }
 
-/// Expand a message into Quarc packets, interning each packet's metadata in
-/// `table` and serialising its flits straight into the matching quadrant
-/// queue. Returns `(expected receivers, flits enqueued)`.
-pub fn quarc_expand_into(
-    ring: &Ring,
-    req: &MessageRequest,
-    message: MessageId,
-    ids: &mut IdAlloc,
-    now: Cycle,
-    table: &mut PacketTable,
-    queues: &mut [PacketQueue; 4],
-) -> (usize, usize) {
-    let base = PacketMeta {
-        message,
-        packet: PacketId(0), // overwritten per packet
-        class: req.class,
-        src: req.src,
-        dst: req.src, // overwritten
-        bitstring: Bits::ZERO,
-        dir: RingDir::Cw,
-        len: req.len as u32,
-        created_at: now,
-    };
-    let len = base.len;
-    let mut flits = 0usize;
-    match req.class {
-        TrafficClass::Unicast => {
-            let dst = req.dst.expect("unicast carries dst");
-            let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-            flits += queues[quadrant_of(ring, req.src, dst).index()].push_packet(pref, len);
-            (1, flits)
-        }
-        TrafficClass::Broadcast => {
-            for head in broadcast_branch_heads(ring, req.src).into_iter().flatten() {
-                let (quadrant, dst) = head;
-                let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-                flits += queues[quadrant.index()].push_packet(pref, len);
-            }
-            (ring.len() - 1, flits)
-        }
-        TrafficClass::Multicast => {
-            let branches = multicast_branches(ring, req.src, &req.targets, table.bits_mut());
-            let receivers = branches.iter().map(|b| b.deliveries.len()).sum();
-            for b in branches {
-                let pref = table.insert(PacketMeta {
-                    packet: ids.packet(),
-                    dst: b.dst,
-                    bitstring: b.bitstring,
-                    ..base
-                });
-                flits += queues[b.quadrant.index()].push_packet(pref, len);
-            }
-            (receivers, flits)
-        }
-        other => panic!("applications do not inject {other} packets directly"),
-    }
-}
-
-/// Expand a message into Spidergon packets, all serialised into the single
-/// local queue (one-port router). Broadcast becomes the three chain seeds;
-/// multicast becomes one unicast per target (the paper gives Spidergon no
-/// native multicast). Returns `(expected receivers, flits enqueued)`.
-pub fn spidergon_expand_into(
-    ring: &Ring,
-    req: &MessageRequest,
-    message: MessageId,
-    ids: &mut IdAlloc,
-    now: Cycle,
-    table: &mut PacketTable,
-    queue: &mut PacketQueue,
-) -> (usize, usize) {
-    let base = PacketMeta {
-        message,
-        packet: PacketId(0),
-        class: req.class,
-        src: req.src,
-        dst: req.src,
-        bitstring: Bits::ZERO,
-        dir: RingDir::Cw,
-        len: req.len as u32,
-        created_at: now,
-    };
-    let len = base.len;
-    let mut flits = 0usize;
-    match req.class {
-        TrafficClass::Unicast => {
-            let dst = req.dst.expect("unicast carries dst");
-            let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-            flits += queue.push_packet(pref, len);
-            (1, flits)
-        }
-        TrafficClass::Broadcast => {
-            for seed in spidergon_broadcast_seeds(ring, req.src) {
-                let pref = table.insert(PacketMeta {
-                    packet: ids.packet(),
-                    class: seed.class,
-                    dst: seed.dst,
-                    bitstring: Bits::inline(seed.remaining as u64),
-                    dir: seed.dir,
-                    ..base
-                });
-                flits += queue.push_packet(pref, len);
-            }
-            (ring.len() - 1, flits)
-        }
-        TrafficClass::Multicast => {
-            let mut count = 0;
-            for &dst in req.targets.iter().filter(|&&t| t != req.src) {
-                let pref = table.insert(PacketMeta {
-                    packet: ids.packet(),
-                    class: TrafficClass::Unicast,
-                    dst,
-                    ..base
-                });
-                flits += queue.push_packet(pref, len);
-                count += 1;
-            }
-            (count, flits)
-        }
-        other => panic!("applications do not inject {other} packets directly"),
-    }
-}
-
-/// Expand a message into mesh/torus packets, given the pre-planned
-/// dimension-ordered tree `branches` (from
-/// [`quarc_core::grid::GridTopology::multicast_branches_into`]; ignored for
-/// unicast). Every branch becomes one path-based
-/// `Multicast` packet serialised into the single local queue. Returns
-/// `(expected receivers, flits enqueued)`.
-pub fn grid_expand_into(
-    req: &MessageRequest,
-    branches: &[GridBranch],
-    message: MessageId,
-    ids: &mut IdAlloc,
-    now: Cycle,
-    table: &mut PacketTable,
-    queue: &mut PacketQueue,
-) -> (usize, usize) {
-    let base = PacketMeta {
-        message,
-        packet: PacketId(0), // overwritten per packet
-        class: req.class,
-        src: req.src,
-        dst: req.src, // overwritten
-        bitstring: Bits::ZERO,
-        dir: RingDir::Cw,
-        len: req.len as u32,
-        created_at: now,
-    };
-    let len = base.len;
-    let mut flits = 0usize;
-    match req.class {
-        TrafficClass::Unicast => {
-            let dst = req.dst.expect("unicast carries dst");
-            let pref = table.insert(PacketMeta { packet: ids.packet(), dst, ..base });
-            flits += queue.push_packet(pref, len);
-            (1, flits)
-        }
-        TrafficClass::Broadcast | TrafficClass::Multicast => {
-            // Broadcast is multicast-to-all on the grid; either way every
-            // packet is a path-based multicast with an explicit bitstring
-            // (the message keeps its own class for the metrics).
-            let mut receivers = 0usize;
-            for b in branches {
-                receivers += b.receivers(table.bits());
-                let pref = table.insert(PacketMeta {
-                    packet: ids.packet(),
-                    class: TrafficClass::Multicast,
-                    dst: b.dst,
-                    bitstring: b.bitstring,
-                    ..base
-                });
-                flits += queue.push_packet(pref, len);
-            }
-            (receivers, flits)
-        }
-        other => panic!("applications do not inject {other} packets directly"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::RouterModel;
+    use crate::quarc_net::QuarcRouter;
+    use crate::spider_net::SpidergonRouter;
+    use quarc_core::config::NocConfig;
+    use quarc_core::flit::PacketTable;
     use quarc_core::ids::NodeId;
-    use quarc_core::quadrant::Quadrant;
 
     fn meta(len: u32) -> PacketMeta {
         PacketMeta {
@@ -357,11 +177,28 @@ mod tests {
 
     /// Drain a queue into the flit stream it will emit.
     fn drain(mut q: PacketQueue) -> Vec<Flit> {
-        let mut flits = Vec::new();
-        while let Some(f) = q.pop() {
-            flits.push(f);
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    /// What the fabric does with `req` as message 9 of class `class`, sent
+    /// at cycle 100: plan it through model `R`, then intern and enqueue each
+    /// packet in plan order. Returns the table, the flit stream of every
+    /// local queue, the expected receivers and the flits enqueued.
+    fn plan<R: RouterModel>(
+        cfg: NocConfig,
+        req: &MessageRequest,
+        class: TrafficClass,
+    ) -> (PacketTable, Vec<Vec<Flit>>, usize, usize) {
+        let (mut model, base) = (R::new(&cfg), message_meta(req, MessageId(9), class, 100));
+        let (mut table, mut planned) = (model.packet_table(), Vec::new());
+        let receivers = model.plan(req, &base, table.bits_mut(), &mut planned);
+        let (mut ids, mut queues, mut flits) =
+            (IdAlloc::new(), vec![PacketQueue::new(); R::QUEUES], 0);
+        for (queue, meta) in planned {
+            let pref = table.insert(PacketMeta { packet: ids.packet(), ..meta });
+            flits += queues[queue].push_packet(pref, meta.len);
         }
-        flits
+        (table, queues.into_iter().map(drain).collect(), receivers, flits)
     }
 
     #[test]
@@ -396,16 +233,20 @@ mod tests {
 
     #[test]
     fn single_flit_packet_is_header_and_tail_at_once() {
-        let mut table = PacketTable::new();
-        let pref = table.insert(ack_meta(MessageId(7), NodeId(3), NodeId(0), PacketId(9), 42));
-        let mut q = PacketQueue::new();
-        assert_eq!(q.push_packet(pref, 1), 1);
-        let f = q.pop().unwrap();
+        // An ACK is the model's unicast plan with class `Ack`: receiver 3
+        // acknowledges data message 9 back to its source 0.
+        let ack = MessageRequest::unicast(NodeId(3), NodeId(0), 1);
+        let (table, queues, receivers, flits) =
+            plan::<QuarcRouter>(NocConfig::quarc(16), &ack, TrafficClass::Ack);
+        assert_eq!((receivers, flits), (1, 1));
+        // One packet, on the queue of the quadrant that routes 3 → 0.
+        assert_eq!(queues.iter().filter(|q| !q.is_empty()).count(), 1);
+        let f = queues.iter().flatten().next().copied().unwrap();
         assert_eq!(f.kind, FlitKind::Single);
         assert!(f.is_header() && f.is_tail());
-        assert!(q.is_empty());
-        assert_eq!(table.meta(pref).class, TrafficClass::Ack);
-        assert_eq!(table.meta(pref).message, MessageId(7), "acks name the data message");
+        assert_eq!(table.meta(f.packet).class, TrafficClass::Ack);
+        assert_eq!(table.meta(f.packet).message, MessageId(9), "acks name the data message");
+        assert_eq!(table.meta(f.packet).dst, NodeId(0));
     }
 
     #[test]
@@ -419,6 +260,7 @@ mod tests {
         q.push_packet(a, 3);
         q.push_packet(b, 2);
         assert_eq!(q.flits(), 5);
+        assert_eq!(q.packets().collect::<Vec<_>>(), [a, b]);
         assert_eq!(q.pop().unwrap().packet, a);
         assert_eq!(q.flits(), 4);
         let rest = drain(q);
@@ -427,14 +269,8 @@ mod tests {
         assert_eq!(rest.last().unwrap().kind, FlitKind::Tail);
     }
 
-    fn expand_quarc(n: usize, req: &MessageRequest) -> (PacketTable, [Vec<Flit>; 4], usize, usize) {
-        let ring = Ring::new(n);
-        let mut ids = IdAlloc::new();
-        let mut table = PacketTable::new();
-        let mut queues: [PacketQueue; 4] = Default::default();
-        let (receivers, flits) =
-            quarc_expand_into(&ring, req, MessageId(9), &mut ids, 100, &mut table, &mut queues);
-        (table, queues.map(drain), receivers, flits)
+    fn expand_quarc(n: usize, req: &MessageRequest) -> (PacketTable, Vec<Vec<Flit>>, usize, usize) {
+        plan::<QuarcRouter>(NocConfig::quarc(n), req, req.class)
     }
 
     #[test]
@@ -443,8 +279,9 @@ mod tests {
         let (table, queues, receivers, flits) = expand_quarc(16, &req);
         assert_eq!(receivers, 1);
         assert_eq!(flits, 8);
-        assert_eq!(queues[Quadrant::Right.index()].len(), 8);
-        let head = queues[Quadrant::Right.index()][0];
+        // Queue 0 is the right quadrant's (0 → 3 is three hops clockwise).
+        assert_eq!(queues[0].len(), 8);
+        let head = queues[0][0];
         assert_eq!(table.meta(head.packet).created_at, 100);
         assert_eq!(table.meta(head.packet).message, MessageId(9));
         assert_eq!(table.live(), 1);
@@ -473,24 +310,18 @@ mod tests {
         assert_eq!(queues.iter().filter(|q| !q.is_empty()).count(), 2);
     }
 
-    fn expand_spider(n: usize, req: &MessageRequest) -> (PacketTable, Vec<Flit>, usize, usize) {
-        let ring = Ring::new(n);
-        let mut ids = IdAlloc::new();
-        let mut table = PacketTable::new();
-        let mut queue = PacketQueue::new();
-        let (receivers, flits) =
-            spidergon_expand_into(&ring, req, MessageId(0), &mut ids, 0, &mut table, &mut queue);
-        (table, drain(queue), receivers, flits)
-    }
-
     #[test]
     fn spidergon_broadcast_three_seeds() {
         let req = MessageRequest::broadcast(NodeId(0), 4);
-        let (table, queue, receivers, flits) = expand_spider(16, &req);
+        let spidergon = NocConfig::spidergon(16);
+        let (table, queues, receivers, flits) = plan::<SpidergonRouter>(spidergon, &req, req.class);
         assert_eq!(receivers, 15);
         assert_eq!(flits, 12);
-        let classes: Vec<TrafficClass> =
-            queue.iter().filter(|f| f.is_header()).map(|f| table.meta(f.packet).class).collect();
+        let classes: Vec<TrafficClass> = queues[0]
+            .iter()
+            .filter(|f| f.is_header())
+            .map(|f| table.meta(f.packet).class)
+            .collect();
         assert_eq!(classes.iter().filter(|c| **c == TrafficClass::ChainRim).count(), 2);
         assert_eq!(classes.iter().filter(|c| **c == TrafficClass::ChainCross).count(), 1);
     }
@@ -498,9 +329,10 @@ mod tests {
     #[test]
     fn spidergon_multicast_becomes_unicasts() {
         let req = MessageRequest::multicast(NodeId(0), vec![NodeId(1), NodeId(5)], 4);
-        let (table, queue, receivers, _) = expand_spider(16, &req);
+        let spidergon = NocConfig::spidergon(16);
+        let (table, queues, receivers, _) = plan::<SpidergonRouter>(spidergon, &req, req.class);
         assert_eq!(receivers, 2);
-        assert!(queue
+        assert!(queues[0]
             .iter()
             .filter(|f| f.is_header())
             .all(|f| table.meta(f.packet).class == TrafficClass::Unicast));

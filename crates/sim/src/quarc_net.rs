@@ -20,13 +20,12 @@
 //! are the fabric's.
 
 use crate::arbiter::ArbPolicy;
-use crate::fabric::{Fabric, Route, RouterModel, Src, ABSORB};
-use crate::packets::{quarc_expand_into, IdAlloc, PacketQueue};
-use quarc_core::bits::{BitSlab, Bits};
+use crate::fabric::{Fabric, Route, RouterModel, ABSORB};
+use quarc_core::bits::BitSlab;
 use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
-use quarc_core::ids::{MessageId, NodeId, VcId};
-use quarc_core::quadrant::{quadrant_of, Quadrant};
+use quarc_core::ids::{NodeId, VcId};
+use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches, quadrant_of, Quadrant};
 use quarc_core::ring::RingDir;
 use quarc_core::routing::{quarc_injection_out, quarc_route, RouteAction};
 use quarc_core::topology::{QuarcIn, QuarcOut, QuarcTopology, TopologyKind};
@@ -80,10 +79,6 @@ impl RouterModel for QuarcRouter {
         QuarcRouter { topo: QuarcTopology::new(cfg.n) }
     }
 
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Quarc
-    }
-
     fn num_nodes(&self) -> usize {
         self.topo.num_nodes()
     }
@@ -126,62 +121,38 @@ impl RouterModel for QuarcRouter {
         }
     }
 
-    fn expand_into(
+    /// The quadrant calculator (§2.4): a unicast rides its destination's
+    /// quadrant queue, a broadcast is one tagged stream per quadrant (§2.5.2)
+    /// and a multicast one bitstring branch per non-empty quadrant (§2.5.3).
+    fn plan(
         &mut self,
         req: &MessageRequest,
-        message: MessageId,
-        now: Cycle,
-        ids: &mut IdAlloc,
-        table: &mut PacketTable,
-        queues: &mut [PacketQueue],
-    ) -> (usize, usize) {
-        let queues = queues.try_into().expect("four quadrant queues per node");
-        quarc_expand_into(self.topo.ring(), req, message, ids, now, table, queues)
-    }
-
-    fn ack_queue(&self, node: NodeId, to: NodeId) -> usize {
-        quadrant_of(self.topo.ring(), node, to).index()
-    }
-
-    /// Replays the remaining route on a copy of the meta — exact for every
-    /// class by construction.
-    fn receivers_beyond(&self, slab: &BitSlab, node: usize, src: Src, meta: &PacketMeta) -> usize {
-        // The replayed meta's bitstring is synthesised inline, one bit at a
-        // time, from a read-only offset (`bit_at`) into the packet's
-        // (possibly slab-backed) bitstring.
-        let bits = meta.bitstring;
-        let mut shift = 0usize;
+        base: &PacketMeta,
+        bits: &mut BitSlab,
+        out: &mut Vec<(usize, PacketMeta)>,
+    ) -> usize {
         let ring = self.topo.ring();
-        let (mut out, mut advance) = match src {
-            Src::Net { port, .. } => {
-                match quarc_route(ring, NodeId::new(node), NET_IN[port as usize], meta) {
-                    // Forwarding from a net lane shifts the bitstring;
-                    // injections forward the meta unchanged.
-                    RouteAction::Forward(o) | RouteAction::DeliverAndForward(o) => (o, true),
-                    RouteAction::Deliver => unreachable!("pure absorptions are never dropped"),
+        match req.class {
+            TrafficClass::Unicast => {
+                let dst = req.dst.expect("unicast carries dst");
+                out.push((quadrant_of(ring, req.src, dst).index(), PacketMeta { dst, ..*base }));
+                1
+            }
+            TrafficClass::Broadcast => {
+                for (quadrant, dst) in broadcast_branch_heads(ring, req.src).into_iter().flatten() {
+                    out.push((quadrant.index(), PacketMeta { dst, ..*base }));
                 }
+                ring.len() - 1
             }
-            Src::Local { queue } => (quarc_injection_out(Quadrant::ALL[queue as usize]), false),
-        };
-        let mut meta = *meta;
-        let mut node = NodeId::new(node);
-        let mut count = 0usize;
-        loop {
-            if advance && meta.class == TrafficClass::Multicast {
-                shift += 1;
-                meta.bitstring = Bits::inline(u64::from(slab.bit_at(bits, shift)));
-            }
-            advance = true;
-            let (to, tin) = self.topo.link_target(node, out).expect("network output");
-            match quarc_route(ring, to, tin, &meta) {
-                RouteAction::Deliver => return count + 1,
-                RouteAction::Forward(o) => out = o,
-                RouteAction::DeliverAndForward(o) => {
-                    count += 1;
-                    out = o;
+            TrafficClass::Multicast => {
+                let branches = multicast_branches(ring, req.src, &req.targets, bits);
+                for b in &branches {
+                    let meta = PacketMeta { dst: b.dst, bitstring: b.bitstring, ..*base };
+                    out.push((b.quadrant.index(), meta));
                 }
+                branches.iter().map(|b| b.deliveries.len()).sum()
             }
-            node = to;
+            other => panic!("applications do not inject {other} packets directly"),
         }
     }
 }

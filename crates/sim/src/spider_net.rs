@@ -17,16 +17,16 @@
 //!   magnitude slower.
 
 use crate::fabric::{Fabric, Route, RouterModel, Src};
-use crate::packets::{spidergon_expand_into, IdAlloc, PacketQueue};
 use quarc_core::bits::{BitSlab, Bits};
 use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
-use quarc_core::ids::{MessageId, NodeId, VcId};
+use quarc_core::ids::{NodeId, VcId};
 use quarc_core::ring::RingDir;
-use quarc_core::routing::{chain_continuations, spidergon_route, RouteAction};
+use quarc_core::routing::{
+    chain_continuations, spidergon_broadcast_seeds, spidergon_route, ChainSeed, RouteAction,
+};
 use quarc_core::topology::{SpiOut, SpidergonTopology, TopologyKind};
 use quarc_core::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
-use quarc_engine::Cycle;
 use quarc_workloads::MessageRequest;
 
 /// The flit-level Spidergon network simulator.
@@ -81,10 +81,6 @@ impl RouterModel for SpidergonRouter {
         SpidergonRouter { topo: SpidergonTopology::new(cfg.n) }
     }
 
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Spidergon
-    }
-
     fn num_nodes(&self) -> usize {
         self.topo.num_nodes()
     }
@@ -108,18 +104,36 @@ impl RouterModel for SpidergonRouter {
         self.route(node, meta, INJECTION_VC)
     }
 
-    /// Broadcast becomes three chain seeds and multicast one unicast per
-    /// target, all through the single local queue.
-    fn expand_into(
+    /// Everything rides the single local queue: a broadcast becomes the
+    /// three chain seeds and a multicast one unicast per target (the paper
+    /// gives Spidergon no native multicast).
+    fn plan(
         &mut self,
         req: &MessageRequest,
-        message: MessageId,
-        now: Cycle,
-        ids: &mut IdAlloc,
-        table: &mut PacketTable,
-        queues: &mut [PacketQueue],
-    ) -> (usize, usize) {
-        spidergon_expand_into(self.topo.ring(), req, message, ids, now, table, &mut queues[0])
+        base: &PacketMeta,
+        _bits: &mut BitSlab,
+        out: &mut Vec<(usize, PacketMeta)>,
+    ) -> usize {
+        let ring = self.topo.ring();
+        match req.class {
+            TrafficClass::Unicast => {
+                out.push((0, PacketMeta { dst: req.dst.expect("unicast carries dst"), ..*base }));
+                1
+            }
+            TrafficClass::Broadcast => {
+                let seeds = spidergon_broadcast_seeds(ring, req.src);
+                out.extend(seeds.into_iter().map(|s| chain(s, base)));
+                ring.len() - 1
+            }
+            TrafficClass::Multicast => {
+                let targets = req.targets.iter().filter(|&&t| t != req.src);
+                let unicast = |&dst| (0, PacketMeta { class: TrafficClass::Unicast, dst, ..*base });
+                let before = out.len();
+                out.extend(targets.map(unicast));
+                out.len() - before
+            }
+            other => panic!("applications do not inject {other} packets directly"),
+        }
     }
 
     /// The dropped packet's own delivery plus, for chain packets, every node
@@ -137,19 +151,19 @@ impl RouterModel for SpidergonRouter {
     /// Broadcast-by-unicast: the tail of a chain packet triggers the
     /// replication logic, which rewrites the header and re-injects through
     /// the single local port one cycle later (§2.2).
-    fn respawn(&self, node: NodeId, meta: &PacketMeta, spawn: &mut dyn FnMut(PacketMeta)) {
+    fn respawn(&self, node: NodeId, meta: &PacketMeta, out: &mut Vec<(usize, PacketMeta)>) {
         if meta.class.is_chain() {
-            for seed in chain_continuations(self.topo.ring(), node, meta) {
-                spawn(PacketMeta {
-                    class: seed.class,
-                    dst: seed.dst,
-                    bitstring: Bits::inline(seed.remaining as u64),
-                    dir: seed.dir,
-                    ..*meta
-                });
-            }
+            let seeds = chain_continuations(self.topo.ring(), node, meta);
+            out.extend(seeds.into_iter().map(|s| chain(s, meta)));
         }
     }
+}
+
+/// The chain packet `seed` of the broadcast `base` belongs to, on the local
+/// queue: the remaining-count rides the header's bitstring field.
+fn chain(seed: ChainSeed, base: &PacketMeta) -> (usize, PacketMeta) {
+    let bitstring = Bits::inline(u64::from(seed.remaining));
+    (0, PacketMeta { class: seed.class, dst: seed.dst, bitstring, dir: seed.dir, ..*base })
 }
 
 #[cfg(test)]
