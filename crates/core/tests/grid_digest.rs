@@ -1,4 +1,10 @@
-//! The mesh and torus routing functions, pinned as FNV digests.
+//! The routing functions, pinned as FNV digests.
+//!
+//! Every unicast's channel list — `(node, out index, vc)` per hop, for every
+//! ordered pair — is folded into one number per topology family, over every
+//! Quarc size `n ≡ 0 (mod 4)` and every even Spidergon size in `4..=64`, and
+//! over the grid shapes below. The constants were generated from the
+//! hand-written channel lists the routing walker replaced.
 //!
 //! Every decision the grid topologies make — the dimension-ordered `route`
 //! of every pair, `hops`, the `link_target` wiring, `diameter`, the dateline
@@ -69,6 +75,58 @@ fn grid_digest(t: GridTopology) -> u64 {
         }
     }
     h.0
+}
+
+/// Fold one family's unicast channel lists: `channels(i, src, dst)` lists
+/// the route in network `sizes[i]` as `(node * 4 + out, vc)` channels.
+fn route_digest(
+    sizes: &[usize],
+    channels: impl Fn(usize, NodeId, NodeId) -> Vec<(u64, VcId)>,
+) -> u64 {
+    let mut h = Fnv::new();
+    for (i, &n) in sizes.iter().enumerate() {
+        h.fold(n as u64);
+        for s in (0..n).map(NodeId::new) {
+            for d in (0..n).map(NodeId::new).filter(|&d| d != s) {
+                let route = channels(i, s, d);
+                h.fold(route.len() as u64);
+                for (link, vc) in route {
+                    h.fold(link / 4);
+                    h.fold(link % 4);
+                    h.fold(vc.index() as u64);
+                }
+            }
+        }
+    }
+    h.0
+}
+
+/// The mesh and torus shapes of the digest tables below.
+const MESH: [(usize, usize); 5] = [(1, 1), (4, 4), (5, 3), (3, 5), (9, 9)];
+const TORUS: [(usize, usize); 5] = [(2, 2), (4, 4), (5, 3), (3, 5), (8, 8)];
+
+#[test]
+fn ring_routes_are_pinned() {
+    use quarc_core::vc::{quarc_route_channels, spidergon_route_channels};
+    let quarc: Vec<usize> = (4..=64).step_by(4).collect();
+    let spidergon: Vec<usize> = (4..=64).step_by(2).collect();
+    let got = [
+        route_digest(&quarc, |i, s, d| quarc_route_channels(&Ring::new(quarc[i]), s, d)),
+        route_digest(&spidergon, |i, s, d| {
+            spidergon_route_channels(&Ring::new(spidergon[i]), s, d)
+        }),
+    ];
+    assert_eq!(got, [0xc7ec_7a02_781c_b725, 0x4fcc_d7fd_b802_5906], "got {got:#x?}");
+}
+
+#[test]
+fn grid_routes_are_pinned() {
+    let digest = |shapes: [(usize, usize); 5], build: fn(usize, usize) -> GridTopology| {
+        let sizes = shapes.map(|(c, r)| c * r);
+        route_digest(&sizes, |i, s, d| build(shapes[i].0, shapes[i].1).route_channels(s, d))
+    };
+    let got = [digest(MESH, GridTopology::mesh), digest(TORUS, GridTopology::torus)];
+    assert_eq!(got, [0x4dfe_faf8_82b4_8965, 0xde4b_a744_b401_7cd1], "got {got:#x?}");
 }
 
 /// Compare every shape's digest at once, so a failure prints the whole table.
