@@ -35,112 +35,76 @@
 //!   `M + 2` (hop + serialisation + header rewrite):
 //!   `≈ 3M + 2 + (n/4 − 1)(M + 2)`.
 
-use crate::linkload::{mesh_loads, quarc_loads, spidergon_loads, LinkLoads};
+use crate::linkload::{quarc_loads, spidergon_loads, LinkLoads};
 use crate::mg1::{mg1_wait, DEFAULT_CV2};
-use quarc_core::grid::{GridOut, GridTopology};
+use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
-use quarc_core::quadrant::{quadrant_of, unicast_hops, Quadrant};
-use quarc_core::ring::Ring;
-use quarc_core::routing::spidergon_hops;
-use quarc_core::vc::{quarc_route_channels, spidergon_route_channels};
+use quarc_core::routing::Routing;
+use quarc_core::topology::{QuarcTopology, SpidergonTopology};
+
+/// M/G/1 waiting time of a channel `count` of the `n − 1` destinations of
+/// each source route through, at rate `lambda` with `m`-flit messages.
+fn wait(n: usize, m: usize, lambda: f64, count: usize) -> Option<f64> {
+    let m_f = m as f64;
+    mg1_wait(lambda * count as f64 / (n - 1) as f64 * m_f, m_f, DEFAULT_CV2)
+}
+
+/// The module-level latency `L(s,t)` averaged over every destination of
+/// source 0 (`vertex_transitive`) or of every source, each route and its
+/// link loads walked with `topo`'s [`Routing`]. `port_wait(queue)` is the
+/// injection port's waiting time. `None` above saturation.
+fn mean_latency<R: Routing>(
+    topo: &R,
+    vertex_transitive: bool,
+    m: usize,
+    lambda: f64,
+    port_wait: impl Fn(usize) -> Option<f64>,
+) -> Option<f64> {
+    let n = topo.num_nodes();
+    let loads = LinkLoads::uniform(topo, vertex_transitive);
+    let sources = if vertex_transitive { 1 } else { n };
+    let (mut total, mut route) = (0.0, Vec::new());
+    for s in (0..sources).map(NodeId::new) {
+        for t in (0..n).map(NodeId::new).filter(|&t| t != s) {
+            route.clear();
+            topo.walk_unicast(s, t, |node, hop| route.push(loads.count(node, hop.out as usize)));
+            let d = route.len() as f64;
+            let mut l = 1.0 + d + (m as f64 - 1.0) + port_wait(topo.unicast_queue(s, t))?;
+            for &count in &route {
+                l += wait(n, m, lambda, count)?;
+            }
+            total += l;
+        }
+    }
+    Some(total / (sources * (n - 1)) as f64)
+}
 
 /// Mean unicast latency of an `n`-node Quarc at rate `lambda` (messages per
 /// node per cycle) with `m`-flit messages. `None` above saturation.
 pub fn quarc_unicast_latency(n: usize, m: usize, lambda: f64) -> Option<f64> {
-    let ring = Ring::new(n);
-    let loads = quarc_loads(n);
-    let m_f = m as f64;
-    let wait = |count: usize| -> Option<f64> {
-        let rho = lambda * count as f64 / (n - 1) as f64 * m_f;
-        mg1_wait(rho, m_f, DEFAULT_CV2)
-    };
-    // Per-quadrant injection-port waiting.
-    let mut port_wait = [0.0f64; 4];
-    for quad in Quadrant::ALL {
-        let dests = ring
-            .nodes()
-            .filter(|&t| t != NodeId(0) && quadrant_of(&ring, NodeId(0), t) == quad)
-            .count();
-        // The port's arrival rate is the quadrant's share of the node's λ.
-        port_wait[quad.index()] = wait(dests)?;
+    let topo = QuarcTopology::new(n);
+    // Per-quadrant injection-port waiting: the port's arrival rate is the
+    // quadrant's share of the node's λ.
+    let mut dests = [0; 4];
+    for t in (1..n).map(NodeId::new) {
+        dests[topo.unicast_queue(NodeId(0), t)] += 1;
     }
-    let src = NodeId(0);
-    let mut total = 0.0;
-    for t in ring.nodes() {
-        if t == src {
-            continue;
-        }
-        let d = unicast_hops(&ring, src, t) as f64;
-        let quad = quadrant_of(&ring, src, t);
-        let mut l = 1.0 + d + (m_f - 1.0) + port_wait[quad.index()];
-        for (link, _vc) in quarc_route_channels(&ring, src, t) {
-            l += wait(loads.count(link))?;
-        }
-        total += l;
-    }
-    Some(total / (n - 1) as f64)
+    let port_wait = dests.map(|count| wait(n, m, lambda, count));
+    mean_latency(&topo, true, m, lambda, |quadrant| port_wait[quadrant])
 }
 
 /// Mean unicast latency of an `n`-node Spidergon. `None` above saturation.
 pub fn spidergon_unicast_latency(n: usize, m: usize, lambda: f64) -> Option<f64> {
-    let ring = Ring::new(n);
-    let loads = spidergon_loads(n);
-    let m_f = m as f64;
-    let wait = |count: usize| -> Option<f64> {
-        let rho = lambda * count as f64 / (n - 1) as f64 * m_f;
-        mg1_wait(rho, m_f, DEFAULT_CV2)
-    };
     // Single injection port carries the node's entire λ.
-    let src_wait = mg1_wait(lambda * m_f, m_f, DEFAULT_CV2)?;
-    let src = NodeId(0);
-    let mut total = 0.0;
-    for t in ring.nodes() {
-        if t == src {
-            continue;
-        }
-        let d = spidergon_hops(&ring, src, t) as f64;
-        let mut l = 1.0 + d + (m_f - 1.0) + src_wait;
-        for (link, _vc) in spidergon_route_channels(&ring, src, t) {
-            l += wait(loads.count(link))?;
-        }
-        total += l;
-    }
-    Some(total / (n - 1) as f64)
+    let src_wait = mg1_wait(lambda * m as f64, m as f64, DEFAULT_CV2);
+    mean_latency(&SpidergonTopology::new(n), true, m, lambda, |_| src_wait)
 }
 
 /// Mean unicast latency of a mesh under XY routing. `None` above saturation.
 /// The mesh is not vertex-symmetric, so all sources are averaged.
 pub fn mesh_unicast_latency(topo: &GridTopology, m: usize, lambda: f64) -> Option<f64> {
-    let n = topo.num_nodes();
-    let loads: LinkLoads = mesh_loads(topo);
-    let m_f = m as f64;
-    let wait = |count: usize| -> Option<f64> {
-        let rho = lambda * count as f64 / (n - 1) as f64 * m_f;
-        mg1_wait(rho, m_f, DEFAULT_CV2)
-    };
-    let src_wait = mg1_wait(lambda * m_f, m_f, DEFAULT_CV2)?;
-    let mut total = 0.0;
-    for s in 0..n {
-        for t in 0..n {
-            if s == t {
-                continue;
-            }
-            let (src, dst) = (NodeId::new(s), NodeId::new(t));
-            let d = topo.hops(src, dst) as f64;
-            let mut l = 1.0 + d + (m_f - 1.0) + src_wait;
-            let mut cur = src;
-            loop {
-                let out = topo.route(cur, dst);
-                if out == GridOut::Eject {
-                    break;
-                }
-                l += wait(loads.count((cur.index() * 4 + out.index()) as u64))?;
-                cur = topo.link_target(cur, out).expect("route stays on the grid");
-            }
-            total += l;
-        }
-    }
-    Some(total / (n * (n - 1)) as f64)
+    let src_wait = mg1_wait(lambda * m as f64, m as f64, DEFAULT_CV2);
+    mean_latency(topo, false, m, lambda, |_| src_wait)
 }
 
 /// Zero-load Quarc broadcast completion latency.
@@ -175,6 +139,8 @@ pub fn spidergon_saturation_rate(n: usize, m: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quarc_core::quadrant::unicast_hops;
+    use quarc_core::ring::Ring;
 
     #[test]
     fn zero_load_limits_match_hop_formulas() {

@@ -7,39 +7,61 @@
 //! of the Spidergon causes the number of messages that cross each physical
 //! link to vary severely").
 
-use quarc_core::grid::{GridOut, GridTopology};
+use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
-use quarc_core::ring::Ring;
-use quarc_core::vc::{quarc_route_channels, spidergon_route_channels};
-use std::collections::HashMap;
+use quarc_core::routing::Routing;
+use quarc_core::topology::{QuarcTopology, SpidergonTopology};
 
 /// Route counts per directed physical link (both VCs merged: they share the
 /// wire).
 #[derive(Debug, Clone)]
 pub struct LinkLoads {
-    /// `link id → number of (src, dst) pairs routed through it`.
-    counts: HashMap<u64, usize>,
-    /// Number of ordered pairs considered (`n(n−1)`).
-    pairs: usize,
+    /// Pairs routed through each link, indexed `node * ports + out`.
+    counts: Vec<usize>,
+    /// Network ports per router.
+    ports: usize,
 }
 
 impl LinkLoads {
-    /// Pairs crossing the given link.
-    pub fn count(&self, link: u64) -> usize {
-        self.counts.get(&link).copied().unwrap_or(0)
+    /// Loads of `topo` under uniform all-pairs traffic, walking each route
+    /// with the topology's own [`Routing`]. A vertex-transitive topology
+    /// (rotating the ring maps routes onto routes) walks from source 0 only:
+    /// every link of port `p` then carries that source's port-`p` total.
+    pub fn uniform<R: Routing>(topo: &R, vertex_transitive: bool) -> Self {
+        let n = topo.num_nodes();
+        let mut counts = vec![0; n * R::PORTS];
+        for s in (0..if vertex_transitive { 1 } else { n }).map(NodeId::new) {
+            for t in (0..n).map(NodeId::new).filter(|&t| t != s) {
+                topo.walk_unicast(s, t, |node, hop| {
+                    counts[node * R::PORTS + hop.out as usize] += 1
+                });
+            }
+        }
+        if vertex_transitive {
+            let totals: Vec<usize> =
+                (0..R::PORTS).map(|p| counts.iter().skip(p).step_by(R::PORTS).sum()).collect();
+            counts.iter_mut().enumerate().for_each(|(link, c)| *c = totals[link % R::PORTS]);
+        }
+        LinkLoads { counts, ports: R::PORTS }
+    }
+
+    /// Pairs crossing the link leaving `node` through port `out`.
+    pub fn count(&self, node: usize, out: usize) -> usize {
+        self.counts[node * self.ports + out]
     }
 
     /// The largest per-link count — the bottleneck channel.
     pub fn max_count(&self) -> usize {
-        self.counts.values().copied().max().unwrap_or(0)
+        self.iter().max().unwrap_or(0)
     }
 
     /// Mean count over links that carry any traffic.
     pub fn mean_count(&self) -> f64 {
-        if self.counts.is_empty() {
+        let (sum, used) = self.iter().filter(|&c| c > 0).fold((0, 0), |(s, u), c| (s + c, u + 1));
+        if used == 0 {
             return 0.0;
         }
-        self.counts.values().sum::<usize>() as f64 / self.counts.len() as f64
+        sum as f64 / used as f64
     }
 
     /// Max/mean ratio: 1.0 for perfectly balanced (edge-symmetric) load.
@@ -51,78 +73,34 @@ impl LinkLoads {
         self.max_count() as f64 / mean
     }
 
-    /// Ordered pairs considered.
-    pub fn pairs(&self) -> usize {
-        self.pairs
-    }
-
-    /// Iterate `(link id, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.counts.iter().map(|(&l, &c)| (l, c))
+    /// Every link's count, in `node * ports + out` order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.counts.iter().copied()
     }
 }
 
 /// Link loads of an `n`-node Quarc under uniform all-pairs traffic.
 pub fn quarc_loads(n: usize) -> LinkLoads {
-    let ring = Ring::new(n);
-    let mut counts = HashMap::new();
-    for s in ring.nodes() {
-        for t in ring.nodes() {
-            if s != t {
-                for (link, _vc) in quarc_route_channels(&ring, s, t) {
-                    *counts.entry(link).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    LinkLoads { counts, pairs: n * (n - 1) }
+    LinkLoads::uniform(&QuarcTopology::new(n), true)
 }
 
 /// Link loads of an `n`-node Spidergon under uniform all-pairs traffic.
 pub fn spidergon_loads(n: usize) -> LinkLoads {
-    let ring = Ring::new(n);
-    let mut counts = HashMap::new();
-    for s in ring.nodes() {
-        for t in ring.nodes() {
-            if s != t {
-                for (link, _vc) in spidergon_route_channels(&ring, s, t) {
-                    *counts.entry(link).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    LinkLoads { counts, pairs: n * (n - 1) }
+    LinkLoads::uniform(&SpidergonTopology::new(n), true)
 }
 
 /// Link loads of a mesh (or torus) under uniform all-pairs dimension-ordered
-/// traffic. Link ids encode `node * 4 + out`.
+/// traffic, walked from every source.
 pub fn mesh_loads(topo: &GridTopology) -> LinkLoads {
-    let n = topo.num_nodes();
-    let mut counts = HashMap::new();
-    for s in 0..n {
-        for t in 0..n {
-            if s == t {
-                continue;
-            }
-            let (src, dst) = (NodeId::new(s), NodeId::new(t));
-            let mut cur = src;
-            loop {
-                let out = topo.route(cur, dst);
-                if out == GridOut::Eject {
-                    break;
-                }
-                *counts.entry((cur.index() * 4 + out.index()) as u64).or_insert(0) += 1;
-                cur = topo.link_target(cur, out).expect("route stays on the grid");
-            }
-        }
-    }
-    LinkLoads { counts, pairs: n * (n - 1) }
+    LinkLoads::uniform(topo, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarc_core::vc::{ring_link_id, RingLinkKind};
+    use quarc_core::grid::GridOut;
+    use quarc_core::ring::Ring;
+    use quarc_core::topology::{QuarcOut, SpiOut};
 
     #[test]
     fn quarc_is_edge_balanced_on_rims_and_crosses() {
@@ -130,12 +108,12 @@ mod tests {
         // carry identical load; both cross links at a node carry identical
         // load too.
         let loads = quarc_loads(16);
-        let cw0 = loads.count(ring_link_id(NodeId(0), RingLinkKind::RimCw));
-        for node in 0..16u32 {
-            assert_eq!(loads.count(ring_link_id(NodeId(node), RingLinkKind::RimCw)), cw0);
+        let cw0 = loads.count(0, QuarcOut::RimCw.index());
+        for node in 0..16 {
+            assert_eq!(loads.count(node, QuarcOut::RimCw.index()), cw0);
         }
-        let xr = loads.count(ring_link_id(NodeId(0), RingLinkKind::CrossRight));
-        let xl = loads.count(ring_link_id(NodeId(0), RingLinkKind::CrossLeft));
+        let xr = loads.count(0, QuarcOut::CrossRight.index());
+        let xl = loads.count(0, QuarcOut::CrossLeft.index());
         // The two cross directions serve q and q−1 destinations respectively.
         assert!((xr as i64 - xl as i64).abs() <= 16_i64, "xr={xr} xl={xl}");
     }
@@ -145,9 +123,9 @@ mod tests {
         // The Spidergon spoke serves both cross quadrants; Quarc splits them.
         let s = spidergon_loads(16);
         let q = quarc_loads(16);
-        let s_cross = s.count(ring_link_id(NodeId(0), RingLinkKind::CrossRight));
-        let q_xr = q.count(ring_link_id(NodeId(0), RingLinkKind::CrossRight));
-        let q_xl = q.count(ring_link_id(NodeId(0), RingLinkKind::CrossLeft));
+        let s_cross = s.count(0, SpiOut::Cross.index());
+        let q_xr = q.count(0, QuarcOut::CrossRight.index());
+        let q_xl = q.count(0, QuarcOut::CrossLeft.index());
         assert_eq!(s_cross, q_xr + q_xl, "spoke load must equal the sum of the split");
         assert!(s_cross > q_xr && s_cross > q_xl);
     }
@@ -160,10 +138,10 @@ mod tests {
         for n in [16usize, 32, 64] {
             let s = spidergon_loads(n);
             let q = quarc_loads(n);
-            let spoke = s.count(ring_link_id(NodeId(0), RingLinkKind::CrossRight));
+            let spoke = s.count(0, SpiOut::Cross.index());
             let worst_quarc_cross = q
-                .count(ring_link_id(NodeId(0), RingLinkKind::CrossRight))
-                .max(q.count(ring_link_id(NodeId(0), RingLinkKind::CrossLeft)));
+                .count(0, QuarcOut::CrossRight.index())
+                .max(q.count(0, QuarcOut::CrossLeft.index()));
             assert!(
                 (worst_quarc_cross as f64) < 0.6 * spoke as f64,
                 "n={n}: quarc cross {worst_quarc_cross} vs spoke {spoke}"
@@ -184,7 +162,7 @@ mod tests {
         // Σ link counts = Σ over pairs of hop count.
         let ring = Ring::new(16);
         let loads = quarc_loads(16);
-        let total: usize = loads.iter().map(|(_, c)| c).sum();
+        let total: usize = loads.iter().sum();
         let hops: usize = ring
             .nodes()
             .flat_map(|s| {
@@ -200,8 +178,8 @@ mod tests {
         let loads = mesh_loads(&topo);
         // East link out of (0,0) vs east link out of (1,1) — centre is busier
         // under XY routing.
-        let edge = loads.count((topo.node_at(0, 0).index() * 4) as u64);
-        let centre = loads.count((topo.node_at(1, 1).index() * 4) as u64);
+        let edge = loads.count(topo.node_at(0, 0).index(), GridOut::XPlus.index());
+        let centre = loads.count(topo.node_at(1, 1).index(), GridOut::XPlus.index());
         assert!(centre > edge, "centre {centre} vs edge {edge}");
     }
 }

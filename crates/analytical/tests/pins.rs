@@ -8,9 +8,6 @@
 use quarc_analytical::*;
 use quarc_core::grid::GridTopology;
 
-/// The three offered rates the latency tables are evaluated at.
-const RATES: [f64; 3] = [0.001, 0.005, 0.01];
-
 /// FNV-1a over the outputs' bit patterns (`None` folds as `u64::MAX`).
 fn digest(values: impl IntoIterator<Item = Option<f64>>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -34,7 +31,7 @@ fn saturation_rates_are_pinned() {
 
 #[test]
 fn unicast_latencies_are_pinned() {
-    let got = digest(RATES.into_iter().flat_map(|rate| {
+    let got = digest([0.001, 0.005, 0.01].into_iter().flat_map(|rate| {
         [
             quarc_unicast_latency(16, 8, rate),
             spidergon_unicast_latency(16, 8, rate),

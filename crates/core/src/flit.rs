@@ -206,6 +206,24 @@ pub struct PacketMeta {
     pub created_at: u64,
 }
 
+impl PacketMeta {
+    /// A bare one-flit header of class `class` from `src` to `dst`: no
+    /// bitstring, ids and timestamp zero — all a route reads.
+    pub fn header(class: TrafficClass, src: NodeId, dst: NodeId) -> Self {
+        PacketMeta {
+            message: MessageId(0),
+            packet: PacketId(0),
+            class,
+            src,
+            dst,
+            bitstring: Bits::ZERO,
+            dir: RingDir::Cw,
+            len: 1,
+            created_at: 0,
+        }
+    }
+}
+
 /// Handle of one interned packet in a [`PacketTable`].
 ///
 /// Slots are recycled once a packet has fully left the network, so a

@@ -17,9 +17,11 @@
 //! increasing coordinates so routes stay deterministic.
 
 use crate::bits::{BitSlab, Bits};
+use crate::flit::{PacketMeta, TrafficClass};
 use crate::ids::{NodeId, VcId};
 use crate::ring::{Ring, RingDir};
-use crate::vc::{vc_after_rim_hop, ChannelDepGraph, INJECTION_VC};
+use crate::routing::{Route, Routing};
+use crate::vc::{vc_after_rim_hop, INJECTION_VC};
 use std::fmt;
 
 /// Output ports of a grid router.
@@ -108,12 +110,6 @@ impl GridTopology {
     pub fn square_torus(n: usize) -> Self {
         let side = ((n as f64).sqrt().ceil() as usize).max(2);
         GridTopology::torus(side, side)
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.cols * self.rows
     }
 
     /// Columns (x extent).
@@ -252,29 +248,30 @@ impl GridTopology {
         vc_after_rim_hop(&Ring::new(len), NodeId::new(at), dir, vc)
     }
 
-    /// The channel sequence of a route, as `(link id, vc)` pairs for the
-    /// deadlock checker. Link ids encode `node * 4 + out`.
-    pub fn route_channels(&self, src: NodeId, dst: NodeId) -> Vec<(u64, VcId)> {
-        let mut channels = Vec::new();
-        let mut cur = src;
-        let mut vc = INJECTION_VC;
-        let mut turned = false;
-        loop {
-            let out = self.route(cur, dst);
-            match out {
-                GridOut::Eject => return channels,
-                _ => {
-                    // Reset the VC class when the packet turns into y.
-                    let is_y = matches!(out, GridOut::YPlus | GridOut::YMinus);
-                    if is_y && !turned {
-                        vc = INJECTION_VC;
-                        turned = true;
-                    }
-                    vc = self.next_vc(cur, out, vc);
-                    channels.push(((cur.index() * 4 + out.index()) as u64, vc));
-                    cur = self.link_target(cur, out).expect("network port");
-                }
-            }
+    /// The route of a header at `node` leaving through `out` while holding VC
+    /// class `cur`. `from_net` marks headers arriving on a network input:
+    /// only those may clone (bit 0 of a freshly injected multicast header
+    /// refers to the node one hop out, not to the source itself).
+    #[inline]
+    fn hop(
+        &self,
+        node: usize,
+        meta: &PacketMeta,
+        out: GridOut,
+        cur: VcId,
+        from_net: bool,
+    ) -> Route {
+        if out == GridOut::Eject {
+            return Route {
+                deliver: false,
+                out: GridOut::Eject.index() as u8,
+                out_vc: INJECTION_VC,
+            };
+        }
+        Route {
+            deliver: from_net && meta.class == TrafficClass::Multicast && meta.bitstring.bit0(),
+            out: out.index() as u8,
+            out_vc: self.next_vc(NodeId::new(node), out, cur),
         }
     }
 
@@ -289,18 +286,16 @@ impl GridTopology {
     /// along that path take a copy (bit `i` = the node after `i + 1` hops —
     /// exactly the semantics the routers shift per hop). Targets equal to
     /// `src` are ignored; duplicates set the same bit once. Broadcast is the
-    /// all-targets special case. `out` is cleared and refilled, so a reused
-    /// buffer makes steady-state expansion allocation-free; bitstrings are
-    /// emitted into `slab` (branches within 63 hops stay inline and never
-    /// touch it).
+    /// all-targets special case. Each branch goes to `emit` in a fixed order,
+    /// so planning allocates nothing; bitstrings are emitted into `slab`
+    /// (branches within 63 hops stay inline and never touch it).
     pub fn multicast_branches_into(
         &self,
         src: NodeId,
         targets: impl IntoIterator<Item = NodeId>,
         slab: &mut BitSlab,
-        out: &mut Vec<GridBranch>,
+        mut emit: impl FnMut(GridBranch),
     ) {
-        out.clear();
         assert!(
             self.cols <= GRID_MC_MAX_SIDE,
             "grid multicast planner scratch caps the side at {GRID_MC_MAX_SIDE} (n ≤ 65,536)"
@@ -324,27 +319,44 @@ impl GridTopology {
                     // `max_dy` rows from the source in the branch's y
                     // direction; only a torus offset carries past the edge.
                     let ry = if minus == 0 { sy + a.max_dy } else { sy + self.rows - a.max_dy };
-                    out.push(GridBranch {
-                        dst: self.node_at(tx, ry % self.rows),
-                        bitstring: a.bits,
-                    });
+                    emit(GridBranch { dst: self.node_at(tx, ry % self.rows), bitstring: a.bits });
                 }
             }
         }
     }
+}
 
-    /// Build the full channel dependency graph of all unicast routes and
-    /// check it for cycles (used by tests; exposed for the explorer
-    /// example).
-    pub fn dependency_graph(&self) -> ChannelDepGraph {
-        let n = self.num_nodes();
-        let mut g = ChannelDepGraph::new();
-        for s in 0..n {
-            for t in 0..n {
-                g.add_route(&self.route_channels(NodeId::new(s), NodeId::new(t)));
-            }
-        }
-        g
+/// Dimension-ordered routing over port indices: the four links in
+/// [`GridOut::NETWORK`] order, then the ejection port; one local queue.
+impl Routing for GridTopology {
+    const PORTS: usize = 4;
+
+    fn num_nodes(&self) -> usize {
+        self.cols * self.rows
+    }
+
+    /// The input a flit sent through `out` arrives on is the opposite side,
+    /// `out ^ 1`.
+    #[inline]
+    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
+        let to = self.link_target(NodeId::new(node), GridOut::NETWORK[out])?;
+        Some((to.index(), out ^ 1))
+    }
+
+    #[inline]
+    fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route {
+        let out = self.route(NodeId::new(node), meta.dst);
+        // Continuing in-dimension carries the lane's dateline class forward;
+        // a packet turning into y starts fresh on that dimension's class.
+        let same_dim = out != GridOut::Eject && out.index() / 2 == port / 2;
+        let cur = if same_dim { VcId(vc as u8) } else { INJECTION_VC };
+        self.hop(node, meta, out, cur, true)
+    }
+
+    #[inline]
+    fn route_local(&self, node: usize, _queue: usize, meta: &PacketMeta) -> Route {
+        let out = self.route(NodeId::new(node), meta.dst);
+        self.hop(node, meta, out, INJECTION_VC, false)
     }
 }
 
@@ -381,11 +393,25 @@ pub struct GridBranch {
     pub bitstring: Bits,
 }
 
-impl GridBranch {
-    /// Receivers this branch delivers to.
-    pub fn receivers(&self, slab: &BitSlab) -> usize {
-        slab.popcount(self.bitstring) as usize
+/// Every source's multicast branches for all targets (a broadcast) and for
+/// the fixed target set, as `(node, queue, header)` packets: the grid
+/// collectives of the deadlock checks in `topology::tests` and
+/// `torus::tests`.
+#[cfg(test)]
+pub(crate) fn grid_collectives(
+    t: &GridTopology,
+    bits: &mut BitSlab,
+) -> Vec<(usize, usize, PacketMeta)> {
+    let (n, mut packets) = (t.num_nodes(), Vec::new());
+    for src in (0..n).map(NodeId::new) {
+        for targets in [(0..n).map(NodeId::new).collect(), crate::vc::fixed_targets(n)] {
+            t.multicast_branches_into(src, targets, bits, |b| {
+                let meta = PacketMeta::header(TrafficClass::Multicast, src, b.dst);
+                packets.push((src.index(), 0, PacketMeta { bitstring: b.bitstring, ..meta }));
+            });
+        }
     }
+    packets
 }
 
 /// Decode a planned branch back into its delivery set by walking the route

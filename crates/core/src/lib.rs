@@ -7,8 +7,9 @@
 //! its next comparison (one [`grid::GridTopology`] for both), the
 //! quadrant calculator that constitutes the entirety of Quarc routing, the
 //! BRCP broadcast/multicast branch planner, Spidergon's broadcast-by-unicast
-//! replication plan, and the dateline virtual-channel discipline with a
-//! channel-dependency-graph deadlock-freedom checker.
+//! replication plan, the [`routing::Routing`] trait that is the one routing
+//! function of every topology, and the dateline virtual-channel discipline
+//! with a channel-dependency-graph deadlock-freedom checker built on it.
 //!
 //! Everything in this crate is pure (no I/O, no clocks, no randomness): these
 //! are the definitions that the flit-level simulator (`quarc-sim`), the
@@ -62,7 +63,7 @@ pub mod prelude {
     pub use crate::ring::{Ring, RingDir};
     pub use crate::routing::{
         chain_continuations, quarc_injection_out, quarc_route, spidergon_broadcast_seeds,
-        spidergon_hops, spidergon_route, ChainSeed, ChainSeeds, RouteAction,
+        spidergon_hops, spidergon_route, ChainSeed, ChainSeeds, Route, RouteAction, Routing,
     };
     pub use crate::topology::{
         QuarcIn, QuarcOut, QuarcTopology, SpiIn, SpiOut, SpidergonTopology, TopologyKind,

@@ -135,19 +135,7 @@ pub fn unicast_path(ring: &Ring, src: NodeId, dst: NodeId) -> Vec<NodeId> {
     if src == dst {
         return Vec::new();
     }
-    let quad = quadrant_of(ring, src, dst);
-    let mut path = Vec::with_capacity(unicast_hops(ring, src, dst));
-    let mut cur = src;
-    if quad.is_cross() {
-        cur = ring.antipode(src);
-        path.push(cur);
-    }
-    let dir = quad.rim_dir();
-    while cur != dst {
-        cur = ring.step(cur, dir);
-        path.push(cur);
-    }
-    path
+    unicast_path_via(ring, src, quadrant_of(ring, src, dst), dst)
 }
 
 /// One branch of a Quarc collective operation: a single wormhole stream
@@ -243,11 +231,6 @@ pub fn broadcast_branch_heads(ring: &Ring, src: NodeId) -> [Option<(Quadrant, No
         (q > 1).then(|| (Quadrant::CrossLeft, ring.step_n(src, RingDir::Cw, q + 1))),
         Some((Quadrant::Left, ring.step_n(src, RingDir::Ccw, q))),
     ]
-}
-
-/// The node walk of a branch, excluding `src`, including the branch `dst`.
-pub fn branch_path(ring: &Ring, src: NodeId, branch: &Branch) -> Vec<NodeId> {
-    unicast_path_via(ring, src, branch.quadrant, branch.dst)
 }
 
 /// Like [`unicast_path`] but forced through a given quadrant (collective
@@ -416,7 +399,7 @@ mod tests {
         let ring = Ring::new(32);
         for b in broadcast_branches(&ring, NodeId(3)) {
             assert_eq!(b.hops, 8);
-            let walk = branch_path(&ring, NodeId(3), &b);
+            let walk = unicast_path_via(&ring, NodeId(3), b.quadrant, b.dst);
             assert_eq!(walk.len(), b.hops);
             assert_eq!(*walk.last().unwrap(), b.dst);
         }

@@ -1,5 +1,11 @@
-//! Per-hop routing decisions for Quarc and Spidergon switches, and the
+//! The routing function — the [`Routing`] trait every topology implements —
+//! with the per-hop decisions of the Quarc and Spidergon switches, and the
 //! Spidergon broadcast-by-unicast replication plan.
+//!
+//! [`Routing`] is the one description of routing in the workspace: the
+//! simulator (`quarc-sim`) routes every header through it, the deadlock
+//! proofs ([`crate::vc::channel_graph`]) and the analytical link loads
+//! (`quarc-analytical`) follow its [`Routing::walk`].
 //!
 //! The Quarc decision (§2.5.1) is deliberately trivial — "packets are either
 //! destined for the local port or forwarded to a single possible destination"
@@ -13,11 +19,90 @@
 //! costs N−1 link traversals, each one a full store-and-forward through the
 //! receiving node's single injection port.
 
+use crate::bits::{BitSlab, Bits};
 use crate::flit::{PacketMeta, TrafficClass};
-use crate::ids::NodeId;
-use crate::quadrant::Quadrant;
+use crate::ids::{NodeId, VcId};
+use crate::quadrant::{quadrant_of, Quadrant};
 use crate::ring::{Ring, RingDir};
-use crate::topology::{QuarcIn, QuarcOut, SpiOut};
+use crate::topology::{QuarcIn, QuarcOut, QuarcTopology, SpiOut, SpidergonTopology};
+use crate::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
+
+/// [`Route::out`] of a header the PE sinks without claiming any output: an
+/// all-port router's parallel absorption (the simulator also uses it for a
+/// fault-dropped forward).
+pub const ABSORB: u8 = u8::MAX;
+
+/// A per-hop routing decision for one header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// The local PE takes a copy at the ingress multiplexer.
+    pub deliver: bool,
+    /// `0..PORTS` = forward on that link; `PORTS` = the arbitrated ejection
+    /// port of a one-port router; [`ABSORB`] = sink here without
+    /// arbitration.
+    pub out: u8,
+    /// VC on the outgoing link (meaningless unless forwarding).
+    pub out_vc: VcId,
+}
+
+/// A topology's routing function over port indices: its wiring, the route
+/// of a header at a network input or a local queue, and the queue a unicast
+/// enters. Routes are pure and read a multicast bitstring's bit 0 only.
+pub trait Routing {
+    /// Network ports per router (outgoing links; equally, link inputs).
+    const PORTS: usize;
+
+    /// Router count.
+    fn num_nodes(&self) -> usize;
+    /// Where the link leaving `node` through `out` lands, as `(node, input
+    /// port)`; `None` for a vacant slot (a mesh edge).
+    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)>;
+    /// Route the header at the head of network input lane `(port, vc)`.
+    fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route;
+    /// Route the header at the head of local queue `queue`.
+    fn route_local(&self, node: usize, queue: usize, meta: &PacketMeta) -> Route;
+    /// The local queue a unicast from `src` to `dst` enters.
+    fn unicast_queue(&self, _src: NodeId, _dst: NodeId) -> usize {
+        0
+    }
+
+    /// Follow a header from `node`, where it was routed `route` out of a
+    /// network lane (`from_net`) or a local queue, to its terminal:
+    /// `visit(node, hop)` for each hop onto a link, in order. The terminal
+    /// decision (`out ≥ PORTS`) is not a hop. A multicast bitstring is read
+    /// through `bit_at` offsets, never shifted, so `meta` may alias a live
+    /// packet's slab row.
+    fn walk(
+        &self,
+        bits: &BitSlab,
+        mut node: usize,
+        from_net: bool,
+        mut route: Route,
+        meta: &PacketMeta,
+        mut visit: impl FnMut(usize, Route),
+    ) {
+        // Bitstrings advance at every forward out of a network lane, never
+        // out of a local queue: `shift` is the offset of the next node's bit.
+        let (mut view, mut shift) = (*meta, usize::from(from_net));
+        while (route.out as usize) < Self::PORTS {
+            visit(node, route);
+            let (to, port) = self.link_target(node, route.out as usize).expect("a wired link");
+            if meta.class == TrafficClass::Multicast {
+                view.bitstring = Bits::inline(u64::from(bits.bit_at(meta.bitstring, shift)));
+            }
+            route = self.route_net(to, port, route.out_vc.index(), &view);
+            (node, shift) = (to, shift + 1);
+        }
+    }
+
+    /// [`Routing::walk`] a unicast from `src` to `dst` from its injection on
+    /// [`Routing::unicast_queue`].
+    fn walk_unicast(&self, src: NodeId, dst: NodeId, visit: impl FnMut(usize, Route)) {
+        let meta = PacketMeta::header(TrafficClass::Unicast, src, dst);
+        let route = self.route_local(src.index(), self.unicast_queue(src, dst), &meta);
+        self.walk(&BitSlab::inline_only(), src.index(), false, route, &meta, visit);
+    }
+}
 
 /// What a switch does with an arriving header (and, by wormhole state, with
 /// the body and tail flits that follow it).
@@ -128,49 +213,105 @@ pub fn spidergon_route(ring: &Ring, node: NodeId, dst: NodeId) -> RouteAction<Sp
     }
 }
 
-/// Shortest-path hop count under Spidergon routing.
+/// Shortest-path hop count under Spidergon routing (`ring.len()` even).
 pub fn spidergon_hops(ring: &Ring, src: NodeId, dst: NodeId) -> usize {
-    let mut cur = src;
     let mut hops = 0;
-    loop {
-        match spidergon_route(ring, cur, dst) {
-            RouteAction::Deliver => return hops,
-            RouteAction::Forward(out) => {
-                cur = match out {
-                    SpiOut::RimCw => ring.cw(cur),
-                    SpiOut::RimCcw => ring.ccw(cur),
-                    SpiOut::Cross => ring.antipode(cur),
-                    SpiOut::Eject => unreachable!("route never returns Eject as Forward"),
-                };
-                hops += 1;
-                debug_assert!(hops <= ring.len(), "Spidergon route diverged");
-            }
-            RouteAction::DeliverAndForward(_) => {
-                unreachable!("Spidergon unicast routing never clones")
-            }
-        }
+    if src != dst {
+        SpidergonTopology::new(ring.len()).walk_unicast(src, dst, |_, _| hops += 1);
+    }
+    hops
+}
+
+/// The VC on the hop out of ring node `node` through port `out` — 0 the CW
+/// rim, 1 the CCW rim, higher a cross link, for Quarc and Spidergon alike —
+/// for a header holding `cur` (injections hold [`INJECTION_VC`]).
+#[inline]
+fn ring_hop_vc(ring: &Ring, node: usize, out: usize, cur: VcId) -> VcId {
+    match out {
+        0 => vc_after_rim_hop(ring, NodeId::new(node), RingDir::Cw, cur),
+        1 => vc_after_rim_hop(ring, NodeId::new(node), RingDir::Ccw, cur),
+        _ => vc_for_cross_hop(),
     }
 }
 
-/// The full Spidergon walk from `src` to `dst` as `(node, out_port)` pairs,
-/// excluding the final ejection. Used by the analytical link-load model.
-pub fn spidergon_path(ring: &Ring, src: NodeId, dst: NodeId) -> Vec<(NodeId, SpiOut)> {
-    let mut path = Vec::new();
-    let mut cur = src;
-    loop {
-        match spidergon_route(ring, cur, dst) {
-            RouteAction::Deliver => return path,
-            RouteAction::Forward(out) => {
-                path.push((cur, out));
-                cur = match out {
-                    SpiOut::RimCw => ring.cw(cur),
-                    SpiOut::RimCcw => ring.ccw(cur),
-                    SpiOut::Cross => ring.antipode(cur),
-                    SpiOut::Eject => unreachable!(),
-                };
-            }
-            RouteAction::DeliverAndForward(_) => unreachable!(),
+/// Quarc routing: no routing logic in the switch — every network hop is
+/// [`quarc_route`], "local or straight on" — and a local queue is the
+/// quadrant whose link it feeds (§2.4–2.5).
+impl Routing for QuarcTopology {
+    const PORTS: usize = 4;
+
+    fn num_nodes(&self) -> usize {
+        self.ring().len()
+    }
+
+    #[inline]
+    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
+        let (to, tin) = self.link_target(NodeId::new(node), QuarcOut::NETWORK[out])?;
+        Some((to.index(), tin.index()))
+    }
+
+    #[inline]
+    fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route {
+        let forward = |deliver, out: QuarcOut| Route {
+            deliver,
+            out: out.index() as u8,
+            out_vc: ring_hop_vc(self.ring(), node, out.index(), VcId(vc as u8)),
+        };
+        match quarc_route(self.ring(), NodeId::new(node), QuarcIn::NETWORK[port], meta) {
+            RouteAction::Deliver => Route { deliver: true, out: ABSORB, out_vc: INJECTION_VC },
+            RouteAction::Forward(out) => forward(false, out),
+            RouteAction::DeliverAndForward(out) => forward(true, out),
         }
+    }
+
+    #[inline]
+    fn route_local(&self, node: usize, queue: usize, _meta: &PacketMeta) -> Route {
+        let out = quarc_injection_out(Quadrant::ALL[queue]);
+        let out_vc = ring_hop_vc(self.ring(), node, out.index(), INJECTION_VC);
+        Route { deliver: false, out: out.index() as u8, out_vc }
+    }
+
+    /// The quadrant calculator (§2.4).
+    fn unicast_queue(&self, src: NodeId, dst: NodeId) -> usize {
+        quadrant_of(self.ring(), src, dst).index()
+    }
+}
+
+/// Across-first route of a Spidergon header at `node` holding VC `cur`.
+#[inline]
+fn spidergon_hop(ring: &Ring, node: usize, meta: &PacketMeta, cur: VcId) -> Route {
+    let (out, out_vc) = match spidergon_route(ring, NodeId::new(node), meta.dst) {
+        // `SpiOut::Eject.index()` is 3 == PORTS, the ejection output.
+        RouteAction::Deliver => (SpiOut::Eject.index(), INJECTION_VC),
+        RouteAction::Forward(out) => (out.index(), ring_hop_vc(ring, node, out.index(), cur)),
+        RouteAction::DeliverAndForward(_) => unreachable!("Spidergon switches cannot clone (§2.2)"),
+    };
+    Route { deliver: false, out: out as u8, out_vc }
+}
+
+/// Spidergon routing: across-first at every hop, one local queue.
+impl Routing for SpidergonTopology {
+    const PORTS: usize = 3;
+
+    fn num_nodes(&self) -> usize {
+        self.ring().len()
+    }
+
+    #[inline]
+    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
+        let (to, tin) = self.link_target(NodeId::new(node), SpiOut::NETWORK[out])?;
+        Some((to.index(), tin.index()))
+    }
+
+    #[inline]
+    fn route_net(&self, node: usize, _port: usize, vc: usize, meta: &PacketMeta) -> Route {
+        spidergon_hop(self.ring(), node, meta, VcId(vc as u8))
+    }
+
+    #[inline]
+    fn route_local(&self, node: usize, _queue: usize, meta: &PacketMeta) -> Route {
+        debug_assert_ne!(meta.dst, NodeId::new(node), "self-message injected");
+        spidergon_hop(self.ring(), node, meta, INJECTION_VC)
     }
 }
 
@@ -303,6 +444,25 @@ pub fn chain_continuations(ring: &Ring, node: NodeId, meta: &PacketMeta) -> Chai
         _ => {}
     }
     seeds
+}
+
+/// Every packet of `src`'s broadcast chains — the three seeds, then each
+/// continuation — with the node that injects it: the receiver of its
+/// predecessor, as the simulator's replication logic does.
+#[cfg(test)]
+pub(crate) fn chain_packets(ring: &Ring, src: NodeId) -> Vec<(NodeId, PacketMeta)> {
+    let mut pending: Vec<_> =
+        spidergon_broadcast_seeds(ring, src).into_iter().map(|seed| (src, seed)).collect();
+    let mut packets = Vec::new();
+    while let Some((at, seed)) = pending.pop() {
+        let bitstring = Bits::inline(u64::from(seed.remaining));
+        let header = PacketMeta::header(seed.class, src, seed.dst);
+        let meta = PacketMeta { bitstring, dir: seed.dir, ..header };
+        pending
+            .extend(chain_continuations(ring, seed.dst, &meta).into_iter().map(|c| (seed.dst, c)));
+        packets.push((at, meta));
+    }
+    packets
 }
 
 #[cfg(test)]
@@ -462,13 +622,13 @@ mod tests {
 
     #[test]
     fn spidergon_path_crosses_at_most_once() {
-        let ring = Ring::new(32);
-        for s in ring.nodes() {
-            for t in ring.nodes() {
-                let crossings = spidergon_path(&ring, s, t)
-                    .iter()
-                    .filter(|(_, out)| *out == SpiOut::Cross)
-                    .count();
+        let topo = SpidergonTopology::new(32);
+        for s in topo.ring().nodes() {
+            for t in topo.ring().nodes().filter(|&t| t != s) {
+                let mut crossings = 0;
+                topo.walk_unicast(s, t, |_, hop| {
+                    crossings += usize::from(hop.out as usize == SpiOut::Cross.index())
+                });
                 assert!(crossings <= 1, "{s}->{t}");
             }
         }
@@ -502,27 +662,13 @@ mod tests {
             let src = NodeId(2 % n as u32);
             let mut covered = HashSet::new();
             let mut total_hops = 0usize;
-            let mut queue: Vec<ChainSeed> =
-                spidergon_broadcast_seeds(&ring, src).into_iter().collect();
-            while let Some(seed) = queue.pop() {
-                total_hops += spidergon_hops(&ring, seed_prev(&ring, &seed), seed.dst).max(1);
-                assert!(covered.insert(seed.dst), "n={n}: {} covered twice", seed.dst);
-                let m = meta(seed.class, src.0, seed.dst.0, seed.remaining as u64, seed.dir);
-                queue.extend(chain_continuations(&ring, seed.dst, &m));
+            for (at, m) in chain_packets(&ring, src) {
+                total_hops += spidergon_hops(&ring, at, m.dst);
+                assert!(covered.insert(m.dst), "n={n}: {} covered twice", m.dst);
             }
             assert_eq!(covered.len(), n - 1, "n={n}");
             assert!(!covered.contains(&src));
             assert_eq!(total_hops, n - 1, "n={n}: paper claims N−1 link traversals");
-        }
-    }
-
-    /// The node a seed was injected from: its rim predecessor (or the
-    /// antipode's source for cross seeds). Test helper only.
-    fn seed_prev(ring: &Ring, seed: &ChainSeed) -> NodeId {
-        match seed.class {
-            TrafficClass::ChainRim => ring.step(seed.dst, seed.dir.opposite()),
-            TrafficClass::ChainCross => ring.antipode(seed.dst),
-            _ => unreachable!(),
         }
     }
 

@@ -13,6 +13,7 @@
 use crate::ids::NodeId;
 use crate::quadrant::Quadrant;
 use crate::ring::Ring;
+use crate::routing::Routing;
 use std::fmt;
 use std::str::FromStr;
 
@@ -196,12 +197,6 @@ impl QuarcTopology {
         QuarcTopology { ring: Ring::new(n) }
     }
 
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.ring.len()
-    }
-
     /// The underlying ring arithmetic.
     #[inline]
     pub fn ring(&self) -> &Ring {
@@ -372,12 +367,6 @@ impl SpidergonTopology {
         SpidergonTopology { ring: Ring::new(n) }
     }
 
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.ring.len()
-    }
-
     /// The underlying ring arithmetic.
     #[inline]
     pub fn ring(&self) -> &Ring {
@@ -436,7 +425,8 @@ impl SpidergonTopology {
 mod tests {
     use super::*;
     use crate::bits::{BitSlab, Bits};
-    use crate::grid::{branch_deliveries, GridOut, GridTopology};
+    use crate::grid::{branch_deliveries, grid_collectives, GridOut, GridTopology};
+    use crate::vc::assert_deadlock_free;
 
     #[test]
     fn quarc_port_indices_are_dense() {
@@ -638,7 +628,7 @@ mod tests {
         let targets = vec![NodeId(0), NodeId(3), NodeId(7), NodeId(12), NodeId(15), NodeId(6)];
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(m.diameter() + 1);
-        m.multicast_branches_into(src, targets.iter().copied(), &mut slab, &mut branches);
+        m.multicast_branches_into(src, targets.iter().copied(), &mut slab, |b| branches.push(b));
         let mut delivered: Vec<NodeId> =
             branches.iter().flat_map(|b| branch_deliveries(&m, src, b, &slab)).collect();
         delivered.sort();
@@ -646,7 +636,7 @@ mod tests {
         want.sort();
         assert_eq!(delivered, want);
         assert_eq!(
-            branches.iter().map(|b| b.receivers(&slab)).sum::<usize>(),
+            branches.iter().map(|b| slab.popcount(b.bitstring) as usize).sum::<usize>(),
             targets.len(),
             "receiver count must equal the distinct target count"
         );
@@ -664,7 +654,7 @@ mod tests {
                     src,
                     (0..m.num_nodes()).map(NodeId::new),
                     &mut slab,
-                    &mut branches,
+                    |b| branches.push(b),
                 );
                 let mut seen = std::collections::HashSet::new();
                 for b in &branches {
@@ -679,18 +669,24 @@ mod tests {
     }
 
     #[test]
+    fn mesh_channel_graph_is_acyclic() {
+        // The mesh shapes of `tests/grid_digest.rs`: XY routing on VC0 alone.
+        for (c, r) in [(1usize, 1usize), (4, 4), (5, 3), (3, 5), (9, 9)] {
+            let m = GridTopology::mesh(c, r);
+            assert_deadlock_free(&format!("{c}x{r} mesh"), &m, |bits| grid_collectives(&m, bits));
+        }
+    }
+
+    #[test]
     fn mesh_multicast_ignores_source_and_duplicates() {
         let m = GridTopology::mesh(4, 4);
         let src = NodeId(0);
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(m.diameter() + 1);
-        m.multicast_branches_into(
-            src,
-            [src, NodeId(2), NodeId(2), NodeId(9)],
-            &mut slab,
-            &mut branches,
-        );
-        assert_eq!(branches.iter().map(|b| b.receivers(&slab)).sum::<usize>(), 2);
+        m.multicast_branches_into(src, [src, NodeId(2), NodeId(2), NodeId(9)], &mut slab, |b| {
+            branches.push(b)
+        });
+        assert_eq!(branches.iter().map(|b| slab.popcount(b.bitstring) as usize).sum::<usize>(), 2);
     }
 
     #[test]
@@ -700,7 +696,9 @@ mod tests {
         let m = GridTopology::mesh(4, 4);
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(m.diameter() + 1);
-        m.multicast_branches_into(NodeId(0), [NodeId(2), NodeId(14)], &mut slab, &mut branches);
+        m.multicast_branches_into(NodeId(0), [NodeId(2), NodeId(14)], &mut slab, |b| {
+            branches.push(b)
+        });
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].dst, NodeId(14));
         // Hops 2 (node 2, bit 1) and 5 (node 14, bit 4).

@@ -4,9 +4,10 @@
 
 mod tests {
     use crate::bits::{BitSlab, Bits};
-    use crate::grid::{branch_deliveries, GridOut, GridTopology};
+    use crate::grid::{branch_deliveries, grid_collectives, GridOut, GridTopology};
     use crate::ids::{NodeId, VcId};
-    use crate::vc::ChannelDepGraph;
+    use crate::routing::Routing;
+    use crate::vc::{assert_deadlock_free, ChannelDepGraph};
 
     #[test]
     fn coords_roundtrip_and_wrap() {
@@ -47,12 +48,10 @@ mod tests {
 
     #[test]
     fn torus_channel_graph_is_acyclic() {
-        for (c, r) in [(4usize, 4usize), (5, 3), (8, 8)] {
+        // The torus shapes of `tests/grid_digest.rs`.
+        for (c, r) in [(2usize, 2usize), (4, 4), (5, 3), (3, 5), (8, 8)] {
             let t = GridTopology::torus(c, r);
-            assert!(
-                !t.dependency_graph().has_cycle(),
-                "{c}x{r} torus dependency graph has a cycle"
-            );
+            assert_deadlock_free(&format!("{c}x{r} torus"), &t, |bits| grid_collectives(&t, bits));
         }
     }
 
@@ -101,7 +100,7 @@ mod tests {
                     src,
                     (0..t.num_nodes()).map(NodeId::new),
                     &mut slab,
-                    &mut branches,
+                    |b| branches.push(b),
                 );
                 let mut seen = std::collections::HashSet::new();
                 for b in &branches {
@@ -122,7 +121,7 @@ mod tests {
         let t = GridTopology::torus(4, 4);
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(t.diameter() + 1);
-        t.multicast_branches_into(NodeId(0), [NodeId(15)], &mut slab, &mut branches);
+        t.multicast_branches_into(NodeId(0), [NodeId(15)], &mut slab, |b| branches.push(b));
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].dst, NodeId(15));
         assert_eq!(branches[0].bitstring, Bits::inline(0b10));
@@ -136,7 +135,7 @@ mod tests {
         let targets = vec![NodeId(0), NodeId(2), NodeId(7), NodeId(8), NodeId(13), NodeId(15)];
         let mut branches = Vec::new();
         let mut slab = BitSlab::new(t.diameter() + 1);
-        t.multicast_branches_into(src, targets.iter().copied(), &mut slab, &mut branches);
+        t.multicast_branches_into(src, targets.iter().copied(), &mut slab, |b| branches.push(b));
         let mut delivered: Vec<NodeId> =
             branches.iter().flat_map(|b| branch_deliveries(&t, src, b, &slab)).collect();
         delivered.sort();

@@ -1,5 +1,5 @@
 //! The dateline virtual-channel discipline that makes rim rings
-//! deadlock-free.
+//! deadlock-free, and the channel dependency graph that checks it.
 //!
 //! Each rim direction of a ring topology is a unidirectional cycle of
 //! channels, so wormhole routing over a single channel class could deadlock.
@@ -7,13 +7,24 @@
 //! classical dateline scheme: packets are injected on VC0 and move to VC1
 //! permanently once they traverse the dateline edge (CW edge `n−1 → 0`, CCW
 //! edge `0 → n−1`). Because no packet travels more than `n/4 (+1)` hops it
-//! crosses the dateline at most once, and the resulting channel dependency
-//! graph is acyclic — proved constructively by
-//! [`ChannelDepGraph`] and asserted in this module's tests for every Quarc and
-//! Spidergon route.
+//! crosses the dateline at most once. The torus applies the rule per
+//! dimension ([`crate::grid`]).
+//!
+//! What is checked: [`channel_graph`] walks packets through a topology's
+//! [`Routing`] — the routing the simulator runs — and the tests here, in
+//! `torus::tests` and in `topology::tests` assert the graph acyclic for
+//! every unicast, every Quarc broadcast branch, a fixed multicast target set
+//! from every source and every packet of every Spidergon broadcast chain: at
+//! every Quarc and Spidergon size up to 64 and on the mesh and torus shapes
+//! of `tests/grid_digest.rs`. A chain packet counts as its own route, since
+//! the receiving PE consumes it before re-injecting the next (the
+//! consumption assumption).
 
+use crate::bits::BitSlab;
+use crate::flit::PacketMeta;
 use crate::ids::{NodeId, VcId};
 use crate::ring::{Ring, RingDir};
+use crate::routing::Routing;
 use std::collections::HashMap;
 
 /// The VC on which all packets are injected.
@@ -44,8 +55,7 @@ pub fn vc_for_cross_hop() -> VcId {
 /// a routing discipline: nodes are `(link, vc)` pairs, and an edge `a → b`
 /// means some packet holds channel `a` while requesting channel `b`.
 /// A wormhole network is deadlock-free if this graph is acyclic (Dally &
-/// Seitz). The test suites of this crate and of `quarc-sim` feed every route
-/// of every source/destination pair through this graph.
+/// Seitz). [`channel_graph`] builds it from a topology's routes.
 #[derive(Debug, Default)]
 pub struct ChannelDepGraph {
     /// Adjacency: channel id → set of successor channel ids.
@@ -125,187 +135,149 @@ impl ChannelDepGraph {
     }
 }
 
-/// A unique id for a directed physical link in a ring topology, for use as
-/// the link component of [`ChannelDepGraph`] channels.
-///
-/// Encoding: `node * 4 + kind` with kind 0 = CW rim leaving `node`,
-/// 1 = CCW rim leaving `node`, 2 = cross-right leaving `node`,
-/// 3 = cross-left leaving `node`.
-pub fn ring_link_id(node: NodeId, kind: RingLinkKind) -> u64 {
-    node.index() as u64 * 4 + kind as u64
+/// The channel dependency graph of `packets`, each a header `(node, local
+/// queue, meta)` that [`Routing::walk`] follows from its injection. Channels
+/// are `(node * PORTS + out, vc)`.
+pub fn channel_graph<R: Routing>(
+    topo: &R,
+    bits: &BitSlab,
+    packets: impl IntoIterator<Item = (usize, usize, PacketMeta)>,
+) -> ChannelDepGraph {
+    let (mut g, mut channels) = (ChannelDepGraph::new(), Vec::new());
+    for (node, queue, meta) in packets {
+        channels.clear();
+        let route = topo.route_local(node, queue, &meta);
+        topo.walk(bits, node, false, route, &meta, |at, hop| {
+            channels.push(((at * R::PORTS + hop.out as usize) as u64, hop.out_vc))
+        });
+        g.add_route(&channels);
+    }
+    g
 }
 
-/// Kinds of directed link in a ring topology (Spidergon uses only the first
-/// three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum RingLinkKind {
-    /// Rim link to the CW neighbour.
-    RimCw = 0,
-    /// Rim link to the CCW neighbour.
-    RimCcw = 1,
-    /// Cross-right link (Spidergon's single cross uses this id).
-    CrossRight = 2,
-    /// Cross-left link (Quarc only).
-    CrossLeft = 3,
+/// The fixed multicast target set of `tests/grid_digest.rs`: up to five
+/// nodes spread over the address range, the source and duplicates left in.
+#[cfg(test)]
+pub(crate) fn fixed_targets(n: usize) -> Vec<NodeId> {
+    [0, n / 3, n / 2, (2 * n) / 3 + 1, n - 1]
+        .into_iter()
+        .filter(|&i| i < n)
+        .map(NodeId::new)
+        .collect()
 }
 
-/// The channel sequence of a Quarc unicast route from `src` to `dst`.
-pub fn quarc_route_channels(ring: &Ring, src: NodeId, dst: NodeId) -> Vec<(u64, VcId)> {
-    use crate::quadrant::{quadrant_of, Quadrant};
-    if src == dst {
-        return Vec::new();
-    }
-    let quad = quadrant_of(ring, src, dst);
-    let mut channels = Vec::new();
-    let mut vc = INJECTION_VC;
-    let mut cur = src;
-    match quad {
-        Quadrant::CrossRight => {
-            channels.push((ring_link_id(cur, RingLinkKind::CrossRight), vc_for_cross_hop()));
-            cur = ring.antipode(cur);
-        }
-        Quadrant::CrossLeft => {
-            channels.push((ring_link_id(cur, RingLinkKind::CrossLeft), vc_for_cross_hop()));
-            cur = ring.antipode(cur);
-        }
-        _ => {}
-    }
-    let dir = quad.rim_dir();
-    let kind = match dir {
-        RingDir::Cw => RingLinkKind::RimCw,
-        RingDir::Ccw => RingLinkKind::RimCcw,
-    };
-    while cur != dst {
-        vc = vc_after_rim_hop(ring, cur, dir, vc);
-        channels.push((ring_link_id(cur, kind), vc));
-        cur = ring.step(cur, dir);
-    }
-    channels
-}
-
-/// The channel sequence of a Spidergon unicast route from `src` to `dst`.
-pub fn spidergon_route_channels(ring: &Ring, src: NodeId, dst: NodeId) -> Vec<(u64, VcId)> {
-    use crate::routing::{spidergon_route, RouteAction};
-    use crate::topology::SpiOut;
-    let mut channels = Vec::new();
-    let mut vc = INJECTION_VC;
-    let mut cur = src;
-    loop {
-        match spidergon_route(ring, cur, dst) {
-            RouteAction::Deliver => return channels,
-            RouteAction::Forward(SpiOut::RimCw) => {
-                vc = vc_after_rim_hop(ring, cur, RingDir::Cw, vc);
-                channels.push((ring_link_id(cur, RingLinkKind::RimCw), vc));
-                cur = ring.cw(cur);
-            }
-            RouteAction::Forward(SpiOut::RimCcw) => {
-                vc = vc_after_rim_hop(ring, cur, RingDir::Ccw, vc);
-                channels.push((ring_link_id(cur, RingLinkKind::RimCcw), vc));
-                cur = ring.ccw(cur);
-            }
-            RouteAction::Forward(SpiOut::Cross) => {
-                channels.push((ring_link_id(cur, RingLinkKind::CrossRight), vc_for_cross_hop()));
-                cur = ring.antipode(cur);
-                vc = INJECTION_VC;
-            }
-            _ => unreachable!(),
+/// The one deadlock check every topology's tests instantiate: the channel
+/// graph of every unicast of `topo`, plus the collective packets
+/// `collectives` plans into the slab it is handed, is acyclic.
+#[cfg(test)]
+pub(crate) fn assert_deadlock_free<R: Routing>(
+    name: &str,
+    topo: &R,
+    collectives: impl FnOnce(&mut BitSlab) -> Vec<(usize, usize, PacketMeta)>,
+) {
+    use crate::flit::TrafficClass;
+    let n = topo.num_nodes();
+    let mut bits = BitSlab::new(n);
+    let mut packets = collectives(&mut bits);
+    for s in (0..n).map(NodeId::new) {
+        for t in (0..n).map(NodeId::new).filter(|&t| t != s) {
+            let meta = PacketMeta::header(TrafficClass::Unicast, s, t);
+            packets.push((s.index(), topo.unicast_queue(s, t), meta));
         }
     }
+    assert!(
+        !channel_graph(topo, &bits, packets).has_cycle(),
+        "{name}: the channel graph has a cycle"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadrant::broadcast_branches;
+    use crate::flit::TrafficClass;
+    use crate::quadrant::{broadcast_branch_heads, multicast_branches};
+    use crate::routing::chain_packets;
+    use crate::topology::{QuarcTopology, SpidergonTopology};
+
+    /// The VCs the unicast `src → dst` holds on its hops in a 16-node Quarc.
+    fn quarc16_vcs(src: u32, dst: u32) -> Vec<VcId> {
+        let mut vcs = Vec::new();
+        QuarcTopology::new(16)
+            .walk_unicast(NodeId(src), NodeId(dst), |_, hop| vcs.push(hop.out_vc));
+        vcs
+    }
+
+    /// Every source's broadcast branches and fixed-target multicast
+    /// branches, on their quadrant queues.
+    fn quarc_collectives(
+        topo: &QuarcTopology,
+        bits: &mut BitSlab,
+    ) -> Vec<(usize, usize, PacketMeta)> {
+        let (ring, mut packets) = (topo.ring(), Vec::new());
+        for s in ring.nodes() {
+            for (quadrant, dst) in broadcast_branch_heads(ring, s).into_iter().flatten() {
+                let meta = PacketMeta::header(TrafficClass::Broadcast, s, dst);
+                packets.push((s.index(), quadrant.index(), meta));
+            }
+            for b in multicast_branches(ring, s, &fixed_targets(ring.len()), bits) {
+                let meta = PacketMeta::header(TrafficClass::Multicast, s, b.dst);
+                packets.push((
+                    s.index(),
+                    b.quadrant.index(),
+                    PacketMeta { bitstring: b.bitstring, ..meta },
+                ));
+            }
+        }
+        packets
+    }
+
+    /// Every source's broadcast chain packets, on the one local queue. The
+    /// chain plan needs `n ≡ 0 (mod 4)`; other sizes have none.
+    fn spidergon_chains(topo: &SpidergonTopology) -> Vec<(usize, usize, PacketMeta)> {
+        let ring = topo.ring();
+        let sources = ring.nodes().filter(|_| ring.len().is_multiple_of(4));
+        sources.flat_map(|s| chain_packets(ring, s)).map(|(at, m)| (at.index(), 0, m)).collect()
+    }
 
     #[test]
     fn dateline_switches_vc_exactly_once() {
-        let ring = Ring::new(16);
         // CW route 14 → 2 crosses the dateline at 15 → 0.
-        let chans = quarc_route_channels(&ring, NodeId(14), NodeId(2));
-        let vcs: Vec<VcId> = chans.iter().map(|c| c.1).collect();
-        assert_eq!(vcs, vec![VcId::VC0, VcId::VC1, VcId::VC1, VcId::VC1]);
+        assert_eq!(quarc16_vcs(14, 2), vec![VcId::VC0, VcId::VC1, VcId::VC1, VcId::VC1]);
     }
 
     #[test]
     fn routes_not_touching_dateline_stay_on_vc0() {
-        let ring = Ring::new(16);
-        let chans = quarc_route_channels(&ring, NodeId(1), NodeId(4));
-        assert!(chans.iter().all(|c| c.1 == VcId::VC0));
+        assert!(quarc16_vcs(1, 4).iter().all(|&vc| vc == VcId::VC0));
     }
 
     #[test]
     fn quarc_unicast_dependency_graph_is_acyclic() {
-        for n in [8usize, 16, 32, 64] {
-            let ring = Ring::new(n);
-            let mut g = ChannelDepGraph::new();
-            for s in ring.nodes() {
-                for t in ring.nodes() {
-                    g.add_route(&quarc_route_channels(&ring, s, t));
-                }
-            }
-            assert!(!g.has_cycle(), "Quarc n={n} unicast CDG has a cycle");
+        for n in (4..=64).step_by(4) {
+            assert_deadlock_free(&format!("Quarc n={n}"), &QuarcTopology::new(n), |_| Vec::new());
         }
     }
 
     #[test]
     fn spidergon_unicast_dependency_graph_is_acyclic() {
-        for n in [8usize, 16, 32, 64] {
-            let ring = Ring::new(n);
-            let mut g = ChannelDepGraph::new();
-            for s in ring.nodes() {
-                for t in ring.nodes() {
-                    g.add_route(&spidergon_route_channels(&ring, s, t));
-                }
-            }
-            assert!(!g.has_cycle(), "Spidergon n={n} unicast CDG has a cycle");
+        // Spidergon broadcasts by unicast: its chain packets are unicasts too.
+        for n in (4..=64).step_by(2) {
+            let topo = SpidergonTopology::new(n);
+            assert_deadlock_free(&format!("Spidergon n={n}"), &topo, |_| spidergon_chains(&topo));
         }
     }
 
     #[test]
     fn quarc_broadcast_dependency_graph_is_acyclic() {
-        // BRCP broadcasts follow base-routing paths, so adding all broadcast
-        // branch channel sequences must keep the graph acyclic (§2.5.2:
-        // "Since the base routing algorithm in the Quarc NoC is
-        // deadlock-free, adopting BRCP technique ensures that the broadcast
-        // operation ... is also deadlock-free").
-        for n in [8usize, 16, 32, 64] {
-            let ring = Ring::new(n);
-            let mut g = ChannelDepGraph::new();
-            for s in ring.nodes() {
-                for t in ring.nodes() {
-                    g.add_route(&quarc_route_channels(&ring, s, t));
-                }
-                for b in broadcast_branches(&ring, s) {
-                    // A branch's channel sequence equals the unicast route to
-                    // its terminal via its quadrant.
-                    let mut vc = INJECTION_VC;
-                    let mut channels = Vec::new();
-                    let mut cur = s;
-                    if b.quadrant.is_cross() {
-                        let kind = if b.quadrant == crate::quadrant::Quadrant::CrossRight {
-                            RingLinkKind::CrossRight
-                        } else {
-                            RingLinkKind::CrossLeft
-                        };
-                        channels.push((ring_link_id(cur, kind), vc_for_cross_hop()));
-                        cur = ring.antipode(cur);
-                    }
-                    let dir = b.quadrant.rim_dir();
-                    let kind = match dir {
-                        RingDir::Cw => RingLinkKind::RimCw,
-                        RingDir::Ccw => RingLinkKind::RimCcw,
-                    };
-                    while cur != b.dst {
-                        vc = vc_after_rim_hop(&ring, cur, dir, vc);
-                        channels.push((ring_link_id(cur, kind), vc));
-                        cur = ring.step(cur, dir);
-                    }
-                    g.add_route(&channels);
-                }
-            }
-            assert!(!g.has_cycle(), "Quarc n={n} broadcast CDG has a cycle");
+        // BRCP broadcasts follow base-routing paths, so adding every broadcast
+        // and multicast branch must keep the graph acyclic (§2.5.2: "Since
+        // the base routing algorithm in the Quarc NoC is deadlock-free,
+        // adopting BRCP technique ensures that the broadcast operation ... is
+        // also deadlock-free").
+        for n in (4..=64).step_by(4) {
+            let topo = QuarcTopology::new(n);
+            assert_deadlock_free(&format!("Quarc n={n}"), &topo, |bits| {
+                quarc_collectives(&topo, bits)
+            });
         }
     }
 
@@ -315,11 +287,11 @@ mod tests {
         // packet stays on VC0 produces a cyclic dependency.
         let ring = Ring::new(8);
         let mut g = ChannelDepGraph::new();
+        // The CW rim link leaving `node` (port 0).
+        let cw = |node: NodeId| node.index() as u64 * 4;
         for s in ring.nodes() {
             // Route two hops CW, never switching VC.
-            let a = ring_link_id(s, RingLinkKind::RimCw);
-            let b = ring_link_id(ring.cw(s), RingLinkKind::RimCw);
-            g.add_dependency((a, VcId::VC0), (b, VcId::VC0));
+            g.add_dependency((cw(s), VcId::VC0), (cw(ring.cw(s)), VcId::VC0));
         }
         assert!(g.has_cycle());
     }

@@ -60,10 +60,10 @@ fn grid_digest(t: GridTopology) -> u64 {
             }
         }
         let mut slab = BitSlab::new(t.diameter() + 1);
-        let mut branches = Vec::new();
         let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         for targets in [all, fixed_targets(n)] {
-            t.multicast_branches_into(s, targets, &mut slab, &mut branches);
+            let mut branches = Vec::new();
+            t.multicast_branches_into(s, targets, &mut slab, |b| branches.push(b));
             h.fold(branches.len() as u64);
             for b in &branches {
                 let bits = slab.to_u128(b.bitstring);
@@ -77,24 +77,21 @@ fn grid_digest(t: GridTopology) -> u64 {
     h.0
 }
 
-/// Fold one family's unicast channel lists: `channels(i, src, dst)` lists
-/// the route in network `sizes[i]` as `(node * 4 + out, vc)` channels.
-fn route_digest(
-    sizes: &[usize],
-    channels: impl Fn(usize, NodeId, NodeId) -> Vec<(u64, VcId)>,
-) -> u64 {
+/// Fold every unicast's channel list over a family of networks: `(node,
+/// out index, vc)` per hop of [`Routing::walk_unicast`].
+fn route_digest<R: Routing>(nets: impl IntoIterator<Item = R>) -> u64 {
     let mut h = Fnv::new();
-    for (i, &n) in sizes.iter().enumerate() {
+    for topo in nets {
+        let n = topo.num_nodes();
         h.fold(n as u64);
         for s in (0..n).map(NodeId::new) {
             for d in (0..n).map(NodeId::new).filter(|&d| d != s) {
-                let route = channels(i, s, d);
+                let mut route = Vec::new();
+                topo.walk_unicast(s, d, |node, hop| {
+                    route.push([node, hop.out.into(), hop.out_vc.index()])
+                });
                 h.fold(route.len() as u64);
-                for (link, vc) in route {
-                    h.fold(link / 4);
-                    h.fold(link % 4);
-                    h.fold(vc.index() as u64);
-                }
+                route.iter().flatten().for_each(|&word| h.fold(word as u64));
             }
         }
     }
@@ -107,25 +104,19 @@ const TORUS: [(usize, usize); 5] = [(2, 2), (4, 4), (5, 3), (3, 5), (8, 8)];
 
 #[test]
 fn ring_routes_are_pinned() {
-    use quarc_core::vc::{quarc_route_channels, spidergon_route_channels};
-    let quarc: Vec<usize> = (4..=64).step_by(4).collect();
-    let spidergon: Vec<usize> = (4..=64).step_by(2).collect();
     let got = [
-        route_digest(&quarc, |i, s, d| quarc_route_channels(&Ring::new(quarc[i]), s, d)),
-        route_digest(&spidergon, |i, s, d| {
-            spidergon_route_channels(&Ring::new(spidergon[i]), s, d)
-        }),
+        route_digest((4..=64).step_by(4).map(QuarcTopology::new)),
+        route_digest((4..=64).step_by(2).map(SpidergonTopology::new)),
     ];
     assert_eq!(got, [0xc7ec_7a02_781c_b725, 0x4fcc_d7fd_b802_5906], "got {got:#x?}");
 }
 
 #[test]
 fn grid_routes_are_pinned() {
-    let digest = |shapes: [(usize, usize); 5], build: fn(usize, usize) -> GridTopology| {
-        let sizes = shapes.map(|(c, r)| c * r);
-        route_digest(&sizes, |i, s, d| build(shapes[i].0, shapes[i].1).route_channels(s, d))
-    };
-    let got = [digest(MESH, GridTopology::mesh), digest(TORUS, GridTopology::torus)];
+    let got = [
+        route_digest(MESH.map(|(c, r)| GridTopology::mesh(c, r))),
+        route_digest(TORUS.map(|(c, r)| GridTopology::torus(c, r))),
+    ];
     assert_eq!(got, [0x4dfe_faf8_82b4_8965, 0xde4b_a744_b401_7cd1], "got {got:#x?}");
 }
 

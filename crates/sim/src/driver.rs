@@ -10,13 +10,13 @@
 //! call sits on the per-cycle path. `NocSim` itself stays object-safe for
 //! helpers that only hold `&mut dyn NocSim`.
 
-use crate::grid_net::GridRouter;
 use crate::metrics::Metrics;
 use crate::probe::SimProbe;
 use crate::quarc_net::QuarcNetwork;
 use crate::spider_net::SpidergonNetwork;
 use crate::Fabric;
 use quarc_core::flit::TrafficClass;
+use quarc_core::grid::GridTopology;
 use quarc_core::topology::TopologyKind;
 use quarc_engine::Cycle;
 use quarc_workloads::Workload;
@@ -351,7 +351,7 @@ pub enum AnyNet {
     /// The one-port baseline.
     Spidergon(SpidergonNetwork),
     /// The §4 mesh / torus comparison grids.
-    Grid(Fabric<GridRouter>),
+    Grid(Fabric<GridTopology>),
 }
 
 macro_rules! for_each_net {

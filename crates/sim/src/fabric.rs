@@ -41,20 +41,17 @@ use crate::metrics::Metrics;
 use crate::packets::{message_meta, IdAlloc, PacketQueue};
 use crate::probe::{CounterSample, FlitEventKind, Phase, SimProbe};
 use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
-use quarc_core::bits::{BitSlab, Bits};
+use quarc_core::bits::BitSlab;
 use quarc_core::config::{NocConfig, MAX_VCS};
 use quarc_core::flit::{Flit, PacketMeta, PacketRef, PacketTable, TrafficClass};
 use quarc_core::ids::{MessageId, NodeId, VcId};
+use quarc_core::routing::{Route, Routing, ABSORB};
 use quarc_core::topology::TopologyKind;
 use quarc_core::vc::INJECTION_VC;
 use quarc_engine::{Clock, Cycle};
 use quarc_workloads::{MessageRequest, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// [`Route::out`] of a flit the PE sinks without claiming any output: an
-/// all-port router's parallel absorption, or a fault-dropped forward.
-pub const ABSORB: u8 = u8::MAX;
 
 /// Most request slots (network inputs + local queues) any model uses.
 const MAX_SLOTS: usize = 8;
@@ -78,24 +75,13 @@ pub enum Src {
     },
 }
 
-/// A model's per-hop routing decision for one header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Route {
-    /// The local PE takes a copy at the ingress multiplexer.
-    pub deliver: bool,
-    /// `0..PORTS` = forward on that link; `PORTS` = the arbitrated ejection
-    /// port (models with [`RouterModel::EJECT_PORT`]); [`ABSORB`] = sink
-    /// here without arbitration.
-    pub out: u8,
-    /// VC on the outgoing link (meaningless unless forwarding).
-    pub out_vc: VcId,
-}
-
 /// What differs between the networks the paper compares. The [`Fabric`]
-/// calls these at the one place each concern meets the cycle loop.
-pub trait RouterModel: std::fmt::Debug + Sized {
-    /// Network ports per router (outgoing links; equally, link inputs).
-    const PORTS: usize;
+/// calls these at the one place each concern meets the cycle loop. Routing
+/// — `PORTS`, wiring, `route_net`/`route_local` — is the topology's
+/// [`Routing`], the same function the deadlock proofs and the analytical
+/// models walk; a model adds the router's queues, arbitration and packet
+/// plan.
+pub trait RouterModel: Routing + std::fmt::Debug + Sized {
     /// Local injection queues per router (request slots `PORTS..`).
     const QUEUES: usize;
     /// Whether the PE is reached through one arbitrated ejection port
@@ -113,26 +99,14 @@ pub trait RouterModel: std::fmt::Debug + Sized {
 
     /// Build the model for a validated configuration of its own kind.
     fn new(cfg: &NocConfig) -> Self;
-    /// Router count (grids round `cfg.n` up to a near-square).
-    fn num_nodes(&self) -> usize;
     /// An empty packet table sized for the model's longest bitstring.
     fn packet_table(&self) -> PacketTable;
     /// The output-grant arbitration policy under `cfg`.
     fn out_policy(_cfg: &NocConfig) -> ArbPolicy {
         ArbPolicy::RoundRobin
     }
-    /// Where the link leaving `node` through `out` lands, as `(node, input
-    /// port)`; `None` for a vacant slot (a mesh edge).
-    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)>;
-    /// Route the header at the head of network input lane `(port, vc)`.
-    /// Pure in its arguments, and reads a multicast bitstring's bit 0 only:
-    /// the fabric memoises the answer while the header waits, and
-    /// [`RouterModel::receivers_beyond`] replays it (likewise
-    /// [`RouterModel::route_local`]).
-    fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route;
-    /// Route the header at the head of local queue `queue`.
-    fn route_local(&self, node: usize, queue: usize, meta: &PacketMeta) -> Route;
-    /// Route the header at the head of request slot `src`.
+    /// Route the header at the head of request slot `src`. The fabric
+    /// memoises the answer while the header waits: routes are pure.
     #[inline(always)] // `src` is a constant at the gather call sites
     fn route_slot(&self, node: usize, src: Src, meta: &PacketMeta) -> Route {
         match src {
@@ -153,28 +127,15 @@ pub trait RouterModel: std::fmt::Debug + Sized {
         out: &mut Vec<(usize, PacketMeta)>,
     ) -> usize;
     /// Receivers a packet whose forward was fault-dropped at `node` (from
-    /// slot `src`) would still have served downstream: the remaining route
-    /// replayed through `route_*` over `link_target`. A hop that leaves the
-    /// links (`out ≥ PORTS`) is the terminal delivery; a transit hop counts
-    /// its `deliver`. Cold. The bitstring is read through `bit_at` offsets,
-    /// never shifted: a copied handle aliases the live packet's slab row.
+    /// slot `src`) would still have served downstream: a fold over the
+    /// [`Routing::walk`] of its remaining route. Cold.
     fn receivers_beyond(&self, bits: &BitSlab, node: usize, src: Src, meta: &PacketMeta) -> usize {
-        // Bitstrings advance at every forward out of a network lane, never
-        // out of a local queue: `shift` is the offset of the next node's bit.
-        let (mut route, mut node, mut view) = (self.route_slot(node, src, meta), node, *meta);
-        let (mut shift, mut count) = (usize::from(matches!(src, Src::Net { .. })), 0);
-        loop {
-            let (to, port) = self.link_target(node, route.out as usize).expect("a wired link");
-            if meta.class == TrafficClass::Multicast {
-                view.bitstring = Bits::inline(u64::from(bits.bit_at(meta.bitstring, shift)));
-            }
-            route = self.route_net(to, port, route.out_vc.index(), &view);
-            if route.out as usize >= Self::PORTS {
-                return count + 1;
-            }
-            count += usize::from(route.deliver);
-            (node, shift) = (to, shift + 1);
-        }
+        // The terminal delivery, plus every transit copy past `node` (the
+        // copy at `node` itself, if any, still delivers).
+        let (route, mut count) = (self.route_slot(node, src, meta), 1);
+        let from_net = matches!(src, Src::Net { .. });
+        self.walk(bits, node, from_net, route, meta, |_, hop| count += usize::from(hop.deliver));
+        count - usize::from(route.deliver)
     }
     /// Packets the PE at `node` re-injects one cycle after freshly receiving
     /// the tail of `meta`'s packet, as `(local queue, meta)` pairs like

@@ -9,16 +9,20 @@
 //! loop, the active-set worklists, flow control, arbitration, and the single
 //! site where each of the probe, fault and recovery layers meets the network
 //! — instantiated over three [`fabric::RouterModel`]s that supply only what
-//! the paper says differs between the architectures:
+//! the paper says differs between the architectures. Each model is a
+//! `quarc-core` topology: its routing is the topology's
+//! [`quarc_core::routing::Routing`] impl, and [`quarc_net`], [`spider_net`]
+//! and [`grid_net`] add the router around it:
 //!
-//! * [`quarc_net::QuarcRouter`] — the paper's contribution: all-port router,
-//!   doubled cross links, clone-based true broadcast;
-//! * [`spider_net::SpidergonRouter`] — the baseline: one-port router, single
-//!   cross link, broadcast by store-and-forward unicast chains;
-//! * [`grid_net::GridRouter`] — the paper's stated "next objective"
-//!   comparison grids, over the one [`quarc_core::grid::GridTopology`]: the
-//!   2D torus (wrap links, per-dimension dateline VCs) and the 2D mesh (no
-//!   wrap links, XY routing on a single VC).
+//! * [`quarc_core::topology::QuarcTopology`] — the paper's contribution:
+//!   all-port router, doubled cross links, clone-based true broadcast;
+//! * [`quarc_core::topology::SpidergonTopology`] — the baseline: one-port
+//!   router, single cross link, broadcast by store-and-forward unicast
+//!   chains;
+//! * [`quarc_core::grid::GridTopology`] — the paper's stated "next
+//!   objective" comparison grids: the 2D torus (wrap links, per-dimension
+//!   dateline VCs) and the 2D mesh (no wrap links, XY routing on a single
+//!   VC).
 //!
 //! [`QuarcNetwork`], [`SpidergonNetwork`], [`MeshNetwork`] and
 //! [`TorusNetwork`] are type aliases of the instantiations, and all four are

@@ -4,12 +4,12 @@
 //! slots. Selected by [`quarc_core::topology::TopologyKind::Mesh`].
 
 use crate::fabric::Fabric;
-use crate::grid_net::GridRouter;
+use quarc_core::grid::GridTopology;
 
 /// The flit-level mesh network simulator (build from [`NocConfig::mesh`]).
 ///
 /// [`NocConfig::mesh`]: quarc_core::config::NocConfig::mesh
-pub type MeshNetwork = Fabric<GridRouter>;
+pub type MeshNetwork = Fabric<GridTopology>;
 
 #[cfg(test)]
 mod tests {
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn full_scan_oracle_matches_active_set() {
-        crate::fabric::assert_full_scan_matches_active_set::<GridRouter>(
+        crate::fabric::assert_full_scan_matches_active_set::<GridTopology>(
             NocConfig::mesh(16),
             0.03,
             55,

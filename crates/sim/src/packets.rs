@@ -155,11 +155,10 @@ impl IdAlloc {
 mod tests {
     use super::*;
     use crate::fabric::RouterModel;
-    use crate::quarc_net::QuarcRouter;
-    use crate::spider_net::SpidergonRouter;
     use quarc_core::config::NocConfig;
     use quarc_core::flit::PacketTable;
     use quarc_core::ids::NodeId;
+    use quarc_core::topology::{QuarcTopology, SpidergonTopology};
 
     fn meta(len: u32) -> PacketMeta {
         PacketMeta {
@@ -237,7 +236,7 @@ mod tests {
         // acknowledges data message 9 back to its source 0.
         let ack = MessageRequest::unicast(NodeId(3), NodeId(0), 1);
         let (table, queues, receivers, flits) =
-            plan::<QuarcRouter>(NocConfig::quarc(16), &ack, TrafficClass::Ack);
+            plan::<QuarcTopology>(NocConfig::quarc(16), &ack, TrafficClass::Ack);
         assert_eq!((receivers, flits), (1, 1));
         // One packet, on the queue of the quadrant that routes 3 → 0.
         assert_eq!(queues.iter().filter(|q| !q.is_empty()).count(), 1);
@@ -270,7 +269,7 @@ mod tests {
     }
 
     fn expand_quarc(n: usize, req: &MessageRequest) -> (PacketTable, Vec<Vec<Flit>>, usize, usize) {
-        plan::<QuarcRouter>(NocConfig::quarc(n), req, req.class)
+        plan::<QuarcTopology>(NocConfig::quarc(n), req, req.class)
     }
 
     #[test]
@@ -314,7 +313,8 @@ mod tests {
     fn spidergon_broadcast_three_seeds() {
         let req = MessageRequest::broadcast(NodeId(0), 4);
         let spidergon = NocConfig::spidergon(16);
-        let (table, queues, receivers, flits) = plan::<SpidergonRouter>(spidergon, &req, req.class);
+        let (table, queues, receivers, flits) =
+            plan::<SpidergonTopology>(spidergon, &req, req.class);
         assert_eq!(receivers, 15);
         assert_eq!(flits, 12);
         let classes: Vec<TrafficClass> = queues[0]
@@ -330,7 +330,7 @@ mod tests {
     fn spidergon_multicast_becomes_unicasts() {
         let req = MessageRequest::multicast(NodeId(0), vec![NodeId(1), NodeId(5)], 4);
         let spidergon = NocConfig::spidergon(16);
-        let (table, queues, receivers, _) = plan::<SpidergonRouter>(spidergon, &req, req.class);
+        let (table, queues, receivers, _) = plan::<SpidergonTopology>(spidergon, &req, req.class);
         assert_eq!(receivers, 2);
         assert!(queues[0]
             .iter()

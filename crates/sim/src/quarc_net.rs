@@ -13,59 +13,33 @@
 //!   ingress multiplexer: the local copy and the forwarded flit move in the
 //!   same cycle, or not at all;
 //! * **no routing logic in the switch** — every per-hop decision is
-//!   [`quarc_route`]: "local or straight on";
+//!   [`quarc_route`] ("local or straight on"), reached through the
+//!   topology's [`Routing`] impl in `quarc-core`;
 //! * **two VCs per link** with the dateline discipline for deadlock freedom.
 //!
 //! Wormhole switching, credit flow control, arbitration and the cycle loop
 //! are the fabric's.
+//!
+//! [`quarc_route`]: quarc_core::routing::quarc_route
 
 use crate::arbiter::ArbPolicy;
-use crate::fabric::{Fabric, Route, RouterModel, ABSORB};
+use crate::fabric::{Fabric, RouterModel};
 use quarc_core::bits::BitSlab;
 use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
-use quarc_core::ids::{NodeId, VcId};
-use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches, quadrant_of, Quadrant};
-use quarc_core::ring::RingDir;
-use quarc_core::routing::{quarc_injection_out, quarc_route, RouteAction};
-use quarc_core::topology::{QuarcIn, QuarcOut, QuarcTopology, TopologyKind};
-use quarc_core::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
+use quarc_core::ids::NodeId;
+use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches};
+use quarc_core::routing::Routing;
+use quarc_core::topology::{QuarcOut, QuarcTopology, TopologyKind};
 use quarc_engine::Cycle;
 use quarc_workloads::MessageRequest;
 
 /// The flit-level Quarc network simulator.
-pub type QuarcNetwork = Fabric<QuarcRouter>;
-
-/// Network input ports in index order (matches `QuarcIn::index()` 0..4).
-const NET_IN: [QuarcIn; 4] =
-    [QuarcIn::RimCw, QuarcIn::RimCcw, QuarcIn::CrossRight, QuarcIn::CrossLeft];
-/// Network output ports in index order (matches `QuarcOut::index()` 0..4).
-const NET_OUT: [QuarcOut; 4] =
-    [QuarcOut::RimCw, QuarcOut::RimCcw, QuarcOut::CrossRight, QuarcOut::CrossLeft];
+pub type QuarcNetwork = Fabric<QuarcTopology>;
 
 /// The Quarc [`RouterModel`]: ring geometry only — the switch holds no
 /// routing state.
-#[derive(Debug)]
-pub struct QuarcRouter {
-    topo: QuarcTopology,
-}
-
-impl QuarcRouter {
-    /// The VC on the hop out of `node` through `out`, for a packet holding
-    /// `cur` (injections hold [`INJECTION_VC`]).
-    fn hop_vc(&self, node: usize, out: QuarcOut, cur: VcId) -> VcId {
-        let dir = match out {
-            QuarcOut::RimCw => RingDir::Cw,
-            QuarcOut::RimCcw => RingDir::Ccw,
-            QuarcOut::CrossRight | QuarcOut::CrossLeft => return vc_for_cross_hop(),
-            QuarcOut::Eject => unreachable!("eject is not a link"),
-        };
-        vc_after_rim_hop(self.topo.ring(), NodeId::new(node), dir, cur)
-    }
-}
-
-impl RouterModel for QuarcRouter {
-    const PORTS: usize = 4;
+impl RouterModel for QuarcTopology {
     const QUEUES: usize = 4;
     const EJECT_PORT: bool = false;
     const DROPS_FIRST: bool = false;
@@ -76,49 +50,18 @@ impl RouterModel for QuarcRouter {
 
     fn new(cfg: &NocConfig) -> Self {
         assert_eq!(cfg.kind, TopologyKind::Quarc, "config is not a Quarc network");
-        QuarcRouter { topo: QuarcTopology::new(cfg.n) }
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.topo.num_nodes()
+        QuarcTopology::new(cfg.n)
     }
 
     fn packet_table(&self) -> PacketTable {
         // A Quarc branch bitstring never exceeds quarter-depth + 1 bits;
         // for n <= 64 every bitstring stays inline (no slab rows).
-        PacketTable::with_bit_capacity(self.topo.ring().quarter() + 2)
+        PacketTable::with_bit_capacity(self.ring().quarter() + 2)
     }
 
     /// The paper's OPC arbitration is a sweepable design parameter.
     fn out_policy(cfg: &NocConfig) -> ArbPolicy {
         cfg.arb
-    }
-
-    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
-        let (to, tin) = self.topo.link_target(NodeId::new(node), NET_OUT[out])?;
-        Some((to.index(), tin.index()))
-    }
-
-    fn route_net(&self, node: usize, port: usize, vc: usize, meta: &PacketMeta) -> Route {
-        let forward = |deliver, out: QuarcOut| Route {
-            deliver,
-            out: out.index() as u8,
-            out_vc: self.hop_vc(node, out, VcId(vc as u8)),
-        };
-        match quarc_route(self.topo.ring(), NodeId::new(node), NET_IN[port], meta) {
-            RouteAction::Deliver => Route { deliver: true, out: ABSORB, out_vc: INJECTION_VC },
-            RouteAction::Forward(out) => forward(false, out),
-            RouteAction::DeliverAndForward(out) => forward(true, out),
-        }
-    }
-
-    fn route_local(&self, node: usize, queue: usize, _meta: &PacketMeta) -> Route {
-        let out = quarc_injection_out(Quadrant::ALL[queue]);
-        Route {
-            deliver: false,
-            out: out.index() as u8,
-            out_vc: self.hop_vc(node, out, INJECTION_VC),
-        }
     }
 
     /// The quadrant calculator (§2.4): a unicast rides its destination's
@@ -131,11 +74,11 @@ impl RouterModel for QuarcRouter {
         bits: &mut BitSlab,
         out: &mut Vec<(usize, PacketMeta)>,
     ) -> usize {
-        let ring = self.topo.ring();
+        let ring = self.ring();
         match req.class {
             TrafficClass::Unicast => {
                 let dst = req.dst.expect("unicast carries dst");
-                out.push((quadrant_of(ring, req.src, dst).index(), PacketMeta { dst, ..*base }));
+                out.push((self.unicast_queue(req.src, dst), PacketMeta { dst, ..*base }));
                 1
             }
             TrafficClass::Broadcast => {
@@ -192,6 +135,7 @@ mod tests {
     use super::*;
     use crate::driver::NocSim;
     use quarc_core::quadrant::unicast_hops;
+    use quarc_core::topology::QuarcIn;
     use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload, Workload};
 
     /// Drive a network until quiescent (with a hard cycle cap).
@@ -415,7 +359,7 @@ mod tests {
 
     #[test]
     fn out_feeder_slots_match_topology_tables() {
-        for (o, out) in NET_OUT.iter().enumerate() {
+        for (o, out) in QuarcOut::NETWORK.iter().enumerate() {
             let want: Vec<u8> = QuarcTopology::feeders(*out)
                 .iter()
                 .map(|f| match f {
@@ -423,13 +367,13 @@ mod tests {
                     other => other.index() as u8,
                 })
                 .collect();
-            assert_eq!(QuarcRouter::FEEDERS[o], want.as_slice(), "output {out:?}");
+            assert_eq!(QuarcTopology::FEEDERS[o], want.as_slice(), "output {out:?}");
         }
     }
 
     #[test]
     fn full_scan_oracle_matches_active_set() {
-        crate::fabric::assert_full_scan_matches_active_set::<QuarcRouter>(
+        crate::fabric::assert_full_scan_matches_active_set::<QuarcTopology>(
             NocConfig::quarc(16),
             0.05,
             77,

@@ -16,58 +16,21 @@
 //!   store-and-forward traversals that make Spidergon broadcast an order of
 //!   magnitude slower.
 
-use crate::fabric::{Fabric, Route, RouterModel, Src};
+use crate::fabric::{Fabric, RouterModel, Src};
 use quarc_core::bits::{BitSlab, Bits};
 use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
-use quarc_core::ids::{NodeId, VcId};
-use quarc_core::ring::RingDir;
-use quarc_core::routing::{
-    chain_continuations, spidergon_broadcast_seeds, spidergon_route, ChainSeed, RouteAction,
-};
-use quarc_core::topology::{SpiOut, SpidergonTopology, TopologyKind};
-use quarc_core::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
+use quarc_core::ids::NodeId;
+use quarc_core::routing::{chain_continuations, spidergon_broadcast_seeds, ChainSeed};
+use quarc_core::topology::{SpidergonTopology, TopologyKind};
 use quarc_workloads::MessageRequest;
 
 /// The flit-level Spidergon network simulator.
-pub type SpidergonNetwork = Fabric<SpidergonRouter>;
+pub type SpidergonNetwork = Fabric<SpidergonTopology>;
 
-/// Network output ports in index order (matches `SpiOut::index()` 0..3).
-const NET_OUT: [SpiOut; 3] = [SpiOut::RimCw, SpiOut::RimCcw, SpiOut::Cross];
-
-/// The Spidergon [`RouterModel`].
-#[derive(Debug)]
-pub struct SpidergonRouter {
-    topo: SpidergonTopology,
-}
-
-impl SpidergonRouter {
-    /// Across-first route of a header at `node` holding VC `cur`.
-    fn route(&self, node: usize, meta: &PacketMeta, cur: VcId) -> Route {
-        let ring = self.topo.ring();
-        let here = NodeId::new(node);
-        let (out, out_vc) = match spidergon_route(ring, here, meta.dst) {
-            RouteAction::Deliver => (SpiOut::Eject, INJECTION_VC),
-            RouteAction::Forward(out) => {
-                let vc = match out {
-                    SpiOut::RimCw => vc_after_rim_hop(ring, here, RingDir::Cw, cur),
-                    SpiOut::RimCcw => vc_after_rim_hop(ring, here, RingDir::Ccw, cur),
-                    SpiOut::Cross => vc_for_cross_hop(),
-                    SpiOut::Eject => unreachable!("eject is not a link"),
-                };
-                (out, vc)
-            }
-            RouteAction::DeliverAndForward(_) => {
-                unreachable!("Spidergon switches cannot clone (§2.2)")
-            }
-        };
-        // `SpiOut::Eject.index()` is 3 == PORTS, the ejection output.
-        Route { deliver: false, out: out.index() as u8, out_vc }
-    }
-}
-
-impl RouterModel for SpidergonRouter {
-    const PORTS: usize = 3;
+/// The Spidergon [`RouterModel`]; its across-first routing is the
+/// topology's `Routing` impl in `quarc-core`.
+impl RouterModel for SpidergonTopology {
     const QUEUES: usize = 1;
     const EJECT_PORT: bool = true;
     const DROPS_FIRST: bool = true;
@@ -78,30 +41,12 @@ impl RouterModel for SpidergonRouter {
 
     fn new(cfg: &NocConfig) -> Self {
         assert_eq!(cfg.kind, TopologyKind::Spidergon, "config is not a Spidergon network");
-        SpidergonRouter { topo: SpidergonTopology::new(cfg.n) }
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.topo.num_nodes()
+        SpidergonTopology::new(cfg.n)
     }
 
     fn packet_table(&self) -> PacketTable {
         // Chain counters always fit inline; no bitstring rows are needed.
         PacketTable::new()
-    }
-
-    fn link_target(&self, node: usize, out: usize) -> Option<(usize, usize)> {
-        let (to, tin) = self.topo.link_target(NodeId::new(node), NET_OUT[out])?;
-        Some((to.index(), tin.index()))
-    }
-
-    fn route_net(&self, node: usize, _port: usize, vc: usize, meta: &PacketMeta) -> Route {
-        self.route(node, meta, VcId(vc as u8))
-    }
-
-    fn route_local(&self, node: usize, _queue: usize, meta: &PacketMeta) -> Route {
-        debug_assert_ne!(meta.dst, NodeId::new(node), "self-message injected");
-        self.route(node, meta, INJECTION_VC)
     }
 
     /// Everything rides the single local queue: a broadcast becomes the
@@ -114,7 +59,7 @@ impl RouterModel for SpidergonRouter {
         _bits: &mut BitSlab,
         out: &mut Vec<(usize, PacketMeta)>,
     ) -> usize {
-        let ring = self.topo.ring();
+        let ring = self.ring();
         match req.class {
             TrafficClass::Unicast => {
                 out.push((0, PacketMeta { dst: req.dst.expect("unicast carries dst"), ..*base }));
@@ -153,7 +98,7 @@ impl RouterModel for SpidergonRouter {
     /// the single local port one cycle later (§2.2).
     fn respawn(&self, node: NodeId, meta: &PacketMeta, out: &mut Vec<(usize, PacketMeta)>) {
         if meta.class.is_chain() {
-            let seeds = chain_continuations(self.topo.ring(), node, meta);
+            let seeds = chain_continuations(self.ring(), node, meta);
             out.extend(seeds.into_iter().map(|s| chain(s, meta)));
         }
     }
@@ -171,7 +116,7 @@ mod tests {
     use super::*;
     use crate::driver::NocSim;
     use quarc_core::routing::spidergon_hops;
-    use quarc_core::topology::SpiIn;
+    use quarc_core::topology::{SpiIn, SpiOut};
     use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload, Workload};
 
     fn run_until_quiet(net: &mut SpidergonNetwork, wl: &mut dyn Workload, cap: u64) {
@@ -340,7 +285,7 @@ mod tests {
 
     #[test]
     fn full_scan_oracle_matches_active_set() {
-        crate::fabric::assert_full_scan_matches_active_set::<SpidergonRouter>(
+        crate::fabric::assert_full_scan_matches_active_set::<SpidergonTopology>(
             NocConfig::spidergon(16),
             0.02,
             99,
@@ -349,10 +294,10 @@ mod tests {
 
     #[test]
     fn feeder_slots_match_topology_tables() {
-        for (o, out) in NET_OUT.iter().chain([&SpiOut::Eject]).enumerate() {
+        for (o, out) in SpiOut::ALL.iter().enumerate() {
             let want: Vec<u8> =
                 SpidergonTopology::feeders(*out).iter().map(|f: &SpiIn| f.index() as u8).collect();
-            assert_eq!(SpidergonRouter::FEEDERS[o], want.as_slice(), "output {out:?}");
+            assert_eq!(SpidergonTopology::FEEDERS[o], want.as_slice(), "output {out:?}");
         }
     }
 }

@@ -3,13 +3,13 @@
 //! [`quarc_core::topology::TopologyKind::Torus`].
 
 use crate::fabric::Fabric;
-use crate::grid_net::GridRouter;
+use quarc_core::grid::GridTopology;
 
 /// The flit-level torus network simulator (build from [`NocConfig::torus`];
 /// validation enforces the 2-VC dateline minimum).
 ///
 /// [`NocConfig::torus`]: quarc_core::config::NocConfig::torus
-pub type TorusNetwork = Fabric<GridRouter>;
+pub type TorusNetwork = Fabric<GridTopology>;
 
 #[cfg(test)]
 mod tests {
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn full_scan_oracle_matches_active_set() {
-        crate::fabric::assert_full_scan_matches_active_set::<GridRouter>(
+        crate::fabric::assert_full_scan_matches_active_set::<GridTopology>(
             NocConfig::torus(16),
             0.03,
             12,

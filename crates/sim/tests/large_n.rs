@@ -15,6 +15,7 @@ use quarc_core::config::NocConfig;
 use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
 use quarc_core::ring::Ring;
+use quarc_core::routing::Routing;
 use quarc_sim::torus_net::TorusNetwork;
 use quarc_sim::{NocSim, QuarcNetwork};
 use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
@@ -73,8 +74,8 @@ fn torus_full_range_multicast_conserves_beyond_u128() {
 
     let mut slab = BitSlab::new(topo.diameter() + 1);
     let mut branches = Vec::new();
-    topo.multicast_branches_into(src, targets.iter().copied(), &mut slab, &mut branches);
-    let receivers: usize = branches.iter().map(|b| b.receivers(&slab)).sum();
+    topo.multicast_branches_into(src, targets.iter().copied(), &mut slab, |b| branches.push(b));
+    let receivers: usize = branches.iter().map(|b| slab.popcount(b.bitstring) as usize).sum();
 
     let mut net = TorusNetwork::new(NocConfig::torus(N));
     assert_eq!(net.num_nodes(), n);

@@ -10,6 +10,7 @@ use quarc_core::flit::TrafficClass;
 use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
 use quarc_core::ring::Ring;
+use quarc_core::routing::Routing;
 use quarc_engine::DetRng;
 use quarc_sim::driver::NocSim;
 use quarc_sim::{MeshNetwork, QuarcNetwork, SpidergonNetwork, TorusNetwork};
@@ -90,13 +91,12 @@ fn expected_grid_flits(topo: &GridTopology, records: &[TraceRecord]) -> usize {
                 TrafficClass::Multicast => &r.request.targets,
                 _ => unreachable!(),
             };
-            topo.multicast_branches_into(
-                r.request.src,
-                targets.iter().copied(),
-                &mut slab,
-                &mut branches,
-            );
-            branches.iter().map(|b| b.receivers(&slab)).sum::<usize>() * r.request.len
+            branches.clear();
+            topo.multicast_branches_into(r.request.src, targets.iter().copied(), &mut slab, |b| {
+                branches.push(b)
+            });
+            branches.iter().map(|b| slab.popcount(b.bitstring) as usize).sum::<usize>()
+                * r.request.len
         })
         .sum()
 }

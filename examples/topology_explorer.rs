@@ -12,7 +12,7 @@ use quarc::core::grid::GridTopology;
 use quarc::core::ids::NodeId;
 use quarc::core::quadrant::{diameter, mean_hops, quadrant_of};
 use quarc::core::ring::Ring;
-use quarc::core::vc::{ring_link_id, RingLinkKind};
+use quarc::core::topology::{QuarcOut, SpiOut};
 
 fn main() {
     println!("== topology geometry ==");
@@ -42,10 +42,12 @@ fn main() {
     println!("\n== per-link load under uniform all-pairs traffic (n = 16) ==");
     let quarc = ana::quarc_loads(16);
     let spider = ana::spidergon_loads(16);
-    let show = |name: &str, loads: &ana::LinkLoads, kinds: &[(&str, RingLinkKind)]| {
+    // Every link of a port carries the same load (both rings are
+    // vertex-transitive), so node 0's outputs show them all.
+    let show = |name: &str, loads: &ana::LinkLoads, ports: &[(&str, usize)]| {
         print!("{name:<11}");
-        for (label, kind) in kinds {
-            print!(" {label}={:<5}", loads.count(ring_link_id(NodeId(0), *kind)));
+        for &(label, out) in ports {
+            print!(" {label}={:<5}", loads.count(0, out));
         }
         println!("max/mean={:.2}", loads.imbalance());
     };
@@ -53,19 +55,19 @@ fn main() {
         "quarc",
         &quarc,
         &[
-            ("rim-cw", RingLinkKind::RimCw),
-            ("rim-ccw", RingLinkKind::RimCcw),
-            ("cross-r", RingLinkKind::CrossRight),
-            ("cross-l", RingLinkKind::CrossLeft),
+            ("rim-cw", QuarcOut::RimCw.index()),
+            ("rim-ccw", QuarcOut::RimCcw.index()),
+            ("cross-r", QuarcOut::CrossRight.index()),
+            ("cross-l", QuarcOut::CrossLeft.index()),
         ],
     );
     show(
         "spidergon",
         &spider,
         &[
-            ("rim-cw", RingLinkKind::RimCw),
-            ("rim-ccw", RingLinkKind::RimCcw),
-            ("spoke", RingLinkKind::CrossRight),
+            ("rim-cw", SpiOut::RimCw.index()),
+            ("rim-ccw", SpiOut::RimCcw.index()),
+            ("spoke", SpiOut::Cross.index()),
         ],
     );
     println!("(the Spidergon spoke carries the sum of the two Quarc cross links)");
