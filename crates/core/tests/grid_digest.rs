@@ -14,6 +14,10 @@
 //! two separate mesh and torus definitions that `GridTopology` replaced (the
 //! mesh had no `next_vc` then; the simulator ran it on VC0), so a rewrite of
 //! the grid arithmetic that changes any decision changes a digest.
+//!
+//! The ring collective planners — the Quarc broadcast heads and multicast
+//! branches, and every packet of the Spidergon broadcast chains — are
+//! folded the same way into one number per topology.
 
 use quarc_core::prelude::*;
 
@@ -96,6 +100,84 @@ fn route_digest<R: Routing>(nets: impl IntoIterator<Item = R>) -> u64 {
         }
     }
     h.0
+}
+
+/// Fold one Quarc source's multicast branches for `targets`: the branch
+/// count, then each branch's `(quadrant, dst)` and set-bit positions (read
+/// with `bit_at`, so slab row numbering cannot move the digest).
+fn fold_multicast(h: &mut Fnv, ring: &Ring, src: NodeId, targets: &[NodeId], slab: &mut BitSlab) {
+    let mut branches = Vec::new();
+    quarc_core::quadrant::multicast_branches(ring, src, targets, slab)
+        .into_iter()
+        .for_each(|b| branches.push((b.quadrant, b.dst, b.bitstring)));
+    h.fold(branches.len() as u64);
+    for (quadrant, dst, bits) in branches {
+        h.fold(quadrant.index() as u64);
+        h.fold(dst.index() as u64);
+        for k in (0..slab.capacity_bits()).filter(|&k| slab.bit_at(bits, k)) {
+            h.fold(k as u64);
+        }
+        h.fold(u64::MAX);
+        slab.release(bits);
+    }
+}
+
+/// Fold every packet of a Spidergon broadcast from `src` as `(injecting
+/// node, class, dst, dir, remaining)`, in the replication order of a stack
+/// seeded with the source's seeds.
+fn fold_chains(h: &mut Fnv, ring: &Ring, src: NodeId) {
+    let mut pending: Vec<(NodeId, ChainSeed)> = Vec::new();
+    spidergon_broadcast_seeds(ring, src).into_iter().for_each(|s| pending.push((src, s)));
+    while let Some((at, seed)) = pending.pop() {
+        for word in [at.index(), seed.class as usize, seed.dst.index(), seed.dir as usize] {
+            h.fold(word as u64);
+        }
+        h.fold(u64::from(seed.remaining));
+        let header = PacketMeta::header(seed.class, src, seed.dst);
+        let bitstring = Bits::inline(u64::from(seed.remaining));
+        let meta = PacketMeta { bitstring, dir: seed.dir, ..header };
+        chain_continuations(ring, seed.dst, &meta)
+            .into_iter()
+            .for_each(|c| pending.push((seed.dst, c)));
+    }
+}
+
+/// The ring collective planners, pinned: the Quarc broadcast heads and
+/// multicast branches (inline sizes `4..=64`, plus two sizes whose branches
+/// need slab rows) and the Spidergon broadcast chains. Generated from the
+/// planners before they moved to emit callbacks.
+#[test]
+fn ring_collectives_are_pinned() {
+    let mut quarc = Fnv::new();
+    for n in (4..=64).step_by(4) {
+        let ring = Ring::new(n);
+        let mut slab = BitSlab::new(ring.quarter() + 1);
+        let all: Vec<NodeId> = ring.nodes().collect();
+        for src in ring.nodes() {
+            for (quadrant, dst) in broadcast_branch_heads(&ring, src).into_iter().flatten() {
+                quarc.fold(quadrant.index() as u64);
+                quarc.fold(dst.index() as u64);
+            }
+            fold_multicast(&mut quarc, &ring, src, &all, &mut slab);
+            fold_multicast(&mut quarc, &ring, src, &fixed_targets(n), &mut slab);
+        }
+    }
+    for n in [256, 1024] {
+        let ring = Ring::new(n);
+        let mut slab = BitSlab::new(ring.quarter() + 1);
+        let targets: Vec<NodeId> = (0..n).step_by(61).map(NodeId::new).collect();
+        for src in [0, 1, n / 2 - 1, n - 1].map(NodeId::new) {
+            fold_multicast(&mut quarc, &ring, src, &targets, &mut slab);
+        }
+        assert_eq!(slab.live_rows(), 0);
+    }
+    let mut spidergon = Fnv::new();
+    for n in (4..=64).step_by(4) {
+        let ring = Ring::new(n);
+        ring.nodes().for_each(|src| fold_chains(&mut spidergon, &ring, src));
+    }
+    let got = [quarc.0, spidergon.0];
+    assert_eq!(got, [0xfc34_d998_35ae_f1fb, 0x3a61_9f30_671a_d925], "got {got:#x?}");
 }
 
 /// The mesh and torus shapes of the digest tables below.
