@@ -81,14 +81,19 @@ fn invalid_configurations_and_files_exit_one() {
 
 #[test]
 fn simulate_prints_one_csv_row_on_every_topology() {
-    for topology in ["quarc", "spidergon", "mesh", "torus"] {
-        let out = simulate(&["--topology", topology, "--measure", "2000", "--warmup", "200"]);
+    let cases = ["quarc", "spidergon", "mesh", "torus"].map(|topology| (topology, "16", &[][..]));
+    // A Spidergon broadcast at n ≡ 2 (mod 4) runs its chains too.
+    let odd_quarter = ("spidergon", "18", &["--beta", "0.05", "--rate", "0.01"][..]);
+    for (topology, n, extra) in cases.into_iter().chain([odd_quarter]) {
+        let mut args = vec!["--topology", topology, "--nodes", n];
+        args.extend(extra.iter().copied().chain(["--measure", "2000", "--warmup", "200"]));
+        let out = simulate(&args);
         assert!(out.status.success(), "{topology}: {}", String::from_utf8_lossy(&out.stderr));
         let stdout = String::from_utf8(out.stdout).expect("utf-8 CSV");
         let lines: Vec<&str> = stdout.lines().collect();
         assert_eq!(lines.len(), 2, "{topology}: header + one row\n{stdout}");
         assert!(lines[0].starts_with("topology,n,rate,"), "{topology}: {}", lines[0]);
-        assert!(lines[1].starts_with(&format!("{topology},16,")), "{topology}: {}", lines[1]);
+        assert!(lines[1].starts_with(&format!("{topology},{n},")), "{topology}: {}", lines[1]);
         assert_eq!(lines[0].split(',').count(), lines[1].split(',').count(), "{topology}");
     }
 }

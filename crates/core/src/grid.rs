@@ -276,7 +276,7 @@ impl GridTopology {
     }
 
     /// Plan the dimension-ordered multicast tree for `targets` — the grid
-    /// counterpart of [`crate::quadrant::multicast_branches`].
+    /// counterpart of [`crate::quadrant::multicast_branches_into`].
     ///
     /// Targets are partitioned by destination column and y direction (the
     /// shorter way on a torus); each non-empty group becomes one
@@ -406,42 +406,18 @@ pub(crate) fn grid_collectives(
     for src in (0..n).map(NodeId::new) {
         for targets in [(0..n).map(NodeId::new).collect(), crate::vc::fixed_targets(n)] {
             t.multicast_branches_into(src, targets, bits, |b| {
-                let meta = PacketMeta::header(TrafficClass::Multicast, src, b.dst);
-                packets.push((src.index(), 0, PacketMeta { bitstring: b.bitstring, ..meta }));
+                packets.push((src.index(), 0, b.header(src)))
             });
         }
     }
     packets
 }
 
-/// Decode a planned branch back into its delivery set by walking the route
-/// the router will take — the oracle of the planner tests, whose mesh cases
-/// live in `topology::tests` and torus cases in `torus::tests` (tier-1 test
-/// ids are module paths, so the cases stayed where they were when the two
-/// grids became one type).
+/// The header of a branch of `src`'s multicast, for the planner tests.
 #[cfg(test)]
-pub(crate) fn branch_deliveries(
-    t: &GridTopology,
-    src: NodeId,
-    b: &GridBranch,
-    slab: &BitSlab,
-) -> Vec<NodeId> {
-    let mut deliveries = Vec::new();
-    let mut cur = src;
-    let mut k = 0usize;
-    while cur != b.dst {
-        let port = t.route(cur, b.dst);
-        assert_ne!(port, GridOut::Eject, "walk ends at dst");
-        cur = t.link_target(cur, port).expect("route stays on the grid");
-        if slab.bit_at(b.bitstring, k) {
-            deliveries.push(cur);
-        }
-        k += 1;
+impl GridBranch {
+    pub(crate) fn header(&self, src: NodeId) -> PacketMeta {
+        let meta = PacketMeta::header(TrafficClass::Multicast, src, self.dst);
+        PacketMeta { bitstring: self.bitstring, ..meta }
     }
-    assert_eq!(
-        slab.popcount(b.bitstring) as usize,
-        deliveries.len(),
-        "bits past the branch terminal"
-    );
-    deliveries
 }

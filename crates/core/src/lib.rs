@@ -25,9 +25,10 @@
 //! // The paper's Fig. 6: node 0 broadcasting in a 16-node Quarc emits four
 //! // streams whose header destinations are 4, 5, 11 and 12.
 //! let ring = Ring::new(16);
-//! let mut dsts: Vec<u32> = broadcast_branches(&ring, NodeId(0))
-//!     .iter()
-//!     .map(|b| b.dst.0)
+//! let mut dsts: Vec<u32> = broadcast_branch_heads(&ring, NodeId(0))
+//!     .into_iter()
+//!     .flatten()
+//!     .map(|(_, dst)| dst.0)
 //!     .collect();
 //! dsts.sort();
 //! assert_eq!(dsts, vec![4, 5, 11, 12]);
@@ -57,13 +58,13 @@ pub mod prelude {
     pub use crate::grid::{GridBranch, GridOut, GridTopology};
     pub use crate::ids::{MessageId, NodeId, PacketId, VcId};
     pub use crate::quadrant::{
-        broadcast_branch_heads, broadcast_branches, multicast_branches, quadrant_of, unicast_hops,
-        unicast_path, Branch, Quadrant,
+        broadcast_branch_heads, multicast_branches_into, quadrant_of, unicast_hops, Branch,
+        Quadrant,
     };
     pub use crate::ring::{Ring, RingDir};
     pub use crate::routing::{
         chain_continuations, quarc_injection_out, quarc_route, spidergon_broadcast_seeds,
-        spidergon_hops, spidergon_route, ChainSeed, ChainSeeds, Route, RouteAction, Routing,
+        spidergon_hops, spidergon_route, ChainSeed, Route, RouteAction, Routing,
     };
     pub use crate::topology::{
         QuarcIn, QuarcOut, QuarcTopology, SpiIn, SpiOut, SpidergonTopology, TopologyKind,

@@ -7,11 +7,14 @@
 //! functions over ring arithmetic:
 //!
 //! * [`quadrant_of`] — which quadrant (injection port) serves a destination;
-//! * [`unicast_hops`] / [`unicast_path`] — shortest-path length and node walk;
-//! * [`broadcast_branches`] — the four BRCP streams of §2.5.2, reproducing the
-//!   paper's Fig. 6 (source 0, N = 16 → branch destinations {4, 5, 11, 12});
-//! * [`multicast_branches`] — the bitstring construction of §2.5.3, of which
-//!   broadcast is the all-targets special case.
+//! * [`unicast_hops`] — shortest-path length (the node walk itself is the
+//!   topology's [`crate::routing::Routing::walk_unicast`]);
+//! * [`broadcast_branch_heads`] — the four BRCP streams of §2.5.2,
+//!   reproducing the paper's Fig. 6 (source 0, N = 16 → branch destinations
+//!   {4, 5, 11, 12});
+//! * [`multicast_branches_into`] — the bitstring construction of §2.5.3, of
+//!   which broadcast is the all-targets special case, emitted branch by
+//!   branch without allocating.
 //!
 //! Conventions (fixed in DESIGN.md §3): nodes are numbered clockwise,
 //! `d = cw_dist(src, dst)`, quadrant depth `q = n/4`:
@@ -129,99 +132,28 @@ pub fn unicast_hops(ring: &Ring, src: NodeId, dst: NodeId) -> usize {
     }
 }
 
-/// The full node walk of a unicast from `src` to `dst` (excluding `src`,
-/// including `dst`), in traversal order.
-pub fn unicast_path(ring: &Ring, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-    if src == dst {
-        return Vec::new();
-    }
-    unicast_path_via(ring, src, quadrant_of(ring, src, dst), dst)
-}
-
 /// One branch of a Quarc collective operation: a single wormhole stream
-/// covering (part of) one quadrant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// covering (part of) one quadrant. Routers re-derive its deliveries hop by
+/// hop from the header, so the header fields are all a branch is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Branch {
     /// The injection port (quadrant) this stream uses.
     pub quadrant: Quadrant,
     /// Destination written in the header: the *last* node the stream visits.
     pub dst: NodeId,
-    /// Nodes that take a copy, in visit order (`dst` last). For broadcast this
-    /// is every node visited except a cross-left transit of the antipode; for
-    /// multicast it is the subset of targets.
-    pub deliveries: Vec<NodeId>,
     /// Header bitstring (bit `i` ⇒ the node reached after `i + 1` hops takes a
-    /// copy). Inline zero for broadcast, which needs no bitstring; branches
-    /// spanning more than 63 hops hold a row in the planner's [`BitSlab`].
+    /// copy). Branches spanning more than 63 hops hold a row in the planner's
+    /// [`BitSlab`].
     pub bitstring: Bits,
-    /// Total hops the stream travels (to `dst`).
-    pub hops: usize,
 }
 
-/// The four broadcast streams a Quarc transceiver emits (§2.5.2, Fig. 6).
+/// The four broadcast streams a Quarc transceiver emits (§2.5.2, Fig. 6), as
+/// `(quadrant, header destination)` in [`Quadrant::ALL`] order; cross-left
+/// is `None` when its quadrant is empty (`n = 4`).
 ///
-/// Branches whose quadrant is empty (cross-left when `n = 4`) are omitted.
-/// Every non-source node appears in exactly one branch's `deliveries` — a
-/// property-tested invariant.
-pub fn broadcast_branches(ring: &Ring, src: NodeId) -> Vec<Branch> {
-    assert!(ring.len().is_multiple_of(4), "Quarc requires n ≡ 0 (mod 4)");
-    let q = ring.quarter();
-    let mut branches = Vec::with_capacity(4);
-
-    // Right rim: d ∈ [1, q].
-    let deliveries: Vec<NodeId> = (1..=q).map(|k| ring.step_n(src, RingDir::Cw, k)).collect();
-    branches.push(Branch {
-        quadrant: Quadrant::Right,
-        dst: *deliveries.last().expect("q >= 1"),
-        hops: q,
-        bitstring: Bits::ZERO,
-        deliveries,
-    });
-
-    // Cross-right: antipode (d = 2q) then CW to d = 3q − 1.
-    let deliveries: Vec<NodeId> =
-        (2 * q..3 * q).map(|d| ring.step_n(src, RingDir::Cw, d)).collect();
-    branches.push(Branch {
-        quadrant: Quadrant::CrossRight,
-        dst: *deliveries.last().expect("q >= 1"),
-        hops: q, // 1 cross hop + (q − 1) rim hops
-        bitstring: Bits::ZERO,
-        deliveries,
-    });
-
-    // Cross-left: transit the antipode, then CCW from d = 2q − 1 down to q + 1.
-    let deliveries: Vec<NodeId> =
-        ((q + 1)..2 * q).rev().map(|d| ring.step_n(src, RingDir::Cw, d)).collect();
-    if let Some(&dst) = deliveries.last() {
-        branches.push(Branch {
-            quadrant: Quadrant::CrossLeft,
-            dst,
-            hops: q, // 1 cross hop + (q − 1) rim hops
-            bitstring: Bits::ZERO,
-            deliveries,
-        });
-    }
-
-    // Left rim: d ∈ [3q, n), visited at CCW distances 1..=q.
-    let deliveries: Vec<NodeId> = (1..=q).map(|k| ring.step_n(src, RingDir::Ccw, k)).collect();
-    branches.push(Branch {
-        quadrant: Quadrant::Left,
-        dst: *deliveries.last().expect("q >= 1"),
-        hops: q,
-        bitstring: Bits::ZERO,
-        deliveries,
-    });
-
-    branches
-}
-
-/// The `(quadrant, header destination)` of each broadcast stream, in the
-/// emission order of [`broadcast_branches`] (Right, CrossRight, CrossLeft,
-/// Left; cross-left is `None` when its quadrant is empty, i.e. `n = 4`).
-///
-/// This is the allocation-free subset of [`broadcast_branches`] the
-/// simulator's injection path needs: routers re-derive the deliveries hop by
-/// hop, so only the header destinations ever reach the network.
+/// A broadcast header carries no bitstring: every node a stream visits takes
+/// a copy except the antipode a cross-left stream transits, so each stream
+/// covers its whole quadrant and the destination is all it needs.
 pub fn broadcast_branch_heads(ring: &Ring, src: NodeId) -> [Option<(Quadrant, NodeId)>; 4] {
     assert!(ring.len().is_multiple_of(4), "Quarc requires n ≡ 0 (mod 4)");
     let q = ring.quarter();
@@ -233,72 +165,43 @@ pub fn broadcast_branch_heads(ring: &Ring, src: NodeId) -> [Option<(Quadrant, No
     ]
 }
 
-/// Like [`unicast_path`] but forced through a given quadrant (collective
-/// branches are not always shortest paths for the individual `dst`).
-pub fn unicast_path_via(ring: &Ring, src: NodeId, quad: Quadrant, dst: NodeId) -> Vec<NodeId> {
-    let mut path = Vec::new();
-    let mut cur = src;
-    if quad.is_cross() {
-        cur = ring.antipode(src);
-        path.push(cur);
-    }
-    let dir = quad.rim_dir();
-    while cur != dst {
-        cur = ring.step(cur, dir);
-        path.push(cur);
-    }
-    path
-}
-
-/// Build the multicast branches for an explicit target set (§2.5.3).
+/// Plan the multicast branches for an explicit target set (§2.5.3).
 ///
 /// Targets are partitioned by quadrant; each non-empty quadrant yields one
-/// branch whose `dst` is the furthest target along the branch walk and whose
-/// `bitstring` has bit `i` set iff the node reached after `i + 1` hops is a
-/// target. Targets equal to `src` are ignored. Broadcast is the special case
-/// where every node is a target (see `multicast_covers_broadcast` test).
+/// branch whose `dst` is its furthest target (the most hops) and whose
+/// `bitstring` has bit `unicast_hops(src, t) − 1` set for each of its
+/// targets `t`: a target sits that many hops along its quadrant's branch.
+/// Targets equal to `src` are ignored; duplicates set the same bit once.
+/// Broadcast is the all-targets special case. Each branch goes to `emit` in
+/// [`Quadrant::ALL`] order, so planning allocates nothing.
 ///
 /// Bitstrings are emitted into `slab`: branches spanning ≤ 63 hops stay
 /// inline (and never touch it), longer ones acquire a slab row. In the
 /// simulators `slab` is the network `PacketTable`'s, so a row's lifetime is
 /// the branch packet's; standalone callers (tests, RTL harness) pass a
 /// scratch slab sized via [`crate::bits::BitSlab::new`]`(ring.quarter() + 1)`.
-pub fn multicast_branches(
+pub fn multicast_branches_into(
     ring: &Ring,
     src: NodeId,
-    targets: &[NodeId],
+    targets: impl IntoIterator<Item = NodeId>,
     slab: &mut BitSlab,
-) -> Vec<Branch> {
-    assert!(ring.len().is_multiple_of(4), "Quarc requires n ≡ 0 (mod 4)");
-    let mut by_quadrant: [Vec<NodeId>; 4] = Default::default();
-    for &t in targets {
-        if t != src {
-            by_quadrant[quadrant_of(ring, src, t).index()].push(t);
+    emit: impl FnMut(Branch),
+) {
+    let mut branches = [None::<Branch>; 4];
+    for t in targets.into_iter().filter(|&t| t != src) {
+        let quadrant = quadrant_of(ring, src, t);
+        let hops = unicast_hops(ring, src, t);
+        let b = branches[quadrant.index()].get_or_insert(Branch {
+            quadrant,
+            dst: t,
+            bitstring: Bits::ZERO,
+        });
+        slab.set_bit(&mut b.bitstring, hops - 1);
+        if hops > unicast_hops(ring, src, b.dst) {
+            b.dst = t;
         }
     }
-
-    let mut branches = Vec::new();
-    for quad in Quadrant::ALL {
-        let quad_targets = &by_quadrant[quad.index()];
-        if quad_targets.is_empty() {
-            continue;
-        }
-        // Furthest target = the one needing the most hops within this quadrant.
-        let dst =
-            *quad_targets.iter().max_by_key(|&&t| unicast_hops(ring, src, t)).expect("non-empty");
-        let walk = unicast_path_via(ring, src, quad, dst);
-        let mut bitstring = Bits::ZERO;
-        let mut deliveries = Vec::with_capacity(quad_targets.len());
-        for (i, node) in walk.iter().enumerate() {
-            if quad_targets.contains(node) {
-                slab.set_bit(&mut bitstring, i);
-                deliveries.push(*node);
-            }
-        }
-        let hops = walk.len();
-        branches.push(Branch { quadrant: quad, dst, deliveries, bitstring, hops });
-    }
-    branches
+    branches.into_iter().flatten().for_each(emit);
 }
 
 /// Network diameter under Quarc routing (`n/4`, §2.6).
@@ -323,6 +226,9 @@ pub fn mean_hops(ring: &Ring) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit::{PacketMeta, TrafficClass};
+    use crate::routing::{walk_deliveries, Routing};
+    use crate::topology::QuarcTopology;
     use std::collections::HashSet;
 
     fn r16() -> Ring {
@@ -330,8 +236,41 @@ mod tests {
     }
 
     fn mc(ring: &Ring, src: NodeId, targets: &[NodeId]) -> Vec<Branch> {
-        let mut slab = BitSlab::new(ring.quarter() + 1);
-        multicast_branches(ring, src, targets, &mut slab)
+        let (mut slab, mut branches) = (BitSlab::new(ring.quarter() + 1), Vec::new());
+        multicast_branches_into(ring, src, targets.iter().copied(), &mut slab, |b| {
+            branches.push(b)
+        });
+        branches
+    }
+
+    /// The nodes a stream of `class` delivers to, decoded by walking the
+    /// route the switches take (`n ≤ 64`: bitstrings are inline).
+    fn delivered(ring: &Ring, src: NodeId, class: TrafficClass, b: Branch) -> Vec<NodeId> {
+        let meta = PacketMeta { bitstring: b.bitstring, ..PacketMeta::header(class, src, b.dst) };
+        let topo = QuarcTopology::new(ring.len());
+        walk_deliveries(&topo, &BitSlab::inline_only(), b.quadrant.index(), &meta)
+    }
+
+    /// Each broadcast stream of `src` with the nodes it delivers to.
+    fn broadcast(ring: &Ring, src: NodeId) -> Vec<(Quadrant, Vec<NodeId>)> {
+        let heads = broadcast_branch_heads(ring, src).into_iter().flatten();
+        heads
+            .map(|(quadrant, dst)| {
+                let b = Branch { quadrant, dst, bitstring: Bits::ZERO };
+                (quadrant, delivered(ring, src, TrafficClass::Broadcast, b))
+            })
+            .collect()
+    }
+
+    /// The node walk of the unicast `src → dst` (excluding `src`, including
+    /// `dst`).
+    fn path(ring: &Ring, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let (topo, mut path) = (QuarcTopology::new(ring.len()), Vec::new());
+        topo.walk_unicast(src, dst, |node, hop| {
+            let (to, _) = Routing::link_target(&topo, node, hop.out.into()).expect("a wired link");
+            path.push(NodeId::new(to));
+        });
+        path
     }
 
     #[test]
@@ -339,18 +278,20 @@ mod tests {
         // Paper Fig. 6: node 0 broadcasts in a 16-node Quarc; the four stream
         // destinations are 4 (right rim), 5 (cross-left), 11 (cross-right)
         // and 12 (left rim).
-        let branches = broadcast_branches(&r16(), NodeId(0));
-        let dsts: HashSet<u32> = branches.iter().map(|b| b.dst.0).collect();
+        let heads = broadcast_branch_heads(&r16(), NodeId(0));
+        let dsts: HashSet<u32> = heads.iter().flatten().map(|(_, dst)| dst.0).collect();
         assert_eq!(dsts, HashSet::from([4, 5, 11, 12]));
     }
 
     #[test]
     fn branch_heads_agree_with_full_branches() {
+        // The broadcast streams are the all-targets multicast's branches.
         for n in [4usize, 8, 16, 32, 64] {
             let ring = Ring::new(n);
+            let all: Vec<NodeId> = ring.nodes().collect();
             for src in ring.nodes() {
                 let full: Vec<(Quadrant, NodeId)> =
-                    broadcast_branches(&ring, src).iter().map(|b| (b.quadrant, b.dst)).collect();
+                    mc(&ring, src, &all).iter().map(|b| (b.quadrant, b.dst)).collect();
                 let heads: Vec<(Quadrant, NodeId)> =
                     broadcast_branch_heads(&ring, src).into_iter().flatten().collect();
                 assert_eq!(heads, full, "n={n} src={src}");
@@ -360,16 +301,10 @@ mod tests {
 
     #[test]
     fn fig6_branch_coverage() {
-        let branches = broadcast_branches(&r16(), NodeId(0));
+        let streams = broadcast(&r16(), NodeId(0));
         let by_quad = |q: Quadrant| {
-            branches
-                .iter()
-                .find(|b| b.quadrant == q)
-                .unwrap()
-                .deliveries
-                .iter()
-                .map(|n| n.0)
-                .collect::<Vec<_>>()
+            let (_, nodes) = streams.iter().find(|(quadrant, _)| *quadrant == q).unwrap();
+            nodes.iter().map(|n| n.0).collect::<Vec<_>>()
         };
         assert_eq!(by_quad(Quadrant::Right), vec![1, 2, 3, 4]);
         assert_eq!(by_quad(Quadrant::Left), vec![15, 14, 13, 12]);
@@ -383,10 +318,10 @@ mod tests {
             let ring = Ring::new(n);
             for src in ring.nodes() {
                 let mut seen = HashSet::new();
-                for b in broadcast_branches(&ring, src) {
-                    for d in &b.deliveries {
-                        assert!(seen.insert(*d), "n={n} src={src}: {d} covered twice");
-                        assert_ne!(*d, src);
+                for (_, nodes) in broadcast(&ring, src) {
+                    for d in nodes {
+                        assert!(seen.insert(d), "n={n} src={src}: {d} covered twice");
+                        assert_ne!(d, src);
                     }
                 }
                 assert_eq!(seen.len(), n - 1, "n={n} src={src}: incomplete coverage");
@@ -396,15 +331,16 @@ mod tests {
 
     #[test]
     fn broadcast_branch_hops_equal_quarter() {
-        let ring = Ring::new(32);
-        for b in broadcast_branches(&ring, NodeId(3)) {
-            assert_eq!(b.hops, 8);
-            let walk = unicast_path_via(&ring, NodeId(3), b.quadrant, b.dst);
-            assert_eq!(walk.len(), b.hops);
-            assert_eq!(*walk.last().unwrap(), b.dst);
+        // Every stream is the unicast route to its destination, on its own
+        // quadrant, n/4 hops long.
+        let (ring, src) = (Ring::new(32), NodeId(3));
+        for (quadrant, dst) in broadcast_branch_heads(&ring, src).into_iter().flatten() {
+            assert_eq!(quadrant_of(&ring, src, dst), quadrant);
+            let walk = path(&ring, src, dst);
+            assert_eq!(walk.len(), 8);
+            assert_eq!(*walk.last().unwrap(), dst);
         }
     }
-
     #[test]
     fn quadrants_for_n16() {
         let ring = r16();
@@ -441,12 +377,10 @@ mod tests {
         for n in [8usize, 16, 32, 64] {
             let ring = Ring::new(n);
             for s in ring.nodes() {
-                for t in ring.nodes() {
-                    let path = unicast_path(&ring, s, t);
+                for t in ring.nodes().filter(|&t| t != s) {
+                    let path = path(&ring, s, t);
                     assert_eq!(path.len(), unicast_hops(&ring, s, t), "{s}->{t} n={n}");
-                    if s != t {
-                        assert_eq!(*path.last().unwrap(), t);
-                    }
+                    assert_eq!(*path.last().unwrap(), t);
                 }
             }
         }
@@ -472,15 +406,14 @@ mod tests {
         let ring = r16();
         assert_eq!(quadrant_of(&ring, NodeId(3), NodeId(11)), Quadrant::CrossRight);
         assert_eq!(unicast_hops(&ring, NodeId(3), NodeId(11)), 1);
-        assert_eq!(unicast_path(&ring, NodeId(3), NodeId(11)), vec![NodeId(11)]);
+        assert_eq!(path(&ring, NodeId(3), NodeId(11)), vec![NodeId(11)]);
     }
 
     #[test]
     fn cross_left_transits_antipode() {
         let ring = r16();
         // 0 → 6 is cross-left: antipode 8, then CCW 8→7→6.
-        let path = unicast_path(&ring, NodeId(0), NodeId(6));
-        assert_eq!(path, vec![NodeId(8), NodeId(7), NodeId(6)]);
+        assert_eq!(path(&ring, NodeId(0), NodeId(6)), vec![NodeId(8), NodeId(7), NodeId(6)]);
     }
 
     #[test]
@@ -489,12 +422,12 @@ mod tests {
             let ring = Ring::new(n);
             let src = NodeId(2);
             let all: Vec<NodeId> = ring.nodes().collect();
-            let mc = mc(&ring, src, &all);
-            let bc = broadcast_branches(&ring, src);
-            let mc_set: HashSet<NodeId> =
-                mc.iter().flat_map(|b| b.deliveries.iter().copied()).collect();
+            let mc_set: HashSet<NodeId> = mc(&ring, src, &all)
+                .into_iter()
+                .flat_map(|b| delivered(&ring, src, TrafficClass::Multicast, b))
+                .collect();
             let bc_set: HashSet<NodeId> =
-                bc.iter().flat_map(|b| b.deliveries.iter().copied()).collect();
+                broadcast(&ring, src).into_iter().flat_map(|(_, nodes)| nodes).collect();
             assert_eq!(mc_set, bc_set, "n={n}");
         }
     }
@@ -505,12 +438,12 @@ mod tests {
         // Targets 2 and 4 from source 0: right-rim branch, walk 1,2,3,4.
         let branches = mc(&ring, NodeId(0), &[NodeId(2), NodeId(4)]);
         assert_eq!(branches.len(), 1);
-        let b = &branches[0];
+        let b = branches[0];
         assert_eq!(b.quadrant, Quadrant::Right);
         assert_eq!(b.dst, NodeId(4));
         // Hop 2 (bit 1) and hop 4 (bit 3).
         assert_eq!(b.bitstring, Bits::inline(0b1010));
-        assert_eq!(b.deliveries, vec![NodeId(2), NodeId(4)]);
+        assert_eq!(delivered(&ring, NodeId(0), TrafficClass::Multicast, b), [NodeId(2), NodeId(4)]);
     }
 
     #[test]
@@ -530,16 +463,16 @@ mod tests {
         let ring = r16();
         let branches = mc(&ring, NodeId(0), &[NodeId(0), NodeId(1)]);
         assert_eq!(branches.len(), 1);
-        assert_eq!(branches[0].deliveries, vec![NodeId(1)]);
+        assert_eq!(delivered(&ring, NodeId(0), TrafficClass::Multicast, branches[0]), [NodeId(1)]);
     }
 
     #[test]
     fn n4_has_no_cross_left_branch() {
         let ring = Ring::new(4);
-        let branches = broadcast_branches(&ring, NodeId(0));
-        assert_eq!(branches.len(), 3);
+        let streams = broadcast(&ring, NodeId(0));
+        assert_eq!(streams.len(), 3);
         let covered: HashSet<u32> =
-            branches.iter().flat_map(|b| b.deliveries.iter().map(|n| n.0)).collect();
+            streams.iter().flat_map(|(_, nodes)| nodes.iter().map(|n| n.0)).collect();
         assert_eq!(covered, HashSet::from([1, 2, 3]));
     }
 

@@ -331,119 +331,53 @@ pub struct ChainSeed {
     pub remaining: u16,
 }
 
-/// A fixed-capacity list of [`ChainSeed`]s (at most three: the broadcast
-/// plan's two rim chains plus the cross seed). Replication runs inside the
-/// simulator's per-cycle loop, so the plan must not heap-allocate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChainSeeds {
-    seeds: [Option<ChainSeed>; 3],
-    len: usize,
-}
-
-impl ChainSeeds {
-    fn push(&mut self, seed: ChainSeed) {
-        self.seeds[self.len] = Some(seed);
-        self.len += 1;
-    }
-
-    /// The seeds as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[Option<ChainSeed>] {
-        &self.seeds[..self.len]
-    }
-
-    /// Number of seeds.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the plan is empty (chain terminated).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate over the seeds.
-    pub fn iter(&self) -> impl Iterator<Item = &ChainSeed> + '_ {
-        self.seeds[..self.len].iter().map(|s| s.as_ref().expect("dense prefix"))
-    }
-}
-
-impl IntoIterator for ChainSeeds {
-    type Item = ChainSeed;
-    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<ChainSeed>, 3>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.seeds.into_iter().flatten()
-    }
-}
-
 /// The packets a Spidergon source injects to broadcast (ref. [9]'s N−1-hop
-/// algorithm): one rim chain per direction covering `q` nodes each, plus a
-/// cross seed whose receiver spawns two more rim chains covering `q − 1`
-/// nodes each. Total link traversals: `q + q + 1 + (q−1) + (q−1) = n − 1`.
-///
-/// Requires `n ≡ 0 (mod 4)` (the configuration used in all of the paper's
-/// broadcast experiments).
-pub fn spidergon_broadcast_seeds(ring: &Ring, src: NodeId) -> ChainSeeds {
-    assert!(ring.len().is_multiple_of(4), "broadcast plan requires n ≡ 0 (mod 4)");
-    let q = ring.quarter() as u16;
-    let mut seeds = ChainSeeds::default();
-    seeds.push(ChainSeed {
-        class: TrafficClass::ChainRim,
-        dst: ring.cw(src),
-        dir: RingDir::Cw,
-        remaining: q - 1,
-    });
-    seeds.push(ChainSeed {
-        class: TrafficClass::ChainRim,
-        dst: ring.ccw(src),
-        dir: RingDir::Ccw,
-        remaining: q - 1,
-    });
-    seeds.push(ChainSeed {
-        class: TrafficClass::ChainCross,
-        dst: ring.antipode(src),
-        dir: RingDir::Cw,
-        remaining: q - 1,
-    });
-    seeds
+/// algorithm): one rim chain per direction covering `q = ⌊n/4⌋` nodes each,
+/// plus a cross seed to the antipode whose receiver spawns two more rim
+/// chains covering `r = n/2 − 1 − q` nodes each (`q − 1` when 4 divides `n`).
+/// Total link traversals: `q + q + 1 + r + r = n − 1`, for every even `n`.
+pub fn spidergon_broadcast_seeds(ring: &Ring, src: NodeId) -> [ChainSeed; 3] {
+    let q = ring.quarter();
+    let seed = |class, dst, dir, remaining: usize| ChainSeed {
+        class,
+        dst,
+        dir,
+        remaining: remaining as u16,
+    };
+    [
+        seed(TrafficClass::ChainRim, ring.cw(src), RingDir::Cw, q - 1),
+        seed(TrafficClass::ChainRim, ring.ccw(src), RingDir::Ccw, q - 1),
+        seed(TrafficClass::ChainCross, ring.antipode(src), RingDir::Cw, ring.half() - 1 - q),
+    ]
 }
 
 /// The packets a Spidergon *transceiver* re-injects when a chain packet is
 /// delivered to it (the switch-side replication logic the paper describes in
 /// §2.2: "The NoC switches must contain the logic to create the required
-/// packets on receipt of a broadcast-by-unicast packet").
-pub fn chain_continuations(ring: &Ring, node: NodeId, meta: &PacketMeta) -> ChainSeeds {
-    let mut seeds = ChainSeeds::default();
-    // Chain counters always fit inline (remaining ≤ q − 1 < 2^16).
-    match meta.class {
-        TrafficClass::ChainRim if meta.bitstring.inline_value() > 0 => {
-            seeds.push(ChainSeed {
-                class: TrafficClass::ChainRim,
-                dst: ring.step(node, meta.dir),
-                dir: meta.dir,
-                remaining: (meta.bitstring.inline_value() - 1) as u16,
-            });
-        }
-        TrafficClass::ChainCross if meta.bitstring.inline_value() > 0 => {
-            seeds.push(ChainSeed {
-                class: TrafficClass::ChainRim,
-                dst: ring.cw(node),
-                dir: RingDir::Cw,
-                remaining: (meta.bitstring.inline_value() - 1) as u16,
-            });
-            seeds.push(ChainSeed {
-                class: TrafficClass::ChainRim,
-                dst: ring.ccw(node),
-                dir: RingDir::Ccw,
-                remaining: (meta.bitstring.inline_value() - 1) as u16,
-            });
-        }
-        _ => {}
+/// packets on receipt of a broadcast-by-unicast packet"), to `emit`: the next
+/// link of a rim chain, or a rim chain each way from a cross seed's receiver
+/// — none once the chain's count runs out. Replication runs inside the
+/// simulator's per-cycle loop, so this allocates nothing.
+pub fn chain_continuations(
+    ring: &Ring,
+    node: NodeId,
+    meta: &PacketMeta,
+    mut emit: impl FnMut(ChainSeed),
+) {
+    // Chain counters always fit inline (remaining ≤ n/2 < 2^16).
+    if !meta.class.is_chain() || meta.bitstring.inline_value() == 0 {
+        return;
     }
-    seeds
+    let remaining = (meta.bitstring.inline_value() - 1) as u16;
+    let mut rim = |dir| {
+        emit(ChainSeed { class: TrafficClass::ChainRim, dst: ring.step(node, dir), dir, remaining })
+    };
+    if meta.class == TrafficClass::ChainRim {
+        rim(meta.dir);
+    } else {
+        rim(RingDir::Cw);
+        rim(RingDir::Ccw);
+    }
 }
 
 /// Every packet of `src`'s broadcast chains — the three seeds, then each
@@ -451,18 +385,42 @@ pub fn chain_continuations(ring: &Ring, node: NodeId, meta: &PacketMeta) -> Chai
 /// predecessor, as the simulator's replication logic does.
 #[cfg(test)]
 pub(crate) fn chain_packets(ring: &Ring, src: NodeId) -> Vec<(NodeId, PacketMeta)> {
-    let mut pending: Vec<_> =
-        spidergon_broadcast_seeds(ring, src).into_iter().map(|seed| (src, seed)).collect();
+    let mut pending = spidergon_broadcast_seeds(ring, src).map(|seed| (src, seed)).to_vec();
     let mut packets = Vec::new();
     while let Some((at, seed)) = pending.pop() {
         let bitstring = Bits::inline(u64::from(seed.remaining));
         let header = PacketMeta::header(seed.class, src, seed.dst);
         let meta = PacketMeta { bitstring, dir: seed.dir, ..header };
-        pending
-            .extend(chain_continuations(ring, seed.dst, &meta).into_iter().map(|c| (seed.dst, c)));
+        chain_continuations(ring, seed.dst, &meta, |c| pending.push((seed.dst, c)));
         packets.push((at, meta));
     }
     packets
+}
+
+/// The nodes a packet injected on local queue `queue` of `meta.src`
+/// delivers to, in visit order — each hop's `deliver` node, then the
+/// terminal — by following [`Routing::walk`]: the oracle of the planner
+/// tests. A multicast must deliver once per set bit.
+#[cfg(test)]
+pub(crate) fn walk_deliveries<R: Routing>(
+    topo: &R,
+    bits: &BitSlab,
+    queue: usize,
+    meta: &PacketMeta,
+) -> Vec<NodeId> {
+    let (src, mut nodes) = (meta.src.index(), Vec::new());
+    let mut end = src;
+    topo.walk(bits, src, false, topo.route_local(src, queue, meta), meta, |node, hop| {
+        if hop.deliver {
+            nodes.push(NodeId::new(node));
+        }
+        end = topo.link_target(node, hop.out.into()).expect("a wired link").0;
+    });
+    nodes.push(NodeId::new(end));
+    if meta.class == TrafficClass::Multicast {
+        assert_eq!(bits.popcount(meta.bitstring) as usize, nodes.len(), "bits past the terminal");
+    }
+    nodes
 }
 
 #[cfg(test)]
@@ -657,7 +615,7 @@ mod tests {
     /// and the N−1 total-hop claim.
     #[test]
     fn chain_broadcast_covers_all_nodes_in_n_minus_1_hops() {
-        for n in [8usize, 16, 32, 64] {
+        for n in [6usize, 8, 10, 16, 18, 32, 34, 64] {
             let ring = Ring::new(n);
             let src = NodeId(2 % n as u32);
             let mut covered = HashSet::new();
@@ -675,10 +633,12 @@ mod tests {
     #[test]
     fn chain_continuation_terminates() {
         let ring = Ring::new(16);
-        let m = meta(TrafficClass::ChainRim, 0, 4, 0, RingDir::Cw);
-        assert!(chain_continuations(&ring, NodeId(4), &m).is_empty());
-        let m = meta(TrafficClass::Unicast, 0, 4, 7, RingDir::Cw);
-        assert!(chain_continuations(&ring, NodeId(4), &m).is_empty());
+        for m in [
+            meta(TrafficClass::ChainRim, 0, 4, 0, RingDir::Cw),
+            meta(TrafficClass::Unicast, 0, 4, 7, RingDir::Cw),
+        ] {
+            chain_continuations(&ring, NodeId(4), &m, |c| panic!("{m:?} continued as {c:?}"));
+        }
     }
 
     #[test]

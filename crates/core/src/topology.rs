@@ -425,7 +425,8 @@ impl SpidergonTopology {
 mod tests {
     use super::*;
     use crate::bits::{BitSlab, Bits};
-    use crate::grid::{branch_deliveries, grid_collectives, GridOut, GridTopology};
+    use crate::grid::{grid_collectives, GridOut, GridTopology};
+    use crate::routing::walk_deliveries;
     use crate::vc::assert_deadlock_free;
 
     #[test]
@@ -630,7 +631,7 @@ mod tests {
         let mut slab = BitSlab::new(m.diameter() + 1);
         m.multicast_branches_into(src, targets.iter().copied(), &mut slab, |b| branches.push(b));
         let mut delivered: Vec<NodeId> =
-            branches.iter().flat_map(|b| branch_deliveries(&m, src, b, &slab)).collect();
+            branches.iter().flat_map(|b| walk_deliveries(&m, &slab, 0, &b.header(src))).collect();
         delivered.sort();
         let mut want = targets.clone();
         want.sort();
@@ -658,7 +659,7 @@ mod tests {
                 );
                 let mut seen = std::collections::HashSet::new();
                 for b in &branches {
-                    for d in branch_deliveries(&m, src, b, &slab) {
+                    for d in walk_deliveries(&m, &slab, 0, &b.header(src)) {
                         assert!(seen.insert(d), "{c}x{r} src={src}: {d} covered twice");
                         assert_ne!(d, src);
                     }

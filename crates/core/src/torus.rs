@@ -4,9 +4,9 @@
 
 mod tests {
     use crate::bits::{BitSlab, Bits};
-    use crate::grid::{branch_deliveries, grid_collectives, GridOut, GridTopology};
+    use crate::grid::{grid_collectives, GridOut, GridTopology};
     use crate::ids::{NodeId, VcId};
-    use crate::routing::Routing;
+    use crate::routing::{walk_deliveries, Routing};
     use crate::vc::{assert_deadlock_free, ChannelDepGraph};
 
     #[test]
@@ -104,7 +104,7 @@ mod tests {
                 );
                 let mut seen = std::collections::HashSet::new();
                 for b in &branches {
-                    for d in branch_deliveries(&t, src, b, &slab) {
+                    for d in walk_deliveries(&t, &slab, 0, &b.header(src)) {
                         assert!(seen.insert(d), "{c}x{r} src={src}: {d} covered twice");
                         assert_ne!(d, src);
                     }
@@ -125,7 +125,7 @@ mod tests {
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].dst, NodeId(15));
         assert_eq!(branches[0].bitstring, Bits::inline(0b10));
-        assert_eq!(branch_deliveries(&t, NodeId(0), &branches[0], &slab), vec![NodeId(15)]);
+        assert_eq!(walk_deliveries(&t, &slab, 0, &branches[0].header(NodeId(0))), [NodeId(15)]);
     }
 
     #[test]
@@ -137,7 +137,7 @@ mod tests {
         let mut slab = BitSlab::new(t.diameter() + 1);
         t.multicast_branches_into(src, targets.iter().copied(), &mut slab, |b| branches.push(b));
         let mut delivered: Vec<NodeId> =
-            branches.iter().flat_map(|b| branch_deliveries(&t, src, b, &slab)).collect();
+            branches.iter().flat_map(|b| walk_deliveries(&t, &slab, 0, &b.header(src))).collect();
         delivered.sort();
         let mut want = targets.clone();
         want.sort();

@@ -195,7 +195,7 @@ pub(crate) fn assert_deadlock_free<R: Routing>(
 mod tests {
     use super::*;
     use crate::flit::TrafficClass;
-    use crate::quadrant::{broadcast_branch_heads, multicast_branches};
+    use crate::quadrant::{broadcast_branch_heads, multicast_branches_into};
     use crate::routing::chain_packets;
     use crate::topology::{QuarcTopology, SpidergonTopology};
 
@@ -219,24 +219,25 @@ mod tests {
                 let meta = PacketMeta::header(TrafficClass::Broadcast, s, dst);
                 packets.push((s.index(), quadrant.index(), meta));
             }
-            for b in multicast_branches(ring, s, &fixed_targets(ring.len()), bits) {
+            multicast_branches_into(ring, s, fixed_targets(ring.len()), bits, |b| {
                 let meta = PacketMeta::header(TrafficClass::Multicast, s, b.dst);
                 packets.push((
                     s.index(),
                     b.quadrant.index(),
                     PacketMeta { bitstring: b.bitstring, ..meta },
                 ));
-            }
+            });
         }
         packets
     }
 
-    /// Every source's broadcast chain packets, on the one local queue. The
-    /// chain plan needs `n ≡ 0 (mod 4)`; other sizes have none.
+    /// Every source's broadcast chain packets, on the one local queue.
     fn spidergon_chains(topo: &SpidergonTopology) -> Vec<(usize, usize, PacketMeta)> {
         let ring = topo.ring();
-        let sources = ring.nodes().filter(|_| ring.len().is_multiple_of(4));
-        sources.flat_map(|s| chain_packets(ring, s)).map(|(at, m)| (at.index(), 0, m)).collect()
+        ring.nodes()
+            .flat_map(|s| chain_packets(ring, s))
+            .map(|(at, m)| (at.index(), 0, m))
+            .collect()
     }
 
     #[test]

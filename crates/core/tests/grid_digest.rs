@@ -107,9 +107,9 @@ fn route_digest<R: Routing>(nets: impl IntoIterator<Item = R>) -> u64 {
 /// with `bit_at`, so slab row numbering cannot move the digest).
 fn fold_multicast(h: &mut Fnv, ring: &Ring, src: NodeId, targets: &[NodeId], slab: &mut BitSlab) {
     let mut branches = Vec::new();
-    quarc_core::quadrant::multicast_branches(ring, src, targets, slab)
-        .into_iter()
-        .for_each(|b| branches.push((b.quadrant, b.dst, b.bitstring)));
+    multicast_branches_into(ring, src, targets.iter().copied(), slab, |b| {
+        branches.push((b.quadrant, b.dst, b.bitstring))
+    });
     h.fold(branches.len() as u64);
     for (quadrant, dst, bits) in branches {
         h.fold(quadrant.index() as u64);
@@ -136,9 +136,7 @@ fn fold_chains(h: &mut Fnv, ring: &Ring, src: NodeId) {
         let header = PacketMeta::header(seed.class, src, seed.dst);
         let bitstring = Bits::inline(u64::from(seed.remaining));
         let meta = PacketMeta { bitstring, dir: seed.dir, ..header };
-        chain_continuations(ring, seed.dst, &meta)
-            .into_iter()
-            .for_each(|c| pending.push((seed.dst, c)));
+        chain_continuations(ring, seed.dst, &meta, |c| pending.push((seed.dst, c)));
     }
 }
 

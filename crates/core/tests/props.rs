@@ -15,6 +15,20 @@ fn quarc_sizes() -> impl Strategy<Value = usize> {
     prop_oneof![Just(4usize), Just(8), Just(12), Just(16), Just(24), Just(32), Just(48), Just(64)]
 }
 
+/// The nodes a Quarc stream injected on `quadrant` delivers to, in visit
+/// order: every hop that clones, then the destination, where the walk ends.
+fn delivered(ring: &Ring, quadrant: Quadrant, meta: &PacketMeta, slab: &BitSlab) -> Vec<NodeId> {
+    let (topo, src, mut nodes) = (QuarcTopology::new(ring.len()), meta.src.index(), Vec::new());
+    let route = topo.route_local(src, quadrant.index(), meta);
+    topo.walk(slab, src, false, route, meta, |node, hop| {
+        if hop.deliver {
+            nodes.push(NodeId::new(node));
+        }
+    });
+    nodes.push(meta.dst);
+    nodes
+}
+
 fn arb_class() -> impl Strategy<Value = TrafficClass> {
     prop_oneof![
         Just(TrafficClass::Unicast),
@@ -91,7 +105,15 @@ proptest! {
         let ring = Ring::new(n);
         let src = NodeId::new(src_raw % n);
         let dst = NodeId::new(dst_raw % n);
-        let path = unicast_path(&ring, src, dst);
+        let topo = QuarcTopology::new(n);
+        let mut path = Vec::new();
+        if src != dst {
+            topo.walk_unicast(src, dst, |node, hop| {
+                let (to, _) = Routing::link_target(&topo, node, hop.out.into()).expect("wired");
+                path.push(NodeId::new(to));
+            });
+            prop_assert_eq!(*path.last().unwrap(), dst);
+        }
         prop_assert_eq!(path.len(), unicast_hops(&ring, src, dst));
         let mut prev = src;
         for (i, &node) in path.iter().enumerate() {
@@ -99,9 +121,6 @@ proptest! {
             let crossed = node == ring.antipode(prev) && i == 0;
             prop_assert!(adjacent || crossed, "illegal hop {prev}->{node}");
             prev = node;
-        }
-        if src != dst {
-            prop_assert_eq!(*path.last().unwrap(), dst);
         }
     }
 
@@ -111,12 +130,11 @@ proptest! {
         let ring = Ring::new(n);
         let src = NodeId::new(src_raw % n);
         let mut covered = HashSet::new();
-        for b in broadcast_branches(&ring, src) {
-            for d in &b.deliveries {
-                prop_assert!(covered.insert(*d), "{d} covered twice");
+        for (quadrant, dst) in broadcast_branch_heads(&ring, src).into_iter().flatten() {
+            let meta = PacketMeta::header(TrafficClass::Broadcast, src, dst);
+            for d in delivered(&ring, quadrant, &meta, &BitSlab::inline_only()) {
+                prop_assert!(covered.insert(d), "{d} covered twice");
             }
-            // Header destination is the last delivery of the branch.
-            prop_assert_eq!(*b.deliveries.last().unwrap(), b.dst);
         }
         prop_assert_eq!(covered.len(), n - 1);
         prop_assert!(!covered.contains(&src));
@@ -138,12 +156,16 @@ proptest! {
             .collect();
         let want: HashSet<NodeId> = targets.iter().copied().filter(|&t| t != src).collect();
         let mut slab = BitSlab::new(ring.quarter() + 1);
-        let branches = multicast_branches(&ring, src, &targets, &mut slab);
+        let mut branches = Vec::new();
+        multicast_branches_into(&ring, src, targets, &mut slab, |b| branches.push(b));
         let mut got = HashSet::new();
-        for b in &branches {
-            prop_assert_eq!(slab.popcount(b.bitstring) as usize, b.deliveries.len());
-            for d in &b.deliveries {
-                prop_assert!(got.insert(*d), "{d} delivered twice");
+        for b in branches {
+            let header = PacketMeta::header(TrafficClass::Multicast, src, b.dst);
+            let meta = PacketMeta { bitstring: b.bitstring, ..header };
+            let nodes = delivered(&ring, b.quadrant, &meta, &slab);
+            prop_assert_eq!(slab.popcount(b.bitstring) as usize, nodes.len());
+            for d in nodes {
+                prop_assert!(got.insert(d), "{d} delivered twice");
             }
         }
         prop_assert_eq!(got, want);
@@ -164,8 +186,7 @@ proptest! {
         let ring = Ring::new(n);
         let src = NodeId::new(src_raw % n);
         let mut covered = HashSet::new();
-        let mut queue: Vec<ChainSeed> =
-            spidergon_broadcast_seeds(&ring, src).into_iter().collect();
+        let mut queue: Vec<ChainSeed> = spidergon_broadcast_seeds(&ring, src).to_vec();
         while let Some(seed) = queue.pop() {
             prop_assert!(covered.insert(seed.dst), "{} twice", seed.dst);
             let meta = PacketMeta {
@@ -179,7 +200,7 @@ proptest! {
                 len: 2,
                 created_at: 0,
             };
-            queue.extend(chain_continuations(&ring, seed.dst, &meta));
+            chain_continuations(&ring, seed.dst, &meta, |c| queue.push(c));
         }
         prop_assert_eq!(covered.len(), n - 1);
     }

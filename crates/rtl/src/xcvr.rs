@@ -12,7 +12,7 @@ use quarc_core::bits::{BitSlab, Bits};
 use quarc_core::flit::wire::encode;
 use quarc_core::flit::{FlitKind, PacketMeta, TrafficClass};
 use quarc_core::ids::{MessageId, NodeId, PacketId};
-use quarc_core::quadrant::{broadcast_branches, multicast_branches, quadrant_of};
+use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches_into, quadrant_of};
 use quarc_core::ring::{Ring, RingDir};
 
 /// Serialise one packet into its 34-bit wire words (header … tail).
@@ -60,9 +60,9 @@ pub fn unicast_frames(ring: &Ring, src: NodeId, dst: NodeId, len: usize) -> Vec<
 /// Frames a transceiver emits for a broadcast: one tagged stream per branch
 /// with the branch-terminal destination addresses of §2.5.2.
 pub fn broadcast_frames(ring: &Ring, src: NodeId, len: usize) -> Vec<(usize, Vec<u64>)> {
-    broadcast_branches(ring, src)
-        .into_iter()
-        .map(|b| (b.quadrant.index(), build_frame(TrafficClass::Broadcast, src, b.dst, 0, len)))
+    let heads = broadcast_branch_heads(ring, src).into_iter().flatten();
+    heads
+        .map(|(q, dst)| (q.index(), build_frame(TrafficClass::Broadcast, src, dst, 0, len)))
         .collect()
 }
 
@@ -75,23 +75,14 @@ pub fn multicast_frames(
 ) -> Vec<(usize, Vec<u64>)> {
     // RTL networks are n <= 64, so every planner bitstring stays inline in
     // this scratch slab and fits the 16-bit wire field.
-    let mut slab = BitSlab::new(ring.quarter() + 1);
-    multicast_branches(ring, src, targets, &mut slab)
-        .into_iter()
-        .map(|b| {
-            (
-                b.quadrant.index(),
-                build_frame(
-                    TrafficClass::Multicast,
-                    src,
-                    b.dst,
-                    u16::try_from(b.bitstring.inline_value())
-                        .expect("RTL networks are n <= 64: spans fit 16 bits"),
-                    len,
-                ),
-            )
-        })
-        .collect()
+    let (mut slab, mut frames) = (BitSlab::new(ring.quarter() + 1), Vec::new());
+    multicast_branches_into(ring, src, targets.iter().copied(), &mut slab, |b| {
+        let bitstring = u16::try_from(b.bitstring.inline_value())
+            .expect("RTL networks are n <= 64: spans fit 16 bits");
+        let frame = build_frame(TrafficClass::Multicast, src, b.dst, bitstring, len);
+        frames.push((b.quadrant.index(), frame));
+    });
+    frames
 }
 
 #[cfg(test)]

@@ -2,20 +2,19 @@
 //! behavioural simulator must agree on *what* is delivered (the set of
 //! receptions and every flit count), even though their cycle timings differ
 //! (the RTL model pays handshake stages; the behavioural model idealises
-//! them). Both are additionally checked against the pure-core oracle
-//! (quadrant/branch planning), so a disagreement pinpoints which layer broke.
+//! them). Both are additionally checked against an oracle read off the
+//! requests themselves, so a disagreement pinpoints which layer broke.
 
 use quarc_core::config::NocConfig;
 use quarc_core::flit::TrafficClass;
 use quarc_core::ids::NodeId;
-use quarc_core::quadrant::broadcast_branches;
 use quarc_engine::DetRng;
 use quarc_rtl::ring::RingRtl;
 use quarc_rtl::xcvr::{broadcast_frames, multicast_frames, unicast_frames};
 use quarc_sim::driver::NocSim;
 use quarc_sim::QuarcNetwork;
 use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A randomly generated message plan.
 #[derive(Debug, Clone)]
@@ -54,9 +53,9 @@ fn random_messages(n: usize, count: usize, seed: u64) -> Vec<Msg> {
 }
 
 /// Expected multiset of `(receiver, src, class)` receptions with flit
-/// lengths, computed from the pure-core planner (the shared oracle).
+/// lengths, from the requests alone: a broadcast reaches every other node,
+/// a multicast its distinct targets other than the source.
 fn oracle(n: usize, msgs: &[Msg]) -> BTreeMap<(u32, u32, &'static str), Vec<usize>> {
-    let ring = quarc_core::ring::Ring::new(n);
     let mut out: BTreeMap<(u32, u32, &'static str), Vec<usize>> = BTreeMap::new();
     for m in msgs {
         match m {
@@ -64,18 +63,15 @@ fn oracle(n: usize, msgs: &[Msg]) -> BTreeMap<(u32, u32, &'static str), Vec<usiz
                 out.entry((dst.0, src.0, "unicast")).or_default().push(*len);
             }
             Msg::Broadcast { src, len } => {
-                for b in broadcast_branches(&ring, *src) {
-                    for d in &b.deliveries {
-                        out.entry((d.0, src.0, "broadcast")).or_default().push(*len);
-                    }
+                for d in (0..n as u32).filter(|&d| d != src.0) {
+                    out.entry((d, src.0, "broadcast")).or_default().push(*len);
                 }
             }
             Msg::Multicast { src, targets, len } => {
-                let mut slab = quarc_core::bits::BitSlab::new(ring.quarter() + 1);
-                for b in quarc_core::quadrant::multicast_branches(&ring, *src, targets, &mut slab) {
-                    for d in &b.deliveries {
-                        out.entry((d.0, src.0, "multicast")).or_default().push(*len);
-                    }
+                let receivers: BTreeSet<u32> =
+                    targets.iter().map(|t| t.0).filter(|&t| t != src.0).collect();
+                for d in receivers {
+                    out.entry((d, src.0, "multicast")).or_default().push(*len);
                 }
             }
         }

@@ -28,7 +28,7 @@ use quarc_core::bits::BitSlab;
 use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
 use quarc_core::ids::NodeId;
-use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches};
+use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches_into};
 use quarc_core::routing::Routing;
 use quarc_core::topology::{QuarcOut, QuarcTopology, TopologyKind};
 use quarc_engine::Cycle;
@@ -88,12 +88,12 @@ impl RouterModel for QuarcTopology {
                 ring.len() - 1
             }
             TrafficClass::Multicast => {
-                let branches = multicast_branches(ring, req.src, &req.targets, bits);
-                for b in &branches {
+                let before = out.len();
+                multicast_branches_into(ring, req.src, req.targets.iter().copied(), bits, |b| {
                     let meta = PacketMeta { dst: b.dst, bitstring: b.bitstring, ..*base };
                     out.push((b.quadrant.index(), meta));
-                }
-                branches.iter().map(|b| b.deliveries.len()).sum()
+                });
+                out[before..].iter().map(|(_, meta)| bits.popcount(meta.bitstring) as usize).sum()
             }
             other => panic!("applications do not inject {other} packets directly"),
         }

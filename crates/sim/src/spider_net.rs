@@ -66,8 +66,7 @@ impl RouterModel for SpidergonTopology {
                 1
             }
             TrafficClass::Broadcast => {
-                let seeds = spidergon_broadcast_seeds(ring, req.src);
-                out.extend(seeds.into_iter().map(|s| chain(s, base)));
+                out.extend(spidergon_broadcast_seeds(ring, req.src).map(|s| chain(s, base)));
                 ring.len() - 1
             }
             TrafficClass::Multicast => {
@@ -97,10 +96,7 @@ impl RouterModel for SpidergonTopology {
     /// replication logic, which rewrites the header and re-injects through
     /// the single local port one cycle later (§2.2).
     fn respawn(&self, node: NodeId, meta: &PacketMeta, out: &mut Vec<(usize, PacketMeta)>) {
-        if meta.class.is_chain() {
-            let seeds = chain_continuations(self.ring(), node, meta);
-            out.extend(seeds.into_iter().map(|s| chain(s, meta)));
-        }
+        chain_continuations(self.ring(), node, meta, |s| out.push(chain(s, meta)));
     }
 }
 

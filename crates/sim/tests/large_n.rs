@@ -5,7 +5,7 @@
 //! and n ≤ 4096 (grids) to [`MAX_SIM_NODES`]. These tests pin the ledger at
 //! n = 8192: one injected multicast whose branch spans force slab-backed
 //! bitstrings (Quarc quarter-depth 2048; torus column walks ~90 hops), run
-//! to quiescence, and every planned receiver — and nobody else — gets a
+//! to quiescence, and every requested receiver — and nobody else — gets a
 //! copy.
 //!
 //! [`MAX_SIM_NODES`]: quarc_core::config::MAX_SIM_NODES
@@ -14,11 +14,13 @@ use quarc_core::bits::BitSlab;
 use quarc_core::config::NocConfig;
 use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
+use quarc_core::quadrant::multicast_branches_into;
 use quarc_core::ring::Ring;
 use quarc_core::routing::Routing;
 use quarc_sim::torus_net::TorusNetwork;
 use quarc_sim::{NocSim, QuarcNetwork};
 use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
+use std::collections::BTreeSet;
 
 const N: usize = 8192;
 const LEN: usize = 4;
@@ -28,6 +30,11 @@ const LEN: usize = 4;
 /// boundary.
 fn full_range_targets(n: usize) -> Vec<NodeId> {
     (0..n).step_by(61).map(NodeId::new).collect()
+}
+
+/// Receivers the request names: its distinct targets other than `src`.
+fn receivers(src: NodeId, targets: &[NodeId]) -> usize {
+    targets.iter().filter(|&&t| t != src).collect::<BTreeSet<_>>().len()
 }
 
 fn run_one(net: &mut dyn NocSim, record: TraceRecord) -> (u64, u64) {
@@ -50,13 +57,12 @@ fn quarc_full_range_multicast_conserves_at_n8192() {
     let targets = full_range_targets(N);
     assert!(targets.len() > 64, "target set must exceed the inline width");
 
-    let mut slab = BitSlab::new(ring.quarter() + 1);
-    let branches = quarc_core::quadrant::multicast_branches(&ring, src, &targets, &mut slab);
-    let receivers: usize = branches.iter().map(|b| b.deliveries.len()).sum();
-    assert!(
-        branches.iter().any(|b| !b.bitstring.is_inline()),
-        "an 8192-node span must need a slab row"
-    );
+    let receivers = receivers(src, &targets);
+    let (mut slab, mut needs_row) = (BitSlab::new(ring.quarter() + 1), false);
+    multicast_branches_into(&ring, src, targets.iter().copied(), &mut slab, |b| {
+        needs_row |= !b.bitstring.is_inline()
+    });
+    assert!(needs_row, "an 8192-node span must need a slab row");
 
     let mut net = QuarcNetwork::new(NocConfig::quarc(N));
     let record = TraceRecord { cycle: 0, request: MessageRequest::multicast(src, targets, LEN) };
@@ -72,10 +78,7 @@ fn torus_full_range_multicast_conserves_beyond_u128() {
     let src = NodeId::new(7);
     let targets = full_range_targets(n);
 
-    let mut slab = BitSlab::new(topo.diameter() + 1);
-    let mut branches = Vec::new();
-    topo.multicast_branches_into(src, targets.iter().copied(), &mut slab, |b| branches.push(b));
-    let receivers: usize = branches.iter().map(|b| slab.popcount(b.bitstring) as usize).sum();
+    let receivers = receivers(src, &targets);
 
     let mut net = TorusNetwork::new(NocConfig::torus(N));
     assert_eq!(net.num_nodes(), n);

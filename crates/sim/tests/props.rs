@@ -9,12 +9,12 @@ use quarc_core::config::NocConfig;
 use quarc_core::flit::TrafficClass;
 use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
-use quarc_core::ring::Ring;
 use quarc_core::routing::Routing;
 use quarc_engine::DetRng;
 use quarc_sim::driver::NocSim;
 use quarc_sim::{MeshNetwork, QuarcNetwork, SpidergonNetwork, TorusNetwork};
 use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
+use std::collections::BTreeSet;
 
 /// Deterministically generate a random message mix from a seed.
 fn random_records(n: usize, count: usize, seed: u64) -> Vec<TraceRecord> {
@@ -49,56 +49,31 @@ fn random_records(n: usize, count: usize, seed: u64) -> Vec<TraceRecord> {
     records
 }
 
-/// Expected flit deliveries for a record set (the conservation oracle).
-fn expected_flits(n: usize, records: &[TraceRecord]) -> usize {
-    let ring = Ring::new(n);
-    let mut slab = quarc_core::bits::BitSlab::new(ring.quarter() + 1);
-    records
-        .iter()
-        .map(|r| {
-            let receivers = match r.request.class {
-                TrafficClass::Unicast => 1,
-                TrafficClass::Broadcast => n - 1,
-                TrafficClass::Multicast => quarc_core::quadrant::multicast_branches(
-                    &ring,
-                    r.request.src,
-                    &r.request.targets,
-                    &mut slab,
-                )
-                .iter()
-                .map(|b| b.deliveries.len())
-                .sum(),
-                _ => unreachable!(),
-            };
-            receivers * r.request.len
-        })
-        .sum()
+/// Receivers a request names: every other node for a broadcast, the
+/// distinct targets other than the source for a multicast, the destination
+/// for a unicast. Conservation is judged against the request, never against
+/// the planner under test.
+fn receivers(n: usize, r: &TraceRecord) -> usize {
+    let req = &r.request;
+    match req.class {
+        TrafficClass::Unicast => 1,
+        TrafficClass::Broadcast => n - 1,
+        TrafficClass::Multicast => {
+            req.targets.iter().filter(|&&t| t != req.src).collect::<BTreeSet<_>>().len()
+        }
+        _ => unreachable!(),
+    }
 }
 
-/// Expected flit deliveries on a mesh/torus (branch planner as the oracle —
-/// `GridBranch::receivers` counts the distinct bitstring positions).
+/// Expected flit deliveries for a record set (the conservation oracle).
+fn expected_flits(n: usize, records: &[TraceRecord]) -> usize {
+    records.iter().map(|r| receivers(n, r) * r.request.len).sum()
+}
+
+/// Expected flit deliveries on a mesh/torus: the same oracle over the
+/// grid's node count.
 fn expected_grid_flits(topo: &GridTopology, records: &[TraceRecord]) -> usize {
-    let n = topo.num_nodes();
-    let mut branches = Vec::new();
-    let mut slab = quarc_core::bits::BitSlab::new(n);
-    let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    records
-        .iter()
-        .map(|r| {
-            let targets = match r.request.class {
-                TrafficClass::Unicast => return r.request.len,
-                TrafficClass::Broadcast => &all,
-                TrafficClass::Multicast => &r.request.targets,
-                _ => unreachable!(),
-            };
-            branches.clear();
-            topo.multicast_branches_into(r.request.src, targets.iter().copied(), &mut slab, |b| {
-                branches.push(b)
-            });
-            branches.iter().map(|b| slab.popcount(b.bitstring) as usize).sum::<usize>()
-                * r.request.len
-        })
-        .sum()
+    expected_flits(topo.num_nodes(), records)
 }
 
 fn run_to_quiescence(net: &mut dyn NocSim, records: Vec<TraceRecord>) -> (u64, u64) {
