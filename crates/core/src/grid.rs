@@ -413,9 +413,9 @@ pub(crate) fn grid_collectives(
     packets
 }
 
-/// The header of a branch of `src`'s multicast, for the planner tests.
 #[cfg(test)]
 impl GridBranch {
+    /// The header of this branch of `src`'s multicast.
     pub(crate) fn header(&self, src: NodeId) -> PacketMeta {
         let meta = PacketMeta::header(TrafficClass::Multicast, src, self.dst);
         PacketMeta { bitstring: self.bitstring, ..meta }

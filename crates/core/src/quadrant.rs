@@ -191,11 +191,8 @@ pub fn multicast_branches_into(
     for t in targets.into_iter().filter(|&t| t != src) {
         let quadrant = quadrant_of(ring, src, t);
         let hops = unicast_hops(ring, src, t);
-        let b = branches[quadrant.index()].get_or_insert(Branch {
-            quadrant,
-            dst: t,
-            bitstring: Bits::ZERO,
-        });
+        let first = Branch { quadrant, dst: t, bitstring: Bits::ZERO };
+        let b = branches[quadrant.index()].get_or_insert(first);
         slab.set_bit(&mut b.bitstring, hops - 1);
         if hops > unicast_hops(ring, src, b.dst) {
             b.dst = t;

@@ -70,12 +70,6 @@ fn expected_flits(n: usize, records: &[TraceRecord]) -> usize {
     records.iter().map(|r| receivers(n, r) * r.request.len).sum()
 }
 
-/// Expected flit deliveries on a mesh/torus: the same oracle over the
-/// grid's node count.
-fn expected_grid_flits(topo: &GridTopology, records: &[TraceRecord]) -> usize {
-    expected_flits(topo.num_nodes(), records)
-}
-
 fn run_to_quiescence(net: &mut dyn NocSim, records: Vec<TraceRecord>) -> (u64, u64) {
     let n = net.num_nodes();
     let mut wl = TraceWorkload::new(n, records);
@@ -164,7 +158,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let records = random_records(n, count, seed);
-        let want_flits = expected_grid_flits(&GridTopology::square_mesh(n), &records) as u64;
+        let want_flits = expected_flits(GridTopology::square_mesh(n).num_nodes(), &records) as u64;
         let want_msgs = records.len() as u64;
         let mut net = MeshNetwork::new(NocConfig::mesh(n));
         let (flits, msgs) = run_to_quiescence(&mut net, records);
@@ -182,7 +176,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let records = random_records(n, count, seed);
-        let want_flits = expected_grid_flits(&GridTopology::square_torus(n), &records) as u64;
+        let want_flits = expected_flits(GridTopology::square_torus(n).num_nodes(), &records) as u64;
         let want_msgs = records.len() as u64;
         let mut net = TorusNetwork::new(NocConfig::torus(n).with_buffer_depth(1));
         let (flits, msgs) = run_to_quiescence(&mut net, records);
