@@ -16,8 +16,13 @@
 //! missing tail, and one that needs fewer merges a prefix. Either way the
 //! cache can change how much is simulated, never a reported number.
 //! Saturation searches store their result whole, as before.
+//!
+//! Entries are written by the one JSON writer and read back through the
+//! pull reader straight into [`RepOutcome`]s / a [`SaturationResult`], with
+//! no value tree. A missing or unreadable file, malformed JSON, a wrong key
+//! or kind, or a payload that does not decode is a miss, never a panic.
 
-use crate::json::Json;
+use crate::json::{read_fields, Json, Parsed, Reader};
 use crate::replicate::RepOutcome;
 use crate::result::PointOutcomeKind;
 use crate::saturation::SaturationResult;
@@ -47,20 +52,28 @@ impl ResultCache {
         self.dir.join(format!("{hash:016x}.json"))
     }
 
-    fn load_entry(&self, hash: u64, merge_key: &str, kind: &str) -> Option<Json> {
+    /// Decode the payload of the entry at `hash` with `decode`, if the
+    /// entry's `key` is `merge_key` and its `kind` is `entry_kind`.
+    fn load<T>(
+        &self,
+        hash: u64,
+        merge_key: &str,
+        entry_kind: &str,
+        decode: fn(&mut Reader<'_>) -> Parsed<T>,
+    ) -> Option<T> {
         let text = std::fs::read_to_string(self.path_for(hash)).ok()?;
-        let mut entry = Json::parse(&text).ok()?;
-        if entry.get("key")?.as_str()? != merge_key || entry.get("kind")?.as_str()? != kind {
-            return None;
-        }
-        // Move the payload out instead of cloning it.
-        match &mut entry {
-            Json::Obj(pairs) => {
-                let idx = pairs.iter().position(|(k, _)| k == "payload")?;
-                Some(pairs.swap_remove(idx).1)
-            }
-            _ => None,
-        }
+        let r = &mut Reader::new(&text);
+        (|| -> Parsed<T> {
+            read_fields!(r {
+                key: |r| r.expect_str(merge_key),
+                kind: |r| r.expect_str(entry_kind),
+                payload: decode,
+            });
+            let ((), ()) = (key, kind); // checked as they were read
+            r.finish()?;
+            Ok(payload)
+        })()
+        .ok()
     }
 
     fn store_entry(&self, hash: u64, merge_key: &str, kind: &str, payload: Json) -> io::Result<()> {
@@ -80,8 +93,7 @@ impl ResultCache {
     /// Look up the replication series for `(hash, merge_key)`. Any malformed
     /// entry, key mismatch or entry of the wrong kind is treated as a miss.
     pub fn load_series(&self, hash: u64, merge_key: &str) -> Option<Vec<RepOutcome>> {
-        let payload = self.load_entry(hash, merge_key, "reps")?;
-        payload.as_arr()?.iter().map(RepOutcome::from_json).collect()
+        self.load(hash, merge_key, "reps", |r| r.array(RepOutcome::decode))
     }
 
     /// Store a replication series (replaces any previous entry whole — the
@@ -101,7 +113,7 @@ impl ResultCache {
     pub fn load_saturation(&self, hash: u64, merge_key: &str) -> Option<SaturationResult> {
         // Anything but a search under a "saturation" kind is a malformed
         // entry: quarantine outcomes in particular are never cached.
-        SaturationResult::from_json(&self.load_entry(hash, merge_key, "saturation")?)
+        self.load(hash, merge_key, "saturation", SaturationResult::decode)
     }
 
     /// Store a saturation-search result.

@@ -1,13 +1,15 @@
-//! A minimal JSON value, writer and parser.
-//!
-//! The campaign layer serialises every artifact and cache entry itself (the
-//! build container has no crates.io access, so serde is unavailable). The
-//! representation is chosen for *determinism*: object keys keep insertion
-//! order, `u64` values round-trip exactly through [`Json::UInt`], and floats
-//! are written with Rust's shortest-round-trip `Display`, so serialising the
-//! same result twice yields byte-identical text — which is what the
-//! campaign determinism guarantee and the cache round-trip tests assert.
+//! JSON for the campaign layer (built without crates.io, so without serde):
+//! one writer, one reader and a value tree. The writer ([`Json::to_pretty`])
+//! renders every artifact and cache entry deterministically: keys keep
+//! insertion order, [`Json::UInt`] round-trips `u64` exactly and floats use
+//! Rust's shortest-round-trip `Display`, so a result always serialises to the
+//! same bytes. The reader, `Reader`, is the one tokenizer: a pull parser for
+//! RFC 8259 that lends out strings from the input and lets a typed decoder
+//! read a value straight into its type, as the result cache does. The tree
+//! ([`Json::parse`], [`Json::get`]) is a thin builder over it, for ad-hoc
+//! documents.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -28,6 +30,12 @@ pub enum Json {
     /// An object; insertion-ordered (no sorting, no deduplication).
     Obj(Vec<(String, Json)>),
 }
+
+/// Initial output capacity: a cache entry fits, larger documents grow.
+const RESERVE: usize = 8 << 10;
+
+/// Indentation is pushed from this slice.
+const SPACES: &str = "                                                                ";
 
 impl Json {
     /// Build an object from key/value pairs.
@@ -86,14 +94,14 @@ impl Json {
 
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(RESERVE);
         self.write(&mut out, None, 0);
         out
     }
 
     /// Pretty rendering with two-space indentation.
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(RESERVE);
         self.write(&mut out, Some(2), 0);
         out.push('\n');
         out
@@ -106,15 +114,11 @@ impl Json {
             Json::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    // JSON has no NaN/Inf; encode as null, never produced by
-                    // well-formed campaign results.
-                    out.push_str("null");
-                }
+            Json::Num(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
             }
+            // JSON has no NaN/Inf; never produced by well-formed results.
+            Json::Num(_) => out.push_str("null"),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -158,42 +162,61 @@ impl Json {
 
     /// Parse a JSON document. Returns the value and rejects trailing junk.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(ParseError::at(pos, "trailing characters"));
-        }
+        let mut r = Reader::new(text);
+        let value = Json::read(&mut r)?;
+        r.finish()?;
         Ok(value)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Parsed<Json> {
+        let mut pairs = Vec::new();
+        Ok(match r.peek()? {
+            b'[' => Json::Arr(r.array(Json::read)?),
+            b'{' => {
+                r.object(|r, key| Json::read(r).map(|v| pairs.push((key.to_string(), v))))?;
+                Json::Obj(pairs)
+            }
+            b'"' => Json::Str(r.str()?.into_owned()),
+            b't' | b'f' => Json::Bool(r.bool()?),
+            b'n' => r.null().map(|()| Json::Null)?,
+            _ => {
+                let (text, plain) = r.number()?;
+                match plain.then(|| text.parse().ok()).flatten() {
+                    Some(v) => Json::UInt(v),
+                    None => Json::Num(text.parse().map_err(|_| r.error("bad number"))?),
+                }
+            }
+        })
     }
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+        let n = width * depth;
+        (0..n / SPACES.len()).for_each(|_| out.push_str(SPACES));
+        out.push_str(&SPACES[..n % SPACES.len()]);
     }
 }
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so `run..i` always lies on
+    // character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate().filter(|&(_, b)| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -206,12 +229,6 @@ pub struct ParseError {
     pub message: &'static str,
 }
 
-impl ParseError {
-    fn at(offset: usize, message: &'static str) -> Self {
-        ParseError { offset, message }
-    }
-}
-
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
@@ -220,168 +237,261 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// What a [`Reader`] step returns.
+pub(crate) type Parsed<T = ()> = Result<T, ParseError>;
+
+/// A pull reader over JSON text: each method skips whitespace, then reads one
+/// value or fails. Numbers classify as in [`Json`]: [`Reader::u64`] takes
+/// only a plain unsigned integer that fits, [`Reader::f64`] any number.
+pub(crate) struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), ParseError> {
-    if *pos < bytes.len() && bytes[*pos] == b {
-        *pos += 1;
+impl<'a> Reader<'a> {
+    pub fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0 }
+    }
+
+    /// A failure at the current position.
+    pub fn error(&self, message: &'static str) -> ParseError {
+        ParseError { offset: self.pos, message }
+    }
+
+    /// Skip whitespace; the next byte, if any.
+    fn skip_blank(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        bytes.get(self.pos).copied()
+    }
+
+    /// The first byte of the next value.
+    pub fn peek(&mut self) -> Parsed<u8> {
+        self.skip_blank().ok_or_else(|| self.error("unexpected end of input"))
+    }
+
+    /// Consume `token`, which must come next.
+    fn eat(&mut self, token: &str, message: &'static str) -> Parsed {
+        self.skip_blank();
+        if !self.text.as_bytes()[self.pos..].starts_with(token.as_bytes()) {
+            return Err(self.error(message));
+        }
+        self.pos += token.len();
         Ok(())
-    } else {
-        Err(ParseError::at(*pos, "unexpected character"))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(ParseError::at(*pos, "unexpected end of input")),
-        Some(b'n') => parse_lit(bytes, pos, b"null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, b"true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, b"false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(ParseError::at(*pos, "expected ',' or ']'")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(ParseError::at(*pos, "expected ',' or '}'")),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
+    pub fn null(&mut self) -> Parsed {
+        self.eat("null", "invalid literal")
     }
-}
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &[u8], value: Json) -> Result<Json, ParseError> {
-    if bytes[*pos..].starts_with(lit) {
-        *pos += lit.len();
+    pub fn bool(&mut self) -> Parsed<bool> {
+        let value = self.peek()? == b't';
+        self.eat(if value { "true" } else { "false" }, "invalid literal")?;
         Ok(value)
-    } else {
-        Err(ParseError::at(*pos, "invalid literal"))
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(ParseError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or(ParseError::at(*pos, "short \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| ParseError::at(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| ParseError::at(*pos, "bad \\u escape"))?;
-                        // Surrogate pairs are not needed for campaign data;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(ParseError::at(*pos, "bad escape")),
+    /// Scan a number: its text, and whether it is a plain unsigned integer
+    /// (no sign, fraction or exponent).
+    fn number(&mut self) -> Parsed<(&'a str, bool)> {
+        self.peek()?;
+        let (bytes, start) = (self.text.as_bytes(), self.pos);
+        let digits =
+            |from: usize| from + bytes[from..].iter().take_while(|b| b.is_ascii_digit()).count();
+        // int = "0" / digit1-9 *DIGIT, frac = "." 1*DIGIT, exp = e [sign] 1*DIGIT
+        let mut i = start + (bytes[start] == b'-') as usize;
+        let mut end = if bytes.get(i) == Some(&b'0') { i + 1 } else { digits(i) };
+        let mut ok = end > i;
+        if bytes.get(end) == Some(&b'.') {
+            i = end + 1;
+            end = digits(i);
+            ok &= end > i;
+        }
+        if let Some(b'e' | b'E') = bytes.get(end) {
+            i = end + 1 + matches!(bytes.get(end + 1), Some(b'+' | b'-')) as usize;
+            end = digits(i);
+            ok &= end > i;
+        }
+        if !ok {
+            return Err(self.error("bad number"));
+        }
+        let text = &self.text[start..end];
+        self.pos = end;
+        Ok((text, !text.bytes().any(|b| matches!(b, b'-' | b'.' | b'e' | b'E'))))
+    }
+
+    pub fn f64(&mut self) -> Parsed<f64> {
+        let (text, _) = self.number()?;
+        text.parse().map_err(|_| self.error("bad number"))
+    }
+
+    pub fn u64(&mut self) -> Parsed<u64> {
+        match self.number()? {
+            (text, true) => text.parse().map_err(|_| self.error("integer out of range")),
+            _ => Err(self.error("expected an unsigned integer")),
+        }
+    }
+
+    /// A string, borrowed from the input unless it contains an escape.
+    pub fn str(&mut self) -> Parsed<Cow<'a, str>> {
+        self.eat("\"", "unexpected character")?;
+        // Escapes decode into `owned`, which lacks the input from `run` on.
+        // The scan stops only at ASCII bytes: slices fall on char boundaries.
+        let (bytes, start, mut owned) = (self.text.as_bytes(), self.pos, String::new());
+        let mut run = start;
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    owned.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    owned.push(self.escape()?);
+                    run = self.pos;
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so this is
-                // always well-formed).
-                let rest = &bytes[*pos..];
-                let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                Some(0..=0x1f) => return Err(self.error("control character in string")),
+                Some(_) => self.pos += 1,
             }
         }
+        let tail = &self.text[run..self.pos];
+        self.pos += 1;
+        if run == start {
+            return Ok(Cow::Borrowed(tail));
+        }
+        owned.push_str(tail);
+        Ok(Cow::Owned(owned))
+    }
+
+    /// One escape, the reader just past its backslash.
+    fn escape(&mut self) -> Parsed<char> {
+        let at = self.text.as_bytes().get(self.pos).copied();
+        if let Some(i) = at.and_then(|b| b"\"\\/bfnrt".iter().position(|&e| e == b)) {
+            self.pos += 1;
+            return Ok(['"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t'][i]);
+        }
+        if at != Some(b'u') {
+            return Err(self.error("bad escape"));
+        }
+        // A surrogate pair combines; a lone surrogate maps to U+FFFD.
+        let high = self.hex4()?;
+        if (0xd800..0xdc00).contains(&high) && self.text[self.pos..].starts_with("\\u") {
+            let before = self.pos;
+            self.pos += 1;
+            if let Some(Ok(c)) = char::decode_utf16([high, self.hex4()?]).next() {
+                return Ok(c);
+            }
+            self.pos = before;
+        }
+        Ok(char::from_u32(high.into()).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits after the `u` at the current position.
+    fn hex4(&mut self) -> Parsed<u16> {
+        let hex = self.text.as_bytes().get(self.pos + 1..self.pos + 5);
+        let hex = hex.ok_or_else(|| self.error("short \\u escape"))?;
+        let code = hex.iter().try_fold(0, |code, &h| Some(code << 4 | (h as char).to_digit(16)?));
+        let code = code.ok_or_else(|| self.error("bad \\u escape"))?;
+        self.pos += 5;
+        Ok(code as u16)
+    }
+
+    /// An array's or object's items, each read by `item`.
+    fn items(
+        &mut self,
+        (open, close, unexpected): (&str, u8, &'static str),
+        mut item: impl FnMut(&mut Self) -> Parsed,
+    ) -> Parsed {
+        self.eat(open, "unexpected character")?;
+        if self.skip_blank() != Some(close) {
+            loop {
+                item(self)?;
+                match self.skip_blank() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => return Err(self.error(unexpected)),
+                }
+            }
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// An array's elements, each read by `item` (a unit `T` allocates
+    /// nothing).
+    pub fn array<T>(&mut self, mut item: impl FnMut(&mut Self) -> Parsed<T>) -> Parsed<Vec<T>> {
+        let mut items = Vec::new();
+        self.items(("[", b']', "expected ',' or ']'"), |r| item(r).map(|v| items.push(v)))?;
+        Ok(items)
+    }
+
+    /// An object: `field` reads (or skips) the value of each key.
+    pub fn object(&mut self, mut field: impl FnMut(&mut Self, &str) -> Parsed) -> Parsed {
+        self.items(("{", b'}', "expected ',' or '}'"), |r| {
+            let key = r.str()?;
+            r.eat(":", "unexpected character")?;
+            field(r, &key)
+        })
+    }
+
+    /// Read a field into `slot` unless an earlier occurrence of its key
+    /// filled it: the first occurrence wins, as with [`Json::get`].
+    pub fn once<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        f: impl FnOnce(&mut Self) -> Parsed<T>,
+    ) -> Parsed {
+        if slot.is_some() {
+            return self.skip_value();
+        }
+        *slot = Some(f(self)?);
+        Ok(())
+    }
+
+    /// A string that must equal `want`.
+    pub fn expect_str(&mut self, want: &str) -> Parsed {
+        let equal = self.str()? == want;
+        equal.then_some(()).ok_or_else(|| self.error("unexpected string"))
+    }
+
+    /// Skip one value, checking its syntax.
+    pub fn skip_value(&mut self) -> Parsed {
+        match self.peek()? {
+            b'[' => self.array(Self::skip_value).map(drop),
+            b'{' => self.object(|r, _| r.skip_value()),
+            b'"' => self.str().map(drop),
+            b't' | b'f' => self.bool().map(drop),
+            b'n' => self.null(),
+            _ => self.number().map(drop),
+        }
+    }
+
+    /// End of input: only whitespace may remain.
+    pub fn finish(&mut self) -> Parsed {
+        let end = self.skip_blank().is_none();
+        end.then_some(()).ok_or_else(|| self.error("trailing characters"))
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| ParseError::at(start, "bad number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(ParseError::at(start, "bad number"));
-    }
-    if !is_float && !text.starts_with('-') {
-        if let Ok(v) = text.parse::<u64>() {
-            return Ok(Json::UInt(v));
-        }
-    }
-    text.parse::<f64>().map(Json::Num).map_err(|_| ParseError::at(start, "bad number"))
+/// Read the object at reader `$r` into one binding per listed key, each
+/// value read by its function: keys in any order, unknown keys skipped, the
+/// first occurrence of a key wins ([`Reader::once`]) and a missing key
+/// fails. The second form evaluates to the struct of those fields.
+macro_rules! read_fields {
+    ($r:ident { $($key:ident: $read:expr),+ $(,)? }) => {
+        $(let mut $key = None;)+
+        $r.object(|r, field| match field {
+            $(stringify!($key) => r.once(&mut $key, $read),)+
+            _ => r.skip_value(),
+        })?;
+        $(let $key = $key.ok_or_else(|| $r.error("missing field"))?;)+
+    };
+    ($r:ident, $ty:ident { $($key:ident: $read:expr),+ $(,)? }) => {{
+        read_fields!($r { $($key: $read),+ });
+        $ty { $($key),+ }
+    }};
 }
+pub(crate) use read_fields;
 
 #[cfg(test)]
 mod tests {
@@ -403,6 +513,9 @@ mod tests {
         for text in [v.to_compact(), v.to_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), v);
         }
+        // The escapes the writer emits, byte for byte.
+        let escaped = Json::Str("q\"b\\n\nr\rt\tc\u{1}é/".into()).to_compact();
+        assert_eq!(escaped, r#""q\"b\\n\nr\rt\tc\u0001é/""#);
     }
 
     #[test]
@@ -442,6 +555,22 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("\"abc").is_err());
+        // RFC 8259 numbers: no plus sign, no bare or trailing point, no
+        // leading zeros.
+        for text in ["+1", "1.", ".5", "01", "00", "-01"] {
+            assert!(Json::parse(text).is_err(), "{text}");
+        }
+        // Control characters must be escaped inside strings.
+        assert!(Json::parse("\"a\u{1}b\"").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_combine() {
+        assert_eq!(Json::parse(r#""\ud83d\ude00""#).unwrap(), Json::Str("\u{1f600}".into()));
+        // A lone surrogate, high or low, still maps to U+FFFD.
+        assert_eq!(Json::parse(r#""\ud83dx""#).unwrap(), Json::Str("\u{fffd}x".into()));
+        assert_eq!(Json::parse(r#""\ude00\u0041""#).unwrap(), Json::Str("\u{fffd}A".into()));
+        assert_eq!(Json::parse(r#""\ud83d\u0041""#).unwrap(), Json::Str("\u{fffd}A".into()));
     }
 
     #[test]

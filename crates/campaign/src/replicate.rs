@@ -20,7 +20,7 @@
 //! `i` always runs under the same seed and a stored series can be resumed,
 //! topped up, or truncated to a prefix without invalidating a single run.
 
-use crate::json::Json;
+use crate::json::{read_fields, Json, Parsed, Reader};
 use crate::spec::{CiTarget, ReplicationPolicy};
 use quarc_engine::stats::{LatencyHistogram, OnlineStats};
 use quarc_engine::DetRng;
@@ -179,19 +179,28 @@ fn hist_json(h: &LatencyHistogram) -> Json {
     ])
 }
 
-fn hist_from_json(v: &Json) -> Option<LatencyHistogram> {
-    let mut buckets = [0u64; 65];
-    for pair in v.get("buckets")?.as_arr()? {
-        let pair = pair.as_arr()?;
-        let [k, c] = pair else { return None };
-        let k = k.as_u64()? as usize;
-        if k >= 65 {
-            return None;
-        }
-        buckets[k] = c.as_u64()?;
-    }
-    let total: u128 = v.get("total")?.as_str()?.parse().ok()?;
-    Some(LatencyHistogram::from_parts(buckets, total))
+/// Decode [`hist_json`]'s form.
+fn decode_hist(r: &mut Reader<'_>) -> Parsed<LatencyHistogram> {
+    read_fields!(r {
+        buckets: |r| {
+            let mut buckets = [0u64; 65];
+            r.array(|r| {
+                let (mut pair, mut len) = ([0; 2], 0);
+                r.array(|r| {
+                    *pair.get_mut(len).ok_or_else(|| r.error("bucket is not a pair"))? = r.u64()?;
+                    len += 1;
+                    Ok(())
+                })?;
+                let bucket = usize::try_from(pair[0]).ok().filter(|_| len == 2);
+                let slot = bucket.and_then(|k| buckets.get_mut(k));
+                *slot.ok_or_else(|| r.error("bad bucket"))? = pair[1];
+                Ok(())
+            })?;
+            Ok(buckets)
+        },
+        total: |r| r.str()?.parse().map_err(|_| r.error("bad histogram total")),
+    });
+    Ok(LatencyHistogram::from_parts(buckets, total))
 }
 
 impl RepOutcome {
@@ -213,24 +222,28 @@ impl RepOutcome {
         ])
     }
 
-    /// Parse the JSON form. Strict about the fault- and recovery-accounting
-    /// fields: the `v4`/`v5` merge-key bumps retired every earlier cache
-    /// entry, so a series missing them is corrupt, not legacy.
-    pub fn from_json(v: &Json) -> Option<RepOutcome> {
-        Some(RepOutcome {
-            unicast_mean: v.get("unicast_mean")?.as_f64()?,
-            bcast_reception_mean: v.get("bcast_reception_mean")?.as_f64()?,
-            bcast_completion_mean: v.get("bcast_completion_mean")?.as_f64()?,
-            throughput: v.get("throughput")?.as_f64()?,
-            bcast_samples: v.get("bcast_samples")?.as_u64()?,
-            saturated: v.get("saturated")?.as_bool()?,
-            delivered_fraction: v.get("delivered_fraction")?.as_f64()?,
-            undeliverable: v.get("undeliverable")?.as_u64()?,
-            retransmissions: v.get("retransmissions")?.as_u64()?,
-            recovered_receivers: v.get("recovered_receivers")?.as_u64()?,
-            unicast_hist: hist_from_json(v.get("unicast_hist")?)?,
-            bcast_hist: hist_from_json(v.get("bcast_hist")?)?,
-        })
+    /// Decode the JSON form at `r`: fields in any order, unknown ones
+    /// skipped, the first occurrence of a key wins. Strict about the fault-
+    /// and recovery-accounting fields: the `v4`/`v5` merge-key bumps retired
+    /// every earlier cache entry, so a series missing them is corrupt.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Parsed<RepOutcome> {
+        Ok(read_fields!(
+            r,
+            RepOutcome {
+                unicast_mean: Reader::f64,
+                bcast_reception_mean: Reader::f64,
+                bcast_completion_mean: Reader::f64,
+                throughput: Reader::f64,
+                unicast_hist: decode_hist,
+                bcast_hist: decode_hist,
+                bcast_samples: Reader::u64,
+                saturated: Reader::bool,
+                delivered_fraction: Reader::f64,
+                undeliverable: Reader::u64,
+                retransmissions: Reader::u64,
+                recovered_receivers: Reader::u64,
+            }
+        ))
     }
 }
 
@@ -602,7 +615,7 @@ mod tests {
         extend(&mut series, 2);
         for rep in &series {
             let text = rep.to_json().to_pretty();
-            let back = RepOutcome::from_json(&Json::parse(&text).unwrap()).unwrap();
+            let back = RepOutcome::decode(&mut Reader::new(&text)).unwrap();
             // Bit-exactness here is what lets a topped-up cached series
             // merge identically to a never-persisted one.
             assert_eq!(&back, rep);
@@ -623,9 +636,7 @@ mod tests {
         // And a round-trip through JSON mid-way changes nothing either.
         let mut resumed: Vec<RepOutcome> = batched[..2]
             .iter()
-            .map(|r| {
-                RepOutcome::from_json(&Json::parse(&r.to_json().to_pretty()).unwrap()).unwrap()
-            })
+            .map(|r| RepOutcome::decode(&mut Reader::new(&r.to_json().to_pretty())).unwrap())
             .collect();
         extend(&mut resumed, 4);
         assert_eq!(resumed, oneshot);

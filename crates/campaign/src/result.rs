@@ -1,6 +1,6 @@
 //! Campaign results: per-point outcomes and their JSON forms.
 
-use crate::json::Json;
+use crate::json::{read_fields, Json, Parsed, Reader};
 use crate::replicate::MergedRun;
 use crate::saturation::{Probe, SaturationResult};
 use crate::spec::{CampaignPoint, PointWork};
@@ -85,32 +85,26 @@ impl PointOutcomeKind {
 }
 
 impl SaturationResult {
-    /// Parse the `"saturation"` form [`PointOutcomeKind::to_json`] writes —
+    /// Decode the `"saturation"` form [`PointOutcomeKind::to_json`] writes —
     /// the one outcome kind that is ever read back (the result cache stores
-    /// searches whole; artifacts are write-only).
-    pub fn from_json(v: &Json) -> Option<SaturationResult> {
-        if v.get("kind")?.as_str()? != "saturation" {
-            return None;
-        }
-        let probes = v
-            .get("probes")?
-            .as_arr()?
-            .iter()
-            .map(|p| {
-                Some(Probe {
-                    rate: p.get("rate")?.as_f64()?,
-                    saturated: p.get("saturated")?.as_bool()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(SaturationResult {
-            sustained: v.get("sustained")?.as_f64()?,
-            collapsed: match v.get("collapsed")? {
-                Json::Null => None,
-                other => Some(other.as_f64()?),
+    /// searches whole; artifacts are write-only) — from `r`, positioned at
+    /// it. Field rules as for [`crate::RepOutcome`]'s decoder.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Parsed<SaturationResult> {
+        read_fields!(r {
+            kind: |r| r.expect_str("saturation"),
+            sustained: Reader::f64,
+            collapsed: |r| match r.peek()? {
+                b'n' => r.null().map(|()| None),
+                _ => r.f64().map(Some),
             },
-            probes,
-        })
+            probes: |r| {
+                r.array(|r| {
+                    Ok(read_fields!(r, Probe { rate: Reader::f64, saturated: Reader::bool }))
+                })
+            },
+        });
+        let () = kind; // checked as it was read
+        Ok(SaturationResult { sustained, collapsed, probes })
     }
 }
 
@@ -259,10 +253,10 @@ mod tests {
             ],
         };
         let text = PointOutcomeKind::Saturation(search.clone()).to_json().to_compact();
-        assert_eq!(SaturationResult::from_json(&Json::parse(&text).unwrap()), Some(search));
+        assert_eq!(SaturationResult::decode(&mut Reader::new(&text)), Ok(search));
         // No other outcome kind decodes as a search.
-        let failed = PointOutcomeKind::Failed { reason: "boom".into() }.to_json();
-        assert_eq!(SaturationResult::from_json(&failed), None);
+        let failed = PointOutcomeKind::Failed { reason: "boom".into() }.to_json().to_compact();
+        assert!(SaturationResult::decode(&mut Reader::new(&failed)).is_err());
     }
 
     #[test]
