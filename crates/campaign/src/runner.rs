@@ -4,6 +4,7 @@
 use crate::artifact;
 use crate::cache::ResultCache;
 use crate::executor::{default_workers, run_work_stealing, Step, WorkerStats};
+use crate::hash::fnv1a64;
 use crate::json::Json;
 use crate::replicate::{
     decide, extend_series, merge_series, replication_seed, Converged, Decision, RepInterrupt,
@@ -280,6 +281,9 @@ struct PointContext<'a> {
 /// The parked state of one point between trips through the pool.
 struct PointTask {
     point: CampaignPoint,
+    /// The merge key, formatted once, and its hash.
+    merge_key: String,
+    merge_hash: u64,
     /// Replication series so far (cache prefix + simulated tail).
     series: Vec<RepOutcome>,
     /// Whether the cache has been consulted yet (first step only).
@@ -332,7 +336,9 @@ impl PointTask {
                 id: self.point.id,
                 label: label.clone(),
                 point: self.point,
-                content_hash: self.point.content_hash(ctx.spec),
+                content_hash: fnv1a64(
+                    self.point.content_key_from(&self.merge_key, ctx.spec).as_bytes(),
+                ),
                 from_cache,
                 outcome,
             },
@@ -390,8 +396,7 @@ impl PointTask {
     /// top-ups interleave with the rest of the grid.
     fn step_inner(&mut self, ctx: &PointContext<'_>) -> Option<(PointResult, PointTelemetry)> {
         let t0 = Instant::now();
-        let merge_key = self.point.merge_key(ctx.spec);
-        let merge_hash = self.point.merge_hash(ctx.spec);
+        let (merge_key, merge_hash) = (&self.merge_key, self.merge_hash);
         let curve = self.point.curve;
         // `seed` is overwritten per replication; searches pin it below.
         let point_at = |rate| PointSpec {
@@ -413,7 +418,7 @@ impl PointTask {
                 let cached = if ctx.opts.force {
                     None
                 } else {
-                    ctx.cache.and_then(|c| c.load_saturation(merge_hash, &merge_key))
+                    ctx.cache.and_then(|c| c.load_saturation(merge_hash, merge_key))
                 };
                 PointOutcomeKind::Saturation(cached.unwrap_or_else(|| {
                     // Common random numbers across probes: one seed
@@ -437,7 +442,7 @@ impl PointTask {
                     );
                     self.simulated_reps = result.probes.len();
                     if let Some(c) = ctx.cache {
-                        c.store_saturation(merge_hash, &merge_key, &result)
+                        c.store_saturation(merge_hash, merge_key, &result)
                             .unwrap_or_else(cache_failed);
                     }
                     result
@@ -448,7 +453,7 @@ impl PointTask {
                     self.consulted_cache = true;
                     if !ctx.opts.force {
                         if let Some(series) =
-                            ctx.cache.and_then(|c| c.load_series(merge_hash, &merge_key))
+                            ctx.cache.and_then(|c| c.load_series(merge_hash, merge_key))
                         {
                             self.cached_reps = series.len();
                             self.series = series;
@@ -488,7 +493,7 @@ impl PointTask {
                         // re-diagnoses on every run until the config is fixed.
                         if !self.series.is_empty() {
                             if let Some(c) = ctx.cache {
-                                c.store_series(merge_hash, &merge_key, &self.series)
+                                c.store_series(merge_hash, merge_key, &self.series)
                                     .unwrap_or_else(cache_failed);
                             }
                         }
@@ -592,13 +597,18 @@ pub fn run_campaign(
     let (records, worker_stats) = run_work_stealing(
         &expansion.points,
         workers,
-        |_, &point| PointTask {
-            point,
-            series: Vec::new(),
-            consulted_cache: false,
-            cached_reps: 0,
-            simulated_reps: 0,
-            busy: Duration::ZERO,
+        |_, &point| {
+            let merge_key = point.merge_key(spec);
+            PointTask {
+                point,
+                merge_hash: fnv1a64(merge_key.as_bytes()),
+                merge_key,
+                series: Vec::new(),
+                consulted_cache: false,
+                cached_reps: 0,
+                simulated_reps: 0,
+                busy: Duration::ZERO,
+            }
         },
         |_, _, task| {
             let step = task.step(&ctx);

@@ -558,11 +558,16 @@ impl CampaignPoint {
     /// changing `--replications` would spuriously re-key every cached
     /// frontier point.
     pub fn content_key(&self, spec: &CampaignSpec) -> String {
+        self.content_key_from(&self.merge_key(spec), spec)
+    }
+
+    /// [`Self::content_key`] from this point's already formatted merge key.
+    pub(crate) fn content_key_from(&self, merge_key: &str, spec: &CampaignSpec) -> String {
         let protocol = match self.work {
             PointWork::Rate(_) => spec.policy().to_string(),
             PointWork::Saturation { .. } => "reps=1".to_string(),
         };
-        format!("{}|{}", self.merge_key(spec), protocol)
+        format!("{merge_key}|{protocol}")
     }
 
     /// FNV-1a hash of the content key: the point's result identity in the
