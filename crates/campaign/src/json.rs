@@ -169,10 +169,10 @@ impl Json {
     }
 
     fn read(r: &mut Reader<'_>) -> Parsed<Json> {
-        let mut pairs = Vec::new();
         Ok(match r.peek()? {
             b'[' => Json::Arr(r.array(Json::read)?),
             b'{' => {
+                let mut pairs = Vec::new();
                 r.object(|r, key| Json::read(r).map(|v| pairs.push((key.to_string(), v))))?;
                 Json::Obj(pairs)
             }
@@ -313,9 +313,7 @@ impl<'a> Reader<'a> {
             end = digits(i);
             ok &= end > i;
         }
-        if !ok {
-            return Err(self.error("bad number"));
-        }
+        ok.then_some(()).ok_or_else(|| self.error("bad number"))?;
         let text = &self.text[start..end];
         self.pos = end;
         Ok((text, !text.bytes().any(|b| matches!(b, b'-' | b'.' | b'e' | b'E'))))
@@ -356,11 +354,7 @@ impl<'a> Reader<'a> {
         }
         let tail = &self.text[run..self.pos];
         self.pos += 1;
-        if run == start {
-            return Ok(Cow::Borrowed(tail));
-        }
-        owned.push_str(tail);
-        Ok(Cow::Owned(owned))
+        Ok(if run == start { Cow::Borrowed(tail) } else { Cow::Owned(owned + tail) })
     }
 
     /// One escape, the reader just past its backslash.
