@@ -6,8 +6,8 @@
 //! same bytes. The reader, `Reader`, is the one tokenizer: a pull parser for
 //! RFC 8259 that lends out strings from the input and lets a typed decoder
 //! read a value straight into its type, as the result cache does. The tree
-//! ([`Json::parse`], [`Json::get`]) is a thin builder over it, for ad-hoc
-//! documents.
+//! ([`Json::parse`], [`Json::get`]) is built over it by a thin layer, for
+//! ad-hoc documents.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;

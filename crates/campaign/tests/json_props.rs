@@ -157,7 +157,7 @@ fn same_bits<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
-fn scratch_cache(tag: &str) -> ResultCache {
+fn temp_cache(tag: &str) -> ResultCache {
     let dir = std::env::temp_dir().join(format!("quarc-json-props-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     ResultCache::open(dir).unwrap()
@@ -215,7 +215,7 @@ fn series_via_tree(text: &str, merge_key: &str) -> Option<Vec<RepOutcome>> {
 fn check_substitutions(tag: &str, bytes: &[u8]) {
     let text = golden("golden-fixed.cache.json");
     let key = Json::parse(&text).unwrap().get("key").and_then(Json::as_str).unwrap().to_owned();
-    let cache = scratch_cache(&format!("substitute-{tag}"));
+    let cache = temp_cache(&format!("substitute-{tag}"));
     for &byte in bytes {
         for at in 0..text.len() {
             let mut entry = text.clone().into_bytes();
@@ -239,7 +239,7 @@ fn grammar_substitutions_miss_or_read_as_the_tree_does() {
 /// drops only trailing whitespace, which reads back whole.
 #[test]
 fn truncated_entries_miss() {
-    let cache = scratch_cache("truncate");
+    let cache = temp_cache("truncate");
     for name in ["golden-fixed.cache.json", "golden-sat.cache.json"] {
         let text = golden(name);
         let key = Json::parse(&text).unwrap().get("key").and_then(Json::as_str).unwrap().to_owned();
@@ -310,7 +310,7 @@ proptest! {
     #[test]
     fn outcomes_roundtrip_through_the_cache(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        let cache = scratch_cache(&format!("roundtrip-{seed:x}"));
+        let cache = temp_cache(&format!("roundtrip-{seed:x}"));
         let series: Vec<RepOutcome> = (0..1 + g.below(4)).map(|_| g.rep()).collect();
         let search = g.search();
         cache.store_series(4, "series-key", &series).unwrap();
