@@ -173,4 +173,263 @@ mod tests {
     fn csv_has_header_plus_rows() {
         assert_eq!(campaign_csv(&[]).lines().count(), 1);
     }
+
+    const JSON: &str = r#"{
+  "campaign": "bytes",
+  "format": "quarc-campaign v2",
+  "spec": {
+    "topologies": [
+      "quarc"
+    ],
+    "sizes": [
+      8
+    ],
+    "msg_lens": [
+      16
+    ],
+    "betas": [
+      0.05
+    ],
+    "buffer_depths": [
+      4
+    ],
+    "link_latencies": [
+      1
+    ],
+    "arbs": [
+      "rr"
+    ],
+    "faults": [
+      "s3o200d0f2l0p0t0w0"
+    ],
+    "recoveries": [
+      "-"
+    ],
+    "rates": {
+      "kind": "explicit",
+      "rates": [
+        0.01
+      ]
+    },
+    "replications": 2,
+    "convergence": {
+      "target": "rel",
+      "width": 0.1,
+      "max_reps": 8
+    },
+    "base_seed": 2009,
+    "run": {
+      "warmup": 2000,
+      "measure": 20000,
+      "drain": 30000,
+      "latency_cap": 2000,
+      "backlog_cap": 200,
+      "stall_window": 10000
+    }
+  },
+  "skipped": [
+    "skipped \"one\""
+  ],
+  "points": [
+    {
+      "id": 0,
+      "label": "point-0",
+      "topology": "quarc",
+      "n": 8,
+      "msg_len": 16,
+      "beta": 0.05,
+      "buffer_depth": 4,
+      "link_latency": 1,
+      "arb": "rr",
+      "fault": "s3o200d0f2l0p0t0w0",
+      "recovery": "-",
+      "content_hash": "0000000000c0ffee",
+      "outcome": {
+        "kind": "rate",
+        "rate": 0.01,
+        "merged": {
+          "reps": 3,
+          "unicast_mean": {
+            "mean": 20.5,
+            "ci95": null,
+            "n": 3
+          },
+          "bcast_reception_mean": {
+            "mean": 30,
+            "ci95": 0.5,
+            "n": 3
+          },
+          "bcast_completion_mean": {
+            "mean": 45.25,
+            "ci95": 2,
+            "n": 3
+          },
+          "throughput": {
+            "mean": 0.08,
+            "ci95": 0.001,
+            "n": 3
+          },
+          "unicast_p95": null,
+          "bcast_completion_p95": 127,
+          "unicast_samples": 1234,
+          "bcast_samples": 56,
+          "saturated_reps": 1,
+          "saturated": false,
+          "delivered_fraction": {
+            "mean": 1,
+            "ci95": 0,
+            "n": 3
+          },
+          "undeliverable": 0,
+          "retransmissions": 9,
+          "recovered_receivers": 5,
+          "converged": false
+        }
+      }
+    },
+    {
+      "id": 1,
+      "label": "point-1",
+      "topology": "quarc",
+      "n": 8,
+      "msg_len": 16,
+      "beta": 0.05,
+      "buffer_depth": 4,
+      "link_latency": 1,
+      "arb": "rr",
+      "fault": "s3o200d0f2l0p0t0w0",
+      "recovery": "-",
+      "content_hash": "000000000181ffdc",
+      "outcome": {
+        "kind": "saturation",
+        "sustained": 0.021,
+        "collapsed": null,
+        "probes": [
+          {
+            "rate": 0.01,
+            "saturated": false
+          }
+        ]
+      }
+    },
+    {
+      "id": 2,
+      "label": "point-2",
+      "topology": "quarc",
+      "n": 8,
+      "msg_len": 16,
+      "beta": 0.05,
+      "buffer_depth": 4,
+      "link_latency": 1,
+      "arb": "rr",
+      "fault": "s3o200d0f2l0p0t0w0",
+      "recovery": "-",
+      "content_hash": "000000000303ffb8",
+      "outcome": {
+        "kind": "stalled",
+        "rate": 0.02,
+        "rep": 1,
+        "cycle": 4200,
+        "diagnostics": "say \"hi\"\\back\nslash\u0001end"
+      }
+    },
+    {
+      "id": 3,
+      "label": "point-3",
+      "topology": "quarc",
+      "n": 8,
+      "msg_len": 16,
+      "beta": 0.05,
+      "buffer_depth": 4,
+      "link_latency": 1,
+      "arb": "rr",
+      "fault": "s3o200d0f2l0p0t0w0",
+      "recovery": "-",
+      "content_hash": "000000000607ff70",
+      "outcome": {
+        "kind": "failed",
+        "reason": "say \"hi\"\\back\nslash\u0001end"
+      }
+    }
+  ]
+}
+"#;
+
+    const CSV: &str = r#"id,topology,n,msg_len,beta,buffer_depth,link_latency,arb,kind,rate,reps,unicast_mean,unicast_ci95,unicast_p95,unicast_samples,bcast_reception_mean,bcast_completion_mean,bcast_completion_ci95,bcast_completion_p95,bcast_samples,throughput,delivered_fraction,undeliverable,retransmissions,recovered_receivers,saturated,converged
+0,quarc,8,16,0.05,4,1,rr,rate,0.01,3,20.5,NaN,-,1234,30,45.25,2,127,56,0.08,1,0,9,5,false,false
+1,quarc,8,16,0.05,4,1,rr,saturation,0.021,-,-,-,-,-,-,-,-,-,-,-,-,-,-,1,-,-
+2,quarc,8,16,0.05,4,1,rr,stalled,0.02,1,-,-,-,-,-,-,-,-,-,-,-,-,-,-,cycle=4200,-
+3,quarc,8,16,0.05,4,1,rr,failed,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-
+"#;
+
+    /// The artifact bytes of every outcome kind, pinned as literal text: the
+    /// campaign goldens never produce a failed point, a non-finite float, an
+    /// absent percentile or an escaped string.
+    #[test]
+    fn bytes_of_every_outcome_kind() {
+        use crate::replicate::{Converged, MeanCi, MergedRun};
+        use crate::result::PointOutcomeKind;
+        use crate::saturation::{Probe, SaturationResult};
+        use crate::spec::{CiTarget, Convergence};
+        use quarc_core::config::FaultPlan;
+
+        let mut spec = CampaignSpec::new("bytes");
+        spec.topologies = vec![TopologyKind::Quarc];
+        spec.sizes = vec![8];
+        spec.faults = vec![FaultPlan { seed: 3, onset: 200, frozen_routers: 2, ..FaultPlan::NONE }];
+        spec.rates = RateAxis::Explicit(vec![0.01]);
+        spec.convergence = Some(Convergence { target: CiTarget::Rel(0.1), max_reps: 8 });
+        let point = spec.expand().unwrap().points[0];
+        let nasty = "say \"hi\"\\back\nslash\u{1}end";
+        let ci = |mean, ci95| MeanCi { mean, ci95, n: 3 };
+        let merged = MergedRun {
+            reps: 3,
+            unicast_mean: ci(20.5, f64::NAN),
+            bcast_reception_mean: ci(30.0, 0.5),
+            bcast_completion_mean: ci(45.25, 2.0),
+            throughput: ci(0.08, 0.001),
+            unicast_p95: None,
+            bcast_completion_p95: Some(127),
+            unicast_samples: 1234,
+            bcast_samples: 56,
+            saturated_reps: 1,
+            saturated: false,
+            delivered_fraction: ci(1.0, 0.0),
+            undeliverable: 0,
+            retransmissions: 9,
+            recovered_receivers: 5,
+            converged: Converged::No,
+        };
+        let search = SaturationResult {
+            sustained: 0.021,
+            collapsed: None,
+            probes: vec![Probe { rate: 0.01, saturated: false }],
+        };
+        let results: Vec<PointResult> = [
+            PointOutcomeKind::Rate { rate: 0.01, merged },
+            PointOutcomeKind::Saturation(search),
+            PointOutcomeKind::Stalled {
+                rate: 0.02,
+                rep: 1,
+                cycle: 4_200,
+                diagnostics: nasty.into(),
+            },
+            PointOutcomeKind::Failed { reason: nasty.into() },
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, outcome)| PointResult {
+            id,
+            label: format!("point-{id}"),
+            point,
+            content_hash: 0x00c0_ffee << id,
+            from_cache: id % 2 == 0,
+            outcome,
+        })
+        .collect();
+        let json = campaign_json(&spec, &results, &["skipped \"one\"".into()]).to_pretty();
+        let csv = campaign_csv(&results);
+        assert_eq!(json, JSON);
+        assert_eq!(csv, CSV);
+    }
 }
