@@ -4,116 +4,147 @@
 //! Both artifacts are pure functions of the campaign spec and its results —
 //! no timestamps, hostnames or timing — so re-running a campaign (from cache
 //! or from scratch, serial or parallel) reproduces them byte for byte.
+//!
+//! Neither builds an intermediate value: the JSON document streams from the
+//! spec and the results through the one [`Writer`], and the CSV rows are
+//! formatted into one buffer. Every file (these two, the telemetry and each
+//! cache entry) replaces its predecessor atomically through
+//! [`write_atomically`], so a killed campaign never leaves a truncated file
+//! that looks like a result.
 
-use crate::json::Json;
+use crate::json::{record, Encode, Writer};
 use crate::result::PointResult;
-use crate::spec::{CampaignSpec, CiTarget, RateAxis};
+use crate::spec::{CampaignSpec, CiTarget, Convergence, RateAxis};
+use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
 use quarc_core::topology::TopologyKind;
+use quarc_sim::RunSpec;
+use std::ffi::OsString;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-fn rate_axis_json(rates: &RateAxis) -> Json {
-    match rates {
-        RateAxis::Explicit(rs) => Json::obj(vec![
-            ("kind", Json::Str("explicit".into())),
-            ("rates", Json::Arr(rs.iter().map(|&r| Json::Num(r)).collect())),
-        ]),
-        RateAxis::Geometric { lo, hi, steps } => Json::obj(vec![
-            ("kind", Json::Str("geometric".into())),
-            ("lo", Json::Num(*lo)),
-            ("hi", Json::Num(*hi)),
-            ("steps", Json::UInt(*steps as u64)),
-        ]),
-        RateAxis::AutoGeometric { span, lo_div, steps } => Json::obj(vec![
-            ("kind", Json::Str("auto-geometric".into())),
-            ("span", Json::Num(*span)),
-            ("lo_div", Json::Num(*lo_div)),
-            ("steps", Json::UInt(*steps as u64)),
-        ]),
-        RateAxis::Saturation { rel_tol, max_probes } => Json::obj(vec![
-            ("kind", Json::Str("saturation".into())),
-            ("rel_tol", Json::Num(*rel_tol)),
-            ("max_probes", Json::UInt(*max_probes as u64)),
-        ]),
+/// Axis values the artifact writes as their `Display` text.
+macro_rules! displayed {
+    ($($ty:ty),+) => {$(
+        impl Encode for $ty {
+            fn write(&self, w: &mut Writer) {
+                w.display(self);
+            }
+        }
+    )+};
+}
+displayed!(TopologyKind, ArbPolicy, FaultPlan, RecoveryPolicy);
+
+impl Encode for RateAxis {
+    fn write(&self, w: &mut Writer) {
+        w.open('{');
+        let w = match self {
+            RateAxis::Explicit(rates) => w.field("kind", "explicit").field("rates", rates),
+            RateAxis::Geometric { lo, hi, steps } => {
+                w.field("kind", "geometric").field("lo", lo).field("hi", hi).field("steps", steps)
+            }
+            RateAxis::AutoGeometric { span, lo_div, steps } => w
+                .field("kind", "auto-geometric")
+                .field("span", span)
+                .field("lo_div", lo_div)
+                .field("steps", steps),
+            RateAxis::Saturation { rel_tol, max_probes } => w
+                .field("kind", "saturation")
+                .field("rel_tol", rel_tol)
+                .field("max_probes", max_probes),
+        };
+        w.close('}');
     }
 }
 
-fn spec_json(spec: &CampaignSpec) -> Json {
-    Json::obj(vec![
-        (
-            "topologies",
-            Json::Arr(
-                spec.topologies.iter().map(|t: &TopologyKind| Json::Str(t.to_string())).collect(),
-            ),
-        ),
-        ("sizes", Json::Arr(spec.sizes.iter().map(|&n| Json::UInt(n as u64)).collect())),
-        ("msg_lens", Json::Arr(spec.msg_lens.iter().map(|&m| Json::UInt(m as u64)).collect())),
-        ("betas", Json::Arr(spec.betas.iter().map(|&b| Json::Num(b)).collect())),
-        (
-            "buffer_depths",
-            Json::Arr(spec.buffer_depths.iter().map(|&d| Json::UInt(d as u64)).collect()),
-        ),
-        ("link_latencies", Json::Arr(spec.link_latencies.iter().map(|&l| Json::UInt(l)).collect())),
-        ("arbs", Json::Arr(spec.arbs.iter().map(|a| Json::Str(a.to_string())).collect())),
-        ("faults", Json::Arr(spec.faults.iter().map(|f| Json::Str(f.to_string())).collect())),
-        (
-            "recoveries",
-            Json::Arr(spec.recoveries.iter().map(|r| Json::Str(r.to_string())).collect()),
-        ),
-        ("rates", rate_axis_json(&spec.rates)),
-        ("replications", Json::UInt(spec.replications as u64)),
-        (
-            "convergence",
-            match &spec.convergence {
-                None => Json::Null,
-                Some(conv) => {
-                    let (kind, width) = match conv.target {
-                        CiTarget::Abs(w) => ("abs", w),
-                        CiTarget::Rel(w) => ("rel", w),
-                    };
-                    Json::obj(vec![
-                        ("target", Json::Str(kind.into())),
-                        ("width", Json::Num(width)),
-                        ("max_reps", Json::UInt(conv.max_reps as u64)),
-                    ])
-                }
-            },
-        ),
-        ("base_seed", Json::UInt(spec.base_seed)),
-        (
-            "run",
-            Json::obj(vec![
-                ("warmup", Json::UInt(spec.run.warmup)),
-                ("measure", Json::UInt(spec.run.measure)),
-                ("drain", Json::UInt(spec.run.drain)),
-                ("latency_cap", Json::Num(spec.run.latency_cap)),
-                ("backlog_cap", Json::Num(spec.run.backlog_cap)),
-                ("stall_window", Json::UInt(spec.run.stall_window)),
-            ]),
-        ),
-    ])
+impl Encode for Convergence {
+    fn write(&self, w: &mut Writer) {
+        let (target, width) = match self.target {
+            CiTarget::Abs(width) => ("abs", width),
+            CiTarget::Rel(width) => ("rel", width),
+        };
+        w.open('{');
+        w.field("target", target);
+        w.field("width", width);
+        w.field("max_reps", self.max_reps);
+        w.close('}');
+    }
+}
+
+record!(encode RunSpec { warmup, measure, drain, latency_cap, backlog_cap, stall_window });
+
+// The spec's axes and protocol (its name is the document's `campaign`).
+record!(encode CampaignSpec {
+    topologies, sizes, msg_lens, betas, buffer_depths, link_latencies, arbs, faults, recoveries,
+    rates, replications, convergence, base_seed, run,
+});
+
+/// The campaign JSON document, borrowed from the spec and results it
+/// renders.
+#[derive(Debug, Clone, Copy)]
+pub struct CampaignDocument<'a> {
+    spec: &'a CampaignSpec,
+    results: &'a [PointResult],
+    skipped: &'a [String],
+}
+
+impl CampaignDocument<'_> {
+    /// The document as indented text, ending with a newline.
+    pub fn to_pretty(&self) -> String {
+        // Roughly what a rate point takes, so the buffer seldom regrows.
+        let mut w = Writer::pretty(4096 + 1536 * self.results.len());
+        self.write(&mut w);
+        w.finish()
+    }
+}
+
+impl Encode for CampaignDocument<'_> {
+    fn write(&self, w: &mut Writer) {
+        w.open('{');
+        w.field("campaign", &self.spec.name);
+        w.field("format", "quarc-campaign v2");
+        w.field("spec", self.spec);
+        w.field("skipped", self.skipped);
+        w.field("points", self.results);
+        w.close('}');
+    }
 }
 
 /// The full campaign document.
-pub fn campaign_json(spec: &CampaignSpec, results: &[PointResult], skipped: &[String]) -> Json {
-    Json::obj(vec![
-        ("campaign", Json::Str(spec.name.clone())),
-        ("format", Json::Str("quarc-campaign v2".into())),
-        ("spec", spec_json(spec)),
-        ("skipped", Json::Arr(skipped.iter().map(|s| Json::Str(s.clone())).collect())),
-        ("points", Json::Arr(results.iter().map(PointResult::to_json).collect())),
-    ])
+pub fn campaign_json<'a>(
+    spec: &'a CampaignSpec,
+    results: &'a [PointResult],
+    skipped: &'a [String],
+) -> CampaignDocument<'a> {
+    CampaignDocument { spec, results, skipped }
 }
 
 /// The flat CSV table (one row per point).
 pub fn campaign_csv(results: &[PointResult]) -> String {
-    let mut out = String::with_capacity(64 * (results.len() + 1));
-    out.push_str(PointResult::csv_header());
+    let header = PointResult::csv_header();
+    let mut out = String::with_capacity(header.len() + 1 + 160 * results.len());
+    out.push_str(header);
     out.push('\n');
-    for r in results {
-        out.push_str(&r.csv_row());
-    }
+    results.iter().for_each(|r| r.write_csv_row(&mut out));
     out
+}
+
+/// Replace `path` with `bytes` atomically: write a temp file beside it, then
+/// rename it over `path`. On any error the temp file is removed and `path`
+/// is left as it was.
+pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    // Unique within the process too: concurrent campaigns may share a cache.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut name = OsString::from(".");
+    name.push(path.file_name().unwrap_or_default());
+    let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".{}.{seq}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Write both artifacts into `dir` as `<name>.json` / `<name>.csv`; returns
@@ -127,22 +158,21 @@ pub fn write_artifacts(
     std::fs::create_dir_all(dir)?;
     let json_path = dir.join(format!("{}.json", spec.name));
     let csv_path = dir.join(format!("{}.csv", spec.name));
-    std::fs::write(&json_path, campaign_json(spec, results, skipped).to_pretty())?;
-    std::fs::write(&csv_path, campaign_csv(results))?;
+    write_atomically(&json_path, campaign_json(spec, results, skipped).to_pretty().as_bytes())?;
+    write_atomically(&csv_path, campaign_csv(results).as_bytes())?;
     Ok(vec![json_path, csv_path])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::RateAxis;
+    use crate::json::Json;
 
     #[test]
     fn document_shape_is_stable() {
         let mut spec = CampaignSpec::new("shape");
         spec.rates = RateAxis::Explicit(vec![0.01]);
-        let doc = campaign_json(&spec, &[], &["dropped".into()]);
-        let text = doc.to_pretty();
+        let text = campaign_json(&spec, &[], &["dropped".into()]).to_pretty();
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed.get("campaign").and_then(Json::as_str), Some("shape"));
         assert_eq!(
@@ -163,9 +193,10 @@ mod tests {
             RateAxis::AutoGeometric { span: 1.1, lo_div: 40.0, steps: 10 },
             RateAxis::Saturation { rel_tol: 0.05, max_probes: 20 },
         ] {
-            let json = rate_axis_json(&rates);
+            let mut w = Writer::compact(0);
+            rates.write(&mut w);
+            let json = Json::parse(&w.finish()).unwrap();
             assert!(json.get("kind").is_some());
-            Json::parse(&json.to_compact()).unwrap();
         }
     }
 

@@ -17,17 +17,24 @@
 //! cache can change how much is simulated, never a reported number.
 //! Saturation searches store their result whole, as before.
 //!
-//! Entries are written by the one JSON writer and read back through the
-//! pull reader straight into [`RepOutcome`]s / a [`SaturationResult`], with
-//! no value tree. A missing or unreadable file, malformed JSON, a wrong key
-//! or kind, or a payload that does not decode is a miss, never a panic.
+//! Entries stream from the records through the one JSON writer into a
+//! single buffer, which replaces the entry atomically (a temp file in the
+//! cache directory, then a rename; the temp file is removed if either step
+//! fails), so a crashed or concurrent campaign never leaves a torn entry.
+//! They are read back through the pull reader straight into
+//! [`RepOutcome`]s / a [`SaturationResult`]; neither direction builds a
+//! value tree. A missing or unreadable file, malformed JSON, a wrong key or
+//! kind, or a payload that does not decode is a miss, never a panic.
 
-use crate::json::{read_fields, Json, Parsed, Reader};
+use crate::artifact::write_atomically;
+use crate::json::{read_fields, Decode, Encode, Parsed, Reader, Writer};
 use crate::replicate::RepOutcome;
-use crate::result::PointOutcomeKind;
 use crate::saturation::SaturationResult;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Initial buffer of an entry: a series of a few replications fits.
+const ENTRY_RESERVE: usize = 16 << 10;
 
 /// A directory of cached point outcomes.
 #[derive(Debug, Clone)]
@@ -76,24 +83,23 @@ impl ResultCache {
         .ok()
     }
 
-    fn store_entry(&self, hash: u64, merge_key: &str, kind: &str, payload: Json) -> io::Result<()> {
-        let entry = Json::obj(vec![
-            ("key", Json::Str(merge_key.to_string())),
-            ("kind", Json::Str(kind.to_string())),
-            ("payload", payload),
-        ]);
-        // Write via a temp file + rename so a crashed or concurrent
-        // campaign never leaves a torn entry.
-        let final_path = self.path_for(hash);
-        let tmp_path = self.dir.join(format!(".{hash:016x}.{}.tmp", std::process::id()));
-        std::fs::write(&tmp_path, entry.to_pretty())?;
-        std::fs::rename(&tmp_path, &final_path)
+    fn store_entry(
+        &self,
+        hash: u64,
+        merge_key: &str,
+        kind: &str,
+        payload: impl Encode,
+    ) -> io::Result<()> {
+        let mut w = Writer::pretty(ENTRY_RESERVE);
+        w.open('{').field("key", merge_key).field("kind", kind).field("payload", payload);
+        w.close('}');
+        write_atomically(&self.path_for(hash), w.finish().as_bytes())
     }
 
     /// Look up the replication series for `(hash, merge_key)`. Any malformed
     /// entry, key mismatch or entry of the wrong kind is treated as a miss.
     pub fn load_series(&self, hash: u64, merge_key: &str) -> Option<Vec<RepOutcome>> {
-        self.load(hash, merge_key, "reps", |r| r.array(RepOutcome::decode))
+        self.load(hash, merge_key, "reps", Decode::decode)
     }
 
     /// Store a replication series (replaces any previous entry whole — the
@@ -105,8 +111,7 @@ impl ResultCache {
         merge_key: &str,
         series: &[RepOutcome],
     ) -> io::Result<()> {
-        let payload = Json::Arr(series.iter().map(RepOutcome::to_json).collect());
-        self.store_entry(hash, merge_key, "reps", payload)
+        self.store_entry(hash, merge_key, "reps", series)
     }
 
     /// Look up a saturation-search result.
@@ -123,8 +128,7 @@ impl ResultCache {
         merge_key: &str,
         result: &SaturationResult,
     ) -> io::Result<()> {
-        let payload = PointOutcomeKind::Saturation(result.clone()).to_json();
-        self.store_entry(hash, merge_key, "saturation", payload)
+        self.store_entry(hash, merge_key, "saturation", result)
     }
 }
 

@@ -40,13 +40,13 @@ const SPACES: &str = "                                                          
 impl Json {
     /// Build an object from key/value pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Self::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Object field lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Self::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -87,77 +87,23 @@ impl Json {
     /// This value as an array slice.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
-            Json::Arr(v) => Some(v),
+            Self::Arr(v) => Some(v),
             _ => None,
         }
     }
 
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
-        let mut out = String::with_capacity(RESERVE);
-        self.write(&mut out, None, 0);
-        out
+        let mut w = Writer::compact(RESERVE);
+        self.write(&mut w);
+        w.finish()
     }
 
     /// Pretty rendering with two-space indentation.
     pub fn to_pretty(&self) -> String {
-        let mut out = String::with_capacity(RESERVE);
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            // JSON has no NaN/Inf; never produced by well-formed results.
-            Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push('}');
-            }
-        }
+        let mut w = Writer::pretty(RESERVE);
+        self.write(&mut w);
+        w.finish()
     }
 
     /// Parse a JSON document. Returns the value and rejects trailing junk.
@@ -170,37 +116,195 @@ impl Json {
 
     fn read(r: &mut Reader<'_>) -> Parsed<Json> {
         Ok(match r.peek()? {
-            b'[' => Json::Arr(r.array(Json::read)?),
+            b'[' => Self::Arr(r.array(Self::read)?),
             b'{' => {
                 let mut pairs = Vec::new();
-                r.object(|r, key| Json::read(r).map(|v| pairs.push((key.to_string(), v))))?;
-                Json::Obj(pairs)
+                r.object(|r, key| Self::read(r).map(|v| pairs.push((key.to_string(), v))))?;
+                Self::Obj(pairs)
             }
-            b'"' => Json::Str(r.str()?.into_owned()),
-            b't' | b'f' => Json::Bool(r.bool()?),
-            b'n' => r.null().map(|()| Json::Null)?,
+            b'"' => Self::Str(r.str()?.into_owned()),
+            b't' | b'f' => Self::Bool(r.bool()?),
+            b'n' => r.null().map(|()| Self::Null)?,
             _ => {
                 let (text, plain) = r.number()?;
                 match plain.then(|| text.parse().ok()).flatten() {
-                    Some(v) => Json::UInt(v),
-                    None => Json::Num(text.parse().map_err(|_| r.error("bad number"))?),
+                    Some(v) => Self::UInt(v),
+                    None => Self::Num(text.parse().map_err(|_| r.error("bad number"))?),
                 }
             }
         })
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        let n = width * depth;
-        (0..n / SPACES.len()).for_each(|_| out.push_str(SPACES));
-        out.push_str(&SPACES[..n % SPACES.len()]);
+impl Encode for Json {
+    fn write(&self, w: &mut Writer) {
+        match self {
+            Self::Null => w.null(),
+            Self::Bool(b) => w.bool(*b),
+            Self::UInt(v) => w.u64(*v),
+            Self::Num(v) => w.f64(*v),
+            Self::Str(s) => w.str(s),
+            Self::Arr(items) => {
+                items.write(w);
+                w
+            }
+            Self::Obj(pairs) => {
+                w.open('{');
+                for (key, value) in pairs {
+                    w.field(key, value);
+                }
+                w.close('}')
+            }
+        };
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// A streaming JSON writer: containers are opened and closed, object
+/// members are a [`Writer::key`] followed by one value, and commas,
+/// newlines and indentation follow from that order. Pretty output indents
+/// by two spaces and ends with a newline; empty containers render as `[]` /
+/// `{}`; non-finite floats (which JSON lacks) render as `null`.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container already holds an item.
+    filled: bool,
+    /// A key was just written: the next value follows it on its line.
+    keyed: bool,
+}
+
+impl Writer {
+    /// A writer of indented output, its buffer reserved to `capacity`.
+    pub fn pretty(capacity: usize) -> Writer {
+        Writer { pretty: true, ..Writer::compact(capacity) }
+    }
+
+    /// A writer of single-line output, its buffer reserved to `capacity`.
+    pub fn compact(capacity: usize) -> Writer {
+        Writer { out: String::with_capacity(capacity), ..Writer::default() }
+    }
+
+    /// The rendered text.
+    pub fn finish(mut self) -> String {
+        debug_assert_eq!(self.depth, 0, "unclosed container");
+        if self.pretty {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            let n = 2 * self.depth;
+            (0..n / SPACES.len()).for_each(|_| self.out.push_str(SPACES));
+            self.out.push_str(&SPACES[..n % SPACES.len()]);
+        }
+    }
+
+    /// Start the next value: after a key it follows directly, inside a
+    /// container it goes on its own line after a comma.
+    fn item(&mut self) -> &mut Self {
+        if std::mem::take(&mut self.keyed) {
+            return self;
+        }
+        if self.depth > 0 {
+            if self.filled {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+        self.filled = true;
+        self
+    }
+
+    /// Open an object (`'{'`) or array (`'['`).
+    pub fn open(&mut self, bracket: char) -> &mut Self {
+        self.item().out.push(bracket);
+        self.depth += 1;
+        self.filled = false;
+        self
+    }
+
+    /// Close the innermost container with `'}'` or `']'`.
+    pub fn close(&mut self, bracket: char) -> &mut Self {
+        self.depth -= 1;
+        if self.filled {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.filled = true;
+        self
+    }
+
+    /// An object member's key; its value is the next thing written.
+    pub fn key(&mut self, name: &str) -> &mut Self {
+        let colon = if self.pretty { ": " } else { ":" };
+        self.str(name).out.push_str(colon);
+        self.keyed = true;
+        self
+    }
+
+    /// One object member on one line: `name` and its value.
+    pub fn field(&mut self, name: &str, value: impl Encode) -> &mut Self {
+        value.write(self.key(name));
+        self
+    }
+
+    /// A leaf written as its `Display` text.
+    fn raw(&mut self, text: impl std::fmt::Display) -> &mut Self {
+        write!(self.item().out, "{text}").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.raw("null")
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.raw(value)
+    }
+
+    /// An unsigned integer, exactly.
+    pub fn u64(&mut self, value: u64) -> &mut Self {
+        self.raw(value)
+    }
+
+    /// A float in Rust's shortest round-trip form; `null` unless finite.
+    pub fn f64(&mut self, value: f64) -> &mut Self {
+        if value.is_finite() {
+            self.raw(value)
+        } else {
+            self.null()
+        }
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        let out = &mut self.item().out;
+        out.push('"');
+        escape_into(out, value);
+        out.push('"');
+        self
+    }
+
+    /// A string formatted by `value`'s `Display` and escaped as it is
+    /// formatted, without an intermediate `String`.
+    pub fn display(&mut self, value: impl std::fmt::Display) -> &mut Self {
+        let out = &mut self.item().out;
+        out.push('"');
+        write!(Escaped(out), "{value}").expect("writing to a String cannot fail");
+        out.push('"');
+        self
+    }
+}
+
+/// Append `s` with JSON's string escapes.
+fn escape_into(out: &mut String, s: &str) {
     // Every byte that needs an escape is ASCII, so `run..i` always lies on
     // character boundaries.
     let mut run = 0;
@@ -217,7 +321,96 @@ fn write_escaped(out: &mut String, s: &str) {
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out.push('"');
+}
+
+/// A `fmt::Write` sink that escapes what is written into it.
+struct Escaped<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+}
+
+/// A value the [`Writer`] can emit at its current position.
+pub trait Encode {
+    /// Write this value.
+    fn write(&self, w: &mut Writer);
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn write(&self, w: &mut Writer) {
+        (**self).write(w)
+    }
+}
+
+/// Numbers and booleans, written and read by the leaf of their name.
+macro_rules! leaves {
+    ($($ty:ident),+) => {$(
+        impl Encode for $ty {
+            fn write(&self, w: &mut Writer) {
+                w.$ty(*self);
+            }
+        }
+
+        impl Decode for $ty {
+            fn decode(r: &mut Reader<'_>) -> Parsed<Self> {
+                r.$ty()
+            }
+        }
+    )+};
+}
+leaves!(u64, f64, bool);
+
+/// Counts and indices widen to `u64`.
+macro_rules! widened {
+    ($($ty:ty),+) => {$(
+        impl Encode for $ty {
+            fn write(&self, w: &mut Writer) {
+                w.u64(*self as u64);
+            }
+        }
+    )+};
+}
+widened!(u32, usize);
+
+impl Encode for str {
+    fn write(&self, w: &mut Writer) {
+        w.str(self);
+    }
+}
+
+impl Encode for String {
+    fn write(&self, w: &mut Writer) {
+        w.str(self);
+    }
+}
+
+/// `None` is `null`.
+impl<T: Encode> Encode for Option<T> {
+    fn write(&self, w: &mut Writer) {
+        match self {
+            Some(value) => value.write(w),
+            None => {
+                w.null();
+            }
+        }
+    }
+}
+
+impl<T: Encode> Encode for [T] {
+    fn write(&self, w: &mut Writer) {
+        w.open('[');
+        self.iter().for_each(|item| item.write(w));
+        w.close(']');
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn write(&self, w: &mut Writer) {
+        self.as_slice().write(w)
+    }
 }
 
 /// A parse failure with byte offset.
@@ -470,7 +663,7 @@ impl<'a> Reader<'a> {
 /// Read the object at reader `$r` into one binding per listed key, each
 /// value read by its function: keys in any order, unknown keys skipped, the
 /// first occurrence of a key wins ([`Reader::once`]) and a missing key
-/// fails. The second form evaluates to the struct of those fields.
+/// fails.
 macro_rules! read_fields {
     ($r:ident { $($key:ident: $read:expr),+ $(,)? }) => {
         $(let mut $key = None;)+
@@ -480,12 +673,62 @@ macro_rules! read_fields {
         })?;
         $(let $key = $key.ok_or_else(|| $r.error("missing field"))?;)+
     };
-    ($r:ident, $ty:ident { $($key:ident: $read:expr),+ $(,)? }) => {{
-        read_fields!($r { $($key: $read),+ });
-        $ty { $($key),+ }
-    }};
 }
 pub(crate) use read_fields;
+
+/// A value a [`Reader`] can read into its type.
+pub(crate) trait Decode: Sized {
+    fn decode(r: &mut Reader<'_>) -> Parsed<Self>;
+}
+
+/// `null` is `None`.
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut Reader<'_>) -> Parsed<Self> {
+        match r.peek()? {
+            b'n' => r.null().map(|()| None),
+            _ => T::decode(r).map(Some),
+        }
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Parsed<Self> {
+        r.array(T::decode)
+    }
+}
+
+/// The one field list of a record type. It generates the type's [`Encode`]:
+/// an object of the fields in table order, each through its type's codec,
+/// led by a `"kind": "tag"` member when the table says `as "tag"`. Without
+/// the leading `encode` (a write-only type) it also generates the
+/// [`Decode`], by [`read_fields!`]'s rules, which requires the tag.
+macro_rules! record {
+    (encode $ty:ty $(as $tag:literal)? { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::Encode for $ty {
+            fn write(&self, w: &mut $crate::json::Writer) {
+                w.open('{');
+                $(w.field("kind", $tag);)?
+                $(w.field(stringify!($field), &self.$field);)+
+                w.close('}');
+            }
+        }
+    };
+    ($ty:ident $(as $tag:literal)? { $($field:ident),+ $(,)? }) => {
+        $crate::json::record!(encode $ty $(as $tag)? { $($field),+ });
+
+        impl $crate::json::Decode for $ty {
+            fn decode(r: &mut $crate::json::Reader<'_>) -> $crate::json::Parsed<Self> {
+                $crate::json::read_fields!(r {
+                    $(kind: |r| r.expect_str($tag),)?
+                    $($field: $crate::json::Decode::decode),+
+                });
+                $(let ((), _) = (kind, $tag);)? // checked as it was read
+                Ok($ty { $($field),+ })
+            }
+        }
+    };
+}
+pub(crate) use record;
 
 #[cfg(test)]
 mod tests {

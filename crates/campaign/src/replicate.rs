@@ -20,7 +20,7 @@
 //! `i` always runs under the same seed and a stored series can be resumed,
 //! topped up, or truncated to a prefix without invalidating a single run.
 
-use crate::json::{read_fields, Json, Parsed, Reader};
+use crate::json::{read_fields, record, Decode, Encode, Parsed, Reader, Writer};
 use crate::spec::{CiTarget, ReplicationPolicy};
 use quarc_engine::stats::{LatencyHistogram, OnlineStats};
 use quarc_engine::DetRng;
@@ -65,14 +65,14 @@ pub enum Converged {
     AbandonedSaturated,
 }
 
-impl Converged {
-    /// JSON form (`true` / `false` / `"abandoned-saturated"`).
-    pub fn to_json(self) -> Json {
+/// `true` / `false` / `"abandoned-saturated"`.
+impl Encode for Converged {
+    fn write(&self, w: &mut Writer) {
         match self {
-            Converged::Yes => Json::Bool(true),
-            Converged::No => Json::Bool(false),
-            Converged::AbandonedSaturated => Json::Str("abandoned-saturated".into()),
-        }
+            Converged::Yes => w.bool(true),
+            Converged::No => w.bool(false),
+            Converged::AbandonedSaturated => w.str("abandoned-saturated"),
+        };
     }
 }
 
@@ -116,16 +116,9 @@ impl MeanCi {
             CiTarget::Rel(r) => self.ci95 <= r * self.mean.abs(),
         }
     }
-
-    /// JSON form: `{"mean": …, "ci95": …, "n": …}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("mean", Json::Num(self.mean)),
-            ("ci95", Json::Num(self.ci95)),
-            ("n", Json::UInt(self.n as u64)),
-        ])
-    }
 }
+
+record!(encode MeanCi { mean, ci95, n });
 
 /// The outcome of one replication of one fixed-rate point: the per-seed
 /// samples the across-replication statistics are built from, plus the
@@ -162,88 +155,61 @@ pub struct RepOutcome {
     pub recovered_receivers: u64,
 }
 
-fn hist_json(h: &LatencyHistogram) -> Json {
-    // Sparse bucket encoding: almost all of the 65 buckets are empty.
-    let buckets = h
-        .bucket_counts()
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(k, &c)| Json::Arr(vec![Json::UInt(k as u64), Json::UInt(c)]))
-        .collect();
-    Json::obj(vec![
-        ("buckets", Json::Arr(buckets)),
-        // The exact value sum exceeds u64 in principle; a decimal string
-        // round-trips u128 losslessly through the in-tree JSON module.
-        ("total", Json::Str(h.total().to_string())),
-    ])
+// The cache's form of a replication. Every field is required: the `v4`/`v5`
+// merge-key bumps retired every entry older than the fault- and
+// recovery-accounting fields, so a replication missing them is corrupt.
+record!(RepOutcome {
+    unicast_mean,
+    bcast_reception_mean,
+    bcast_completion_mean,
+    throughput,
+    bcast_samples,
+    saturated,
+    delivered_fraction,
+    undeliverable,
+    retransmissions,
+    recovered_receivers,
+    unicast_hist,
+    bcast_hist,
+});
+
+/// Sparse buckets (almost all of the 65 are empty) as `[index, count]`
+/// pairs, and the exact value sum, which may exceed `u64`, as a decimal
+/// string.
+impl Encode for LatencyHistogram {
+    fn write(&self, w: &mut Writer) {
+        w.open('{').key("buckets").open('[');
+        for (k, &c) in self.bucket_counts().iter().enumerate().filter(|(_, &c)| c > 0) {
+            w.open('[').u64(k as u64).u64(c).close(']');
+        }
+        w.close(']').key("total").display(self.total()).close('}');
+    }
 }
 
-/// Decode [`hist_json`]'s form.
-fn decode_hist(r: &mut Reader<'_>) -> Parsed<LatencyHistogram> {
-    read_fields!(r {
-        buckets: |r| {
-            let mut buckets = [0u64; 65];
-            r.array(|r| {
-                let (mut pair, mut len) = ([0; 2], 0);
+impl Decode for LatencyHistogram {
+    fn decode(r: &mut Reader<'_>) -> Parsed<Self> {
+        read_fields!(r {
+            buckets: |r| {
+                let mut buckets = [0u64; 65];
                 r.array(|r| {
-                    *pair.get_mut(len).ok_or_else(|| r.error("bucket is not a pair"))? = r.u64()?;
-                    len += 1;
+                    let (mut pair, mut len) = ([0; 2], 0);
+                    r.array(|r| {
+                        let slot =
+                            pair.get_mut(len).ok_or_else(|| r.error("bucket is not a pair"))?;
+                        *slot = r.u64()?;
+                        len += 1;
+                        Ok(())
+                    })?;
+                    let bucket = usize::try_from(pair[0]).ok().filter(|_| len == 2);
+                    let slot = bucket.and_then(|k| buckets.get_mut(k));
+                    *slot.ok_or_else(|| r.error("bad bucket"))? = pair[1];
                     Ok(())
                 })?;
-                let bucket = usize::try_from(pair[0]).ok().filter(|_| len == 2);
-                let slot = bucket.and_then(|k| buckets.get_mut(k));
-                *slot.ok_or_else(|| r.error("bad bucket"))? = pair[1];
-                Ok(())
-            })?;
-            Ok(buckets)
-        },
-        total: |r| r.str()?.parse().map_err(|_| r.error("bad histogram total")),
-    });
-    Ok(LatencyHistogram::from_parts(buckets, total))
-}
-
-impl RepOutcome {
-    /// JSON form (stable field order).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("unicast_mean", Json::Num(self.unicast_mean)),
-            ("bcast_reception_mean", Json::Num(self.bcast_reception_mean)),
-            ("bcast_completion_mean", Json::Num(self.bcast_completion_mean)),
-            ("throughput", Json::Num(self.throughput)),
-            ("bcast_samples", Json::UInt(self.bcast_samples)),
-            ("saturated", Json::Bool(self.saturated)),
-            ("delivered_fraction", Json::Num(self.delivered_fraction)),
-            ("undeliverable", Json::UInt(self.undeliverable)),
-            ("retransmissions", Json::UInt(self.retransmissions)),
-            ("recovered_receivers", Json::UInt(self.recovered_receivers)),
-            ("unicast_hist", hist_json(&self.unicast_hist)),
-            ("bcast_hist", hist_json(&self.bcast_hist)),
-        ])
-    }
-
-    /// Decode the JSON form at `r`: fields in any order, unknown ones
-    /// skipped, the first occurrence of a key wins. Strict about the fault-
-    /// and recovery-accounting fields: the `v4`/`v5` merge-key bumps retired
-    /// every earlier cache entry, so a series missing them is corrupt.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Parsed<RepOutcome> {
-        Ok(read_fields!(
-            r,
-            RepOutcome {
-                unicast_mean: Reader::f64,
-                bcast_reception_mean: Reader::f64,
-                bcast_completion_mean: Reader::f64,
-                throughput: Reader::f64,
-                unicast_hist: decode_hist,
-                bcast_hist: decode_hist,
-                bcast_samples: Reader::u64,
-                saturated: Reader::bool,
-                delivered_fraction: Reader::f64,
-                undeliverable: Reader::u64,
-                retransmissions: Reader::u64,
-                recovered_receivers: Reader::u64,
-            }
-        ))
+                Ok(buckets)
+            },
+            total: |r| r.str()?.parse().map_err(|_| r.error("bad histogram total")),
+        });
+        Ok(LatencyHistogram::from_parts(buckets, total))
     }
 }
 
@@ -292,29 +258,11 @@ pub struct MergedRun {
     pub converged: Converged,
 }
 
-impl MergedRun {
-    /// JSON form (stable field order).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("reps", Json::UInt(self.reps as u64)),
-            ("unicast_mean", self.unicast_mean.to_json()),
-            ("bcast_reception_mean", self.bcast_reception_mean.to_json()),
-            ("bcast_completion_mean", self.bcast_completion_mean.to_json()),
-            ("throughput", self.throughput.to_json()),
-            ("unicast_p95", self.unicast_p95.map_or(Json::Null, Json::UInt)),
-            ("bcast_completion_p95", self.bcast_completion_p95.map_or(Json::Null, Json::UInt)),
-            ("unicast_samples", Json::UInt(self.unicast_samples)),
-            ("bcast_samples", Json::UInt(self.bcast_samples)),
-            ("saturated_reps", Json::UInt(self.saturated_reps as u64)),
-            ("saturated", Json::Bool(self.saturated)),
-            ("delivered_fraction", self.delivered_fraction.to_json()),
-            ("undeliverable", Json::UInt(self.undeliverable)),
-            ("retransmissions", Json::UInt(self.retransmissions)),
-            ("recovered_receivers", Json::UInt(self.recovered_receivers)),
-            ("converged", self.converged.to_json()),
-        ])
-    }
-}
+record!(encode MergedRun {
+    reps, unicast_mean, bcast_reception_mean, bcast_completion_mean, throughput, unicast_p95,
+    bcast_completion_p95, unicast_samples, bcast_samples, saturated_reps, saturated,
+    delivered_fraction, undeliverable, retransmissions, recovered_receivers, converged,
+});
 
 /// The workload seed for replication `rep` of the point whose merge hash
 /// is `point_stream`, under master seed `base_seed`.
@@ -553,6 +501,12 @@ mod tests {
     use super::*;
     use quarc_core::config::NocConfig;
 
+    fn pretty(value: &impl Encode) -> String {
+        let mut w = Writer::pretty(0);
+        value.write(&mut w);
+        w.finish()
+    }
+
     fn template() -> PointSpec {
         PointSpec { noc: NocConfig::quarc(8), msg_len: 4, beta: 0.05, seed: 0, rate: 0.01 }
     }
@@ -614,7 +568,7 @@ mod tests {
         let mut series = Vec::new();
         extend(&mut series, 2);
         for rep in &series {
-            let text = rep.to_json().to_pretty();
+            let text = pretty(rep);
             let back = RepOutcome::decode(&mut Reader::new(&text)).unwrap();
             // Bit-exactness here is what lets a topped-up cached series
             // merge identically to a never-persisted one.
@@ -636,7 +590,7 @@ mod tests {
         // And a round-trip through JSON mid-way changes nothing either.
         let mut resumed: Vec<RepOutcome> = batched[..2]
             .iter()
-            .map(|r| RepOutcome::decode(&mut Reader::new(&r.to_json().to_pretty())).unwrap())
+            .map(|r| RepOutcome::decode(&mut Reader::new(&pretty(r))).unwrap())
             .collect();
         extend(&mut resumed, 4);
         assert_eq!(resumed, oneshot);

@@ -1,9 +1,11 @@
-//! Campaign results: per-point outcomes and their JSON forms.
+//! Campaign results: per-point outcomes, their JSON forms and their CSV
+//! rows.
 
-use crate::json::{read_fields, Json, Parsed, Reader};
+use crate::json::{record, Encode, Writer};
 use crate::replicate::MergedRun;
 use crate::saturation::{Probe, SaturationResult};
 use crate::spec::{CampaignPoint, PointWork};
+use std::fmt::{self, Write as _};
 
 /// What one executed point produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,72 +43,34 @@ pub enum PointOutcomeKind {
     },
 }
 
-impl PointOutcomeKind {
-    /// JSON form (stable field order).
-    pub fn to_json(&self) -> Json {
-        match self {
-            PointOutcomeKind::Stalled { rate, rep, cycle, diagnostics } => Json::obj(vec![
-                ("kind", Json::Str("stalled".into())),
-                ("rate", Json::Num(*rate)),
-                ("rep", Json::UInt(*rep as u64)),
-                ("cycle", Json::UInt(*cycle)),
-                ("diagnostics", Json::Str(diagnostics.clone())),
-            ]),
-            PointOutcomeKind::Failed { reason } => Json::obj(vec![
-                ("kind", Json::Str("failed".into())),
-                ("reason", Json::Str(reason.clone())),
-            ]),
-            PointOutcomeKind::Rate { rate, merged } => Json::obj(vec![
-                ("kind", Json::Str("rate".into())),
-                ("rate", Json::Num(*rate)),
-                ("merged", merged.to_json()),
-            ]),
-            PointOutcomeKind::Saturation(s) => Json::obj(vec![
-                ("kind", Json::Str("saturation".into())),
-                ("sustained", Json::Num(s.sustained)),
-                ("collapsed", s.collapsed.map_or(Json::Null, Json::Num)),
-                (
-                    "probes",
-                    Json::Arr(
-                        s.probes
-                            .iter()
-                            .map(|p| {
-                                Json::obj(vec![
-                                    ("rate", Json::Num(p.rate)),
-                                    ("saturated", Json::Bool(p.saturated)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        }
+/// Every kind is an object led by its `"kind"`.
+impl Encode for PointOutcomeKind {
+    fn write(&self, w: &mut Writer) {
+        let w = match self {
+            PointOutcomeKind::Saturation(search) => return search.write(w),
+            PointOutcomeKind::Stalled { rate, rep, cycle, diagnostics } => w
+                .open('{')
+                .field("kind", "stalled")
+                .field("rate", rate)
+                .field("rep", rep)
+                .field("cycle", cycle)
+                .field("diagnostics", diagnostics),
+            PointOutcomeKind::Failed { reason } => {
+                w.open('{').field("kind", "failed").field("reason", reason)
+            }
+            PointOutcomeKind::Rate { rate, merged } => {
+                w.open('{').field("kind", "rate").field("rate", rate).field("merged", merged)
+            }
+        };
+        w.close('}');
     }
 }
 
-impl SaturationResult {
-    /// Decode the `"saturation"` form [`PointOutcomeKind::to_json`] writes —
-    /// the one outcome kind that is ever read back (the result cache stores
-    /// searches whole; artifacts are write-only) — from `r`, positioned at
-    /// it. Field rules as for [`crate::RepOutcome`]'s decoder.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Parsed<SaturationResult> {
-        read_fields!(r {
-            kind: |r| r.expect_str("saturation"),
-            sustained: Reader::f64,
-            collapsed: |r| match r.peek()? {
-                b'n' => r.null().map(|()| None),
-                _ => r.f64().map(Some),
-            },
-            probes: |r| {
-                r.array(|r| {
-                    Ok(read_fields!(r, Probe { rate: Reader::f64, saturated: Reader::bool }))
-                })
-            },
-        });
-        let () = kind; // checked as it was read
-        Ok(SaturationResult { sustained, collapsed, probes })
-    }
-}
+record!(Probe { rate, saturated });
+
+// A search is the one outcome kind that is ever read back: the result
+// cache stores it whole, in its artifact form.
+record!(SaturationResult as "saturation" { sustained, collapsed, probes });
 
 /// One point's full record in the campaign artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,77 +89,100 @@ pub struct PointResult {
     pub outcome: PointOutcomeKind,
 }
 
-impl PointResult {
-    /// JSON form for the campaign artifact.
-    ///
-    /// Deliberately excludes `from_cache` (and any timing): the artifact's
-    /// bytes are a pure function of the campaign spec, so cached and
-    /// freshly-simulated runs — and runs with different worker counts —
-    /// produce identical files.
-    pub fn to_json(&self) -> Json {
+/// The artifact record. Deliberately excludes `from_cache` (and any
+/// timing): the artifact's bytes are a pure function of the campaign spec,
+/// so cached and freshly-simulated runs — and runs with different worker
+/// counts — produce identical files.
+impl Encode for PointResult {
+    fn write(&self, w: &mut Writer) {
         let c = &self.point.curve;
-        Json::obj(vec![
-            ("id", Json::UInt(self.id as u64)),
-            ("label", Json::Str(self.label.clone())),
-            ("topology", Json::Str(c.topology.to_string())),
-            ("n", Json::UInt(c.n as u64)),
-            ("msg_len", Json::UInt(c.msg_len as u64)),
-            ("beta", Json::Num(c.beta)),
-            ("buffer_depth", Json::UInt(c.buffer_depth as u64)),
-            ("link_latency", Json::UInt(c.link_latency)),
-            ("arb", Json::Str(c.arb.to_string())),
-            ("fault", Json::Str(c.fault.to_string())),
-            ("recovery", Json::Str(c.recovery.to_string())),
-            ("content_hash", Json::Str(format!("{:016x}", self.content_hash))),
-            ("outcome", self.outcome.to_json()),
-        ])
+        w.open('{');
+        w.field("id", self.id);
+        w.field("label", &self.label);
+        w.key("topology").display(c.topology);
+        w.field("n", c.n);
+        w.field("msg_len", c.msg_len);
+        w.field("beta", c.beta);
+        w.field("buffer_depth", c.buffer_depth);
+        w.field("link_latency", c.link_latency);
+        w.key("arb").display(c.arb);
+        w.key("fault").display(c.fault);
+        w.key("recovery").display(c.recovery);
+        w.key("content_hash").display(format_args!("{:016x}", self.content_hash));
+        w.field("outcome", &self.outcome);
+        w.close('}');
     }
+}
 
-    /// One CSV row per rate outcome (saturation points summarise the
-    /// search). Matches [`csv_header`].
-    pub fn csv_row(&self) -> String {
+/// An optional CSV cell: the value, or `-`.
+struct Cell<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for Cell<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(value) => value.fmt(f),
+            None => f.write_str("-"),
+        }
+    }
+}
+
+impl PointResult {
+    /// Append this point's CSV row (saturation points summarise the search)
+    /// to `out`. Matches [`Self::csv_header`].
+    pub(crate) fn write_csv_row(&self, out: &mut String) {
         let c = &self.point.curve;
-        let prefix = format!(
-            "{},{},{},{},{},{},{},{}",
+        write!(
+            out,
+            "{},{},{},{},{},{},{},{},",
             self.id, c.topology, c.n, c.msg_len, c.beta, c.buffer_depth, c.link_latency, c.arb
-        );
-        match &self.outcome {
-            PointOutcomeKind::Rate { rate, merged } => format!(
-                "{prefix},rate,{rate},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                merged.reps,
-                merged.unicast_mean.mean,
-                merged.unicast_mean.ci95,
-                merged.unicast_p95.map_or_else(|| "-".into(), |p| p.to_string()),
-                merged.unicast_samples,
-                merged.bcast_reception_mean.mean,
-                merged.bcast_completion_mean.mean,
-                merged.bcast_completion_mean.ci95,
-                merged.bcast_completion_p95.map_or_else(|| "-".into(), |p| p.to_string()),
-                merged.bcast_samples,
-                merged.throughput.mean,
-                merged.delivered_fraction.mean,
-                merged.undeliverable,
-                merged.retransmissions,
-                merged.recovered_receivers,
-                merged.saturated,
-                merged.converged,
+        )
+        .and_then(|()| match &self.outcome {
+            PointOutcomeKind::Rate { rate, merged: m } => writeln!(
+                out,
+                "rate,{rate},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                m.reps,
+                m.unicast_mean.mean,
+                m.unicast_mean.ci95,
+                Cell(m.unicast_p95),
+                m.unicast_samples,
+                m.bcast_reception_mean.mean,
+                m.bcast_completion_mean.mean,
+                m.bcast_completion_mean.ci95,
+                Cell(m.bcast_completion_p95),
+                m.bcast_samples,
+                m.throughput.mean,
+                m.delivered_fraction.mean,
+                m.undeliverable,
+                m.retransmissions,
+                m.recovered_receivers,
+                m.saturated,
+                m.converged,
             ),
-            PointOutcomeKind::Saturation(s) => format!(
-                "{prefix},saturation,{},-,-,-,-,-,-,-,-,-,-,-,-,-,-,{},{},-\n",
+            PointOutcomeKind::Saturation(s) => writeln!(
+                out,
+                "saturation,{},-,-,-,-,-,-,-,-,-,-,-,-,-,-,{},{},-",
                 s.sustained,
                 s.probes.len(),
-                s.collapsed.map_or_else(|| "-".into(), |v| v.to_string()),
+                Cell(s.collapsed),
             ),
-            PointOutcomeKind::Stalled { rate, rep, cycle, .. } => format!(
-                // The rep/cycle coordinates land in the reps/saturated
-                // columns; the full diagnostics live in the JSON artifact.
-                "{prefix},stalled,{rate},{rep},-,-,-,-,-,-,-,-,-,-,-,-,-,-,cycle={cycle},-\n",
-            ),
-            PointOutcomeKind::Failed { .. } => {
-                let blanks = ["-"; 18].join(",");
-                format!("{prefix},failed,{blanks}\n")
+            // The rep/cycle coordinates land in the reps/saturated columns;
+            // the full diagnostics live in the JSON artifact.
+            PointOutcomeKind::Stalled { rate, rep, cycle, .. } => {
+                writeln!(out, "stalled,{rate},{rep},-,-,-,-,-,-,-,-,-,-,-,-,-,-,cycle={cycle},-",)
             }
-        }
+            PointOutcomeKind::Failed { .. } => {
+                out.push_str("failed,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-\n");
+                Ok(())
+            }
+        })
+        .expect("writing to a String cannot fail");
+    }
+
+    /// This point's CSV row, as [`Self::write_csv_row`] appends it.
+    pub fn csv_row(&self) -> String {
+        let mut row = String::new();
+        self.write_csv_row(&mut row);
+        row
     }
 
     /// The CSV header matching [`Self::csv_row`].
@@ -219,7 +206,14 @@ impl PointResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{Decode, Reader};
     use crate::replicate::{Converged, MeanCi};
+
+    fn compact(value: &impl Encode) -> String {
+        let mut w = Writer::compact(0);
+        value.write(&mut w);
+        w.finish()
+    }
 
     fn merged() -> MergedRun {
         MergedRun {
@@ -252,10 +246,10 @@ mod tests {
                 Probe { rate: 0.04, saturated: true },
             ],
         };
-        let text = PointOutcomeKind::Saturation(search.clone()).to_json().to_compact();
+        let text = compact(&PointOutcomeKind::Saturation(search.clone()));
         assert_eq!(SaturationResult::decode(&mut Reader::new(&text)), Ok(search));
         // No other outcome kind decodes as a search.
-        let failed = PointOutcomeKind::Failed { reason: "boom".into() }.to_json().to_compact();
+        let failed = compact(&PointOutcomeKind::Failed { reason: "boom".into() });
         assert!(SaturationResult::decode(&mut Reader::new(&failed)).is_err());
     }
 

@@ -1,11 +1,11 @@
 //! Campaign orchestration: expand → consult cache → execute in parallel →
 //! persist → render artifacts.
 
-use crate::artifact;
+use crate::artifact::{self, write_atomically, CampaignDocument};
 use crate::cache::ResultCache;
 use crate::executor::{default_workers, run_work_stealing, Step, WorkerStats};
 use crate::hash::fnv1a64;
-use crate::json::Json;
+use crate::json::{Encode, Writer};
 use crate::replicate::{
     decide, extend_series, merge_series, replication_seed, Converged, Decision, RepInterrupt,
     RepOutcome,
@@ -120,9 +120,30 @@ impl PointTelemetry {
     }
 }
 
+impl Encode for PointTelemetry {
+    fn write(&self, w: &mut Writer) {
+        let how = if self.from_cache {
+            "cache"
+        } else if self.is_topup() {
+            "top-up"
+        } else {
+            "ran"
+        };
+        w.open('{');
+        w.field("id", self.id);
+        w.field("label", &self.label);
+        w.field("how", how);
+        w.field("wall_s", self.wall.as_secs_f64());
+        w.field("reps_simulated", self.simulated_reps);
+        w.field("reps_cached", self.reps_cached);
+        w.field("timed_out", self.timed_out);
+        w.close('}');
+    }
+}
+
 impl CampaignReport {
     /// The JSON artifact document (pure function of spec + results).
-    pub fn to_json(&self, spec: &CampaignSpec) -> crate::json::Json {
+    pub fn to_json<'a>(&'a self, spec: &'a CampaignSpec) -> CampaignDocument<'a> {
         artifact::campaign_json(spec, &self.results, &self.skipped)
     }
 
@@ -156,84 +177,42 @@ impl CampaignReport {
         self.results.iter().filter(|r| matches!(r.outcome, PointOutcomeKind::Failed { .. })).count()
     }
 
-    /// The execution-telemetry document. Deliberately a *separate* artifact
-    /// from [`CampaignReport::to_json`]: it records timing, cache traffic
-    /// and scheduling — everything the pure campaign artifact must exclude.
-    pub fn telemetry_json(&self, spec: &CampaignSpec) -> Json {
-        Json::obj(vec![
-            ("campaign", Json::Str(spec.name.clone())),
-            ("kind", Json::Str("execution-telemetry".into())),
-            ("wall_s", Json::Num(self.wall.as_secs_f64())),
-            ("workers", Json::UInt(self.workers as u64)),
-            (
-                "quarantine",
-                Json::obj(vec![
-                    ("stalled", Json::UInt(self.stalled() as u64)),
-                    ("failed", Json::UInt(self.failed() as u64)),
-                    (
-                        "timed_out",
-                        Json::UInt(
-                            self.point_telemetry.iter().filter(|p| p.timed_out).count() as u64
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::UInt(self.from_cache as u64)),
-                    ("misses", Json::UInt((self.executed - self.topups()) as u64)),
-                    ("topups", Json::UInt(self.topups() as u64)),
-                    ("reps_simulated", Json::UInt(self.reps_simulated as u64)),
-                    ("reps_cached", Json::UInt(self.reps_cached as u64)),
-                ]),
-            ),
-            (
-                "worker_stats",
-                Json::Arr(
-                    self.worker_stats
-                        .iter()
-                        .enumerate()
-                        .map(|(w, s)| {
-                            Json::obj(vec![
-                                ("worker", Json::UInt(w as u64)),
-                                ("steps", Json::UInt(s.steps)),
-                                ("steals", Json::UInt(s.steals)),
-                                ("busy_s", Json::Num(s.busy.as_secs_f64())),
-                                ("wall_s", Json::Num(s.wall.as_secs_f64())),
-                                ("busy_fraction", Json::Num(s.busy_fraction())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "points",
-                Json::Arr(
-                    self.point_telemetry
-                        .iter()
-                        .map(|p| {
-                            let how = if p.from_cache {
-                                "cache"
-                            } else if p.is_topup() {
-                                "top-up"
-                            } else {
-                                "ran"
-                            };
-                            Json::obj(vec![
-                                ("id", Json::UInt(p.id as u64)),
-                                ("label", Json::Str(p.label.clone())),
-                                ("how", Json::Str(how.into())),
-                                ("wall_s", Json::Num(p.wall.as_secs_f64())),
-                                ("reps_simulated", Json::UInt(p.simulated_reps as u64)),
-                                ("reps_cached", Json::UInt(p.reps_cached as u64)),
-                                ("timed_out", Json::Bool(p.timed_out)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The execution-telemetry document, rendered. Deliberately a
+    /// *separate* artifact from [`CampaignReport::to_json`]: it records
+    /// timing, cache traffic and scheduling — everything the pure campaign
+    /// artifact must exclude.
+    pub fn telemetry(&self, spec: &CampaignSpec) -> String {
+        let timed_out = self.point_telemetry.iter().filter(|p| p.timed_out).count();
+        let mut w = Writer::pretty(1024 + 256 * (self.workers + self.point_telemetry.len()));
+        w.open('{');
+        w.field("campaign", &spec.name);
+        w.field("kind", "execution-telemetry");
+        w.field("wall_s", self.wall.as_secs_f64());
+        w.field("workers", self.workers);
+        w.key("quarantine").open('{');
+        w.field("stalled", self.stalled());
+        w.field("failed", self.failed());
+        w.field("timed_out", timed_out);
+        w.close('}').key("cache").open('{');
+        w.field("hits", self.from_cache);
+        w.field("misses", self.executed - self.topups());
+        w.field("topups", self.topups());
+        w.field("reps_simulated", self.reps_simulated);
+        w.field("reps_cached", self.reps_cached);
+        w.close('}').key("worker_stats").open('[');
+        for (worker, s) in self.worker_stats.iter().enumerate() {
+            w.open('{');
+            w.field("worker", worker);
+            w.field("steps", s.steps);
+            w.field("steals", s.steals);
+            w.field("busy_s", s.busy.as_secs_f64());
+            w.field("wall_s", s.wall.as_secs_f64());
+            w.field("busy_fraction", s.busy_fraction());
+            w.close('}');
+        }
+        w.close(']').field("points", &self.point_telemetry);
+        w.close('}');
+        w.finish()
     }
 }
 
@@ -644,7 +623,7 @@ pub fn run_campaign(
         // Telemetry is its own file: the main JSON/CSV artifacts stay pure
         // functions of the spec, this one records how the run actually went.
         let path = dir.join(format!("{}.telemetry.json", spec.name));
-        std::fs::write(&path, report.telemetry_json(spec).to_pretty())?;
+        write_atomically(&path, report.telemetry(spec).as_bytes())?;
         report.artifacts.push(path);
     }
     Ok(report)
