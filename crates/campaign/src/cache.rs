@@ -218,6 +218,20 @@ mod tests {
     }
 
     #[test]
+    fn failed_store_leaves_no_temp_file() {
+        let dir = unique_dir("atomic");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::open(&dir).unwrap();
+        // A directory holds the entry's name, so the rename onto it fails.
+        std::fs::create_dir(cache.path_for(5)).unwrap();
+        assert!(cache.store_series(5, "k", &[]).is_err());
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, [cache.path_for(5).file_name().unwrap()], "a temp file is left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corrupt_entry_is_a_miss() {
         let dir = unique_dir("corrupt");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,12 +1,17 @@
 //! Property tests for the JSON layer and the cache's read path: the parser
 //! never panics, the writer and the tree round-trip, a corrupted cache entry
-//! is a miss (or reads exactly as the tree would read it), and stored
-//! outcomes come back bit for bit however an entry's fields are ordered.
+//! is a miss (or reads exactly as the tree would read it), stored outcomes
+//! come back bit for bit however an entry's fields are ordered, and the
+//! artifacts of every outcome kind read back bit for bit as well.
 //!
 //! Strings, trees and outcomes are built from one generated seed each.
 
 use proptest::prelude::*;
-use quarc_campaign::{Json, Probe, RepOutcome, ResultCache, SaturationResult};
+use quarc_campaign::artifact::{campaign_csv, campaign_json};
+use quarc_campaign::{
+    CampaignSpec, Converged, Json, MeanCi, MergedRun, PointOutcomeKind, PointResult, Probe,
+    RateAxis, RepOutcome, ResultCache, SaturationResult,
+};
 use quarc_engine::stats::LatencyHistogram;
 use std::path::{Path, PathBuf};
 
@@ -121,6 +126,50 @@ impl Gen {
         }
     }
 
+    fn mean_ci(&mut self) -> MeanCi {
+        MeanCi { mean: self.float(), ci95: self.float(), n: self.next() as u32 }
+    }
+
+    /// An outcome of any kind, its floats finite (a NaN renders `null`).
+    fn outcome(&mut self) -> PointOutcomeKind {
+        let rate = self.float();
+        match self.below(4) {
+            0 => PointOutcomeKind::Rate {
+                rate,
+                merged: MergedRun {
+                    reps: self.next() as u32,
+                    unicast_mean: self.mean_ci(),
+                    bcast_reception_mean: self.mean_ci(),
+                    bcast_completion_mean: self.mean_ci(),
+                    throughput: self.mean_ci(),
+                    unicast_p95: (self.next() & 1 == 1).then(|| self.next()),
+                    bcast_completion_p95: (self.next() & 1 == 1).then(|| self.next()),
+                    unicast_samples: self.next(),
+                    bcast_samples: self.next() >> self.below(64),
+                    saturated_reps: self.next() as u32,
+                    saturated: self.next() & 1 == 1,
+                    delivered_fraction: self.mean_ci(),
+                    undeliverable: self.next(),
+                    retransmissions: self.next() >> self.below(64),
+                    recovered_receivers: self.next(),
+                    converged: self.pick(&[
+                        Converged::Yes,
+                        Converged::No,
+                        Converged::AbandonedSaturated,
+                    ]),
+                },
+            },
+            1 => PointOutcomeKind::Saturation(self.search()),
+            2 => PointOutcomeKind::Stalled {
+                rate,
+                rep: self.next() as u32,
+                cycle: self.next(),
+                diagnostics: self.string(),
+            },
+            _ => PointOutcomeKind::Failed { reason: self.string() },
+        }
+    }
+
     /// `v` with every object's fields reversed, an unknown field inserted
     /// and a wrongly typed repeat of its first field appended (the first
     /// occurrence of a key wins).
@@ -155,6 +204,73 @@ fn number(x: f64) -> Json {
 /// round-trip float rendering.
 fn same_bits<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
     format!("{a:?}") == format!("{b:?}")
+}
+
+/// How the value tree reads an artifact's outcome back: the reference the
+/// writer's output must agree with, bit for bit.
+fn outcome_via_tree(v: &Json) -> Option<PointOutcomeKind> {
+    let f = |v: &Json, k: &str| v.get(k)?.as_f64();
+    let u = |v: &Json, k: &str| v.get(k)?.as_u64();
+    let s = |v: &Json, k: &str| Some(v.get(k)?.as_str()?.to_owned());
+    let ci = |v: &Json, k: &str| {
+        let v = v.get(k)?;
+        Some(MeanCi { mean: f(v, "mean")?, ci95: f(v, "ci95")?, n: u(v, "n")?.try_into().ok()? })
+    };
+    let p95 = |v: &Json, k: &str| match v.get(k)? {
+        Json::Null => Some(None),
+        x => x.as_u64().map(Some),
+    };
+    Some(match v.get("kind")?.as_str()? {
+        "rate" => {
+            let m = v.get("merged")?;
+            PointOutcomeKind::Rate {
+                rate: f(v, "rate")?,
+                merged: MergedRun {
+                    reps: u(m, "reps")?.try_into().ok()?,
+                    unicast_mean: ci(m, "unicast_mean")?,
+                    bcast_reception_mean: ci(m, "bcast_reception_mean")?,
+                    bcast_completion_mean: ci(m, "bcast_completion_mean")?,
+                    throughput: ci(m, "throughput")?,
+                    unicast_p95: p95(m, "unicast_p95")?,
+                    bcast_completion_p95: p95(m, "bcast_completion_p95")?,
+                    unicast_samples: u(m, "unicast_samples")?,
+                    bcast_samples: u(m, "bcast_samples")?,
+                    saturated_reps: u(m, "saturated_reps")?.try_into().ok()?,
+                    saturated: m.get("saturated")?.as_bool()?,
+                    delivered_fraction: ci(m, "delivered_fraction")?,
+                    undeliverable: u(m, "undeliverable")?,
+                    retransmissions: u(m, "retransmissions")?,
+                    recovered_receivers: u(m, "recovered_receivers")?,
+                    converged: match m.get("converged")? {
+                        Json::Bool(true) => Converged::Yes,
+                        Json::Bool(false) => Converged::No,
+                        x if x.as_str()? == "abandoned-saturated" => Converged::AbandonedSaturated,
+                        _ => return None,
+                    },
+                },
+            }
+        }
+        "saturation" => PointOutcomeKind::Saturation(SaturationResult {
+            sustained: f(v, "sustained")?,
+            collapsed: match v.get("collapsed")? {
+                Json::Null => None,
+                x => Some(x.as_f64()?),
+            },
+            probes: (v.get("probes")?.as_arr()?.iter())
+                .map(|p| {
+                    Some(Probe { rate: f(p, "rate")?, saturated: p.get("saturated")?.as_bool()? })
+                })
+                .collect::<Option<_>>()?,
+        }),
+        "stalled" => PointOutcomeKind::Stalled {
+            rate: f(v, "rate")?,
+            rep: u(v, "rep")?.try_into().ok()?,
+            cycle: u(v, "cycle")?,
+            diagnostics: s(v, "diagnostics")?,
+        },
+        "failed" => PointOutcomeKind::Failed { reason: s(v, "reason")? },
+        _ => return None,
+    })
 }
 
 fn temp_cache(tag: &str) -> ResultCache {
@@ -291,6 +407,54 @@ proptest! {
         let v = Gen(seed).tree(4);
         prop_assert_eq!(Json::parse(&v.to_pretty()), Ok(v.clone()));
         prop_assert_eq!(Json::parse(&v.to_compact()), Ok(v));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Points of every outcome kind, with escape-heavy strings and extreme
+    /// finite floats: the artifact JSON parses, and its strings and numbers
+    /// read back bit for bit; every CSV row has the header's column count.
+    #[test]
+    fn artifacts_of_every_kind_read_back(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let mut spec = CampaignSpec::new("props");
+        spec.rates = RateAxis::Explicit(vec![0.01]);
+        let mut point = spec.expand().unwrap().points[0];
+        // Past expansion, which would reject them, any floats render.
+        spec.betas = vec![g.float()];
+        point.curve.beta = g.float();
+        let results: Vec<PointResult> = (0..1 + g.below(8) as usize)
+            .map(|id| PointResult {
+                id,
+                label: g.string(),
+                point,
+                content_hash: g.next(),
+                from_cache: g.next() & 1 == 1,
+                outcome: g.outcome(),
+            })
+            .collect();
+        let skipped = vec![g.string()];
+        let doc = Json::parse(&campaign_json(&spec, &results, &skipped).to_pretty()).unwrap();
+        prop_assert_eq!(doc.get("skipped"), Some(&Json::Arr(vec![Json::Str(skipped[0].clone())])));
+        let betas = doc.get("spec").and_then(|s| s.get("betas")).and_then(Json::as_arr).unwrap();
+        prop_assert!(same_bits(&betas[0].as_f64(), &Some(spec.betas[0])));
+        let points = doc.get("points").and_then(Json::as_arr).unwrap();
+        prop_assert_eq!(points.len(), results.len());
+        for (p, r) in points.iter().zip(&results) {
+            prop_assert_eq!(p.get("label").and_then(Json::as_str), Some(r.label.as_str()));
+            let hash = format!("{:016x}", r.content_hash);
+            prop_assert_eq!(p.get("content_hash").and_then(Json::as_str), Some(hash.as_str()));
+            let outcome = p.get("outcome").and_then(outcome_via_tree);
+            prop_assert!(same_bits(&outcome, &Some(r.outcome.clone())), "{:?}", r.outcome);
+        }
+        let csv = campaign_csv(&results);
+        let columns = PointResult::csv_header().split(',').count();
+        prop_assert_eq!(csv.lines().count(), 1 + results.len());
+        for row in csv.lines() {
+            prop_assert_eq!(row.split(',').count(), columns, "{}", row);
+        }
     }
 }
 
