@@ -6,10 +6,10 @@
 //! or from scratch, serial or parallel) reproduces them byte for byte.
 //!
 //! Neither builds an intermediate value: the JSON document streams from the
-//! spec and the results through the one [`Writer`], and the CSV rows are
+//! spec and the results through the one JSON writer, and the CSV rows are
 //! formatted into one buffer. Every file (these two, the telemetry and each
 //! cache entry) replaces its predecessor atomically through
-//! [`write_atomically`], so a killed campaign never leaves a truncated file
+//! `write_atomically`, so a killed campaign never leaves a truncated file
 //! that looks like a result.
 
 use crate::json::{record, Encode, Writer};
@@ -131,7 +131,8 @@ pub fn campaign_csv(results: &[PointResult]) -> String {
 
 /// Replace `path` with `bytes` atomically: write a temp file beside it, then
 /// rename it over `path`. On any error the temp file is removed and `path`
-/// is left as it was.
+/// is left as it was. Nothing is synced to disk: this guards against a
+/// killed process, not against a power cut.
 pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     // Unique within the process too: concurrent campaigns may share a cache.
     static NEXT: AtomicU64 = AtomicU64::new(0);

@@ -1,13 +1,17 @@
 //! JSON for the campaign layer (built without crates.io, so without serde):
-//! one writer, one reader and a value tree. The writer ([`Json::to_pretty`])
-//! renders every artifact and cache entry deterministically: keys keep
-//! insertion order, [`Json::UInt`] round-trips `u64` exactly and floats use
-//! Rust's shortest-round-trip `Display`, so a result always serialises to the
-//! same bytes. The reader, `Reader`, is the one tokenizer: a pull parser for
-//! RFC 8259 that lends out strings from the input and lets a typed decoder
-//! read a value straight into its type, as the result cache does. The tree
-//! ([`Json::parse`], [`Json::get`]) is built over it by a thin layer, for
-//! ad-hoc documents.
+//! one writer, one reader, and a value tree for ad-hoc documents.
+//!
+//! The writer, `Writer`, streams every artifact, telemetry document and
+//! cache entry straight into a `String`, deterministically: fields keep the
+//! order they are written in, `u64`s are exact and floats use Rust's
+//! shortest round-trip `Display`, so a result always serialises to the same
+//! bytes. A type it writes implements `Encode`; a record type that is also
+//! read back lists its fields once, in a `record!` table that generates
+//! both directions. The reader, `Reader`, is the one tokenizer: a pull
+//! parser for RFC 8259 that lends out strings from the input and reads a
+//! value straight into its type, as the result cache does. The tree
+//! ([`Json::parse`], [`Json::get`], [`Json::to_pretty`]) is a thin layer
+//! over both, for ad-hoc documents and tests; no production path builds one.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -165,7 +169,7 @@ impl Encode for Json {
 /// by two spaces and ends with a newline; empty containers render as `[]` /
 /// `{}`; non-finite floats (which JSON lacks) render as `null`.
 #[derive(Debug, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     out: String,
     pretty: bool,
     depth: usize,
@@ -334,7 +338,7 @@ impl std::fmt::Write for Escaped<'_> {
 }
 
 /// A value the [`Writer`] can emit at its current position.
-pub trait Encode {
+pub(crate) trait Encode {
     /// Write this value.
     fn write(&self, w: &mut Writer);
 }
