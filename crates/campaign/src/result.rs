@@ -99,15 +99,15 @@ impl Encode for PointResult {
         w.open('{');
         w.field("id", self.id);
         w.field("label", &self.label);
-        w.key("topology").display(c.topology);
+        w.field("topology", c.topology);
         w.field("n", c.n);
         w.field("msg_len", c.msg_len);
         w.field("beta", c.beta);
         w.field("buffer_depth", c.buffer_depth);
         w.field("link_latency", c.link_latency);
-        w.key("arb").display(c.arb);
-        w.key("fault").display(c.fault);
-        w.key("recovery").display(c.recovery);
+        w.field("arb", c.arb);
+        w.field("fault", c.fault);
+        w.field("recovery", c.recovery);
         w.key("content_hash").display(format_args!("{:016x}", self.content_hash));
         w.field("outcome", &self.outcome);
         w.close('}');
