@@ -148,8 +148,8 @@ pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     written
 }
 
-/// Write both artifacts into `dir` as `<name>.json` / `<name>.csv`; returns
-/// the written paths.
+/// Write both artifacts into `dir` as `<name>.json` / `<name>.csv`, each
+/// atomically; returns the written paths. The two render concurrently.
 pub fn write_artifacts(
     dir: &Path,
     spec: &CampaignSpec,
@@ -159,8 +159,13 @@ pub fn write_artifacts(
     std::fs::create_dir_all(dir)?;
     let json_path = dir.join(format!("{}.json", spec.name));
     let csv_path = dir.join(format!("{}.csv", spec.name));
-    write_atomically(&json_path, campaign_json(spec, results, skipped).to_pretty().as_bytes())?;
-    write_atomically(&csv_path, campaign_csv(results).as_bytes())?;
+    // The CSV renders on a second thread, beside the larger JSON document.
+    std::thread::scope(|s| {
+        let csv = s.spawn(|| write_atomically(&csv_path, campaign_csv(results).as_bytes()));
+        let json = campaign_json(spec, results, skipped).to_pretty();
+        write_atomically(&json_path, json.as_bytes())?;
+        csv.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })?;
     Ok(vec![json_path, csv_path])
 }
 
