@@ -535,6 +535,25 @@ mod tests {
     }
 
     #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        let mut p = SimProbe::new();
+        p.configure(ProbeConfig { trace_capacity: 4, ..ProbeConfig::off() });
+        p.trace(FlitEventKind::Inject, 3, 7, TrafficClass::Multicast, 1, 2);
+        p.trace(FlitEventKind::Drop, 11, 7, TrafficClass::Ack, 4, 0);
+        let json = p.chrome_trace_json("q\"uo\\te\nline\u{1}é");
+        let want = concat!(
+            r#"{"displayTimeUnit":"ms","traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"ts":0,"#,
+            r#""args":{"name":"q\"uo\\te\nline\u0001é"}},"#,
+            r#"{"name":"inject","ph":"i","s":"t","ts":3,"pid":0,"tid":1,"#,
+            r#""args":{"message":7,"class":"multicast","arg":2}},"#,
+            r#"{"name":"drop","ph":"i","s":"t","ts":11,"pid":0,"tid":4,"#,
+            r#""args":{"message":7,"class":"ack","arg":0}}]}"#,
+        );
+        assert_eq!(json, want);
+    }
+
+    #[test]
     fn configure_resets_prior_observation() {
         let mut p = SimProbe::new();
         p.configure(ProbeConfig::all(4));
