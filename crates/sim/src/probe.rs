@@ -16,7 +16,8 @@
 //! 2. **Counter time-series** — one [`CounterSample`] row every
 //!    `counters_every`-th cycle: source backlog, buffered flits, link
 //!    occupancy, live packet-table slots, the three worklist sizes, metric
-//!    totals and the cumulative credit-stall count. Exported as CSV.
+//!    totals and the cumulative credit-stall count. Read through `samples()`;
+//!    `CounterSample::csv_row` renders a row as CSV.
 //! 3. **Flit-event trace** — structured inject / hop / clone / deliver
 //!    events in a bounded ring buffer (drops counted, never blocking),
 //!    exportable as Chrome trace-event JSON (`chrome://tracing`, Perfetto)
@@ -28,6 +29,7 @@
 
 use quarc_core::flit::TrafficClass;
 use quarc_engine::Cycle;
+use std::fmt::Write;
 use std::time::Instant;
 
 /// Counter-sample rows are capped so an accidental `counters_every = 1` on a
@@ -117,13 +119,7 @@ pub struct CounterSample {
 }
 
 impl CounterSample {
-    /// CSV header matching [`CounterSample::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "cycle,backlog,buffered,on_links,live_packets,live_links,active_routers,\
-         poll_sources,in_flight,completed,delivered,dropped,credit_stalls"
-    }
-
-    /// One CSV row.
+    /// One CSV row: the fields in declaration order.
     pub fn csv_row(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -341,17 +337,6 @@ impl SimProbe {
         self.samples_dropped
     }
 
-    /// The counter time-series as CSV (header + one row per sample).
-    pub fn counters_csv(&self) -> String {
-        let mut out = String::from(CounterSample::csv_header());
-        out.push('\n');
-        for s in &self.samples {
-            out.push_str(&s.csv_row());
-            out.push('\n');
-        }
-        out
-    }
-
     // ---- flit-event trace ----------------------------------------------
 
     /// Whether flit tracing is on (callers gate meta lookups behind this).
@@ -402,16 +387,29 @@ impl SimProbe {
     /// Timestamps are cycles rendered as microseconds; `pid` 0 is the
     /// network, `tid` is the node index; per-message detail rides in `args`.
     pub fn chrome_trace_json(&self, process_name: &str) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"ts\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(process_name)
-        ));
+        let mut out = String::with_capacity(128 + process_name.len() + 128 * self.events.len());
+        out.push_str(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"ts\":0,\
+             \"args\":{\"name\":\"",
+        );
+        // JSON string escaping, in place.
+        for c in process_name.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push_str("\"}}");
         for ev in self.events() {
-            out.push(',');
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\
+            let _ = write!(
+                out,
+                ",{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\
                  \"args\":{{\"message\":{},\"class\":\"{}\",\"arg\":{}}}}}",
                 ev.kind.name(),
                 ev.cycle,
@@ -419,24 +417,11 @@ impl SimProbe {
                 ev.message,
                 ev.class,
                 ev.arg,
-            ));
+            );
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping for the hand-rendered exports.
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -514,9 +499,9 @@ mod tests {
             dropped: 0,
             credit_stalls: p.credit_stalls(),
         });
-        let csv = p.counters_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.lines().nth(1).unwrap().ends_with(",1"), "{csv}");
+        assert_eq!(p.samples().len(), 1);
+        let row = p.samples()[0].csv_row();
+        assert!(row.ends_with(",1"), "{row}");
     }
 
     #[test]
