@@ -150,7 +150,7 @@ fn parse_rates(value: &str) -> RateAxis {
     fn num(value: &str, s: &str) -> f64 {
         s.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --rates spec {value:?}")))
     }
-    fn int(value: &str, s: &str) -> usize {
+    fn int<T: std::str::FromStr>(value: &str, s: &str) -> T {
         s.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --rates spec {value:?}")))
     }
     match parts.as_slice() {
@@ -165,7 +165,7 @@ fn parse_rates(value: &str) -> RateAxis {
         },
         ["sat", rel_tol, max_probes] => RateAxis::Saturation {
             rel_tol: num(value, rel_tol),
-            max_probes: int(value, max_probes) as u32,
+            max_probes: int(value, max_probes),
         },
         _ => CLI.usage_error(&format!("bad --rates spec {value:?}")),
     }
@@ -361,10 +361,10 @@ fn parse_cli() -> Args {
             "--point-timeout" => {
                 let secs: f64 =
                     value.parse().unwrap_or_else(|_| CLI.usage_error("bad --point-timeout"));
-                if !secs.is_finite() || secs <= 0.0 {
-                    CLI.usage_error("bad --point-timeout");
+                match Duration::try_from_secs_f64(secs) {
+                    Ok(budget) if secs > 0.0 => opts.point_timeout = Some(budget),
+                    _ => CLI.usage_error("bad --point-timeout"),
                 }
-                opts.point_timeout = Some(Duration::from_secs_f64(secs));
             }
             "--workers" => {
                 opts.workers = value.parse().unwrap_or_else(|_| CLI.usage_error("bad --workers"));

@@ -60,8 +60,16 @@ fn malformed_flags_are_usage_errors() {
         assert_rejected(&out, 2, &format!("trace {args:?}"));
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "trace {args:?}");
     }
-    assert_rejected(&campaign(&["--sizes", "x"]), 2, "campaign --sizes x");
-    assert_rejected(&campaign(&["--topologies", "ring"]), 2, "campaign --topologies ring");
+    for args in [
+        &["--sizes", "x"][..],
+        &["--topologies", "ring"],
+        &["--point-timeout", "1e30"],
+        &["--rates", "sat:0.05:4294967300"],
+    ] {
+        let out = campaign(args);
+        assert_rejected(&out, 2, &format!("campaign {args:?}"));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE:"), "campaign {args:?}");
+    }
 }
 
 #[test]
