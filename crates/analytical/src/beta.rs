@@ -23,7 +23,7 @@
 /// offered message rate `lambda` with broadcast fraction `beta` on `n`
 /// nodes: locally generated packets plus the node's share of every chain
 /// re-injection in the system.
-pub fn spidergon_effective_port_rate(n: usize, lambda: f64, beta: f64) -> f64 {
+fn spidergon_effective_port_rate(n: usize, lambda: f64, beta: f64) -> f64 {
     // A broadcast seeds 3 packets at the source and re-injects once per
     // remaining covered node: n−1 total injections system-wide. Uniformly
     // spread, each node's port absorbs (n−1)/n ≈ 1 extra injection per
@@ -36,7 +36,7 @@ pub fn spidergon_effective_port_rate(n: usize, lambda: f64, beta: f64) -> f64 {
 /// same workload: broadcasts put exactly one branch packet in each port, so
 /// each port sees `λβ` broadcast branches plus its quadrant share of
 /// unicasts (≤ `λ(1−β)·(n/4)/(n−1)`).
-pub fn quarc_effective_port_rate(n: usize, lambda: f64, beta: f64) -> f64 {
+fn quarc_effective_port_rate(n: usize, lambda: f64, beta: f64) -> f64 {
     let quadrant_share = (n as f64 / 4.0) / (n as f64 - 1.0);
     lambda * (1.0 - beta) * quadrant_share + lambda * beta
 }
@@ -45,16 +45,14 @@ pub fn quarc_effective_port_rate(n: usize, lambda: f64, beta: f64) -> f64 {
 /// the single injection port hits utilisation 1 (`M` flits per packet).
 /// This port bound collapses with β far before the link bound does.
 pub fn spidergon_saturation_with_beta(n: usize, m: usize, beta: f64) -> f64 {
-    let amplification = (1.0 - beta) + beta * (n as f64 - 1.0);
-    1.0 / (m as f64 * amplification)
+    1.0 / (m as f64 * spidergon_effective_port_rate(n, 1.0, beta))
 }
 
 /// β-aware Quarc port-saturation estimate (the per-port bound; rim-link
 /// capacity, which also carries the cloned streams, is handled by the
 /// simulator — this is the *injection* bound that stays nearly flat in β).
 pub fn quarc_port_saturation_with_beta(n: usize, m: usize, beta: f64) -> f64 {
-    let quadrant_share = (n as f64 / 4.0) / (n as f64 - 1.0);
-    1.0 / (m as f64 * ((1.0 - beta) * quadrant_share + beta))
+    1.0 / (m as f64 * quarc_effective_port_rate(n, 1.0, beta))
 }
 
 #[cfg(test)]

@@ -15,10 +15,7 @@ pub mod latency;
 pub mod linkload;
 pub mod mg1;
 
-pub use beta::{
-    quarc_effective_port_rate, quarc_port_saturation_with_beta, spidergon_effective_port_rate,
-    spidergon_saturation_with_beta,
-};
+pub use beta::{quarc_port_saturation_with_beta, spidergon_saturation_with_beta};
 pub use latency::{
     mesh_unicast_latency, quarc_broadcast_zero_load, quarc_saturation_rate, quarc_unicast_latency,
     spidergon_broadcast_zero_load, spidergon_saturation_rate, spidergon_unicast_latency,

@@ -56,7 +56,7 @@ impl LinkLoads {
     }
 
     /// Mean count over links that carry any traffic.
-    pub fn mean_count(&self) -> f64 {
+    fn mean_count(&self) -> f64 {
         let (sum, used) = self.iter().filter(|&c| c > 0).fold((0, 0), |(s, u), c| (s + c, u + 1));
         if used == 0 {
             return 0.0;

@@ -44,13 +44,13 @@ impl SwitchParams {
     /// Flit bits on the wire: payload width plus the 2-bit flit-type field
     /// the write controller prepends (§2.4: "if a flit is of 32-bits after
     /// write controller adds its type, it becomes 34-bits").
-    pub fn flit_bits(&self) -> f64 {
+    fn flit_bits(&self) -> f64 {
         (self.width + 2) as f64
     }
 }
 
 /// LUT4s needed for an `inputs`-to-1 mux of one bit.
-pub fn mux_luts_per_bit(inputs: usize) -> f64 {
+fn mux_luts_per_bit(inputs: usize) -> f64 {
     match inputs {
         0 | 1 => 0.0,
         2 => 1.0,
@@ -128,15 +128,15 @@ pub fn rewrite_unit_slices(p: &SwitchParams) -> f64 {
 
 /// Input-buffer packing factor: fits the 735-slice anchor.
 /// `735 = CAL_BUFFER · 8 lanes · (68 + 34 + 6)` at 32-bit.
-pub const CAL_BUFFER: f64 = 735.0 / 864.0;
+const CAL_BUFFER: f64 = 735.0 / 864.0;
 
 /// Crossbar datapath factor: fits the 186-slice anchor.
 /// `186 = 12 + CAL_XBAR · 6 · 17` at 32-bit.
-pub const CAL_XBAR: f64 = 174.0 / 102.0;
+const CAL_XBAR: f64 = 174.0 / 102.0;
 
 /// OPC width coefficient: 60% of the per-OPC anchor (431/4) scales with
 /// width.
-pub const CAL_OPC: f64 = 64.65 / 34.0;
+const CAL_OPC: f64 = 64.65 / 34.0;
 
 #[cfg(test)]
 mod tests {

@@ -74,6 +74,13 @@ fn main() {
         let s = ana::spidergon_broadcast_zero_load(n, m);
         outln!("# n={n} m={m}: quarc {q:.0}, spidergon {s:.0}, ratio {:.1}x", s / q);
     }
+    outln!("#");
+    outln!("# beta-aware injection-port saturation bounds (Fig. 11), n=64 m=16:");
+    for beta in [0.0, 0.1] {
+        let q = ana::quarc_port_saturation_with_beta(64, 16, beta);
+        let s = ana::spidergon_saturation_with_beta(64, 16, beta);
+        outln!("# beta={beta}: quarc {q:.5}, spidergon {s:.5}, ratio {:.1}x", q / s);
+    }
 }
 
 fn print_row(topo: &str, n: usize, m: usize, rate: f64, sim: f64, model: f64) {

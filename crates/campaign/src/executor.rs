@@ -120,6 +120,13 @@ where
         }
     }
 
+    // NO-POISON: the `expect`s in this function cannot fire. Each lock
+    // guards one pop, take, push or store, none of which panics, and `step`
+    // runs with no lock held. Campaign points run every step under
+    // `catch_unwind` in `PointTask::step`, so no worker panics while it
+    // holds a lock. An index is queued only with its state parked, and a
+    // panicking step re-raises at the scope join before any slot is read,
+    // so the two invariant `expect`s hold too.
     std::thread::scope(|scope| {
         for w in 0..workers {
             let deques = &deques;

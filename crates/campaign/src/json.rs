@@ -646,7 +646,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Skip one value, checking its syntax.
-    pub fn skip_value(&mut self) -> Parsed {
+    pub(crate) fn skip_value(&mut self) -> Parsed {
         match self.peek()? {
             b'[' => self.array(Self::skip_value).map(drop),
             b'{' => self.object(|r, _| r.skip_value()),

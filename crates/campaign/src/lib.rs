@@ -68,10 +68,7 @@ pub use replicate::{
     RepInterrupt, RepOutcome,
 };
 pub use result::{PointOutcomeKind, PointResult};
-pub use runner::{
-    run_campaign, CampaignError, CampaignOptions, CampaignReport, PointTelemetry,
-    DEFAULT_BATCH_REPS,
-};
+pub use runner::{run_campaign, CampaignError, CampaignOptions, CampaignReport, PointTelemetry};
 pub use saturation::{find_saturation, Probe, SaturationResult};
 pub use spec::{
     CampaignPoint, CampaignSpec, CiTarget, Convergence, CurveParams, Expansion, PointWork,

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 /// How many replications a convergence-controlled point simulates per trip
 /// through the work-stealing pool when the caller leaves
 /// [`CampaignOptions::batch_reps`] at 0.
-pub const DEFAULT_BATCH_REPS: u32 = 4;
+const DEFAULT_BATCH_REPS: u32 = 4;
 
 /// Execution options orthogonal to the experiment definition. None of them
 /// may change any measured number — only where results come from, where they
@@ -42,7 +42,7 @@ pub struct CampaignOptions {
     /// Suppress per-point progress on stderr.
     pub quiet: bool,
     /// Replications a convergence-controlled point simulates per trip
-    /// through the pool (`0` = [`DEFAULT_BATCH_REPS`]). An execution knob:
+    /// through the pool (`0` = the default, 4). An execution knob:
     /// the canonical stopping rule makes reported numbers independent of it.
     pub batch_reps: u32,
     /// Per-point wall-clock budget: a point that has already burned this
@@ -115,7 +115,7 @@ pub struct PointTelemetry {
 impl PointTelemetry {
     /// Whether this point was a convergence/replication top-up: cached work
     /// was reused but the tail still had to be simulated.
-    pub fn is_topup(&self) -> bool {
+    fn is_topup(&self) -> bool {
         self.simulated_reps > 0 && self.reps_cached > 0
     }
 }

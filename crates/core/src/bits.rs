@@ -45,7 +45,7 @@ pub struct Bits(u64);
 
 const TAG_BIT: u64 = 1 << 63;
 /// Number of value bits an inline `Bits` can hold.
-pub const INLINE_BITS: usize = 63;
+const INLINE_BITS: usize = 63;
 const INLINE_MASK: u64 = (1 << INLINE_BITS) - 1;
 const ROW_SHIFT: u32 = 1;
 const ROW_BITS: u32 = 32;
@@ -59,7 +59,7 @@ impl Bits {
     /// this: Quarc broadcast headers are consumed by hop *count*, not bits.
     pub const ZERO: Bits = Bits(0);
 
-    /// An inline bitstring. `v` must fit in [`INLINE_BITS`] bits.
+    /// An inline bitstring. `v` must fit in 63 bits.
     #[inline]
     pub fn inline(v: u64) -> Bits {
         debug_assert!(v <= INLINE_MASK, "inline bitstring overflows 63 bits");
@@ -97,12 +97,6 @@ impl Bits {
     #[inline]
     pub fn bit0(self) -> bool {
         self.0 & 1 == 1
-    }
-
-    /// True iff this is inline zero (no deliveries encoded and no row held).
-    #[inline]
-    pub fn is_zero_inline(self) -> bool {
-        self.0 == 0
     }
 
     #[inline]
@@ -536,6 +530,6 @@ mod tests {
         let b = Bits::inline(0b1011);
         assert_eq!(b.inline_value(), 0b1011);
         assert!(b.bit0());
-        assert!(Bits::ZERO.is_zero_inline());
+        assert!(Bits::ZERO.is_inline() && Bits::ZERO.inline_value() == 0);
     }
 }

@@ -27,13 +27,13 @@ pub const MAX_SIM_NODES: usize = 65_536;
 /// is 16 bits per lane and the flit slab `lanes × depth` flits, so an
 /// unbounded depth is a construction-time panic or an allocation the host
 /// cannot serve rather than a configuration.
-pub const MAX_BUFFER_DEPTH: usize = 256;
+const MAX_BUFFER_DEPTH: usize = 256;
 
 /// Upper bound on [`NocConfig::link_latency`], enforced by
 /// [`NocConfig::validate`]: 64× the slowest link any preset uses. Every link
 /// owns one pipeline slot per cycle of latency, so an unbounded latency is
 /// an allocation that aborts the process.
-pub const MAX_LINK_LATENCY: u64 = 256;
+const MAX_LINK_LATENCY: u64 = 256;
 
 /// Output-arbitration policy (the DESIGN.md §6 ablation knob). Lives in the
 /// configuration so experiment grids can sweep it and cache keys can include

@@ -41,7 +41,7 @@ pub enum FlitKind {
 impl FlitKind {
     /// The 2-bit wire encoding of the flit type (bits `[1:0]`).
     #[inline]
-    pub fn wire_bits(self) -> u64 {
+    fn wire_bits(self) -> u64 {
         match self {
             FlitKind::Header => 0b00,
             FlitKind::Body => 0b01,
@@ -104,7 +104,7 @@ pub enum TrafficClass {
 impl TrafficClass {
     /// The 3-bit wire encoding (bits `[33:31]` of header flits).
     #[inline]
-    pub fn wire_bits(self) -> u64 {
+    fn wire_bits(self) -> u64 {
         match self {
             TrafficClass::Unicast => 0b000,
             TrafficClass::Multicast => 0b001,
@@ -148,12 +148,6 @@ impl TrafficClass {
     #[inline]
     pub fn is_chain(self) -> bool {
         matches!(self, TrafficClass::ChainRim | TrafficClass::ChainCross)
-    }
-
-    /// True if flits of this class are cloned by intermediate Quarc routers.
-    #[inline]
-    pub fn is_collective(self) -> bool {
-        matches!(self, TrafficClass::Multicast | TrafficClass::Broadcast)
     }
 }
 
@@ -330,12 +324,6 @@ impl PacketTable {
         &self.slots[packet.index()]
     }
 
-    /// Mutable access (the routers' per-hop multicast-bitstring shift).
-    #[inline]
-    pub fn meta_mut(&mut self, packet: PacketRef) -> &mut PacketMeta {
-        &mut self.slots[packet.index()]
-    }
-
     /// Return `packet`'s slot to the free list, together with its bitstring
     /// slab row if it held one. The caller must guarantee no flit holding
     /// this ref remains anywhere in the network — in the simulators that
@@ -421,11 +409,11 @@ pub mod wire {
     use super::*;
 
     /// Number of valid bits in an encoded flit word.
-    pub const FLIT_BITS: u32 = 34;
+    const FLIT_BITS: u32 = 34;
     /// Mask of the valid bits.
-    pub const FLIT_MASK: u64 = (1u64 << FLIT_BITS) - 1;
+    pub(crate) const FLIT_MASK: u64 = (1u64 << FLIT_BITS) - 1;
     /// Maximum addressable network size with 6-bit addresses.
-    pub const MAX_NODES: usize = 64;
+    const MAX_NODES: usize = 64;
 
     /// A decoded wire flit — exactly the information present on the wire,
     /// with none of the simulator-side bookkeeping.
@@ -494,7 +482,7 @@ pub mod wire {
     /// Decode a 34-bit wire word.
     ///
     /// Returns `None` for reserved flit-type or traffic-class encodings, or if
-    /// bits above [`FLIT_BITS`] are set.
+    /// any bit above the 34 valid ones is set.
     pub fn decode(word: u64) -> Option<WireFlit> {
         if word & !FLIT_MASK != 0 {
             return None;
@@ -616,9 +604,6 @@ mod tests {
         assert!(TrafficClass::ChainRim.is_chain());
         assert!(TrafficClass::ChainCross.is_chain());
         assert!(!TrafficClass::Broadcast.is_chain());
-        assert!(TrafficClass::Broadcast.is_collective());
-        assert!(TrafficClass::Multicast.is_collective());
-        assert!(!TrafficClass::Unicast.is_collective());
     }
 
     #[test]
@@ -695,10 +680,9 @@ mod tests {
     #[test]
     fn packet_table_release_frees_slab_rows() {
         let mut t = PacketTable::with_bit_capacity(200);
-        let r = t.insert(meta(TrafficClass::Multicast, 0, 4, 0, RingDir::Cw));
-        let mut b = t.meta(r).bitstring;
-        t.bits_mut().set_bit(&mut b, 150);
-        t.meta_mut(r).bitstring = b;
+        let mut m = meta(TrafficClass::Multicast, 0, 4, 0, RingDir::Cw);
+        t.bits_mut().set_bit(&mut m.bitstring, 150);
+        let r = t.insert(m);
         assert_eq!(t.bits().live_rows(), 1);
         t.release(r);
         assert_eq!(t.bits().live_rows(), 0, "release must return the slab row");

@@ -63,8 +63,8 @@ pub mod prelude {
     };
     pub use crate::ring::{Ring, RingDir};
     pub use crate::routing::{
-        chain_continuations, quarc_injection_out, quarc_route, spidergon_broadcast_seeds,
-        spidergon_hops, spidergon_route, ChainSeed, Route, RouteAction, Routing,
+        chain_continuations, quarc_route, spidergon_broadcast_seeds, spidergon_hops, ChainSeed,
+        Route, RouteAction, Routing,
     };
     pub use crate::topology::{
         QuarcIn, QuarcOut, QuarcTopology, SpiIn, SpiOut, SpidergonTopology, TopologyKind,

@@ -66,22 +66,6 @@ impl Quadrant {
             Quadrant::Left => 3,
         }
     }
-
-    /// Whether this quadrant's first hop is a cross link.
-    #[inline]
-    pub fn is_cross(self) -> bool {
-        matches!(self, Quadrant::CrossRight | Quadrant::CrossLeft)
-    }
-
-    /// The rim direction travelled on this quadrant's rim segment (for the
-    /// two cross quadrants, the direction *after* the cross hop).
-    #[inline]
-    pub fn rim_dir(self) -> RingDir {
-        match self {
-            Quadrant::Right | Quadrant::CrossRight => RingDir::Cw,
-            Quadrant::Left | Quadrant::CrossLeft => RingDir::Ccw,
-        }
-    }
 }
 
 impl fmt::Display for Quadrant {

@@ -115,12 +115,6 @@ impl Ring {
         (b.index() + self.n - a.index()) % self.n
     }
 
-    /// The counter-clockwise distance from `a` to `b`.
-    #[inline]
-    pub fn ccw_dist(&self, a: NodeId, b: NodeId) -> usize {
-        (a.index() + self.n - b.index()) % self.n
-    }
-
     /// The node diametrically opposite `a` (requires even `n`).
     #[inline]
     pub fn antipode(&self, a: NodeId) -> NodeId {
@@ -182,7 +176,7 @@ mod tests {
     fn distances() {
         let r = ring16();
         assert_eq!(r.cw_dist(NodeId(0), NodeId(5)), 5);
-        assert_eq!(r.ccw_dist(NodeId(0), NodeId(5)), 11);
+        assert_eq!(r.cw_dist(NodeId(5), NodeId(0)), 11);
         assert_eq!(r.cw_dist(NodeId(14), NodeId(2)), 4);
         assert_eq!(r.cw_dist(NodeId(7), NodeId(7)), 0);
     }
@@ -231,7 +225,7 @@ mod tests {
         for a in r.nodes() {
             for b in r.nodes() {
                 if a != b {
-                    assert_eq!(r.cw_dist(a, b) + r.ccw_dist(a, b), 16);
+                    assert_eq!(r.cw_dist(a, b) + r.cw_dist(b, a), 16);
                 }
             }
         }

@@ -120,15 +120,6 @@ pub enum RouteAction<Out> {
 }
 
 impl<Out: Copy> RouteAction<Out> {
-    /// The output port the flit continues on, if any.
-    #[inline]
-    pub fn forward_port(&self) -> Option<Out> {
-        match self {
-            RouteAction::Deliver => None,
-            RouteAction::Forward(p) | RouteAction::DeliverAndForward(p) => Some(*p),
-        }
-    }
-
     /// Whether the local PE receives a copy.
     #[inline]
     pub fn delivers(&self) -> bool {
@@ -139,7 +130,7 @@ impl<Out: Copy> RouteAction<Out> {
 /// The output port a Quarc local ingress (quadrant) queue feeds — the entire
 /// "routing" a source-injected flit needs (§2.5.1).
 #[inline]
-pub fn quarc_injection_out(quad: Quadrant) -> QuarcOut {
+fn quarc_injection_out(quad: Quadrant) -> QuarcOut {
     match quad {
         Quadrant::Right => QuarcOut::RimCw,
         Quadrant::CrossRight => QuarcOut::CrossRight,
@@ -197,7 +188,7 @@ pub fn quarc_route(
 /// `q = ⌊n/4⌋`; CW for `d ∈ [1, q]`, CCW for `d ∈ [n − q, n)`, cross
 /// otherwise. The cross link is only ever taken as a first hop, so routes are
 /// minimal and at most `1 + q` hops (for `d` just above `q`).
-pub fn spidergon_route(ring: &Ring, node: NodeId, dst: NodeId) -> RouteAction<SpiOut> {
+fn spidergon_route(ring: &Ring, node: NodeId, dst: NodeId) -> RouteAction<SpiOut> {
     if dst == node {
         return RouteAction::Deliver;
     }
@@ -645,12 +636,9 @@ mod tests {
     fn route_action_accessors() {
         let a: RouteAction<SpiOut> = RouteAction::Deliver;
         assert!(a.delivers());
-        assert_eq!(a.forward_port(), None);
         let b = RouteAction::Forward(SpiOut::RimCw);
         assert!(!b.delivers());
-        assert_eq!(b.forward_port(), Some(SpiOut::RimCw));
         let c = RouteAction::DeliverAndForward(SpiOut::RimCw);
         assert!(c.delivers());
-        assert_eq!(c.forward_port(), Some(SpiOut::RimCw));
     }
 }

@@ -109,12 +109,6 @@ impl QuarcIn {
             QuarcIn::Local(q) => 4 + q.index(),
         }
     }
-
-    /// Is this one of the four local ingress ports?
-    #[inline]
-    pub fn is_local(self) -> bool {
-        matches!(self, QuarcIn::Local(_))
-    }
 }
 
 impl fmt::Display for QuarcIn {

@@ -80,18 +80,13 @@ impl ChannelDepGraph {
 
     /// Record the channel sequence of a whole route (consecutive pairs become
     /// dependencies).
-    pub fn add_route(&mut self, channels: &[(u64, VcId)]) {
+    fn add_route(&mut self, channels: &[(u64, VcId)]) {
         for w in channels.windows(2) {
             self.add_dependency(w[0], w[1]);
         }
         if let [only] = channels {
             self.edges.entry(*only).or_default();
         }
-    }
-
-    /// Number of distinct channels seen.
-    pub fn num_channels(&self) -> usize {
-        self.edges.len()
     }
 
     /// Whether the dependency graph contains a cycle. `false` means the
@@ -307,7 +302,6 @@ mod tests {
         g.add_dependency((1, VcId::VC0), (3, VcId::VC0));
         g.add_dependency((2, VcId::VC0), (3, VcId::VC0));
         assert!(!g.has_cycle());
-        assert_eq!(g.num_channels(), 4);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl<T> EventQueue<T> {
     }
 
     /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
+    fn peek_time(&self) -> Option<Cycle> {
         self.heap.peek().map(|e| e.key.0 .0)
     }
 

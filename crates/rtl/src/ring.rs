@@ -92,7 +92,8 @@ impl RingRtl {
     /// Inject a transient receiver fault: input `port` of `node` deasserts
     /// its `CH_STATUS_N` readiness while `from ≤ cycle < until`. LocalLink
     /// back-pressure must absorb the window with zero loss.
-    pub fn inject_stall(&mut self, node: NodeId, port: usize, from: u64, until: u64) {
+    #[cfg(test)]
+    fn inject_stall(&mut self, node: NodeId, port: usize, from: u64, until: u64) {
         assert!(port < 4 && from < until);
         self.stalls[node.index()][port] = (from, until);
     }

@@ -30,13 +30,13 @@ use quarc_core::topology::{QuarcIn, QuarcOut, QuarcTopology};
 use quarc_core::vc::{vc_after_rim_hop, INJECTION_VC};
 
 /// Network input/output port count.
-pub const NET_PORTS: usize = 4;
+const NET_PORTS: usize = 4;
 /// Input-buffer lane depth in words.
-pub const LANE_DEPTH: usize = 4;
+const LANE_DEPTH: usize = 4;
 /// Local quadrant queue capacity in words.
-pub const LOCAL_DEPTH: usize = 256;
+const LOCAL_DEPTH: usize = 256;
 /// VC-arbiter fairness timeout.
-pub const ARB_TIMEOUT: u32 = 4;
+const ARB_TIMEOUT: u32 = 4;
 
 /// Network input ports in index order.
 const NET_IN: [QuarcIn; 4] =
@@ -123,7 +123,7 @@ fn required_vc(ring: &Ring, node: NodeId, out: usize, in_class: VcId) -> Option<
 
 /// Shift a multicast header's bitstring one hop (§2.5.3); other headers pass
 /// through unchanged.
-pub fn advance_header_word(word: u64) -> u64 {
+fn advance_header_word(word: u64) -> u64 {
     match decode(word) {
         Some(WireFlit::Header { class: TrafficClass::Multicast, dir, bitstring, src, dst }) => {
             let meta = PacketMeta {

@@ -59,7 +59,7 @@ impl VcdWriter {
 
     /// Declare a signal. All declarations must precede the first
     /// [`Self::tick`].
-    pub fn add_signal(&mut self, name: &str, width: u32) -> SignalId {
+    fn add_signal(&mut self, name: &str, width: u32) -> SignalId {
         assert!(!self.headers_done, "declare signals before the first tick");
         assert!((1..=64).contains(&width));
         let id = SignalId(self.signals.len());

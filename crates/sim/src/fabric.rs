@@ -728,7 +728,7 @@ impl<R: RouterModel> Fabric<R> {
         // (`expected == delivered + lost`) and drain loops terminate.
         if plan.dropped {
             let meta = *self.packets.meta(flit.packet);
-            self.metrics.record_flit_drop(meta.class);
+            self.metrics.record_flit_drop();
             // Dropped ACKs are pure control loss: the data source's timeout
             // covers them. Data drops write off their unreached receivers —
             // unless recovery is on, in which case every loss is deferred to

@@ -198,8 +198,8 @@ impl FaultState {
     }
 
     /// Whether `lid` is permanently dead at `now` (drops new packets).
-    #[inline]
-    pub fn link_dead(&self, lid: usize, now: Cycle) -> bool {
+    #[cfg(test)]
+    fn link_dead(&self, lid: usize, now: Cycle) -> bool {
         self.any && now >= self.onset && self.dead[lid]
     }
 

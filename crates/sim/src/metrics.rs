@@ -78,11 +78,9 @@ pub struct Metrics {
     /// but did not reach their full receiver set.
     undeliverable: [u64; TrafficClass::COUNT],
     flits_delivered: u64,
-    /// Flits consumed by fault drops (dead or lossy links), per class and
-    /// in total. A dropped flit is accounted here instead of transmitted —
-    /// never silently lost.
+    /// Flits consumed by fault drops (dead or lossy links). A dropped flit
+    /// is accounted here instead of transmitted — never silently lost.
     flits_dropped: u64,
-    flits_dropped_class: [u64; TrafficClass::COUNT],
     /// Receiver-level delivery ledger: `expected` accumulates at
     /// [`Metrics::set_expected`], `delivered` at each tail reception,
     /// `lost` at each fault drop — so
@@ -137,7 +135,6 @@ impl Metrics {
             undeliverable: [0; TrafficClass::COUNT],
             flits_delivered: 0,
             flits_dropped: 0,
-            flits_dropped_class: [0; TrafficClass::COUNT],
             receivers_expected: 0,
             receivers_delivered: 0,
             receivers_lost: 0,
@@ -339,10 +336,9 @@ impl Metrics {
         }
     }
 
-    /// Record one flit of `class` consumed by a fault drop.
-    pub fn record_flit_drop(&mut self, class: TrafficClass) {
+    /// Record one flit consumed by a fault drop.
+    pub fn record_flit_drop(&mut self) {
         self.flits_dropped += 1;
-        self.flits_dropped_class[class.index()] += 1;
     }
 
     /// Record one timeout-triggered retransmission issued by the recovery
@@ -469,11 +465,6 @@ impl Metrics {
     /// Total flits consumed by fault drops.
     pub fn flits_dropped(&self) -> u64 {
         self.flits_dropped
-    }
-
-    /// Flits of a class consumed by fault drops.
-    pub fn flits_dropped_of(&self, class: TrafficClass) -> u64 {
-        self.flits_dropped_class[class.index()]
     }
 
     /// Receivers promised by every registered message so far.
@@ -704,13 +695,10 @@ mod tests {
     #[test]
     fn flit_drops_are_counted_per_class() {
         let mut m = Metrics::new();
-        m.record_flit_drop(TrafficClass::Unicast);
-        m.record_flit_drop(TrafficClass::Unicast);
-        m.record_flit_drop(TrafficClass::Broadcast);
+        m.record_flit_drop();
+        m.record_flit_drop();
+        m.record_flit_drop();
         assert_eq!(m.flits_dropped(), 3);
-        assert_eq!(m.flits_dropped_of(TrafficClass::Unicast), 2);
-        assert_eq!(m.flits_dropped_of(TrafficClass::Broadcast), 1);
-        assert_eq!(m.flits_dropped_of(TrafficClass::Multicast), 0);
     }
 
     #[test]

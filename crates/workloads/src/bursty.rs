@@ -54,7 +54,7 @@ impl Default for BurstyConfig {
 
 impl BurstyConfig {
     /// Long-run average offered load (messages per node per cycle).
-    pub fn mean_rate(&self) -> f64 {
+    fn mean_rate(&self) -> f64 {
         self.peak_rate * self.mean_on / (self.mean_on + self.mean_off)
     }
 }

@@ -107,21 +107,6 @@ impl<W: Workload> Recorder<W> {
     pub fn trace(&self) -> &[TraceRecord] {
         &self.trace
     }
-
-    /// Consume the recorder, returning the trace.
-    pub fn into_trace(self) -> Vec<TraceRecord> {
-        self.trace
-    }
-
-    /// Serialise the trace to the line format.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        for r in &self.trace {
-            s.push_str(&r.to_string());
-            s.push('\n');
-        }
-        s
-    }
 }
 
 impl<W: Workload> Workload for Recorder<W> {
@@ -166,7 +151,8 @@ impl TraceWorkload {
         TraceWorkload { queues }
     }
 
-    /// Parse the line format produced by [`Recorder::to_text`].
+    /// Parse the line format: one [`TraceRecord`] per line as its `Display`
+    /// writes it; blank lines and `#` comments are skipped.
     pub fn parse(n: usize, text: &str) -> Result<Self, TraceParseError> {
         let records = text
             .lines()
@@ -213,7 +199,7 @@ mod tests {
                 }
             }
         }
-        let mut replay = TraceWorkload::new(8, rec.into_trace());
+        let mut replay = TraceWorkload::new(8, rec.trace().to_vec());
         let mut replayed = Vec::new();
         for now in 0..500 {
             for node in 0..8 {
