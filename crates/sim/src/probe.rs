@@ -400,14 +400,14 @@ impl SimProbe {
                 '\\' => out.push_str("\\\\"),
                 '\n' => out.push_str("\\n"),
                 c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
+                    write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
                 }
                 c => out.push(c),
             }
         }
         out.push_str("\"}}");
         for ev in self.events() {
-            let _ = write!(
+            write!(
                 out,
                 ",{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\
                  \"args\":{{\"message\":{},\"class\":\"{}\",\"arg\":{}}}}}",
@@ -417,7 +417,8 @@ impl SimProbe {
                 ev.message,
                 ev.class,
                 ev.arg,
-            );
+            )
+            .expect("writing to a String cannot fail");
         }
         out.push_str("]}");
         out
