@@ -88,8 +88,6 @@ AXIS FLAGS (build a custom grid; ignored when --preset is given):
 
 OPTIONS:
     --workers N               worker threads (0 = all cores) [default: 0]
-    --batch-reps K            replications simulated per convergence batch
-                              (execution knob; cannot change results) [default: 4]
     --out DIR                 artifact directory             [default: campaign-out]
     --cache DIR               result-cache directory         [default: <out>/cache]
     --no-cache                disable the result cache
@@ -101,11 +99,11 @@ OPTIONS:
     --quiet                   no per-point progress on stderr
     --help                    this text
 
-Results are a pure function of the grid definition: worker count, caching,
-batch size and scheduling cannot change a single number (see quarc-campaign
-docs). Cached replication series are upgradeable: a later run that needs
-more replications (higher --replications, or --converge with a still-too-
-wide CI) resumes the stored series and simulates only the missing tail.
+Results are a pure function of the grid definition: worker count, caching
+and scheduling cannot change a single number (see quarc-campaign docs).
+Cached replication series are upgradeable: a later run that needs more
+replications (higher --replications, or --converge with a still-too-wide
+CI) resumes the stored series and simulates only the missing tail.
 ";
 
 const CLI: Cli = Cli { name: "campaign", usage: USAGE };
@@ -336,10 +334,6 @@ fn parse_cli() -> Args {
                 max_reps =
                     Some(value.parse().unwrap_or_else(|_| CLI.usage_error("bad --max-reps")));
                 custom_touched = true;
-            }
-            "--batch-reps" => {
-                opts.batch_reps =
-                    value.parse().unwrap_or_else(|_| CLI.usage_error("bad --batch-reps"));
             }
             "--seed" => {
                 custom.base_seed = value.parse().unwrap_or_else(|_| CLI.usage_error("bad --seed"));

@@ -145,7 +145,7 @@ fn main() {
     net.probe_mut().configure(ProbeConfig { trace_capacity: capacity, ..ProbeConfig::off() });
     let mut wl = Synthetic::new(nodes, SyntheticConfig::paper(rate, 8, beta, 0xBE7C));
     for _ in 0..cycles {
-        net.step_mono(&mut wl);
+        net.step(&mut wl);
     }
     let probe = net.probe();
     let captured = probe.events().count();

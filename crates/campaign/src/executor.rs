@@ -8,51 +8,35 @@
 //! shape, coarse Mutex deques instead of lock-free CAS — point execution
 //! dominates by orders of magnitude, so queue contention is irrelevant).
 //!
-//! Tasks are **re-enqueueable**: [`run_work_stealing`] lets a task
-//! return [`Step::Yield`] to park its state and go back on the queue instead
-//! of running to completion. Convergence-controlled campaign points use this
-//! to execute one replication batch at a time, so a point that needs 40
-//! replications interleaves with the rest of the grid instead of pinning a
-//! worker; idle workers wait for re-enqueued work rather than exiting while
-//! any task is unfinished.
+//! Each task runs to completion in one call. Nothing re-enters a queue, so a
+//! worker exits as soon as no deque holds work.
 //!
-//! Determinism: the step function receives the item, its index and its own
-//! state, and must be a pure function of them; results land in a slot vector
-//! by index, so the output is independent of worker count, stealing order
-//! and timing.
+//! Determinism: the task receives the item and its index and must be a pure
+//! function of them; results land in a slot vector by index, so the output
+//! is independent of worker count, stealing order and timing.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// What one execution step of a re-enqueueable task produced.
-#[derive(Debug)]
-pub enum Step<S, R> {
-    /// Not finished: park this state and re-enqueue the task.
-    Yield(S),
-    /// Finished with this result.
-    Done(R),
-}
-
 /// Per-worker execution accounting from one pool run. Pure telemetry —
 /// results never depend on it, and the cost is two `Instant` reads per task
-/// step (point execution dominates by orders of magnitude).
+/// (point execution dominates by orders of magnitude).
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
-    /// Task steps this worker executed.
+    /// Tasks this worker executed.
     pub steps: u64,
-    /// Steps whose task came off another worker's deque.
+    /// Tasks that came off another worker's deque.
     pub steals: u64,
-    /// Wall time spent inside `step` calls.
+    /// Wall time spent inside task calls.
     pub busy: Duration,
     /// The worker thread's total lifetime.
     pub wall: Duration,
 }
 
 impl WorkerStats {
-    /// Fraction of the worker's lifetime spent executing task steps (the
-    /// rest is queue checks and idle waits).
+    /// Fraction of the worker's lifetime spent executing tasks (the rest is
+    /// queue checks and steal scans).
     pub fn busy_fraction(&self) -> f64 {
         let wall = self.wall.as_secs_f64();
         if wall <= 0.0 {
@@ -63,32 +47,21 @@ impl WorkerStats {
     }
 }
 
-/// Run re-enqueueable tasks over every item on `workers` threads; results in
+/// Run `task(idx, item)` over every item on `workers` threads; results in
 /// item order, plus per-worker [`WorkerStats`] (one entry per pool thread
 /// actually spawned).
 ///
-/// Each task starts from `init(idx, item)`; `step(idx, item, state)` is then
-/// called — possibly repeatedly, possibly on different workers — until it
-/// returns [`Step::Done`]. A yielded task goes to the back of the executing
-/// worker's own deque, so its next batch queues behind work the worker
-/// already owns and behind anything a thief grabs first.
-///
-/// Panics in `init`/`step` are propagated: a panicking worker raises a
-/// poison flag on its way out so the idle-wait loops exit instead of
-/// waiting forever for a task that will never finish, and the scope join
-/// then rethrows the panic.
-pub fn run_work_stealing<T, S, R, I, F>(
+/// A panicking task ends its worker; the scope join rethrows the panic once
+/// the other workers have drained the deques.
+pub fn run_work_stealing<T, R, F>(
     items: &[T],
     workers: usize,
-    init: I,
-    step: F,
+    task: F,
 ) -> (Vec<R>, Vec<WorkerStats>)
 where
     T: Sync,
-    S: Send,
     R: Send,
-    I: Fn(usize, &T) -> S + Sync,
-    F: Fn(usize, &T, S) -> Step<S, R> + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     assert!(workers >= 1, "need at least one worker");
     let workers = workers.min(items.len()).max(1);
@@ -96,54 +69,21 @@ where
     // Round-robin initial shards: worker w owns items w, w+W, w+2W, …
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|w| Mutex::new((w..items.len()).step_by(workers).collect())).collect();
-    let states: Vec<Mutex<Option<S>>> =
-        items.iter().enumerate().map(|(i, item)| Mutex::new(Some(init(i, item)))).collect();
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let stats: Vec<Mutex<WorkerStats>> =
         (0..workers).map(|_| Mutex::new(WorkerStats::default())).collect();
-    // Tasks not yet Done. Workers must outlive every *yielding* task, not
-    // just the initial queue — an idle worker waits on this counter instead
-    // of exiting, so a re-enqueued batch can still be stolen.
-    let remaining = AtomicUsize::new(items.len());
-    // Raised when any worker panics: its task will never reach Done, so
-    // idle workers must stop waiting on `remaining` or the scope join (and
-    // therefore the panic propagation) would deadlock.
-    let poisoned = AtomicBool::new(false);
-
-    /// Sets the poison flag if the owning worker unwinds.
-    struct PoisonOnPanic<'a>(&'a AtomicBool);
-    impl Drop for PoisonOnPanic<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(true, Ordering::Release);
-            }
-        }
-    }
 
     // NO-POISON: the `expect`s in this function cannot fire. Each lock
-    // guards one pop, take, push or store, none of which panics, and `step`
-    // runs with no lock held. Campaign points run every step under
-    // `catch_unwind` in `PointTask::step`, so no worker panics while it
-    // holds a lock. An index is queued only with its state parked, and a
-    // panicking step re-raises at the scope join before any slot is read,
-    // so the two invariant `expect`s hold too.
+    // guards one pop, store or length read, none of which panics, and `task`
+    // runs with no lock held. A panicking task re-raises at the scope join
+    // before any slot is read, so every slot is filled when it is.
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let deques = &deques;
-            let states = &states;
-            let slots = &slots;
-            let stats = &stats;
-            let remaining = &remaining;
-            let poisoned = &poisoned;
-            let step = &step;
+            let (deques, slots, stats, task) = (&deques, &slots, &stats, &task);
             scope.spawn(move || {
-                let _guard = PoisonOnPanic(poisoned);
                 let born = Instant::now();
                 let mut local = WorkerStats::default();
                 loop {
-                    if remaining.load(Ordering::Acquire) == 0 || poisoned.load(Ordering::Acquire) {
-                        break;
-                    }
                     // Own work first (front: preserves shard locality) …
                     let next = deques[w].lock().expect("deque poisoned").pop_front();
                     let idx = match next {
@@ -154,36 +94,14 @@ where
                                 local.steals += 1;
                                 idx
                             }
-                            None => {
-                                // Nothing queued, but unfinished tasks may
-                                // yield more batches: wait instead of
-                                // exiting. Point execution runs milliseconds
-                                // to minutes, so a sub-millisecond nap costs
-                                // nothing.
-                                std::thread::sleep(Duration::from_micros(200));
-                                continue;
-                            }
+                            None => break,
                         },
                     };
-                    let state = states[idx]
-                        .lock()
-                        .expect("state poisoned")
-                        .take()
-                        .expect("a queued task always has parked state");
                     let t0 = Instant::now();
-                    let outcome = step(idx, &items[idx], state);
+                    let result = task(idx, &items[idx]);
                     local.busy += t0.elapsed();
                     local.steps += 1;
-                    match outcome {
-                        Step::Yield(state) => {
-                            *states[idx].lock().expect("state poisoned") = Some(state);
-                            deques[w].lock().expect("deque poisoned").push_back(idx);
-                        }
-                        Step::Done(result) => {
-                            *slots[idx].lock().expect("slot poisoned") = Some(result);
-                            remaining.fetch_sub(1, Ordering::Release);
-                        }
-                    }
+                    *slots[idx].lock().expect("slot poisoned") = Some(result);
                 }
                 local.wall = born.elapsed();
                 *stats[w].lock().expect("stats poisoned") = local;
@@ -200,20 +118,25 @@ where
 }
 
 fn steal(deques: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
-    // Pick the victim with the most queued work (snapshot; racy but only
-    // affects efficiency, never correctness).
-    let mut best: Option<(usize, usize)> = None;
-    for (v, deque) in deques.iter().enumerate() {
-        if v == thief {
-            continue;
+    // Pick the victim with the most queued work (snapshot; racy, so a
+    // victim drained between the scan and the pop sends the thief back to
+    // scan again). `None` only once every other deque is empty.
+    loop {
+        let mut best: Option<(usize, usize)> = None;
+        for (v, deque) in deques.iter().enumerate() {
+            if v == thief {
+                continue;
+            }
+            let len = deque.lock().expect("deque poisoned").len();
+            if len > 0 && best.is_none_or(|(_, blen)| len > blen) {
+                best = Some((v, len));
+            }
         }
-        let len = deque.lock().expect("deque poisoned").len();
-        if len > 0 && best.is_none_or(|(_, blen)| len > blen) {
-            best = Some((v, len));
+        let (victim, _) = best?;
+        if let Some(idx) = deques[victim].lock().expect("deque poisoned").pop_back() {
+            return Some(idx);
         }
     }
-    let (victim, _) = best?;
-    deques[victim].lock().expect("deque poisoned").pop_back()
 }
 
 /// The default worker count: the machine's available parallelism.
@@ -229,28 +152,21 @@ mod tests {
     #[test]
     fn results_are_in_item_order() {
         let items: Vec<usize> = (0..97).collect();
-        let (results, _) = run_work_stealing(
-            &items,
-            8,
-            |_, _| (),
-            |idx, &item, ()| {
-                assert_eq!(idx, item);
-                Step::Done(item * 3)
-            },
-        );
+        let (results, _) = run_work_stealing(&items, 8, |idx, &item| {
+            assert_eq!(idx, item);
+            item * 3
+        });
         assert_eq!(results, (0..97).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        run_work_stealing(
-            &(0..50).collect::<Vec<_>>(),
-            4,
-            |_, _| (),
-            |idx, _, ()| Step::Done(counts[idx].fetch_add(1, Ordering::SeqCst)),
-        );
+        let (_, stats) = run_work_stealing(&(0..50).collect::<Vec<_>>(), 4, |idx, _| {
+            counts[idx].fetch_add(1, Ordering::SeqCst)
+        });
         assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+        assert_eq!(stats.iter().map(|s| s.steps).sum::<u64>(), 50, "one step per item");
     }
 
     #[test]
@@ -258,19 +174,14 @@ mod tests {
         // One pathological item 100× the cost of the rest: with 4 workers
         // the other shards must drain via stealing long before it finishes.
         let items: Vec<u64> = (0..40).map(|i| if i == 0 { 2_000_000 } else { 20_000 }).collect();
-        let (results, _) = run_work_stealing(
-            &items,
-            4,
-            |_, _| (),
-            |_, &spins, ()| {
-                let mut acc = 0u64;
-                for i in 0..spins {
-                    acc = acc.wrapping_add(i).rotate_left(7);
-                }
-                std::hint::black_box(acc);
-                Step::Done(spins)
-            },
-        );
+        let (results, _) = run_work_stealing(&items, 4, |_, &spins| {
+            let mut acc = 0u64;
+            for i in 0..spins {
+                acc = acc.wrapping_add(i).rotate_left(7);
+            }
+            std::hint::black_box(acc);
+            spins
+        });
         assert_eq!(results, items);
     }
 
@@ -278,83 +189,28 @@ mod tests {
     fn single_worker_and_oversubscription_work() {
         let items = vec![1, 2, 3];
         for workers in [1, 64] {
-            let (results, _) =
-                run_work_stealing(&items, workers, |_, _| (), |_, &x, ()| Step::Done(x));
+            let (results, _) = run_work_stealing(&items, workers, |_, &x| x);
             assert_eq!(results, items);
         }
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let (results, _) =
-            run_work_stealing(&[] as &[u32], 4, |_, _| (), |_, &x, ()| Step::Done(x));
+        let (results, _) = run_work_stealing(&[] as &[u32], 4, |_, &x| x);
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn yielding_tasks_run_to_completion() {
-        // Item k yields k times before finishing; the result counts the
-        // steps actually executed. Every worker count must agree.
-        let items: Vec<u32> = (0..23).collect();
-        for workers in [1, 4, 16] {
-            let (results, _) = run_work_stealing(
-                &items,
-                workers,
-                |_, &k| k, // state: yields left
-                |_, &k, left| {
-                    if left == 0 {
-                        Step::Done(k + 1) // k yields + 1 finishing step
-                    } else {
-                        Step::Yield(left - 1)
-                    }
-                },
-            );
-            assert_eq!(results, (0..23).map(|k| k + 1).collect::<Vec<_>>(), "{workers} workers");
-        }
     }
 
     #[test]
     #[should_panic(expected = "a scoped thread panicked")]
     fn panicking_task_propagates_instead_of_deadlocking() {
-        // A panicked task never reaches Done, so `remaining` never hits
-        // zero — without the poison flag the other workers would wait for
-        // it forever and the panic would never surface.
+        // The panicking worker dies with task 3; the others drain every
+        // deque, its own included, and the scope join rethrows the panic.
         let items: Vec<u32> = (0..8).collect();
-        run_work_stealing(
-            &items,
-            4,
-            |_, _| (),
-            |idx, _, ()| {
-                if idx == 3 {
-                    panic!("task 3 exploded");
-                }
-                Step::Done(idx)
-            },
-        );
-    }
-
-    #[test]
-    fn workers_outlive_late_yields() {
-        // One long-running multi-step task and many trivial ones: the
-        // trivial ones drain instantly, then the long task keeps yielding.
-        // Idle workers must wait (not exit) so the tail batches can still be
-        // picked up — the run completing at all under a 4-worker pool with
-        // sleeps between yields exercises exactly that window.
-        let items: Vec<u64> = (0..12).map(|i| u64::from(i == 0) * 6).collect();
-        let (results, _) = run_work_stealing(
-            &items,
-            4,
-            |_, _| 0u64,
-            |_, &yields, done| {
-                if done >= yields {
-                    Step::Done(done)
-                } else {
-                    std::thread::sleep(Duration::from_millis(2));
-                    Step::Yield(done + 1)
-                }
-            },
-        );
-        assert_eq!(results[0], 6);
-        assert!(results[1..].iter().all(|&r| r == 0));
+        run_work_stealing(&items, 4, |idx, _| {
+            if idx == 3 {
+                panic!("task 3 exploded");
+            }
+            idx
+        });
     }
 }

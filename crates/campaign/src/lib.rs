@@ -17,9 +17,9 @@
 //!    *merge hash* ([`replicate`]), merging `OnlineStats` /
 //!    `LatencyHistogram` across seeds into means + 95% confidence intervals
 //!    — either a fixed count, or under **convergence control**
-//!    ([`spec::Convergence`]): replications grow in batches, re-enqueued
-//!    through the pool, until every tracked metric's 95% CI half-width
-//!    meets an absolute or relative target (or a cap);
+//!    ([`spec::Convergence`]): replications grow in batches, on the
+//!    worker that runs the point, until every tracked metric's 95% CI
+//!    half-width meets an absolute or relative target (or a cap);
 //! 4. saturation-axis campaigns bisect the rate axis ([`saturation`])
 //!    instead of walking a fixed grid;
 //! 5. per-replication outcomes land in a content-addressed on-disk cache
@@ -35,10 +35,11 @@
 //! prefix [`decide`] picked, [`run_work_stealing`] is the pool.
 //!
 //! **Determinism contract.** Results are a pure function of the spec. Worker
-//! count, scheduling order, replication batch size, cache state and
-//! `--force` can change how long a campaign takes, never what it measures —
-//! `tests/determinism.rs` and `tests/convergence.rs` assert byte-identical
-//! artifacts between 1-worker and N-worker runs and across batch schedules.
+//! count, scheduling order, cache state and `--force` can change how long a
+//! campaign takes, never what it measures — `tests/determinism.rs` and
+//! `tests/convergence.rs` assert byte-identical artifacts between 1-worker
+//! and N-worker runs, and `replicate`'s tests pin the stopping rule against
+//! the batch size it is handed.
 //! The ingredients: per-point seeds derive from merge hashes (not grid
 //! position, replication protocol or timing), every simulation is
 //! `quarc_sim::run_point` (a pure function), the convergence stopping rule
@@ -61,7 +62,7 @@ pub mod saturation;
 pub mod spec;
 
 pub use cache::ResultCache;
-pub use executor::{default_workers, run_work_stealing, Step, WorkerStats};
+pub use executor::{default_workers, run_work_stealing, WorkerStats};
 pub use json::Json;
 pub use replicate::{
     decide, extend_series, merge_series, replication_seed, Converged, Decision, MeanCi, MergedRun,

@@ -291,7 +291,7 @@ pub enum RepInterrupt {
     },
     /// The cooperative wall-clock deadline expired mid-replication (the
     /// campaign's `--point-timeout` budget reaching inside a run instead of
-    /// waiting for the batch boundary).
+    /// waiting for the end of the batch).
     Deadline {
         /// Replication index that was cut off.
         rep: u32,

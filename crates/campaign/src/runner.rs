@@ -3,12 +3,11 @@
 
 use crate::artifact::{self, write_atomically, CampaignDocument};
 use crate::cache::ResultCache;
-use crate::executor::{default_workers, run_work_stealing, Step, WorkerStats};
+use crate::executor::{default_workers, run_work_stealing, WorkerStats};
 use crate::hash::fnv1a64;
 use crate::json::{Encode, Writer};
 use crate::replicate::{
     decide, extend_series, merge_series, replication_seed, Converged, Decision, RepInterrupt,
-    RepOutcome,
 };
 use crate::result::{PointOutcomeKind, PointResult};
 use crate::saturation::find_saturation;
@@ -21,10 +20,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// How many replications a convergence-controlled point simulates per trip
-/// through the work-stealing pool when the caller leaves
-/// [`CampaignOptions::batch_reps`] at 0.
-const DEFAULT_BATCH_REPS: u32 = 4;
+/// How many replications a convergence-controlled point simulates between
+/// two budget checks and cache writes. The canonical stopping rule makes
+/// reported numbers independent of it.
+const BATCH_REPS: u32 = 4;
 
 /// Execution options orthogonal to the experiment definition. None of them
 /// may change any measured number — only where results come from, where they
@@ -41,21 +40,17 @@ pub struct CampaignOptions {
     pub force: bool,
     /// Suppress per-point progress on stderr.
     pub quiet: bool,
-    /// Replications a convergence-controlled point simulates per trip
-    /// through the pool (`0` = the default, 4). An execution knob:
-    /// the canonical stopping rule makes reported numbers independent of it.
-    pub batch_reps: u32,
-    /// Per-point wall-clock budget: a point that has already burned this
-    /// much simulation time without finishing is quarantined as
-    /// [`PointOutcomeKind::Failed`] instead of pinning a worker. Checked at
-    /// batch boundaries *and* cooperatively inside each replication (at the
-    /// stall watchdog's cadence), so a single runaway replication yields
-    /// mid-run. `None` = unbounded. Never caches and never alters a
+    /// Per-point wall-clock budget: a point still unfinished this long
+    /// after it started is quarantined as [`PointOutcomeKind::Failed`]
+    /// instead of pinning a worker. Checked when the point starts, between
+    /// replication batches *and* cooperatively inside each replication (at
+    /// the stall watchdog's cadence), so a single runaway replication is cut
+    /// off mid-run. `None` = unbounded. Never caches and never alters a
     /// completed point's numbers — a budget generous enough for every point
     /// to finish reproduces the unbudgeted campaign byte for byte.
     pub point_timeout: Option<Duration>,
     /// Test-only chaos hook: points whose expansion id is listed here panic
-    /// on their first execution step, exercising the fail-soft path. Hidden
+    /// as soon as they start, exercising the fail-soft path. Hidden
     /// because campaigns must never use it; the fail-soft tests must.
     #[doc(hidden)]
     pub chaos_panic_ids: Vec<usize>,
@@ -98,8 +93,7 @@ pub struct PointTelemetry {
     pub id: usize,
     /// The point's display label.
     pub label: String,
-    /// Wall time spent simulating this point across all its batches
-    /// (zero-ish for a pure cache hit).
+    /// Wall time spent running this point (zero-ish for a pure cache hit).
     pub wall: Duration,
     /// Replications simulated this run.
     pub simulated_reps: usize,
@@ -248,31 +242,23 @@ impl From<io::Error> for CampaignError {
     }
 }
 
-/// Everything a point task needs besides its own state.
+/// Everything a point needs besides its own coordinates.
 struct PointContext<'a> {
     spec: &'a CampaignSpec,
     opts: &'a CampaignOptions,
     cache: Option<&'a ResultCache>,
-    /// `opts.batch_reps` with its default resolved.
-    batch: u32,
 }
 
-/// The parked state of one point between trips through the pool.
+/// One point's identity and replication accounting while it runs.
 struct PointTask {
     point: CampaignPoint,
     /// The merge key, formatted once, and its hash.
     merge_key: String,
     merge_hash: u64,
-    /// Replication series so far (cache prefix + simulated tail).
-    series: Vec<RepOutcome>,
-    /// Whether the cache has been consulted yet (first step only).
-    consulted_cache: bool,
     /// Replications loaded from the cache.
     cached_reps: usize,
     /// Replications (or saturation probes) simulated by this run.
     simulated_reps: usize,
-    /// Wall time across this point's batches so far.
-    busy: Duration,
 }
 
 /// Best-effort human rendering of a panic payload.
@@ -288,9 +274,8 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 
 impl PointTask {
     /// Close the point: the one place its artifact record and its execution
-    /// accounting are assembled. `wall` is the time across all of the
-    /// point's batches; `timed_out` marks a quarantine by the wall-clock
-    /// budget.
+    /// accounting are assembled. `wall` is the point's whole run time;
+    /// `timed_out` marks a quarantine by the wall-clock budget.
     fn finish(
         &self,
         ctx: &PointContext<'_>,
@@ -333,48 +318,41 @@ impl PointTask {
         )
     }
 
-    /// Run one batch of this point, fail-soft. A panic anywhere inside the
-    /// batch — a simulator bug, a poisoned cache entry, the chaos hook — is
-    /// caught here and turned into a structured [`PointOutcomeKind::Failed`]
-    /// so the rest of the campaign keeps running; the per-point wall-clock
-    /// budget is enforced at the same boundary. Nothing quarantined is ever
+    /// Run one whole point, fail-soft. A panic anywhere inside it — a
+    /// simulator bug, a poisoned cache entry, the chaos hook — is caught
+    /// here and turned into a structured [`PointOutcomeKind::Failed`] so the
+    /// rest of the campaign keeps running. Nothing quarantined is ever
     /// cached.
-    fn step(mut self, ctx: &PointContext<'_>) -> Step<PointTask, (PointResult, PointTelemetry)> {
-        let failed = |reason: String| PointOutcomeKind::Failed { reason };
-        if let Some(budget) = ctx.opts.point_timeout {
-            if self.busy >= budget {
-                let reason = format!(
-                    "wall-clock budget exhausted: {:.1}s spent of {:.1}s allowed",
-                    self.busy.as_secs_f64(),
-                    budget.as_secs_f64(),
-                );
-                return Step::Done(self.finish(ctx, failed(reason), self.busy, true));
+    fn run(point: CampaignPoint, ctx: &PointContext<'_>) -> (PointResult, PointTelemetry) {
+        let start = Instant::now();
+        let merge_key = point.merge_key(ctx.spec);
+        let mut task = PointTask {
+            point,
+            merge_hash: fnv1a64(merge_key.as_bytes()),
+            merge_key,
+            cached_reps: 0,
+            simulated_reps: 0,
+        };
+        // `simulated_reps` moves only once its replications are in the
+        // series, so after a panic it still describes completed work.
+        let (outcome, timed_out) = catch_unwind(AssertUnwindSafe(|| {
+            if ctx.opts.chaos_panic_ids.contains(&point.id) {
+                panic!("chaos hook: point {} configured to panic", point.id);
             }
-        }
-        // `busy` moves only when a batch parks the task and `simulated_reps`
-        // only once its replications are in the series, so after a panic
-        // both still describe completed work.
-        match catch_unwind(AssertUnwindSafe(|| {
-            if ctx.opts.chaos_panic_ids.contains(&self.point.id) {
-                panic!("chaos hook: point {} configured to panic", self.point.id);
-            }
-            self.step_inner(ctx)
-        })) {
-            Ok(Some(done)) => Step::Done(done),
-            Ok(None) => Step::Yield(self),
-            Err(payload) => {
-                let reason = format!("panicked: {}", panic_reason(payload));
-                Step::Done(self.finish(ctx, failed(reason), self.busy, false))
-            }
-        }
+            task.execute(ctx, start)
+        }))
+        .unwrap_or_else(|payload| {
+            let reason = format!("panicked: {}", panic_reason(payload));
+            (PointOutcomeKind::Failed { reason }, false)
+        });
+        task.finish(ctx, outcome, start.elapsed(), timed_out)
     }
 
-    /// Run one batch of this point; `None` parks it for another trip through
-    /// the pool. Rate points consult the cache once, then alternate `decide`
-    /// → simulate-batch → persist, yielding between batches so convergence
-    /// top-ups interleave with the rest of the grid.
-    fn step_inner(&mut self, ctx: &PointContext<'_>) -> Option<(PointResult, PointTelemetry)> {
-        let t0 = Instant::now();
+    /// The point's outcome and whether the wall-clock budget cut it off.
+    /// A search is one sequential bisection; a rate point consults the
+    /// cache once, then loops budget check → `decide` → simulate a batch →
+    /// persist until its series is ready, stalls or runs out of budget.
+    fn execute(&mut self, ctx: &PointContext<'_>, start: Instant) -> (PointOutcomeKind, bool) {
         let (merge_key, merge_hash) = (&self.merge_key, self.merge_hash);
         let curve = self.point.curve;
         // `seed` is overwritten per replication; searches pin it below.
@@ -390,16 +368,30 @@ impl PointTask {
                 eprintln!("campaign: failed to cache {merge_key}: {e}");
             }
         };
-        let mut timed_out = false;
-        let outcome = match self.point.work {
+        let budget = ctx.opts.point_timeout;
+        let over_budget = || {
+            let (spent, budget) = (start.elapsed(), budget?);
+            (spent >= budget).then(|| {
+                let reason = format!(
+                    "wall-clock budget exhausted: {:.1}s spent of {:.1}s allowed",
+                    spent.as_secs_f64(),
+                    budget.as_secs_f64(),
+                );
+                (PointOutcomeKind::Failed { reason }, true)
+            })
+        };
+        if let Some(quarantined) = over_budget() {
+            return quarantined;
+        }
+        let rate = match self.point.work {
+            PointWork::Rate(rate) => rate,
             PointWork::Saturation { lo, hi, rel_tol, max_probes } => {
-                // Searches are a single sequential bisection: no batching.
                 let cached = if ctx.opts.force {
                     None
                 } else {
                     ctx.cache.and_then(|c| c.load_saturation(merge_hash, merge_key))
                 };
-                PointOutcomeKind::Saturation(cached.unwrap_or_else(|| {
+                let result = cached.unwrap_or_else(|| {
                     // Common random numbers across probes: one seed
                     // (replication 0) for the whole search keeps the
                     // frontier estimate monotone.
@@ -425,86 +417,69 @@ impl PointTask {
                             .unwrap_or_else(cache_failed);
                     }
                     result
-                }))
-            }
-            PointWork::Rate(rate) => {
-                if !self.consulted_cache {
-                    self.consulted_cache = true;
-                    if !ctx.opts.force {
-                        if let Some(series) =
-                            ctx.cache.and_then(|c| c.load_series(merge_hash, merge_key))
-                        {
-                            self.cached_reps = series.len();
-                            self.series = series;
-                        }
-                    }
-                }
-                match decide(&ctx.spec.policy(), &self.series, ctx.batch) {
-                    Decision::Ready { n, converged } => PointOutcomeKind::Rate {
-                        rate,
-                        merged: merge_series(&self.series, n, converged),
-                    },
-                    Decision::NeedMore { upto } => {
-                        let before = self.series.len();
-                        // The remaining wall-clock budget, as an absolute
-                        // deadline the replication loop checks cooperatively
-                        // (step() already quarantined the point if the
-                        // budget was spent before this batch).
-                        let deadline = ctx
-                            .opts
-                            .point_timeout
-                            .map(|budget| t0 + budget.saturating_sub(self.busy));
-                        let interrupted = extend_series(
-                            &mut self.series,
-                            &point_at(rate),
-                            &ctx.spec.run,
-                            ctx.spec.base_seed,
-                            merge_hash,
-                            upto,
-                            deadline,
-                        );
-                        self.simulated_reps += self.series.len() - before;
-                        // Persist after every batch: an interrupted campaign
-                        // resumes from its last batch, not from scratch. The
-                        // replications completed *before* a stall are valid
-                        // outcomes and persist too — only the stall itself is
-                        // quarantined (never cached), so a wedged point
-                        // re-diagnoses on every run until the config is fixed.
-                        if !self.series.is_empty() {
-                            if let Some(c) = ctx.cache {
-                                c.store_series(merge_hash, merge_key, &self.series)
-                                    .unwrap_or_else(cache_failed);
-                            }
-                        }
-                        match interrupted {
-                            Ok(()) => {
-                                self.busy += t0.elapsed();
-                                return None;
-                            }
-                            Err(RepInterrupt::Stall { rep, cycle, diagnostics }) => {
-                                PointOutcomeKind::Stalled { rate, rep, cycle, diagnostics }
-                            }
-                            Err(RepInterrupt::Deadline { rep, cycle }) => {
-                                let budget = ctx
-                                    .opts
-                                    .point_timeout
-                                    .expect("deadline interrupts only occur with a budget");
-                                timed_out = true;
-                                PointOutcomeKind::Failed {
-                                    reason: format!(
-                                        "wall-clock budget exhausted mid-replication: \
-                                         rep {rep} cut off at cycle {cycle} \
-                                         ({:.1}s allowed)",
-                                        budget.as_secs_f64(),
-                                    ),
-                                }
-                            }
-                        }
-                    }
-                }
+                });
+                return (PointOutcomeKind::Saturation(result), false);
             }
         };
-        Some(self.finish(ctx, outcome, self.busy + t0.elapsed(), timed_out))
+        let mut series = Vec::new();
+        if !ctx.opts.force {
+            if let Some(cached) = ctx.cache.and_then(|c| c.load_series(merge_hash, merge_key)) {
+                self.cached_reps = cached.len();
+                series = cached;
+            }
+        }
+        // The budget as an absolute deadline the replication loop checks
+        // cooperatively.
+        let deadline = budget.map(|budget| start + budget);
+        loop {
+            let upto = match decide(&ctx.spec.policy(), &series, BATCH_REPS) {
+                Decision::Ready { n, converged } => {
+                    let merged = merge_series(&series, n, converged);
+                    return (PointOutcomeKind::Rate { rate, merged }, false);
+                }
+                Decision::NeedMore { upto } => upto,
+            };
+            let before = series.len();
+            let interrupted = extend_series(
+                &mut series,
+                &point_at(rate),
+                &ctx.spec.run,
+                ctx.spec.base_seed,
+                merge_hash,
+                upto,
+                deadline,
+            );
+            self.simulated_reps += series.len() - before;
+            // Persist after every batch: an interrupted campaign resumes
+            // from its last batch, not from scratch. The replications
+            // completed *before* a stall are valid outcomes and persist too
+            // — only the stall itself is quarantined (never cached), so a
+            // wedged point re-diagnoses on every run until the config is
+            // fixed.
+            if !series.is_empty() {
+                if let Some(c) = ctx.cache {
+                    c.store_series(merge_hash, merge_key, &series).unwrap_or_else(cache_failed);
+                }
+            }
+            match interrupted {
+                Ok(()) => {}
+                Err(RepInterrupt::Stall { rep, cycle, diagnostics }) => {
+                    return (PointOutcomeKind::Stalled { rate, rep, cycle, diagnostics }, false);
+                }
+                Err(RepInterrupt::Deadline { rep, cycle }) => {
+                    let budget = budget.expect("deadline interrupts only occur with a budget");
+                    let reason = format!(
+                        "wall-clock budget exhausted mid-replication: rep {rep} cut off at \
+                         cycle {cycle} ({:.1}s allowed)",
+                        budget.as_secs_f64(),
+                    );
+                    return (PointOutcomeKind::Failed { reason }, true);
+                }
+            }
+            if let Some(quarantined) = over_budget() {
+                return quarantined;
+            }
+        }
     }
 }
 
@@ -539,14 +514,13 @@ fn progress_line(result: &PointResult, telemetry: &PointTelemetry) -> String {
     format!("{:<40} ({how}{verdict})", result.label)
 }
 
-/// Run a campaign: expand the grid, resume known points from the cache,
-/// shard the rest across a work-stealing pool (convergence-controlled
-/// points one replication batch at a time), persist new outcomes, write
-/// artifacts.
+/// Run a campaign: expand the grid, shard its points across a
+/// work-stealing pool (each point resumes from the cache, simulates what is
+/// missing and persists it), write artifacts.
 ///
 /// Determinism guarantee: `results` (and therefore both artifacts) are a
-/// pure function of `spec`. Worker count, stealing order, batch size, cache
-/// hits and `force` can change only the execution accounting
+/// pure function of `spec`. Worker count, stealing order, cache hits and
+/// `force` can change only the execution accounting
 /// (`executed`/`from_cache`/`reps_*`/`wall`) — never a number. The per-point
 /// tests and `tests/determinism.rs`/`tests/convergence.rs` hold this to
 /// bit-equality.
@@ -560,12 +534,7 @@ pub fn run_campaign(
         None => None,
     };
     let workers = if opts.workers == 0 { default_workers() } else { opts.workers };
-    let ctx = PointContext {
-        spec,
-        opts,
-        cache: cache.as_ref(),
-        batch: if opts.batch_reps == 0 { DEFAULT_BATCH_REPS } else { opts.batch_reps },
-    };
+    let ctx = PointContext { spec, opts, cache: cache.as_ref() };
 
     let total = expansion.points.len();
     // Live progress is the only state the workers share; every total below
@@ -573,33 +542,14 @@ pub fn run_campaign(
     let done = AtomicUsize::new(0);
     let start = Instant::now();
 
-    let (records, worker_stats) = run_work_stealing(
-        &expansion.points,
-        workers,
-        |_, &point| {
-            let merge_key = point.merge_key(spec);
-            PointTask {
-                point,
-                merge_hash: fnv1a64(merge_key.as_bytes()),
-                merge_key,
-                series: Vec::new(),
-                consulted_cache: false,
-                cached_reps: 0,
-                simulated_reps: 0,
-                busy: Duration::ZERO,
-            }
-        },
-        |_, _, task| {
-            let step = task.step(&ctx);
-            if let Step::Done((result, telemetry)) = &step {
-                if !opts.quiet {
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    eprintln!("campaign [{n:>4}/{total}] {}", progress_line(result, telemetry));
-                }
-            }
-            step
-        },
-    );
+    let (records, worker_stats) = run_work_stealing(&expansion.points, workers, |_, &point| {
+        let (result, telemetry) = PointTask::run(point, &ctx);
+        if !opts.quiet {
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            eprintln!("campaign [{n:>4}/{total}] {}", progress_line(&result, &telemetry));
+        }
+        (result, telemetry)
+    });
     let wall = start.elapsed();
     let (results, point_telemetry): (Vec<PointResult>, Vec<PointTelemetry>) =
         records.into_iter().unzip();
@@ -877,9 +827,8 @@ mod tests {
         assert!(first.point_telemetry.iter().all(|p| !p.from_cache && p.simulated_reps == 2));
         assert_eq!(first.topups(), 0);
         assert!(!first.worker_stats.is_empty());
-        // Each point takes at least one pool step (fixed-replication points
-        // take two: simulate-batch, then merge).
-        assert!(first.worker_stats.iter().map(|w| w.steps).sum::<u64>() >= 4);
+        // Each point is exactly one pool step.
+        assert_eq!(first.worker_stats.iter().map(|w| w.steps).sum::<u64>(), 4);
 
         // A fully-cached rerun flips the telemetry but not one artifact byte.
         let second = run_campaign(&spec, &opts).unwrap();

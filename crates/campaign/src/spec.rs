@@ -247,15 +247,18 @@ impl CampaignSpec {
                 }
             }
             RateAxis::Geometric { lo, hi, steps } => {
-                if !(*lo > 0.0 && hi > lo && *steps >= 2) {
-                    return Err(SpecError::new("geometric axis needs 0 < lo < hi, steps >= 2"));
+                if !(*lo > 0.0 && hi > lo && (2..=MAX_RATE_STEPS).contains(steps)) {
+                    return Err(SpecError::new_owned(format!(
+                        "geometric axis needs 0 < lo < hi, 2 <= steps <= {MAX_RATE_STEPS}"
+                    )));
                 }
             }
             RateAxis::AutoGeometric { span, lo_div, steps } => {
-                if !(*span > 0.0 && *lo_div > 1.0 && *steps >= 2) {
-                    return Err(SpecError::new(
-                        "auto-geometric axis needs span > 0, lo_div > 1, steps >= 2",
-                    ));
+                if !(*span > 0.0 && *lo_div > 1.0 && (2..=MAX_RATE_STEPS).contains(steps)) {
+                    return Err(SpecError::new_owned(format!(
+                        "auto-geometric axis needs span > 0, lo_div > 1, \
+                         2 <= steps <= {MAX_RATE_STEPS}"
+                    )));
                 }
             }
             RateAxis::Saturation { rel_tol, max_probes } => {
@@ -298,7 +301,7 @@ impl CampaignSpec {
                                             curve.noc().validate().map_err(|e| {
                                                 SpecError::new_owned(format!("{curve}: {e}"))
                                             })?;
-                                            self.push_curve_points(curve, &mut points);
+                                            self.push_curve_points(curve, &mut points)?;
                                         }
                                     }
                                 }
@@ -314,7 +317,11 @@ impl CampaignSpec {
         Ok(Expansion { points, skipped })
     }
 
-    fn push_curve_points(&self, curve: CurveParams, points: &mut Vec<CampaignPoint>) {
+    fn push_curve_points(
+        &self,
+        curve: CurveParams,
+        points: &mut Vec<CampaignPoint>,
+    ) -> Result<(), SpecError> {
         // The analytical bound costs an O(n²·hops) all-pairs link-load walk
         // — prohibitive at the slab-era sizes (n = 16384) — so only the
         // axes that actually anchor on it pay for it.
@@ -326,13 +333,13 @@ impl CampaignSpec {
                 }
             }
             RateAxis::Geometric { lo, hi, steps } => {
-                for rate in quarc_sim::geometric_rates(*lo, *hi, *steps) {
+                for rate in generated_rates(curve, *lo, *hi, *steps)? {
                     points.push(self.point(curve, PointWork::Rate(rate), points.len()));
                 }
             }
             RateAxis::AutoGeometric { span, lo_div, steps } => {
                 let hi = bound() * span;
-                for rate in quarc_sim::geometric_rates(hi / lo_div, hi, *steps) {
+                for rate in generated_rates(curve, hi / lo_div, hi, *steps)? {
                     points.push(self.point(curve, PointWork::Rate(rate), points.len()));
                 }
             }
@@ -347,6 +354,7 @@ impl CampaignSpec {
                 points.push(self.point(curve, work, points.len()));
             }
         }
+        Ok(())
     }
 
     fn point(&self, curve: CurveParams, work: PointWork, id: usize) -> CampaignPoint {
@@ -368,15 +376,46 @@ impl CampaignSpec {
 
 /// An axis must name at least one value and no value twice: repeated values
 /// expand to points that share a merge hash, which two workers would then
-/// run at once, writing one cache entry through one temp path.
-fn check_axis<T: PartialEq>(name: &str, axis: &[T]) -> Result<(), SpecError> {
+/// run at once, writing one cache entry through one temp path. Keys hold
+/// each value's `Display` text, so two unequal values that render alike
+/// (every empty `FaultPlan` is `-`) repeat too.
+fn check_axis<T: PartialEq + fmt::Display>(name: &str, axis: &[T]) -> Result<(), SpecError> {
     if axis.is_empty() {
         return Err(SpecError::new_owned(format!("axis {name} is empty")));
     }
-    if axis.iter().enumerate().any(|(i, v)| axis[..i].contains(v)) {
+    let texts: Vec<String> = axis.iter().map(T::to_string).collect();
+    let repeats = |i: usize| (0..i).any(|j| axis[j] == axis[i] || texts[j] == texts[i]);
+    if (0..axis.len()).any(repeats) {
         return Err(SpecError::new_owned(format!("axis {name} repeats a value")));
     }
     Ok(())
+}
+
+/// The most rates a generated axis may have: far past any preset (they use
+/// at most 12), and small enough that an absurd count is a spec error
+/// rather than an allocation failure.
+const MAX_RATE_STEPS: usize = 10_000;
+
+/// `steps` geometrically spaced rates in `[lo, hi]` for `curve`. They must
+/// be finite and strictly increasing: rounding can collapse a narrow axis
+/// onto one rate, and equal rates share a merge hash.
+fn generated_rates(
+    curve: CurveParams,
+    lo: f64,
+    hi: f64,
+    steps: usize,
+) -> Result<Vec<f64>, SpecError> {
+    // `geometric_rates` asserts 0 < lo < hi.
+    match (lo > 0.0 && hi > lo).then(|| quarc_sim::geometric_rates(lo, hi, steps)) {
+        Some(rates)
+            if rates.iter().all(|r| r.is_finite()) && rates.windows(2).all(|w| w[0] < w[1]) =>
+        {
+            Ok(rates)
+        }
+        _ => Err(SpecError::new_owned(format!(
+            "{curve}: {steps} rates in [{lo}, {hi}] are not finite and strictly increasing"
+        ))),
+    }
 }
 
 fn valid_name_char(c: char) -> bool {
@@ -906,6 +945,41 @@ mod tests {
         let mut bad = small();
         bad.link_latencies = vec![4_000_000_000];
         assert!(bad.expand().unwrap_err().to_string().contains("link_latency"));
+    }
+
+    #[test]
+    fn axis_values_that_render_alike_repeat() {
+        // Unequal plans, one key text: every empty plan renders as `-`.
+        let late = FaultPlan { onset: 100, ..FaultPlan::NONE };
+        assert_ne!(late, FaultPlan::NONE);
+        assert_eq!(late.to_string(), FaultPlan::NONE.to_string());
+        let mut bad = small();
+        bad.faults = vec![FaultPlan::NONE, late];
+        assert!(bad.expand().unwrap_err().to_string().contains("faults repeats"));
+    }
+
+    #[test]
+    fn generated_rate_axes_are_bounded_and_strictly_increasing() {
+        let rejected = |rates: RateAxis| {
+            let mut bad = small();
+            bad.rates = rates;
+            bad.expand().unwrap_err().to_string()
+        };
+        // Step counts that used to overflow or exhaust the allocator.
+        let err = rejected(RateAxis::Geometric { lo: 0.001, hi: 0.002, steps: usize::MAX });
+        assert!(err.contains("steps <= 10000"), "{err}");
+        let err = rejected(RateAxis::AutoGeometric { span: 1.1, lo_div: 40.0, steps: 1 << 32 });
+        assert!(err.contains("steps <= 10000"), "{err}");
+        // `powf` rounds this step ratio to 1: three equal rates, one hash.
+        let err = rejected(RateAxis::Geometric { lo: 0.01, hi: 0.010000000000000002, steps: 3 });
+        assert!(err.contains("strictly increasing"), "{err}");
+        let err =
+            rejected(RateAxis::AutoGeometric { span: 1.1, lo_div: 1.0 + f64::EPSILON, steps: 4 });
+        assert!(err.contains("strictly increasing"), "{err}");
+
+        let mut ok = small();
+        ok.rates = RateAxis::Geometric { lo: 0.001, hi: 0.002, steps: MAX_RATE_STEPS };
+        assert_eq!(ok.expand().unwrap().points.len(), 4 * MAX_RATE_STEPS);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Convergence control, held to the same standard as the rest of the
 //! campaign layer: the reported numbers are a pure function of the spec —
-//! independent of worker count, replication batch size and cache state —
+//! independent of worker count, scheduling and cache state —
 //! and the cache upgrades (tops up) rather than recomputes when a later
 //! campaign needs more replications than an earlier one stored.
 
@@ -35,27 +35,24 @@ fn unique_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn batch_schedule_and_worker_count_cannot_move_a_number() {
-    // The satellite determinism pin: 1 worker vs N workers, batch size 2 vs
-    // 8 — top-ups land in different orders on different threads in every
-    // combination, yet the merged means (the whole artifact, in fact) must
-    // be bit-identical, because the canonical stopping rule picks the same
-    // series prefix regardless of how the series was produced.
+    // The satellite determinism pin: 1 worker vs N workers — points land
+    // in different orders on different threads, yet the merged means (the
+    // whole artifact, in fact) must be bit-identical, because the canonical
+    // stopping rule picks the same series prefix regardless of how the
+    // series was produced. `replicate::tests` pin independence from the
+    // batch size `decide` is handed.
     let spec = convergent_spec("conv-determinism");
     let mut artifacts = Vec::new();
     for workers in [1, 4] {
-        for batch_reps in [2, 8] {
-            let report = run_campaign(
-                &spec,
-                &CampaignOptions { workers, batch_reps, quiet: true, ..Default::default() },
-            )
-            .expect("campaign runs");
-            artifacts.push((workers, batch_reps, report.to_json(&spec).to_pretty(), report.csv()));
-        }
+        let report =
+            run_campaign(&spec, &CampaignOptions { workers, quiet: true, ..Default::default() })
+                .expect("campaign runs");
+        artifacts.push((workers, report.to_json(&spec).to_pretty(), report.csv()));
     }
-    let (_, _, ref json0, ref csv0) = artifacts[0];
-    for (workers, batch, json, csv) in &artifacts[1..] {
-        assert_eq!(json0, json, "JSON diverged at {workers} workers, batch {batch}");
-        assert_eq!(csv0, csv, "CSV diverged at {workers} workers, batch {batch}");
+    let (_, ref json0, ref csv0) = artifacts[0];
+    for (workers, json, csv) in &artifacts[1..] {
+        assert_eq!(json0, json, "JSON diverged at {workers} workers");
+        assert_eq!(csv0, csv, "CSV diverged at {workers} workers");
     }
 }
 
@@ -176,10 +173,7 @@ fn unconverged_points_stop_at_the_cap_and_say_so() {
         assert_eq!(merged.reps, 6);
         assert_eq!(merged.converged, Converged::No);
     }
-    let b = run_campaign(
-        &spec,
-        &CampaignOptions { workers: 1, batch_reps: 5, quiet: true, ..Default::default() },
-    )
-    .expect("campaign runs");
+    let b = run_campaign(&spec, &CampaignOptions { workers: 1, quiet: true, ..Default::default() })
+        .expect("campaign runs");
     assert_eq!(a.to_json(&spec).to_pretty(), b.to_json(&spec).to_pretty());
 }

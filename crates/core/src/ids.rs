@@ -73,8 +73,34 @@ impl fmt::Display for PacketId {
 /// A unicast message maps to exactly one packet; a broadcast message maps to
 /// one packet per branch (four in Quarc, a replication tree in Spidergon).
 /// Latency statistics are aggregated per *message*.
+///
+/// The simulator issues ids from slot-recycling tables: the low 32 bits are
+/// the slot, the high 32 bits the slot's generation, so a stale id never
+/// names a recycled slot's new occupant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub u64);
+
+impl MessageId {
+    /// The id of `slot` in its `generation`.
+    #[inline]
+    pub fn from_slot(slot: usize, generation: u32) -> Self {
+        // Slots index in-memory tables, far below 2^32 entries.
+        debug_assert!(slot <= u32::MAX as usize, "message slot {slot} does not fit 32 bits");
+        MessageId(u64::from(generation) << 32 | slot as u64)
+    }
+
+    /// The slot half of the id.
+    #[inline]
+    pub fn slot(self) -> usize {
+        (self.0 & 0xFFFF_FFFF) as usize
+    }
+
+    /// The generation half of the id.
+    #[inline]
+    pub fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 impl fmt::Display for MessageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

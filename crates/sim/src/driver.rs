@@ -7,8 +7,7 @@
 //! view. Both monomorphize for the concrete `(network, workload)` pair they
 //! are handed — a [`crate::Fabric`] instantiation, or the [`AnyNet`] enum
 //! `build_any` returns (one predictable match per cycle) — so no virtual
-//! call sits on the per-cycle path. `NocSim` itself stays object-safe for
-//! helpers that only hold `&mut dyn NocSim`.
+//! call sits on the per-cycle path.
 
 use crate::metrics::Metrics;
 use crate::probe::SimProbe;
@@ -21,23 +20,12 @@ use quarc_core::topology::TopologyKind;
 use quarc_engine::Cycle;
 use quarc_workloads::Workload;
 
-/// Object-safe interface over the concrete network simulators.
+/// Interface over the concrete network simulators.
 pub trait NocSim {
-    /// Advance one cycle, polling `workload` for new messages.
-    fn step(&mut self, workload: &mut dyn Workload);
-    /// [`NocSim::step`], monomorphized: lets the run protocol inline the
-    /// per-cycle loop for a concrete `(network, workload)` pair instead of
-    /// paying a virtual dispatch per cycle plus one per poll. The default
-    /// degrades to the object-safe `step`.
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W)
-    where
-        Self: Sized,
-    {
-        // Re-borrow the (possibly unsized) workload through the blanket
-        // `impl Workload for &mut W` so it coerces to `&mut dyn Workload`.
-        let mut wl: &mut W = workload;
-        self.step(&mut wl);
-    }
+    /// Advance one cycle, polling `workload` for new messages. Generic, so
+    /// the run protocol inlines the per-cycle loop for a concrete
+    /// `(network, workload)` pair; a `&mut dyn Workload` still works.
+    fn step<W: Workload + ?Sized>(&mut self, workload: &mut W);
     /// Tell the network the workload object passed to `step` is about to be
     /// replaced by a *different* one. The networks schedule polls from
     /// [`Workload::next_due`] answers, so a swap to a workload with earlier
@@ -374,12 +362,8 @@ macro_rules! forward_getters {
 }
 
 impl NocSim for AnyNet {
-    fn step(&mut self, workload: &mut dyn Workload) {
-        for_each_net!(self, n => n.step_cycle(workload))
-    }
-
     #[inline]
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
+    fn step<W: Workload + ?Sized>(&mut self, workload: &mut W) {
         for_each_net!(self, n => n.step_cycle(workload))
     }
 
@@ -567,7 +551,7 @@ pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
     net.note_workload_change();
     let mut dog = Watchdog::new(spec.stall_window, deadline);
     for _ in 0..spec.warmup {
-        net.step_mono(workload);
+        net.step(workload);
         if let Some(trip) = dog.poll(net) {
             let end_backlog = net.source_backlog();
             let partial = summarise(net, offered_rate, spec, (0, 0), (0, 0), end_backlog, true);
@@ -577,7 +561,7 @@ pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
     net.metrics_mut().begin_measurement(t0 + spec.warmup);
     let flits_before = flits_moved(net);
     for _ in 0..spec.measure {
-        net.step_mono(workload);
+        net.step(workload);
         if let Some(trip) = dog.poll(net) {
             let flits_after = flits_moved(net);
             let end_backlog = net.source_backlog();
@@ -595,7 +579,7 @@ pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
         if net.quiesced() {
             break;
         }
-        net.step_mono(&mut silence);
+        net.step(&mut silence);
         if let Some(trip) = dog.poll(net) {
             let partial =
                 summarise(net, offered_rate, spec, flits_before, flits_after, end_backlog, true);

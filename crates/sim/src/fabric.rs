@@ -1175,11 +1175,7 @@ impl<R: RouterModel> Fabric<R> {
 }
 
 impl<R: RouterModel> NocSim for Fabric<R> {
-    fn step(&mut self, workload: &mut dyn Workload) {
-        self.step_cycle(workload);
-    }
-
-    fn step_mono<W: Workload + ?Sized>(&mut self, workload: &mut W) {
+    fn step<W: Workload + ?Sized>(&mut self, workload: &mut W) {
         self.step_cycle(workload);
     }
 

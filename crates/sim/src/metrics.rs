@@ -37,12 +37,6 @@ struct MessageTrack {
     lost: u32,
 }
 
-/// Split a slab-issued [`MessageId`] into `(slot, generation)`.
-#[inline]
-fn slot_of(message: MessageId) -> (usize, u32) {
-    ((message.0 & 0xFFFF_FFFF) as usize, (message.0 >> 32) as u32)
-}
-
 /// Simulation measurements and delivery invariants.
 ///
 /// Hot-path notes: `record_flit_delivery` runs for every delivered flit, so
@@ -176,7 +170,7 @@ impl Metrics {
                     received: 0,
                     lost: 0,
                 };
-                MessageId((generation as u64) << 32 | slot as u64)
+                MessageId::from_slot(slot as usize, generation)
             }
             None => {
                 self.tracks.push(MessageTrack {
@@ -188,14 +182,14 @@ impl Metrics {
                     received: 0,
                     lost: 0,
                 });
-                MessageId(self.tracks.len() as u64 - 1)
+                MessageId::from_slot(self.tracks.len() - 1, 0)
             }
         }
     }
 
     /// Set the receiver count a created message must reach to complete.
     pub fn set_expected(&mut self, message: MessageId, expected: usize) {
-        let (slot, generation) = slot_of(message);
+        let (slot, generation) = (message.slot(), message.generation());
         let track = &mut self.tracks[slot];
         debug_assert!(
             track.live && track.generation == generation && track.received == 0,
@@ -241,7 +235,7 @@ impl Metrics {
             assert_eq!(meta.dst, node, "unicast delivered to the wrong node");
         }
 
-        let (slot, generation) = slot_of(meta.message);
+        let (slot, generation) = (meta.message.slot(), meta.message.generation());
         let track = &mut self.tracks[slot];
         assert!(track.live && track.generation == generation, "delivery for unregistered message");
         track.received += 1;
@@ -317,7 +311,7 @@ impl Metrics {
         if count == 0 {
             return;
         }
-        let (slot, generation) = slot_of(message);
+        let (slot, generation) = (message.slot(), message.generation());
         let track = &mut self.tracks[slot];
         assert!(track.live && track.generation == generation, "loss for unregistered message");
         let count = u32::try_from(count).expect("receiver count fits u32");
@@ -595,7 +589,7 @@ mod tests {
         // The completed slot is reused under a new generation tag; counters
         // keep accumulating.
         let b = created(&mut m, TrafficClass::Unicast, 40, 1);
-        assert_eq!(slot_of(a).0, slot_of(b).0, "completed slot must be recycled");
+        assert_eq!(a.slot(), b.slot(), "completed slot must be recycled");
         assert_ne!(a, b, "recycled slot must carry a fresh generation");
         deliver_packet(&mut m, 50, NodeId(4), meta(b, 1, TrafficClass::Unicast, 4, 2));
         assert_eq!(m.completed(TrafficClass::Unicast), 2);
@@ -646,7 +640,7 @@ mod tests {
         let old = created(&mut m, TrafficClass::Unicast, 0, 1);
         deliver_packet(&mut m, 9, NodeId(1), meta(old, 0, TrafficClass::Unicast, 1, 2));
         let fresh = created(&mut m, TrafficClass::Unicast, 10, 1);
-        assert_eq!(slot_of(old).0, slot_of(fresh).0);
+        assert_eq!(old.slot(), fresh.slot());
         deliver_packet(&mut m, 12, NodeId(1), meta(old, 1, TrafficClass::Unicast, 1, 2));
     }
 

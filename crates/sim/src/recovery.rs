@@ -47,15 +47,6 @@ use quarc_core::ids::{MessageId, NodeId};
 use quarc_engine::{Cycle, DetRng};
 use quarc_workloads::MessageRequest;
 
-/// Split a slab-issued [`MessageId`] into `(slot, generation)` — the same
-/// layout [`Metrics`](crate::metrics::Metrics) allocates, which is what
-/// lets recovery entries live in a slot-indexed vector with no hashing on
-/// the per-flit path.
-#[inline]
-fn slot_of(message: MessageId) -> (usize, u32) {
-    ((message.0 & 0xFFFF_FFFF) as usize, (message.0 >> 32) as u32)
-}
-
 /// Lifecycle of one outstanding-message entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
@@ -220,7 +211,7 @@ impl RecoveryState {
         now: Cycle,
         expected: usize,
     ) {
-        let (slot, gen) = slot_of(message);
+        let (slot, gen) = (message.slot(), message.generation());
         if slot >= self.entries.len() {
             self.entries.resize(
                 slot + 1,
@@ -302,7 +293,7 @@ impl RecoveryState {
     /// stale generation or a written-off window) is a duplicate to drain
     /// silently.
     pub fn on_data_header(&mut self, message: MessageId, node: NodeId) -> DataDelivery {
-        let (slot, gen) = slot_of(message);
+        let (slot, gen) = (message.slot(), message.generation());
         if slot >= self.entries.len() {
             return DataDelivery::Dup;
         }
@@ -325,7 +316,7 @@ impl RecoveryState {
     /// stale or duplicate acks, which the caller drains without recording.
     pub fn on_ack(&mut self, message: MessageId, receiver: NodeId, now: Cycle) -> Option<Cycle> {
         let _ = now;
-        let (slot, gen) = slot_of(message);
+        let (slot, gen) = (message.slot(), message.generation());
         if slot >= self.entries.len() {
             return None;
         }
@@ -370,7 +361,7 @@ impl RecoveryState {
             if entry.gen != gen || entry.state != EntryState::Open || entry.deadline != deadline {
                 continue;
             }
-            let message = MessageId((gen as u64) << 32 | slot as u64);
+            let message = MessageId::from_slot(slot, gen);
             if entry.attempt >= self.policy.max_retries {
                 // Give up: write off receivers never served by any attempt.
                 // Served-but-unacked receivers are already in the delivered
@@ -417,8 +408,8 @@ mod tests {
         RecoveryPolicy { seed: 7, ack_timeout: 100, max_retries: 2, jitter: 0 }
     }
 
-    fn mid(slot: u64, gen: u64) -> MessageId {
-        MessageId(gen << 32 | slot)
+    fn mid(slot: usize, gen: u32) -> MessageId {
+        MessageId::from_slot(slot, gen)
     }
 
     #[test]

@@ -23,7 +23,7 @@ use quarc_workloads::{
 };
 
 /// Everything the figures consume, as exact bits.
-fn fingerprint(net: &dyn NocSim) -> (u64, u64, u64, usize, u64, u64, u64, usize, bool) {
+fn fingerprint(net: &impl NocSim) -> (u64, u64, u64, usize, u64, u64, u64, usize, bool) {
     let m = net.metrics();
     (
         net.now(),
@@ -38,7 +38,7 @@ fn fingerprint(net: &dyn NocSim) -> (u64, u64, u64, usize, u64, u64, u64, usize,
     )
 }
 
-/// A simulator the lockstep can also audit (object-safe over the models).
+/// A simulator the lockstep can also audit.
 trait Net: NocSim {
     fn audit(&self) -> Result<(), String>;
 }
@@ -50,7 +50,7 @@ impl<R: RouterModel> Net for Fabric<R> {
 }
 
 /// Both twins' incrementally kept state must equal its cold recount.
-fn audit_both(active: &dyn Net, oracle: &dyn Net, label: &str) {
+fn audit_both<N: Net>(active: &N, oracle: &N, label: &str) {
     for (side, net) in [("active", active), ("oracle", oracle)] {
         if let Err(broken) = net.audit() {
             panic!("{label}: {side} {broken}");
@@ -61,9 +61,9 @@ fn audit_both(active: &dyn Net, oracle: &dyn Net, label: &str) {
 /// Step `active` (worklists) and `oracle` (full scan) in lockstep under
 /// identically-seeded workloads, checking the fingerprints at every
 /// checkpoint, then drain both and compare the final state.
-fn lockstep(
-    active: &mut dyn Net,
-    oracle: &mut dyn Net,
+fn lockstep<N: Net>(
+    active: &mut N,
+    oracle: &mut N,
     wl_a: &mut dyn Workload,
     wl_o: &mut dyn Workload,
     cycles: u64,
@@ -202,7 +202,7 @@ proptest! {
 }
 
 /// Everything [`fingerprint`] covers plus the fault/recovery ledger.
-fn fault_fingerprint(net: &dyn NocSim) -> impl PartialEq + std::fmt::Debug {
+fn fault_fingerprint(net: &impl NocSim) -> impl PartialEq + std::fmt::Debug {
     let m = net.metrics();
     (
         fingerprint(net),
@@ -218,7 +218,7 @@ macro_rules! fault_pair {
         |cfg, full_scan| {
             let mut net = $ty::new(cfg);
             net.set_full_scan(full_scan);
-            Box::new(net) as Box<dyn Net>
+            net
         }
     };
 }
@@ -268,8 +268,8 @@ const HEALTHY_AND_LOSSY: [Plan; 2] = [("healthy", FaultPlan::NONE, RecoveryPolic
 /// re-marking (watch lists, windows that open and close with the clock,
 /// recovery deadlines firing into an idle fabric) the full-scan oracle
 /// exists to police.
-fn fault_lockstep(
-    mk: impl Fn(NocConfig, bool) -> Box<dyn Net>,
+fn fault_lockstep<N: Net>(
+    mk: impl Fn(NocConfig, bool) -> N,
     base: NocConfig,
     plans: &[Plan],
     seeds: &[u64],
@@ -289,9 +289,8 @@ fn fault_lockstep(
             let (mut wa, mut wo) =
                 (TraceWorkload::new(n, records.clone()), TraceWorkload::new(n, records));
             let tag = format!("{label}/{plan_name}/seed{seed}");
-            lockstep(active.as_mut(), oracle.as_mut(), &mut wa, &mut wo, CYCLES, &tag);
-            let (active, oracle): (&dyn NocSim, &dyn NocSim) = (&*active, &*oracle);
-            assert_eq!(fault_fingerprint(active), fault_fingerprint(oracle), "{tag}: ledger");
+            lockstep(&mut active, &mut oracle, &mut wa, &mut wo, CYCLES, &tag);
+            assert_eq!(fault_fingerprint(&active), fault_fingerprint(&oracle), "{tag}: ledger");
             if plan_name == "dead+exhaustion" {
                 assert!(active.metrics().flits_dropped() > 0, "{tag}: plan never bit");
             }

@@ -44,8 +44,8 @@ use quarc_engine::mix64;
 use quarc_sim::mesh_net::MeshNetwork;
 use quarc_sim::torus_net::TorusNetwork;
 use quarc_sim::{
-    build_any, run, run_mono_outcome_deadline, NocSim, ProbeConfig, QuarcNetwork, RunOutcome,
-    RunSpec, SpidergonNetwork,
+    build_any, run, run_mono_outcome_deadline, AnyNet, NocSim, ProbeConfig, QuarcNetwork,
+    RunOutcome, RunSpec, SpidergonNetwork,
 };
 use quarc_workloads::{
     Bursty, BurstyConfig, MessageRequest, Synthetic, SyntheticConfig, TraceRecord, TraceWorkload,
@@ -58,7 +58,7 @@ const GOLDEN_FAULTS: &str = include_str!("goldens/metrics_equivalence_faults.txt
 
 /// One scenario line: run `cycles` of injection, then drain up to `drain`
 /// cycles, and render every metric the figures consume.
-fn run_scenario(name: &str, net: &mut dyn NocSim, wl: &mut dyn Workload, cycles: u64) -> String {
+fn run_scenario(name: &str, net: &mut impl NocSim, wl: &mut dyn Workload, cycles: u64) -> String {
     // Observe, never mutate: all three probe channels on, goldens unchanged.
     net.probe_mut().configure(ProbeConfig::all(1 << 12));
     for _ in 0..cycles {
@@ -163,15 +163,15 @@ fn scenarios() -> String {
         ("mesh/synthetic", 2, 0.1),
         ("torus/synthetic", 3, 0.1),
     ] {
-        let mut net: Box<dyn NocSim> = match mk {
-            0 => Box::new(QuarcNetwork::new(NocConfig::quarc(16))),
-            1 => Box::new(SpidergonNetwork::new(NocConfig::spidergon(16))),
-            2 => Box::new(MeshNetwork::new(NocConfig::mesh(16))),
-            _ => Box::new(TorusNetwork::new(NocConfig::torus(16))),
+        let mut net = match mk {
+            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(16))),
+            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(16))),
+            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(16))),
+            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(16))),
         };
         let n = net.num_nodes();
         let mut wl = Synthetic::new(n, SyntheticConfig::paper(0.03, 8, beta, 0xA5A5));
-        out.push_str(&run_scenario(name, net.as_mut(), &mut wl, 3_000));
+        out.push_str(&run_scenario(name, &mut net, &mut wl, 3_000));
     }
 
     // Bursty on/off traffic (stresses same-cycle multi-message polling).
@@ -181,11 +181,11 @@ fn scenarios() -> String {
         ("mesh/bursty", 2, 0.08),
         ("torus/bursty", 3, 0.08),
     ] {
-        let mut net: Box<dyn NocSim> = match mk {
-            0 => Box::new(QuarcNetwork::new(NocConfig::quarc(16))),
-            1 => Box::new(SpidergonNetwork::new(NocConfig::spidergon(16))),
-            2 => Box::new(MeshNetwork::new(NocConfig::mesh(16))),
-            _ => Box::new(TorusNetwork::new(NocConfig::torus(16))),
+        let mut net = match mk {
+            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(16))),
+            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(16))),
+            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(16))),
+            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(16))),
         };
         let n = net.num_nodes();
         let cfg = BurstyConfig {
@@ -200,22 +200,22 @@ fn scenarios() -> String {
             ..Default::default()
         };
         let mut wl = Bursty::new(n, cfg);
-        out.push_str(&run_scenario(name, net.as_mut(), &mut wl, 3_000));
+        out.push_str(&run_scenario(name, &mut net, &mut wl, 3_000));
     }
 
     // Fixed traces (exact replay; multicast and broadcast on every model).
     for (name, mk) in
         [("quarc/trace", 0u8), ("spidergon/trace", 1), ("mesh/trace", 2), ("torus/trace", 3)]
     {
-        let mut net: Box<dyn NocSim> = match mk {
-            0 => Box::new(QuarcNetwork::new(NocConfig::quarc(16))),
-            1 => Box::new(SpidergonNetwork::new(NocConfig::spidergon(16))),
-            2 => Box::new(MeshNetwork::new(NocConfig::mesh(16))),
-            _ => Box::new(TorusNetwork::new(NocConfig::torus(16))),
+        let mut net = match mk {
+            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(16))),
+            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(16))),
+            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(16))),
+            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(16))),
         };
         let n = net.num_nodes();
         let mut wl = TraceWorkload::new(n, mixed_trace(n, true));
-        out.push_str(&run_scenario(name, net.as_mut(), &mut wl, 400));
+        out.push_str(&run_scenario(name, &mut net, &mut wl, 400));
     }
 
     // Larger Quarc near saturation: deep wormhole contention, VC arbitration
@@ -242,16 +242,16 @@ fn large_scenarios() -> String {
         ("torus/n256-trickle", 3, 256, 0.002, 2_000),
         ("quarc/n1024-trickle", 0, 1024, 0.002, 1_200),
     ] {
-        let mut net: Box<dyn NocSim> = match mk {
-            0 => Box::new(QuarcNetwork::new(NocConfig::quarc(n))),
-            1 => Box::new(SpidergonNetwork::new(NocConfig::spidergon(n))),
-            2 => Box::new(MeshNetwork::new(NocConfig::mesh(n))),
-            _ => Box::new(TorusNetwork::new(NocConfig::torus(n))),
+        let mut net = match mk {
+            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(n))),
+            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(n))),
+            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(n))),
+            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(n))),
         };
         let nodes = net.num_nodes();
         let beta = if mk == 1 { 0.02 } else { 0.05 };
         let mut wl = Synthetic::new(nodes, SyntheticConfig::paper(rate, 8, beta, 0xA5A5));
-        out.push_str(&run_scenario(name, net.as_mut(), &mut wl, cycles));
+        out.push_str(&run_scenario(name, &mut net, &mut wl, cycles));
     }
     out
 }
@@ -260,7 +260,7 @@ fn large_scenarios() -> String {
 /// counter PRs 7 and 10 added, latency means as exact bits, and a digest of
 /// the full-cadence counter time-series — so per-cycle backlog, buffering,
 /// worklist sizes and credit stalls are pinned, not just end totals.
-fn fault_line(name: &str, net: &dyn NocSim, outcome: &RunOutcome) -> String {
+fn fault_line(name: &str, net: &impl NocSim, outcome: &RunOutcome) -> String {
     let m = net.metrics();
     let how = match outcome {
         RunOutcome::Finished(_) => "finished".to_string(),

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use quarc_core::config::{FaultPlan, NocConfig};
 use quarc_core::ids::NodeId;
 use quarc_engine::DetRng;
-use quarc_sim::driver::NocSim;
+use quarc_sim::driver::{AnyNet, NocSim};
 use quarc_sim::{
     run_point, FlitEventKind, MeshNetwork, PointSpec, ProbeConfig, QuarcNetwork, RunSpec,
     SpidergonNetwork, TorusNetwork,
@@ -59,7 +59,7 @@ fn collective_records(n: usize, count: usize, seed: u64) -> Vec<TraceRecord> {
 
 /// Drive `net` over the trace, then drain under a hard cycle bound. Returns
 /// whether the drain terminated — which, under permanent faults, it must.
-fn run_and_drain(net: &mut dyn NocSim, records: Vec<TraceRecord>) -> bool {
+fn run_and_drain(net: &mut impl NocSim, records: Vec<TraceRecord>) -> bool {
     let n = net.num_nodes();
     let horizon = records.last().map_or(0, |r| r.cycle) + 1;
     let mut wl = TraceWorkload::new(n, records);
@@ -84,15 +84,18 @@ fn dead_links_retire_unreachable_receivers_and_drain_still_terminates() {
     // pins is `quiesced()` waiting forever on those receivers instead of
     // counting the shortfall as undeliverable.
     let fault = FaultPlan { seed: 11, onset: 0, dead_links: 2, ..FaultPlan::NONE };
-    let nets: Vec<(&str, Box<dyn NocSim>)> = vec![
-        ("quarc", Box::new(QuarcNetwork::new(NocConfig::quarc(16).with_fault(fault)))),
-        ("spidergon", Box::new(SpidergonNetwork::new(NocConfig::spidergon(16).with_fault(fault)))),
-        ("mesh", Box::new(MeshNetwork::new(NocConfig::mesh(16).with_fault(fault)))),
-        ("torus", Box::new(TorusNetwork::new(NocConfig::torus(16).with_fault(fault)))),
+    let nets: Vec<(&str, AnyNet)> = vec![
+        ("quarc", AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(16).with_fault(fault)))),
+        (
+            "spidergon",
+            AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(16).with_fault(fault))),
+        ),
+        ("mesh", AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(16).with_fault(fault)))),
+        ("torus", AnyNet::Grid(TorusNetwork::new(NocConfig::torus(16).with_fault(fault)))),
     ];
     for (label, mut net) in nets {
         let records = collective_records(16, 40, 0xDEAD);
-        assert!(run_and_drain(net.as_mut(), records), "{label}: drain failed to terminate");
+        assert!(run_and_drain(&mut net, records), "{label}: drain failed to terminate");
         let m = net.metrics();
         assert_eq!(m.in_flight(), 0, "{label}: in-flight after drain");
         // The fixed seed makes the traffic deterministic: with 40 collective

@@ -37,7 +37,7 @@ fn receivers(src: NodeId, targets: &[NodeId]) -> usize {
     targets.iter().filter(|&&t| t != src).collect::<BTreeSet<_>>().len()
 }
 
-fn run_one(net: &mut dyn NocSim, record: TraceRecord) -> (u64, u64) {
+fn run_one(net: &mut impl NocSim, record: TraceRecord) -> (u64, u64) {
     let n = net.num_nodes();
     let mut wl = TraceWorkload::new(n, vec![record]);
     for _ in 0..1_000_000 {

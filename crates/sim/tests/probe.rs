@@ -56,7 +56,7 @@ fn random_records(n: usize, count: usize, seed: u64) -> Vec<TraceRecord> {
 
 /// Run `net` over the trace with every probe channel on, drain it, and audit
 /// the event ledger.
-fn check_conservation(net: &mut dyn NocSim, records: Vec<TraceRecord>, label: &str) {
+fn check_conservation(net: &mut impl NocSim, records: Vec<TraceRecord>, label: &str) {
     let n = net.num_nodes();
     net.probe_mut().configure(ProbeConfig::all(1 << 17));
     let horizon = records.last().map_or(0, |r| r.cycle) + 1;

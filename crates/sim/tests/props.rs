@@ -70,7 +70,7 @@ fn expected_flits(n: usize, records: &[TraceRecord]) -> usize {
     records.iter().map(|r| receivers(n, r) * r.request.len).sum()
 }
 
-fn run_to_quiescence(net: &mut dyn NocSim, records: Vec<TraceRecord>) -> (u64, u64) {
+fn run_to_quiescence(net: &mut impl NocSim, records: Vec<TraceRecord>) -> (u64, u64) {
     let n = net.num_nodes();
     let mut wl = TraceWorkload::new(n, records);
     for _ in 0..300_000 {

@@ -61,7 +61,7 @@ fn collective_records(n: usize, count: usize, seed: u64) -> Vec<TraceRecord> {
 /// Drive the trace, then drain under a hard cycle bound (generous enough
 /// for several exponential-backoff retry rounds). Returns whether the drain
 /// terminated — with recovery every window must close (served or exhausted).
-fn run_and_drain(net: &mut dyn NocSim, records: Vec<TraceRecord>) -> bool {
+fn run_and_drain(net: &mut impl NocSim, records: Vec<TraceRecord>) -> bool {
     let n = net.num_nodes();
     let horizon = records.last().map_or(0, |r| r.cycle) + 1;
     let mut wl = TraceWorkload::new(n, records);

@@ -20,7 +20,7 @@ fn spidergon_sizes() -> impl Strategy<Value = usize> {
     prop_oneof![Just(6usize), Just(8), Just(10), Just(16), Just(18), Just(32)]
 }
 
-fn drain(net: &mut dyn NocSim, wl: &mut TraceWorkload, cap: u64) {
+fn drain(net: &mut impl NocSim, wl: &mut TraceWorkload, cap: u64) {
     for _ in 0..cap {
         net.step(wl);
         if net.quiesced() && wl.remaining() == 0 {

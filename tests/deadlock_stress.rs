@@ -11,7 +11,7 @@ use quarc::sim::{QuarcNetwork, SpidergonNetwork};
 use quarc::workloads::{Pattern, Synthetic, SyntheticConfig, TraceWorkload};
 
 /// Run under load, then drain; assert liveness and conservation.
-fn stress(net: &mut dyn NocSim, wl: &mut Synthetic, load_cycles: u64, drain_cycles: u64) {
+fn stress(net: &mut impl NocSim, wl: &mut Synthetic, load_cycles: u64, drain_cycles: u64) {
     let n = net.num_nodes();
     let mut last_delivered = 0;
     for chunk in 0..load_cycles / 500 {
