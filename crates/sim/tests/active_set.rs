@@ -276,25 +276,33 @@ fn fault_lockstep<N: Net>(
     label: &str,
 ) {
     for &seed in seeds {
-        for &(plan_name, plan, recovery) in plans {
-            let cfg = base
-                .with_buffer_depth(1)
-                .with_fault(FaultPlan { seed, ..plan })
-                .with_recovery(recovery);
-            let (mut active, mut oracle) = (mk(cfg, false), mk(cfg, true));
-            active.probe_mut().configure(quarc_sim::ProbeConfig::all(1 << 10));
-            oracle.probe_mut().configure(quarc_sim::ProbeConfig::all(1 << 10));
-            let n = active.num_nodes();
-            let records = random_records(n, 40, seed ^ 0x5EED);
-            let (mut wa, mut wo) =
-                (TraceWorkload::new(n, records.clone()), TraceWorkload::new(n, records));
-            let tag = format!("{label}/{plan_name}/seed{seed}");
-            lockstep(&mut active, &mut oracle, &mut wa, &mut wo, CYCLES, &tag);
-            assert_eq!(fault_fingerprint(&active), fault_fingerprint(&oracle), "{tag}: ledger");
-            if plan_name == "dead+exhaustion" {
-                assert!(active.metrics().flits_dropped() > 0, "{tag}: plan never bit");
-            }
+        for &plan in plans {
+            fault_case(&mk, base.with_buffer_depth(1), plan, seed, label);
         }
+    }
+}
+
+/// One [`fault_lockstep`] run: `base` (buffer depth and link latency
+/// included) under `plan` reseeded with `seed`, over a random trace.
+fn fault_case<N: Net>(
+    mk: &impl Fn(NocConfig, bool) -> N,
+    base: NocConfig,
+    (plan_name, plan, recovery): Plan,
+    seed: u64,
+    label: &str,
+) {
+    let cfg = base.with_fault(FaultPlan { seed, ..plan }).with_recovery(recovery);
+    let (mut active, mut oracle) = (mk(cfg, false), mk(cfg, true));
+    active.probe_mut().configure(quarc_sim::ProbeConfig::all(1 << 10));
+    oracle.probe_mut().configure(quarc_sim::ProbeConfig::all(1 << 10));
+    let n = active.num_nodes();
+    let records = random_records(n, 40, seed ^ 0x5EED);
+    let (mut wa, mut wo) = (TraceWorkload::new(n, records.clone()), TraceWorkload::new(n, records));
+    let tag = format!("{label}/{plan_name}/seed{seed}");
+    lockstep(&mut active, &mut oracle, &mut wa, &mut wo, CYCLES, &tag);
+    assert_eq!(fault_fingerprint(&active), fault_fingerprint(&oracle), "{tag}: ledger");
+    if plan.dead_links > 0 {
+        assert!(active.metrics().flits_dropped() > 0, "{tag}: plan never bit");
     }
 }
 
@@ -355,6 +363,47 @@ fn four_vc_mask_lockstep() {
         seeds,
         "torus/4vc",
     );
+}
+
+/// Every case above runs links of latency 1, where a link holds at most one
+/// flit. Latencies 2 and 5 pipeline several flits per link (the live-link
+/// worklist must keep a link until its last flit lands), at buffer depths 2
+/// and 4, healthy and under dead + lossy + transient links with recovery on.
+/// The rates stay below the recovering fabric's collapse knee, so every
+/// drain terminates within the lockstep's cap.
+#[test]
+fn link_latency_lockstep() {
+    const MIXED: Plan = (
+        "dead+lossy+transient+recovery",
+        FaultPlan {
+            onset: 80,
+            dead_links: 2,
+            lossy_links: 4,
+            drop_per_64k: 6_000,
+            transient_links: 3,
+            transient_cycles: 300,
+            ..FaultPlan::NONE
+        },
+        RecoveryPolicy { seed: 5, ack_timeout: 200, max_retries: 3, jitter: 8 },
+    );
+    let plans = [HEALTHY_AND_LOSSY[0], MIXED];
+    for latency in [2, 5] {
+        for depth in [2, 4] {
+            let at = |cfg: NocConfig| NocConfig {
+                link_latency: latency,
+                ..cfg.with_buffer_depth(depth)
+            };
+            let tag = |topo: &str| format!("{topo}/latency{latency}/depth{depth}");
+            let (quarc, spidergon) = (at(NocConfig::quarc(16)), at(NocConfig::spidergon(16)));
+            let (mesh, torus) = (at(NocConfig::mesh(16)), at(NocConfig::torus(16)));
+            for plan in plans {
+                fault_case(&fault_pair!(QuarcNetwork), quarc, plan, 29, &tag("quarc"));
+                fault_case(&fault_pair!(SpidergonNetwork), spidergon, plan, 29, &tag("spidergon"));
+                fault_case(&fault_pair!(MeshNetwork), mesh, plan, 29, &tag("mesh"));
+                fault_case(&fault_pair!(TorusNetwork), torus, plan, 29, &tag("torus"));
+            }
+        }
+    }
 }
 
 /// Random mixed-class traces on the Quarc at buffer_depth 1 (head-of-line

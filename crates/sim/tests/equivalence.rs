@@ -226,6 +226,27 @@ fn scenarios() -> String {
         out.push_str(&run_scenario("quarc/near-sat", &mut net, &mut wl, 4_000));
     }
 
+    // Every line above runs links of latency 1; at latency 2 and 5 a link
+    // carries several flits at once. The paper's workload and the mixed trace
+    // on every topology, appended so no earlier line moves.
+    for latency in [2, 5] {
+        for (topo, base) in [
+            ("quarc", NocConfig::quarc(16)),
+            ("spidergon", NocConfig::spidergon(16)),
+            ("mesh", NocConfig::mesh(16)),
+            ("torus", NocConfig::torus(16)),
+        ] {
+            let cfg = NocConfig { link_latency: latency, ..base };
+            let mut net = build_any(cfg);
+            let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.02, 8, 0.1, 0x1A7));
+            let name = format!("{topo}/latency{latency}/synthetic");
+            out.push_str(&run_scenario(&name, &mut net, &mut wl, 2_000));
+            let (mut net, name) = (build_any(cfg), format!("{topo}/latency{latency}/trace"));
+            let mut wl = TraceWorkload::new(16, mixed_trace(16, true));
+            out.push_str(&run_scenario(&name, &mut net, &mut wl, 400));
+        }
+    }
+
     out
 }
 
@@ -468,6 +489,29 @@ fn fault_scenarios() -> String {
         let mut wl = TraceWorkload::new(n, records);
         let outcome = run_mono_outcome_deadline(&mut net, &mut wl, &trace_spec, None);
         out.push_str(&fault_line(name, &net, &outcome));
+    }
+    // Links of latency 2 and 5 (every line above runs latency 1) under dead,
+    // lossy and transient links at once, with recovery on.
+    let mixed_plan = FaultPlan {
+        seed: 0xF7,
+        onset: 250,
+        dead_links: 1,
+        lossy_links: 4,
+        drop_per_64k: 5_000,
+        transient_links: 3,
+        transient_cycles: 600,
+        ..FaultPlan::NONE
+    };
+    for latency in [2, 5] {
+        for (topo, base, rate) in topologies {
+            let cfg = NocConfig { link_latency: latency, ..base };
+            let mut net = build_any(cfg.with_fault(mixed_plan).with_recovery(recoveries[1].1));
+            net.probe_mut().configure(ProbeConfig::all(1 << 12));
+            let mut wl = Synthetic::new(16, SyntheticConfig::paper(rate, 6, 0.1, 0xFA17));
+            let outcome = run_mono_outcome_deadline(&mut net, &mut wl, &spec, None);
+            let name = format!("{topo}/latency{latency}/dead+lossy+transient/on");
+            out.push_str(&fault_line(&name, &net, &outcome));
+        }
     }
     out
 }
