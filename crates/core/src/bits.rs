@@ -148,7 +148,6 @@ pub struct BitSlab {
     /// Per-row generation, bumped on free; mirrored into handles.
     generation: Vec<u32>,
     free: Vec<u32>,
-    live: usize,
 }
 
 impl BitSlab {
@@ -165,7 +164,6 @@ impl BitSlab {
             cursor: Vec::new(),
             generation: Vec::new(),
             free: Vec::new(),
-            live: 0,
         }
     }
 
@@ -184,11 +182,10 @@ impl BitSlab {
     /// Rows currently checked out (0 in an idle network).
     #[inline]
     pub fn live_rows(&self) -> usize {
-        self.live
+        self.cursor.len() - self.free.len()
     }
 
     fn alloc_row(&mut self) -> u32 {
-        self.live += 1;
         if let Some(row) = self.free.pop() {
             let base = row as usize * self.stride;
             self.data[base..base + self.stride].fill(0);
@@ -344,7 +341,6 @@ impl BitSlab {
         let row = self.check(b);
         self.generation[row] = (self.generation[row] + 1) & GEN_MASK;
         self.free.push(row as u32);
-        self.live -= 1;
     }
 
     /// Remaining logical value as a `u128` (test/debug helper; panics if

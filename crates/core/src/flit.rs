@@ -14,7 +14,7 @@
 //! holding the interned per-packet bookkeeping ([`PacketMeta`]), which is
 //! used only for statistics and invariant checking, never for routing
 //! decisions that the hardware could not make. Interning keeps the simulator
-//! hot path allocation-free: a flit is 16 bytes moved by value, and the
+//! hot path allocation-free: a flit is 12 bytes moved by value, and the
 //! ~56-byte metadata is written once at injection instead of being cloned on
 //! every hop, link slot and buffer push.
 
@@ -258,7 +258,6 @@ impl fmt::Display for PacketRef {
 pub struct PacketTable {
     slots: Vec<PacketMeta>,
     free: Vec<u32>,
-    live: usize,
     bits: BitSlab,
 }
 
@@ -306,13 +305,11 @@ impl PacketTable {
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = meta;
-                self.live += 1;
                 PacketRef(slot)
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("packet table overflow");
                 self.slots.push(meta);
-                self.live += 1;
                 PacketRef(slot)
             }
         }
@@ -336,13 +333,12 @@ impl PacketTable {
         self.bits.release(slot.bitstring);
         slot.bitstring = Bits::ZERO;
         self.free.push(packet.0);
-        self.live -= 1;
     }
 
     /// Number of packets currently interned.
     #[inline]
     pub fn live(&self) -> usize {
-        self.live
+        self.slots.len() - self.free.len()
     }
 
     /// High-water mark of simultaneously live packets (slot count).
@@ -351,7 +347,7 @@ impl PacketTable {
     }
 }
 
-/// One flit of a wormhole packet: a 16-byte `Copy` value. Everything
+/// One flit of a wormhole packet: a 12-byte `Copy` value. Everything
 /// per-packet lives in the [`PacketTable`]; the flit itself carries only its
 /// packet handle and its position within the worm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -362,8 +358,6 @@ pub struct Flit {
     pub seq: u32,
     /// Header / body / tail.
     pub kind: FlitKind,
-    /// 32-bit payload (body/tail flits only; headers carry addressing).
-    pub payload: u32,
 }
 
 impl Flit {
@@ -594,7 +588,7 @@ mod tests {
 
     #[test]
     fn single_flit_is_header_and_tail() {
-        let f = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Single, payload: 0 };
+        let f = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Single };
         assert!(f.is_header() && f.is_tail());
         assert_eq!(f.to_string(), "S[0 #0]");
     }
@@ -629,7 +623,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let f = Flit { packet: PacketRef(5), seq: 0, kind: FlitKind::Header, payload: 0 };
+        let f = Flit { packet: PacketRef(5), seq: 0, kind: FlitKind::Header };
         assert_eq!(f.to_string(), "H[0 #5]");
     }
 

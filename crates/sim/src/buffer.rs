@@ -21,7 +21,7 @@ use quarc_core::flit::{Flit, FlitKind, PacketRef};
 /// arbitration pass inspects the head of every occupied lane of every
 /// *active* router every cycle, and the mirror turns that inspection into
 /// reads of per-node-contiguous memory instead of chasing each lane's ring
-/// position. Push/pop pay one extra 16-byte copy to maintain it — they run
+/// position. Push/pop pay one extra 12-byte copy to maintain it — they run
 /// once per flit movement, while `head` runs once per occupied lane per
 /// arbitration pass.
 #[derive(Debug, Clone)]
@@ -33,18 +33,21 @@ pub struct LaneBufs {
     /// Mirror of each lane's head flit (valid iff the lane is non-empty).
     heads: Box<[Flit]>,
     depth: usize,
+    /// Flits buffered across all lanes.
+    total: u64,
 }
 
 impl LaneBufs {
     /// Buffers for `lanes` lanes of `depth` flits each.
     pub fn new(lanes: usize, depth: usize) -> Self {
         assert!(depth >= 1 && depth <= u16::MAX as usize);
-        let empty = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Body, payload: 0 };
+        let empty = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Body };
         LaneBufs {
             flits: vec![empty; lanes * depth].into_boxed_slice(),
             state: vec![(0u16, 0u16); lanes].into_boxed_slice(),
             heads: vec![empty; lanes].into_boxed_slice(),
             depth,
+            total: 0,
         }
     }
 
@@ -65,6 +68,7 @@ impl LaneBufs {
             self.heads[lane] = flit;
         }
         self.state[lane].1 = len + 1;
+        self.total += 1;
     }
 
     /// The flit at the head of `lane`, which the caller knows to be
@@ -86,6 +90,7 @@ impl LaneBufs {
         let flit = self.heads[lane];
         let next = if head as usize + 1 == self.depth { 0 } else { head as usize + 1 };
         self.state[lane] = (next as u16, len - 1);
+        self.total -= 1;
         if len > 1 {
             self.heads[lane] = self.flits[lane * self.depth + next];
         }
@@ -96,6 +101,12 @@ impl LaneBufs {
     #[inline]
     pub fn len(&self, lane: usize) -> usize {
         self.state[lane].1 as usize
+    }
+
+    /// Flits buffered across all lanes. O(1).
+    #[inline]
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
     /// Whether `lane` is empty (the `empty` signal of §2.3.1).
@@ -117,7 +128,7 @@ mod tests {
     use super::*;
 
     fn flit(seq: u32) -> Flit {
-        Flit { packet: PacketRef(0), seq, kind: FlitKind::Body, payload: seq }
+        Flit { packet: PacketRef(0), seq, kind: FlitKind::Body }
     }
 
     #[test]

@@ -196,6 +196,11 @@ struct Transfer {
 /// Target of a vacant link slot.
 const NO_LINK: u32 = u32::MAX;
 
+/// Set bits of a bitmap: the routers a worklist holds.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
 /// Per-worm state held from a packet's header to its tail: the header sets
 /// it to `held`, the tail resets it to `idle` (a single-flit packet does
 /// both, leaving it idle).
@@ -253,10 +258,8 @@ pub struct Fabric<R: RouterModel> {
     transfers: Vec<Transfer>,
     poll_buf: Vec<MessageRequest>,
     retry_targets: Vec<NodeId>,
-    /// Total link traversals — a scalar beside the per-link array, because
-    /// the stall watchdog reads it per sample.
-    flit_hops: u64,
-    /// Flits carried per link since construction.
+    /// Flits carried per link since construction (their sum is
+    /// [`NocSim::flit_hops`]).
     link_flits: Vec<u64>,
     /// `(downstream node, input port)` per link; [`NO_LINK`] when vacant.
     targets: Vec<(u32, u8)>,
@@ -266,27 +269,25 @@ pub struct Fabric<R: RouterModel> {
     credits: Vec<u32>,
     /// Link feeding each network input (inverse of `targets`).
     feeder: Vec<u32>,
-    /// Routers-with-work bitmap (bit `node`) and its popcount. A router
-    /// that produced no grant can only become grantable through a tracked
-    /// event — a link arrival, an injection, a commit at the node, a credit
-    /// returned to it — each of which re-marks it. Swapped each cycle with
-    /// the all-zero `mark_scratch` and walked word by word: ascending order
-    /// for free.
+    /// Routers-with-work bitmap (bit `node`). A router that produced no
+    /// grant can only become grantable through a tracked event — a link
+    /// arrival, an injection, a commit at the node, a credit returned to
+    /// it — each of which re-marks it. Swapped each cycle with the all-zero
+    /// `mark_scratch` and walked word by word: ascending order for free.
     marked: Vec<u64>,
-    marked_count: usize,
     mark_scratch: Vec<u64>,
-    /// Links-with-flits worklist (insertion-ordered; arrival targets are
-    /// disjoint, so order cannot affect state).
-    link_live: Vec<bool>,
+    /// Links-with-flits worklist: every non-empty link once, in the order
+    /// it last became non-empty (a send to an empty link appends it;
+    /// arrivals drop the links they empty). Arrival targets are disjoint,
+    /// so order cannot affect state.
     live_links: Vec<u32>,
     /// Sources-with-upcoming-work: min-heap of `(due cycle, node)`.
     poll_heap: BinaryHeap<Reverse<(Cycle, u32)>>,
     /// Test oracle: bypass every worklist and scan everything each cycle.
     full_scan: bool,
-    /// O(1) counter twins of walking the queues, lanes and links.
+    /// Flits waiting in the injection queues (an O(1) twin of walking
+    /// them; lanes and links keep their own totals).
     inject_backlog: usize,
-    buffered_flits: u64,
-    link_occupancy: u64,
     /// Realised [`NocConfig::fault`] schedule plus explicit link-block
     /// windows; an empty plan costs one predictable branch per site.
     fault: FaultState,
@@ -344,21 +345,16 @@ impl<R: RouterModel> Fabric<R> {
             transfers: Vec::new(),
             poll_buf: Vec::new(),
             retry_targets: Vec::new(),
-            flit_hops: 0,
             link_flits: vec![0; n * ports],
             credits: vec![cfg.buffer_depth as u32; n * ports * vcs],
             feeder,
             targets,
             marked: vec![0; n.div_ceil(64)],
-            marked_count: 0,
             mark_scratch: vec![0; n.div_ceil(64)],
-            link_live: vec![false; n * ports],
             live_links: Vec::new(),
             poll_heap: (0..n as u32).map(|node| Reverse((0, node))).collect(),
             full_scan: false,
             inject_backlog: 0,
-            buffered_flits: 0,
-            link_occupancy: 0,
             fault,
             recovery: RecoveryState::new(cfg.recovery, n),
             probe: SimProbe::new(),
@@ -390,8 +386,9 @@ impl<R: RouterModel> Fabric<R> {
     }
 
     /// Cold recount of everything the hot path keeps incrementally —
-    /// occupancy masks, route memos, the worklists, credit mirrors, the
-    /// counter twins and the packet table's live slots and slab rows —
+    /// occupancy masks, route memos, the live-link worklist, credit mirrors,
+    /// the lane, link and queue totals and the packet table's live slots and
+    /// slab rows —
     /// failing with the first broken invariant by name.
     /// Valid between steps; walks the whole network, so never per cycle.
     pub fn audit(&self) -> Result<(), String> {
@@ -423,6 +420,8 @@ impl<R: RouterModel> Fabric<R> {
         };
         self.respawned.iter().for_each(|&(_, _, p)| reach(p));
         let (mut buffered, mut backlog, mut on_links) = (0, 0, 0);
+        let mut listed = vec![0u32; self.links.len()];
+        self.live_links.iter().for_each(|&lid| listed[lid as usize] += 1);
         for node in 0..self.nodes {
             for bit in 0..R::PORTS * vcs {
                 let lane = node * R::PORTS * vcs + bit;
@@ -445,9 +444,6 @@ impl<R: RouterModel> Fabric<R> {
             self.links.in_flight(lid).for_each(|tf| reach(tf.flit.packet));
             let counted = self.links.is_empty(lid) == (flying == 0);
             check(counted, "LinkBank occupancy = slot walk", (lid, 0))?;
-            // The full-scan oracle bypasses the live-link worklist.
-            let flagged = self.full_scan || self.link_live[lid] == (flying > 0);
-            check(flagged, "link_live ⇔ !LinkBank::is_empty", (lid, 0))?;
             for vc in 0..vcs {
                 let down = (to as usize * R::PORTS + tin as usize) * vcs + vc;
                 let sent = self.links.in_flight(lid).filter(|tf| tf.vc.index() == vc).count();
@@ -455,22 +451,26 @@ impl<R: RouterModel> Fabric<R> {
                 check(mirror == depth, "credit = depth − buffered − in flight", (lid, vc))?;
             }
         }
-        check(buffered == self.buffered_flits, "buffered_flits = lane walk", (0, 0))?;
+        for (lid, &times) in listed.iter().enumerate() {
+            let flying = self.links.in_flight(lid).next().is_some();
+            check(
+                times == u32::from(flying),
+                "live_links lists each non-empty link once",
+                (lid, 0),
+            )?;
+        }
+        check(buffered == self.in_buf.total(), "LaneBufs total = lane walk", (0, 0))?;
         check(backlog == self.inject_backlog, "inject_backlog = queue walk", (0, 0))?;
-        check(on_links == self.link_occupancy, "link_occupancy = link walk", (0, 0))?;
+        check(on_links == self.links.total(), "LinkBank total = link walk", (0, 0))?;
         check(packets == self.packets.live(), "packet table live = reachable packets", (0, 0))?;
         check(rows == self.packets.bits().live_rows(), "slab rows = reachable rows", (0, 0))?;
-        let marks: u32 = self.marked.iter().map(|w| w.count_ones()).sum();
-        check(marks as usize == self.marked_count, "worklist popcount = counter", (0, 0))?;
         check(self.mark_scratch.iter().all(|&w| w == 0), "scratch worklist is zero", (0, 0))
     }
 
     /// Mark `node`'s router as possibly grantable next arbitration pass.
     #[inline]
     fn mark_node(&mut self, node: usize) {
-        let (word, bit) = (&mut self.marked[node >> 6], 1u64 << (node & 63));
-        self.marked_count += (*word & bit == 0) as usize;
-        *word |= bit;
+        self.marked[node >> 6] |= 1 << (node & 63);
     }
 
     /// Turn a model's route into the lane's plan. The fault-drop decision is
@@ -692,7 +692,6 @@ impl<R: RouterModel> Fabric<R> {
             Src::Net { port, vc } => {
                 let lane = node * R::PORTS * vcs + bit;
                 let flit = self.in_buf.pop(lane).expect("planned flit");
-                self.buffered_flits -= 1;
                 // The freed slot becomes a credit at the upstream sender,
                 // which may unblock its router.
                 let feeder = self.feeder[node * R::PORTS + port as usize] as usize;
@@ -771,14 +770,11 @@ impl<R: RouterModel> Fabric<R> {
                 self.probe.trace(FlitEventKind::Hop, now, msg, class, node as u32, o as u32);
             }
             self.link_flits[lid] += 1;
-            self.flit_hops += 1;
-            self.link_occupancy += 1;
             self.credits[lane] -= 1;
-            self.links.send(lid, slot, TaggedFlit { flit, vc: plan.out_vc });
-            if !self.link_live[lid] {
-                self.link_live[lid] = true;
+            if self.links.is_empty(lid) {
                 self.live_links.push(lid as u32);
             }
+            self.links.send(lid, slot, TaggedFlit { flit, vc: plan.out_vc });
         } else if is_tail {
             // Ejected, absorbed or drained to the tail: wormhole in-order
             // delivery means no flit of this packet exists anywhere any
@@ -808,7 +804,7 @@ impl<R: RouterModel> Fabric<R> {
             // tracked delivery (the data message may already be completed
             // and its slot recycled). First ack per receiver closes its
             // pending bit and samples the round trip; duplicates drain.
-            let fresh = self.recovery.on_ack(meta.message, meta.src, now);
+            let fresh = self.recovery.on_ack(meta.message, meta.src);
             if let Some(created_at) = fresh {
                 self.metrics.record_ack_delivery(now, created_at);
             }
@@ -911,8 +907,6 @@ impl<R: RouterModel> Fabric<R> {
             let bit = tin as usize * vcs + tf.vc.index();
             self.in_buf.push(to * R::PORTS * vcs + bit, tf.flit);
             self.occ[to] |= 1 << bit;
-            self.link_occupancy -= 1;
-            self.buffered_flits += 1;
             self.mark_node(to);
         }
     }
@@ -1040,26 +1034,17 @@ impl<R: RouterModel> Fabric<R> {
         };
 
         // (a) Link arrivals from last cycle — only links carrying flits.
+        // The full-scan oracle steps every link but keeps the worklist too,
+        // so both modes hold the same audited list.
         let slot = self.links.slot_index(now);
         let mut live = std::mem::take(&mut self.live_links);
         if self.full_scan {
-            for lid in 0..n * R::PORTS {
-                self.arrive_link(lid, slot);
-            }
-            // Keep the (unused) live set empty so sends cannot grow it
-            // without bound.
-            for &lid in &live {
-                self.link_live[lid as usize] = false;
-            }
-            live.clear();
+            (0..n * R::PORTS).for_each(|lid| self.arrive_link(lid, slot));
+            live.retain(|&lid| !self.links.is_empty(lid as usize));
         } else {
             live.retain(|&lid| {
                 self.arrive_link(lid as usize, slot);
-                let still = !self.links.is_empty(lid as usize);
-                if !still {
-                    self.link_live[lid as usize] = false;
-                }
-                still
+                !self.links.is_empty(lid as usize)
             });
         }
         debug_assert!(self.live_links.is_empty(), "no sends happen during arrivals");
@@ -1120,10 +1105,13 @@ impl<R: RouterModel> Fabric<R> {
         let mut transfers = std::mem::take(&mut self.transfers);
         transfers.clear();
         let mut work = std::mem::replace(&mut self.marked, std::mem::take(&mut self.mark_scratch));
-        let mut gather_walked = std::mem::take(&mut self.marked_count);
+        let gather_walked = match mark {
+            Some(_) if self.full_scan => n,
+            Some(_) => popcount(&work),
+            None => 0,
+        };
         if self.full_scan {
             work.fill(0);
-            gather_walked = n;
             for node in 0..n {
                 self.gather_node(node, &mut transfers);
             }
@@ -1155,11 +1143,11 @@ impl<R: RouterModel> Fabric<R> {
             let sample = CounterSample {
                 cycle: now,
                 backlog: self.inject_backlog as u64,
-                buffered: self.buffered_flits,
-                on_links: self.link_occupancy,
+                buffered: self.in_buf.total(),
+                on_links: self.links.total(),
                 live_packets: self.packets.live() as u64,
                 live_links: self.live_links.len() as u64,
-                active_routers: self.marked_count as u64,
+                active_routers: popcount(&self.marked) as u64,
                 poll_sources: self.poll_heap.len() as u64,
                 in_flight: self.metrics.in_flight() as u64,
                 completed: self.metrics.completed_total(),
@@ -1218,7 +1206,7 @@ impl<R: RouterModel> NocSim for Fabric<R> {
     }
 
     fn flit_hops(&self) -> u64 {
-        self.flit_hops
+        self.link_flits.iter().sum()
     }
 
     fn quiesced(&self) -> bool {
@@ -1228,8 +1216,8 @@ impl<R: RouterModel> NocSim for Fabric<R> {
         self.metrics.in_flight() == 0
             && self.inject_backlog == 0
             && self.respawned.is_empty()
-            && self.link_occupancy == 0
-            && self.buffered_flits == 0
+            && self.links.total() == 0
+            && self.in_buf.total() == 0
             && self.recovery.pending() == 0
     }
 
@@ -1255,8 +1243,8 @@ impl<R: RouterModel> NocSim for Fabric<R> {
         busiest.truncate(StallDiagnostics::TOP_ROUTERS);
         StallDiagnostics {
             backlog: self.inject_backlog as u64,
-            buffered: self.buffered_flits,
-            on_links: self.link_occupancy,
+            buffered: self.in_buf.total(),
+            on_links: self.links.total(),
             in_flight: self.metrics.in_flight() as u64,
             live_packets: self.packets.live() as u64,
             fault: self.cfg.fault.to_string(),

@@ -46,18 +46,20 @@
 //! O(1) bookkeeping per flit event:
 //!
 //! * **Interned packet metadata** — the fabric owns a
-//!   [`quarc_core::flit::PacketTable`]; a `Flit` is a 16-byte `Copy` handle
-//!   (packet ref + seq + kind + payload). Metadata is written once at
+//!   [`quarc_core::flit::PacketTable`]; a `Flit` is a 12-byte `Copy` handle
+//!   (packet ref + seq + kind). Metadata is written once at
 //!   injection, the slot is recycled when the tail is absorbed at the last
 //!   node of its path.
 //! * **Scratch reuse** — workload polling ([`quarc_workloads::Workload::poll_into`]),
 //!   the arbitration transfer list, and per-port VC scans all use buffers
 //!   that live across cycles (fixed arrays where the bound is static,
 //!   `MAX_VCS`).
-//! * **Counter-maintained queries** — link occupancy ([`link::LinkBank`]),
-//!   sender-side credits (exact mirrors of downstream free space), source
-//!   backlog and buffered-flit totals are all updated at the event and read
-//!   in O(1); `quiesced()` is four counter compares, not a network walk.
+//! * **Counter-maintained queries** — link occupancy and the in-flight total
+//!   ([`link::LinkBank`]), the buffered-flit total ([`buffer::LaneBufs`]),
+//!   sender-side credits (exact mirrors of downstream free space) and the
+//!   source backlog are updated at the event, each by the module that owns
+//!   the data, and read in O(1); `quiesced()` compares counters and slab
+//!   lengths, it does not walk the network.
 //! * **Event-driven arbitration skip** — a router that produced no grant can
 //!   only become grantable through a tracked event (arrival, injection,
 //!   commit, credit return), so quiescent routers are skipped exactly; within

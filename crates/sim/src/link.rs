@@ -36,6 +36,8 @@ pub struct LinkBank {
     slots: Box<[Option<TaggedFlit>]>,
     /// Occupied slots per link (counter twin of scanning the slab).
     occupied: Box<[u32]>,
+    /// Flits in flight across all links.
+    total: u64,
     latency: usize,
 }
 
@@ -47,6 +49,7 @@ impl LinkBank {
         LinkBank {
             slots: vec![None; links * latency].into_boxed_slice(),
             occupied: vec![0; links].into_boxed_slice(),
+            total: 0,
             latency,
         }
     }
@@ -69,6 +72,7 @@ impl LinkBank {
         let taken = self.slots[link * self.latency + slot_index].take();
         if taken.is_some() {
             self.occupied[link] -= 1;
+            self.total -= 1;
         }
         taken
     }
@@ -81,6 +85,7 @@ impl LinkBank {
         let slot = &mut self.slots[link * self.latency + slot_index];
         assert!(slot.is_none(), "link already carries a flit this cycle");
         self.occupied[link] += 1;
+        self.total += 1;
         *slot = Some(tf);
     }
 
@@ -88,6 +93,12 @@ impl LinkBank {
     #[inline]
     pub fn is_empty(&self, link: usize) -> bool {
         self.occupied[link] == 0
+    }
+
+    /// Flits in flight across all links. O(1).
+    #[inline]
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
     /// The flits in flight on `link`, in no particular order. Walks the
@@ -110,10 +121,7 @@ mod tests {
     use quarc_core::flit::{FlitKind, PacketRef};
 
     fn tf(seq: u32, vc: VcId) -> TaggedFlit {
-        TaggedFlit {
-            flit: Flit { packet: PacketRef(0), seq, kind: FlitKind::Body, payload: 0 },
-            vc,
-        }
+        TaggedFlit { flit: Flit { packet: PacketRef(0), seq, kind: FlitKind::Body }, vc }
     }
 
     /// Drive one cycle for `bank`: arrivals on every link, then the sends.
@@ -129,6 +137,14 @@ mod tests {
             bank.send(*link, idx, *t);
         }
         arrived
+    }
+
+    #[test]
+    fn a_link_slot_is_sixteen_bytes() {
+        // A flit is its packet handle, sequence number and kind; a slot adds
+        // the downstream VC, and the empty slot needs no tag of its own.
+        assert_eq!(std::mem::size_of::<Flit>(), 12);
+        assert_eq!(std::mem::size_of::<Option<TaggedFlit>>(), 16);
     }
 
     #[test]

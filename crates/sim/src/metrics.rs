@@ -55,10 +55,9 @@ pub struct Metrics {
     site_progress: Vec<u32>,
     /// Message tracks, indexed by `MessageId`; completed slots are recycled.
     tracks: Vec<MessageTrack>,
-    /// Recyclable slots of `tracks`.
+    /// Recyclable slots of `tracks`; the others hold live (created, not
+    /// yet fully delivered) messages.
     free_tracks: Vec<u32>,
-    /// Live (created, not yet fully delivered) messages.
-    in_flight: usize,
     unicast: OnlineStats,
     unicast_hist: LatencyHistogram,
     bcast_reception: OnlineStats,
@@ -83,7 +82,6 @@ pub struct Metrics {
     receivers_expected: u64,
     receivers_delivered: u64,
     receivers_lost: u64,
-    messages_completed_total: u64,
     /// Packets re-sent by the recovery layer (one per timeout-triggered
     /// retransmission of one message, however many branch packets it took).
     retransmissions: u64,
@@ -117,7 +115,6 @@ impl Metrics {
             site_progress: Vec::new(),
             tracks: Vec::new(),
             free_tracks: Vec::new(),
-            in_flight: 0,
             unicast: OnlineStats::new(),
             unicast_hist: LatencyHistogram::new(),
             bcast_reception: OnlineStats::new(),
@@ -132,7 +129,6 @@ impl Metrics {
             receivers_expected: 0,
             receivers_delivered: 0,
             receivers_lost: 0,
-            messages_completed_total: 0,
             retransmissions: 0,
             recovered_receivers: 0,
             acks_delivered: 0,
@@ -155,7 +151,6 @@ impl Metrics {
     /// delivery.
     pub fn create_message(&mut self, class: TrafficClass, created_at: Cycle) -> MessageId {
         self.created[class.index()] += 1;
-        self.in_flight += 1;
         match self.free_tracks.pop() {
             Some(slot) => {
                 let track = &mut self.tracks[slot as usize];
@@ -268,9 +263,7 @@ impl Metrics {
             let created_at = track.created_at;
             track.live = false;
             self.free_tracks.push(slot as u32);
-            self.in_flight -= 1;
             self.completed[class.index()] += 1;
-            self.messages_completed_total += 1;
             if created_at >= self.measure_from {
                 let lat = now.saturating_sub(created_at);
                 match class {
@@ -296,7 +289,6 @@ impl Metrics {
         let track = &mut self.tracks[slot];
         track.live = false;
         self.free_tracks.push(slot as u32);
-        self.in_flight -= 1;
         self.undeliverable[track.class.index()] += 1;
     }
 
@@ -437,12 +429,12 @@ impl Metrics {
 
     /// Total messages fully completed.
     pub fn completed_total(&self) -> u64 {
-        self.messages_completed_total
+        self.completed.iter().sum()
     }
 
     /// Messages still in flight (created but not fully delivered).
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.tracks.len() - self.free_tracks.len()
     }
 
     /// Messages of a class retired with part of their receiver set lost to
@@ -536,7 +528,7 @@ mod tests {
             } else {
                 FlitKind::Body
             };
-            let flit = Flit { packet: PacketRef(0), seq, kind, payload: 0 };
+            let flit = Flit { packet: PacketRef(0), seq, kind };
             // One delivery site per node is enough for these tests (matches
             // the single-eject-port networks).
             m.record_flit_delivery(now, node, node.index(), &flit, &pm);
@@ -607,7 +599,7 @@ mod tests {
             5,
             NodeId(1),
             1,
-            &Flit { packet: PacketRef(0), seq: 1, kind: FlitKind::Body, payload: 0 },
+            &Flit { packet: PacketRef(0), seq: 1, kind: FlitKind::Body },
             &pm,
         );
     }

@@ -22,9 +22,7 @@ use quarc_workloads::MessageRequest;
 use std::collections::VecDeque;
 
 /// The `seq`-th flit of a `len`-flit packet: header, bodies, tail — or a
-/// lone `Single` flit for one-flit packets (the recovery layer's ACKs) —
-/// with the sequence number as payload (as the original transceiver model
-/// emitted).
+/// lone `Single` flit for one-flit packets (the recovery layer's ACKs).
 #[inline]
 fn nth_flit(packet: PacketRef, seq: u32, len: u32) -> Flit {
     let kind = if len == 1 {
@@ -36,7 +34,7 @@ fn nth_flit(packet: PacketRef, seq: u32, len: u32) -> Flit {
     } else {
         FlitKind::Body
     };
-    Flit { packet, seq, kind, payload: seq }
+    Flit { packet, seq, kind }
 }
 
 /// A source-side injection queue holding whole packets as `(packet, len)`
@@ -124,7 +122,7 @@ pub fn message_meta(
         dst: req.src,
         bitstring: Bits::ZERO,
         dir: RingDir::Cw,
-        len: req.len as u32,
+        len: u32::try_from(req.len).expect("message length fits u32 (inputs are validated)"),
         created_at: now,
     }
 }
@@ -214,7 +212,6 @@ mod tests {
         assert_eq!(flits[4].kind, FlitKind::Tail);
         assert!(flits.iter().enumerate().all(|(i, f)| f.seq == i as u32));
         assert!(flits.iter().all(|f| f.packet == pref));
-        assert!(flits.iter().enumerate().all(|(i, f)| f.payload == i as u32));
     }
 
     #[test]

@@ -314,8 +314,7 @@ impl RecoveryState {
     /// acknowledged message's creation cycle when this ack is the first
     /// from that receiver (for the round-trip latency sample); `None` for
     /// stale or duplicate acks, which the caller drains without recording.
-    pub fn on_ack(&mut self, message: MessageId, receiver: NodeId, now: Cycle) -> Option<Cycle> {
-        let _ = now;
+    pub fn on_ack(&mut self, message: MessageId, receiver: NodeId) -> Option<Cycle> {
         let (slot, gen) = (message.slot(), message.generation());
         if slot >= self.entries.len() {
             return None;
@@ -420,8 +419,8 @@ mod tests {
         assert_eq!(r.pending(), 1);
         assert_eq!(r.on_data_header(m, NodeId(5)), DataDelivery::Fresh { recovered: false });
         assert_eq!(r.on_data_header(m, NodeId(5)), DataDelivery::Dup);
-        assert_eq!(r.on_ack(m, NodeId(5), 30), Some(10));
-        assert_eq!(r.on_ack(m, NodeId(5), 31), None, "duplicate ack is stale");
+        assert_eq!(r.on_ack(m, NodeId(5)), Some(10));
+        assert_eq!(r.on_ack(m, NodeId(5)), None, "duplicate ack is stale");
         assert_eq!(r.pending(), 0);
         let mut scratch = Vec::new();
         assert_eq!(r.pop_action(1_000_000, &mut scratch), None, "closed window fires no timer");
@@ -437,7 +436,7 @@ mod tests {
         // never served.
         r.on_data_header(m, NodeId(3));
         r.on_data_header(m, NodeId(2));
-        assert_eq!(r.on_ack(m, NodeId(3), 20), Some(0));
+        assert_eq!(r.on_ack(m, NodeId(3)), Some(0));
 
         let mut scratch = Vec::new();
         assert_eq!(r.pop_action(99, &mut scratch), None, "deadline not due yet");
@@ -468,7 +467,7 @@ mod tests {
         }
         assert_eq!(r.pending(), 0);
         assert_eq!(r.on_data_header(m, NodeId(6)), DataDelivery::Dup, "written-off is dup");
-        assert_eq!(r.on_ack(m, NodeId(2), 10_001), None, "written-off ack is stale");
+        assert_eq!(r.on_ack(m, NodeId(2)), None, "written-off ack is stale");
     }
 
     #[test]
@@ -482,8 +481,8 @@ mod tests {
         let fresh = mid(0, 1);
         r.on_send(fresh, &MessageRequest::unicast(NodeId(2), NodeId(6), 4), 50, 1);
         assert_eq!(r.pending(), 1, "old window force-closed, new one open");
-        assert_eq!(r.on_ack(old, NodeId(5), 60), None, "stale-generation ack drained");
-        assert_eq!(r.on_ack(fresh, NodeId(6), 70), Some(50));
+        assert_eq!(r.on_ack(old, NodeId(5)), None, "stale-generation ack drained");
+        assert_eq!(r.on_ack(fresh, NodeId(6)), Some(50));
         assert_eq!(r.pending(), 0);
         let mut scratch = Vec::new();
         assert_eq!(r.pop_action(1_000_000, &mut scratch), None, "no timer survives");
@@ -496,7 +495,7 @@ mod tests {
         r.on_send(m, &MessageRequest::broadcast(NodeId(1), 4), 0, 3);
         for n in [0u32, 2, 3] {
             assert_eq!(r.on_data_header(m, NodeId(n)), DataDelivery::Fresh { recovered: false });
-            r.on_ack(m, NodeId(n), 10);
+            r.on_ack(m, NodeId(n));
         }
         assert_eq!(r.pending(), 0);
     }
