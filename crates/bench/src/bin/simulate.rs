@@ -92,8 +92,8 @@ fn parse_args() -> Args {
     if !(0.0..=1.0).contains(&args.beta) {
         CLI.usage_error("--beta must lie in [0, 1]");
     }
-    if args.msg_len < 2 {
-        CLI.usage_error("--msg-len must be at least 2 (a packet is header + tail)");
+    if !(2..=u32::MAX as usize).contains(&args.msg_len) {
+        CLI.usage_error("--msg-len must lie in [2, 2^32 - 1] (a packet is header + tail)");
     }
     if args.nodes < 2 {
         CLI.usage_error("--nodes must be at least 2");

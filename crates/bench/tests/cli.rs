@@ -38,6 +38,8 @@ fn malformed_flags_are_usage_errors() {
         &["--rate", "nan"],
         &["--beta", "1.5"],
         &["--msg-len", "1"],
+        // Above u32::MAX a length used to wrap to a short message.
+        &["--nodes", "8", "--msg-len", "4294967298", "--rate", "0.01"],
         &["--nodes", "1"],
         &["--topology", "ring"],
         &["--pattern", "zigzag"],
@@ -90,6 +92,20 @@ fn invalid_configurations_and_files_exit_one() {
     );
     // Axes whose points would share a content hash, and generated rate axes
     // too long to allocate.
+    let long_message = [
+        "--topologies",
+        "quarc",
+        "--sizes",
+        "8",
+        "--msg-lens",
+        "4294967298",
+        "--betas",
+        "0",
+        "--rates",
+        "list:0.01",
+        "--replications",
+        "1",
+    ];
     let fault_twins = [
         "--topologies",
         "quarc",
@@ -109,7 +125,8 @@ fn invalid_configurations_and_files_exit_one() {
         "onset=100",
     ];
     for args in [
-        &fault_twins[..],
+        &long_message[..],
+        &fault_twins,
         &["--rates", "geom:0.001:0.002:18446744073709551615"],
         &["--rates", "auto:1.1:40:4294967296"],
         &["--rates", "geom:0.01:0.010000000000000002:3"],

@@ -275,8 +275,8 @@ impl CampaignSpec {
         for &topology in &self.topologies {
             for &n in &self.sizes {
                 for &msg_len in &self.msg_lens {
-                    if msg_len < 2 {
-                        return Err(SpecError::new("msg_len must be at least 2 flits"));
+                    if !(2..=u32::MAX as usize).contains(&msg_len) {
+                        return Err(SpecError::new("msg_len must be in [2, 2^32 - 1] flits"));
                     }
                     for &beta in &self.betas {
                         if !(0.0..=1.0).contains(&beta) {
@@ -611,7 +611,8 @@ impl CampaignPoint {
 
     /// FNV-1a hash of the content key: the point's result identity in the
     /// campaign artifact.
-    pub fn content_hash(&self, spec: &CampaignSpec) -> u64 {
+    #[cfg(test)]
+    fn content_hash(&self, spec: &CampaignSpec) -> u64 {
         fnv1a64(self.content_key(spec).as_bytes())
     }
 }
@@ -945,6 +946,20 @@ mod tests {
         let mut bad = small();
         bad.link_latencies = vec![4_000_000_000];
         assert!(bad.expand().unwrap_err().to_string().contains("link_latency"));
+    }
+
+    #[test]
+    fn msg_lens_that_a_packet_cannot_hold_are_rejected() {
+        // A packet's length is a `u32`: 2^32 + 2 used to expand and then run
+        // as a 2-flit message under the longer message's name.
+        for len in [1, u32::MAX as usize + 1, u32::MAX as usize + 2] {
+            let mut bad = small();
+            bad.msg_lens = vec![len];
+            assert!(bad.expand().unwrap_err().to_string().contains("msg_len"), "{len}");
+        }
+        let mut widest = small();
+        widest.msg_lens = vec![u32::MAX as usize];
+        assert!(widest.expand().is_ok());
     }
 
     #[test]
