@@ -95,7 +95,6 @@ OPTIONS:
                               over budget is quarantined as `failed` and the
                               campaign carries on (execution knob; a budget
                               every point fits inside cannot change results)
-    --force                   re-simulate even on cache hits (results cannot change)
     --quiet                   no per-point progress on stderr
     --help                    this text
 
@@ -258,10 +257,6 @@ fn parse_cli() -> Args {
         }
         if flag == "--quick" {
             quick = true;
-            continue;
-        }
-        if flag == "--force" {
-            opts.force = true;
             continue;
         }
         if flag == "--quiet" {

@@ -70,6 +70,7 @@ fn malformed_flags_are_usage_errors() {
         // A retired option; spelt in halves so CI's retired-names grep
         // does not match this test.
         &[concat!("--batch", "-reps"), "4"],
+        &["--force"],
     ] {
         let out = campaign(args);
         assert_rejected(&out, 2, &format!("campaign {args:?}"));

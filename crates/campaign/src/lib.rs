@@ -35,7 +35,7 @@
 //! prefix [`decide`] picked, [`run_work_stealing`] is the pool.
 //!
 //! **Determinism contract.** Results are a pure function of the spec. Worker
-//! count, scheduling order, cache state and `--force` can change how long a
+//! count, scheduling order and cache state can change how long a
 //! campaign takes, never what it measures — `tests/determinism.rs` and
 //! `tests/convergence.rs` assert byte-identical artifacts between 1-worker
 //! and N-worker runs, and `replicate`'s tests pin the stopping rule against

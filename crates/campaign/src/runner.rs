@@ -36,8 +36,6 @@ pub struct CampaignOptions {
     pub cache_dir: Option<PathBuf>,
     /// Artifact output directory (no files written when `None`).
     pub out_dir: Option<PathBuf>,
-    /// Ignore cache *reads* (entries are still written back).
-    pub force: bool,
     /// Suppress per-point progress on stderr.
     pub quiet: bool,
     /// Per-point wall-clock budget: a point still unfinished this long
@@ -386,11 +384,7 @@ impl PointTask {
         let rate = match self.point.work {
             PointWork::Rate(rate) => rate,
             PointWork::Saturation { lo, hi, rel_tol, max_probes } => {
-                let cached = if ctx.opts.force {
-                    None
-                } else {
-                    ctx.cache.and_then(|c| c.load_saturation(merge_hash, merge_key))
-                };
+                let cached = ctx.cache.and_then(|c| c.load_saturation(merge_hash, merge_key));
                 let result = cached.unwrap_or_else(|| {
                     // Common random numbers across probes: one seed
                     // (replication 0) for the whole search keeps the
@@ -422,11 +416,9 @@ impl PointTask {
             }
         };
         let mut series = Vec::new();
-        if !ctx.opts.force {
-            if let Some(cached) = ctx.cache.and_then(|c| c.load_series(merge_hash, merge_key)) {
-                self.cached_reps = cached.len();
-                series = cached;
-            }
+        if let Some(cached) = ctx.cache.and_then(|c| c.load_series(merge_hash, merge_key)) {
+            self.cached_reps = cached.len();
+            series = cached;
         }
         // The budget as an absolute deadline the replication loop checks
         // cooperatively.
@@ -519,8 +511,8 @@ fn progress_line(result: &PointResult, telemetry: &PointTelemetry) -> String {
 /// missing and persists it), write artifacts.
 ///
 /// Determinism guarantee: `results` (and therefore both artifacts) are a
-/// pure function of `spec`. Worker count, stealing order, cache hits and
-/// `force` can change only the execution accounting
+/// pure function of `spec`. Worker count, stealing order and cache hits
+/// can change only the execution accounting
 /// (`executed`/`from_cache`/`reps_*`/`wall`) — never a number. The per-point
 /// tests and `tests/determinism.rs`/`tests/convergence.rs` hold this to
 /// bit-equality.
@@ -651,10 +643,11 @@ mod tests {
             second.to_json(&spec).to_pretty(),
             "cached artifact must be byte-identical to the simulated one"
         );
-        // force re-simulates but numbers cannot move.
-        let forced = run_campaign(&spec, &CampaignOptions { force: true, ..opts.clone() }).unwrap();
-        assert_eq!(forced.executed, 4);
-        assert_eq!(first.to_json(&spec).to_pretty(), forced.to_json(&spec).to_pretty());
+        // Re-simulating without the cache cannot move a number either.
+        let uncached =
+            run_campaign(&spec, &CampaignOptions { cache_dir: None, ..opts.clone() }).unwrap();
+        assert_eq!(uncached.executed, 4);
+        assert_eq!(first.to_json(&spec).to_pretty(), uncached.to_json(&spec).to_pretty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
