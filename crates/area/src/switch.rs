@@ -35,7 +35,8 @@ impl AreaBreakdown {
     }
 
     /// Slice count of a named module (0 if absent).
-    pub fn module(&self, name: &str) -> f64 {
+    #[cfg(test)]
+    fn module(&self, name: &str) -> f64 {
         self.modules.iter().find(|m| m.name == name).map_or(0.0, |m| m.slices)
     }
 }

@@ -130,7 +130,7 @@ pub fn ablation_arb() -> CampaignSpec {
 /// n. The top two sizes put every multicast bitstring on the slab (the
 /// inline word stops at 63 positions), so this preset also tracks the
 /// slab-row hot path at scale.
-pub fn scale() -> CampaignSpec {
+fn scale() -> CampaignSpec {
     let mut spec = CampaignSpec::new("scale");
     spec.topologies = figure_topologies();
     spec.sizes = vec![256, 1024, 4096, 16384];
@@ -144,7 +144,7 @@ pub fn scale() -> CampaignSpec {
 
 /// Adaptive saturation frontier across sizes: where each topology's knee
 /// sits, found by bisection instead of a fixed sweep.
-pub fn frontier() -> CampaignSpec {
+fn frontier() -> CampaignSpec {
     let mut spec = CampaignSpec::new("frontier");
     spec.topologies = vec![TopologyKind::Quarc, TopologyKind::Spidergon];
     spec.sizes = vec![16, 32, 64];
@@ -165,7 +165,7 @@ pub fn frontier() -> CampaignSpec {
 /// delivered fraction is its payoff). Frozen-router plans are deliberately
 /// absent: they wedge the network by design and belong in the fail-soft
 /// tests, not a preset meant to produce curves.
-pub fn robustness() -> CampaignSpec {
+fn robustness() -> CampaignSpec {
     let mut spec = CampaignSpec::new("robustness");
     spec.topologies = figure_topologies();
     spec.sizes = vec![16];

@@ -264,7 +264,7 @@ impl Writer {
     }
 
     /// `null`.
-    pub fn null(&mut self) -> &mut Self {
+    fn null(&mut self) -> &mut Self {
         self.raw("null")
     }
 
@@ -279,7 +279,7 @@ impl Writer {
     }
 
     /// A float in Rust's shortest round-trip form; `null` unless finite.
-    pub fn f64(&mut self, value: f64) -> &mut Self {
+    fn f64(&mut self, value: f64) -> &mut Self {
         if value.is_finite() {
             self.raw(value)
         } else {
@@ -479,7 +479,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    pub fn null(&mut self) -> Parsed {
+    fn null(&mut self) -> Parsed {
         self.eat("null", "invalid literal")
     }
 
@@ -516,7 +516,7 @@ impl<'a> Reader<'a> {
         Ok((text, !text.bytes().any(|b| matches!(b, b'-' | b'.' | b'e' | b'E'))))
     }
 
-    pub fn f64(&mut self) -> Parsed<f64> {
+    fn f64(&mut self) -> Parsed<f64> {
         let (text, _) = self.number()?;
         text.parse().map_err(|_| self.error("bad number"))
     }
@@ -617,7 +617,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An object: `field` reads (or skips) the value of each key.
-    pub fn object(&mut self, mut field: impl FnMut(&mut Self, &str) -> Parsed) -> Parsed {
+    pub(crate) fn object(&mut self, mut field: impl FnMut(&mut Self, &str) -> Parsed) -> Parsed {
         self.items(("{", b'}', "expected ',' or '}'"), |r| {
             let key = r.str()?;
             r.eat(":", "unexpected character")?;
@@ -627,7 +627,7 @@ impl<'a> Reader<'a> {
 
     /// Read a field into `slot` unless an earlier occurrence of its key
     /// filled it: the first occurrence wins, as with [`Json::get`].
-    pub fn once<T>(
+    pub(crate) fn once<T>(
         &mut self,
         slot: &mut Option<T>,
         f: impl FnOnce(&mut Self) -> Parsed<T>,

@@ -112,18 +112,6 @@ impl GridTopology {
         GridTopology::torus(side, side)
     }
 
-    /// Columns (x extent).
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Rows (y extent).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Node coordinates.
     #[inline]
     pub fn coords(&self, node: NodeId) -> (usize, usize) {

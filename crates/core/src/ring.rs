@@ -21,7 +21,8 @@ pub enum RingDir {
 impl RingDir {
     /// The opposite direction.
     #[inline]
-    pub fn opposite(self) -> RingDir {
+    #[cfg(test)]
+    fn opposite(self) -> RingDir {
         match self {
             RingDir::Cw => RingDir::Ccw,
             RingDir::Ccw => RingDir::Cw,

@@ -13,7 +13,6 @@
 use crate::ids::NodeId;
 use crate::quadrant::Quadrant;
 use crate::ring::Ring;
-use crate::routing::Routing;
 use std::fmt;
 use std::str::FromStr;
 
@@ -231,7 +230,8 @@ impl QuarcTopology {
     }
 
     /// The outputs an input may request (transpose of [`Self::feeders`]).
-    pub fn destinations(input: QuarcIn) -> &'static [QuarcOut] {
+    #[cfg(test)]
+    fn destinations(input: QuarcIn) -> &'static [QuarcOut] {
         match input {
             QuarcIn::RimCw => &[QuarcOut::Eject, QuarcOut::RimCw],
             QuarcIn::RimCcw => &[QuarcOut::Eject, QuarcOut::RimCcw],
@@ -245,8 +245,9 @@ impl QuarcTopology {
     }
 
     /// Every directed network link as `(from, out_port, to)`.
-    pub fn links(&self) -> Vec<(NodeId, QuarcOut, NodeId)> {
-        let mut v = Vec::with_capacity(self.num_nodes() * 4);
+    #[cfg(test)]
+    fn links(&self) -> Vec<(NodeId, QuarcOut, NodeId)> {
+        let mut v = Vec::new();
         for node in self.ring.nodes() {
             for out in QuarcOut::NETWORK {
                 let (to, _) = self.link_target(node, out).expect("network port");
@@ -393,7 +394,8 @@ impl SpidergonTopology {
     }
 
     /// The outputs an input may request (transpose of [`Self::feeders`]).
-    pub fn destinations(input: SpiIn) -> &'static [SpiOut] {
+    #[cfg(test)]
+    fn destinations(input: SpiIn) -> &'static [SpiOut] {
         match input {
             SpiIn::RimCw => &[SpiOut::Eject, SpiOut::RimCw],
             SpiIn::RimCcw => &[SpiOut::Eject, SpiOut::RimCcw],
@@ -403,8 +405,9 @@ impl SpidergonTopology {
     }
 
     /// Every directed network link as `(from, out_port, to)`.
-    pub fn links(&self) -> Vec<(NodeId, SpiOut, NodeId)> {
-        let mut v = Vec::with_capacity(self.num_nodes() * 3);
+    #[cfg(test)]
+    fn links(&self) -> Vec<(NodeId, SpiOut, NodeId)> {
+        let mut v = Vec::new();
         for node in self.ring.nodes() {
             for out in SpiOut::NETWORK {
                 let (to, _) = self.link_target(node, out).expect("network port");
@@ -420,7 +423,7 @@ mod tests {
     use super::*;
     use crate::bits::{BitSlab, Bits};
     use crate::grid::{grid_collectives, GridOut, GridTopology};
-    use crate::routing::walk_deliveries;
+    use crate::routing::{walk_deliveries, Routing};
     use crate::vc::assert_deadlock_free;
 
     #[test]

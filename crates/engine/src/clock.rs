@@ -34,7 +34,8 @@ impl Clock {
 
     /// Advance by `n` cycles.
     #[inline]
-    pub fn advance(&mut self, n: Cycle) {
+    #[cfg(test)]
+    fn advance(&mut self, n: Cycle) {
         self.now += n;
     }
 }

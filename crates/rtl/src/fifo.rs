@@ -27,7 +27,8 @@ impl SyncFifo {
     }
 
     /// The `full` status signal (drives `CH_STATUS_N`).
-    pub fn full(&self) -> bool {
+    #[cfg(test)]
+    fn full(&self) -> bool {
         self.q.len() == self.cap
     }
 

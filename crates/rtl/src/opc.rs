@@ -64,7 +64,8 @@ impl Opc {
     }
 
     /// The VC allocation table entry of a (feeder, lane) stream.
-    pub fn allocation(&self, req: usize, lane: usize) -> Option<usize> {
+    #[cfg(test)]
+    fn allocation(&self, req: usize, lane: usize) -> Option<usize> {
         self.alloc[req][lane]
     }
 

@@ -174,11 +174,6 @@ impl RingRtl {
             && self.fwd_regs.iter().all(|regs| regs.iter().all(|f| !f.valid()))
     }
 
-    /// Raw deliveries collected so far.
-    pub fn deliveries(&self) -> &[PeDelivery] {
-        &self.deliveries
-    }
-
     /// Current cycle.
     pub fn now(&self) -> u64 {
         self.cycle

@@ -196,11 +196,6 @@ impl QuarcSwitchRtl {
         }
     }
 
-    /// This switch's node address.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The `ch_status_n`/`dst_rdy_n` this switch presents on input `port`
     /// (two-slot reserve, see module docs).
     pub fn ch_status(&self, port: usize) -> LlRev {

@@ -84,7 +84,7 @@ impl VcdWriter {
 
     /// Record a value for a signal at the current timestep. Values equal to
     /// the signal's previous value are skipped.
-    pub fn change(&mut self, id: SignalId, value: u64) {
+    fn change(&mut self, id: SignalId, value: u64) {
         assert!(self.time.is_some(), "call tick() before recording changes");
         let sig = &mut self.signals[id.0];
         debug_assert!(sig.width == 64 || value < (1u64 << sig.width), "value exceeds width");
@@ -100,7 +100,7 @@ impl VcdWriter {
     }
 
     /// Render the complete VCD document.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("$timescale 1ns $end\n");
         let _ = writeln!(out, "$scope module {} $end", self.module);

@@ -88,7 +88,8 @@ impl WriteController {
     }
 
     /// The `reset_fsm_w` input.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.state = [WcState::Idle; NUM_VCS];
     }
 }

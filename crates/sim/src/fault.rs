@@ -180,7 +180,8 @@ impl FaultState {
     }
 
     /// A fault state scheduling nothing (for networks built without a plan).
-    pub fn none() -> Self {
+    #[cfg(test)]
+    fn none() -> Self {
         FaultState::new(&FaultPlan::NONE, 0, 0, |_| 0, |_| true)
     }
 
@@ -235,13 +236,15 @@ impl FaultState {
         &self.watch_nodes
     }
 
-    /// Realised dead links (diagnostics / tests).
-    pub fn dead_links(&self) -> Vec<usize> {
+    /// Realised dead links.
+    #[cfg(test)]
+    fn dead_links(&self) -> Vec<usize> {
         (0..self.dead.len()).filter(|&l| self.dead[l]).collect()
     }
 
-    /// Realised frozen routers (diagnostics / tests).
-    pub fn frozen_routers(&self) -> Vec<usize> {
+    /// Realised frozen routers.
+    #[cfg(test)]
+    fn frozen_routers(&self) -> Vec<usize> {
         (0..self.frozen.len()).filter(|&n| self.frozen[n]).collect()
     }
 }
