@@ -420,7 +420,7 @@ impl<R: RouterModel> Fabric<R> {
         };
         self.respawned.iter().for_each(|&(_, _, p)| reach(p));
         let (mut buffered, mut backlog, mut on_links) = (0, 0, 0);
-        let mut listed = vec![0u32; self.links.len()];
+        let mut listed = vec![0u32; self.targets.len()];
         self.live_links.iter().for_each(|&lid| listed[lid as usize] += 1);
         for node in 0..self.nodes {
             for bit in 0..R::PORTS * vcs {

@@ -54,12 +54,10 @@
 //!   the arbitration transfer list, and per-port VC scans all use buffers
 //!   that live across cycles (fixed arrays where the bound is static,
 //!   `MAX_VCS`).
-//! * **Counter-maintained queries** — link occupancy and the in-flight total
-//!   ([`link::LinkBank`]), the buffered-flit total ([`buffer::LaneBufs`]),
-//!   sender-side credits (exact mirrors of downstream free space) and the
-//!   source backlog are updated at the event, each by the module that owns
-//!   the data, and read in O(1); `quiesced()` compares counters and slab
-//!   lengths, it does not walk the network.
+//! * **Counter-maintained queries** — link and lane totals (kept by
+//!   [`link::LinkBank`] and [`buffer::LaneBufs`]), sender-side credits and
+//!   the source backlog are updated at the event and read in O(1);
+//!   `quiesced()` compares counters, it does not walk the network.
 //! * **Event-driven arbitration skip** — a router that produced no grant can
 //!   only become grantable through a tracked event (arrival, injection,
 //!   commit, credit return), so quiescent routers are skipped exactly; within

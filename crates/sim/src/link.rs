@@ -106,13 +106,6 @@ impl LinkBank {
     pub fn in_flight(&self, link: usize) -> impl Iterator<Item = &TaggedFlit> {
         self.slots[link * self.latency..(link + 1) * self.latency].iter().flatten()
     }
-
-    /// Number of links in the bank.
-    #[allow(clippy::len_without_is_empty)] // per-link `is_empty(link)` is the meaningful query
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.occupied.len()
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +121,7 @@ mod tests {
     fn cycle(bank: &mut LinkBank, now: Cycle, sends: &[(usize, TaggedFlit)]) -> Vec<(usize, u32)> {
         let idx = bank.slot_index(now);
         let mut arrived = Vec::new();
-        for link in 0..bank.len() {
+        for link in 0..bank.occupied.len() {
             if let Some(a) = bank.arrive(link, idx) {
                 arrived.push((link, a.flit.seq));
             }
