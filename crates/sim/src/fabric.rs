@@ -387,9 +387,8 @@ impl<R: RouterModel> Fabric<R> {
 
     /// Cold recount of everything the hot path keeps incrementally —
     /// occupancy masks, route memos, the live-link worklist, credit mirrors,
-    /// the lane, link and queue totals and the packet table's live slots and
-    /// slab rows —
-    /// failing with the first broken invariant by name.
+    /// the lane, link and queue totals and the packet table's live slots
+    /// and slab rows — failing with the first broken invariant by name.
     /// Valid between steps; walks the whole network, so never per cycle.
     pub fn audit(&self) -> Result<(), String> {
         let (vcs, depth, now) = (self.cfg.vcs, self.cfg.buffer_depth, self.clock.now());
@@ -453,11 +452,7 @@ impl<R: RouterModel> Fabric<R> {
         }
         for (lid, &times) in listed.iter().enumerate() {
             let flying = self.links.in_flight(lid).next().is_some();
-            check(
-                times == u32::from(flying),
-                "live_links lists each non-empty link once",
-                (lid, 0),
-            )?;
+            check(times == u32::from(flying), "live_links: each non-empty link once", (lid, 0))?;
         }
         check(buffered == self.in_buf.total(), "LaneBufs total = lane walk", (0, 0))?;
         check(backlog == self.inject_backlog, "inject_backlog = queue walk", (0, 0))?;
