@@ -468,7 +468,7 @@ fn main() {
         );
         for (w, s) in report.worker_stats.iter().enumerate() {
             outln!(
-                "#   worker {w}: {:>3.0}% busy, {} step(s), {} stolen",
+                "#   worker {w}: {:>3.0}% busy, {} step(s), {} beyond an even share",
                 s.busy_fraction() * 100.0,
                 s.steps,
                 s.steals,

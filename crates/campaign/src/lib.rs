@@ -12,7 +12,8 @@
 //!
 //! 1. a [`spec::CampaignSpec`] expands its parameter grid into
 //!    [`spec::CampaignPoint`]s (`expand`);
-//! 2. a work-stealing thread pool ([`executor`]) shards points across cores;
+//! 2. a parallel map ([`executor`]) runs points across cores, each worker
+//!    claiming the next unclaimed point from one shared cursor;
 //! 3. each point runs its replications with seeds forked from the point's
 //!    *merge hash* ([`replicate`]), merging `OnlineStats` /
 //!    `LatencyHistogram` across seeds into means + 95% confidence intervals
@@ -32,7 +33,7 @@
 //!
 //! One function per layer: `quarc_sim::run_point` simulates a replication,
 //! [`extend_series`] grows a point's series, [`merge_series`] folds the
-//! prefix [`decide`] picked, [`run_work_stealing`] is the pool.
+//! prefix [`decide`] picked, [`run_parallel`] is the pool.
 //!
 //! **Determinism contract.** Results are a pure function of the spec. Worker
 //! count, scheduling order and cache state can change how long a
@@ -62,7 +63,7 @@ pub mod saturation;
 pub mod spec;
 
 pub use cache::ResultCache;
-pub use executor::{default_workers, run_work_stealing, WorkerStats};
+pub use executor::{default_workers, run_parallel, WorkerStats};
 pub use json::Json;
 pub use replicate::{
     decide, extend_series, merge_series, replication_seed, Converged, Decision, MeanCi, MergedRun,

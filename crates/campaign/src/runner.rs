@@ -3,7 +3,7 @@
 
 use crate::artifact::{self, write_atomically, CampaignDocument};
 use crate::cache::ResultCache;
-use crate::executor::{default_workers, run_work_stealing, WorkerStats};
+use crate::executor::{default_workers, run_parallel, WorkerStats};
 use crate::hash::fnv1a64;
 use crate::json::{Encode, Writer};
 use crate::replicate::{
@@ -76,7 +76,8 @@ pub struct CampaignReport {
     pub artifacts: Vec<PathBuf>,
     /// Wall-clock duration of the execution phase.
     pub wall: Duration,
-    /// Per-worker pool accounting (busy fraction, steps, steals).
+    /// Per-worker pool accounting (busy fraction, steps, claims beyond an
+    /// even share).
     pub worker_stats: Vec<WorkerStats>,
     /// Per-point execution accounting, in expansion order.
     pub point_telemetry: Vec<PointTelemetry>,
@@ -506,12 +507,12 @@ fn progress_line(result: &PointResult, telemetry: &PointTelemetry) -> String {
     format!("{:<40} ({how}{verdict})", result.label)
 }
 
-/// Run a campaign: expand the grid, shard its points across a
-/// work-stealing pool (each point resumes from the cache, simulates what is
-/// missing and persists it), write artifacts.
+/// Run a campaign: expand the grid, run its points on a parallel map (each
+/// point resumes from the cache, simulates what is missing and persists
+/// it), write artifacts.
 ///
 /// Determinism guarantee: `results` (and therefore both artifacts) are a
-/// pure function of `spec`. Worker count, stealing order and cache hits
+/// pure function of `spec`. Worker count, claim order and cache hits
 /// can change only the execution accounting
 /// (`executed`/`from_cache`/`reps_*`/`wall`) — never a number. The per-point
 /// tests and `tests/determinism.rs`/`tests/convergence.rs` hold this to
@@ -534,7 +535,7 @@ pub fn run_campaign(
     let done = AtomicUsize::new(0);
     let start = Instant::now();
 
-    let (records, worker_stats) = run_work_stealing(&expansion.points, workers, |_, &point| {
+    let (records, worker_stats) = run_parallel(&expansion.points, workers, |_, &point| {
         let (result, telemetry) = PointTask::run(point, &ctx);
         if !opts.quiet {
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;

@@ -9,7 +9,7 @@
 //! * [`workloads`] — traffic generation;
 //! * [`sim`] — the flit-level wormhole simulator;
 //! * [`campaign`] — parallel, deterministic experiment campaigns: declarative
-//!   parameter grids sharded across a work-stealing pool, replication merging
+//!   parameter grids run on a shared-cursor parallel map, replication merging
 //!   with confidence intervals, adaptive saturation search, a content-hashed
 //!   result cache and JSON/CSV artifacts;
 //! * [`rtl`] — the signal-level switch/transceiver hardware model;
