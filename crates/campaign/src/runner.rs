@@ -12,7 +12,7 @@ use crate::replicate::{
 use crate::result::{PointOutcomeKind, PointResult};
 use crate::saturation::find_saturation;
 use crate::spec::{CampaignPoint, CampaignSpec, PointWork, SpecError};
-use quarc_sim::{run_point, PointSpec};
+use quarc_sim::{run_point, PointSpec, RunOutcome};
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,9 +41,9 @@ pub struct CampaignOptions {
     /// Per-point wall-clock budget: a point still unfinished this long
     /// after it started is quarantined as [`PointOutcomeKind::Failed`]
     /// instead of pinning a worker. Checked when the point starts, between
-    /// replication batches *and* cooperatively inside each replication (at
-    /// the stall watchdog's cadence), so a single runaway replication is cut
-    /// off mid-run. `None` = unbounded. Never caches and never alters a
+    /// replication batches *and* cooperatively inside each replication and
+    /// saturation-search probe (at the stall watchdog's cadence), so a single
+    /// runaway run is cut off mid-run. `None` = unbounded. Never caches and never alters a
     /// completed point's numbers — a budget generous enough for every point
     /// to finish reproduces the unbudgeted campaign byte for byte.
     pub point_timeout: Option<Duration>,
@@ -382,38 +382,61 @@ impl PointTask {
         if let Some(quarantined) = over_budget() {
             return quarantined;
         }
+        // The budget as an absolute deadline that replications and probes
+        // check cooperatively.
+        let deadline = budget.map(|budget| start + budget);
+        let cut_off = |what: String| {
+            let budget = budget.expect("deadline interrupts only occur with a budget");
+            let reason = format!(
+                "wall-clock budget exhausted mid-{what} ({:.1}s allowed)",
+                budget.as_secs_f64(),
+            );
+            (PointOutcomeKind::Failed { reason }, true)
+        };
         let rate = match self.point.work {
             PointWork::Rate(rate) => rate,
             PointWork::Saturation { lo, hi, rel_tol, max_probes } => {
-                let cached = ctx.cache.and_then(|c| c.load_saturation(merge_hash, merge_key));
-                let result = cached.unwrap_or_else(|| {
-                    // Common random numbers across probes: one seed
-                    // (replication 0) for the whole search keeps the
-                    // frontier estimate monotone.
-                    let seed = replication_seed(ctx.spec.base_seed, merge_hash, 0);
-                    let result = find_saturation(
-                        |rate| {
-                            // No mid-probe deadline; a stalled probe reads
-                            // as saturated.
-                            run_point(&PointSpec { seed, ..point_at(rate) }, &ctx.spec.run, None)
-                                .expect("expansion validated this configuration")
-                                .outcome
-                                .result()
-                                .saturated
-                        },
-                        lo,
-                        hi,
-                        rel_tol,
-                        max_probes,
-                    );
-                    self.simulated_reps = result.probes.len();
-                    if let Some(c) = ctx.cache {
-                        c.store_saturation(merge_hash, merge_key, &result)
-                            .unwrap_or_else(cache_failed);
+                if let Some(cached) =
+                    ctx.cache.and_then(|c| c.load_saturation(merge_hash, merge_key))
+                {
+                    return (PointOutcomeKind::Saturation(cached), false);
+                }
+                // Common random numbers across probes: one seed (replication
+                // 0) for the whole search keeps the frontier estimate
+                // monotone.
+                let seed = replication_seed(ctx.spec.base_seed, merge_hash, 0);
+                let searched = find_saturation(
+                    |rate| {
+                        let point = PointSpec { seed, ..point_at(rate) };
+                        match run_point(&point, &ctx.spec.run, deadline)
+                            .expect("expansion validated this configuration")
+                            .outcome
+                        {
+                            RunOutcome::DeadlineExceeded { cycle, .. } => Err((rate, cycle)),
+                            // A stalled probe reads as saturated.
+                            outcome => {
+                                self.simulated_reps += 1;
+                                Ok(outcome.result().saturated)
+                            }
+                        }
+                    },
+                    lo,
+                    hi,
+                    rel_tol,
+                    max_probes,
+                );
+                return match searched {
+                    Ok(result) => {
+                        if let Some(c) = ctx.cache {
+                            c.store_saturation(merge_hash, merge_key, &result)
+                                .unwrap_or_else(cache_failed);
+                        }
+                        (PointOutcomeKind::Saturation(result), false)
                     }
-                    result
-                });
-                return (PointOutcomeKind::Saturation(result), false);
+                    Err((rate, cycle)) => {
+                        cut_off(format!("probe: rate {rate} cut off at cycle {cycle}"))
+                    }
+                };
             }
         };
         let mut series = Vec::new();
@@ -421,9 +444,6 @@ impl PointTask {
             self.cached_reps = cached.len();
             series = cached;
         }
-        // The budget as an absolute deadline the replication loop checks
-        // cooperatively.
-        let deadline = budget.map(|budget| start + budget);
         loop {
             let upto = match decide(&ctx.spec.policy(), &series, BATCH_REPS) {
                 Decision::Ready { n, converged } => {
@@ -460,13 +480,7 @@ impl PointTask {
                     return (PointOutcomeKind::Stalled { rate, rep, cycle, diagnostics }, false);
                 }
                 Err(RepInterrupt::Deadline { rep, cycle }) => {
-                    let budget = budget.expect("deadline interrupts only occur with a budget");
-                    let reason = format!(
-                        "wall-clock budget exhausted mid-replication: rep {rep} cut off at \
-                         cycle {cycle} ({:.1}s allowed)",
-                        budget.as_secs_f64(),
-                    );
-                    return (PointOutcomeKind::Failed { reason }, true);
+                    return cut_off(format!("replication: rep {rep} cut off at cycle {cycle}"));
                 }
             }
             if let Some(quarantined) = over_budget() {

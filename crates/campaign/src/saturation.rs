@@ -28,41 +28,41 @@ pub struct SaturationResult {
     pub probes: Vec<Probe>,
 }
 
-/// Bisect `[lo, hi]` for the saturation frontier of `saturated_at`.
+/// Bisect `[lo, hi]` for the saturation frontier of `probe_fn`.
 ///
 /// `lo` must be expected-unsaturated; if its probe saturates, the search
 /// reports it and stops (the bracket is hopeless). `hi` is expected
 /// saturated; if not, the bracket is grown geometrically up to the probe
 /// budget. Stops when `(hi − lo) / lo ≤ rel_tol` or after `max_probes`
-/// simulated probes.
-pub fn find_saturation(
-    mut probe_fn: impl FnMut(f64) -> bool,
+/// simulated probes; a probe's `Err` ends it at once and is returned.
+pub fn find_saturation<E>(
+    mut probe_fn: impl FnMut(f64) -> Result<bool, E>,
     lo: f64,
     hi: f64,
     rel_tol: f64,
     max_probes: u32,
-) -> SaturationResult {
+) -> Result<SaturationResult, E> {
     assert!(lo > 0.0 && hi > lo && rel_tol > 0.0 && max_probes >= 2);
     let mut probes = Vec::new();
-    let mut probe = |rate: f64, probes: &mut Vec<Probe>| {
-        let saturated = probe_fn(rate);
+    let mut probe = |rate: f64, probes: &mut Vec<Probe>| -> Result<bool, E> {
+        let saturated = probe_fn(rate)?;
         probes.push(Probe { rate, saturated });
-        saturated
+        Ok(saturated)
     };
 
     // Anchor the bracket.
-    if probe(lo, &mut probes) {
+    if probe(lo, &mut probes)? {
         // Even the floor saturates: report the floor as collapsed.
-        return SaturationResult { sustained: 0.0, collapsed: Some(lo), probes };
+        return Ok(SaturationResult { sustained: 0.0, collapsed: Some(lo), probes });
     }
     let mut lo = lo;
     let mut hi = hi;
     // Grow until the ceiling actually saturates (or the budget runs out).
     loop {
         if probes.len() as u32 >= max_probes {
-            return SaturationResult { sustained: lo, collapsed: None, probes };
+            return Ok(SaturationResult { sustained: lo, collapsed: None, probes });
         }
-        if probe(hi, &mut probes) {
+        if probe(hi, &mut probes)? {
             break;
         }
         lo = hi;
@@ -71,24 +71,36 @@ pub fn find_saturation(
     // Bisect.
     while (hi - lo) / lo > rel_tol && (probes.len() as u32) < max_probes {
         let mid = (lo * hi).sqrt(); // geometric midpoint suits a log axis
-        if probe(mid, &mut probes) {
+        if probe(mid, &mut probes)? {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    SaturationResult { sustained: lo, collapsed: Some(hi), probes }
+    Ok(SaturationResult { sustained: lo, collapsed: Some(hi), probes })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    fn search(
+        mut saturated_at: impl FnMut(f64) -> bool,
+        lo: f64,
+        hi: f64,
+        rel_tol: f64,
+        max_probes: u32,
+    ) -> SaturationResult {
+        find_saturation(|r| Ok::<_, Infallible>(saturated_at(r)), lo, hi, rel_tol, max_probes)
+            .unwrap()
+    }
 
     #[test]
     fn converges_to_a_known_frontier() {
         let frontier = 0.037;
         let mut calls = 0;
-        let result = find_saturation(
+        let result = search(
             |r| {
                 calls += 1;
                 r > frontier
@@ -108,14 +120,14 @@ mod tests {
 
     #[test]
     fn grows_bracket_when_ceiling_is_unsaturated() {
-        let result = find_saturation(|r| r > 0.5, 0.01, 0.05, 0.1, 32);
+        let result = search(|r| r > 0.5, 0.01, 0.05, 0.1, 32);
         assert!(result.collapsed.unwrap() > 0.5);
         assert!(result.sustained <= 0.5);
     }
 
     #[test]
     fn saturated_floor_short_circuits() {
-        let result = find_saturation(|_| true, 0.01, 0.1, 0.1, 32);
+        let result = search(|_| true, 0.01, 0.1, 0.1, 32);
         assert_eq!(result.sustained, 0.0);
         assert_eq!(result.collapsed, Some(0.01));
         assert_eq!(result.probes.len(), 1);
@@ -123,21 +135,42 @@ mod tests {
 
     #[test]
     fn respects_probe_budget() {
-        let result = find_saturation(|r| r > 0.03, 0.001, 0.1, 1e-6, 7);
+        let result = search(|r| r > 0.03, 0.001, 0.1, 1e-6, 7);
         assert!(result.probes.len() <= 7);
     }
 
     #[test]
     fn unreachable_frontier_reports_no_collapse() {
-        let result = find_saturation(|_| false, 0.01, 0.02, 0.1, 4);
+        let result = search(|_| false, 0.01, 0.02, 0.1, 4);
         assert!(result.collapsed.is_none());
         assert!(result.sustained >= 0.02);
     }
 
     #[test]
+    fn a_probe_error_ends_the_search() {
+        let mut probed = 0;
+        let result = find_saturation(
+            |r| {
+                probed += 1;
+                if r > 0.01 {
+                    Err(r)
+                } else {
+                    Ok(false)
+                }
+            },
+            0.005,
+            0.05,
+            0.1,
+            8,
+        );
+        assert_eq!(result, Err(0.05));
+        assert_eq!(probed, 2);
+    }
+
+    #[test]
     fn deterministic_probe_sequence() {
         let run = || {
-            find_saturation(|r| r > 0.02, 0.001, 0.05, 0.02, 32)
+            search(|r| r > 0.02, 0.001, 0.05, 0.02, 32)
                 .probes
                 .iter()
                 .map(|p| p.rate)

@@ -209,4 +209,50 @@ fn point_timeout_quarantines_over_budget_points_without_touching_numbers() {
     assert_eq!(generous.failed(), 0);
     assert!(generous.point_telemetry.iter().all(|p| !p.timed_out));
     assert_eq!(unbudgeted.to_json(&spec).to_pretty(), generous.to_json(&spec).to_pretty());
+
+    // A saturation search's probes run under the same deadline. At n = 64
+    // under the default protocol the first probe outlasts 20 ms: the point
+    // is quarantined mid-probe and its search is never cached.
+    let dir = unique_dir("budget-search");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut search = CampaignSpec::new("fail-soft-budget-search");
+    search.topologies = vec![TopologyKind::Quarc];
+    search.sizes = vec![64];
+    search.rates = RateAxis::Saturation { rel_tol: 0.02, max_probes: 24 };
+    let cut = run_campaign(
+        &search,
+        &CampaignOptions {
+            quiet: true,
+            cache_dir: Some(dir.clone()),
+            point_timeout: Some(Duration::from_millis(20)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(cut.failed(), 1);
+    assert!(cut.point_telemetry[0].timed_out);
+    match &cut.results[0].outcome {
+        PointOutcomeKind::Failed { reason } => assert!(reason.contains("mid-probe"), "{reason}"),
+        other => panic!("expected a budget failure, got {other:?}"),
+    }
+    let cached = std::fs::read_dir(&dir).map_or(0, |entries| entries.count());
+    assert_eq!(cached, 0, "a cut-off search must not be cached");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A generous budget leaves a search byte-identical to an unbudgeted one.
+    spec.rates = RateAxis::Saturation { rel_tol: 0.3, max_probes: 8 };
+    let unbudgeted =
+        run_campaign(&spec, &CampaignOptions { quiet: true, ..Default::default() }).unwrap();
+    let generous = run_campaign(
+        &spec,
+        &CampaignOptions {
+            quiet: true,
+            point_timeout: Some(Duration::from_secs(3_600)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(matches!(generous.results[0].outcome, PointOutcomeKind::Saturation(_)));
+    assert!(generous.point_telemetry.iter().all(|p| !p.timed_out));
+    assert_eq!(unbudgeted.to_json(&spec).to_pretty(), generous.to_json(&spec).to_pretty());
 }
