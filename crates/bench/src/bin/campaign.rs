@@ -48,7 +48,7 @@ AXIS FLAGS (build a custom grid; ignored when --preset is given):
     --buffer-depths LIST      flits per VC lane             [default: 4]
     --link-latencies LIST     cycles per link               [default: 1]
     --arbs LIST               rr,fp (output arbitration)    [default: rr]
-    --rates SPEC              rate axis:
+    --rates SPEC              rate axis (messages/node/cycle, each in (0, 1]):
                                 list:R1,R2,...              explicit rates
                                 geom:LO:HI:STEPS            geometric sweep
                                 auto:SPAN:LODIV:STEPS       geometric sweep anchored

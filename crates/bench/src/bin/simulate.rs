@@ -86,8 +86,8 @@ fn parse_args() -> Args {
         }
     }
     // What the workload generator would otherwise assert on.
-    if !(args.rate.is_finite() && args.rate > 0.0) {
-        CLI.usage_error("--rate must be positive and finite");
+    if !(args.rate > 0.0 && args.rate <= 1.0) {
+        CLI.usage_error("--rate must be in (0, 1] messages/node/cycle");
     }
     if !(0.0..=1.0).contains(&args.beta) {
         CLI.usage_error("--beta must lie in [0, 1]");

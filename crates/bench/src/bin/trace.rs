@@ -126,8 +126,8 @@ fn main() {
     if capacity == 0 || capacity > MAX_CAPACITY {
         CLI.usage_error("--capacity must lie in 1..=16777216 events (0 disables tracing)");
     }
-    if !(rate.is_finite() && rate > 0.0) {
-        CLI.usage_error("--rate must be positive and finite");
+    if !(rate > 0.0 && rate <= 1.0) {
+        CLI.usage_error("--rate must be in (0, 1] messages/node/cycle");
     }
     if !(0.0..=1.0).contains(&beta) {
         CLI.usage_error("--beta must lie in [0, 1]");

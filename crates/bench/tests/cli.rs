@@ -36,6 +36,8 @@ fn malformed_flags_are_usage_errors() {
         &["--nodes", "abc"][..],
         &["--rate", "-1"],
         &["--rate", "nan"],
+        // A rate is a per-cycle probability: 1.5 used to run as rate 1.
+        &["--rate", "1.5"],
         &["--beta", "1.5"],
         &["--msg-len", "1"],
         // Above u32::MAX a length used to wrap to a short message.
@@ -55,6 +57,7 @@ fn malformed_flags_are_usage_errors() {
         &["--capacity", "0"],
         &["--capacity", "99999999999999"],
         &["--rate", "-1"],
+        &["--rate", "3"],
         &["--topology", "ring"],
         &["--out"],
     ] {
@@ -125,12 +128,28 @@ fn invalid_configurations_and_files_exit_one() {
         "--fault",
         "onset=100",
     ];
+    let over_one = [
+        "--topologies",
+        "quarc",
+        "--sizes",
+        "8",
+        "--msg-lens",
+        "4",
+        "--betas",
+        "0",
+        "--rates",
+        "list:1,1.5,2",
+        "--replications",
+        "1",
+    ];
     for args in [
         &long_message[..],
         &fault_twins,
         &["--rates", "geom:0.001:0.002:18446744073709551615"],
         &["--rates", "auto:1.1:40:4294967296"],
         &["--rates", "geom:0.01:0.010000000000000002:3"],
+        // Rates above 1 message/node/cycle used to run as rate 1.
+        &over_one,
     ] {
         let args = [args, &["--quick", "--no-cache"]].concat();
         let out = campaign(&args);

@@ -33,8 +33,11 @@ pub struct SaturationResult {
 /// `lo` must be expected-unsaturated; if its probe saturates, the search
 /// reports it and stops (the bracket is hopeless). `hi` is expected
 /// saturated; if not, the bracket is grown geometrically up to the probe
-/// budget. Stops when `(hi − lo) / lo ≤ rel_tol` or after `max_probes`
-/// simulated probes; a probe's `Err` ends it at once and is returned.
+/// budget. A rate is a per-cycle injection probability, so no probe exceeds
+/// 1: `hi` is capped there, and an unsaturated probe at rate 1 ends the
+/// search with `sustained: 1.0, collapsed: None`. Stops when `(hi − lo) / lo
+/// ≤ rel_tol` or after `max_probes` simulated probes; a probe's `Err` ends
+/// it at once and is returned.
 pub fn find_saturation<E>(
     mut probe_fn: impl FnMut(f64) -> Result<bool, E>,
     lo: f64,
@@ -42,7 +45,7 @@ pub fn find_saturation<E>(
     rel_tol: f64,
     max_probes: u32,
 ) -> Result<SaturationResult, E> {
-    assert!(lo > 0.0 && hi > lo && rel_tol > 0.0 && max_probes >= 2);
+    assert!(lo > 0.0 && lo <= 1.0 && hi > lo && rel_tol > 0.0 && max_probes >= 2);
     let mut probes = Vec::new();
     let mut probe = |rate: f64, probes: &mut Vec<Probe>| -> Result<bool, E> {
         let saturated = probe_fn(rate)?;
@@ -56,17 +59,18 @@ pub fn find_saturation<E>(
         return Ok(SaturationResult { sustained: 0.0, collapsed: Some(lo), probes });
     }
     let mut lo = lo;
-    let mut hi = hi;
-    // Grow until the ceiling actually saturates (or the budget runs out).
+    let mut hi = hi.min(1.0);
+    // Grow until the ceiling actually saturates (or the budget or rate 1
+    // runs out).
     loop {
-        if probes.len() as u32 >= max_probes {
+        if probes.len() as u32 >= max_probes || lo >= 1.0 {
             return Ok(SaturationResult { sustained: lo, collapsed: None, probes });
         }
         if probe(hi, &mut probes)? {
             break;
         }
         lo = hi;
-        hi *= 2.0;
+        hi = (hi * 2.0).min(1.0);
     }
     // Bisect.
     while (hi - lo) / lo > rel_tol && (probes.len() as u32) < max_probes {
@@ -144,6 +148,19 @@ mod tests {
         let result = search(|_| false, 0.01, 0.02, 0.1, 4);
         assert!(result.collapsed.is_none());
         assert!(result.sustained >= 0.02);
+    }
+
+    #[test]
+    fn never_probes_above_rate_one() {
+        // Rate 1 unsaturated: the bracket stops growing there.
+        let result = search(|_| false, 0.03, 3.0, 0.05, 12);
+        assert!(result.probes.iter().all(|p| p.rate <= 1.0), "{:?}", result.probes);
+        assert_eq!(result.probes.last().unwrap().rate, 1.0);
+        assert_eq!((result.sustained, result.collapsed), (1.0, None));
+        // A knee below 1 is still bracketed under the cap.
+        let result = search(|r| r > 0.7, 0.03, 3.0, 0.05, 12);
+        assert!(result.probes.iter().all(|p| p.rate <= 1.0), "{:?}", result.probes);
+        assert!(result.sustained <= 0.7 && 0.7 < result.collapsed.unwrap());
     }
 
     #[test]

@@ -242,14 +242,16 @@ impl CampaignSpec {
         match &self.rates {
             RateAxis::Explicit(rates) => {
                 check_axis("rates", rates)?;
-                if rates.iter().any(|r| !(*r > 0.0 && r.is_finite())) {
-                    return Err(SpecError::new("explicit rates must be positive and finite"));
+                if rates.iter().any(|r| !(*r > 0.0 && *r <= 1.0)) {
+                    return Err(SpecError::new(
+                        "explicit rates must be in (0, 1] messages/node/cycle",
+                    ));
                 }
             }
             RateAxis::Geometric { lo, hi, steps } => {
-                if !(*lo > 0.0 && hi > lo && (2..=MAX_RATE_STEPS).contains(steps)) {
+                if !(*lo > 0.0 && hi > lo && *hi <= 1.0 && (2..=MAX_RATE_STEPS).contains(steps)) {
                     return Err(SpecError::new_owned(format!(
-                        "geometric axis needs 0 < lo < hi, 2 <= steps <= {MAX_RATE_STEPS}"
+                        "geometric axis needs 0 < lo < hi <= 1, 2 <= steps <= {MAX_RATE_STEPS}"
                     )));
                 }
             }
@@ -396,9 +398,11 @@ fn check_axis<T: PartialEq + fmt::Display>(name: &str, axis: &[T]) -> Result<(),
 /// rather than an allocation failure.
 const MAX_RATE_STEPS: usize = 10_000;
 
-/// `steps` geometrically spaced rates in `[lo, hi]` for `curve`. They must
-/// be finite and strictly increasing: rounding can collapse a narrow axis
-/// onto one rate, and equal rates share a merge hash.
+/// `steps` geometrically spaced rates in `[lo, hi]` for `curve`. A rate is
+/// a per-cycle injection probability, so `hi` may not exceed 1 (a ceiling
+/// of exactly 1 can round a hair above it; that rate is 1). The rates must
+/// strictly increase: rounding can collapse a narrow axis onto one rate,
+/// and equal rates share a merge hash.
 fn generated_rates(
     curve: CurveParams,
     lo: f64,
@@ -406,14 +410,13 @@ fn generated_rates(
     steps: usize,
 ) -> Result<Vec<f64>, SpecError> {
     // `geometric_rates` asserts 0 < lo < hi.
-    match (lo > 0.0 && hi > lo).then(|| quarc_sim::geometric_rates(lo, hi, steps)) {
-        Some(rates)
-            if rates.iter().all(|r| r.is_finite()) && rates.windows(2).all(|w| w[0] < w[1]) =>
-        {
-            Ok(rates)
-        }
+    let rates: Option<Vec<f64>> = (lo > 0.0 && hi > lo && hi <= 1.0).then(|| {
+        quarc_sim::geometric_rates(lo, hi, steps).into_iter().map(|r| r.min(1.0)).collect()
+    });
+    match rates {
+        Some(rates) if rates.windows(2).all(|w| w[0] < w[1]) => Ok(rates),
         _ => Err(SpecError::new_owned(format!(
-            "{curve}: {steps} rates in [{lo}, {hi}] are not finite and strictly increasing"
+            "{curve}: {steps} rates in [{lo}, {hi}] must be in (0, 1] and strictly increasing"
         ))),
     }
 }
@@ -995,6 +998,38 @@ mod tests {
         let mut ok = small();
         ok.rates = RateAxis::Geometric { lo: 0.001, hi: 0.002, steps: MAX_RATE_STEPS };
         assert_eq!(ok.expand().unwrap().points.len(), 4 * MAX_RATE_STEPS);
+    }
+
+    #[test]
+    fn rates_above_one_message_per_cycle_are_rejected() {
+        // A rate is a per-cycle probability: 1.5 used to run as rate 1
+        // under its own label and cache key.
+        let rejected = |rates: RateAxis| {
+            let mut bad = small();
+            bad.rates = rates;
+            bad.expand().unwrap_err().to_string()
+        };
+        let err = rejected(RateAxis::Explicit(vec![1.0, 1.5]));
+        assert!(err.contains("(0, 1]"), "{err}");
+        let err = rejected(RateAxis::Geometric { lo: 0.5, hi: 2.0, steps: 3 });
+        assert!(err.contains("hi <= 1"), "{err}");
+        // The analytic bound at n = 4, M = 2 is 1.5, so this ceiling is 1.65.
+        let mut auto = small();
+        auto.sizes = vec![4];
+        auto.msg_lens = vec![2];
+        auto.rates = RateAxis::AutoGeometric { span: 1.1, lo_div: 40.0, steps: 3 };
+        let err = auto.expand().unwrap_err().to_string();
+        assert!(err.contains("(0, 1]"), "{err}");
+
+        // Rate 1 itself is legal, also where a generated ceiling of 1
+        // rounds a hair above it.
+        let mut ok = small();
+        ok.rates = RateAxis::Explicit(vec![0.5, 1.0]);
+        assert!(ok.expand().is_ok());
+        ok.rates = RateAxis::Geometric { lo: 0.01, hi: 1.0, steps: 5 };
+        let points = ok.expand().unwrap().points;
+        assert!(points.iter().any(|p| p.work == PointWork::Rate(1.0)));
+        assert!(points.iter().all(|p| matches!(p.work, PointWork::Rate(r) if r <= 1.0)));
     }
 
     #[test]
