@@ -42,10 +42,11 @@ pub struct CampaignOptions {
     /// after it started is quarantined as [`PointOutcomeKind::Failed`]
     /// instead of pinning a worker. Checked when the point starts, between
     /// replication batches *and* cooperatively inside each replication and
-    /// saturation-search probe (at the stall watchdog's cadence), so a single
-    /// runaway run is cut off mid-run. `None` = unbounded. Never caches and never alters a
-    /// completed point's numbers — a budget generous enough for every point
-    /// to finish reproduces the unbudgeted campaign byte for byte.
+    /// saturation-search probe (at the stall watchdog's cadence), so a
+    /// single runaway run is cut off mid-run. `None` = unbounded. Never
+    /// caches and never alters a completed point's numbers — a budget
+    /// generous enough for every point to finish reproduces the unbudgeted
+    /// campaign byte for byte.
     pub point_timeout: Option<Duration>,
     /// Test-only chaos hook: points whose expansion id is listed here panic
     /// as soon as they start, exercising the fail-soft path. Hidden
