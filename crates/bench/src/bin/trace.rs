@@ -24,8 +24,7 @@ use quarc_bench::cli::Cli;
 use quarc_bench::outln;
 use quarc_campaign::Json;
 use quarc_core::config::NocConfig;
-use quarc_core::topology::TopologyKind;
-use quarc_sim::{build_any, NocSim, ProbeConfig};
+use quarc_sim::{build_any, NocSim, PointSpec, ProbeConfig};
 use quarc_workloads::{Synthetic, SyntheticConfig};
 use std::process::exit;
 
@@ -82,10 +81,10 @@ fn validate(text: &str) -> Result<(usize, usize), String> {
 }
 
 fn main() {
-    let mut topology = TopologyKind::Quarc;
-    let mut n: usize = 16;
-    let mut rate: f64 = 0.05;
-    let mut beta: f64 = 0.05;
+    let mut point = PointSpec {
+        noc: NocConfig::default(),
+        traffic: SyntheticConfig::paper(0.05, 8, 0.05, 0xBE7C),
+    };
     let mut cycles: u64 = 2_000;
     let mut capacity: usize = 1 << 16;
     let mut out = String::from("trace.json");
@@ -94,10 +93,10 @@ fn main() {
     while let Some(flag) = it.next() {
         let Some(value) = it.next() else { CLI.usage_error(&format!("{flag} needs a value")) };
         match flag.as_str() {
-            "--topology" => topology = CLI.parse(&flag, &value),
-            "--n" => n = CLI.parse(&flag, &value),
-            "--rate" => rate = CLI.parse(&flag, &value),
-            "--beta" => beta = CLI.parse(&flag, &value),
+            "--topology" => point.noc.kind = CLI.parse(&flag, &value),
+            "--n" => point.noc.n = CLI.parse(&flag, &value),
+            "--rate" => point.traffic.rate = CLI.parse(&flag, &value),
+            "--beta" => point.traffic.broadcast_frac = CLI.parse(&flag, &value),
             "--cycles" => cycles = CLI.parse(&flag, &value),
             "--capacity" => capacity = CLI.parse(&flag, &value),
             "--out" => out = value,
@@ -122,34 +121,29 @@ fn main() {
         return;
     }
 
-    // What the tracer and the workload generator would otherwise assert on.
+    // What the tracer would otherwise assert on, and traffic the point
+    // cannot carry, are usage errors; an invalid network exits 1.
     if capacity == 0 || capacity > MAX_CAPACITY {
         CLI.usage_error("--capacity must lie in 1..=16777216 events (0 disables tracing)");
     }
-    if !(rate > 0.0 && rate <= 1.0) {
-        CLI.usage_error("--rate must be in (0, 1] messages/node/cycle");
+    if let Err(e) = point.traffic.check(point.noc.n) {
+        CLI.usage_error(&e.to_string());
     }
-    if !(0.0..=1.0).contains(&beta) {
-        CLI.usage_error("--beta must lie in [0, 1]");
-    }
-    if n < 2 {
-        CLI.usage_error("--n must be at least 2");
-    }
-    let cfg = NocConfig { kind: topology, n, ..Default::default() };
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = point.check() {
         eprintln!("trace: {e}");
         exit(1);
     }
-    let mut net = build_any(cfg);
+    let mut net = build_any(point.noc);
     let nodes = net.num_nodes();
     net.probe_mut().configure(ProbeConfig { trace_capacity: capacity, ..ProbeConfig::off() });
-    let mut wl = Synthetic::new(nodes, SyntheticConfig::paper(rate, 8, beta, 0xBE7C));
+    let mut wl = Synthetic::new(nodes, point.traffic);
     for _ in 0..cycles {
         net.step(&mut wl);
     }
     let probe = net.probe();
     let captured = probe.events().count();
-    let label = format!("{topology} n={nodes} rate={rate} beta={beta}");
+    let (rate, beta) = (point.traffic.rate, point.traffic.broadcast_frac);
+    let label = format!("{} n={nodes} rate={rate} beta={beta}", point.noc.kind);
     if let Err(e) = std::fs::write(&out, probe.chrome_trace_json(&label)) {
         eprintln!("trace: cannot write {out}: {e}");
         exit(1);

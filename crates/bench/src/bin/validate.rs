@@ -14,56 +14,51 @@
 
 use quarc_analytical as ana;
 use quarc_bench::outln;
-use quarc_core::config::NocConfig;
+use quarc_campaign::CurveParams;
+use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
 use quarc_core::grid::GridTopology;
-use quarc_sim::{run, RunSpec};
+use quarc_core::topology::TopologyKind::{self, Mesh, Quarc, Spidergon};
+use quarc_sim::{run_point, RunSpec};
 
 fn main() {
     outln!("# Simulator-vs-analytical validation (uniform unicast traffic)");
     outln!("topology,n,m,rate,sim_latency,model_latency,rel_err");
     let spec = RunSpec { warmup: 3_000, measure: 30_000, drain: 40_000, ..Default::default() };
+    // Mean unicast latency of one campaign point: the curve's network (a
+    // mesh on its single VC) under uniform unicast traffic.
+    let sim = |topology: TopologyKind, n: usize, m: usize, rate: f64, seed: u64| {
+        let curve = CurveParams {
+            topology,
+            n,
+            msg_len: m,
+            beta: 0.0,
+            buffer_depth: 4,
+            link_latency: 1,
+            arb: ArbPolicy::RoundRobin,
+            fault: FaultPlan::NONE,
+            recovery: RecoveryPolicy::NONE,
+        };
+        let out = run_point(&curve.point(rate, seed), &spec, None).expect("a valid point");
+        out.outcome.result().unicast_mean
+    };
 
     for (n, m) in [(16usize, 8usize), (16, 16), (32, 16)] {
         let sat = ana::spidergon_saturation_rate(n, m);
         for frac in [0.1, 0.2, 0.3] {
             let rate = sat * frac;
-
-            // Quarc.
-            let mut net = quarc_sim::QuarcNetwork::new(NocConfig::quarc(n));
-            let mut wl = quarc_workloads::Synthetic::new(
-                n,
-                quarc_workloads::SyntheticConfig::paper(rate, m, 0.0, 11),
-            );
-            let res = run(&mut net, &mut wl, &spec);
             let model = ana::quarc_unicast_latency(n, m, rate).unwrap_or(f64::NAN);
-            print_row("quarc", n, m, rate, res.unicast_mean, model);
-
-            // Spidergon.
-            let mut net = quarc_sim::SpidergonNetwork::new(NocConfig::spidergon(n));
-            let mut wl = quarc_workloads::Synthetic::new(
-                n,
-                quarc_workloads::SyntheticConfig::paper(rate, m, 0.0, 12),
-            );
-            let res = run(&mut net, &mut wl, &spec);
+            print_row("quarc", n, m, rate, sim(Quarc, n, m, rate, 11), model);
             let model = ana::spidergon_unicast_latency(n, m, rate).unwrap_or(f64::NAN);
-            print_row("spidergon", n, m, rate, res.unicast_mean, model);
+            print_row("spidergon", n, m, rate, sim(Spidergon, n, m, rate, 12), model);
         }
     }
 
     // Mesh validation (XY routing).
     for (n, m) in [(16usize, 8usize), (16, 16)] {
         for rate in [0.005, 0.01, 0.02] {
-            let mut cfg = NocConfig::mesh(n);
-            cfg.vcs = 1;
-            let mut net = quarc_sim::mesh_net::MeshNetwork::new(cfg);
-            let mut wl = quarc_workloads::Synthetic::new(
-                n,
-                quarc_workloads::SyntheticConfig::paper(rate, m, 0.0, 13),
-            );
-            let res = run(&mut net, &mut wl, &spec);
             let topo = GridTopology::square_mesh(n);
             let model = ana::mesh_unicast_latency(&topo, m, rate).unwrap_or(f64::NAN);
-            print_row("mesh", n, m, rate, res.unicast_mean, model);
+            print_row("mesh", n, m, rate, sim(Mesh, n, m, rate, 13), model);
         }
     }
 

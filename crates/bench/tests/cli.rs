@@ -150,6 +150,11 @@ fn invalid_configurations_and_files_exit_one() {
         &["--rates", "geom:0.01:0.010000000000000002:3"],
         // Rates above 1 message/node/cycle used to run as rate 1.
         &over_one,
+        // The auto rate axis anchors on the Quarc bound, which used to
+        // panic at a size no Quarc has.
+        &["--topologies", "spidergon", "--sizes", "6"],
+        // A 1-node mesh carries no traffic; its points used to fail by panic.
+        &["--topologies", "mesh", "--sizes", "1", "--rates", "list:0.01", "--replications", "1"],
     ] {
         let args = [args, &["--quick", "--no-cache"]].concat();
         let out = campaign(&args);
@@ -176,6 +181,21 @@ fn simulate_prints_one_csv_row_on_every_topology() {
         assert!(lines[0].starts_with("topology,n,rate,"), "{topology}: {}", lines[0]);
         assert!(lines[1].starts_with(&format!("{topology},{n},")), "{topology}: {}", lines[1]);
         assert_eq!(lines[0].split(',').count(), lines[1].split(',').count(), "{topology}");
+    }
+}
+
+#[test]
+fn simulate_pattern_reaches_the_run() {
+    let row = |pattern: &str| {
+        let args = ["--nodes", "16", "--rate", "0.02", "--pattern", pattern];
+        let out = simulate(&args);
+        assert!(out.status.success(), "{pattern}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 CSV");
+        stdout.lines().nth(1).expect("a CSV row").to_string()
+    };
+    let uniform = row("uniform");
+    for pattern in ["complement", "neighbour"] {
+        assert_ne!(row(pattern), uniform, "--pattern {pattern} ran as uniform");
     }
 }
 

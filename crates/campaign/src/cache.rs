@@ -139,6 +139,7 @@ mod tests {
     use crate::saturation::Probe;
     use quarc_core::config::NocConfig;
     use quarc_sim::{PointSpec, RunSpec};
+    use quarc_workloads::SyntheticConfig;
 
     fn unique_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("quarc-campaign-cache-{tag}-{}", std::process::id()))
@@ -150,8 +151,10 @@ mod tests {
     }
 
     fn sample_series(reps: u32) -> Vec<RepOutcome> {
-        let template =
-            PointSpec { noc: NocConfig::quarc(8), msg_len: 4, beta: 0.05, seed: 0, rate: 0.01 };
+        let template = PointSpec {
+            noc: NocConfig::quarc(8),
+            traffic: SyntheticConfig::paper(0.01, 4, 0.05, 0),
+        };
         let run = RunSpec { warmup: 100, measure: 600, drain: 1_200, ..Default::default() };
         let mut series = Vec::new();
         extend_series(&mut series, &template, &run, 7, 11, reps, None).unwrap();

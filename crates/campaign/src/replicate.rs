@@ -300,8 +300,8 @@ pub enum RepInterrupt {
     },
 }
 
-/// Simulate replications `series.len()..upto` of `template` (its `seed`
-/// field is overwritten per replication) and append them to `series`.
+/// Simulate replications `series.len()..upto` of `template` (its
+/// `traffic.seed` is overwritten per replication) and append them to `series`.
 ///
 /// Appending is the only mutation a series ever sees, so any interleaving of
 /// cache loads and top-up batches yields the same outcome at every index. A
@@ -328,7 +328,7 @@ pub fn extend_series(
 ) -> Result<(), RepInterrupt> {
     for rep in series.len() as u32..upto {
         let mut point = *template;
-        point.seed = replication_seed(base_seed, point_stream, rep);
+        point.traffic.seed = replication_seed(base_seed, point_stream, rep);
         // Campaign points are validated at expansion, so a config error here
         // is a programming error, not an input error.
         let run =
@@ -500,6 +500,7 @@ pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> Merged
 mod tests {
     use super::*;
     use quarc_core::config::NocConfig;
+    use quarc_workloads::SyntheticConfig;
 
     fn pretty(value: &impl Encode) -> String {
         let mut w = Writer::pretty(0);
@@ -508,7 +509,7 @@ mod tests {
     }
 
     fn template() -> PointSpec {
-        PointSpec { noc: NocConfig::quarc(8), msg_len: 4, beta: 0.05, seed: 0, rate: 0.01 }
+        PointSpec { noc: NocConfig::quarc(8), traffic: SyntheticConfig::paper(0.01, 4, 0.05, 0) }
     }
 
     fn quick() -> RunSpec {

@@ -12,7 +12,7 @@ use crate::replicate::{
 use crate::result::{PointOutcomeKind, PointResult};
 use crate::saturation::find_saturation;
 use crate::spec::{CampaignPoint, CampaignSpec, PointWork, SpecError};
-use quarc_sim::{run_point, PointSpec, RunOutcome};
+use quarc_sim::{run_point, RunOutcome};
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -355,14 +355,6 @@ impl PointTask {
     fn execute(&mut self, ctx: &PointContext<'_>, start: Instant) -> (PointOutcomeKind, bool) {
         let (merge_key, merge_hash) = (&self.merge_key, self.merge_hash);
         let curve = self.point.curve;
-        // `seed` is overwritten per replication; searches pin it below.
-        let point_at = |rate| PointSpec {
-            noc: curve.noc(),
-            msg_len: curve.msg_len,
-            beta: curve.beta,
-            seed: 0,
-            rate,
-        };
         let cache_failed = |e: io::Error| {
             if !ctx.opts.quiet {
                 eprintln!("campaign: failed to cache {merge_key}: {e}");
@@ -408,8 +400,7 @@ impl PointTask {
                 let seed = replication_seed(ctx.spec.base_seed, merge_hash, 0);
                 let searched = find_saturation(
                     |rate| {
-                        let point = PointSpec { seed, ..point_at(rate) };
-                        match run_point(&point, &ctx.spec.run, deadline)
+                        match run_point(&curve.point(rate, seed), &ctx.spec.run, deadline)
                             .expect("expansion validated this configuration")
                             .outcome
                         {
@@ -456,7 +447,8 @@ impl PointTask {
             let before = series.len();
             let interrupted = extend_series(
                 &mut series,
-                &point_at(rate),
+                // `extend_series` seeds each replication.
+                &curve.point(rate, 0),
                 &ctx.spec.run,
                 ctx.spec.base_seed,
                 merge_hash,

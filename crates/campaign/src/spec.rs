@@ -17,7 +17,8 @@
 use crate::hash::fnv1a64;
 use quarc_core::config::{ArbPolicy, FaultPlan, NocConfig, RecoveryPolicy};
 use quarc_core::topology::TopologyKind;
-use quarc_sim::RunSpec;
+use quarc_sim::{PointSpec, RunSpec};
+use quarc_workloads::SyntheticConfig;
 use std::fmt;
 
 /// How the injection-rate axis of the grid is generated.
@@ -205,11 +206,12 @@ impl CampaignSpec {
     /// Expand the grid into executable points.
     ///
     /// Every topology carries every traffic class, so the expansion is the
-    /// exact cartesian product of the axes — nothing is dropped. Invalid
-    /// node counts and empty axes are errors. Should a future axis introduce
-    /// a genuinely unsupported combination, it must be reported through
-    /// [`Expansion::skipped`] (which the artifact records) — never silently
-    /// removed from the grid.
+    /// exact cartesian product of the axes — nothing is dropped. Empty axes
+    /// are errors, and so is any point that fails [`PointSpec::check`], the
+    /// check `run_point` applies: a spec that expands also runs. Should a
+    /// future axis introduce a genuinely unsupported combination, it must be
+    /// reported through [`Expansion::skipped`] (which the artifact records)
+    /// — never silently removed from the grid.
     pub fn expand(&self) -> Result<Expansion, SpecError> {
         if self.name.is_empty() || !self.name.chars().all(valid_name_char) {
             return Err(SpecError::new("name must be non-empty and use only [a-zA-Z0-9._-]"));
@@ -240,14 +242,7 @@ impl CampaignSpec {
             }
         }
         match &self.rates {
-            RateAxis::Explicit(rates) => {
-                check_axis("rates", rates)?;
-                if rates.iter().any(|r| !(*r > 0.0 && *r <= 1.0)) {
-                    return Err(SpecError::new(
-                        "explicit rates must be in (0, 1] messages/node/cycle",
-                    ));
-                }
-            }
+            RateAxis::Explicit(rates) => check_axis("rates", rates)?,
             RateAxis::Geometric { lo, hi, steps } => {
                 if !(*lo > 0.0 && hi > lo && *hi <= 1.0 && (2..=MAX_RATE_STEPS).contains(steps)) {
                     return Err(SpecError::new_owned(format!(
@@ -277,13 +272,7 @@ impl CampaignSpec {
         for &topology in &self.topologies {
             for &n in &self.sizes {
                 for &msg_len in &self.msg_lens {
-                    if !(2..=u32::MAX as usize).contains(&msg_len) {
-                        return Err(SpecError::new("msg_len must be in [2, 2^32 - 1] flits"));
-                    }
                     for &beta in &self.betas {
-                        if !(0.0..=1.0).contains(&beta) {
-                            return Err(SpecError::new("beta must be in [0, 1]"));
-                        }
                         for &buffer_depth in &self.buffer_depths {
                             for &link_latency in &self.link_latencies {
                                 for &arb in &self.arbs {
@@ -300,9 +289,6 @@ impl CampaignSpec {
                                                 fault,
                                                 recovery,
                                             };
-                                            curve.noc().validate().map_err(|e| {
-                                                SpecError::new_owned(format!("{curve}: {e}"))
-                                            })?;
                                             self.push_curve_points(curve, &mut points)?;
                                         }
                                     }
@@ -324,43 +310,49 @@ impl CampaignSpec {
         curve: CurveParams,
         points: &mut Vec<CampaignPoint>,
     ) -> Result<(), SpecError> {
+        let invalid = |why: String| SpecError::new_owned(format!("{curve}: {why}"));
+        // Every point passes the check `run_point` applies. A search is
+        // checked at its floor, and never probes above rate 1.
+        let check = |rate: f64| curve.point(rate, 0).check().map_err(|e| invalid(e.to_string()));
+        // Rate 1 passes the rate rule, so this names a bad network, `M` or
+        // `β` before a rate axis generated from them fails on their account.
+        check(1.0)?;
+        let mut push = |rate: f64, work: PointWork| {
+            check(rate)?;
+            points.push(CampaignPoint { id: points.len(), curve, work });
+            Ok(())
+        };
         // The analytical bound costs an O(n²·hops) all-pairs link-load walk
         // — prohibitive at the slab-era sizes (n = 16384) — so only the
-        // axes that actually anchor on it pay for it.
-        let bound = || quarc_analytical::quarc_saturation_rate(curve.n, curve.msg_len);
-        match &self.rates {
-            RateAxis::Explicit(rates) => {
-                for &rate in rates {
-                    points.push(self.point(curve, PointWork::Rate(rate), points.len()));
-                }
-            }
-            RateAxis::Geometric { lo, hi, steps } => {
-                for rate in generated_rates(curve, *lo, *hi, *steps)? {
-                    points.push(self.point(curve, PointWork::Rate(rate), points.len()));
-                }
-            }
+        // axes that actually anchor on it pay for it. It is the Quarc's
+        // bound, so it exists only where a Quarc of `n` nodes does.
+        let bound = || {
+            NocConfig::quarc(curve.n).validate().map_err(|e| {
+                invalid(format!(
+                    "auto and saturation rate axes anchor on the Quarc saturation bound, \
+                     which needs a Quarc size ({e}); use list: or geom: rates"
+                ))
+            })?;
+            Ok(quarc_analytical::quarc_saturation_rate(curve.n, curve.msg_len))
+        };
+        let rates = match &self.rates {
+            RateAxis::Explicit(rates) => rates.clone(),
+            RateAxis::Geometric { lo, hi, steps } => generated_rates(curve, *lo, *hi, *steps)?,
             RateAxis::AutoGeometric { span, lo_div, steps } => {
-                let hi = bound() * span;
-                for rate in generated_rates(curve, hi / lo_div, hi, *steps)? {
-                    points.push(self.point(curve, PointWork::Rate(rate), points.len()));
-                }
+                let hi = bound()? * span;
+                generated_rates(curve, hi / lo_div, hi, *steps)?
             }
             RateAxis::Saturation { rel_tol, max_probes } => {
-                let b = bound();
-                let work = PointWork::Saturation {
-                    lo: b * 0.02,
-                    hi: b * 2.0,
-                    rel_tol: *rel_tol,
-                    max_probes: *max_probes,
-                };
-                points.push(self.point(curve, work, points.len()));
+                let b = bound()?;
+                let (lo, hi) = (b * 0.02, b * 2.0);
+                let (rel_tol, max_probes) = (*rel_tol, *max_probes);
+                return push(lo, PointWork::Saturation { lo, hi, rel_tol, max_probes });
             }
+        };
+        for rate in rates {
+            push(rate, PointWork::Rate(rate))?;
         }
         Ok(())
-    }
-
-    fn point(&self, curve: CurveParams, work: PointWork, id: usize) -> CampaignPoint {
-        CampaignPoint { id, curve, work }
     }
 
     /// The replication rule fixed-rate points execute: `replications` exact
@@ -453,6 +445,15 @@ pub struct CurveParams {
 }
 
 impl CurveParams {
+    /// The point at `rate` on this curve under workload seed `seed`: the
+    /// paper's uniform traffic with this curve's `M` and `β`.
+    pub fn point(&self, rate: f64, seed: u64) -> PointSpec {
+        PointSpec {
+            noc: self.noc(),
+            traffic: SyntheticConfig::paper(rate, self.msg_len, self.beta, seed),
+        }
+    }
+
     /// The network configuration for this curve.
     pub fn noc(&self) -> NocConfig {
         let mut cfg = match self.topology {
@@ -923,6 +924,12 @@ mod tests {
         bad.betas = vec![1.5];
         assert!(bad.expand().is_err());
 
+        // A 1-node mesh is a network, but its points used to fail by panic.
+        let mut bad = small();
+        bad.topologies = vec![TopologyKind::Mesh];
+        bad.sizes = vec![1];
+        assert!(bad.expand().unwrap_err().to_string().contains("two nodes"));
+
         let mut bad = small();
         bad.arbs = vec![];
         assert!(bad.expand().is_err());
@@ -960,6 +967,11 @@ mod tests {
             bad.msg_lens = vec![len];
             assert!(bad.expand().unwrap_err().to_string().contains("msg_len"), "{len}");
         }
+        // Also where the bound an auto axis anchors on would put it past 1.
+        let mut auto = small();
+        auto.msg_lens = vec![1];
+        auto.rates = RateAxis::AutoGeometric { span: 40.0, lo_div: 40.0, steps: 3 };
+        assert!(auto.expand().unwrap_err().to_string().contains("msg_len"));
         let mut widest = small();
         widest.msg_lens = vec![u32::MAX as usize];
         assert!(widest.expand().is_ok());
@@ -1030,6 +1042,30 @@ mod tests {
         let points = ok.expand().unwrap().points;
         assert!(points.iter().any(|p| p.work == PointWork::Rate(1.0)));
         assert!(points.iter().all(|p| matches!(p.work, PointWork::Rate(r) if r <= 1.0)));
+    }
+
+    #[test]
+    fn analytic_rate_axes_need_a_quarc_size() {
+        // Both axes anchor on the Quarc bound, whose topology used to panic
+        // at expansion on any other size.
+        let sat = RateAxis::Saturation { rel_tol: 0.1, max_probes: 8 };
+        for rates in [RateAxis::AutoGeometric { span: 1.1, lo_div: 40.0, steps: 3 }, sat] {
+            for (topology, n) in
+                [(TopologyKind::Spidergon, 6), (TopologyKind::Mesh, 9), (TopologyKind::Torus, 6)]
+            {
+                let mut bad = small();
+                bad.topologies = vec![topology];
+                bad.sizes = vec![n];
+                bad.rates = rates.clone();
+                let err = bad.expand().unwrap_err().to_string();
+                assert!(err.contains("use list: or geom: rates"), "{err}");
+            }
+        }
+        // Explicit rates run those sizes.
+        let mut ok = small();
+        ok.topologies = vec![TopologyKind::Spidergon];
+        ok.sizes = vec![6];
+        assert!(ok.expand().is_ok());
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! claims matter. The protocol has three entry points: [`run`] (a network
 //! and a workload in, the statistics out), [`run_mono_outcome_deadline`]
 //! (the same, reporting stalls and honouring a wall-clock deadline) and
-//! [`run_point`] (a [`PointSpec`] in, the outcome plus its latency
-//! histograms out — the unit `quarc-campaign` replicates).
+//! [`run_point`] (a [`PointSpec`], a network plus its traffic, in; the
+//! outcome plus its latency histograms out — the unit every front end runs).
 //!
 //! ## The hot path: packet table + zero-alloc invariant
 //!

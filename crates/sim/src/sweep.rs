@@ -1,7 +1,7 @@
 //! Load sweeps: the latency-vs-injection-rate curves of Figs. 9–11.
 //!
-//! The unit of work is [`run_point`] — one fully-specified `(network,
-//! workload, rate)` simulation. `quarc-campaign` shards points across worker
+//! The unit of work is [`run_point`]: one checked [`PointSpec`], a network
+//! plus the traffic it carries. `quarc-campaign` shards points across worker
 //! threads, so any change to how a point is built or seeded must keep
 //! `run_point` a pure function of its arguments.
 
@@ -31,14 +31,17 @@ pub fn build_any(cfg: NocConfig) -> AnyNet {
 pub struct PointSpec {
     /// Network configuration.
     pub noc: NocConfig,
-    /// Message length in flits (the paper's `M`).
-    pub msg_len: usize,
-    /// Broadcast fraction (the paper's `β`).
-    pub beta: f64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Offered load (messages/node/cycle).
-    pub rate: f64,
+    /// Offered traffic: rate, `M`, `β`, destination pattern and seed.
+    pub traffic: SyntheticConfig,
+}
+
+impl PointSpec {
+    /// The check [`run_point`] applies: the network's structural rules, then
+    /// the traffic's limits on that network.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        self.noc.validate()?;
+        self.traffic.check(self.noc.n)
+    }
 }
 
 /// The outcome of one point: how the run ended plus the measured latency
@@ -61,31 +64,27 @@ pub struct PointOutcome {
 /// protocol, and return how it ended plus the latency distributions.
 ///
 /// This is a pure function of `(point, run_spec)` — it seeds the workload
-/// only from `point.seed` — which is what lets `quarc-campaign` run points on
-/// any thread in any order and still produce bit-identical results.
+/// only from `point.traffic.seed` — which is what lets `quarc-campaign` run
+/// points on any thread in any order and still produce bit-identical results.
 /// `deadline` is the cooperative wall-clock cutoff of
 /// [`run_mono_outcome_deadline`] — how a campaign's `--point-timeout` budget
 /// reaches inside a replication; it can end a run early, never move a
 /// finished run's numbers.
 ///
 /// Every topology (Quarc, Spidergon, mesh, torus) carries every traffic
-/// class, so any `beta ∈ [0, 1]` is simulable; the only failure mode is a
-/// structurally invalid configuration, returned as the [`ConfigError`]
-/// instead of panicking inside a network constructor.
+/// class and every destination pattern, so the only failure mode is a point
+/// that fails [`PointSpec::check`], returned as the [`ConfigError`] instead
+/// of panicking inside a network or workload constructor.
 pub fn run_point(
     point: &PointSpec,
     run_spec: &RunSpec,
     deadline: Option<std::time::Instant>,
 ) -> Result<PointOutcome, ConfigError> {
-    point.noc.validate()?;
+    point.check()?;
     let mut net = build_any(point.noc);
     // Grid topologies round n up to a near-square; ask the network, not the
     // config.
-    let n = net.num_nodes();
-    let mut wl = Synthetic::new(
-        n,
-        SyntheticConfig::paper(point.rate, point.msg_len, point.beta, point.seed),
-    );
+    let mut wl = Synthetic::new(net.num_nodes(), point.traffic);
     // Fully monomorphized inner loop: enum dispatch on the network, static
     // dispatch into the Synthetic workload.
     let outcome = run_mono_outcome_deadline(&mut net, &mut wl, run_spec, deadline);
@@ -132,7 +131,7 @@ mod tests {
         // slipped through); the multicast tree makes it an ordinary point.
         let mut cfg = NocConfig::mesh(16);
         cfg.vcs = 1;
-        let point = PointSpec { noc: cfg, msg_len: 8, beta: 0.05, seed: 5, rate: 0.01 };
+        let point = PointSpec { noc: cfg, traffic: SyntheticConfig::paper(0.01, 8, 0.05, 5) };
         let run_spec = RunSpec { warmup: 200, measure: 2_000, drain: 4_000, ..Default::default() };
         let out = run_point(&point, &run_spec, None).unwrap();
         let RunOutcome::Finished(result) = &out.outcome else { panic!("{:?}", out.outcome) };
@@ -145,8 +144,10 @@ mod tests {
 
     #[test]
     fn torus_point_runs_end_to_end() {
-        let point =
-            PointSpec { noc: NocConfig::torus(16), msg_len: 8, beta: 0.05, seed: 5, rate: 0.01 };
+        let point = PointSpec {
+            noc: NocConfig::torus(16),
+            traffic: SyntheticConfig::paper(0.01, 8, 0.05, 5),
+        };
         let run_spec = RunSpec { warmup: 200, measure: 2_000, drain: 4_000, ..Default::default() };
         let out = run_point(&point, &run_spec, None).unwrap();
         let RunOutcome::Finished(result) = &out.outcome else { panic!("{:?}", out.outcome) };
@@ -158,8 +159,10 @@ mod tests {
 
     #[test]
     fn invalid_config_is_a_typed_error_not_a_panic() {
-        let point =
-            PointSpec { noc: NocConfig::quarc(18), msg_len: 8, beta: 0.0, seed: 1, rate: 0.01 };
+        let point = PointSpec {
+            noc: NocConfig::quarc(18),
+            traffic: SyntheticConfig::paper(0.01, 8, 0.0, 1),
+        };
         match run_point(&point, &RunSpec::quick(), None) {
             Err(e) => assert!(e.to_string().contains("18")),
             Ok(out) => panic!("expected a config error, got {out:?}"),
@@ -167,9 +170,29 @@ mod tests {
     }
 
     #[test]
+    fn bad_traffic_is_a_typed_error_not_a_panic() {
+        // Rate 1.5 used to run as rate 1, and `msg_len` 1 to panic in the
+        // workload constructor.
+        let ok = SyntheticConfig::paper(0.01, 8, 0.0, 1);
+        for (noc, traffic, what) in [
+            (NocConfig::quarc(8), SyntheticConfig { rate: 1.5, ..ok }, "(0, 1]"),
+            (NocConfig::quarc(8), SyntheticConfig { msg_len: 1, ..ok }, "msg_len"),
+            (NocConfig::quarc(8), SyntheticConfig { broadcast_frac: 1.5, ..ok }, "beta"),
+            (NocConfig::mesh(1), ok, "two nodes"),
+        ] {
+            match run_point(&PointSpec { noc, traffic }, &RunSpec::quick(), None) {
+                Err(e) => assert!(e.to_string().contains(what), "{e}"),
+                Ok(out) => panic!("expected a config error for {traffic:?}, got {out:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn run_point_is_deterministic() {
-        let point =
-            PointSpec { noc: NocConfig::quarc(8), msg_len: 8, beta: 0.05, seed: 42, rate: 0.01 };
+        let point = PointSpec {
+            noc: NocConfig::quarc(8),
+            traffic: SyntheticConfig::paper(0.01, 8, 0.05, 42),
+        };
         let run_spec = RunSpec::quick();
         let a = run_point(&point, &run_spec, None).unwrap();
         let b = run_point(&point, &run_spec, None).unwrap();

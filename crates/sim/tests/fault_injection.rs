@@ -22,7 +22,7 @@ use quarc_sim::{
     run_point, FlitEventKind, MeshNetwork, PointSpec, ProbeConfig, QuarcNetwork, RunSpec,
     SpidergonNetwork, TorusNetwork,
 };
-use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload};
+use quarc_workloads::{MessageRequest, SyntheticConfig, TraceRecord, TraceWorkload};
 use std::collections::HashMap;
 
 /// A collective-heavy trace: broadcasts and multicasts are the traffic most
@@ -189,7 +189,7 @@ proptest! {
             NocConfig::quarc(16).with_buffer_depth(1),
             NocConfig::torus(16).with_buffer_depth(1),
         ] {
-            let point = PointSpec { noc, msg_len: 4, beta: 0.05, seed, rate };
+            let point = PointSpec { noc, traffic: SyntheticConfig::paper(rate, 4, 0.05, seed) };
             let outcome = run_point(&point, &run, None).expect("valid config").outcome;
             prop_assert!(
                 !outcome.is_stalled(),

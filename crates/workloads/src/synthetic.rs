@@ -7,6 +7,7 @@
 
 use crate::patterns::Pattern;
 use crate::request::{MessageRequest, Workload};
+use quarc_core::config::ConfigError;
 use quarc_core::ids::NodeId;
 use quarc_engine::{Cycle, DetRng};
 
@@ -31,6 +32,29 @@ impl SyntheticConfig {
     pub fn paper(rate: f64, msg_len: usize, broadcast_frac: f64, seed: u64) -> Self {
         SyntheticConfig { rate, msg_len, broadcast_frac, pattern: Pattern::Uniform, seed }
     }
+
+    /// Check that this traffic can run on `nodes` nodes: the one statement
+    /// of the traffic limits, which `quarc_sim::PointSpec::check` applies to
+    /// every simulation point.
+    pub fn check(&self, nodes: usize) -> Result<(), ConfigError> {
+        let bad = |name, requirement| Err(ConfigError::BadParameter { name, requirement });
+        if nodes < 2 {
+            let requirement = "traffic needs at least two nodes";
+            return Err(ConfigError::BadNodeCount { n: nodes, requirement });
+        }
+        if !(2..=u32::MAX as usize).contains(&self.msg_len) {
+            return bad("msg_len", "must lie in [2, 2^32 - 1] flits (a packet is header + tail)");
+        }
+        if !(0.0..=1.0).contains(&self.broadcast_frac) {
+            return bad("beta", "must lie in [0, 1]");
+        }
+        // The rate is a per-cycle injection probability. Checked last:
+        // `Synthetic::new` accepts a zero rate once the rest holds.
+        if !(self.rate > 0.0 && self.rate <= 1.0) {
+            return bad("rate", "must be in (0, 1] messages/node/cycle");
+        }
+        Ok(())
+    }
 }
 
 /// Per-node generator state.
@@ -53,11 +77,15 @@ pub struct Synthetic {
 }
 
 impl Synthetic {
-    /// Build a generator for an `n`-node network.
+    /// Build a generator for an `n`-node network. Panics where
+    /// [`SyntheticConfig::check`] fails, except on a zero rate: that builds
+    /// a source that never fires.
     pub fn new(n: usize, cfg: SyntheticConfig) -> Self {
-        assert!(n >= 2, "need at least two nodes for traffic");
-        assert!(cfg.msg_len >= 2, "a packet is at least header + tail");
-        assert!((0.0..=1.0).contains(&cfg.broadcast_frac));
+        match cfg.check(n) {
+            Err(ConfigError::BadParameter { name: "rate", .. }) if cfg.rate == 0.0 => {}
+            Err(e) => panic!("{e}"),
+            Ok(()) => {}
+        }
         let master = DetRng::new(cfg.seed);
         let nodes = (0..n)
             .map(|i| {

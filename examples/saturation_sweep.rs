@@ -8,6 +8,7 @@
 
 use quarc::core::config::NocConfig;
 use quarc::sim::{geometric_rates, run_point, PointSpec, RunSpec};
+use quarc::workloads::SyntheticConfig;
 
 /// `(unicast mean, broadcast completion mean, saturated)` per rate, stopping
 /// once two consecutive points saturate (the curve has gone vertical, as in
@@ -15,7 +16,7 @@ use quarc::sim::{geometric_rates, run_point, PointSpec, RunSpec};
 fn curve(noc: NocConfig, rates: &[f64], run_spec: &RunSpec) -> Vec<(f64, f64, bool)> {
     let mut points = Vec::new();
     for &rate in rates {
-        let point = PointSpec { noc, msg_len: 8, beta: 0.05, seed: 42, rate };
+        let point = PointSpec { noc, traffic: SyntheticConfig::paper(rate, 8, 0.05, 42) };
         let run = run_point(&point, run_spec, None).expect("valid configuration");
         let r = run.outcome.result();
         points.push((r.unicast_mean, r.bcast_completion_mean, r.saturated));
