@@ -84,7 +84,7 @@ fn main() {
     match run_point(&point, &run, None) {
         Ok(out) => {
             outln!("{}", RunResult::csv_header());
-            outln!("{}", out.outcome.result().csv_row());
+            outln!("{}", out.result().csv_row());
         }
         Err(e) => {
             eprintln!("simulate: {e}");

@@ -39,7 +39,7 @@ fn main() {
             recovery: RecoveryPolicy::NONE,
         };
         let out = run_point(&curve.point(rate, seed), &spec, None).expect("a valid point");
-        out.outcome.result().unicast_mean
+        out.result().unicast_mean
     };
 
     for (n, m) in [(16usize, 8usize), (16, 16), (32, 16)] {

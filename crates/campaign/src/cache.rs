@@ -157,7 +157,7 @@ mod tests {
         };
         let run = RunSpec { warmup: 100, measure: 600, drain: 1_200, ..Default::default() };
         let mut series = Vec::new();
-        extend_series(&mut series, &template, &run, 7, 11, reps, None).unwrap();
+        assert!(extend_series(&mut series, &template, &run, 7, 11, reps, None).is_none());
         series
     }
 

@@ -67,7 +67,7 @@ pub use executor::{default_workers, run_parallel, WorkerStats};
 pub use json::Json;
 pub use replicate::{
     decide, extend_series, merge_series, replication_seed, Converged, Decision, MeanCi, MergedRun,
-    RepInterrupt, RepOutcome,
+    RepOutcome,
 };
 pub use result::{PointOutcomeKind, PointResult};
 pub use runner::{run_campaign, CampaignError, CampaignOptions, CampaignReport, PointTelemetry};

@@ -272,46 +272,20 @@ pub fn replication_seed(base_seed: u64, point_stream: u64, rep: u32) -> u64 {
     DetRng::new(base_seed).fork(point_stream).fork(rep as u64).next_u64()
 }
 
-/// Why a series extension stopped before reaching its target length.
-///
-/// Either way, the interrupted replication contributes nothing to the
-/// series — only the replications completed before the cut are valid
-/// outcomes — and the point is quarantined rather than cached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RepInterrupt {
-    /// The stall watchdog fired: the network wedged under this replication.
-    Stall {
-        /// Replication index that stalled.
-        rep: u32,
-        /// Cycle at which the watchdog fired.
-        cycle: u64,
-        /// Where the traffic was wedged ([`quarc_sim::StallDiagnostics`],
-        /// rendered for quarantine records and operator eyes).
-        diagnostics: String,
-    },
-    /// The cooperative wall-clock deadline expired mid-replication (the
-    /// campaign's `--point-timeout` budget reaching inside a run instead of
-    /// waiting for the end of the batch).
-    Deadline {
-        /// Replication index that was cut off.
-        rep: u32,
-        /// Simulation cycle at which the deadline was noticed.
-        cycle: u64,
-    },
-}
-
 /// Simulate replications `series.len()..upto` of `template` (its
 /// `traffic.seed` is overwritten per replication) and append them to `series`.
 ///
 /// Appending is the only mutation a series ever sees, so any interleaving of
 /// cache loads and top-up batches yields the same outcome at every index. A
-/// stalled or over-deadline replication stops the extension and reports why
-/// instead of masquerading as a saturated sample.
+/// stalled or over-deadline replication stops the extension and is returned,
+/// with its replication index, instead of masquerading as a saturated
+/// sample; `None` means the series reached `upto`.
 ///
 /// The series keeps every replication completed *before* the interrupt —
 /// those are valid outcomes, safe to persist and to resume from. The
 /// interrupted replication itself contributes nothing: its partial numbers
-/// describe a wedged (or cut-off) network, not the configured workload.
+/// describe a wedged (or cut-off) network, not the configured workload, so
+/// the point is quarantined rather than cached.
 ///
 /// `deadline` is the campaign's remaining per-point wall-clock budget as an
 /// absolute instant; `None` runs unbounded. It is checked cooperatively at
@@ -325,15 +299,14 @@ pub fn extend_series(
     point_stream: u64,
     upto: u32,
     deadline: Option<Instant>,
-) -> Result<(), RepInterrupt> {
+) -> Option<(u32, RunOutcome)> {
     for rep in series.len() as u32..upto {
         let mut point = *template;
         point.traffic.seed = replication_seed(base_seed, point_stream, rep);
         // Campaign points are validated at expansion, so a config error here
         // is a programming error, not an input error.
-        let run =
-            run_point(&point, run_spec, deadline).expect("expansion validated this configuration");
-        match run.outcome {
+        match run_point(&point, run_spec, deadline).expect("expansion validated this configuration")
+        {
             RunOutcome::Finished(r) => series.push(RepOutcome {
                 unicast_mean: r.unicast_mean,
                 bcast_reception_mean: r.bcast_reception_mean,
@@ -345,19 +318,13 @@ pub fn extend_series(
                 undeliverable: r.undeliverable,
                 retransmissions: r.retransmissions,
                 recovered_receivers: r.recovered_receivers,
-                unicast_hist: run.unicast_hist,
-                bcast_hist: run.bcast_completion_hist,
+                unicast_hist: r.unicast_hist,
+                bcast_hist: r.bcast_completion_hist,
             }),
-            RunOutcome::Stalled { cycle, diagnostics, .. } => {
-                let diagnostics = diagnostics.to_string();
-                return Err(RepInterrupt::Stall { rep, cycle, diagnostics });
-            }
-            RunOutcome::DeadlineExceeded { cycle, .. } => {
-                return Err(RepInterrupt::Deadline { rep, cycle });
-            }
+            interrupt => return Some((rep, interrupt)),
         }
     }
-    Ok(())
+    None
 }
 
 /// What [`decide`] concluded about a replication series.
@@ -519,7 +486,7 @@ mod tests {
     /// Grow `series` to `upto` replications of the template; healthy runs
     /// never interrupt.
     fn extend(series: &mut Vec<RepOutcome>, upto: u32) {
-        extend_series(series, &template(), &quick(), 7, 11, upto, None).unwrap();
+        assert!(extend_series(series, &template(), &quick(), 7, 11, upto, None).is_none());
     }
 
     /// A fresh series of `reps` replications, merged whole.

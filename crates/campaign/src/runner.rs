@@ -7,7 +7,7 @@ use crate::executor::{default_workers, run_parallel, WorkerStats};
 use crate::hash::fnv1a64;
 use crate::json::{Encode, Writer};
 use crate::replicate::{
-    decide, extend_series, merge_series, replication_seed, Converged, Decision, RepInterrupt,
+    decide, extend_series, merge_series, replication_seed, Converged, Decision,
 };
 use crate::result::{PointOutcomeKind, PointResult};
 use crate::saturation::find_saturation;
@@ -402,7 +402,6 @@ impl PointTask {
                     |rate| {
                         match run_point(&curve.point(rate, seed), &ctx.spec.run, deadline)
                             .expect("expansion validated this configuration")
-                            .outcome
                         {
                             RunOutcome::DeadlineExceeded { cycle, .. } => Err((rate, cycle)),
                             // A stalled probe reads as saturated.
@@ -468,12 +467,16 @@ impl PointTask {
                 }
             }
             match interrupted {
-                Ok(()) => {}
-                Err(RepInterrupt::Stall { rep, cycle, diagnostics }) => {
+                None => {}
+                Some((rep, RunOutcome::Stalled { cycle, diagnostics, .. })) => {
+                    let diagnostics = diagnostics.to_string();
                     return (PointOutcomeKind::Stalled { rate, rep, cycle, diagnostics }, false);
                 }
-                Err(RepInterrupt::Deadline { rep, cycle }) => {
+                Some((rep, RunOutcome::DeadlineExceeded { cycle, .. })) => {
                     return cut_off(format!("replication: rep {rep} cut off at cycle {cycle}"));
+                }
+                Some((_, RunOutcome::Finished(_))) => {
+                    unreachable!("extend_series appends finished replications")
                 }
             }
             if let Some(quarantined) = over_budget() {

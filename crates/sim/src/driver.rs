@@ -17,6 +17,7 @@ use crate::Fabric;
 use quarc_core::flit::TrafficClass;
 use quarc_core::grid::GridTopology;
 use quarc_core::topology::TopologyKind;
+use quarc_engine::stats::LatencyHistogram;
 use quarc_engine::Cycle;
 use quarc_workloads::Workload;
 
@@ -180,14 +181,16 @@ pub struct RunResult {
     pub offered_rate: Option<f64>,
     /// Mean unicast latency (cycles), creation → tail at destination.
     pub unicast_mean: f64,
-    /// 95th-percentile unicast latency.
-    pub unicast_p95: Option<u64>,
+    /// Unicast latency distribution over the measurement window.
+    pub unicast_hist: LatencyHistogram,
     /// Unicast sample count.
     pub unicast_samples: u64,
     /// Mean broadcast latency per reception.
     pub bcast_reception_mean: f64,
     /// Mean broadcast completion latency (last receiver).
     pub bcast_completion_mean: f64,
+    /// Broadcast completion latency distribution over the measurement window.
+    pub bcast_completion_hist: LatencyHistogram,
     /// Broadcast messages completed in the window.
     pub bcast_samples: u64,
     /// Flit throughput per node per cycle over the measurement window:
@@ -222,6 +225,11 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// 95th-percentile unicast latency (`None` with no samples).
+    pub fn unicast_p95(&self) -> Option<u64> {
+        self.unicast_hist.percentile(95.0)
+    }
+
     /// CSV header matching [`Self::csv_row`].
     pub fn csv_header() -> &'static str {
         "topology,n,rate,unicast_mean,unicast_p95,unicast_samples,bcast_reception_mean,\
@@ -238,7 +246,7 @@ impl RunResult {
             self.n,
             self.offered_rate.map_or_else(|| "-".into(), |r| format!("{r:.5}")),
             self.unicast_mean,
-            self.unicast_p95.map_or_else(|| "-".into(), |p| p.to_string()),
+            self.unicast_p95().map_or_else(|| "-".into(), |p| p.to_string()),
             self.unicast_samples,
             self.bcast_reception_mean,
             self.bcast_completion_mean,
@@ -473,17 +481,19 @@ fn flits_moved<N: NocSim>(net: &N) -> (u64, u64) {
     (data, data + m.acks_delivered() + m.dup_flits_suppressed())
 }
 
-/// Summarise a (possibly partial) run from the current network state.
+/// Summarise a (possibly partial) run from the current network state — the
+/// one place a run's statistics are taken. `window` holds [`flits_moved`]
+/// at the measurement window's two edges.
 fn summarise<N: NocSim>(
     net: &N,
     offered_rate: Option<f64>,
     spec: &RunSpec,
-    flits_before: (u64, u64),
-    flits_after: (u64, u64),
+    window: [(u64, u64); 2],
     end_backlog: usize,
     force_saturated: bool,
 ) -> RunResult {
     let m = net.metrics();
+    let [before, after] = window;
     let per_node_cycle = spec.measure as f64 * net.num_nodes() as f64;
     let unicast_mean = m.unicast_latency().mean();
     let bcast_completion_mean = m.broadcast_completion_latency().mean();
@@ -499,12 +509,13 @@ fn summarise<N: NocSim>(
         n: net.num_nodes(),
         offered_rate,
         unicast_mean,
-        unicast_p95: m.unicast_histogram().percentile(95.0),
+        unicast_hist: m.unicast_histogram().clone(),
         unicast_samples: m.unicast_latency().count(),
         bcast_reception_mean: m.broadcast_reception_latency().mean(),
         bcast_completion_mean,
+        bcast_completion_hist: m.broadcast_completion_histogram().clone(),
         bcast_samples: m.completed(TrafficClass::Broadcast),
-        throughput: (flits_after.1 - flits_before.1) as f64 / per_node_cycle,
+        throughput: (after.1 - before.1) as f64 / per_node_cycle,
         saturated,
         end_backlog,
         delivered_fraction: m.delivered_fraction(),
@@ -513,8 +524,31 @@ fn summarise<N: NocSim>(
         retransmissions: m.retransmissions(),
         recovered_receivers: m.recovered_receivers(),
         ack_latency_mean: m.ack_latency().mean(),
-        goodput: (flits_after.0 - flits_before.0) as f64 / per_node_cycle,
+        goodput: (after.0 - before.0) as f64 / per_node_cycle,
     }
+}
+
+/// Step `net` under `workload` for up to `cycles` cycles, and report what
+/// tripped the watchdog if anything did. `until_quiet` (the drain) also
+/// stops once no traffic is left. Generic over the workload, so each
+/// phase's loop is monomorphized for what it is stepped with.
+fn run_phase<N: NocSim, W: Workload + ?Sized>(
+    net: &mut N,
+    workload: &mut W,
+    cycles: Cycle,
+    until_quiet: bool,
+    dog: &mut Watchdog,
+) -> Option<Trip> {
+    for _ in 0..cycles {
+        if until_quiet && net.quiesced() {
+            break;
+        }
+        net.step(workload);
+        if let Some(trip) = dog.poll(net) {
+            return Some(trip);
+        }
+    }
+    None
 }
 
 /// The warmup/measure/drain protocol, written once for every network and
@@ -550,62 +584,36 @@ pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
     // `workload` is actually consulted.
     net.note_workload_change();
     let mut dog = Watchdog::new(spec.stall_window, deadline);
-    for _ in 0..spec.warmup {
-        net.step(workload);
-        if let Some(trip) = dog.poll(net) {
-            let end_backlog = net.source_backlog();
-            let partial = summarise(net, offered_rate, spec, (0, 0), (0, 0), end_backlog, true);
-            return trip_outcome(net, trip, partial);
+    // The window's flit counters read zero until it opens. A trip ends the
+    // run where it happens; the end backlog is the one at the end of
+    // measurement, or at an earlier trip.
+    let mut window = [(0, 0); 2];
+    let (tripped, end_backlog) = 'run: {
+        if let Some(trip) = run_phase(net, workload, spec.warmup, false, &mut dog) {
+            break 'run (Some(trip), net.source_backlog());
         }
-    }
-    net.metrics_mut().begin_measurement(t0 + spec.warmup);
-    let flits_before = flits_moved(net);
-    for _ in 0..spec.measure {
-        net.step(workload);
-        if let Some(trip) = dog.poll(net) {
-            let flits_after = flits_moved(net);
-            let end_backlog = net.source_backlog();
-            let partial =
-                summarise(net, offered_rate, spec, flits_before, flits_after, end_backlog, true);
-            return trip_outcome(net, trip, partial);
+        net.metrics_mut().begin_measurement(t0 + spec.warmup);
+        window = [flits_moved(net); 2];
+        let trip = run_phase(net, workload, spec.measure, false, &mut dog);
+        window[1] = flits_moved(net);
+        let end_backlog = net.source_backlog();
+        if trip.is_some() {
+            break 'run (trip, end_backlog);
         }
-    }
-    let flits_after = flits_moved(net);
-    let end_backlog = net.source_backlog();
-
-    let mut silence = Silence;
-    net.note_workload_change();
-    for _ in 0..spec.drain {
-        if net.quiesced() {
-            break;
-        }
-        net.step(&mut silence);
-        if let Some(trip) = dog.poll(net) {
-            let partial =
-                summarise(net, offered_rate, spec, flits_before, flits_after, end_backlog, true);
-            return trip_outcome(net, trip, partial);
-        }
-    }
-
-    RunOutcome::Finished(summarise(
-        net,
-        offered_rate,
-        spec,
-        flits_before,
-        flits_after,
-        end_backlog,
-        false,
-    ))
-}
-
-/// Package a tripped sentinel as the matching outcome (diagnostics are only
-/// gathered for a genuine stall — the deadline cut is not a wedge).
-fn trip_outcome<N: NocSim>(net: &N, trip: Trip, partial: RunResult) -> RunOutcome {
-    match trip {
-        Trip::Wedged => {
-            RunOutcome::Stalled { cycle: net.now(), diagnostics: net.stall_diagnostics(), partial }
-        }
-        Trip::Overdue => RunOutcome::DeadlineExceeded { cycle: net.now(), partial },
+        net.note_workload_change();
+        (run_phase(net, &mut Silence, spec.drain, true, &mut dog), end_backlog)
+    };
+    let result = summarise(net, offered_rate, spec, window, end_backlog, tripped.is_some());
+    // Diagnostics are only gathered for a genuine stall — the deadline cut
+    // is not a wedge.
+    match tripped {
+        None => RunOutcome::Finished(result),
+        Some(Trip::Wedged) => RunOutcome::Stalled {
+            cycle: net.now(),
+            diagnostics: net.stall_diagnostics(),
+            partial: result,
+        },
+        Some(Trip::Overdue) => RunOutcome::DeadlineExceeded { cycle: net.now(), partial: result },
     }
 }
 

@@ -36,7 +36,9 @@
 //! and a workload in, the statistics out), [`run_mono_outcome_deadline`]
 //! (the same, reporting stalls and honouring a wall-clock deadline) and
 //! [`run_point`] (a [`PointSpec`], a network plus its traffic, in; the
-//! outcome plus its latency histograms out — the unit every front end runs).
+//! same [`RunOutcome`] out — the unit every front end runs). A
+//! [`RunResult`] carries its own latency histograms, so the outcome is the
+//! whole record of a run.
 //!
 //! ## The hot path: packet table + zero-alloc invariant
 //!
@@ -109,5 +111,5 @@ pub use probe::{CounterSample, FlitEvent, FlitEventKind, Phase, ProbeConfig, Sim
 pub use quarc_net::QuarcNetwork;
 pub use recovery::{DataDelivery, RecoveryAction, RecoveryState};
 pub use spider_net::SpidergonNetwork;
-pub use sweep::{build_any, geometric_rates, run_point, PointOutcome, PointSpec};
+pub use sweep::{build_any, geometric_rates, run_point, PointSpec};
 pub use torus_net::TorusNetwork;

@@ -1,15 +1,15 @@
 //! Load sweeps: the latency-vs-injection-rate curves of Figs. 9–11.
 //!
 //! The unit of work is [`run_point`]: one checked [`PointSpec`], a network
-//! plus the traffic it carries. `quarc-campaign` shards points across worker
-//! threads, so any change to how a point is built or seeded must keep
-//! `run_point` a pure function of its arguments.
+//! plus the traffic it carries, in; the protocol's [`RunOutcome`] out.
+//! `quarc-campaign` shards points across worker threads, so any change to
+//! how a point is built or seeded must keep `run_point` a pure function of
+//! its arguments.
 
 use crate::driver::{run_mono_outcome_deadline, AnyNet, NocSim, RunOutcome, RunSpec};
 use crate::fabric::Fabric;
 use quarc_core::config::{ConfigError, NocConfig};
 use quarc_core::topology::TopologyKind;
-use quarc_engine::stats::LatencyHistogram;
 use quarc_workloads::{Synthetic, SyntheticConfig};
 
 /// Instantiate the simulator matching a configuration, enum-dispatched.
@@ -44,24 +44,8 @@ impl PointSpec {
     }
 }
 
-/// The outcome of one point: how the run ended plus the measured latency
-/// distributions, so replicated runs can pool histograms across seeds.
-///
-/// Campaign executors quarantine anything but [`RunOutcome::Finished`] — a
-/// partial outcome describes a wedged or cut-off network and must never
-/// enter the merge cache as if it were a finished point.
-#[derive(Debug, Clone)]
-pub struct PointOutcome {
-    /// How the run protocol ended, with its (possibly partial) summary.
-    pub outcome: RunOutcome,
-    /// Unicast latency distribution over the measurement window.
-    pub unicast_hist: LatencyHistogram,
-    /// Broadcast completion latency distribution.
-    pub bcast_completion_hist: LatencyHistogram,
-}
-
 /// Simulate one point: build the network, run the warmup/measure/drain
-/// protocol, and return how it ended plus the latency distributions.
+/// protocol, and return how it ended.
 ///
 /// This is a pure function of `(point, run_spec)` — it seeds the workload
 /// only from `point.traffic.seed` — which is what lets `quarc-campaign` run
@@ -69,7 +53,9 @@ pub struct PointOutcome {
 /// `deadline` is the cooperative wall-clock cutoff of
 /// [`run_mono_outcome_deadline`] — how a campaign's `--point-timeout` budget
 /// reaches inside a replication; it can end a run early, never move a
-/// finished run's numbers.
+/// finished run's numbers. Campaign executors quarantine anything but
+/// [`RunOutcome::Finished`]: a partial outcome describes a wedged or cut-off
+/// network and must never enter the merge cache as a finished point.
 ///
 /// Every topology (Quarc, Spidergon, mesh, torus) carries every traffic
 /// class and every destination pattern, so the only failure mode is a point
@@ -79,7 +65,7 @@ pub fn run_point(
     point: &PointSpec,
     run_spec: &RunSpec,
     deadline: Option<std::time::Instant>,
-) -> Result<PointOutcome, ConfigError> {
+) -> Result<RunOutcome, ConfigError> {
     point.check()?;
     let mut net = build_any(point.noc);
     // Grid topologies round n up to a near-square; ask the network, not the
@@ -87,13 +73,7 @@ pub fn run_point(
     let mut wl = Synthetic::new(net.num_nodes(), point.traffic);
     // Fully monomorphized inner loop: enum dispatch on the network, static
     // dispatch into the Synthetic workload.
-    let outcome = run_mono_outcome_deadline(&mut net, &mut wl, run_spec, deadline);
-    let m = net.metrics();
-    Ok(PointOutcome {
-        outcome,
-        unicast_hist: m.unicast_histogram().clone(),
-        bcast_completion_hist: m.broadcast_completion_histogram().clone(),
-    })
+    Ok(run_mono_outcome_deadline(&mut net, &mut wl, run_spec, deadline))
 }
 
 /// Geometrically spaced rates between `lo` and `hi` (inclusive), the usual
@@ -134,12 +114,12 @@ mod tests {
         let point = PointSpec { noc: cfg, traffic: SyntheticConfig::paper(0.01, 8, 0.05, 5) };
         let run_spec = RunSpec { warmup: 200, measure: 2_000, drain: 4_000, ..Default::default() };
         let out = run_point(&point, &run_spec, None).unwrap();
-        let RunOutcome::Finished(result) = &out.outcome else { panic!("{:?}", out.outcome) };
+        let RunOutcome::Finished(result) = &out else { panic!("{out:?}") };
         assert_eq!(result.kind, TopologyKind::Mesh);
         assert!(!result.saturated, "{result:?}");
         assert!(result.unicast_samples > 50);
         assert!(result.bcast_samples > 0, "{result:?}");
-        assert_eq!(out.unicast_hist.count(), result.unicast_samples);
+        assert_eq!(result.unicast_hist.count(), result.unicast_samples);
     }
 
     #[test]
@@ -150,7 +130,7 @@ mod tests {
         };
         let run_spec = RunSpec { warmup: 200, measure: 2_000, drain: 4_000, ..Default::default() };
         let out = run_point(&point, &run_spec, None).unwrap();
-        let RunOutcome::Finished(result) = &out.outcome else { panic!("{:?}", out.outcome) };
+        let RunOutcome::Finished(result) = &out else { panic!("{out:?}") };
         assert_eq!(result.kind, TopologyKind::Torus);
         assert!(!result.saturated, "{result:?}");
         assert!(result.unicast_samples > 50);
@@ -194,11 +174,11 @@ mod tests {
             traffic: SyntheticConfig::paper(0.01, 8, 0.05, 42),
         };
         let run_spec = RunSpec::quick();
-        let a = run_point(&point, &run_spec, None).unwrap();
-        let b = run_point(&point, &run_spec, None).unwrap();
-        assert_eq!(a.outcome.result().unicast_mean, b.outcome.result().unicast_mean);
-        assert_eq!(a.outcome.result().throughput, b.outcome.result().throughput);
+        let a = run_point(&point, &run_spec, None).unwrap().into_result();
+        let b = run_point(&point, &run_spec, None).unwrap().into_result();
+        assert_eq!(a.unicast_mean, b.unicast_mean);
+        assert_eq!(a.throughput, b.throughput);
         assert_eq!(a.unicast_hist.count(), b.unicast_hist.count());
-        assert_eq!(a.unicast_hist.percentile(95.0), b.unicast_hist.percentile(95.0));
+        assert_eq!(a.unicast_p95(), b.unicast_p95());
     }
 }

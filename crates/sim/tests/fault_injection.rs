@@ -190,7 +190,7 @@ proptest! {
             NocConfig::torus(16).with_buffer_depth(1),
         ] {
             let point = PointSpec { noc, traffic: SyntheticConfig::paper(rate, 4, 0.05, seed) };
-            let outcome = run_point(&point, &run, None).expect("valid config").outcome;
+            let outcome = run_point(&point, &run, None).expect("valid config");
             prop_assert!(
                 !outcome.is_stalled(),
                 "watchdog fired on a fault-free {} run",

@@ -18,7 +18,7 @@ fn curve(noc: NocConfig, rates: &[f64], run_spec: &RunSpec) -> Vec<(f64, f64, bo
     for &rate in rates {
         let point = PointSpec { noc, traffic: SyntheticConfig::paper(rate, 8, 0.05, 42) };
         let run = run_point(&point, run_spec, None).expect("valid configuration");
-        let r = run.outcome.result();
+        let r = run.result();
         points.push((r.unicast_mean, r.bcast_completion_mean, r.saturated));
         if let [.., (_, _, true), (_, _, true)] = points[..] {
             break;
