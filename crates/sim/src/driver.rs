@@ -583,6 +583,9 @@ pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
     // its poll schedule parked at the previous drain's silence; reset it so
     // `workload` is actually consulted.
     net.note_workload_change();
+    // Declared before the first cycle, so a message that both starts and
+    // completes during warmup is not a sample.
+    net.metrics_mut().begin_measurement(t0 + spec.warmup);
     let mut dog = Watchdog::new(spec.stall_window, deadline);
     // The window's flit counters read zero until it opens. A trip ends the
     // run where it happens; the end backlog is the one at the end of
@@ -592,7 +595,6 @@ pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
         if let Some(trip) = run_phase(net, workload, spec.warmup, false, &mut dog) {
             break 'run (Some(trip), net.source_backlog());
         }
-        net.metrics_mut().begin_measurement(t0 + spec.warmup);
         window = [flits_moved(net); 2];
         let trip = run_phase(net, workload, spec.measure, false, &mut dog);
         window[1] = flits_moved(net);
@@ -632,7 +634,8 @@ mod tests {
     use super::*;
     use crate::quarc_net::QuarcNetwork;
     use quarc_core::config::NocConfig;
-    use quarc_workloads::{Synthetic, SyntheticConfig};
+    use quarc_core::ids::NodeId;
+    use quarc_workloads::{MessageRequest, Synthetic, SyntheticConfig, TraceRecord, TraceWorkload};
 
     #[test]
     fn light_load_run_is_unsaturated() {
@@ -653,6 +656,23 @@ mod tests {
         let spec = RunSpec { warmup: 200, measure: 2_000, drain: 2_000, ..Default::default() };
         let res = run(&mut net, &mut wl, &spec);
         assert!(res.saturated, "{res:?}");
+    }
+
+    #[test]
+    fn warmup_messages_are_not_samples() {
+        // One unicast completes long before warmup ends, one is created
+        // inside the window: only the second is a latency sample.
+        let send = |cycle, src, dst| TraceRecord {
+            cycle,
+            request: MessageRequest::unicast(NodeId::new(src), NodeId::new(dst), 4),
+        };
+        let mut net = QuarcNetwork::new(NocConfig::quarc(8));
+        let mut wl = TraceWorkload::new(8, [send(10, 0, 3), send(600, 1, 5)]);
+        let spec = RunSpec { warmup: 500, measure: 1_000, drain: 1_000, ..Default::default() };
+        let res = run(&mut net, &mut wl, &spec);
+        assert!(!res.saturated, "{res:?}");
+        assert_eq!(res.unicast_samples, 1, "{res:?}");
+        assert_eq!(res.unicast_hist.count(), 1);
     }
 
     #[test]
