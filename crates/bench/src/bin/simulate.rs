@@ -29,7 +29,7 @@ const CLI: Cli = Cli {
 };
 
 /// The point and run protocol the command line names. Traffic the point
-/// cannot carry is a usage error.
+/// cannot carry, or a protocol [`RunSpec::check`] rejects, is a usage error.
 fn parse_args() -> (PointSpec, RunSpec) {
     // The network flags fill a campaign curve, so the network is the one a
     // campaign builds; `noc()` reads only the network fields.
@@ -72,7 +72,7 @@ fn parse_args() -> (PointSpec, RunSpec) {
         }
     }
     run.drain = run.measure.saturating_mul(2);
-    if let Err(e) = traffic.check(curve.n) {
+    if let Err(e) = traffic.check(curve.n).and(run.check()) {
         CLI.usage_error(&e.to_string());
     }
     (PointSpec { noc: curve.noc(), traffic }, run)

@@ -43,6 +43,8 @@ fn malformed_flags_are_usage_errors() {
         // Above u32::MAX a length used to wrap to a short message.
         &["--nodes", "8", "--msg-len", "4294967298", "--rate", "0.01"],
         &["--nodes", "1"],
+        // An empty measurement window used to report NaN throughput.
+        &["--nodes", "8", "--measure", "0"],
         &["--topology", "ring"],
         &["--pattern", "zigzag"],
         &["--frobnicate", "1"],
@@ -155,6 +157,19 @@ fn invalid_configurations_and_files_exit_one() {
         &["--topologies", "spidergon", "--sizes", "6"],
         // A 1-node mesh carries no traffic; its points used to fail by panic.
         &["--topologies", "mesh", "--sizes", "1", "--rates", "list:0.01", "--replications", "1"],
+        // An empty measurement window used to run and report NaN throughput.
+        &[
+            "--topologies",
+            "quarc",
+            "--sizes",
+            "8",
+            "--rates",
+            "list:0.01",
+            "--replications",
+            "1",
+            "--measure",
+            "0",
+        ],
     ] {
         let args = [args, &["--quick", "--no-cache"]].concat();
         let out = campaign(&args);

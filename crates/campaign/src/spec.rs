@@ -228,6 +228,7 @@ impl CampaignSpec {
         if self.replications == 0 {
             return Err(SpecError::new("replications must be at least 1"));
         }
+        self.run.check().map_err(|e| SpecError::new_owned(e.to_string()))?;
         if let Some(conv) = &self.convergence {
             let width = match conv.target {
                 CiTarget::Abs(w) | CiTarget::Rel(w) => w,

@@ -14,6 +14,7 @@ use crate::probe::SimProbe;
 use crate::quarc_net::QuarcNetwork;
 use crate::spider_net::SpidergonNetwork;
 use crate::Fabric;
+use quarc_core::config::ConfigError;
 use quarc_core::flit::TrafficClass;
 use quarc_core::grid::GridTopology;
 use quarc_core::topology::TopologyKind;
@@ -167,6 +168,18 @@ impl RunSpec {
     /// A shorter spec for tests and smoke runs.
     pub fn quick() -> Self {
         RunSpec { warmup: 500, measure: 4_000, drain: 8_000, ..Default::default() }
+    }
+
+    /// The protocol's limits, the one place they are stated: a measurement
+    /// window of at least one cycle, the divisor of throughput and goodput.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.measure == 0 {
+            return Err(ConfigError::BadParameter {
+                name: "measure",
+                requirement: "at least 1 cycle (the divisor of throughput)",
+            });
+        }
+        Ok(())
     }
 }
 

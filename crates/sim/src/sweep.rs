@@ -59,14 +59,16 @@ impl PointSpec {
 ///
 /// Every topology (Quarc, Spidergon, mesh, torus) carries every traffic
 /// class and every destination pattern, so the only failure mode is a point
-/// that fails [`PointSpec::check`], returned as the [`ConfigError`] instead
-/// of panicking inside a network or workload constructor.
+/// that fails [`PointSpec::check`] or a protocol that fails
+/// [`RunSpec::check`], returned as the [`ConfigError`] instead of panicking
+/// inside a constructor or reporting a `NaN` throughput.
 pub fn run_point(
     point: &PointSpec,
     run_spec: &RunSpec,
     deadline: Option<std::time::Instant>,
 ) -> Result<RunOutcome, ConfigError> {
     point.check()?;
+    run_spec.check()?;
     let mut net = build_any(point.noc);
     // Grid topologies round n up to a near-square; ask the network, not the
     // config.
@@ -145,6 +147,13 @@ mod tests {
         };
         match run_point(&point, &RunSpec::quick(), None) {
             Err(e) => assert!(e.to_string().contains("18")),
+            Ok(out) => panic!("expected a config error, got {out:?}"),
+        }
+        // An empty measurement window used to report a NaN throughput.
+        let point = PointSpec { noc: NocConfig::quarc(8), ..point };
+        let empty = RunSpec { measure: 0, ..RunSpec::quick() };
+        match run_point(&point, &empty, None) {
+            Err(e) => assert!(e.to_string().contains("measure"), "{e}"),
             Ok(out) => panic!("expected a config error, got {out:?}"),
         }
     }
