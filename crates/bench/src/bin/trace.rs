@@ -22,10 +22,11 @@
 
 use quarc_bench::cli::Cli;
 use quarc_bench::outln;
-use quarc_campaign::Json;
-use quarc_core::config::NocConfig;
-use quarc_sim::{build_any, NocSim, PointSpec, ProbeConfig};
-use quarc_workloads::{Synthetic, SyntheticConfig};
+use quarc_campaign::{CurveParams, Json};
+use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
+use quarc_core::topology::TopologyKind;
+use quarc_sim::{build_any, NocSim, ProbeConfig};
+use quarc_workloads::Synthetic;
 use std::process::exit;
 
 const CLI: Cli = Cli {
@@ -81,10 +82,20 @@ fn validate(text: &str) -> Result<(usize, usize), String> {
 }
 
 fn main() {
-    let mut point = PointSpec {
-        noc: NocConfig::default(),
-        traffic: SyntheticConfig::paper(0.05, 8, 0.05, 0xBE7C),
+    // The network flags fill a campaign curve, so the traced network is the
+    // one a campaign runs (a mesh on its single VC).
+    let mut curve = CurveParams {
+        topology: TopologyKind::Quarc,
+        n: 16,
+        msg_len: 8,
+        beta: 0.05,
+        buffer_depth: 4,
+        link_latency: 1,
+        arb: ArbPolicy::RoundRobin,
+        fault: FaultPlan::NONE,
+        recovery: RecoveryPolicy::NONE,
     };
+    let mut rate = 0.05;
     let mut cycles: u64 = 2_000;
     let mut capacity: usize = 1 << 16;
     let mut out = String::from("trace.json");
@@ -93,10 +104,10 @@ fn main() {
     while let Some(flag) = it.next() {
         let Some(value) = it.next() else { CLI.usage_error(&format!("{flag} needs a value")) };
         match flag.as_str() {
-            "--topology" => point.noc.kind = CLI.parse(&flag, &value),
-            "--n" => point.noc.n = CLI.parse(&flag, &value),
-            "--rate" => point.traffic.rate = CLI.parse(&flag, &value),
-            "--beta" => point.traffic.broadcast_frac = CLI.parse(&flag, &value),
+            "--topology" => curve.topology = CLI.parse(&flag, &value),
+            "--n" => curve.n = CLI.parse(&flag, &value),
+            "--rate" => rate = CLI.parse(&flag, &value),
+            "--beta" => curve.beta = CLI.parse(&flag, &value),
             "--cycles" => cycles = CLI.parse(&flag, &value),
             "--capacity" => capacity = CLI.parse(&flag, &value),
             "--out" => out = value,
@@ -126,6 +137,7 @@ fn main() {
     if capacity == 0 || capacity > MAX_CAPACITY {
         CLI.usage_error("--capacity must lie in 1..=16777216 events (0 disables tracing)");
     }
+    let point = curve.point(rate, 0xBE7C);
     if let Err(e) = point.traffic.check(point.noc.n) {
         CLI.usage_error(&e.to_string());
     }
@@ -134,16 +146,16 @@ fn main() {
         exit(1);
     }
     let mut net = build_any(point.noc);
-    let nodes = net.num_nodes();
+    let mut wl = Synthetic::new(net.num_nodes(), point.traffic);
     net.probe_mut().configure(ProbeConfig { trace_capacity: capacity, ..ProbeConfig::off() });
-    let mut wl = Synthetic::new(nodes, point.traffic);
     for _ in 0..cycles {
         net.step(&mut wl);
     }
     let probe = net.probe();
     let captured = probe.events().count();
-    let (rate, beta) = (point.traffic.rate, point.traffic.broadcast_frac);
-    let label = format!("{} n={nodes} rate={rate} beta={beta}", point.noc.kind);
+    // The process name is the traced network and its load, so the file
+    // says what it shows.
+    let label = format!("{} rate={rate} beta={}", point.noc, curve.beta);
     if let Err(e) = std::fs::write(&out, probe.chrome_trace_json(&label)) {
         eprintln!("trace: cannot write {out}: {e}");
         exit(1);

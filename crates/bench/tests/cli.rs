@@ -242,8 +242,13 @@ fn trace_writes_what_its_validator_accepts() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("OK"));
 
-    // The validator rejects a truncated artifact.
+    // A mesh trace shows the campaign's mesh, on its single VC, and names it.
+    let out = trace(&["--topology", "mesh", "--cycles", "300", "--out", path_str]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(&path).expect("trace file");
+    assert!(text.contains("mesh n=16 vcs=1 "), "{}", &text[..text.len().min(300)]);
+
+    // The validator rejects a truncated artifact.
     std::fs::write(&path, &text[..text.len() / 2]).expect("rewrite trace file");
     assert_rejected(&trace(&["--validate", path_str]), 1, "trace --validate on a truncated file");
     std::fs::remove_file(&path).ok();
