@@ -14,6 +14,11 @@
 //! campaigns bit-identical across batch schedules, worker counts and cache
 //! states.
 //!
+//! A replication is the [`quarc_sim::RunResult`] of a finished run, latency
+//! histograms included; [`extend_series`] hands a stalled or cut-off
+//! [`RunOutcome`] back to its caller with the replication's index, and the
+//! point is quarantined.
+//!
 //! Replication seeds are drawn from per-point [`DetRng::fork`] substreams
 //! keyed by the point's *merge hash* — a pure function of the point's
 //! physical parameters (never of the replication protocol), so replication

@@ -173,13 +173,11 @@ impl RunSpec {
     /// The protocol's limits, the one place they are stated: a measurement
     /// window of at least one cycle, the divisor of throughput and goodput.
     pub fn check(&self) -> Result<(), ConfigError> {
-        if self.measure == 0 {
-            return Err(ConfigError::BadParameter {
-                name: "measure",
-                requirement: "at least 1 cycle (the divisor of throughput)",
-            });
+        let requirement = "at least 1 cycle (the divisor of throughput)";
+        match self.measure {
+            0 => Err(ConfigError::BadParameter { name: "measure", requirement }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -494,19 +492,17 @@ fn flits_moved<N: NocSim>(net: &N) -> (u64, u64) {
     (data, data + m.acks_delivered() + m.dup_flits_suppressed())
 }
 
-/// Summarise a (possibly partial) run from the current network state — the
-/// one place a run's statistics are taken. `window` holds [`flits_moved`]
-/// at the measurement window's two edges.
+/// Summarise a (possibly partial) run from the current network state and
+/// [`flits_moved`] at the measurement window's edges: the one summary.
 fn summarise<N: NocSim>(
     net: &N,
     offered_rate: Option<f64>,
     spec: &RunSpec,
-    window: [(u64, u64); 2],
+    [before, after]: [(u64, u64); 2],
     end_backlog: usize,
     force_saturated: bool,
 ) -> RunResult {
     let m = net.metrics();
-    let [before, after] = window;
     let per_node_cycle = spec.measure as f64 * net.num_nodes() as f64;
     let unicast_mean = m.unicast_latency().mean();
     let bcast_completion_mean = m.broadcast_completion_latency().mean();
@@ -541,10 +537,9 @@ fn summarise<N: NocSim>(
     }
 }
 
-/// Step `net` under `workload` for up to `cycles` cycles, and report what
-/// tripped the watchdog if anything did. `until_quiet` (the drain) also
-/// stops once no traffic is left. Generic over the workload, so each
-/// phase's loop is monomorphized for what it is stepped with.
+/// Step `net` under `workload` for up to `cycles` cycles (the drain, with
+/// `until_quiet`, stops once no traffic is left) and report what tripped
+/// the watchdog, if anything. Generic, so each phase's loop is static.
 fn run_phase<N: NocSim, W: Workload + ?Sized>(
     net: &mut N,
     workload: &mut W,
@@ -596,27 +591,23 @@ pub fn run_mono_outcome_deadline<N: NocSim, W: Workload + ?Sized>(
     // its poll schedule parked at the previous drain's silence; reset it so
     // `workload` is actually consulted.
     net.note_workload_change();
-    // Declared before the first cycle, so a message that both starts and
-    // completes during warmup is not a sample.
+    // Before the first cycle, or warmup messages become samples.
     net.metrics_mut().begin_measurement(t0 + spec.warmup);
     let mut dog = Watchdog::new(spec.stall_window, deadline);
-    // The window's flit counters read zero until it opens. A trip ends the
-    // run where it happens; the end backlog is the one at the end of
-    // measurement, or at an earlier trip.
-    let mut window = [(0, 0); 2];
-    let (tripped, end_backlog) = 'run: {
+    // A window that never opened counts zero flits; the end backlog is read
+    // when measurement ends, or at an earlier trip.
+    let (tripped, window, end_backlog) = 'run: {
         if let Some(trip) = run_phase(net, workload, spec.warmup, false, &mut dog) {
-            break 'run (Some(trip), net.source_backlog());
+            break 'run (Some(trip), [(0, 0); 2], net.source_backlog());
         }
-        window = [flits_moved(net); 2];
+        let before = flits_moved(net);
         let trip = run_phase(net, workload, spec.measure, false, &mut dog);
-        window[1] = flits_moved(net);
-        let end_backlog = net.source_backlog();
+        let (window, end_backlog) = ([before, flits_moved(net)], net.source_backlog());
         if trip.is_some() {
-            break 'run (trip, end_backlog);
+            break 'run (trip, window, end_backlog);
         }
         net.note_workload_change();
-        (run_phase(net, &mut Silence, spec.drain, true, &mut dog), end_backlog)
+        (run_phase(net, &mut Silence, spec.drain, true, &mut dog), window, end_backlog)
     };
     let result = summarise(net, offered_rate, spec, window, end_backlog, tripped.is_some());
     // Diagnostics are only gathered for a genuine stall — the deadline cut

@@ -36,9 +36,8 @@
 //! and a workload in, the statistics out), [`run_mono_outcome_deadline`]
 //! (the same, reporting stalls and honouring a wall-clock deadline) and
 //! [`run_point`] (a [`PointSpec`], a network plus its traffic, in; the
-//! same [`RunOutcome`] out — the unit every front end runs). A
-//! [`RunResult`] carries its own latency histograms, so the outcome is the
-//! whole record of a run.
+//! same [`RunOutcome`], histograms included, out — the unit every front
+//! end runs).
 //!
 //! ## The hot path: packet table + zero-alloc invariant
 //!

@@ -139,11 +139,9 @@ impl Metrics {
 
     /// Only messages created at or after `cycle` contribute latency samples
     /// (warmup exclusion). Flit/packet invariants are checked regardless.
-    ///
-    /// Declare the window before the first cycle is stepped. A message is
-    /// judged against the window when it completes, so one that starts
-    /// and completes during warmup under the default `measure_from` of 0
-    /// would already be a sample.
+    /// Call it before the first cycle: a message is judged when it completes,
+    /// so one that starts and completes during warmup under the default
+    /// window (from cycle 0) would already be a sample.
     pub fn begin_measurement(&mut self, cycle: Cycle) {
         self.measure_from = cycle;
     }

@@ -53,9 +53,7 @@ impl PointSpec {
 /// `deadline` is the cooperative wall-clock cutoff of
 /// [`run_mono_outcome_deadline`] — how a campaign's `--point-timeout` budget
 /// reaches inside a replication; it can end a run early, never move a
-/// finished run's numbers. Campaign executors quarantine anything but
-/// [`RunOutcome::Finished`]: a partial outcome describes a wedged or cut-off
-/// network and must never enter the merge cache as a finished point.
+/// finished run's numbers.
 ///
 /// Every topology (Quarc, Spidergon, mesh, torus) carries every traffic
 /// class and every destination pattern, so the only failure mode is a point
