@@ -6,6 +6,9 @@
 //! # the paper's full figure grid, all cores, cached under ./campaign-out
 //! cargo run --release -p quarc-bench --bin campaign -- --preset paper
 //!
+//! # one figure: its CSV is ./figs/fig9.csv (JSON artifact beside it)
+//! cargo run --release -p quarc-bench --bin campaign -- --preset fig9 --out figs
+//!
 //! # a custom grid
 //! cargo run --release -p quarc-bench --bin campaign -- \
 //!     --topologies quarc,spidergon --sizes 16,32 --msg-lens 16 \
@@ -387,16 +390,12 @@ fn parse_cli() -> Args {
             CLI.usage_error("--preset cannot be combined with custom axis flags");
         }
         for name in &presets_requested {
-            if name == "paper" {
-                specs.extend(presets::paper());
-            } else {
-                match presets::by_name(name) {
-                    Some(spec) => specs.push(spec),
-                    None => CLI.usage_error(&format!(
-                        "unknown preset {name:?} (expected one of {})",
-                        presets::PRESET_NAMES.join(", ")
-                    )),
-                }
+            match presets::by_name(name) {
+                Some(preset) => specs.extend(preset),
+                None => CLI.usage_error(&format!(
+                    "unknown preset {name:?} (expected one of {})",
+                    presets::PRESET_NAMES.join(", ")
+                )),
             }
         }
     }

@@ -15,7 +15,6 @@
 use quarc_bench::cli::Cli;
 use quarc_bench::outln;
 use quarc_campaign::CurveParams;
-use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
 use quarc_core::topology::TopologyKind;
 use quarc_sim::{run_point, PointSpec, RunResult, RunSpec};
 use quarc_workloads::{Pattern, SyntheticConfig};
@@ -33,17 +32,7 @@ const CLI: Cli = Cli {
 fn parse_args() -> (PointSpec, RunSpec) {
     // The network flags fill a campaign curve, so the network is the one a
     // campaign builds; `noc()` reads only the network fields.
-    let mut curve = CurveParams {
-        topology: TopologyKind::Quarc,
-        n: 16,
-        msg_len: 8,
-        beta: 0.0,
-        buffer_depth: 4,
-        link_latency: 1,
-        arb: ArbPolicy::RoundRobin,
-        fault: FaultPlan::NONE,
-        recovery: RecoveryPolicy::NONE,
-    };
+    let mut curve = CurveParams::paper(TopologyKind::Quarc, 16, 8, 0.0);
     let mut traffic = SyntheticConfig::paper(0.01, curve.msg_len, curve.beta, 1);
     let mut run = RunSpec { warmup: 2_000, measure: 20_000, ..Default::default() };
     let mut it = std::env::args().skip(1);

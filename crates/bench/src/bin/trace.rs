@@ -23,7 +23,6 @@
 use quarc_bench::cli::Cli;
 use quarc_bench::outln;
 use quarc_campaign::{CurveParams, Json};
-use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
 use quarc_core::topology::TopologyKind;
 use quarc_sim::{build_any, NocSim, ProbeConfig};
 use quarc_workloads::Synthetic;
@@ -84,17 +83,7 @@ fn validate(text: &str) -> Result<(usize, usize), String> {
 fn main() {
     // The network flags fill a campaign curve, so the traced network is the
     // one a campaign runs (a mesh on its single VC).
-    let mut curve = CurveParams {
-        topology: TopologyKind::Quarc,
-        n: 16,
-        msg_len: 8,
-        beta: 0.05,
-        buffer_depth: 4,
-        link_latency: 1,
-        arb: ArbPolicy::RoundRobin,
-        fault: FaultPlan::NONE,
-        recovery: RecoveryPolicy::NONE,
-    };
+    let mut curve = CurveParams::paper(TopologyKind::Quarc, 16, 8, 0.05);
     let mut rate = 0.05;
     let mut cycles: u64 = 2_000;
     let mut capacity: usize = 1 << 16;

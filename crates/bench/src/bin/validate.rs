@@ -15,7 +15,6 @@
 use quarc_analytical as ana;
 use quarc_bench::outln;
 use quarc_campaign::CurveParams;
-use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
 use quarc_core::grid::GridTopology;
 use quarc_core::topology::TopologyKind::{self, Mesh, Quarc, Spidergon};
 use quarc_sim::{run_point, RunSpec};
@@ -27,17 +26,7 @@ fn main() {
     // Mean unicast latency of one campaign point: the curve's network (a
     // mesh on its single VC) under uniform unicast traffic.
     let sim = |topology: TopologyKind, n: usize, m: usize, rate: f64, seed: u64| {
-        let curve = CurveParams {
-            topology,
-            n,
-            msg_len: m,
-            beta: 0.0,
-            buffer_depth: 4,
-            link_latency: 1,
-            arb: ArbPolicy::RoundRobin,
-            fault: FaultPlan::NONE,
-            recovery: RecoveryPolicy::NONE,
-        };
+        let curve = CurveParams::paper(topology, n, m, 0.0);
         let out = run_point(&curve.point(rate, seed), &spec, None).expect("a valid point");
         out.result().unicast_mean
     };

@@ -32,7 +32,7 @@ impl Cli {
 
 /// Write to stdout. A reader that has gone (`simulate … | head -1`) ends the
 /// process quietly with exit 0, where `print!` would panic; any other write
-/// error exits 1. Call it through [`out!`](crate::out) / [`outln!`](crate::outln).
+/// error exits 1. Call it through [`outln!`](crate::outln).
 pub fn write_stdout(args: fmt::Arguments<'_>) {
     if let Err(e) = io::stdout().lock().write_fmt(args) {
         if e.kind() == io::ErrorKind::BrokenPipe {
@@ -43,18 +43,10 @@ pub fn write_stdout(args: fmt::Arguments<'_>) {
     }
 }
 
-/// `print!` that survives a closed stdout ([`cli::write_stdout`](crate::cli::write_stdout)).
-#[macro_export]
-macro_rules! out {
-    ($($arg:tt)*) => {
-        $crate::cli::write_stdout(format_args!($($arg)*))
-    };
-}
-
 /// `println!` that survives a closed stdout ([`cli::write_stdout`](crate::cli::write_stdout)).
 #[macro_export]
 macro_rules! outln {
     ($($arg:tt)*) => {
-        $crate::out!("{}\n", format_args!($($arg)*))
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
     };
 }

@@ -1,8 +1,8 @@
 //! Named campaign presets reproducing the paper's evaluation grids.
 //!
-//! Each preset is one [`CampaignSpec`]; the `campaign` binary (and the
-//! `fig9`/`fig10`/`fig11`/`ablation` binaries, which are thin wrappers over
-//! these) runs them through `quarc_campaign::run_campaign`. Base seeds are
+//! Each name resolves through [`by_name`] to its [`CampaignSpec`]s (`paper`
+//! to the three figure grids), and `campaign --preset NAME --out DIR` runs
+//! them, writing each figure's CSV to `DIR/<preset>.csv`. Base seeds are
 //! arbitrary but fixed so every invocation reproduces the same numbers.
 
 use quarc_campaign::{CampaignSpec, CiTarget, Convergence, RateAxis};
@@ -32,7 +32,7 @@ fn figure_convergence() -> Option<Convergence> {
 }
 
 /// **Fig. 9**: latency vs rate, N = 16, β = 5%, M ∈ {8, 16, 32}.
-pub fn fig9() -> CampaignSpec {
+fn fig9() -> CampaignSpec {
     let mut spec = CampaignSpec::new("fig9");
     spec.topologies = figure_topologies();
     spec.sizes = vec![16];
@@ -45,7 +45,7 @@ pub fn fig9() -> CampaignSpec {
 }
 
 /// **Fig. 10**: latency vs rate, M = 16, β = 10%, N ∈ {16, 32, 64}.
-pub fn fig10() -> CampaignSpec {
+fn fig10() -> CampaignSpec {
     let mut spec = CampaignSpec::new("fig10");
     spec.topologies = figure_topologies();
     spec.sizes = vec![16, 32, 64];
@@ -58,7 +58,7 @@ pub fn fig10() -> CampaignSpec {
 }
 
 /// **Fig. 11**: latency vs rate, N = 64, M = 16, β ∈ {0%, 5%, 10%}.
-pub fn fig11() -> CampaignSpec {
+fn fig11() -> CampaignSpec {
     let mut spec = CampaignSpec::new("fig11");
     spec.topologies = figure_topologies();
     spec.sizes = vec![64];
@@ -71,7 +71,7 @@ pub fn fig11() -> CampaignSpec {
 }
 
 /// Ablation: input-buffer depth at a fixed operating point.
-pub fn ablation_buffer() -> CampaignSpec {
+fn ablation_buffer() -> CampaignSpec {
     let mut spec = CampaignSpec::new("ablation-buffer");
     spec.topologies = vec![TopologyKind::Quarc, TopologyKind::Spidergon];
     spec.sizes = vec![16];
@@ -84,7 +84,7 @@ pub fn ablation_buffer() -> CampaignSpec {
 }
 
 /// Ablation: link latency (Quarc only, depth 4).
-pub fn ablation_link() -> CampaignSpec {
+fn ablation_link() -> CampaignSpec {
     let mut spec = CampaignSpec::new("ablation-link");
     spec.topologies = vec![TopologyKind::Quarc];
     spec.sizes = vec![16];
@@ -98,7 +98,7 @@ pub fn ablation_link() -> CampaignSpec {
 
 /// Ablation: broadcast mechanism at growing β, below the Quarc knee so the
 /// degradation is attributable to β alone.
-pub fn ablation_beta() -> CampaignSpec {
+fn ablation_beta() -> CampaignSpec {
     let mut spec = CampaignSpec::new("ablation-beta");
     spec.topologies = vec![TopologyKind::Quarc, TopologyKind::Spidergon];
     spec.sizes = vec![16];
@@ -112,7 +112,7 @@ pub fn ablation_beta() -> CampaignSpec {
 /// Ablation: output-arbitration policy (Quarc only) — round-robin vs fixed
 /// priority at a fixed operating point, as a campaign axis so the results
 /// ride the content-hashed cache like every other grid.
-pub fn ablation_arb() -> CampaignSpec {
+fn ablation_arb() -> CampaignSpec {
     let mut spec = CampaignSpec::new("ablation-arb");
     spec.topologies = vec![TopologyKind::Quarc];
     spec.sizes = vec![16];
@@ -187,26 +187,24 @@ fn robustness() -> CampaignSpec {
     spec
 }
 
-/// Look a preset up by name.
-pub fn by_name(name: &str) -> Option<CampaignSpec> {
-    match name {
-        "fig9" => Some(fig9()),
-        "fig10" => Some(fig10()),
-        "fig11" => Some(fig11()),
-        "ablation-buffer" => Some(ablation_buffer()),
-        "ablation-link" => Some(ablation_link()),
-        "ablation-beta" => Some(ablation_beta()),
-        "ablation-arb" => Some(ablation_arb()),
-        "scale" => Some(scale()),
-        "frontier" => Some(frontier()),
-        "robustness" => Some(robustness()),
-        _ => None,
-    }
-}
-
-/// The presets `--preset paper` runs: the full Fig. 9–11 grid.
-pub fn paper() -> Vec<CampaignSpec> {
-    vec![fig9(), fig10(), fig11()]
+/// Look a preset up by name: its campaigns, in run order (`paper` is the
+/// full Fig. 9–11 grid).
+pub fn by_name(name: &str) -> Option<Vec<CampaignSpec>> {
+    let spec = match name {
+        "fig9" => fig9(),
+        "fig10" => fig10(),
+        "fig11" => fig11(),
+        "ablation-buffer" => ablation_buffer(),
+        "ablation-link" => ablation_link(),
+        "ablation-beta" => ablation_beta(),
+        "ablation-arb" => ablation_arb(),
+        "scale" => scale(),
+        "frontier" => frontier(),
+        "robustness" => robustness(),
+        "paper" => return Some(vec![fig9(), fig10(), fig11()]),
+        _ => return None,
+    };
+    Some(vec![spec])
 }
 
 /// Every preset name, for `--help` and error messages.
@@ -230,10 +228,11 @@ mod tests {
 
     #[test]
     fn every_preset_expands() {
-        for name in PRESET_NAMES.iter().filter(|&&n| n != "paper") {
-            let spec = by_name(name).unwrap();
-            let exp = spec.expand().unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert!(!exp.points.is_empty(), "{name}");
+        for name in PRESET_NAMES {
+            for spec in by_name(name).unwrap() {
+                let exp = spec.expand().unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert!(!exp.points.is_empty(), "{name}");
+            }
         }
         assert!(by_name("nope").is_none());
     }
@@ -243,7 +242,8 @@ mod tests {
         // All four topologies on every figure since the mesh/torus multicast
         // tree landed. Fig. 9: 4 topologies × 3 M × 10 rates; Fig. 10:
         // 4 × 3 N × 10; Fig. 11: 4 × 3 β × 10 — and nothing skipped.
-        let expansions: Vec<_> = paper().iter().map(|s| s.expand().unwrap()).collect();
+        let expansions: Vec<_> =
+            by_name("paper").unwrap().iter().map(|s| s.expand().unwrap()).collect();
         let sizes: Vec<usize> = expansions.iter().map(|e| e.points.len()).collect();
         assert_eq!(sizes, vec![120, 120, 120]);
         assert!(expansions.iter().all(|e| e.skipped.is_empty()));
@@ -253,7 +253,7 @@ mod tests {
     fn paper_presets_are_convergence_controlled() {
         // The Fig. 9–11 error bars are the paper's evidence; the presets pin
         // them to a 5% relative half-width instead of a fixed rep count.
-        for spec in paper() {
+        for spec in by_name("paper").unwrap() {
             assert_eq!(
                 spec.convergence,
                 Some(Convergence { target: CiTarget::Rel(0.05), max_reps: 64 }),

@@ -253,3 +253,37 @@ fn trace_writes_what_its_validator_accepts() {
     assert_rejected(&trace(&["--validate", path_str]), 1, "trace --validate on a truncated file");
     std::fs::remove_file(&path).ok();
 }
+
+/// The paper's figures run as presets: each writes `<out>/<preset>.csv`.
+/// A preset with custom axis flags, or an unknown preset, is a usage error.
+#[test]
+fn presets_write_one_csv_each() {
+    let dir = std::env::temp_dir().join(format!("quarc-cli-presets-{}", std::process::id()));
+    let dir_str = dir.to_str().expect("utf-8 temp path");
+    let out = campaign(&[
+        "--preset",
+        "ablation-link",
+        "--preset",
+        "ablation-arb",
+        "--quick",
+        "--no-cache",
+        "--quiet",
+        "--out",
+        dir_str,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for (preset, rows) in [("ablation-link", 3), ("ablation-arb", 4)] {
+        let csv = std::fs::read_to_string(dir.join(format!("{preset}.csv"))).expect("preset CSV");
+        assert!(csv.starts_with("id,topology,"), "{preset}: {csv}");
+        assert_eq!(csv.lines().count(), 1 + rows, "{preset}: header + {rows} rows\n{csv}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    for args in [&["--preset", "fig9", "--sizes", "16"][..], &["--preset", "nope"]] {
+        let out = campaign(args);
+        assert_rejected(&out, 2, &format!("campaign {args:?}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors = stderr.lines().filter(|l| l.starts_with("campaign:")).count();
+        assert_eq!(errors, 1, "campaign {args:?}: {stderr}");
+    }
+}

@@ -37,7 +37,7 @@ pub enum RateAxis {
     },
     /// Per-curve geometric axis anchored to the analytic Quarc saturation
     /// bound for that curve's `(n, M)`: `hi = bound × span`, `lo = hi /
-    /// lo_div`. This is how the paper's figure binaries pick their sweeps.
+    /// lo_div`. This is how the paper's figure presets pick their sweeps.
     AutoGeometric {
         /// Multiple of the analytic bound used as the top rate.
         span: f64,
@@ -181,20 +181,22 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// A campaign with the paper's default axes: one value per axis, the
-    /// default run protocol, two replications.
+    /// A campaign with the paper's default axes: one value per axis (the
+    /// hardware axes from [`NocConfig::default`]), the default run protocol,
+    /// two replications.
     pub fn new(name: impl Into<String>) -> Self {
+        let hw = NocConfig::default();
         CampaignSpec {
             name: name.into(),
             topologies: vec![TopologyKind::Quarc, TopologyKind::Spidergon],
             sizes: vec![16],
             msg_lens: vec![16],
             betas: vec![0.05],
-            buffer_depths: vec![4],
-            link_latencies: vec![1],
-            arbs: vec![ArbPolicy::RoundRobin],
-            faults: vec![FaultPlan::NONE],
-            recoveries: vec![RecoveryPolicy::NONE],
+            buffer_depths: vec![hw.buffer_depth],
+            link_latencies: vec![hw.link_latency],
+            arbs: vec![hw.arb],
+            faults: vec![hw.fault],
+            recoveries: vec![hw.recovery],
             rates: RateAxis::AutoGeometric { span: 1.1, lo_div: 40.0, steps: 10 },
             replications: 2,
             convergence: None,
@@ -446,6 +448,15 @@ pub struct CurveParams {
 }
 
 impl CurveParams {
+    /// A curve on the paper's switch hardware: the buffer depth, link
+    /// latency, arbitration, fault plan and recovery policy of
+    /// [`NocConfig::default`].
+    pub fn paper(topology: TopologyKind, n: usize, msg_len: usize, beta: f64) -> Self {
+        let NocConfig { buffer_depth, link_latency, arb, fault, recovery, .. } =
+            NocConfig::default();
+        CurveParams { topology, n, msg_len, beta, buffer_depth, link_latency, arb, fault, recovery }
+    }
+
     /// The point at `rate` on this curve under workload seed `seed`: the
     /// paper's uniform traffic with this curve's `M` and `β`.
     pub fn point(&self, rate: f64, seed: u64) -> PointSpec {
