@@ -145,8 +145,6 @@ pub struct RepOutcome {
     pub unicast_hist: LatencyHistogram,
     /// Broadcast completion latency distribution.
     pub bcast_hist: LatencyHistogram,
-    /// Broadcast-completion sample count.
-    pub bcast_samples: u64,
     /// Whether this replication hit a saturation criterion.
     pub saturated: bool,
     /// Fraction of expected receiver deliveries that happened (1.0 on
@@ -168,7 +166,6 @@ record!(RepOutcome {
     bcast_reception_mean,
     bcast_completion_mean,
     throughput,
-    bcast_samples,
     saturated,
     delivered_fraction,
     undeliverable,
@@ -317,7 +314,6 @@ pub fn extend_series(
                 bcast_reception_mean: r.bcast_reception_mean,
                 bcast_completion_mean: r.bcast_completion_mean,
                 throughput: r.throughput,
-                bcast_samples: r.bcast_samples,
                 saturated: r.saturated,
                 delivered_fraction: r.delivered_fraction,
                 undeliverable: r.undeliverable,
@@ -432,7 +428,6 @@ pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> Merged
     let mut delivered = OnlineStats::new();
     let mut pooled_unicast = LatencyHistogram::new();
     let mut pooled_bcast = LatencyHistogram::new();
-    let mut bcast_samples = 0;
     let mut saturated_reps = 0;
     let mut undeliverable = 0;
     let mut retransmissions = 0;
@@ -442,7 +437,6 @@ pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> Merged
         delivered.push(rep.delivered_fraction);
         pooled_unicast.merge(&rep.unicast_hist);
         pooled_bcast.merge(&rep.bcast_hist);
-        bcast_samples += rep.bcast_samples;
         saturated_reps += u32::from(rep.saturated);
         undeliverable += rep.undeliverable;
         retransmissions += rep.retransmissions;
@@ -457,7 +451,7 @@ pub fn merge_series(reps: &[RepOutcome], n: u32, converged: Converged) -> Merged
         unicast_p95: pooled_unicast.percentile(95.0),
         bcast_completion_p95: pooled_bcast.percentile(95.0),
         unicast_samples: pooled_unicast.count(),
-        bcast_samples,
+        bcast_samples: pooled_bcast.count(),
         saturated_reps,
         saturated: saturated_reps * 2 > n,
         delivered_fraction: MeanCi::from_stats(&delivered),
@@ -586,7 +580,6 @@ mod tests {
             throughput,
             unicast_hist: LatencyHistogram::new(),
             bcast_hist: LatencyHistogram::new(),
-            bcast_samples: 0,
             saturated: false,
             delivered_fraction: 1.0,
             undeliverable: 0,

@@ -182,7 +182,6 @@ fn storing_a_series_allocates_a_handful_of_times() {
         throughput: 0.0123,
         unicast_hist: LatencyHistogram::from_parts(buckets, 987_654_321 + i as u128),
         bcast_hist: LatencyHistogram::from_parts(buckets, 123_456_789),
-        bcast_samples: 678 + i,
         saturated: i % 2 == 1,
         delivered_fraction: 1.0,
         undeliverable: 0,

@@ -107,7 +107,6 @@ impl Gen {
             throughput: self.float(),
             unicast_hist: self.hist(),
             bcast_hist: self.hist(),
-            bcast_samples: self.next(),
             saturated: self.next() & 1 == 1,
             delivered_fraction: self.float(),
             undeliverable: self.next() >> self.below(64),
@@ -313,7 +312,6 @@ fn series_via_tree(text: &str, merge_key: &str) -> Option<Vec<RepOutcome>> {
             throughput: f(v, "throughput")?,
             unicast_hist: hist(v.get("unicast_hist")?)?,
             bcast_hist: hist(v.get("bcast_hist")?)?,
-            bcast_samples: u(v, "bcast_samples")?,
             saturated: v.get("saturated")?.as_bool()?,
             delivered_fraction: f(v, "delivered_fraction")?,
             undeliverable: u(v, "undeliverable")?,

@@ -15,7 +15,6 @@ use crate::quarc_net::QuarcNetwork;
 use crate::spider_net::SpidergonNetwork;
 use crate::Fabric;
 use quarc_core::config::ConfigError;
-use quarc_core::flit::TrafficClass;
 use quarc_core::grid::GridTopology;
 use quarc_core::topology::TopologyKind;
 use quarc_engine::stats::LatencyHistogram;
@@ -202,7 +201,7 @@ pub struct RunResult {
     pub bcast_completion_mean: f64,
     /// Broadcast completion latency distribution over the measurement window.
     pub bcast_completion_hist: LatencyHistogram,
-    /// Broadcast messages completed in the window.
+    /// Broadcast completion sample count: broadcasts created in the window.
     pub bcast_samples: u64,
     /// Flit throughput per node per cycle over the measurement window:
     /// every flit the fabric moved to an ejection port — fresh data,
@@ -523,7 +522,7 @@ fn summarise<N: NocSim>(
         bcast_reception_mean: m.broadcast_reception_latency().mean(),
         bcast_completion_mean,
         bcast_completion_hist: m.broadcast_completion_histogram().clone(),
-        bcast_samples: m.completed(TrafficClass::Broadcast),
+        bcast_samples: m.broadcast_completion_latency().count(),
         throughput: (after.1 - before.1) as f64 / per_node_cycle,
         saturated,
         end_backlog,
@@ -664,19 +663,26 @@ mod tests {
 
     #[test]
     fn warmup_messages_are_not_samples() {
-        // One unicast completes long before warmup ends, one is created
-        // inside the window: only the second is a latency sample.
+        // One unicast and one broadcast complete long before warmup ends,
+        // one of each is created inside the window: only the second of
+        // each is a latency sample.
         let send = |cycle, src, dst| TraceRecord {
             cycle,
             request: MessageRequest::unicast(NodeId::new(src), NodeId::new(dst), 4),
         };
         let mut net = QuarcNetwork::new(NocConfig::quarc(8));
-        let mut wl = TraceWorkload::new(8, [send(10, 0, 3), send(600, 1, 5)]);
+        let bcast = |cycle, src| TraceRecord {
+            cycle,
+            request: MessageRequest::broadcast(NodeId::new(src), 4),
+        };
+        let mut wl =
+            TraceWorkload::new(8, [send(10, 0, 3), bcast(10, 2), send(600, 1, 5), bcast(600, 6)]);
         let spec = RunSpec { warmup: 500, measure: 1_000, drain: 1_000, ..Default::default() };
         let res = run(&mut net, &mut wl, &spec);
         assert!(!res.saturated, "{res:?}");
         assert_eq!(res.unicast_samples, 1, "{res:?}");
         assert_eq!(res.unicast_hist.count(), 1);
+        assert_eq!(res.bcast_samples, 1, "{res:?}");
     }
 
     #[test]
