@@ -82,7 +82,7 @@ fn validate(text: &str) -> Result<(usize, usize), String> {
 
 fn main() {
     // The network flags fill a campaign curve, so the traced network is the
-    // one a campaign runs (a mesh on its single VC).
+    // one a campaign runs.
     let mut curve = CurveParams::paper(TopologyKind::Quarc, 16, 8, 0.05);
     let mut rate = 0.05;
     let mut cycles: u64 = 2_000;

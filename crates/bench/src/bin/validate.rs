@@ -23,8 +23,8 @@ fn main() {
     outln!("# Simulator-vs-analytical validation (uniform unicast traffic)");
     outln!("topology,n,m,rate,sim_latency,model_latency,rel_err");
     let spec = RunSpec { warmup: 3_000, measure: 30_000, drain: 40_000, ..Default::default() };
-    // Mean unicast latency of one campaign point: the curve's network (a
-    // mesh on its single VC) under uniform unicast traffic.
+    // Mean unicast latency of one campaign point: the curve's network under
+    // uniform unicast traffic.
     let sim = |topology: TopologyKind, n: usize, m: usize, rate: f64, seed: u64| {
         let curve = CurveParams::paper(topology, n, m, 0.0);
         let out = run_point(&curve.point(rate, seed), &spec, None).expect("a valid point");

@@ -466,25 +466,19 @@ impl CurveParams {
         }
     }
 
-    /// The network configuration for this curve.
+    /// The network configuration for this curve: this curve's switch
+    /// hardware on the VCs its topology's routing uses
+    /// ([`TopologyKind::vcs`]: 1 on the mesh, the dateline pair elsewhere).
     pub fn noc(&self) -> NocConfig {
-        let mut cfg = match self.topology {
-            TopologyKind::Quarc => NocConfig::quarc(self.n),
-            TopologyKind::Spidergon => NocConfig::spidergon(self.n),
-            TopologyKind::Mesh => {
-                let mut cfg = NocConfig::mesh(self.n);
-                // XY on a mesh needs no dateline VC.
-                cfg.vcs = 1;
-                cfg
-            }
-            TopologyKind::Torus => NocConfig::torus(self.n),
-        };
-        cfg.buffer_depth = self.buffer_depth;
-        cfg.link_latency = self.link_latency;
-        cfg.arb = self.arb;
-        cfg.fault = self.fault;
-        cfg.recovery = self.recovery;
-        cfg
+        NocConfig {
+            kind: self.topology,
+            n: self.n,
+            buffer_depth: self.buffer_depth,
+            link_latency: self.link_latency,
+            arb: self.arb,
+            fault: self.fault,
+            recovery: self.recovery,
+        }
     }
 }
 
@@ -725,7 +719,7 @@ mod tests {
         let mut spec = small();
         spec.topologies = vec![TopologyKind::Mesh];
         let exp = spec.expand().unwrap();
-        assert!(exp.points.iter().all(|p| p.curve.noc().vcs == 1));
+        assert!(exp.points.iter().all(|p| p.curve.noc().kind.vcs() == 1));
     }
 
     #[test]
@@ -738,7 +732,7 @@ mod tests {
         for p in &exp.points {
             let noc = p.curve.noc();
             assert_eq!(noc.kind, TopologyKind::Torus);
-            assert!(noc.vcs >= 2, "wrap rings need the dateline pair");
+            assert_eq!(noc.kind.vcs(), 2, "wrap rings need the dateline pair");
             noc.validate().unwrap();
         }
     }

@@ -4,11 +4,6 @@
 use crate::topology::TopologyKind;
 use std::fmt;
 
-/// Upper bound on virtual channels per physical link, enforced by
-/// [`NocConfig::validate`]. Lets the simulators use fixed-size per-VC scratch
-/// arrays on the stack instead of per-cycle heap allocation.
-pub const MAX_VCS: usize = 4;
-
 /// Upper bound on the node count the behavioural simulator accepts, enforced
 /// by [`NocConfig::validate`].
 ///
@@ -286,10 +281,11 @@ impl std::error::Error for ConfigError {}
 
 /// Structural parameters of one simulated network.
 ///
-/// Defaults follow the paper's hardware: 2 virtual channels per physical link
-/// (§2.3.1: "the Quarc switch is capable of supporting two virtual channels"),
-/// parameterised buffers (we default to 4 flits per VC lane), single-cycle
-/// links.
+/// Defaults follow the paper's hardware: parameterised buffers (we default
+/// to 4 flits per VC lane), single-cycle links. The virtual channels per
+/// link are the topology's, not a parameter: [`TopologyKind::vcs`] (2 on
+/// the wrap rings, §2.3.1: "the Quarc switch is capable of supporting two
+/// virtual channels"; 1 on the mesh).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Topology family.
@@ -297,8 +293,6 @@ pub struct NocConfig {
     /// Number of nodes (ring topologies) or of mesh nodes (`cols × rows`
     /// derived as a near-square).
     pub n: usize,
-    /// Virtual channels per physical link.
-    pub vcs: usize,
     /// Input buffer depth per VC lane, in flits.
     pub buffer_depth: usize,
     /// Link traversal latency in cycles.
@@ -324,13 +318,14 @@ impl NocConfig {
         NocConfig { kind: TopologyKind::Spidergon, n, ..Default::default() }
     }
 
-    /// A near-square mesh of at least `n` nodes with paper defaults.
+    /// A near-square mesh of at least `n` nodes with paper defaults, on the
+    /// single VC its XY routing uses.
     pub fn mesh(n: usize) -> Self {
         NocConfig { kind: TopologyKind::Mesh, n, ..Default::default() }
     }
 
-    /// A near-square torus of at least `n` nodes with paper defaults (the
-    /// default 2 VCs are the per-dimension dateline minimum).
+    /// A near-square torus of at least `n` nodes with paper defaults, on its
+    /// per-dimension dateline VC pair.
     pub fn torus(n: usize) -> Self {
         NocConfig { kind: TopologyKind::Torus, n, ..Default::default() }
     }
@@ -402,19 +397,6 @@ impl NocConfig {
                               (the 34-bit wire RTL stays at 64, paper §2.6)",
             });
         }
-        if self.vcs < 1 || self.vcs > MAX_VCS {
-            return Err(ConfigError::BadParameter {
-                name: "vcs",
-                requirement: "1 ≤ vcs ≤ 4 (paper hardware uses 2)",
-            });
-        }
-        if self.kind != TopologyKind::Mesh && self.vcs < 2 {
-            return Err(ConfigError::BadParameter {
-                name: "vcs",
-                requirement: "ring and torus topologies need ≥ 2 VCs for the dateline scheme \
-                              (XY on a mesh is the only single-VC-safe discipline)",
-            });
-        }
         if self.buffer_depth < 1 || self.buffer_depth > MAX_BUFFER_DEPTH {
             return Err(ConfigError::BadParameter {
                 name: "buffer_depth",
@@ -438,7 +420,6 @@ impl Default for NocConfig {
         NocConfig {
             kind: TopologyKind::Quarc,
             n: 16,
-            vcs: 2,
             buffer_depth: 4,
             link_latency: 1,
             arb: ArbPolicy::RoundRobin,
@@ -450,11 +431,8 @@ impl Default for NocConfig {
 
 impl fmt::Display for NocConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} n={} vcs={} buf={} link={} arb={}",
-            self.kind, self.n, self.vcs, self.buffer_depth, self.link_latency, self.arb
-        )?;
+        let NocConfig { kind, n, buffer_depth: buf, link_latency: link, arb, .. } = self;
+        write!(f, "{kind} n={n} vcs={} buf={buf} link={link} arb={arb}", kind.vcs())?;
         if !self.fault.is_empty() {
             write!(f, " fault={}", self.fault)?;
         }
@@ -472,7 +450,7 @@ mod tests {
     #[test]
     fn defaults_are_paper_hardware() {
         let c = NocConfig::default();
-        assert_eq!(c.vcs, 2);
+        assert_eq!(c.kind.vcs(), 2);
         assert_eq!(c.link_latency, 1);
         assert!(c.validate().is_ok());
     }
@@ -503,12 +481,11 @@ mod tests {
 
     #[test]
     fn ring_needs_two_vcs() {
-        let mut c = NocConfig::quarc(16);
-        c.vcs = 1;
-        assert!(c.validate().is_err());
-        let mut m = NocConfig::mesh(16);
-        m.vcs = 1;
-        assert!(m.validate().is_ok());
+        // The dateline pair on every ring; XY on a mesh is the only
+        // single-VC-safe discipline.
+        assert_eq!(NocConfig::quarc(16).kind.vcs(), 2);
+        assert_eq!(NocConfig::spidergon(16).kind.vcs(), 2);
+        assert_eq!(NocConfig::mesh(16).kind.vcs(), 1);
     }
 
     #[test]
@@ -548,9 +525,7 @@ mod tests {
         assert!(NocConfig::torus(17).validate().is_ok(), "near-square rounding covers any n ≥ 4");
         assert!(NocConfig::torus(3).validate().is_err());
         // The wrap rings need the dateline pair, exactly like the rim rings.
-        let mut t = NocConfig::torus(16);
-        t.vcs = 1;
-        assert!(t.validate().is_err());
+        assert_eq!(TopologyKind::Torus.vcs(), TopologyKind::Quarc.vcs());
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl fmt::Display for MessageId {
 ///
 /// The paper uses exactly two VCs per physical link ("Each physical link is
 /// shared by two virtual channels in order to avoid deadlock", §2.1); the
-/// simulator keeps the count configurable but defaults to 2.
+/// mesh uses VC0 alone ([`crate::topology::TopologyKind::vcs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcId(pub u8);
 

@@ -53,7 +53,7 @@ pub mod vc;
 /// Convenient re-exports of the types used by nearly every downstream module.
 pub mod prelude {
     pub use crate::bits::{BitSlab, Bits};
-    pub use crate::config::{ArbPolicy, ConfigError, NocConfig, MAX_VCS};
+    pub use crate::config::{ArbPolicy, ConfigError, NocConfig};
     pub use crate::flit::{Flit, FlitKind, PacketMeta, PacketRef, PacketTable, TrafficClass};
     pub use crate::grid::{GridBranch, GridOut, GridTopology};
     pub use crate::ids::{MessageId, NodeId, PacketId, VcId};
@@ -69,5 +69,5 @@ pub mod prelude {
     pub use crate::topology::{
         QuarcIn, QuarcOut, QuarcTopology, SpiIn, SpiOut, SpidergonTopology, TopologyKind,
     };
-    pub use crate::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
+    pub use crate::vc::{vc_after_rim_hop, INJECTION_VC, MAX_VCS};
 }

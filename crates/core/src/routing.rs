@@ -25,7 +25,7 @@ use crate::ids::{NodeId, VcId};
 use crate::quadrant::{quadrant_of, Quadrant};
 use crate::ring::{Ring, RingDir};
 use crate::topology::{QuarcIn, QuarcOut, QuarcTopology, SpiOut, SpidergonTopology};
-use crate::vc::{vc_after_rim_hop, vc_for_cross_hop, INJECTION_VC};
+use crate::vc::{vc_after_rim_hop, INJECTION_VC};
 
 /// [`Route::out`] of a header the PE sinks without claiming any output: an
 /// all-port router's parallel absorption (the simulator also uses it for a
@@ -215,13 +215,16 @@ pub fn spidergon_hops(ring: &Ring, src: NodeId, dst: NodeId) -> usize {
 
 /// The VC on the hop out of ring node `node` through port `out` — 0 the CW
 /// rim, 1 the CCW rim, higher a cross link, for Quarc and Spidergon alike —
-/// for a header holding `cur` (injections hold [`INJECTION_VC`]).
+/// for a header holding `cur` (injections hold [`INJECTION_VC`]). Cross
+/// links are taken only as a route's first hop, so they stay on the
+/// injection VC, which leaves the cross channels trivially acyclic (they
+/// never feed another cross channel).
 #[inline]
 fn ring_hop_vc(ring: &Ring, node: usize, out: usize, cur: VcId) -> VcId {
     match out {
         0 => vc_after_rim_hop(ring, NodeId::new(node), RingDir::Cw, cur),
         1 => vc_after_rim_hop(ring, NodeId::new(node), RingDir::Ccw, cur),
-        _ => vc_for_cross_hop(),
+        _ => INJECTION_VC,
     }
 }
 

@@ -424,7 +424,7 @@ mod tests {
     use crate::bits::{BitSlab, Bits};
     use crate::grid::{grid_collectives, GridOut, GridTopology};
     use crate::routing::{walk_deliveries, Routing};
-    use crate::vc::assert_deadlock_free;
+    use crate::vc::{assert_deadlock_free, assert_vcs_exact};
 
     #[test]
     fn quarc_port_indices_are_dense() {
@@ -668,10 +668,14 @@ mod tests {
 
     #[test]
     fn mesh_channel_graph_is_acyclic() {
-        // The mesh shapes of `tests/grid_digest.rs`: XY routing on VC0 alone.
-        for (c, r) in [(1usize, 1usize), (4, 4), (5, 3), (3, 5), (9, 9)] {
-            let m = GridTopology::mesh(c, r);
-            assert_deadlock_free(&format!("{c}x{r} mesh"), &m, |bits| grid_collectives(&m, bits));
+        // The mesh shapes of `tests/grid_digest.rs`, and the 8×8 the torus
+        // test also walks: XY routing on VC0 alone.
+        for (c, r) in [(1usize, 1usize), (4, 4), (5, 3), (3, 5), (8, 8), (9, 9)] {
+            let (name, m) = (format!("{c}x{r} mesh"), GridTopology::mesh(c, r));
+            assert_deadlock_free(&name, &m, |bits| grid_collectives(&m, bits));
+            if c * r > 1 {
+                assert_vcs_exact(&name, TopologyKind::Mesh, &m);
+            }
         }
     }
 

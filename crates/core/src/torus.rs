@@ -7,7 +7,8 @@ mod tests {
     use crate::grid::{grid_collectives, GridOut, GridTopology};
     use crate::ids::{NodeId, VcId};
     use crate::routing::{walk_deliveries, Routing};
-    use crate::vc::{assert_deadlock_free, ChannelDepGraph};
+    use crate::topology::TopologyKind;
+    use crate::vc::{assert_deadlock_free, assert_vcs_exact, ChannelDepGraph};
 
     #[test]
     fn coords_roundtrip_and_wrap() {
@@ -50,8 +51,9 @@ mod tests {
     fn torus_channel_graph_is_acyclic() {
         // The torus shapes of `tests/grid_digest.rs`.
         for (c, r) in [(2usize, 2usize), (4, 4), (5, 3), (3, 5), (8, 8)] {
-            let t = GridTopology::torus(c, r);
-            assert_deadlock_free(&format!("{c}x{r} torus"), &t, |bits| grid_collectives(&t, bits));
+            let (name, t) = (format!("{c}x{r} torus"), GridTopology::torus(c, r));
+            assert_deadlock_free(&name, &t, |bits| grid_collectives(&t, bits));
+            assert_vcs_exact(&name, TopologyKind::Torus, &t);
         }
     }
 

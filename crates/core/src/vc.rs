@@ -18,14 +18,31 @@
 //! every Quarc and Spidergon size up to 64 and on the mesh and torus shapes
 //! of `tests/grid_digest.rs`. A chain packet counts as its own route, since
 //! the receiving PE consumes it before re-injecting the next (the
-//! consumption assumption).
+//! consumption assumption). The same cases check that each topology's
+//! [`TopologyKind::vcs`] is exactly the VCs its unicast routes use.
 
 use crate::bits::BitSlab;
 use crate::flit::PacketMeta;
 use crate::ids::{NodeId, VcId};
 use crate::ring::{Ring, RingDir};
 use crate::routing::Routing;
+use crate::topology::TopologyKind;
 use std::collections::HashMap;
+
+impl TopologyKind {
+    /// Virtual channels per link, the one statement of the count: the
+    /// dateline pair on every wrap ring (Quarc and Spidergon rims, torus rows
+    /// and columns), [`INJECTION_VC`] alone under XY routing on the mesh.
+    pub const fn vcs(self) -> usize {
+        match self {
+            TopologyKind::Mesh => 1,
+            TopologyKind::Quarc | TopologyKind::Spidergon | TopologyKind::Torus => 2,
+        }
+    }
+}
+
+/// The most VCs any topology uses: the bound of per-VC scratch arrays.
+pub const MAX_VCS: usize = TopologyKind::Quarc.vcs();
 
 /// The VC on which all packets are injected.
 pub const INJECTION_VC: VcId = VcId::VC0;
@@ -40,15 +57,6 @@ pub fn vc_after_rim_hop(ring: &Ring, node: NodeId, dir: RingDir, current: VcId) 
     } else {
         current
     }
-}
-
-/// The VC used on a cross hop. Cross links are taken only as the first hop of
-/// a route, so the packet still holds the injection VC; keeping them on VC0
-/// leaves the cross channels trivially acyclic (they never feed another cross
-/// channel).
-#[inline]
-pub fn vc_for_cross_hop() -> VcId {
-    INJECTION_VC
 }
 
 /// A directed graph over virtual channels used to *prove* deadlock freedom of
@@ -186,6 +194,21 @@ pub(crate) fn assert_deadlock_free<R: Routing>(
     );
 }
 
+/// The count [`TopologyKind::vcs`] states for `kind` is exactly the one
+/// `topo`'s routing uses: every unicast hop holds a VC below it, and the
+/// top one occurs (the count is not padded).
+#[cfg(test)]
+pub(crate) fn assert_vcs_exact<R: Routing>(name: &str, kind: TopologyKind, topo: &R) {
+    let (n, mut used) = (topo.num_nodes(), 0);
+    for s in (0..n).map(NodeId::new) {
+        for t in (0..n).map(NodeId::new).filter(|&t| t != s) {
+            topo.walk_unicast(s, t, |_, hop| used = used.max(hop.out_vc.index() + 1));
+        }
+    }
+    assert_eq!(used, kind.vcs(), "{name}: the routing uses {used} VCs");
+    assert!(kind.vcs() <= MAX_VCS, "{name}: MAX_VCS bounds every topology's count");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +272,9 @@ mod tests {
     #[test]
     fn quarc_unicast_dependency_graph_is_acyclic() {
         for n in (4..=64).step_by(4) {
-            assert_deadlock_free(&format!("Quarc n={n}"), &QuarcTopology::new(n), |_| Vec::new());
+            let (name, topo) = (format!("Quarc n={n}"), QuarcTopology::new(n));
+            assert_deadlock_free(&name, &topo, |_| Vec::new());
+            assert_vcs_exact(&name, TopologyKind::Quarc, &topo);
         }
     }
 
@@ -257,8 +282,9 @@ mod tests {
     fn spidergon_unicast_dependency_graph_is_acyclic() {
         // Spidergon broadcasts by unicast: its chain packets are unicasts too.
         for n in (4..=64).step_by(2) {
-            let topo = SpidergonTopology::new(n);
-            assert_deadlock_free(&format!("Spidergon n={n}"), &topo, |_| spidergon_chains(&topo));
+            let (name, topo) = (format!("Spidergon n={n}"), SpidergonTopology::new(n));
+            assert_deadlock_free(&name, &topo, |_| spidergon_chains(&topo));
+            assert_vcs_exact(&name, TopologyKind::Spidergon, &topo);
         }
     }
 

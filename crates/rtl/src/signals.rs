@@ -8,8 +8,11 @@
 //! the receiver can accept at least one word on that virtual channel and
 //! `CH_TO_STORE` naming the channel the current word belongs to.
 
-/// Number of virtual channels on a link (the paper's 2-channel example).
-pub const NUM_VCS: usize = 2;
+use quarc_core::topology::TopologyKind;
+
+/// Number of virtual channels on a link: the Quarc's dateline pair (the
+/// paper's 2-channel example), as [`TopologyKind::vcs`] states it.
+pub const NUM_VCS: usize = TopologyKind::Quarc.vcs();
 
 /// Forward (source → destination) LocalLink signals for one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,7 +8,7 @@
 //! sustained load. Like the hardware, an arbiter sees *request lines*, not
 //! buffers: its input is a bitmask of eligible candidates.
 
-pub use quarc_core::config::ArbPolicy;
+use quarc_core::config::ArbPolicy;
 
 /// Every arbiter pointer of one network in a single contiguous slab.
 ///

@@ -32,7 +32,7 @@
 //! Dispatch is static: `Fabric<R>` monomorphizes per model, and every
 //! per-port table is an associated constant.
 
-use crate::arbiter::{ArbPolicy, RoundRobinBank};
+use crate::arbiter::RoundRobinBank;
 use crate::buffer::LaneBufs;
 use crate::driver::{NocSim, StallDiagnostics};
 use crate::fault::FaultState;
@@ -42,12 +42,12 @@ use crate::packets::{message_meta, IdAlloc, PacketQueue};
 use crate::probe::{CounterSample, FlitEventKind, Phase, SimProbe};
 use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
 use quarc_core::bits::BitSlab;
-use quarc_core::config::{NocConfig, MAX_VCS};
+use quarc_core::config::{ArbPolicy, NocConfig};
 use quarc_core::flit::{Flit, PacketMeta, PacketRef, PacketTable, TrafficClass};
 use quarc_core::ids::{MessageId, NodeId, VcId};
 use quarc_core::routing::{Route, Routing, ABSORB};
 use quarc_core::topology::TopologyKind;
-use quarc_core::vc::INJECTION_VC;
+use quarc_core::vc::{INJECTION_VC, MAX_VCS};
 use quarc_engine::{Clock, Cycle};
 use quarc_workloads::{MessageRequest, Workload};
 use std::cmp::Reverse;
@@ -221,6 +221,8 @@ pub struct Fabric<R: RouterModel> {
     model: R,
     cfg: NocConfig,
     nodes: usize,
+    /// Virtual channels per link, [`TopologyKind::vcs`] read once.
+    vcs: usize,
     clock: Clock,
     /// Injection queues, `node * QUEUES + queue`, holding whole packets
     /// (flits materialise on pop). Unbounded: the paper keeps packets in PE
@@ -303,7 +305,7 @@ impl<R: RouterModel> Fabric<R> {
         cfg.validate().expect("invalid configuration");
         let model = R::new(&cfg);
         let n = model.num_nodes();
-        let (ports, vcs) = (R::PORTS, cfg.vcs);
+        let (ports, vcs) = (R::PORTS, cfg.kind.vcs());
         assert!(ports * MAX_VCS + R::QUEUES <= 32, "a router's request lines fit one word");
         let targets: Vec<(u32, u8)> = (0..n * ports)
             .map(|lid| match model.link_target(lid / ports, lid % ports) {
@@ -327,6 +329,7 @@ impl<R: RouterModel> Fabric<R> {
         let mut fabric = Fabric {
             cfg,
             nodes: n,
+            vcs,
             clock: Clock::new(),
             inject_q: (0..n * R::QUEUES).map(|_| PacketQueue::new()).collect(),
             in_buf: LaneBufs::new(n * ports * vcs, cfg.buffer_depth),
@@ -391,7 +394,7 @@ impl<R: RouterModel> Fabric<R> {
     /// and slab rows — failing with the first broken invariant by name.
     /// Valid between steps; walks the whole network, so never per cycle.
     pub fn audit(&self) -> Result<(), String> {
-        let (vcs, depth, now) = (self.cfg.vcs, self.cfg.buffer_depth, self.clock.now());
+        let (vcs, depth, now) = (self.vcs, self.cfg.buffer_depth, self.clock.now());
         let check = |ok: bool, what: &str, at: (usize, usize)| {
             ok.then_some(()).ok_or_else(|| format!("audit: {what} violated at {at:?}, cycle {now}"))
         };
@@ -511,7 +514,7 @@ impl<R: RouterModel> Fabric<R> {
         let owner = if eject {
             self.eject_owner[node]
         } else {
-            self.out_owner[lid * self.cfg.vcs + plan.out_vc.index()]
+            self.out_owner[lid * self.vcs + plan.out_vc.index()]
         };
         let owned = match owner {
             Some(o) => o == src && !is_header,
@@ -521,7 +524,7 @@ impl<R: RouterModel> Fabric<R> {
             return owned;
         }
         let free = !(self.fault.any() && self.fault.link_blocked(lid, self.clock.now()))
-            && self.credits[lid * self.cfg.vcs + plan.out_vc.index()] > 0;
+            && self.credits[lid * self.vcs + plan.out_vc.index()] > 0;
         if !free && count_stall && self.probe.counters_on() {
             self.probe.note_credit_stall();
         }
@@ -531,15 +534,15 @@ impl<R: RouterModel> Fabric<R> {
     /// Where the plan state of request slot `bit` of `node` lives.
     #[inline(always)]
     fn plan_at(&self, node: usize, bit: usize) -> usize {
-        node * (R::PORTS * self.cfg.vcs + R::QUEUES) + bit
+        node * (R::PORTS * self.vcs + R::QUEUES) + bit
     }
 
     /// `src`'s request-slot number within its router (its occupancy bit).
     #[inline(always)]
     fn slot_bit(&self, src: Src) -> usize {
         match src {
-            Src::Net { port, vc } => port as usize * self.cfg.vcs + vc as usize,
-            Src::Local { queue } => R::PORTS * self.cfg.vcs + queue as usize,
+            Src::Net { port, vc } => port as usize * self.vcs + vc as usize,
+            Src::Local { queue } => R::PORTS * self.vcs + queue as usize,
         }
     }
 
@@ -578,7 +581,7 @@ impl<R: RouterModel> Fabric<R> {
     /// feasible lane (its pointer only moves when it elects).
     #[inline(always)] // `p` becomes a constant once `gather_node` unrolls its port loop
     fn gather_net_port(&mut self, node: usize, p: usize, mut lanes: u32) -> Option<PortReq> {
-        let vcs = self.cfg.vcs;
+        let vcs = self.vcs;
         // Fixed-size scratch: runs per active router per cycle, never allocates.
         let mut reqs: [Option<PortReq>; MAX_VCS] = [None; MAX_VCS];
         let mut feasible = 0u32;
@@ -610,7 +613,7 @@ impl<R: RouterModel> Fabric<R> {
         if occ == 0 || self.fault.node_frozen(node, self.clock.now()) {
             return;
         }
-        let vcs = self.cfg.vcs;
+        let vcs = self.vcs;
         // Phase 1: each occupied input (VC arbiter) elects at most one
         // request, filed by what it asks for: `wants[o]` is the bitmask of
         // slots requesting output `o`, `absorbs` of those claiming none.
@@ -678,7 +681,7 @@ impl<R: RouterModel> Fabric<R> {
     fn commit(&mut self, t: Transfer, slot: usize) {
         let now = self.clock.now();
         let node = t.node as usize;
-        let vcs = self.cfg.vcs;
+        let vcs = self.vcs;
         let PortReq { src, plan, is_header, is_tail } = t.req;
         // Any commit mutates this router's lane/ownership/credit state.
         self.mark_node(node);
@@ -898,7 +901,7 @@ impl<R: RouterModel> Fabric<R> {
     fn arrive_link(&mut self, lid: usize, slot_index: usize) {
         if let Some(tf) = self.links.arrive(lid, slot_index) {
             let (to, tin) = self.targets[lid];
-            let (to, vcs) = (to as usize, self.cfg.vcs);
+            let (to, vcs) = (to as usize, self.vcs);
             let bit = tin as usize * vcs + tf.vc.index();
             self.in_buf.push(to * R::PORTS * vcs + bit, tf.flit);
             self.occ[to] |= 1 << bit;
@@ -936,7 +939,7 @@ impl<R: RouterModel> Fabric<R> {
     fn enqueue(&mut self, node: usize, queue: usize, packet: PacketRef) {
         let len = self.packets.meta(packet).len;
         self.inject_backlog += self.inject_q[node * R::QUEUES + queue].push_packet(packet, len);
-        self.occ[node] |= 1 << (R::PORTS * self.cfg.vcs + queue);
+        self.occ[node] |= 1 << (R::PORTS * self.vcs + queue);
         self.mark_node(node);
     }
 
@@ -1221,7 +1224,7 @@ impl<R: RouterModel> NocSim for Fabric<R> {
     }
 
     fn stall_diagnostics(&self) -> StallDiagnostics {
-        let lanes = R::PORTS * self.cfg.vcs;
+        let lanes = R::PORTS * self.vcs;
         let mut busiest: Vec<(u32, u32)> = (0..self.nodes)
             .map(|node| {
                 let buffered: usize =

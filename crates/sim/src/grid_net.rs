@@ -9,7 +9,8 @@
 //! (the discipline that keeps the Quarc rims deadlock-free); on the mesh
 //! edge positions own vacant link slots that are never sent on, and XY
 //! routing runs every packet on VC0. Which one a network is comes from
-//! [`NocConfig::kind`]; past [`RouterModel::new`] the model does not ask.
+//! [`NocConfig::kind`], as does its lane count ([`TopologyKind::vcs`]);
+//! past [`RouterModel::new`] the model does not ask.
 //!
 //! Both are one-port routers (one local injection queue, one arbitrated
 //! ejection port) with dimension-ordered routing, so comparisons with the

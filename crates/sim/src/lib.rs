@@ -53,8 +53,8 @@
 //!   node of its path.
 //! * **Scratch reuse** — workload polling ([`quarc_workloads::Workload::poll_into`]),
 //!   the arbitration transfer list, and per-port VC scans all use buffers
-//!   that live across cycles (fixed arrays where the bound is static,
-//!   `MAX_VCS`).
+//!   that live across cycles (fixed arrays where the bound is static:
+//!   `MAX_VCS`, the largest of the topologies' VC counts).
 //! * **Counter-maintained queries** — link and lane totals (kept by
 //!   [`link::LinkBank`] and [`buffer::LaneBufs`]), sender-side credits and
 //!   the source backlog are updated at the event and read in O(1);
@@ -97,7 +97,6 @@ pub mod spider_net;
 pub mod sweep;
 pub mod torus_net;
 
-pub use arbiter::ArbPolicy;
 pub use driver::{
     run, run_mono_outcome_deadline, AnyNet, NocSim, RunOutcome, RunResult, RunSpec,
     StallDiagnostics,

@@ -1,7 +1,7 @@
 //! The 2D mesh: the grid model ([`crate::grid_net`]) with wrap links and
 //! datelines off — XY routing is deadlock-free on a mesh with a single VC,
-//! so every packet runs on VC0 and edge routers simply own vacant link
-//! slots. Selected by [`quarc_core::topology::TopologyKind::Mesh`].
+//! so each port has the one lane VC0 and edge routers simply own vacant
+//! link slots. Selected by [`quarc_core::topology::TopologyKind::Mesh`].
 
 use crate::fabric::Fabric;
 use quarc_core::grid::GridTopology;
@@ -70,9 +70,7 @@ mod tests {
     #[test]
     fn sustained_uniform_load_no_deadlock() {
         use quarc_workloads::{Synthetic, SyntheticConfig};
-        let mut cfg = NocConfig::mesh(16);
-        cfg.vcs = 1; // XY on a mesh needs no dateline VC
-        let mut net = MeshNetwork::new(cfg);
+        let mut net = MeshNetwork::new(NocConfig::mesh(16));
         let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.05, 8, 0.0, 5));
         for _ in 0..5_000 {
             net.step(&mut wl);

@@ -22,10 +22,9 @@
 //!
 //! [`quarc_route`]: quarc_core::routing::quarc_route
 
-use crate::arbiter::ArbPolicy;
 use crate::fabric::{Fabric, RouterModel};
 use quarc_core::bits::BitSlab;
-use quarc_core::config::NocConfig;
+use quarc_core::config::{ArbPolicy, NocConfig};
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
 use quarc_core::ids::NodeId;
 use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches_into};

@@ -109,9 +109,10 @@ mod tests {
     fn mesh_point_runs_broadcast_traffic() {
         // Mesh × β > 0 used to be filtered upstream (and panicked if a point
         // slipped through); the multicast tree makes it an ordinary point.
-        let mut cfg = NocConfig::mesh(16);
-        cfg.vcs = 1;
-        let point = PointSpec { noc: cfg, traffic: SyntheticConfig::paper(0.01, 8, 0.05, 5) };
+        let point = PointSpec {
+            noc: NocConfig::mesh(16),
+            traffic: SyntheticConfig::paper(0.01, 8, 0.05, 5),
+        };
         let run_spec = RunSpec { warmup: 200, measure: 2_000, drain: 4_000, ..Default::default() };
         let out = run_point(&point, &run_spec, None).unwrap();
         let RunOutcome::Finished(result) = &out else { panic!("{out:?}") };

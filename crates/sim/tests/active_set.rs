@@ -10,7 +10,11 @@
 //! skips must be one the full scan would have found idle. Both twins run
 //! the same word-level gather (occupancy masks, route memo), which the
 //! oracle therefore cannot police: `Fabric::audit` recounts that state from
-//! scratch on both sides every 16 cycles and after the drain.
+//! scratch on both sides every 16 cycles and after the drain. A router's
+//! occupancy mask is laid out `port · vcs + vc`, then the queues, with the
+//! topology's own VC count (`TopologyKind::vcs`): the cases below cover
+//! every layout a network can have, the dateline pair on the Quarc,
+//! Spidergon and torus and the single VC on the mesh.
 
 use proptest::prelude::*;
 use quarc_core::config::{FaultPlan, NocConfig, RecoveryPolicy};
@@ -338,31 +342,6 @@ fn ragged_multiword_worklist_lockstep() {
     fault_lockstep(fault_pair!(MeshNetwork), NocConfig::mesh(100), plans, seeds, "mesh100");
     let base = NocConfig::spidergon(132);
     fault_lockstep(fault_pair!(SpidergonNetwork), base, plans, seeds, "spidergon132");
-}
-
-/// A router's occupancy mask is laid out `port * vcs + vc`, then the queues;
-/// every case above has `vcs = 2` (mesh: 1). `vcs = 4` is the widest layout
-/// of each model (4·4 + 4 = 20 bits on Quarc).
-#[test]
-fn four_vc_mask_lockstep() {
-    let (plans, seeds) = (&HEALTHY_AND_LOSSY, &[23]);
-    let wide = |cfg| NocConfig { vcs: 4, ..cfg };
-    fault_lockstep(
-        fault_pair!(QuarcNetwork),
-        wide(NocConfig::quarc(16)),
-        plans,
-        seeds,
-        "quarc/4vc",
-    );
-    let base = wide(NocConfig::spidergon(16));
-    fault_lockstep(fault_pair!(SpidergonNetwork), base, plans, seeds, "spidergon/4vc");
-    fault_lockstep(
-        fault_pair!(TorusNetwork),
-        wide(NocConfig::torus(16)),
-        plans,
-        seeds,
-        "torus/4vc",
-    );
 }
 
 /// Every case above runs links of latency 1, where a link holds at most one

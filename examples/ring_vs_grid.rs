@@ -34,9 +34,7 @@ fn main() {
             let mut quarc = QuarcNetwork::new(NocConfig::quarc(n));
             let (lat, sat) = measure(&mut quarc, n, rate, m);
             row += &format!(" {:>10}", if sat { "SAT".into() } else { format!("{lat:.1}") });
-            let mut cfg = NocConfig::mesh(n);
-            cfg.vcs = 1;
-            let mut mesh = MeshNetwork::new(cfg);
+            let mut mesh = MeshNetwork::new(NocConfig::mesh(n));
             let (lat, sat) = measure(&mut mesh, n, rate, m);
             row += &format!(" {:>10}", if sat { "SAT".into() } else { format!("{lat:.1}") });
             let mut torus = TorusNetwork::new(NocConfig::torus(n));

@@ -53,9 +53,7 @@ fn spidergon_simulator_matches_model_at_low_load() {
 #[test]
 fn mesh_simulator_matches_model_at_low_load() {
     let (n, m, rate) = (16usize, 8usize, 0.005);
-    let mut cfg = NocConfig::mesh(n);
-    cfg.vcs = 1;
-    let mut net = MeshNetwork::new(cfg);
+    let mut net = MeshNetwork::new(NocConfig::mesh(n));
     let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, m, 0.0, 11));
     let res = run(&mut net, &mut wl, &spec());
     let model = ana::mesh_unicast_latency(&GridTopology::square_mesh(n), m, rate).expect("stable");
