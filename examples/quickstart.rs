@@ -49,9 +49,15 @@ fn main() {
     );
     println!("flits delivered         : {}", m.flits_delivered());
 
-    // The headline of the paper in one assertion: a Quarc broadcast of M=8
-    // flits across 16 nodes completes in roughly n/4 + M cycles even while
-    // queued behind a same-quadrant unicast — it is a pipelined wormhole
-    // operation, not a store-and-forward chain (which would cost hundreds).
-    assert!(m.broadcast_completion_latency().mean() < 2.0 * (4.0 + 8.0 + 1.0));
+    // The headline of the paper in one assertion: a Quarc broadcast is a
+    // pipelined wormhole operation, not a store-and-forward chain (which
+    // would cost hundreds of cycles). Alone, node 0's M = 8 broadcast
+    // completes when the tail of its clockwise branch reaches node 4:
+    // 4 hops + 7 body flits = 11 cycles. Every 8-flit worm ahead of that
+    // branch on its path delays it by 8, and here there are two: the 0→3
+    // unicast, queued ahead of it at node 0, holds rim link 1→2 for cycles
+    // 1–8; the 9→2 unicast crosses to node 1 and takes that link next
+    // (cycles 9–16). The branch leaves node 1 at cycle 17 and its tail
+    // reaches node 4 at 17 + 3 hops + 7 flits = 27 = 11 + 2 · 8.
+    assert_eq!(m.broadcast_completion_latency().mean(), 11.0 + 2.0 * 8.0);
 }
