@@ -239,7 +239,6 @@ struct Args {
 fn parse_cli() -> Args {
     let mut presets_requested: Vec<String> = Vec::new();
     let mut custom = CampaignSpec::new("custom");
-    custom.msg_lens = vec![16];
     let mut custom_touched = false;
     let mut opts = CampaignOptions::default();
     let mut out_dir = PathBuf::from("campaign-out");

@@ -187,40 +187,39 @@ fn robustness() -> CampaignSpec {
     spec
 }
 
-/// Look a preset up by name: its campaigns, in run order (`paper` is the
-/// full Fig. 9–11 grid).
+/// A preset: its name and its campaigns, in run order.
+type Preset = (&'static str, fn() -> Vec<CampaignSpec>);
+
+/// Every preset (`paper` is the full Fig. 9–11 grid).
+const PRESETS: &[Preset] = &[
+    ("fig9", || vec![fig9()]),
+    ("fig10", || vec![fig10()]),
+    ("fig11", || vec![fig11()]),
+    ("ablation-buffer", || vec![ablation_buffer()]),
+    ("ablation-link", || vec![ablation_link()]),
+    ("ablation-beta", || vec![ablation_beta()]),
+    ("ablation-arb", || vec![ablation_arb()]),
+    ("scale", || vec![scale()]),
+    ("frontier", || vec![frontier()]),
+    ("robustness", || vec![robustness()]),
+    ("paper", || vec![fig9(), fig10(), fig11()]),
+];
+
+/// Look a preset up by name: its campaigns, in run order.
 pub fn by_name(name: &str) -> Option<Vec<CampaignSpec>> {
-    let spec = match name {
-        "fig9" => fig9(),
-        "fig10" => fig10(),
-        "fig11" => fig11(),
-        "ablation-buffer" => ablation_buffer(),
-        "ablation-link" => ablation_link(),
-        "ablation-beta" => ablation_beta(),
-        "ablation-arb" => ablation_arb(),
-        "scale" => scale(),
-        "frontier" => frontier(),
-        "robustness" => robustness(),
-        "paper" => return Some(vec![fig9(), fig10(), fig11()]),
-        _ => return None,
-    };
-    Some(vec![spec])
+    PRESETS.iter().find(|&&(preset, _)| preset == name).map(|(_, specs)| specs())
 }
 
-/// Every preset name, for `--help` and error messages.
-pub const PRESET_NAMES: &[&str] = &[
-    "fig9",
-    "fig10",
-    "fig11",
-    "ablation-buffer",
-    "ablation-link",
-    "ablation-beta",
-    "ablation-arb",
-    "scale",
-    "frontier",
-    "robustness",
-    "paper",
-];
+/// Every preset name, in the table's order, for `--help` and error messages.
+pub const PRESET_NAMES: [&str; PRESETS.len()] = {
+    let mut names = [""; PRESETS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = PRESETS[i].0;
+        i += 1;
+    }
+    names
+};
 
 #[cfg(test)]
 mod tests {

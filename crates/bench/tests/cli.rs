@@ -284,3 +284,16 @@ fn presets_write_one_csv_each() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `campaign --help` lists every preset name, in the lookup table's order,
+/// and nothing else, so the text cannot drift from what `--preset` accepts.
+#[test]
+fn help_names_every_preset() {
+    let out = campaign(&["--help"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let help = String::from_utf8(out.stdout).expect("utf-8 help");
+    let list = help.split_once("one of:").expect("preset list").1;
+    let list = list.split_once("AXIS FLAGS").expect("end of the preset section").0;
+    let listed: Vec<&str> = list.split([',', ' ', '\n']).filter(|w| !w.is_empty()).collect();
+    assert_eq!(listed, quarc_bench::presets::PRESET_NAMES);
+}
