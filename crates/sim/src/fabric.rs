@@ -37,9 +37,9 @@ use crate::buffer::LaneBufs;
 use crate::driver::{NocSim, StallDiagnostics};
 use crate::fault::FaultState;
 use crate::link::{LinkBank, TaggedFlit};
-use crate::metrics::Metrics;
+use crate::metrics::{FabricEvent, Metrics};
 use crate::packets::{message_meta, IdAlloc, PacketQueue};
-use crate::probe::{CounterSample, FlitEventKind, Phase, SimProbe};
+use crate::probe::{CounterSample, Phase, SimProbe};
 use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
 use quarc_core::bits::BitSlab;
 use quarc_core::config::{ArbPolicy, NocConfig};
@@ -679,7 +679,6 @@ impl<R: RouterModel> Fabric<R> {
     /// Apply one planned transfer: pop → deliver → drop → forward. `slot` is
     /// this cycle's [`LinkBank::slot_index`].
     fn commit(&mut self, t: Transfer, slot: usize) {
-        let now = self.clock.now();
         let node = t.node as usize;
         let vcs = self.vcs;
         let PortReq { src, plan, is_header, is_tail } = t.req;
@@ -725,31 +724,19 @@ impl<R: RouterModel> Fabric<R> {
         // (`expected == delivered + lost`) and drain loops terminate.
         if plan.dropped {
             let meta = *self.packets.meta(flit.packet);
-            self.metrics.record_flit_drop();
             // Dropped ACKs are pure control loss: the data source's timeout
             // covers them. Data drops write off their unreached receivers —
             // unless recovery is on, in which case every loss is deferred to
             // the retry window (the exhaust pump is the sole write-off site,
             // so a drop racing the final deadline can never double-count).
-            if is_header && meta.class != TrafficClass::Ack {
-                let lost = if self.recovery.enabled() {
+            let lost = (is_header && meta.class != TrafficClass::Ack).then(|| {
+                if self.recovery.enabled() {
                     0
                 } else {
                     self.model.receivers_beyond(self.packets.bits(), node, src, &meta)
-                };
-                self.metrics.record_lost_receivers(meta.message, lost);
-                if self.probe.trace_on() {
-                    let (msg, class) = (meta.message.0, meta.class);
-                    self.probe.trace(
-                        FlitEventKind::Drop,
-                        now,
-                        msg,
-                        class,
-                        node as u32,
-                        lost as u32,
-                    );
                 }
-            }
+            });
+            self.emit(FabricEvent::Drop { meta: &meta, node, lost });
         }
 
         if (plan.out as usize) < R::PORTS {
@@ -762,10 +749,9 @@ impl<R: RouterModel> Fabric<R> {
             if flit.is_header() && matches!(src, Src::Net { .. }) {
                 self.packets.advance_header(flit.packet);
             }
-            if flit.is_header() && self.probe.trace_on() {
-                let m = self.packets.meta(flit.packet);
-                let (msg, class) = (m.message.0, m.class);
-                self.probe.trace(FlitEventKind::Hop, now, msg, class, node as u32, o as u32);
+            if flit.is_header() {
+                let meta = *self.packets.meta(flit.packet);
+                self.emit(FabricEvent::Hop { meta: &meta, node, port: o });
             }
             self.link_flits[lid] += 1;
             self.credits[lane] -= 1;
@@ -779,6 +765,15 @@ impl<R: RouterModel> Fabric<R> {
             // more — retire it.
             self.packets.release(flit.packet);
         }
+    }
+
+    /// Report one fact to the ledger, then to the probe. Every metrics and
+    /// trace record site of the fabric goes through here.
+    #[inline]
+    fn emit(&mut self, event: FabricEvent<'_>) {
+        let now = self.clock.now();
+        self.metrics.record(now, event);
+        self.probe.record(now, event);
     }
 
     /// Hand one flit to the PE at `node`: through the arbitrated ejection
@@ -795,7 +790,6 @@ impl<R: RouterModel> Fabric<R> {
         is_header: bool,
         eject: bool,
     ) {
-        let now = self.clock.now();
         let meta = *self.packets.meta(flit.packet);
         if meta.class == TrafficClass::Ack {
             // ACK absorbed at the data source: a control packet, never a
@@ -803,18 +797,11 @@ impl<R: RouterModel> Fabric<R> {
             // and its slot recycled). First ack per receiver closes its
             // pending bit and samples the round trip; duplicates drain.
             let fresh = self.recovery.on_ack(meta.message, meta.src);
-            if let Some(created_at) = fresh {
-                self.metrics.record_ack_delivery(now, created_at);
-            }
-            if self.probe.trace_on() {
-                let (msg, class, from) = (meta.message.0, meta.class, meta.src.index() as u32);
-                self.probe.trace(FlitEventKind::Ack, now, msg, class, from, fresh.is_some() as u32);
-            }
+            self.emit(FabricEvent::Ack { meta: &meta, fresh });
             return;
         }
-        let (msg, class) = (meta.message.0, meta.class);
         if self.data_dup(node, src, plan, is_header, &meta) {
-            self.metrics.note_dup_flit();
+            self.emit(FabricEvent::DupFlit);
         } else {
             // Sites per node: one per input lane, then the ejection port.
             let site = match src {
@@ -823,18 +810,11 @@ impl<R: RouterModel> Fabric<R> {
                 Src::Local { .. } => unreachable!("local injection queues never clone"),
             };
             let site = node * (R::PORTS * MAX_VCS + 1) + site;
-            self.metrics.record_flit_delivery(now, NodeId::new(node), site, flit, &meta);
-            if self.probe.trace_on() {
-                if flit.is_header() && (plan.out as usize) < R::PORTS {
-                    // Ingress-mux clone: the local copy and the forwarded
-                    // flit move in the same cycle (§2.2 absorb-and-forward).
-                    let o = plan.out as u32;
-                    self.probe.trace(FlitEventKind::Clone, now, msg, class, node as u32, o);
-                }
-                if flit.is_tail() {
-                    self.probe.trace(FlitEventKind::Deliver, now, msg, class, node as u32, 0);
-                }
-            }
+            // Ingress-mux clone: the local copy and the forwarded flit move
+            // in the same cycle (§2.2 absorb-and-forward).
+            let out = plan.out as usize;
+            let clone = (flit.is_header() && out < R::PORTS).then_some(out);
+            self.emit(FabricEvent::Deliver { meta: &meta, flit, node, site, clone });
             if flit.is_tail() {
                 // Store-and-forward replication (Spidergon broadcast
                 // chains): continuations are fresh packets, interned now and
@@ -844,8 +824,7 @@ impl<R: RouterModel> Fabric<R> {
                 self.model.respawn(NodeId::new(node), &meta, &mut self.plan);
                 for i in 0..self.plan.len() {
                     let (queue, seed) = self.plan[i];
-                    let dst = seed.dst.index() as u32;
-                    self.probe.trace(FlitEventKind::Clone, now, msg, class, node as u32, dst);
+                    self.emit(FabricEvent::Chain { meta: &meta, node, dst: seed.dst });
                     let packet = self.intern(seed);
                     self.respawned.push((node as u32, queue as u32, packet));
                 }
@@ -881,7 +860,7 @@ impl<R: RouterModel> Fabric<R> {
         match self.recovery.on_data_header(meta.message, NodeId::new(node)) {
             DataDelivery::Fresh { recovered } => {
                 if recovered {
-                    self.metrics.note_recovered_receiver();
+                    self.emit(FabricEvent::Recovered);
                 }
                 false
             }
@@ -958,15 +937,10 @@ impl<R: RouterModel> Fabric<R> {
             debug_assert_eq!(req.src, NodeId::new(node), "workload src mismatch");
             let message = self.metrics.create_message(req.class, now);
             let expected = self.inject(&req, message, req.class);
-            self.metrics.set_expected(message, expected);
+            self.emit(FabricEvent::Inject { message, class: req.class, node, expected });
             if self.recovery.enabled() {
                 self.recovery.on_send(message, &req, now, expected);
             }
-            // Probe-only: the Inject event carries the expected reception
-            // count so the trace stream is self-contained for conservation
-            // checks.
-            let (msg, class) = (message.0, req.class);
-            self.probe.trace(FlitEventKind::Inject, now, msg, class, node as u32, expected as u32);
         }
     }
 
@@ -988,10 +962,10 @@ impl<R: RouterModel> Fabric<R> {
     fn pump_recovery(&mut self, now: Cycle) {
         let mut targets = std::mem::take(&mut self.retry_targets);
         while let Some(action) = self.recovery.pop_action(now, &mut targets) {
-            let (kind, message, src, class, arg) = match action {
+            let event = match action {
                 RecoveryAction::Retry { message, src, class, len, attempt: _ } => {
                     // Re-plan under the *original* message id (no
-                    // create_message / set_expected: the ledger entry is the
+                    // create_message or Inject: the ledger entry is the
                     // original's) narrowed to the unacked subset; collective
                     // classes retransmit as a multicast over that subset.
                     let req = if class == TrafficClass::Unicast {
@@ -1000,19 +974,13 @@ impl<R: RouterModel> Fabric<R> {
                         MessageRequest::multicast(src, targets.clone(), len as usize)
                     };
                     self.inject(&req, message, req.class);
-                    self.metrics.note_retransmission();
-                    (FlitEventKind::Retry, message, src, class, targets.len())
+                    FabricEvent::Retry { message, class, src, targets: targets.len() }
                 }
                 RecoveryAction::Exhaust { message, src, class, lost } => {
-                    if lost > 0 {
-                        self.metrics.record_lost_receivers(message, lost);
-                    }
-                    (FlitEventKind::Expire, message, src, class, lost)
+                    FabricEvent::Expire { message, class, src, lost }
                 }
             };
-            if self.probe.trace_on() {
-                self.probe.trace(kind, now, message.0, class, src.index() as u32, arg as u32);
-            }
+            self.emit(event);
         }
         self.retry_targets = targets;
     }

@@ -13,8 +13,8 @@
 //!
 //! * **Dead link** (fail-stop at packet granularity): from `onset`, any
 //!   packet whose header is routed onto the link is dropped whole — each
-//!   flit accounted via `Metrics::record_flit_drop`, each unreachable
-//!   receiver via `Metrics::record_lost_receivers`, never silently lost.
+//!   flit and each unreachable receiver accounted by the fabric's drop
+//!   event, never silently lost.
 //!   Packets whose header was routed before the cut complete normally, so
 //!   mid-packet wormhole state is never torn.
 //! * **Lossy link**: same drop mechanics, applied per packet with

@@ -18,6 +18,38 @@ use quarc_core::ids::{MessageId, NodeId};
 use quarc_engine::stats::{LatencyHistogram, OnlineStats};
 use quarc_engine::Cycle;
 
+/// One fact the fabric reports, once per record site: `Fabric::emit` hands
+/// it to [`Metrics::record`], then to
+/// [`SimProbe::record`](crate::probe::SimProbe::record). `node` is the
+/// router it happened at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FabricEvent<'a> {
+    /// `message` entered its source queue, planned for `expected` receivers.
+    Inject { message: MessageId, class: TrafficClass, node: usize, expected: usize },
+    /// A header was forwarded onto output `port`.
+    Hop { meta: &'a PacketMeta, node: usize, port: usize },
+    /// A data flit reached the PE through delivery site `site` (a dense index
+    /// of lanes and ejection ports); `clone` is the output the original
+    /// continues on when a header was copied at a branch.
+    Deliver { meta: &'a PacketMeta, flit: &'a Flit, node: usize, site: usize, clone: Option<usize> },
+    /// A delivered tail spawned a Spidergon chain continuation to `dst`.
+    Chain { meta: &'a PacketMeta, node: usize, dst: NodeId },
+    /// A data flit drained at an already-served receiver.
+    DupFlit,
+    /// A receiver was first served by a retransmission.
+    Recovered,
+    /// A fault drop consumed a flit; a data header writes off `lost`
+    /// receivers its suppressed forward would have served.
+    Drop { meta: &'a PacketMeta, node: usize, lost: Option<usize> },
+    /// An ACK from `meta.src` was absorbed at the data source; `fresh` is the
+    /// message's creation cycle on that receiver's first ACK.
+    Ack { meta: &'a PacketMeta, fresh: Option<Cycle> },
+    /// Recovery retransmitted `message` to `targets` unacked receivers.
+    Retry { message: MessageId, class: TrafficClass, src: NodeId, targets: usize },
+    /// Recovery gave up on `message`, writing off `lost` receivers.
+    Expire { message: MessageId, class: TrafficClass, src: NodeId, lost: usize },
+}
+
 /// Per-in-flight-message completion tracking (one slab slot per live
 /// message; kept small so the slab stays cache-friendly at saturation).
 #[derive(Debug, Clone, Copy)]
@@ -32,14 +64,14 @@ struct MessageTrack {
     created_at: Cycle,
     expected: u32,
     received: u32,
-    /// Receivers this message can no longer reach (packets dropped by an
-    /// injected fault). Always 0 on a healthy network.
+    /// Receivers this message can no longer reach (fault drops or expired
+    /// retries). Always 0 on a healthy network.
     lost: u32,
 }
 
 /// Simulation measurements and delivery invariants.
 ///
-/// Hot-path notes: `record_flit_delivery` runs for every delivered flit, so
+/// Hot-path notes: `Metrics::record` runs for every delivered flit, so
 /// nothing on its path hashes. Message tracks live in a slot-recycling slab
 /// directly indexed by the [`MessageId`]s this struct allocates
 /// ([`Metrics::create_message`]). The per-flit in-order check is a plain
@@ -74,10 +106,9 @@ pub struct Metrics {
     /// Flits consumed by fault drops (dead or lossy links). A dropped flit
     /// is accounted here instead of transmitted — never silently lost.
     flits_dropped: u64,
-    /// Receiver-level delivery ledger: `expected` accumulates at
-    /// [`Metrics::set_expected`], `delivered` at each tail reception,
-    /// `lost` at each fault drop — so
-    /// `delivered + lost == expected` once the network drains, faults or
+    /// Receiver-level delivery ledger: `expected` accumulates at each
+    /// inject, `delivered` at each tail reception, `lost` at each write-off,
+    /// so `delivered + lost == expected` once the network drains, faults or
     /// not (the probe-ledger invariant).
     receivers_expected: u64,
     receivers_delivered: u64,
@@ -150,67 +181,75 @@ impl Metrics {
     /// tagged with the slot's generation (high half). Slots of completed
     /// messages are recycled, and the generation tag keeps stale ids
     /// detectable. The expected receiver count is known only after branch
-    /// expansion — set it with [`Metrics::set_expected`] before the first
+    /// expansion: the message's inject event sets it before the first
     /// delivery.
     pub fn create_message(&mut self, class: TrafficClass, created_at: Cycle) -> MessageId {
         self.created[class.index()] += 1;
-        match self.free_tracks.pop() {
+        let track = MessageTrack {
+            class,
+            live: true,
+            generation: 0,
+            created_at,
+            expected: 0,
+            received: 0,
+            lost: 0,
+        };
+        let slot = match self.free_tracks.pop() {
             Some(slot) => {
-                let track = &mut self.tracks[slot as usize];
-                debug_assert!(!track.live, "slot freed while live");
-                let generation = track.generation + 1;
-                *track = MessageTrack {
-                    class,
-                    live: true,
-                    generation,
-                    created_at,
-                    expected: 0,
-                    received: 0,
-                    lost: 0,
-                };
-                MessageId::from_slot(slot as usize, generation)
+                let old = &mut self.tracks[slot as usize];
+                debug_assert!(!old.live, "slot freed while live");
+                *old = MessageTrack { generation: old.generation + 1, ..track };
+                slot as usize
             }
             None => {
-                self.tracks.push(MessageTrack {
-                    class,
-                    live: true,
-                    generation: 0,
-                    created_at,
-                    expected: 0,
-                    received: 0,
-                    lost: 0,
-                });
-                MessageId::from_slot(self.tracks.len() - 1, 0)
+                self.tracks.push(track);
+                self.tracks.len() - 1
             }
+        };
+        MessageId::from_slot(slot, self.tracks[slot].generation)
+    }
+
+    /// Record one fabric event at cycle `now`. Hops and chain continuations
+    /// leave the ledger as it is.
+    #[inline]
+    pub(crate) fn record(&mut self, now: Cycle, event: FabricEvent<'_>) {
+        use FabricEvent as E;
+        match event {
+            E::Inject { message, expected, .. } => {
+                let track = &mut self.tracks[message.slot()];
+                debug_assert!(
+                    track.live && track.generation == message.generation() && track.received == 0,
+                    "expected set too late"
+                );
+                track.expected = u32::try_from(expected).expect("receiver count fits u32");
+                self.receivers_expected += expected as u64;
+            }
+            E::Deliver { meta, flit, node, site, .. } => self.deliver(now, node, site, flit, meta),
+            E::DupFlit => self.dup_flits_suppressed += 1,
+            E::Recovered => self.recovered_receivers += 1,
+            E::Drop { meta, lost, .. } => {
+                self.flits_dropped += 1;
+                self.lose_receivers(meta.message, lost.unwrap_or(0));
+            }
+            // The sample is the full send → ack round trip, source queueing
+            // included — measured messages only, like every latency stat.
+            E::Ack { fresh: Some(created_at), .. } => {
+                self.acks_delivered += 1;
+                if created_at >= self.measure_from {
+                    self.ack_latency.push(now.saturating_sub(created_at) as f64);
+                }
+            }
+            E::Retry { .. } => self.retransmissions += 1,
+            E::Expire { message, lost, .. } => self.lose_receivers(message, lost),
+            E::Ack { fresh: None, .. } | E::Hop { .. } | E::Chain { .. } => {}
         }
     }
 
-    /// Set the receiver count a created message must reach to complete.
-    pub fn set_expected(&mut self, message: MessageId, expected: usize) {
-        let (slot, generation) = (message.slot(), message.generation());
-        let track = &mut self.tracks[slot];
-        debug_assert!(
-            track.live && track.generation == generation && track.received == 0,
-            "expected set too late"
-        );
-        track.expected = u32::try_from(expected).expect("receiver count fits u32");
-        self.receivers_expected += expected as u64;
-    }
-
-    /// Record the delivery of one flit at `node` through delivery site
-    /// `site` (a caller-assigned dense index of the wormhole lane or
-    /// ejection port the flit reached the PE through); `meta` is the
-    /// interned metadata of `flit.packet`. Enforces in-order, exactly-once
-    /// flit delivery; on a tail flit, advances message completion and
-    /// records latency samples.
-    pub fn record_flit_delivery(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        site: usize,
-        flit: &Flit,
-        meta: &PacketMeta,
-    ) {
+    /// Deliver one flit of `meta`'s packet at `node` through delivery site
+    /// `site`, enforcing in-order, exactly-once delivery; a tail advances
+    /// message completion and records latency samples.
+    fn deliver(&mut self, now: Cycle, node: usize, site: usize, flit: &Flit, meta: &PacketMeta) {
+        let node = NodeId::new(node);
         self.flits_delivered += 1;
         if site >= self.site_progress.len() {
             self.site_progress.resize(site + 1, 0);
@@ -295,14 +334,11 @@ impl Metrics {
         self.undeliverable[track.class.index()] += 1;
     }
 
-    /// Record that `count` receivers of `message` were lost to an injected
-    /// fault (a packet dropped by a dead or lossy link). Called once per
-    /// dropped packet, at header-drop time, with the number of receivers
-    /// the dropped packet would still have served. When losses plus
-    /// deliveries cover the expected receiver set the message retires as
-    /// undeliverable — which is what lets `quiesced()` terminate the drain
-    /// phase under permanent faults instead of waiting forever.
-    pub fn record_lost_receivers(&mut self, message: MessageId, count: usize) {
+    /// Write off `count` receivers of `message` (a dropped data header's or
+    /// an expired recovery window's). Once losses plus deliveries cover the
+    /// expected set the message retires as undeliverable, which lets
+    /// `quiesced()` end the drain under permanent faults.
+    fn lose_receivers(&mut self, message: MessageId, count: usize) {
         if count == 0 {
             return;
         }
@@ -322,41 +358,6 @@ impl Metrics {
         );
         if track.received + track.lost == track.expected {
             self.retire_undeliverable(slot);
-        }
-    }
-
-    /// Record one flit consumed by a fault drop.
-    pub fn record_flit_drop(&mut self) {
-        self.flits_dropped += 1;
-    }
-
-    /// Record one timeout-triggered retransmission issued by the recovery
-    /// layer.
-    pub fn note_retransmission(&mut self) {
-        self.retransmissions += 1;
-    }
-
-    /// Record a receiver served by a retransmission (the first attempt never
-    /// reached it).
-    pub fn note_recovered_receiver(&mut self) {
-        self.recovered_receivers += 1;
-    }
-
-    /// Record a data flit drained at an already-served receiver. Duplicates
-    /// are invisible to the receiver ledger and latency stats; they only
-    /// show up here and in link occupancy.
-    pub fn note_dup_flit(&mut self) {
-        self.dup_flits_suppressed += 1;
-    }
-
-    /// Record an ACK absorbed at the source of the message it acknowledges.
-    /// `created_at` is the acknowledged message's creation cycle, so the
-    /// sample is the full send → ack round trip including source queueing —
-    /// measured messages only, like every other latency stat.
-    pub fn record_ack_delivery(&mut self, now: Cycle, created_at: Cycle) {
-        self.acks_delivered += 1;
-        if created_at >= self.measure_from {
-            self.ack_latency.push(now.saturating_sub(created_at) as f64);
         }
     }
 
@@ -518,8 +519,14 @@ mod tests {
         expected: usize,
     ) -> MessageId {
         let id = m.create_message(class, created_at);
-        m.set_expected(id, expected);
+        m.record(created_at, FabricEvent::Inject { message: id, class, node: 0, expected });
         id
+    }
+
+    /// Write off `lost` receivers of `message` the way a retry expiry does.
+    fn expire(m: &mut Metrics, message: MessageId, lost: usize) {
+        let (class, src) = (TrafficClass::Unicast, NodeId(0));
+        m.record(0, FabricEvent::Expire { message, class, src, lost });
     }
 
     fn deliver_packet(m: &mut Metrics, now: Cycle, node: NodeId, pm: PacketMeta) {
@@ -534,7 +541,8 @@ mod tests {
             let flit = Flit { packet: PacketRef(0), seq, kind };
             // One delivery site per node is enough for these tests (matches
             // the single-eject-port networks).
-            m.record_flit_delivery(now, node, node.index(), &flit, &pm);
+            let (node, site) = (node.index(), node.index());
+            m.record(now, FabricEvent::Deliver { meta: &pm, flit: &flit, node, site, clone: None });
         }
     }
 
@@ -598,13 +606,8 @@ mod tests {
         let mut m = Metrics::new();
         let id = created(&mut m, TrafficClass::Unicast, 0, 1);
         let pm = meta(id, 0, TrafficClass::Unicast, 1, 4);
-        m.record_flit_delivery(
-            5,
-            NodeId(1),
-            1,
-            &Flit { packet: PacketRef(0), seq: 1, kind: FlitKind::Body },
-            &pm,
-        );
+        let flit = Flit { packet: PacketRef(0), seq: 1, kind: FlitKind::Body };
+        m.record(5, FabricEvent::Deliver { meta: &pm, flit: &flit, node: 1, site: 1, clone: None });
     }
 
     #[test]
@@ -645,7 +648,7 @@ mod tests {
         let id = created(&mut m, TrafficClass::Multicast, 0, 3);
         deliver_packet(&mut m, 10, NodeId(1), meta(id, 0, TrafficClass::Multicast, 1, 2));
         // The packet covering the other two receivers hits a dead link.
-        m.record_lost_receivers(id, 2);
+        expire(&mut m, id, 2);
         assert_eq!(m.in_flight(), 0, "loss accounting must let the message terminate");
         assert_eq!(m.completed(TrafficClass::Multicast), 0);
         assert_eq!(m.undeliverable(TrafficClass::Multicast), 1);
@@ -662,7 +665,7 @@ mod tests {
         // message still terminates exactly once.
         let mut m = Metrics::new();
         let id = created(&mut m, TrafficClass::Broadcast, 0, 2);
-        m.record_lost_receivers(id, 1);
+        expire(&mut m, id, 1);
         assert_eq!(m.in_flight(), 1);
         deliver_packet(&mut m, 10, NodeId(1), meta(id, 0, TrafficClass::Broadcast, 1, 2));
         assert_eq!(m.in_flight(), 0);
@@ -678,29 +681,36 @@ mod tests {
     fn over_accounted_loss_panics() {
         let mut m = Metrics::new();
         let id = created(&mut m, TrafficClass::Unicast, 0, 1);
-        m.record_lost_receivers(id, 2);
+        expire(&mut m, id, 2);
     }
 
     #[test]
     fn flit_drops_are_counted_per_class() {
         let mut m = Metrics::new();
-        m.record_flit_drop();
-        m.record_flit_drop();
-        m.record_flit_drop();
+        let id = created(&mut m, TrafficClass::Multicast, 0, 3);
+        let pm = meta(id, 0, TrafficClass::Multicast, 3, 3);
+        // A dropped header writes off its receivers; its body and tail only
+        // count as dropped flits.
+        for lost in [Some(2), None, None] {
+            m.record(4, FabricEvent::Drop { meta: &pm, node: 1, lost });
+        }
         assert_eq!(m.flits_dropped(), 3);
+        assert_eq!(m.receivers_lost(), 2);
     }
 
     #[test]
     fn recovery_counters_and_ack_latency_gating() {
         let mut m = Metrics::new();
         m.begin_measurement(100);
-        m.note_retransmission();
-        m.note_recovered_receiver();
-        m.note_dup_flit();
+        let (message, class, src) = (MessageId(0), TrafficClass::Unicast, NodeId(0));
+        m.record(110, FabricEvent::Retry { message, class, src, targets: 1 });
+        m.record(120, FabricEvent::Recovered);
+        m.record(120, FabricEvent::DupFlit);
+        let ack = meta(message, 0, TrafficClass::Ack, 0, 1);
         // Warmup message: counted, not sampled.
-        m.record_ack_delivery(150, 50);
+        m.record(150, FabricEvent::Ack { meta: &ack, fresh: Some(50) });
         // Measured message: counted and sampled.
-        m.record_ack_delivery(180, 120);
+        m.record(180, FabricEvent::Ack { meta: &ack, fresh: Some(120) });
         assert_eq!(m.retransmissions(), 1);
         assert_eq!(m.recovered_receivers(), 1);
         assert_eq!(m.dup_flits_suppressed(), 1);

@@ -21,13 +21,16 @@
 //! 3. **Flit-event trace** — structured inject / hop / clone / deliver
 //!    events in a bounded ring buffer (drops counted, never blocking),
 //!    exportable as Chrome trace-event JSON (`chrome://tracing`, Perfetto)
-//!    via `quarc-bench trace`.
+//!    via `quarc-bench trace`. The fabric reports each fact once, to the
+//!    metrics and then to `SimProbe::record`, which encodes it here.
 //!
 //! The compiled-in cost with everything disabled is one branch per record
 //! site; the benchmark's traced run prices each channel when on
 //! (`probe.{profile,counters,trace}_on_ratio`).
 
+use crate::metrics::FabricEvent;
 use quarc_core::flit::TrafficClass;
+use quarc_core::ids::MessageId;
 use quarc_engine::Cycle;
 use std::fmt::Write;
 use std::time::Instant;
@@ -152,7 +155,8 @@ pub enum FlitEventKind {
     Hop,
     /// A copy was made — an ingress-mux clone at a branch node (`arg` =
     /// output the original continued on) or a Spidergon chain replication
-    /// (`arg` = number of continuations).
+    /// (one event per continuation, `arg` = that continuation's
+    /// destination).
     Clone,
     /// A tail flit was delivered to a PE (one event per reception).
     Deliver,
@@ -339,29 +343,57 @@ impl SimProbe {
 
     // ---- flit-event trace ----------------------------------------------
 
-    /// Whether flit tracing is on (callers gate meta lookups behind this).
+    /// Record the flit events of one fabric event, if tracing is on. Dropped
+    /// bodies, duplicate flits and recovered receivers leave none.
     #[inline]
-    pub fn trace_on(&self) -> bool {
-        self.cfg.trace_capacity != 0
-    }
-
-    /// Record one flit event into the ring (overwrites the oldest entry at
-    /// capacity; overwrites are counted, never block).
-    #[inline]
-    pub fn trace(
-        &mut self,
-        kind: FlitEventKind,
-        cycle: Cycle,
-        message: u64,
-        class: TrafficClass,
-        node: u32,
-        arg: u32,
-    ) {
-        let cap = self.cfg.trace_capacity;
-        if cap == 0 {
+    pub(crate) fn record(&mut self, cycle: Cycle, event: FabricEvent<'_>) {
+        if self.cfg.trace_capacity == 0 {
             return;
         }
-        let ev = FlitEvent { cycle, message, node, arg, kind, class };
+        let ev = |kind, message: MessageId, class, node: usize, arg: usize| FlitEvent {
+            cycle,
+            message: message.0,
+            node: node as u32,
+            arg: arg as u32,
+            kind,
+            class,
+        };
+        use {FabricEvent as E, FlitEventKind as K};
+        let event = match event {
+            E::Inject { message, class, node, expected } => {
+                ev(K::Inject, message, class, node, expected)
+            }
+            E::Hop { meta: m, node, port } => ev(K::Hop, m.message, m.class, node, port),
+            E::Deliver { meta: m, flit, node, clone, .. } => {
+                if let Some(out) = clone {
+                    self.push(ev(K::Clone, m.message, m.class, node, out));
+                }
+                if !flit.is_tail() {
+                    return;
+                }
+                ev(K::Deliver, m.message, m.class, node, 0)
+            }
+            E::Chain { meta: m, node, dst } => ev(K::Clone, m.message, m.class, node, dst.index()),
+            E::Drop { meta: m, node, lost: Some(n) } => ev(K::Drop, m.message, m.class, node, n),
+            E::Ack { meta: m, fresh } => {
+                ev(K::Ack, m.message, m.class, m.src.index(), fresh.is_some() as usize)
+            }
+            E::Retry { message, class, src, targets } => {
+                ev(K::Retry, message, class, src.index(), targets)
+            }
+            E::Expire { message, class, src, lost } => {
+                ev(K::Expire, message, class, src.index(), lost)
+            }
+            E::Drop { lost: None, .. } | E::DupFlit | E::Recovered => return,
+        };
+        self.push(event);
+    }
+
+    /// Write one flit event into the ring (overwrites the oldest entry at
+    /// capacity; overwrites are counted, never block).
+    #[inline]
+    fn push(&mut self, ev: FlitEvent) {
+        let cap = self.cfg.trace_capacity;
         if self.events.len() < cap {
             self.events.push(ev);
         } else {
@@ -428,14 +460,29 @@ impl SimProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quarc_core::flit::{Flit, FlitKind, PacketMeta, PacketRef};
+    use quarc_core::ids::NodeId;
+
+    /// A flit event with the ring's field order.
+    fn fe(
+        cycle: Cycle,
+        kind: FlitEventKind,
+        message: u64,
+        class: TrafficClass,
+        node: u32,
+        arg: u32,
+    ) -> FlitEvent {
+        FlitEvent { cycle, message, node, arg, kind, class }
+    }
 
     #[test]
     fn disabled_probe_records_nothing() {
         let mut p = SimProbe::new();
         assert!(!p.begin_profiled_cycle(0));
         assert!(!p.counters_due(0));
-        assert!(!p.trace_on());
-        p.trace(FlitEventKind::Inject, 0, 1, TrafficClass::Unicast, 0, 1);
+        assert_eq!(p.config().trace_capacity, 0);
+        let (message, class) = (MessageId(1), TrafficClass::Unicast);
+        p.record(0, FabricEvent::Inject { message, class, node: 0, expected: 1 });
         assert_eq!(p.events().count(), 0);
         assert_eq!(p.profiled_cycles(), 0);
         assert!(p.samples().is_empty());
@@ -472,7 +519,7 @@ mod tests {
         let mut p = SimProbe::new();
         p.configure(ProbeConfig { trace_capacity: 3, ..ProbeConfig::off() });
         for i in 0..5u64 {
-            p.trace(FlitEventKind::Hop, i, i, TrafficClass::Unicast, i as u32, 0);
+            p.push(fe(i, FlitEventKind::Hop, i, TrafficClass::Unicast, i as u32, 0));
         }
         assert_eq!(p.events_dropped(), 2);
         let cycles: Vec<u64> = p.events().map(|e| e.cycle).collect();
@@ -509,8 +556,8 @@ mod tests {
     fn chrome_trace_shape_is_loadable() {
         let mut p = SimProbe::new();
         p.configure(ProbeConfig { trace_capacity: 8, ..ProbeConfig::off() });
-        p.trace(FlitEventKind::Inject, 0, 42, TrafficClass::Broadcast, 3, 15);
-        p.trace(FlitEventKind::Deliver, 9, 42, TrafficClass::Broadcast, 5, 0);
+        p.push(fe(0, FlitEventKind::Inject, 42, TrafficClass::Broadcast, 3, 15));
+        p.push(fe(9, FlitEventKind::Deliver, 42, TrafficClass::Broadcast, 5, 0));
         let json = p.chrome_trace_json("quarc n=16");
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
@@ -524,8 +571,8 @@ mod tests {
     fn chrome_trace_bytes_are_pinned() {
         let mut p = SimProbe::new();
         p.configure(ProbeConfig { trace_capacity: 4, ..ProbeConfig::off() });
-        p.trace(FlitEventKind::Inject, 3, 7, TrafficClass::Multicast, 1, 2);
-        p.trace(FlitEventKind::Drop, 11, 7, TrafficClass::Ack, 4, 0);
+        p.push(fe(3, FlitEventKind::Inject, 7, TrafficClass::Multicast, 1, 2));
+        p.push(fe(11, FlitEventKind::Drop, 7, TrafficClass::Ack, 4, 0));
         let json = p.chrome_trace_json("q\"uo\\te\nline\u{1}é");
         let want = concat!(
             r#"{"displayTimeUnit":"ms","traceEvents":["#,
@@ -543,10 +590,50 @@ mod tests {
     fn configure_resets_prior_observation() {
         let mut p = SimProbe::new();
         p.configure(ProbeConfig::all(4));
-        p.trace(FlitEventKind::Hop, 1, 1, TrafficClass::Unicast, 0, 0);
+        p.push(fe(1, FlitEventKind::Hop, 1, TrafficClass::Unicast, 0, 0));
         p.note_credit_stall();
         p.configure(ProbeConfig::off());
         assert_eq!(p.events().count(), 0);
         assert_eq!(p.credit_stalls(), 0);
+    }
+
+    #[test]
+    fn fabric_events_encode_as_flit_events() {
+        let mut p = SimProbe::new();
+        p.configure(ProbeConfig { trace_capacity: 16, ..ProbeConfig::off() });
+        let meta = PacketMeta {
+            message: MessageId(9),
+            packet: quarc_core::ids::PacketId(0),
+            class: TrafficClass::Multicast,
+            src: NodeId(2),
+            dst: NodeId(6),
+            bitstring: quarc_core::bits::Bits::ZERO,
+            dir: quarc_core::ring::RingDir::Cw,
+            len: 1,
+            created_at: 0,
+        };
+        // A single-flit packet copied at a branch node: the clone (with the
+        // output the original continues on) precedes the reception.
+        let flit = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Single };
+        p.record(
+            5,
+            FabricEvent::Deliver { meta: &meta, flit: &flit, node: 4, site: 0, clone: Some(1) },
+        );
+        p.record(5, FabricEvent::Chain { meta: &meta, node: 4, dst: NodeId(7) });
+        p.record(6, FabricEvent::Drop { meta: &meta, node: 3, lost: None });
+        p.record(6, FabricEvent::Drop { meta: &meta, node: 3, lost: Some(2) });
+        p.record(7, FabricEvent::DupFlit);
+        p.record(7, FabricEvent::Recovered);
+        p.record(8, FabricEvent::Ack { meta: &meta, fresh: None });
+        let got: Vec<_> = p.events().map(|e| (e.cycle, e.kind, e.node, e.arg)).collect();
+        let want = [
+            (5, FlitEventKind::Clone, 4, 1),
+            (5, FlitEventKind::Deliver, 4, 0),
+            (5, FlitEventKind::Clone, 4, 7),
+            (6, FlitEventKind::Drop, 3, 2),
+            (8, FlitEventKind::Ack, 2, 0),
+        ];
+        assert_eq!(got, want);
+        assert!(p.events().all(|e| e.message == 9 && e.class == TrafficClass::Multicast));
     }
 }

@@ -11,9 +11,8 @@
 //! window. When an ack deadline lapses, the source retransmits **to exactly
 //! the unacknowledged receiver subset** with exponential backoff and seeded
 //! jitter; after `max_retries` fruitless attempts the still-unserved
-//! receivers are written off through
-//! [`Metrics::record_lost_receivers`](crate::metrics::Metrics::record_lost_receivers),
-//! so an unreachable receiver set can never wedge `quiesced()`.
+//! receivers are written off in the metrics' receiver ledger, so an
+//! unreachable receiver set can never wedge `quiesced()`.
 //!
 //! ## Determinism
 //!
@@ -33,9 +32,10 @@
 //! only *decides*: which delivery is fresh vs duplicate
 //! ([`RecoveryState::on_data_header`]), which ack closes a window
 //! ([`RecoveryState::on_ack`]), and when to retransmit or give up
-//! ([`RecoveryState::pop_action`]). The owning network translates those
-//! decisions into metric calls, so loss accounting still happens exactly
-//! once per receiver.
+//! ([`RecoveryState::pop_action`]). The fabric reports each decision as one
+//! event to the metrics and the probe, so loss accounting still happens
+//! exactly once per receiver. Recovery is not such a sink: its answers
+//! steer the simulation, so the fabric calls it directly.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -124,8 +124,7 @@ pub enum RecoveryAction {
         attempt: u32,
     },
     /// Retries are exhausted: `lost` receivers (pending and never served)
-    /// must be written off via `record_lost_receivers` so the message
-    /// terminates.
+    /// must be written off so the message terminates.
     Exhaust {
         /// The message whose window is being closed.
         message: MessageId,
@@ -201,8 +200,8 @@ impl RecoveryState {
     }
 
     /// Open the receiver window of a freshly injected message. Must be
-    /// called with the same request the network expanded, after
-    /// `set_expected`; `expected` is the receiver count the expansion
+    /// called with the same request the network expanded, after its inject
+    /// event; `expected` is the receiver count the expansion
     /// reported, cross-checked against the pending set built here.
     pub fn on_send(
         &mut self,

@@ -168,9 +168,14 @@ fn probe_ledger_closes_under_recovery() {
                  != {expected} expected",
             );
         }
+        // The metrics and the probe record the same fabric events, so their
+        // totals agree.
         let m = net.metrics();
         let delivered: u64 = ledger.values().map(|(_, d, _, _)| d).sum();
         assert_eq!(delivered, m.receivers_delivered(), "{label}");
+        assert_eq!(retries, m.retransmissions(), "{label}: Retry events vs retransmissions");
+        let expired: u64 = ledger.values().map(|(_, _, x, _)| x).sum();
+        assert_eq!(expired, m.receivers_lost(), "{label}: Expire args vs receivers lost");
     }
 }
 
