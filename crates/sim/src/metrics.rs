@@ -119,9 +119,9 @@ pub struct Metrics {
     /// Receivers served by a retransmission after the first attempt failed
     /// to reach them — the recovery layer's payoff counter.
     recovered_receivers: u64,
-    /// Single-flit ACK packets absorbed at their source. ACKs are control
-    /// traffic: they never count toward `flits_delivered` or the receiver
-    /// ledger.
+    /// Single-flit ACK packets absorbed at their source, duplicates
+    /// included. ACKs are control traffic: they never count toward
+    /// `flits_delivered` or the receiver ledger.
     acks_delivered: u64,
     /// Data flits drained by receivers that had already been served (late
     /// originals or over-wide retransmissions). Suppressed from
@@ -231,17 +231,18 @@ impl Metrics {
                 self.flits_dropped += 1;
                 self.lose_receivers(meta.message, lost.unwrap_or(0));
             }
-            // The sample is the full send → ack round trip, source queueing
+            // Every absorbed ACK counts; only a receiver's first takes a
+            // sample: the full send → ack round trip, source queueing
             // included — measured messages only, like every latency stat.
-            E::Ack { fresh: Some(created_at), .. } => {
+            E::Ack { fresh, .. } => {
                 self.acks_delivered += 1;
-                if created_at >= self.measure_from {
+                if let Some(created_at) = fresh.filter(|&c| c >= self.measure_from) {
                     self.ack_latency.push(now.saturating_sub(created_at) as f64);
                 }
             }
             E::Retry { .. } => self.retransmissions += 1,
             E::Expire { message, lost, .. } => self.lose_receivers(message, lost),
-            E::Ack { fresh: None, .. } | E::Hop { .. } | E::Chain { .. } => {}
+            E::Hop { .. } | E::Chain { .. } => {}
         }
     }
 
@@ -711,10 +712,12 @@ mod tests {
         m.record(150, FabricEvent::Ack { meta: &ack, fresh: Some(50) });
         // Measured message: counted and sampled.
         m.record(180, FabricEvent::Ack { meta: &ack, fresh: Some(120) });
+        // A duplicate: counted, not sampled.
+        m.record(190, FabricEvent::Ack { meta: &ack, fresh: None });
         assert_eq!(m.retransmissions(), 1);
         assert_eq!(m.recovered_receivers(), 1);
         assert_eq!(m.dup_flits_suppressed(), 1);
-        assert_eq!(m.acks_delivered(), 2);
+        assert_eq!(m.acks_delivered(), 3);
         assert_eq!(m.ack_latency().count(), 1);
         assert_eq!(m.ack_latency().mean(), 60.0);
     }

@@ -174,6 +174,7 @@ fn probe_ledger_closes_under_recovery() {
         let delivered: u64 = ledger.values().map(|(_, d, _, _)| d).sum();
         assert_eq!(delivered, m.receivers_delivered(), "{label}");
         assert_eq!(retries, m.retransmissions(), "{label}: Retry events vs retransmissions");
+        assert_eq!(acks, m.acks_delivered(), "{label}: Ack events vs acks delivered");
         let expired: u64 = ledger.values().map(|(_, _, x, _)| x).sum();
         assert_eq!(expired, m.receivers_lost(), "{label}: Expire args vs receivers lost");
     }
