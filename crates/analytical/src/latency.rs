@@ -1,6 +1,6 @@
 //! Closed-form mean-latency models.
 //!
-//! These play the role of the paper's ref. [8] analytical models: an
+//! These play the role of the paper's ref. \[8\] analytical models: an
 //! independent prediction the flit-level simulator must agree with at low and
 //! moderate load ("The simulator has been verified extensively against
 //! analytical models for the Spidergon and mesh topologies employing
@@ -29,7 +29,7 @@
 //!
 //! * Quarc (§2.5.2): four parallel streams, slowest travels `n/4` hops:
 //!   `1 + n/4 + (M−1)`.
-//! * Spidergon (ref. [9] chains, §2.2): the source streams three seed packets
+//! * Spidergon (ref. \[9\] chains, §2.2): the source streams three seed packets
 //!   back-to-back through its single port (`3M` cycles for the cross seed to
 //!   even leave), then each replication hop costs a full store-and-forward
 //!   `M + 2` (hop + serialisation + header rewrite):
@@ -112,7 +112,7 @@ pub fn quarc_broadcast_zero_load(n: usize, m: usize) -> f64 {
     1.0 + (n as f64 / 4.0) + (m as f64 - 1.0)
 }
 
-/// Zero-load Spidergon broadcast completion latency (ref. [9] chain
+/// Zero-load Spidergon broadcast completion latency (ref. \[9\] chain
 /// algorithm; see module docs for the derivation).
 pub fn spidergon_broadcast_zero_load(n: usize, m: usize) -> f64 {
     let q = n as f64 / 4.0;

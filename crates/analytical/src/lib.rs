@@ -1,7 +1,7 @@
 //! # quarc-analytical
 //!
 //! M/G/1-based analytical latency models for the Quarc, Spidergon and mesh
-//! networks, mirroring the role of the paper's ref. [8]: an independent
+//! networks, mirroring the role of the paper's ref. \[8\]: an independent
 //! check that the flit-level simulator behaves like wormhole queueing theory
 //! says it must (paper §3.2). The models also expose the structural facts the
 //! paper argues from — per-link load balance ([`linkload`]) and the

@@ -1,7 +1,7 @@
 //! M/G/1 queueing primitives.
 //!
 //! The analytical latency models of Moadeli et al. (ICPP 2007, the paper's
-//! ref. [8]) treat every network channel and every injection port as an
+//! ref. \[8\]) treat every network channel and every injection port as an
 //! M/G/1 queue: Poisson message arrivals, general service time. We use the
 //! Pollaczek–Khinchine mean waiting time with a configurable service-time
 //! coefficient of variation (0 = deterministic service, 1 = exponential).

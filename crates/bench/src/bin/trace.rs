@@ -1,6 +1,6 @@
 //! `trace` — capture a flit-event trace and emit Chrome trace-event JSON.
 //!
-//! Runs one (topology, n, rate, β) point with the [`SimProbe`] flit tracer
+//! Runs one (topology, n, rate, β) point with the [`SimProbe`](quarc_sim::SimProbe) flit tracer
 //! on and writes the ring's contents in the Chrome trace-event object form,
 //! loadable directly in `chrome://tracing` or Perfetto: one instant event
 //! per inject / hop / clone-at-branch / deliver, `ts` = cycle, `tid` = node,

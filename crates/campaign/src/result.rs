@@ -178,7 +178,7 @@ impl PointResult {
         .expect("writing to a String cannot fail");
     }
 
-    /// This point's CSV row, as [`Self::write_csv_row`] appends it.
+    /// This point's CSV row, as `write_csv_row` appends it.
     pub fn csv_row(&self) -> String {
         let mut row = String::new();
         self.write_csv_row(&mut row);

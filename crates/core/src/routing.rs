@@ -15,7 +15,7 @@
 //! bitstring that tells the ingress multiplexer to clone.
 //!
 //! The Spidergon decision is the classical across-first scheme, and its
-//! broadcast is the paper's ref. [9] algorithm: a replication *chain* that
+//! broadcast is the paper's ref. \[9\] algorithm: a replication *chain* that
 //! costs N−1 link traversals, each one a full store-and-forward through the
 //! receiving node's single injection port.
 
@@ -325,7 +325,7 @@ pub struct ChainSeed {
     pub remaining: u16,
 }
 
-/// The packets a Spidergon source injects to broadcast (ref. [9]'s N−1-hop
+/// The packets a Spidergon source injects to broadcast (ref. \[9\]'s N−1-hop
 /// algorithm): one rim chain per direction covering `q = ⌊n/4⌋` nodes each,
 /// plus a cross seed to the antipode whose receiver spawns two more rim
 /// chains covering `r = n/2 − 1 − q` nodes each (`q − 1` when 4 divides `n`).

@@ -4,7 +4,7 @@
 //! number of flits" and "adds the flit type" (§2.4); the quadrant calculator
 //! decides the injection port. Which packets a message becomes — four tagged
 //! streams for a Quarc broadcast (§2.5.2), three chain seeds for a Spidergon
-//! broadcast (§2.2 / ref. [9]), one bitstring branch per multicast group — is
+//! broadcast (§2.2 / ref. \[9\]), one bitstring branch per multicast group — is
 //! each router model's [`RouterModel::plan`](crate::fabric::RouterModel::plan):
 //! `(local queue, meta)` pairs derived from the [`message_meta`] template.
 //! The fabric then draws packet ids ([`IdAlloc`]), interns each meta once in
@@ -41,7 +41,7 @@ fn nth_flit(packet: PacketRef, seq: u32, len: u32) -> Flit {
 /// entries and materialising their flits on demand.
 ///
 /// A queued flit is a pure function of `(packet, len, seq)` (see
-/// [`nth_flit`]), so there is no reason to serialise `len` 16-byte flits
+/// `nth_flit`), so there is no reason to serialise `len` 16-byte flits
 /// into a buffer at injection time: a saturated source queue holding a
 /// million flits is a few thousand 8-byte entries instead, and enqueueing a
 /// message costs one push per *packet* rather than one per flit. `front` /

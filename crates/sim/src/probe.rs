@@ -322,7 +322,7 @@ impl SimProbe {
         self.credit_stalls
     }
 
-    /// Append one sample row (bounded by [`MAX_COUNTER_SAMPLES`]).
+    /// Append one sample row (bounded by `MAX_COUNTER_SAMPLES`).
     pub fn push_sample(&mut self, sample: CounterSample) {
         if self.samples.len() >= MAX_COUNTER_SAMPLES {
             self.samples_dropped += 1;

@@ -4,7 +4,7 @@
 //! The fabric itself stays lossy under a [`FaultPlan`](quarc_core::config::FaultPlan)
 //! — dead and lossy links drop packets at the switch level exactly as
 //! before. What this module adds is the *end-to-end* recovery loop of a
-//! [`RecoveryPolicy`](quarc_core::config::RecoveryPolicy): every receiver
+//! [`RecoveryPolicy`]: every receiver
 //! acknowledges each message tail with a single-flit ACK packet injected
 //! into the same fabric (so acks contend for the same links and can
 //! themselves be dropped), and every source keeps an outstanding-message

@@ -10,7 +10,7 @@
 //!   quadrants — the structural bottleneck the Quarc doubles away;
 //! * **across-first deterministic routing** with two dateline VCs per link
 //!   (deadlock-free, same as Quarc);
-//! * **broadcast by unicast** (ref. [9]): replication chains that are fully
+//! * **broadcast by unicast** (ref. \[9\]): replication chains that are fully
 //!   absorbed, header-rewritten and *re-injected through the single local
 //!   port* at every hop ([`RouterModel::respawn`]) — the N−1
 //!   store-and-forward traversals that make Spidergon broadcast an order of
