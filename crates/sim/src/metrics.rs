@@ -231,9 +231,8 @@ impl Metrics {
                 self.flits_dropped += 1;
                 self.lose_receivers(meta.message, lost.unwrap_or(0));
             }
-            // Every absorbed ACK counts; only a receiver's first takes a
-            // sample: the full send → ack round trip, source queueing
-            // included — measured messages only, like every latency stat.
+            // Every absorbed ACK counts; a receiver's first samples the send
+            // → ack round trip (measured messages only, like every stat).
             E::Ack { fresh, .. } => {
                 self.acks_delivered += 1;
                 if let Some(created_at) = fresh.filter(|&c| c >= self.measure_from) {
