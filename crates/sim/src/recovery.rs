@@ -312,7 +312,7 @@ impl RecoveryState {
     /// Fold an absorbed ACK from `receiver` into the window. Returns the
     /// acknowledged message's creation cycle when this ack is the first
     /// from that receiver (for the round-trip latency sample); `None` for
-    /// stale or duplicate acks, which the caller drains without recording.
+    /// stale or duplicate acks, which are counted but take no sample.
     pub fn on_ack(&mut self, message: MessageId, receiver: NodeId) -> Option<Cycle> {
         let (slot, gen) = (message.slot(), message.generation());
         if slot >= self.entries.len() {
