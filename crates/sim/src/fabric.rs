@@ -155,7 +155,7 @@ struct HopPlan {
     /// only at header-plan time, so a fault never tears a worm mid-packet.
     dropped: bool,
     /// The delivery at this node duplicates an already-served receiver
-    /// (recovery only): drain it without recording, but still re-ack the
+    /// (recovery only): drain it as `DupFlit` events, but still re-ack the
     /// tail. Decided at the header's *commit* (a header that loses
     /// arbitration re-plans, and gather must not touch the recovery window)
     /// and cached with the rest of the plan for the worm's body and tail.

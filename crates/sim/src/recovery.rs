@@ -98,8 +98,8 @@ pub enum DataDelivery {
         recovered: bool,
     },
     /// The receiver was already served (late original after a retransmit,
-    /// or an over-wide retransmission after a lost ack): drain the packet,
-    /// suppress all metric and probe recording, but still re-ack the tail.
+    /// or an over-wide retransmission after a lost ack): drain the packet
+    /// outside the receiver ledger and the trace, but still re-ack the tail.
     Dup,
 }
 
