@@ -25,10 +25,12 @@ use quarc_campaign::{
     run_campaign, CampaignOptions, CampaignSpec, CiTarget, Converged, Convergence,
     PointOutcomeKind, RateAxis,
 };
-use quarc_core::config::{ArbPolicy, FaultPlan, RecoveryPolicy};
+use quarc_core::config::{FaultPlan, RecoveryPolicy};
 use quarc_sim::RunSpec;
+use std::fmt;
 use std::path::PathBuf;
 use std::process::exit;
+use std::str::FromStr;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -110,120 +112,88 @@ CI) resumes the stored series and simulates only the missing tail.
 
 const CLI: Cli = Cli { name: "campaign", usage: USAGE };
 
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
-    value
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| CLI.usage_error(&format!("bad value {s:?} in {flag}")))
-        })
-        .collect()
-}
-
-fn parse_arbs(value: &str) -> Vec<ArbPolicy> {
-    value
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| match s.trim() {
-            "rr" | "round-robin" => ArbPolicy::RoundRobin,
-            "fp" | "fixed-priority" => ArbPolicy::FixedPriority,
-            other => CLI.usage_error(&format!("unknown arbitration policy {other:?}")),
-        })
-        .collect()
-}
-
-fn parse_converge(value: &str) -> CiTarget {
-    fn bad(value: &str) -> ! {
-        CLI.usage_error(&format!("bad --converge spec {value:?} (want rel:R or abs:W)"))
-    }
-    match value.split_once(':') {
-        Some(("rel", r)) => CiTarget::Rel(r.parse().unwrap_or_else(|_| bad(value))),
-        Some(("abs", w)) => CiTarget::Abs(w.parse().unwrap_or_else(|_| bad(value))),
-        _ => bad(value),
-    }
+/// A comma-separated list, each item parsed by [`Cli::parse`].
+fn parse_list<T: FromStr>(flag: &str, value: &str) -> Vec<T>
+where
+    T::Err: fmt::Display,
+{
+    value.split(',').filter(|s| !s.is_empty()).map(|s| CLI.parse(flag, s.trim())).collect()
 }
 
 fn parse_rates(value: &str) -> RateAxis {
-    let parts: Vec<&str> = value.split(':').collect();
-    fn num(value: &str, s: &str) -> f64 {
-        s.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --rates spec {value:?}")))
-    }
-    fn int<T: std::str::FromStr>(value: &str, s: &str) -> T {
-        s.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --rates spec {value:?}")))
-    }
-    match parts.as_slice() {
+    let num = |s: &str| CLI.parse("--rates", s);
+    match value.split(':').collect::<Vec<_>>().as_slice() {
         ["list", rates] => RateAxis::Explicit(parse_list("--rates", rates)),
         ["geom", lo, hi, steps] => {
-            RateAxis::Geometric { lo: num(value, lo), hi: num(value, hi), steps: int(value, steps) }
+            RateAxis::Geometric { lo: num(lo), hi: num(hi), steps: CLI.parse("--rates", steps) }
         }
         ["auto", span, lo_div, steps] => RateAxis::AutoGeometric {
-            span: num(value, span),
-            lo_div: num(value, lo_div),
-            steps: int(value, steps),
+            span: num(span),
+            lo_div: num(lo_div),
+            steps: CLI.parse("--rates", steps),
         },
         ["sat", rel_tol, max_probes] => RateAxis::Saturation {
-            rel_tol: num(value, rel_tol),
-            max_probes: int(value, max_probes),
+            rel_tol: num(rel_tol),
+            max_probes: CLI.parse("--rates", max_probes),
         },
         _ => CLI.usage_error(&format!("bad --rates spec {value:?}")),
     }
 }
 
-fn parse_fault(value: &str) -> FaultPlan {
+/// Walk a `none` or `k=v,k=v,...` flag value: `set` stores one value and
+/// answers whether it knows the key.
+fn key_values(flag: &str, value: &str, mut set: impl FnMut(&str, &str) -> bool) {
     if value == "none" {
-        return FaultPlan::NONE;
+        return;
     }
-    let mut plan = FaultPlan::NONE;
     for pair in value.split(',').filter(|s| !s.is_empty()) {
         let Some((key, v)) = pair.split_once('=') else {
-            CLI.usage_error(&format!("bad --fault entry {pair:?} (want key=value)"));
+            CLI.usage_error(&format!("bad {flag} entry {pair:?} (want key=value)"));
         };
-        fn num<T: std::str::FromStr>(pair: &str, v: &str) -> T {
-            v.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad --fault value in {pair:?}")))
-        }
-        match key.trim() {
-            "seed" => plan.seed = num(pair, v),
-            "onset" => plan.onset = num(pair, v),
-            "dead" => plan.dead_links = num(pair, v),
-            "frozen" => plan.frozen_routers = num(pair, v),
-            "lossy" => plan.lossy_links = num(pair, v),
-            "p64k" => plan.drop_per_64k = num(pair, v),
-            "transient" => plan.transient_links = num(pair, v),
-            "window" => plan.transient_cycles = num(pair, v),
-            other => CLI.usage_error(&format!("unknown --fault key {other:?}")),
+        if !set(key.trim(), v) {
+            CLI.usage_error(&format!("unknown {flag} key {:?}", key.trim()));
         }
     }
+}
+
+fn parse_fault(value: &str) -> FaultPlan {
+    let flag = "--fault";
+    let mut plan = FaultPlan::NONE;
+    key_values(flag, value, |key, v| {
+        match key {
+            "seed" => plan.seed = CLI.parse(flag, v),
+            "onset" => plan.onset = CLI.parse(flag, v),
+            "dead" => plan.dead_links = CLI.parse(flag, v),
+            "frozen" => plan.frozen_routers = CLI.parse(flag, v),
+            "lossy" => plan.lossy_links = CLI.parse(flag, v),
+            "p64k" => plan.drop_per_64k = CLI.parse(flag, v),
+            "transient" => plan.transient_links = CLI.parse(flag, v),
+            "window" => plan.transient_cycles = CLI.parse(flag, v),
+            _ => return false,
+        }
+        true
+    });
     if let Err(e) = plan.validate() {
-        CLI.usage_error(&format!("bad --fault spec {value:?}: {e}"));
+        CLI.usage_error(&format!("bad {flag} spec {value:?}: {e}"));
     }
     plan
 }
 
 fn parse_recovery(value: &str) -> RecoveryPolicy {
-    if value == "none" {
-        return RecoveryPolicy::NONE;
-    }
+    let flag = "--recovery";
     let mut policy = RecoveryPolicy::NONE;
-    for pair in value.split(',').filter(|s| !s.is_empty()) {
-        let Some((key, v)) = pair.split_once('=') else {
-            CLI.usage_error(&format!("bad --recovery entry {pair:?} (want key=value)"));
-        };
-        fn num<T: std::str::FromStr>(pair: &str, v: &str) -> T {
-            v.parse()
-                .unwrap_or_else(|_| CLI.usage_error(&format!("bad --recovery value in {pair:?}")))
+    key_values(flag, value, |key, v| {
+        match key {
+            "seed" => policy.seed = CLI.parse(flag, v),
+            "timeout" => policy.ack_timeout = CLI.parse(flag, v),
+            "retries" => policy.max_retries = CLI.parse(flag, v),
+            "jitter" => policy.jitter = CLI.parse(flag, v),
+            _ => return false,
         }
-        match key.trim() {
-            "seed" => policy.seed = num(pair, v),
-            "timeout" => policy.ack_timeout = num(pair, v),
-            "retries" => policy.max_retries = num(pair, v),
-            "jitter" => policy.jitter = num(pair, v),
-            other => CLI.usage_error(&format!("unknown --recovery key {other:?}")),
-        }
-    }
+        true
+    });
     if let Err(e) = policy.validate() {
-        CLI.usage_error(&format!("bad --recovery spec {value:?}: {e}"));
+        CLI.usage_error(&format!("bad {flag} spec {value:?}: {e}"));
     }
     policy
 }
@@ -245,7 +215,7 @@ fn parse_cli() -> Args {
     let mut cache_dir: Option<PathBuf> = None;
     let mut no_cache = false;
     let mut quick = false;
-    let mut run_overrides: Vec<(&'static str, u64)> = Vec::new();
+    let (mut warmup, mut measure, mut drain, mut stall_window) = (None, None, None, None);
     let mut converge_target: Option<CiTarget> = None;
     let mut max_reps: Option<u32> = None;
     let mut fault_axis: Vec<FaultPlan> = Vec::new();
@@ -273,96 +243,44 @@ fn parse_cli() -> Args {
             CLI.usage_error(&format!("flag {flag} needs a value"));
         };
         match flag.as_str() {
+            // Options: they apply to presets and custom grids alike.
             "--preset" => presets_requested.push(value),
-            "--name" => {
-                custom.name = value;
-                custom_touched = true;
-            }
-            "--topologies" => {
-                custom.topologies = parse_list(&flag, &value);
-                custom_touched = true;
-            }
-            "--sizes" => {
-                custom.sizes = parse_list("--sizes", &value);
-                custom_touched = true;
-            }
-            "--msg-lens" => {
-                custom.msg_lens = parse_list("--msg-lens", &value);
-                custom_touched = true;
-            }
-            "--betas" => {
-                custom.betas = parse_list("--betas", &value);
-                custom_touched = true;
-            }
-            "--buffer-depths" => {
-                custom.buffer_depths = parse_list("--buffer-depths", &value);
-                custom_touched = true;
-            }
-            "--link-latencies" => {
-                custom.link_latencies = parse_list("--link-latencies", &value);
-                custom_touched = true;
-            }
-            "--arbs" => {
-                custom.arbs = parse_arbs(&value);
-                custom_touched = true;
-            }
-            "--rates" => {
-                custom.rates = parse_rates(&value);
-                custom_touched = true;
-            }
-            "--fault" => {
-                fault_axis.push(parse_fault(&value));
-                custom_touched = true;
-            }
-            "--recovery" => {
-                recovery_axis.push(parse_recovery(&value));
-                custom_touched = true;
-            }
-            "--replications" => {
-                custom.replications =
-                    value.parse().unwrap_or_else(|_| CLI.usage_error("bad --replications"));
-                custom_touched = true;
-            }
-            "--converge" => {
-                converge_target = Some(parse_converge(&value));
-                custom_touched = true;
-            }
-            "--max-reps" => {
-                max_reps =
-                    Some(value.parse().unwrap_or_else(|_| CLI.usage_error("bad --max-reps")));
-                custom_touched = true;
-            }
-            "--seed" => {
-                custom.base_seed = value.parse().unwrap_or_else(|_| CLI.usage_error("bad --seed"));
-                custom_touched = true;
-            }
-            "--warmup" | "--measure" | "--drain" | "--stall-window" => {
-                let cycles =
-                    value.parse().unwrap_or_else(|_| CLI.usage_error(&format!("bad {flag}")));
-                run_overrides.push((
-                    match flag.as_str() {
-                        "--warmup" => "warmup",
-                        "--measure" => "measure",
-                        "--stall-window" => "stall_window",
-                        _ => "drain",
-                    },
-                    cycles,
-                ));
-            }
+            "--warmup" => warmup = Some(CLI.parse(&flag, &value)),
+            "--measure" => measure = Some(CLI.parse(&flag, &value)),
+            "--drain" => drain = Some(CLI.parse(&flag, &value)),
+            "--stall-window" => stall_window = Some(CLI.parse(&flag, &value)),
             "--point-timeout" => {
-                let secs: f64 =
-                    value.parse().unwrap_or_else(|_| CLI.usage_error("bad --point-timeout"));
+                let secs: f64 = CLI.parse(&flag, &value);
                 match Duration::try_from_secs_f64(secs) {
                     Ok(budget) if secs > 0.0 => opts.point_timeout = Some(budget),
-                    _ => CLI.usage_error("bad --point-timeout"),
+                    _ => CLI.usage_error(&format!("bad value {value:?} for {flag}")),
                 }
             }
-            "--workers" => {
-                opts.workers = value.parse().unwrap_or_else(|_| CLI.usage_error("bad --workers"));
-            }
+            "--workers" => opts.workers = CLI.parse(&flag, &value),
             "--out" => out_dir = PathBuf::from(value),
             "--cache" => cache_dir = Some(PathBuf::from(value)),
-            other => CLI.usage_error(&format!("unknown flag {other}")),
+            // Axis flags: they build the custom grid.
+            axis => {
+                match axis {
+                    "--name" => custom.name = value,
+                    "--topologies" => custom.topologies = parse_list(axis, &value),
+                    "--sizes" => custom.sizes = parse_list(axis, &value),
+                    "--msg-lens" => custom.msg_lens = parse_list(axis, &value),
+                    "--betas" => custom.betas = parse_list(axis, &value),
+                    "--buffer-depths" => custom.buffer_depths = parse_list(axis, &value),
+                    "--link-latencies" => custom.link_latencies = parse_list(axis, &value),
+                    "--arbs" => custom.arbs = parse_list(axis, &value),
+                    "--rates" => custom.rates = parse_rates(&value),
+                    "--fault" => fault_axis.push(parse_fault(&value)),
+                    "--recovery" => recovery_axis.push(parse_recovery(&value)),
+                    "--replications" => custom.replications = CLI.parse(axis, &value),
+                    "--converge" => converge_target = Some(CLI.parse(axis, &value)),
+                    "--max-reps" => max_reps = Some(CLI.parse(axis, &value)),
+                    "--seed" => custom.base_seed = CLI.parse(axis, &value),
+                    other => CLI.usage_error(&format!("unknown flag {other}")),
+                }
+                custom_touched = true;
+            }
         }
     }
 
@@ -400,17 +318,14 @@ fn parse_cli() -> Args {
     }
 
     for spec in &mut specs {
+        let run = &mut spec.run;
         if quick {
-            spec.run = RunSpec::quick();
+            *run = RunSpec::quick();
         }
-        for &(field, cycles) in &run_overrides {
-            match field {
-                "warmup" => spec.run.warmup = cycles,
-                "measure" => spec.run.measure = cycles,
-                "stall_window" => spec.run.stall_window = cycles,
-                _ => spec.run.drain = cycles,
-            }
-        }
+        run.warmup = warmup.unwrap_or(run.warmup);
+        run.measure = measure.unwrap_or(run.measure);
+        run.drain = drain.unwrap_or(run.drain);
+        run.stall_window = stall_window.unwrap_or(run.stall_window);
     }
 
     Args { specs, opts, out_dir, no_cache, cache_dir }

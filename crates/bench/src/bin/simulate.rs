@@ -17,7 +17,7 @@ use quarc_bench::outln;
 use quarc_campaign::CurveParams;
 use quarc_core::topology::TopologyKind;
 use quarc_sim::{run_point, PointSpec, RunResult, RunSpec};
-use quarc_workloads::{Pattern, SyntheticConfig};
+use quarc_workloads::SyntheticConfig;
 use std::process::exit;
 
 const CLI: Cli = Cli {
@@ -48,15 +48,7 @@ fn parse_args() -> (PointSpec, RunSpec) {
             "--warmup" => run.warmup = CLI.parse(&flag, &value),
             "--measure" => run.measure = CLI.parse(&flag, &value),
             "--seed" => traffic.seed = CLI.parse(&flag, &value),
-            "--pattern" => {
-                traffic.pattern = match value.as_str() {
-                    "uniform" => Pattern::Uniform,
-                    "complement" => Pattern::Complement,
-                    "neighbour" | "neighbor" => Pattern::Neighbour,
-                    "bit-reversal" => Pattern::BitReversal,
-                    other => CLI.usage_error(&format!("unknown pattern {other:?}")),
-                }
-            }
+            "--pattern" => traffic.pattern = CLI.parse(&flag, &value),
             other => CLI.usage_error(&format!("unknown flag {other}")),
         }
     }

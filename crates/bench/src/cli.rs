@@ -22,11 +22,15 @@ impl Cli {
         exit(2)
     }
 
-    /// `value` parsed as the argument of `flag`, or a usage error.
-    pub fn parse<T: FromStr>(&self, flag: &str, value: &str) -> T {
+    /// `value` parsed as the argument of `flag` by `T`'s `FromStr`, or a
+    /// usage error carrying the type's reason.
+    pub fn parse<T: FromStr>(&self, flag: &str, value: &str) -> T
+    where
+        T::Err: fmt::Display,
+    {
         value
             .parse()
-            .unwrap_or_else(|_| self.usage_error(&format!("bad value {value:?} for {flag}")))
+            .unwrap_or_else(|e| self.usage_error(&format!("bad value {value:?} for {flag}: {e}")))
     }
 }
 

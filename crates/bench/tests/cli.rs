@@ -47,12 +47,17 @@ fn malformed_flags_are_usage_errors() {
         &["--nodes", "8", "--measure", "0"],
         &["--topology", "ring"],
         &["--pattern", "zigzag"],
+        // A hotspot names a node, which the pattern parser cannot check.
+        &["--pattern", "hotspot(1,0.5)"],
         &["--frobnicate", "1"],
         &["--nodes"],
     ] {
         let out = simulate(args);
         assert_rejected(&out, 2, &format!("simulate {args:?}"));
-        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "simulate {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "simulate {args:?}");
+        let errors = stderr.lines().filter(|l| l.starts_with("simulate:")).count();
+        assert_eq!(errors, 1, "simulate {args:?}: {stderr}");
     }
     for args in [
         &["--n", "abc"][..],
@@ -72,6 +77,11 @@ fn malformed_flags_are_usage_errors() {
         &["--topologies", "ring"],
         &["--point-timeout", "1e30"],
         &["--rates", "sat:0.05:4294967300"],
+        &["--arbs", "xx"],
+        &["--converge", "rel:"],
+        &["--fault", "seed=7,bogus=1"],
+        // Jitter without a timeout is a policy that never runs.
+        &["--recovery", "jitter=5"],
         // A retired option; spelt in halves so CI's retired-names grep
         // does not match this test.
         &[concat!("--batch", "-reps"), "4"],

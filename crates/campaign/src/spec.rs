@@ -20,6 +20,7 @@ use quarc_core::topology::TopologyKind;
 use quarc_sim::{PointSpec, RunSpec};
 use quarc_workloads::SyntheticConfig;
 use std::fmt;
+use std::str::FromStr;
 
 /// How the injection-rate axis of the grid is generated.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +78,21 @@ impl fmt::Display for CiTarget {
             CiTarget::Abs(v) => write!(f, "abs:{v}"),
             CiTarget::Rel(v) => write!(f, "rel:{v}"),
         }
+    }
+}
+
+/// Inverse of [`CiTarget`]'s `Display`: `rel:R` or `abs:W`; the error names
+/// the rejected text.
+impl FromStr for CiTarget {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let target = match s.split_once(':') {
+            Some(("rel", r)) => r.parse().map(CiTarget::Rel),
+            Some(("abs", w)) => w.parse().map(CiTarget::Abs),
+            _ => return Err(format!("bad CI target {s:?} (want rel:R or abs:W)")),
+        };
+        target.map_err(|e| format!("bad CI target {s:?}: {e}"))
     }
 }
 
@@ -672,6 +688,16 @@ mod tests {
         spec.betas = vec![0.0];
         spec.rates = RateAxis::Explicit(vec![0.005, 0.01]);
         spec
+    }
+
+    #[test]
+    fn ci_target_parses_what_it_displays() {
+        for target in [CiTarget::Rel(0.1), CiTarget::Abs(2.5), CiTarget::Rel(1e-3)] {
+            assert_eq!(target.to_string().parse(), Ok(target));
+        }
+        for bad in ["rel:", "abs:x", "foo:1", "rel", "0.1", ""] {
+            assert!(bad.parse::<CiTarget>().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

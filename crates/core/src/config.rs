@@ -3,6 +3,7 @@
 
 use crate::topology::TopologyKind;
 use std::fmt;
+use std::str::FromStr;
 
 /// Upper bound on the node count the behavioural simulator accepts, enforced
 /// by [`NocConfig::validate`].
@@ -52,6 +53,20 @@ impl fmt::Display for ArbPolicy {
             ArbPolicy::FixedPriority => "fp",
         };
         write!(f, "{s}")
+    }
+}
+
+/// Inverse of [`ArbPolicy`]'s `Display`, which also reads the long names
+/// `round-robin` and `fixed-priority`; the error names the rejected text.
+impl FromStr for ArbPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "rr" | "round-robin" => Ok(ArbPolicy::RoundRobin),
+            "fp" | "fixed-priority" => Ok(ArbPolicy::FixedPriority),
+            other => Err(format!("unknown arbitration policy {other:?}")),
+        }
     }
 }
 
@@ -588,5 +603,17 @@ mod tests {
         assert!(f.validate().is_ok());
         assert_ne!(c, f, "configs differing only in arbitration must not compare equal");
         assert!(f.to_string().contains("arb=fp"));
+    }
+
+    #[test]
+    fn arb_policy_parses_what_it_displays() {
+        for policy in [ArbPolicy::RoundRobin, ArbPolicy::FixedPriority] {
+            assert_eq!(policy.to_string().parse(), Ok(policy));
+        }
+        assert_eq!("round-robin".parse(), Ok(ArbPolicy::RoundRobin));
+        assert_eq!("fixed-priority".parse(), Ok(ArbPolicy::FixedPriority));
+        for bad in ["RR", "xx", "", " rr"] {
+            assert!(bad.parse::<ArbPolicy>().is_err(), "{bad:?}");
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! workload (Bernoulli injection, uniform destinations, fixed message length
 //! `M`, broadcast fraction `β`) is [`synthetic::Synthetic`]; the motivating
 //! MPSoC cache-sync scenario is modelled by [`coherence::Coherence`]; stress
-//! patterns and trace record/replay round out the suite.
+//! patterns and the replay of a message list built in code round out the
+//! suite.
 //!
 //! All generators implement [`request::Workload`] and are deterministic
 //! functions of their seed.
@@ -24,4 +25,4 @@ pub use coherence::{Coherence, CoherenceConfig};
 pub use patterns::Pattern;
 pub use request::{MessageRequest, Workload};
 pub use synthetic::{Synthetic, SyntheticConfig};
-pub use trace::{Recorder, TraceRecord, TraceWorkload};
+pub use trace::{TraceRecord, TraceWorkload};

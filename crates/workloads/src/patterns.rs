@@ -9,6 +9,7 @@
 use quarc_core::ids::NodeId;
 use quarc_engine::DetRng;
 use std::fmt;
+use std::str::FromStr;
 
 /// How a traffic generator picks unicast destinations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,6 +69,25 @@ impl fmt::Display for Pattern {
             Pattern::Complement => write!(f, "complement"),
             Pattern::Neighbour => write!(f, "neighbour"),
             Pattern::BitReversal => write!(f, "bit-reversal"),
+        }
+    }
+}
+
+/// Inverse of [`Pattern`]'s `Display` for the parameterless patterns, which
+/// also reads the spelling `neighbor`. A hotspot names a node, which only a
+/// network size can check, so it is not read from text.
+impl FromStr for Pattern {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "uniform" => Ok(Pattern::Uniform),
+            "complement" => Ok(Pattern::Complement),
+            "neighbour" | "neighbor" => Ok(Pattern::Neighbour),
+            "bit-reversal" => Ok(Pattern::BitReversal),
+            other => Err(format!(
+                "unknown pattern {other:?} (want uniform, complement, neighbour or bit-reversal)"
+            )),
         }
     }
 }
@@ -144,5 +164,18 @@ mod tests {
     fn display_is_stable() {
         assert_eq!(Pattern::Uniform.to_string(), "uniform");
         assert_eq!(Pattern::Complement.to_string(), "complement");
+    }
+
+    #[test]
+    fn pattern_parses_what_it_displays() {
+        for p in [Pattern::Uniform, Pattern::Complement, Pattern::Neighbour, Pattern::BitReversal] {
+            assert_eq!(p.to_string().parse(), Ok(p));
+        }
+        assert_eq!("neighbor".parse(), Ok(Pattern::Neighbour));
+        // A hotspot is not read back, in its own spelling or the short one.
+        let hotspot = Pattern::Hotspot { node: NodeId(1), frac: 0.5 }.to_string();
+        for bad in [hotspot.as_str(), "hotspot(1,0.5)", "zigzag", "Uniform", ""] {
+            assert!(bad.parse::<Pattern>().is_err(), "{bad:?}");
+        }
     }
 }
