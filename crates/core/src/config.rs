@@ -33,7 +33,7 @@ const MAX_LINK_LATENCY: u64 = 256;
 
 /// Output-arbitration policy (the DESIGN.md §6 ablation knob). Lives in the
 /// configuration so experiment grids can sweep it and cache keys can include
-/// it; only the Quarc model's OPC grant arbiters consult it today.
+/// it; every topology's output grant arbiters follow it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArbPolicy {
     /// Rotate the grant pointer past each winner (the paper's timer-based
@@ -312,8 +312,7 @@ pub struct NocConfig {
     pub buffer_depth: usize,
     /// Link traversal latency in cycles.
     pub link_latency: u64,
-    /// Output-arbitration policy (consulted by the Quarc model's OPC grant
-    /// arbiters; the other models always round-robin).
+    /// Output-arbitration policy of every router's output grant arbiters.
     pub arb: ArbPolicy,
     /// Deterministic fault schedule ([`FaultPlan::NONE`] = healthy network).
     pub fault: FaultPlan,

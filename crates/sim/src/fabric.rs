@@ -101,10 +101,6 @@ pub trait RouterModel: Routing + std::fmt::Debug + Sized {
     fn new(cfg: &NocConfig) -> Self;
     /// An empty packet table sized for the model's longest bitstring.
     fn packet_table(&self) -> PacketTable;
-    /// The output-grant arbitration policy under `cfg`.
-    fn out_policy(_cfg: &NocConfig) -> ArbPolicy {
-        ArbPolicy::RoundRobin
-    }
     /// Route the header at the head of request slot `src`. The fabric
     /// memoises the answer while the header waits: routes are pure.
     #[inline(always)] // `src` is a constant at the gather call sites
@@ -245,7 +241,8 @@ pub struct Fabric<R: RouterModel> {
     eject_owner: Box<[Option<Src>]>,
     /// VC arbiter per network input port.
     rr_in_vc: RoundRobinBank,
-    /// Grant arbiter per output, `node * FEEDERS.len() + out`.
+    /// Grant arbiter per output, `node * FEEDERS.len() + out`, under the
+    /// configuration's [`ArbPolicy`].
     rr_out: RoundRobinBank,
     /// Directed links, `node * PORTS + out`.
     links: LinkBank,
@@ -338,7 +335,7 @@ impl<R: RouterModel> Fabric<R> {
             out_owner: vec![None; n * ports * vcs].into_boxed_slice(),
             eject_owner: vec![None; if R::EJECT_PORT { n } else { 0 }].into_boxed_slice(),
             rr_in_vc: RoundRobinBank::new(n * ports, ArbPolicy::RoundRobin),
-            rr_out: RoundRobinBank::new(n * R::FEEDERS.len(), R::out_policy(&cfg)),
+            rr_out: RoundRobinBank::new(n * R::FEEDERS.len(), cfg.arb),
             links: LinkBank::new(n * ports, cfg.link_latency),
             ids: IdAlloc::new(),
             metrics: Metrics::new(),

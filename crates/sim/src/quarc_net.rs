@@ -24,7 +24,7 @@
 
 use crate::fabric::{Fabric, RouterModel};
 use quarc_core::bits::BitSlab;
-use quarc_core::config::{ArbPolicy, NocConfig};
+use quarc_core::config::NocConfig;
 use quarc_core::flit::{PacketMeta, PacketTable, TrafficClass};
 use quarc_core::ids::NodeId;
 use quarc_core::quadrant::{broadcast_branch_heads, multicast_branches_into};
@@ -56,11 +56,6 @@ impl RouterModel for QuarcTopology {
         // A Quarc branch bitstring never exceeds quarter-depth + 1 bits;
         // for n <= 64 every bitstring stays inline (no slab rows).
         PacketTable::with_bit_capacity(self.ring().quarter() + 2)
-    }
-
-    /// The paper's OPC arbitration is a sweepable design parameter.
-    fn out_policy(cfg: &NocConfig) -> ArbPolicy {
-        cfg.arb
     }
 
     /// The quadrant calculator (§2.4): a unicast rides its destination's
@@ -133,6 +128,7 @@ impl QuarcNetwork {
 mod tests {
     use super::*;
     use crate::driver::NocSim;
+    use quarc_core::config::ArbPolicy;
     use quarc_core::quadrant::unicast_hops;
     use quarc_core::topology::QuarcIn;
     use quarc_workloads::{MessageRequest, TraceRecord, TraceWorkload, Workload};

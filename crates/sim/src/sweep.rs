@@ -139,6 +139,29 @@ mod tests {
     }
 
     #[test]
+    fn arbitration_policy_reaches_every_topology() {
+        use quarc_core::config::ArbPolicy;
+        // The output arbiters used to read the policy only on Quarc: `fp`
+        // ran as `rr` everywhere else.
+        for noc in [
+            NocConfig::quarc(16),
+            NocConfig::spidergon(16),
+            NocConfig::mesh(16),
+            NocConfig::torus(16),
+        ] {
+            let run = |arb| {
+                let traffic = SyntheticConfig::paper(0.03, 8, 0.05, 7);
+                let point = PointSpec { noc: noc.with_arb(arb), traffic };
+                let out = run_point(&point, &RunSpec::quick(), None).unwrap();
+                let r = out.result();
+                (r.unicast_mean, r.bcast_completion_mean, r.throughput)
+            };
+            let (rr, fp) = (run(ArbPolicy::RoundRobin), run(ArbPolicy::FixedPriority));
+            assert_ne!(rr, fp, "{}: fp ran as rr", noc.kind);
+        }
+    }
+
+    #[test]
     fn invalid_config_is_a_typed_error_not_a_panic() {
         let point = PointSpec {
             noc: NocConfig::quarc(18),
