@@ -6,13 +6,20 @@
 //! power-of-two histogram with percentile queries ([`LatencyHistogram`]).
 
 /// Single-pass mean / variance / extrema (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+/// The empty accumulator of [`OnlineStats::new`].
+impl Default for OnlineStats {
+    fn default() -> Self {
+        OnlineStats::new()
+    }
 }
 
 impl OnlineStats {
@@ -205,6 +212,18 @@ mod tests {
         assert!((s.variance() - 3.5).abs() < 1e-12);
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(6.0));
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        // A derived default used to start the extrema at 0.0, so the
+        // minimum of positive samples read 0.
+        let mut s = OnlineStats::default();
+        assert_eq!((s.min(), s.max()), (None, None));
+        s.push(5.0);
+        s.push(7.0);
+        assert_eq!(s.min(), Some(5.0));
+        assert_eq!(s.max(), Some(7.0));
     }
 
     #[test]

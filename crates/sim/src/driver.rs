@@ -226,7 +226,7 @@ pub struct RunResult {
     /// Receivers whose first successful delivery rode a retransmission.
     pub recovered_receivers: u64,
     /// Mean data-send → ACK-received round trip (cycles) over the
-    /// measurement window (`NaN` with no samples).
+    /// measurement window (0 with no samples).
     pub ack_latency_mean: f64,
     /// *Fresh* delivered data flits per node per cycle over the measurement
     /// window — the pre-recovery definition of throughput, excluding ACK
