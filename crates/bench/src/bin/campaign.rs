@@ -121,22 +121,24 @@ where
 }
 
 fn parse_rates(value: &str) -> RateAxis {
-    let num = |s: &str| CLI.parse("--rates", s);
+    let flag = "--rates";
     match value.split(':').collect::<Vec<_>>().as_slice() {
-        ["list", rates] => RateAxis::Explicit(parse_list("--rates", rates)),
-        ["geom", lo, hi, steps] => {
-            RateAxis::Geometric { lo: num(lo), hi: num(hi), steps: CLI.parse("--rates", steps) }
-        }
+        ["list", rates] => RateAxis::Explicit(parse_list(flag, rates)),
+        ["geom", lo, hi, steps] => RateAxis::Geometric {
+            lo: CLI.parse(flag, lo),
+            hi: CLI.parse(flag, hi),
+            steps: CLI.parse(flag, steps),
+        },
         ["auto", span, lo_div, steps] => RateAxis::AutoGeometric {
-            span: num(span),
-            lo_div: num(lo_div),
-            steps: CLI.parse("--rates", steps),
+            span: CLI.parse(flag, span),
+            lo_div: CLI.parse(flag, lo_div),
+            steps: CLI.parse(flag, steps),
         },
         ["sat", rel_tol, max_probes] => RateAxis::Saturation {
-            rel_tol: num(rel_tol),
-            max_probes: CLI.parse("--rates", max_probes),
+            rel_tol: CLI.parse(flag, rel_tol),
+            max_probes: CLI.parse(flag, max_probes),
         },
-        _ => CLI.usage_error(&format!("bad --rates spec {value:?}")),
+        _ => CLI.usage_error(&format!("bad {flag} spec {value:?}")),
     }
 }
 

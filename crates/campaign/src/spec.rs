@@ -87,12 +87,12 @@ impl FromStr for CiTarget {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let target = match s.split_once(':') {
-            Some(("rel", r)) => r.parse().map(CiTarget::Rel),
-            Some(("abs", w)) => w.parse().map(CiTarget::Abs),
-            _ => return Err(format!("bad CI target {s:?} (want rel:R or abs:W)")),
-        };
-        target.map_err(|e| format!("bad CI target {s:?}: {e}"))
+        let bad = || format!("bad CI target {s:?} (want rel:R or abs:W)");
+        match s.split_once(':') {
+            Some(("rel", r)) => r.parse().map(CiTarget::Rel).map_err(|_| bad()),
+            Some(("abs", w)) => w.parse().map(CiTarget::Abs).map_err(|_| bad()),
+            _ => Err(bad()),
+        }
     }
 }
 
