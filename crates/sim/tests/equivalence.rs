@@ -30,31 +30,77 @@
 //! counter series. It was generated from the four hand-copied simulators
 //! and held byte-identical across their merge into one `Fabric`.
 //!
+//! Every scenario records the `NocConfig` it builds, and a coverage test
+//! requires each topology to run every value of the behaviour axes (both
+//! arbitration policies, each fault kind, recovery off and on, link latency
+//! {1, 2, 5}, buffer depth {1, 2, 4}) in some golden line, so a change on
+//! any axis moves a golden.
+//!
 //! Regenerate (only when an intentional behaviour change is made) with:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test -p quarc-sim --test equivalence
 //! ```
 
-use quarc_core::config::{FaultPlan, NocConfig, RecoveryPolicy};
+use quarc_core::config::{ArbPolicy, FaultPlan, NocConfig, RecoveryPolicy};
 use quarc_core::flit::TrafficClass;
 use quarc_core::ids::NodeId;
-use quarc_core::topology::QuarcOut;
+use quarc_core::topology::{QuarcOut, TopologyKind};
 use quarc_engine::mix64;
-use quarc_sim::mesh_net::MeshNetwork;
-use quarc_sim::torus_net::TorusNetwork;
 use quarc_sim::{
-    build_any, run, run_mono_outcome_deadline, AnyNet, NocSim, ProbeConfig, QuarcNetwork,
-    RunOutcome, RunSpec, SpidergonNetwork,
+    build_any, run, run_mono_outcome_deadline, NocSim, ProbeConfig, QuarcNetwork, RunOutcome,
+    RunSpec,
 };
 use quarc_workloads::{
     Bursty, BurstyConfig, MessageRequest, Synthetic, SyntheticConfig, TraceRecord, TraceWorkload,
     Workload,
 };
+use std::cell::RefCell;
+use std::sync::LazyLock;
 
 const GOLDEN: &str = include_str!("goldens/metrics_equivalence.txt");
 const GOLDEN_LARGE: &str = include_str!("goldens/metrics_equivalence_large.txt");
 const GOLDEN_FAULTS: &str = include_str!("goldens/metrics_equivalence_faults.txt");
+
+const TOPOLOGIES: [TopologyKind; 4] =
+    [TopologyKind::Quarc, TopologyKind::Spidergon, TopologyKind::Mesh, TopologyKind::Torus];
+
+/// The `n`-node network of `topo` with paper defaults.
+fn paper(topo: TopologyKind, n: usize) -> NocConfig {
+    NocConfig { kind: topo, n, ..NocConfig::default() }
+}
+
+thread_local! {
+    /// The config of every network the scenario set running on this thread
+    /// has built.
+    static BUILT: RefCell<Vec<NocConfig>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `cfg`, recorded as built (every scenario builds its network through
+/// this, so the coverage test sees what the goldens run).
+fn built(cfg: NocConfig) -> NocConfig {
+    BUILT.with_borrow_mut(|configs| configs.push(cfg));
+    cfg
+}
+
+/// A scenario set's golden text and the config of every network it built.
+struct Goldens {
+    text: String,
+    configs: Vec<NocConfig>,
+}
+
+/// Run `set` once on this thread, recording what it builds.
+fn recorded(set: fn() -> String) -> Goldens {
+    BUILT.take();
+    let text = set();
+    Goldens { text, configs: BUILT.take() }
+}
+
+// Each set runs once per test binary, shared by its golden test and the
+// coverage test.
+static SMALL: LazyLock<Goldens> = LazyLock::new(|| recorded(scenarios));
+static LARGE: LazyLock<Goldens> = LazyLock::new(|| recorded(large_scenarios));
+static FAULTS: LazyLock<Goldens> = LazyLock::new(|| recorded(fault_scenarios));
 
 /// One scenario line: run `cycles` of injection, then drain up to `drain`
 /// cycles, and render every metric the figures consume.
@@ -157,71 +203,41 @@ fn scenarios() -> String {
 
     // Synthetic (the paper's Bernoulli workload) on every topology — β > 0
     // everywhere now that mesh/torus carry collectives.
-    for (name, mk, beta) in [
-        ("quarc/synthetic", 0u8, 0.1),
-        ("spidergon/synthetic", 1, 0.1),
-        ("mesh/synthetic", 2, 0.1),
-        ("torus/synthetic", 3, 0.1),
-    ] {
-        let mut net = match mk {
-            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(16))),
-            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(16))),
-            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(16))),
-            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(16))),
-        };
-        let n = net.num_nodes();
-        let mut wl = Synthetic::new(n, SyntheticConfig::paper(0.03, 8, beta, 0xA5A5));
-        out.push_str(&run_scenario(name, &mut net, &mut wl, 3_000));
+    for topo in TOPOLOGIES {
+        let mut net = build_any(built(paper(topo, 16)));
+        let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.03, 8, 0.1, 0xA5A5));
+        out.push_str(&run_scenario(&format!("{topo}/synthetic"), &mut net, &mut wl, 3_000));
     }
 
     // Bursty on/off traffic (stresses same-cycle multi-message polling).
-    for (name, mk, bfrac) in [
-        ("quarc/bursty", 0u8, 0.08),
-        ("spidergon/bursty", 1, 0.08),
-        ("mesh/bursty", 2, 0.08),
-        ("torus/bursty", 3, 0.08),
-    ] {
-        let mut net = match mk {
-            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(16))),
-            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(16))),
-            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(16))),
-            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(16))),
-        };
-        let n = net.num_nodes();
+    for topo in TOPOLOGIES {
+        let mut net = build_any(built(paper(topo, 16)));
         let cfg = BurstyConfig {
             peak_rate: 0.25,
             mean_on: 30.0,
             mean_off: 90.0,
-            broadcast_frac: bfrac,
+            broadcast_frac: 0.08,
             short_len: 2,
             long_len: 12,
             long_frac: 0.4,
             seed: 0xBEEF,
             ..Default::default()
         };
-        let mut wl = Bursty::new(n, cfg);
-        out.push_str(&run_scenario(name, &mut net, &mut wl, 3_000));
+        let mut wl = Bursty::new(16, cfg);
+        out.push_str(&run_scenario(&format!("{topo}/bursty"), &mut net, &mut wl, 3_000));
     }
 
     // Fixed traces (exact replay; multicast and broadcast on every model).
-    for (name, mk) in
-        [("quarc/trace", 0u8), ("spidergon/trace", 1), ("mesh/trace", 2), ("torus/trace", 3)]
-    {
-        let mut net = match mk {
-            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(16))),
-            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(16))),
-            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(16))),
-            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(16))),
-        };
-        let n = net.num_nodes();
-        let mut wl = TraceWorkload::new(n, mixed_trace(n, true));
-        out.push_str(&run_scenario(name, &mut net, &mut wl, 400));
+    for topo in TOPOLOGIES {
+        let mut net = build_any(built(paper(topo, 16)));
+        let mut wl = TraceWorkload::new(16, mixed_trace(16, true));
+        out.push_str(&run_scenario(&format!("{topo}/trace"), &mut net, &mut wl, 400));
     }
 
     // Larger Quarc near saturation: deep wormhole contention, VC arbitration
     // and credit stalls all active.
     {
-        let mut net = QuarcNetwork::new(NocConfig::quarc(32).with_buffer_depth(2));
+        let mut net = QuarcNetwork::new(built(NocConfig::quarc(32).with_buffer_depth(2)));
         let mut wl = Synthetic::new(32, SyntheticConfig::paper(0.09, 8, 0.05, 0x5EED));
         out.push_str(&run_scenario("quarc/near-sat", &mut net, &mut wl, 4_000));
     }
@@ -230,13 +246,8 @@ fn scenarios() -> String {
     // carries several flits at once. The paper's workload and the mixed trace
     // on every topology, appended so no earlier line moves.
     for latency in [2, 5] {
-        for (topo, base) in [
-            ("quarc", NocConfig::quarc(16)),
-            ("spidergon", NocConfig::spidergon(16)),
-            ("mesh", NocConfig::mesh(16)),
-            ("torus", NocConfig::torus(16)),
-        ] {
-            let cfg = NocConfig { link_latency: latency, ..base };
+        for topo in TOPOLOGIES {
+            let cfg = built(NocConfig { link_latency: latency, ..paper(topo, 16) });
             let mut net = build_any(cfg);
             let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.02, 8, 0.1, 0x1A7));
             let name = format!("{topo}/latency{latency}/synthetic");
@@ -244,6 +255,24 @@ fn scenarios() -> String {
             let (mut net, name) = (build_any(cfg), format!("{topo}/latency{latency}/trace"));
             let mut wl = TraceWorkload::new(16, mixed_trace(16, true));
             out.push_str(&run_scenario(&name, &mut net, &mut wl, 400));
+        }
+    }
+
+    // Fixed-priority arbitration, and buffers of depth 1 and 2 (every line
+    // above runs round-robin at depth 4, near-sat aside): the synthetic
+    // lines' workload, so each differs from `<topology>/synthetic` in one
+    // axis only. Appended so no earlier line moves.
+    for (variant, arb, depth) in [
+        ("fp", ArbPolicy::FixedPriority, 4),
+        ("depth1", ArbPolicy::RoundRobin, 1),
+        ("depth2", ArbPolicy::RoundRobin, 2),
+    ] {
+        for topo in TOPOLOGIES {
+            let mut net =
+                build_any(built(NocConfig { arb, buffer_depth: depth, ..paper(topo, 16) }));
+            let mut wl = Synthetic::new(16, SyntheticConfig::paper(0.03, 8, 0.1, 0xA5A5));
+            let name = format!("{topo}/{variant}/synthetic");
+            out.push_str(&run_scenario(&name, &mut net, &mut wl, 3_000));
         }
     }
 
@@ -256,21 +285,17 @@ fn scenarios() -> String {
 /// working tree is clean.
 fn large_scenarios() -> String {
     let mut out = String::new();
-    for (name, mk, n, rate, cycles) in [
-        ("quarc/n256-trickle", 0u8, 256usize, 0.002, 2_500u64),
-        ("spidergon/n256-trickle", 1, 256, 0.002, 2_000),
-        ("mesh/n256-trickle", 2, 256, 0.002, 2_000),
-        ("torus/n256-trickle", 3, 256, 0.002, 2_000),
-        ("quarc/n1024-trickle", 0, 1024, 0.002, 1_200),
+    let [quarc, spidergon, mesh, torus] = TOPOLOGIES;
+    for (name, topo, n, rate, cycles) in [
+        ("quarc/n256-trickle", quarc, 256usize, 0.002, 2_500u64),
+        ("spidergon/n256-trickle", spidergon, 256, 0.002, 2_000),
+        ("mesh/n256-trickle", mesh, 256, 0.002, 2_000),
+        ("torus/n256-trickle", torus, 256, 0.002, 2_000),
+        ("quarc/n1024-trickle", quarc, 1024, 0.002, 1_200),
     ] {
-        let mut net = match mk {
-            0 => AnyNet::Quarc(QuarcNetwork::new(NocConfig::quarc(n))),
-            1 => AnyNet::Spidergon(SpidergonNetwork::new(NocConfig::spidergon(n))),
-            2 => AnyNet::Grid(MeshNetwork::new(NocConfig::mesh(n))),
-            _ => AnyNet::Grid(TorusNetwork::new(NocConfig::torus(n))),
-        };
+        let mut net = build_any(built(paper(topo, n)));
         let nodes = net.num_nodes();
-        let beta = if mk == 1 { 0.02 } else { 0.05 };
+        let beta = if topo == spidergon { 0.02 } else { 0.05 };
         let mut wl = Synthetic::new(nodes, SyntheticConfig::paper(rate, 8, beta, 0xA5A5));
         out.push_str(&run_scenario(name, &mut net, &mut wl, cycles));
     }
@@ -400,7 +425,7 @@ fn fault_scenarios() -> String {
                 if plan_name == "frozen" && rec_name == "on" {
                     continue;
                 }
-                let mut net = build_any(base.with_fault(plan).with_recovery(rec));
+                let mut net = build_any(built(base.with_fault(plan).with_recovery(rec)));
                 net.probe_mut().configure(ProbeConfig::all(1 << 12));
                 let n = net.num_nodes();
                 let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, 6, 0.1, 0xFA17));
@@ -428,7 +453,7 @@ fn fault_scenarios() -> String {
     let trace_spec = RunSpec { warmup: 0, measure: 400, ..spec };
     for (topo, base, _) in topologies {
         for (rec_name, rec) in recoveries {
-            let mut net = build_any(base.with_fault(trace_plan).with_recovery(rec));
+            let mut net = build_any(built(base.with_fault(trace_plan).with_recovery(rec)));
             net.probe_mut().configure(ProbeConfig::all(1 << 12));
             let n = net.num_nodes();
             let mut wl = TraceWorkload::new(n, mixed_trace(n, true));
@@ -439,7 +464,7 @@ fn fault_scenarios() -> String {
     // Quarc's explicit link-stall API: lossless windows the credit flow
     // control must absorb, opening and closing with the clock.
     {
-        let mut net = QuarcNetwork::new(NocConfig::quarc(16).with_buffer_depth(2));
+        let mut net = QuarcNetwork::new(built(NocConfig::quarc(16).with_buffer_depth(2)));
         net.inject_link_stall(NodeId(0), QuarcOut::RimCw, 400, 900);
         net.inject_link_stall(NodeId(8), QuarcOut::RimCcw, 600, 2_200);
         net.inject_link_stall(NodeId(3), QuarcOut::CrossRight, 2, 500);
@@ -472,7 +497,7 @@ fn fault_scenarios() -> String {
         ),
         ("mesh/33x33-slab-rows/off", NocConfig::mesh(1089), &[0, 544, 1088], &mesh_offsets),
     ] {
-        let mut net = build_any(base.with_fault(slab_plan));
+        let mut net = build_any(built(base.with_fault(slab_plan)));
         net.probe_mut().configure(ProbeConfig::all(1 << 12));
         let n = net.num_nodes();
         let mut records = Vec::new();
@@ -505,7 +530,8 @@ fn fault_scenarios() -> String {
     for latency in [2, 5] {
         for (topo, base, rate) in topologies {
             let cfg = NocConfig { link_latency: latency, ..base };
-            let mut net = build_any(cfg.with_fault(mixed_plan).with_recovery(recoveries[1].1));
+            let cfg = built(cfg.with_fault(mixed_plan).with_recovery(recoveries[1].1));
+            let mut net = build_any(cfg);
             net.probe_mut().configure(ProbeConfig::all(1 << 12));
             let mut wl = Synthetic::new(16, SyntheticConfig::paper(rate, 6, 0.1, 0xFA17));
             let outcome = run_mono_outcome_deadline(&mut net, &mut wl, &spec, None);
@@ -518,11 +544,11 @@ fn fault_scenarios() -> String {
 
 #[test]
 fn fault_recovery_metrics_are_bit_identical_to_goldens() {
-    let got = fault_scenarios();
+    let got = &FAULTS.text;
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         let path =
             concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/metrics_equivalence_faults.txt");
-        std::fs::write(path, &got).expect("write goldens");
+        std::fs::write(path, got).expect("write goldens");
         eprintln!("fault goldens updated at {path}");
         return;
     }
@@ -535,10 +561,10 @@ fn fault_recovery_metrics_are_bit_identical_to_goldens() {
 
 #[test]
 fn metrics_are_bit_identical_to_goldens() {
-    let got = scenarios();
+    let got = &SMALL.text;
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/metrics_equivalence.txt");
-        std::fs::write(path, &got).expect("write goldens");
+        std::fs::write(path, got).expect("write goldens");
         eprintln!("goldens updated at {path}");
         return;
     }
@@ -551,11 +577,11 @@ fn metrics_are_bit_identical_to_goldens() {
 
 #[test]
 fn large_n_metrics_are_bit_identical_to_goldens() {
-    let got = large_scenarios();
+    let got = &LARGE.text;
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         let path =
             concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/metrics_equivalence_large.txt");
-        std::fs::write(path, &got).expect("write goldens");
+        std::fs::write(path, got).expect("write goldens");
         eprintln!("large-n goldens updated at {path}");
         return;
     }
@@ -564,4 +590,36 @@ fn large_n_metrics_are_bit_identical_to_goldens() {
         "large-n simulation output diverged from its goldens; \
          if the change is intentional, regenerate with UPDATE_GOLDENS=1"
     );
+}
+
+/// Every value of every `NocConfig` axis runs on every topology in at least
+/// one golden line, so a behaviour change on any axis moves a golden.
+#[test]
+fn goldens_cover_every_axis_value_on_every_topology() {
+    type Axis = (&'static str, fn(&NocConfig) -> bool);
+    let axes: [Axis; 14] = [
+        ("arb=rr", |c| c.arb == ArbPolicy::RoundRobin),
+        ("arb=fp", |c| c.arb == ArbPolicy::FixedPriority),
+        ("fault=dead", |c| c.fault.dead_links > 0),
+        ("fault=lossy", |c| c.fault.lossy_links > 0 && c.fault.drop_per_64k > 0),
+        ("fault=transient", |c| c.fault.transient_links > 0 && c.fault.transient_cycles > 0),
+        ("fault=frozen", |c| c.fault.frozen_routers > 0),
+        ("recovery=off", |c| !c.recovery.enabled()),
+        ("recovery=on", |c| c.recovery.enabled()),
+        ("link=1", |c| c.link_latency == 1),
+        ("link=2", |c| c.link_latency == 2),
+        ("link=5", |c| c.link_latency == 5),
+        ("depth=1", |c| c.buffer_depth == 1),
+        ("depth=2", |c| c.buffer_depth == 2),
+        ("depth=4", |c| c.buffer_depth == 4),
+    ];
+    let configs: Vec<&NocConfig> =
+        [&*SMALL, &*LARGE, &*FAULTS].into_iter().flat_map(|set| &set.configs).collect();
+    let missing: Vec<String> = TOPOLOGIES
+        .into_iter()
+        .flat_map(|topo| axes.map(|(value, has)| (topo, value, has)))
+        .filter(|&(topo, _, has)| !configs.iter().any(|c| c.kind == topo && has(c)))
+        .map(|(topo, value, _)| format!("{topo} {value}"))
+        .collect();
+    assert!(missing.is_empty(), "no golden line runs {} pairs: {missing:?}", missing.len());
 }
