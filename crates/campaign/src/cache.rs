@@ -3,10 +3,13 @@
 //! Every point's work is stored in `<dir>/<hash16>.json`, keyed by the
 //! FNV-1a hash of the point's canonical *merge key* (which deliberately
 //! excludes the replication protocol — see `CampaignPoint::merge_key`). The
-//! full key is echoed inside the entry and verified on load, so a
-//! (vanishingly unlikely) hash collision or a stale file from an
-//! incompatible format version degrades to a cache miss, never to wrong
-//! numbers.
+//! entry's `key` is the full merge key tagged with the simulator behaviour
+//! that computed it, `<merge key>|beh=<hex>` ([`BEHAVIOUR`], a fingerprint
+//! of the simulator's equivalence goldens), and it is verified on load. A
+//! (vanishingly unlikely) hash collision, a stale file from an incompatible
+//! format version, or an entry from a simulator whose goldens differ from
+//! this build's therefore degrades to a cache miss, never to wrong numbers,
+//! and the next store replaces the entry in place.
 //!
 //! Fixed-rate points store their **replication series** — one
 //! [`RepOutcome`] per seed, in replication-index order — rather than a
@@ -27,14 +30,22 @@
 //! kind, or a payload that does not decode is a miss, never a panic.
 
 use crate::artifact::write_atomically;
+use crate::hash::BEHAVIOUR;
 use crate::json::{read_fields, Decode, Encode, Parsed, Reader, Writer};
 use crate::replicate::RepOutcome;
 use crate::saturation::SaturationResult;
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Initial buffer of an entry: a series of a few replications fits.
 const ENTRY_RESERVE: usize = 16 << 10;
+
+/// An entry's `key`: `merge_key` tagged with the simulator behaviour that
+/// computed the entry.
+fn entry_key(merge_key: &str) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| write!(f, "{merge_key}|beh={BEHAVIOUR:016x}"))
+}
 
 /// A directory of cached point outcomes.
 #[derive(Debug, Clone)]
@@ -60,7 +71,8 @@ impl ResultCache {
     }
 
     /// Decode the payload of the entry at `hash` with `decode`, if the
-    /// entry's `key` is `merge_key` and its `kind` is `entry_kind`.
+    /// entry's `key` is `merge_key` under this build's behaviour and its
+    /// `kind` is `entry_kind`.
     fn load<T>(
         &self,
         hash: u64,
@@ -69,10 +81,10 @@ impl ResultCache {
         decode: fn(&mut Reader<'_>) -> Parsed<T>,
     ) -> Option<T> {
         let text = std::fs::read_to_string(self.path_for(hash)).ok()?;
-        let r = &mut Reader::new(&text);
+        let (r, entry_key) = (&mut Reader::new(&text), entry_key(merge_key).to_string());
         (|| -> Parsed<T> {
             read_fields!(r {
-                key: |r| r.expect_str(merge_key),
+                key: |r| r.expect_str(&entry_key),
                 kind: |r| r.expect_str(entry_kind),
                 payload: decode,
             });
@@ -91,7 +103,8 @@ impl ResultCache {
         payload: impl Encode,
     ) -> io::Result<()> {
         let mut w = Writer::pretty(ENTRY_RESERVE);
-        w.open('{').field("key", merge_key).field("kind", kind).field("payload", payload);
+        w.open('{').key("key").display(entry_key(merge_key));
+        w.field("kind", kind).field("payload", payload);
         w.close('}');
         write_atomically(&self.path_for(hash), w.finish().as_bytes())
     }
@@ -217,6 +230,29 @@ mod tests {
         cache.store_series(7, "the-real-key", &sample_series(1)).unwrap();
         assert_eq!(cache.load_series(7, "a-colliding-key"), None);
         assert_eq!(cache.load_series(8, "the-real-key"), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entry_of_another_behaviour_is_a_miss_and_is_replaced_in_place() {
+        let dir = unique_dir("behaviour");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::open(&dir).unwrap();
+        let series = sample_series(1);
+        cache.store_series(3, "k", &series).unwrap();
+        let text = std::fs::read_to_string(cache.path_for(3)).unwrap();
+        let current = format!("\"key\": \"k|beh={BEHAVIOUR:016x}\"");
+        assert!(text.contains(&current), "{text}");
+        // Another simulator's entry, and one written before entries were
+        // tagged.
+        for stale in ["\"key\": \"k|beh=0000000000000000\"", "\"key\": \"k\""] {
+            std::fs::write(cache.path_for(3), text.replace(&current, stale)).unwrap();
+            assert_eq!(cache.load_series(3, "k"), None, "{stale} was served");
+        }
+        // The re-simulated series replaces the stale entry.
+        cache.store_series(3, "k", &series).unwrap();
+        assert_eq!(files(&cache), 1);
+        assert_eq!(cache.load_series(3, "k"), Some(series));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,4 +1,6 @@
-//! Stable content hashing for cache keys and RNG substream selection.
+//! Stable content hashing for cache keys and RNG substream selection, and
+//! the fingerprint of the simulator behaviour that cache entries are tagged
+//! with.
 //!
 //! `std::hash` is deliberately not used: `DefaultHasher` is documented as
 //! unstable across releases, and a cache key must survive toolchain bumps.
@@ -6,14 +8,33 @@
 //! points a campaign expands to.
 
 /// 64-bit FNV-1a over `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
+pub const fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a over `bytes`, continuing from `h`, the hash of what precedes
+/// them.
+const fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        i += 1;
     }
     h
 }
+
+/// The simulator behaviour this build was checked against: FNV-1a over the
+/// three equivalence golden files of `quarc-sim`, computed at compile time.
+/// Every result-cache entry is tagged with it, so a change that regenerates
+/// a golden retires every cached number, and a change that moves no golden
+/// keeps them all.
+pub const BEHAVIOUR: u64 = {
+    let h = fnv1a64(include_bytes!("../../sim/tests/goldens/metrics_equivalence.txt"));
+    let h =
+        fnv1a64_from(h, include_bytes!("../../sim/tests/goldens/metrics_equivalence_large.txt"));
+    fnv1a64_from(h, include_bytes!("../../sim/tests/goldens/metrics_equivalence_faults.txt"))
+};
 
 #[cfg(test)]
 mod tests {
@@ -25,6 +46,23 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn the_seeded_form_continues_the_hash() {
+        assert_eq!(fnv1a64_from(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn behaviour_hashes_the_three_sim_goldens_in_order() {
+        let goldens = concat!(env!("CARGO_MANIFEST_DIR"), "/../sim/tests/goldens");
+        let bytes: Vec<u8> = ["", "_large", "_faults"]
+            .iter()
+            .flat_map(|set| {
+                std::fs::read(format!("{goldens}/metrics_equivalence{set}.txt")).unwrap()
+            })
+            .collect();
+        assert_eq!(BEHAVIOUR, fnv1a64(&bytes));
     }
 
     #[test]

@@ -81,7 +81,9 @@ pub struct PointResult {
     pub label: String,
     /// The expanded point (grid coordinates + work).
     pub point: CampaignPoint,
-    /// Content hash (cache key / RNG substream).
+    /// Hash of the point's content key: the artifact's identity for its
+    /// results (the cache key and RNG substream derive from the merge key
+    /// instead).
     pub content_hash: u64,
     /// Whether this record was served from the result cache.
     pub from_cache: bool,

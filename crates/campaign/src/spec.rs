@@ -167,9 +167,10 @@ pub struct CampaignSpec {
     pub buffer_depths: Vec<usize>,
     /// Link-latency axis (cycles).
     pub link_latencies: Vec<u64>,
-    /// Output-arbitration-policy axis (the DESIGN.md §6 ablation; consulted
-    /// by the Quarc model only, but part of every point's identity so the
-    /// cache can never serve a round-robin result for a fixed-priority run).
+    /// Output-arbitration-policy axis (the DESIGN.md §6 ablation), applied
+    /// by every topology's routers and part of every point's identity, so
+    /// the cache can never serve a round-robin result for a fixed-priority
+    /// run.
     pub arbs: Vec<ArbPolicy>,
     /// Fault-schedule axis ([`FaultPlan::NONE`] = healthy network). Fault
     /// plans are deterministic, so faulted points cache and replicate
@@ -565,16 +566,12 @@ impl CampaignPoint {
     /// entry up from where it stopped, and a smaller fixed request is a
     /// prefix of a larger cached series — bit-identical either way.
     ///
-    /// Bump the version token when any result-affecting behaviour changes
-    /// (RNG algorithm, run protocol, merge rules) — it invalidates every
-    /// existing cache entry. `v3` split the replication protocol out of the
-    /// key (it previously re-keyed — and re-seeded — every point). `v4`
-    /// added the fault-plan axis and the stall-watchdog window to every
-    /// point's identity (and [`crate::replicate::RepOutcome`] grew
-    /// delivered-fraction accounting, so pre-fault series must not be
-    /// served). `v5` added the recovery-policy axis (and `RepOutcome` grew
-    /// retransmission accounting, so pre-recovery series must not be
-    /// served either).
+    /// The leading `quarc-campaign v5` is a frozen RNG salt, not a version:
+    /// never bump it, because the hash seeds every replication and a bump
+    /// would move every result. A change of simulator behaviour retires
+    /// cache entries through the behaviour tag that the cache adds to each
+    /// entry's key ([`crate::hash::BEHAVIOUR`]), which leaves this key and
+    /// the seeds alone.
     pub fn merge_key(&self, spec: &CampaignSpec) -> String {
         let c = &self.curve;
         let work = match self.work {
@@ -605,7 +602,8 @@ impl CampaignPoint {
         )
     }
 
-    /// FNV-1a hash of the merge key: the cache key and RNG substream id.
+    /// FNV-1a hash of the merge key: the cache file name and RNG substream
+    /// id.
     pub fn merge_hash(&self, spec: &CampaignSpec) -> u64 {
         fnv1a64(self.merge_key(spec).as_bytes())
     }
