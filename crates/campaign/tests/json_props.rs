@@ -287,11 +287,19 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(path).unwrap()
 }
 
-/// How the value tree reads a series entry: the reference the cache's pull
-/// decoder must agree with on every input.
-fn series_via_tree(text: &str, merge_key: &str) -> Option<Vec<RepOutcome>> {
+/// A committed entry's stored key, and the merge key it was stored under:
+/// the stored key without its `|beh=` behaviour tag.
+fn keys(text: &str) -> (String, String) {
+    let key = Json::parse(text).unwrap().get("key").and_then(Json::as_str).unwrap().to_owned();
+    let merge_key = key.rsplit_once("|beh=").expect("a behaviour-tagged key").0.to_owned();
+    (key, merge_key)
+}
+
+/// How the value tree reads a series entry stored under `entry_key`: the
+/// reference the cache's pull decoder must agree with on every input.
+fn series_via_tree(text: &str, entry_key: &str) -> Option<Vec<RepOutcome>> {
     let entry = Json::parse(text).ok()?;
-    if entry.get("key")?.as_str()? != merge_key || entry.get("kind")?.as_str()? != "reps" {
+    if entry.get("key")?.as_str()? != entry_key || entry.get("kind")?.as_str()? != "reps" {
         return None;
     }
     let hist = |v: &Json| {
@@ -328,14 +336,14 @@ fn series_via_tree(text: &str, merge_key: &str) -> Option<Vec<RepOutcome>> {
 /// disagreement).
 fn check_substitutions(tag: &str, bytes: &[u8]) {
     let text = golden("golden-fixed.cache.json");
-    let key = Json::parse(&text).unwrap().get("key").and_then(Json::as_str).unwrap().to_owned();
+    let (key, merge_key) = keys(&text);
     let cache = temp_cache(&format!("substitute-{tag}"));
     for &byte in bytes {
         for at in 0..text.len() {
             let mut entry = text.clone().into_bytes();
             entry[at] = byte;
             std::fs::write(entry_path(&cache, 3), &entry).unwrap();
-            let got = cache.load_series(3, &key);
+            let got = cache.load_series(3, &merge_key);
             let want = std::str::from_utf8(&entry).ok().and_then(|t| series_via_tree(t, &key));
             assert!(same_bits(&got, &want), "byte {byte:#x} at {at}");
         }
@@ -356,7 +364,7 @@ fn truncated_entries_miss() {
     let cache = temp_cache("truncate");
     for name in ["golden-fixed.cache.json", "golden-sat.cache.json"] {
         let text = golden(name);
-        let key = Json::parse(&text).unwrap().get("key").and_then(Json::as_str).unwrap().to_owned();
+        let (_, key) = keys(&text);
         let load = || match name {
             "golden-sat.cache.json" => cache.load_saturation(1, &key).map(|s| format!("{s:?}")),
             _ => cache.load_series(1, &key).map(|s| format!("{s:?}")),
