@@ -392,11 +392,11 @@ mod tests {
 }
 "#;
 
-    const CSV: &str = r#"id,topology,n,msg_len,beta,buffer_depth,link_latency,arb,kind,rate,reps,unicast_mean,unicast_ci95,unicast_p95,unicast_samples,bcast_reception_mean,bcast_completion_mean,bcast_completion_ci95,bcast_completion_p95,bcast_samples,throughput,delivered_fraction,undeliverable,retransmissions,recovered_receivers,saturated,converged
-0,quarc,8,16,0.05,4,1,rr,rate,0.01,3,20.5,NaN,-,1234,30,45.25,2,127,56,0.08,1,0,9,5,false,false
-1,quarc,8,16,0.05,4,1,rr,saturation,0.021,-,-,-,-,-,-,-,-,-,-,-,-,-,-,1,-,-
-2,quarc,8,16,0.05,4,1,rr,stalled,0.02,1,-,-,-,-,-,-,-,-,-,-,-,-,-,-,cycle=4200,-
-3,quarc,8,16,0.05,4,1,rr,failed,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-
+    const CSV: &str = r#"id,topology,n,msg_len,beta,buffer_depth,link_latency,arb,fault,recovery,kind,rate,reps,unicast_mean,unicast_ci95,unicast_p95,unicast_samples,bcast_reception_mean,bcast_completion_mean,bcast_completion_ci95,bcast_completion_p95,bcast_samples,throughput,delivered_fraction,undeliverable,retransmissions,recovered_receivers,saturated,converged
+0,quarc,8,16,0.05,4,1,rr,s3o200d0f2l0p0t0w0,-,rate,0.01,3,20.5,NaN,-,1234,30,45.25,2,127,56,0.08,1,0,9,5,false,false
+1,quarc,8,16,0.05,4,1,rr,s3o200d0f2l0p0t0w0,-,saturation,0.021,-,-,-,-,-,-,-,-,-,-,-,-,-,-,1,-,-
+2,quarc,8,16,0.05,4,1,rr,s3o200d0f2l0p0t0w0,-,stalled,0.02,1,-,-,-,-,-,-,-,-,-,-,-,-,-,-,cycle=4200,-
+3,quarc,8,16,0.05,4,1,rr,s3o200d0f2l0p0t0w0,-,failed,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-
 "#;
 
     /// The artifact bytes of every outcome kind, pinned as literal text: the

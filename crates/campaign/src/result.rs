@@ -135,8 +135,17 @@ impl PointResult {
         let c = &self.point.curve;
         write!(
             out,
-            "{},{},{},{},{},{},{},{},",
-            self.id, c.topology, c.n, c.msg_len, c.beta, c.buffer_depth, c.link_latency, c.arb
+            "{},{},{},{},{},{},{},{},{},{},",
+            self.id,
+            c.topology,
+            c.n,
+            c.msg_len,
+            c.beta,
+            c.buffer_depth,
+            c.link_latency,
+            c.arb,
+            c.fault,
+            c.recovery
         )
         .and_then(|()| match &self.outcome {
             PointOutcomeKind::Rate { rate, merged: m } => writeln!(
@@ -189,7 +198,7 @@ impl PointResult {
 
     /// The CSV header matching [`Self::csv_row`].
     pub fn csv_header() -> &'static str {
-        "id,topology,n,msg_len,beta,buffer_depth,link_latency,arb,kind,rate,reps,\
+        "id,topology,n,msg_len,beta,buffer_depth,link_latency,arb,fault,recovery,kind,rate,reps,\
          unicast_mean,unicast_ci95,unicast_p95,unicast_samples,bcast_reception_mean,\
          bcast_completion_mean,bcast_completion_ci95,bcast_completion_p95,bcast_samples,\
          throughput,delivered_fraction,undeliverable,retransmissions,recovered_receivers,\
@@ -208,8 +217,10 @@ impl PointResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{Decode, Reader};
+    use crate::json::{Decode, Json, Reader};
     use crate::replicate::{Converged, MeanCi};
+    use crate::spec::{CampaignSpec, RateAxis};
+    use quarc_core::config::{FaultPlan, RecoveryPolicy};
 
     fn compact(value: &impl Encode) -> String {
         let mut w = Writer::compact(0);
@@ -255,9 +266,61 @@ mod tests {
         assert!(SaturationResult::decode(&mut Reader::new(&failed)).is_err());
     }
 
+    /// A failed result for each point of `spec`, which needs no simulation.
+    fn failed_results(spec: &CampaignSpec) -> Vec<PointResult> {
+        let points = spec.expand().unwrap().points;
+        let result = |(id, point): (usize, CampaignPoint)| PointResult {
+            id,
+            label: PointResult::label_for(&point),
+            point,
+            content_hash: id as u64,
+            from_cache: false,
+            outcome: PointOutcomeKind::Failed { reason: "boom".into() },
+        };
+        points.into_iter().enumerate().map(result).collect()
+    }
+
+    /// Every identity field of the JSON record (all but the label, which is
+    /// derived from them, the content hash and the outcome) has a CSV column.
+    #[test]
+    fn csv_header_names_every_identity_field_of_the_json_record() {
+        let mut spec = CampaignSpec::new("csv");
+        spec.rates = RateAxis::Explicit(vec![0.01]);
+        let Json::Obj(fields) = Json::parse(&compact(&failed_results(&spec)[0])).unwrap() else {
+            panic!("a point's record is an object");
+        };
+        let header: Vec<&str> = PointResult::csv_header().split(',').collect();
+        for (name, _) in fields {
+            let identity = !["label", "content_hash", "outcome"].contains(&name.as_str());
+            assert!(!identity || header.contains(&name.as_str()), "no CSV column for {name}");
+        }
+    }
+
+    /// Fault and recovery points that share every other axis stay apart in
+    /// the CSV.
+    #[test]
+    fn csv_label_columns_tell_fault_and_recovery_points_apart() {
+        let mut spec = CampaignSpec::new("csv");
+        spec.rates = RateAxis::Explicit(vec![0.01]);
+        spec.faults = vec![
+            FaultPlan::NONE,
+            FaultPlan { seed: 7, lossy_links: 2, drop_per_64k: 2_000, ..FaultPlan::NONE },
+        ];
+        spec.recoveries =
+            vec![RecoveryPolicy::NONE, RecoveryPolicy { ack_timeout: 600, ..RecoveryPolicy::NONE }];
+        let results = failed_results(&spec);
+        let kind = PointResult::csv_header().split(',').position(|c| c == "kind").unwrap();
+        let mut labels: Vec<Vec<String>> = results
+            .iter()
+            .map(|r| r.csv_row().split(',').take(kind).skip(1).map(str::to_owned).collect())
+            .collect();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), results.len(), "rows share their label columns: {labels:?}");
+    }
+
     #[test]
     fn csv_row_matches_header_width() {
-        use crate::spec::{CampaignSpec, RateAxis};
         let mut spec = CampaignSpec::new("csv");
         spec.rates = RateAxis::Explicit(vec![0.01]);
         let point = spec.expand().unwrap().points[0];
