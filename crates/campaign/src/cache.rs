@@ -3,13 +3,11 @@
 //! Every point's work is stored in `<dir>/<hash16>.json`, keyed by the
 //! FNV-1a hash of the point's canonical *merge key* (which deliberately
 //! excludes the replication protocol — see `CampaignPoint::merge_key`). The
-//! entry's `key` is the full merge key tagged with the simulator behaviour
-//! that computed it, `<merge key>|beh=<hex>` ([`BEHAVIOUR`], a fingerprint
-//! of the simulator's equivalence goldens), and it is verified on load. A
-//! (vanishingly unlikely) hash collision, a stale file from an incompatible
-//! format version, or an entry from a simulator whose goldens differ from
-//! this build's therefore degrades to a cache miss, never to wrong numbers,
-//! and the next store replaces the entry in place.
+//! entry's key, `<merge key>|beh=<hex>`, adds the simulator [`BEHAVIOUR`]
+//! that computed it and is verified on load, so a (vanishingly unlikely)
+//! hash collision, a stale file of an older format or an entry of another
+//! simulator behaviour degrades to a miss, never to wrong numbers, and the
+//! next store replaces it in place.
 //!
 //! Fixed-rate points store their **replication series** — one
 //! [`RepOutcome`] per seed, in replication-index order — rather than a
@@ -34,7 +32,6 @@ use crate::hash::BEHAVIOUR;
 use crate::json::{read_fields, Decode, Encode, Parsed, Reader, Writer};
 use crate::replicate::RepOutcome;
 use crate::saturation::SaturationResult;
-use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -43,8 +40,8 @@ const ENTRY_RESERVE: usize = 16 << 10;
 
 /// An entry's `key`: `merge_key` tagged with the simulator behaviour that
 /// computed the entry.
-fn entry_key(merge_key: &str) -> impl fmt::Display + '_ {
-    fmt::from_fn(move |f| write!(f, "{merge_key}|beh={BEHAVIOUR:016x}"))
+fn entry_key(merge_key: &str) -> impl std::fmt::Display + '_ {
+    std::fmt::from_fn(move |f| write!(f, "{merge_key}|beh={BEHAVIOUR:016x}"))
 }
 
 /// A directory of cached point outcomes.
@@ -71,8 +68,7 @@ impl ResultCache {
     }
 
     /// Decode the payload of the entry at `hash` with `decode`, if the
-    /// entry's `key` is `merge_key` under this build's behaviour and its
-    /// `kind` is `entry_kind`.
+    /// entry's key is `merge_key`'s [`entry_key`] and its kind `entry_kind`.
     fn load<T>(
         &self,
         hash: u64,

@@ -1,6 +1,5 @@
-//! Stable content hashing for cache keys and RNG substream selection, and
-//! the fingerprint of the simulator behaviour that cache entries are tagged
-//! with.
+//! Stable content hashing for cache keys, RNG substreams and the
+//! simulator-behaviour fingerprint.
 //!
 //! `std::hash` is deliberately not used: `DefaultHasher` is documented as
 //! unstable across releases, and a cache key must survive toolchain bumps.
@@ -12,8 +11,7 @@ pub const fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
 }
 
-/// FNV-1a over `bytes`, continuing from `h`, the hash of what precedes
-/// them.
+/// FNV-1a over `bytes`, continuing from the hash `h` of what precedes them.
 const fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     let mut i = 0;
     while i < bytes.len() {
@@ -24,11 +22,9 @@ const fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The simulator behaviour this build was checked against: FNV-1a over the
-/// three equivalence golden files of `quarc-sim`, computed at compile time.
-/// Every result-cache entry is tagged with it, so a change that regenerates
-/// a golden retires every cached number, and a change that moves no golden
-/// keeps them all.
+/// The simulator behaviour of this build: FNV-1a over `quarc-sim`'s three
+/// equivalence goldens. Cache entries are tagged with it, so regenerating a
+/// golden retires every cached number and a change that moves none keeps them.
 pub const BEHAVIOUR: u64 = {
     let h = fnv1a64(include_bytes!("../../sim/tests/goldens/metrics_equivalence.txt"));
     let h =

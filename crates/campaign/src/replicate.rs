@@ -158,10 +158,9 @@ pub struct RepOutcome {
     pub recovered_receivers: u64,
 }
 
-// The cache's form of a replication. Every field is required: an entry
-// written before the fault- and recovery-accounting fields existed carries
-// another merge key and behaviour tag, so a replication missing them is
-// corrupt.
+// The cache's form of a replication. Every field is required: entries older
+// than the fault- and recovery-accounting fields carry another merge key, so
+// a replication missing them is corrupt.
 record!(RepOutcome {
     unicast_mean,
     bcast_reception_mean,

@@ -81,9 +81,7 @@ pub struct PointResult {
     pub label: String,
     /// The expanded point (grid coordinates + work).
     pub point: CampaignPoint,
-    /// Hash of the point's content key: the artifact's identity for its
-    /// results (the cache key and RNG substream derive from the merge key
-    /// instead).
+    /// Hash of the content key: the identity of the point's results.
     pub content_hash: u64,
     /// Whether this record was served from the result cache.
     pub from_cache: bool,
@@ -135,18 +133,10 @@ impl PointResult {
         let c = &self.point.curve;
         write!(
             out,
-            "{},{},{},{},{},{},{},{},{},{},",
-            self.id,
-            c.topology,
-            c.n,
-            c.msg_len,
-            c.beta,
-            c.buffer_depth,
-            c.link_latency,
-            c.arb,
-            c.fault,
-            c.recovery
+            "{},{},{},{},{},{},{},{},",
+            self.id, c.topology, c.n, c.msg_len, c.beta, c.buffer_depth, c.link_latency, c.arb
         )
+        .and_then(|()| write!(out, "{},{},", c.fault, c.recovery))
         .and_then(|()| match &self.outcome {
             PointOutcomeKind::Rate { rate, merged: m } => writeln!(
                 out,

@@ -167,10 +167,9 @@ pub struct CampaignSpec {
     pub buffer_depths: Vec<usize>,
     /// Link-latency axis (cycles).
     pub link_latencies: Vec<u64>,
-    /// Output-arbitration-policy axis (the DESIGN.md §6 ablation), applied
-    /// by every topology's routers and part of every point's identity, so
-    /// the cache can never serve a round-robin result for a fixed-priority
-    /// run.
+    /// Output-arbitration-policy axis (the DESIGN.md §6 ablation; applied on
+    /// every topology, and part of every point's identity so the cache can
+    /// never serve a round-robin result for a fixed-priority run).
     pub arbs: Vec<ArbPolicy>,
     /// Fault-schedule axis ([`FaultPlan::NONE`] = healthy network). Fault
     /// plans are deterministic, so faulted points cache and replicate
@@ -602,8 +601,7 @@ impl CampaignPoint {
         )
     }
 
-    /// FNV-1a hash of the merge key: the cache file name and RNG substream
-    /// id.
+    /// FNV-1a hash of the merge key: the cache file name and RNG substream id.
     pub fn merge_hash(&self, spec: &CampaignSpec) -> u64 {
         fnv1a64(self.merge_key(spec).as_bytes())
     }
