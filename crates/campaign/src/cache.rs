@@ -34,15 +34,14 @@ use crate::replicate::RepOutcome;
 use crate::saturation::SaturationResult;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::LazyLock;
 
 /// Initial buffer of an entry: a series of a few replications fits.
 const ENTRY_RESERVE: usize = 16 << 10;
 
-/// An entry's `key`: `merge_key` tagged with the simulator behaviour that
-/// computed the entry.
-fn entry_key(merge_key: &str) -> impl std::fmt::Display + '_ {
-    std::fmt::from_fn(move |f| write!(f, "{merge_key}|beh={BEHAVIOUR:016x}"))
-}
+/// What follows the merge key in an entry's `key`: the simulator behaviour
+/// that computed the entry.
+static TAG: LazyLock<String> = LazyLock::new(|| format!("|beh={BEHAVIOUR:016x}"));
 
 /// A directory of cached point outcomes.
 #[derive(Debug, Clone)]
@@ -68,7 +67,7 @@ impl ResultCache {
     }
 
     /// Decode the payload of the entry at `hash` with `decode`, if the
-    /// entry's key is `merge_key`'s [`entry_key`] and its kind `entry_kind`.
+    /// entry's key is `merge_key` followed by [`TAG`] and its kind is `entry_kind`.
     fn load<T>(
         &self,
         hash: u64,
@@ -77,10 +76,13 @@ impl ResultCache {
         decode: fn(&mut Reader<'_>) -> Parsed<T>,
     ) -> Option<T> {
         let text = std::fs::read_to_string(self.path_for(hash)).ok()?;
-        let (r, entry_key) = (&mut Reader::new(&text), entry_key(merge_key).to_string());
+        let r = &mut Reader::new(&text);
         (|| -> Parsed<T> {
             read_fields!(r {
-                key: |r| r.expect_str(&entry_key),
+                key: |r| {
+                    let tagged = r.str()?.strip_prefix(merge_key).is_some_and(|tag| tag == *TAG);
+                    tagged.then_some(()).ok_or_else(|| r.error("unexpected string"))
+                },
                 kind: |r| r.expect_str(entry_kind),
                 payload: decode,
             });
@@ -99,7 +101,7 @@ impl ResultCache {
         payload: impl Encode,
     ) -> io::Result<()> {
         let mut w = Writer::pretty(ENTRY_RESERVE);
-        w.open('{').key("key").display(entry_key(merge_key));
+        w.open('{').key("key").display(format_args!("{merge_key}{}", *TAG));
         w.field("kind", kind).field("payload", payload);
         w.close('}');
         write_atomically(&self.path_for(hash), w.finish().as_bytes())

@@ -10,6 +10,10 @@
 //! saturation search (`golden-sat`); each runs cold and then again from its
 //! own cache, so the cache's read path is held to the same bytes.
 //!
+//! Each cache entry's `key` line ends in the simulator-behaviour tag, a
+//! hash of `quarc-sim`'s equivalence goldens, so regenerating those moves
+//! that one line of each `.cache.json` here too.
+//!
 //! Regenerate (only when an intentional format or behaviour change is made)
 //! with:
 //!
