@@ -208,6 +208,46 @@ mod tests {
         assert_eq!(run(8, cfg, 1000), run(8, cfg, 1000));
     }
 
+    /// Every request and its poll cycle, folded into one FNV-1a digest over
+    /// three memory delays. Every fetch goes home (`miss_frac` 1.0) at a
+    /// rate that keeps several responses, some due in the same cycle,
+    /// pending at a home at once, so the digest pins the order in which
+    /// home queues release them.
+    #[test]
+    fn request_stream_is_pinned() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut deepest = 0;
+        for memory_delay in [0, 5, 20] {
+            let cfg = CoherenceConfig {
+                request_rate: 0.2,
+                miss_frac: 1.0,
+                memory_delay,
+                ..Default::default()
+            };
+            let n = 16;
+            let mut w = Coherence::new(n, cfg);
+            for now in 0..5_000 {
+                for node in 0..n {
+                    for m in w.poll(NodeId::new(node), now) {
+                        fold(now);
+                        fold(m.src.index() as u64);
+                        fold(m.dst.map_or(u64::MAX, |d| d.index() as u64));
+                        fold(m.len as u64);
+                        fold(m.class as u64);
+                    }
+                }
+                deepest = deepest.max(w.responses.iter().map(|q| q.len()).max().unwrap());
+            }
+        }
+        assert!(deepest >= 4, "home queues never held several responses: {deepest}");
+        assert_eq!(h, 0xeb96_74e3_8062_e0f7);
+    }
+
     #[test]
     fn never_sends_to_self() {
         let cfg = CoherenceConfig { request_rate: 0.3, miss_frac: 1.0, ..Default::default() };
