@@ -1,38 +1,11 @@
-//! Property tests for the simulation kernel: ordering of the event queue,
-//! statistical correctness of the accumulators, reproducibility of the RNG.
+//! Property tests for the simulation kernel: statistical correctness of the
+//! accumulators, reproducibility of the RNG.
 
 use proptest::prelude::*;
 use quarc_engine::stats::{LatencyHistogram, OnlineStats};
-use quarc_engine::{DetRng, EventQueue};
+use quarc_engine::DetRng;
 
 proptest! {
-    /// Events always pop in (time, insertion) order regardless of push order.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, (t, i));
-        }
-        let drained = q.drain_due(u64::MAX);
-        // Sorted by time; among equal times, by insertion index.
-        for w in drained.windows(2) {
-            prop_assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
-        }
-        prop_assert_eq!(drained.len(), times.len());
-    }
-
-    /// `pop_due` never returns an event from the future.
-    #[test]
-    fn pop_due_respects_horizon(times in prop::collection::vec(0u64..1000, 1..100), now in 0u64..1000) {
-        let mut q = EventQueue::new();
-        for &t in &times {
-            q.push(t, t);
-        }
-        let due = q.drain_due(now);
-        prop_assert!(due.iter().all(|&t| t <= now));
-        prop_assert_eq!(due.len() + q.len(), times.len());
-    }
-
     /// Welford mean/variance agree with the two-pass formulas.
     #[test]
     fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 2..300)) {

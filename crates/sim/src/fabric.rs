@@ -48,7 +48,7 @@ use quarc_core::ids::{MessageId, NodeId, VcId};
 use quarc_core::routing::{Route, Routing, ABSORB};
 use quarc_core::topology::TopologyKind;
 use quarc_core::vc::{INJECTION_VC, MAX_VCS};
-use quarc_engine::{Clock, Cycle};
+use quarc_engine::Cycle;
 use quarc_workloads::{MessageRequest, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -219,7 +219,8 @@ pub struct Fabric<R: RouterModel> {
     nodes: usize,
     /// Virtual channels per link, [`TopologyKind::vcs`] read once.
     vcs: usize,
-    clock: Clock,
+    /// The current cycle; `step_cycle` advances it by one at its end.
+    now: Cycle,
     /// Injection queues, `node * QUEUES + queue`, holding whole packets
     /// (flits materialise on pop). Unbounded: the paper keeps packets in PE
     /// RAM and queues only addresses (§3.1).
@@ -327,7 +328,7 @@ impl<R: RouterModel> Fabric<R> {
             cfg,
             nodes: n,
             vcs,
-            clock: Clock::new(),
+            now: 0,
             inject_q: (0..n * R::QUEUES).map(|_| PacketQueue::new()).collect(),
             in_buf: LaneBufs::new(n * ports * vcs, cfg.buffer_depth),
             occ: vec![0; n],
@@ -369,7 +370,7 @@ impl<R: RouterModel> Fabric<R> {
     /// router and source each cycle (the naive reference the lockstep
     /// proptests step against). Call before the first `step`.
     pub fn set_full_scan(&mut self, on: bool) {
-        assert_eq!(self.clock.now(), 0, "full-scan mode is a construction-time choice");
+        assert_eq!(self.now, 0, "full-scan mode is a construction-time choice");
         self.full_scan = on;
     }
 
@@ -391,7 +392,7 @@ impl<R: RouterModel> Fabric<R> {
     /// and slab rows — failing with the first broken invariant by name.
     /// Valid between steps; walks the whole network, so never per cycle.
     pub fn audit(&self) -> Result<(), String> {
-        let (vcs, depth, now) = (self.vcs, self.cfg.buffer_depth, self.clock.now());
+        let (vcs, depth, now) = (self.vcs, self.cfg.buffer_depth, self.now);
         let check = |ok: bool, what: &str, at: (usize, usize)| {
             ok.then_some(()).ok_or_else(|| format!("audit: {what} violated at {at:?}, cycle {now}"))
         };
@@ -480,7 +481,7 @@ impl<R: RouterModel> Fabric<R> {
             && self.fault.drops_packet(
                 node * R::PORTS + out as usize,
                 self.packets.meta(packet).packet,
-                self.clock.now(),
+                self.now,
             );
         if dropped {
             HopPlan { deliver, out: ABSORB, out_vc: INJECTION_VC, dropped: true, dup: false }
@@ -520,7 +521,7 @@ impl<R: RouterModel> Fabric<R> {
         if !owned || eject {
             return owned;
         }
-        let free = !(self.fault.any() && self.fault.link_blocked(lid, self.clock.now()))
+        let free = !(self.fault.any() && self.fault.link_blocked(lid, self.now))
             && self.credits[lid * self.vcs + plan.out_vc.index()] > 0;
         if !free && count_stall && self.probe.counters_on() {
             self.probe.note_credit_stall();
@@ -607,7 +608,7 @@ impl<R: RouterModel> Fabric<R> {
         // active-set arbiter state identical (the node just falls out of the
         // active set).
         let occ = self.occ[node];
-        if occ == 0 || self.fault.node_frozen(node, self.clock.now()) {
+        if occ == 0 || self.fault.node_frozen(node, self.now) {
             return;
         }
         let vcs = self.vcs;
@@ -768,7 +769,7 @@ impl<R: RouterModel> Fabric<R> {
     /// trace record site of the fabric goes through here.
     #[inline]
     fn emit(&mut self, event: FabricEvent<'_>) {
-        let now = self.clock.now();
+        let now = self.now;
         self.metrics.record(now, event);
         self.probe.record(now, event);
     }
@@ -889,7 +890,7 @@ impl<R: RouterModel> Fabric<R> {
     /// original id, or (class `Ack`) an acknowledgement — and enqueue them at
     /// the source in plan order. Returns the receivers the plan serves.
     fn inject(&mut self, req: &MessageRequest, message: MessageId, class: TrafficClass) -> usize {
-        let base = message_meta(req, message, class, self.clock.now());
+        let base = message_meta(req, message, class, self.now);
         let expected = self.model.plan(req, &base, self.packets.bits_mut(), &mut self.plan);
         for i in 0..self.plan.len() {
             let (queue, meta) = self.plan[i];
@@ -985,7 +986,7 @@ impl<R: RouterModel> Fabric<R> {
     /// Advance one cycle, polling `workload` for new messages. Monomorphized
     /// per workload type; [`NocSim::step`] is the object-safe facade.
     pub fn step_cycle<W: Workload + ?Sized>(&mut self, workload: &mut W) {
-        let now = self.clock.now();
+        let now = self.now;
         let n = self.nodes;
         // Phase profiler: the mark is taken and lapped purely for
         // observation — wall time never feeds back into simulated behaviour.
@@ -1121,7 +1122,7 @@ impl<R: RouterModel> Fabric<R> {
             self.probe.push_sample(sample);
         }
 
-        self.clock.tick();
+        self.now += 1;
     }
 }
 
@@ -1131,13 +1132,13 @@ impl<R: RouterModel> NocSim for Fabric<R> {
     }
 
     fn note_workload_change(&mut self) {
-        let now = self.clock.now();
+        let now = self.now;
         self.poll_heap.clear();
         self.poll_heap.extend((0..self.nodes as u32).map(|node| Reverse((now, node))));
     }
 
     fn now(&self) -> Cycle {
-        self.clock.now()
+        self.now
     }
 
     fn num_nodes(&self) -> usize {

@@ -8,8 +8,10 @@
 //! dwell times; message lengths optionally alternate between short control
 //! packets and long data packets, the classic request/response shape.
 
+use crate::limits;
 use crate::patterns::Pattern;
 use crate::request::{MessageRequest, Workload};
+use quarc_core::config::ConfigError;
 use quarc_core::ids::NodeId;
 use quarc_engine::{Cycle, DetRng};
 
@@ -53,6 +55,18 @@ impl Default for BurstyConfig {
 }
 
 impl BurstyConfig {
+    /// Check that this traffic can run on `nodes` nodes.
+    pub fn check(&self, nodes: usize) -> Result<(), ConfigError> {
+        limits::nodes(nodes)?;
+        limits::rate("peak_rate", self.peak_rate)?;
+        limits::require(self.mean_on >= 1.0, "mean_on", "must be at least 1 cycle")?;
+        limits::require(self.mean_off >= 0.0, "mean_off", "must be at least 0 cycles")?;
+        limits::fraction("broadcast_frac", self.broadcast_frac)?;
+        limits::msg_len("short_len", self.short_len)?;
+        limits::msg_len("long_len", self.long_len)?;
+        limits::fraction("long_frac", self.long_frac)
+    }
+
     /// Long-run average offered load (messages per node per cycle).
     fn mean_rate(&self) -> f64 {
         self.peak_rate * self.mean_on / (self.mean_on + self.mean_off)
@@ -77,12 +91,12 @@ pub struct Bursty {
 }
 
 impl Bursty {
-    /// Build for an `n`-node network.
+    /// Build for an `n`-node network. Panics where [`BurstyConfig::check`]
+    /// fails.
     pub fn new(n: usize, cfg: BurstyConfig) -> Self {
-        assert!(n >= 2);
-        assert!(cfg.peak_rate > 0.0 && cfg.peak_rate <= 1.0);
-        assert!(cfg.mean_on >= 1.0 && cfg.mean_off >= 0.0);
-        assert!(cfg.short_len >= 2 && cfg.long_len >= 2);
+        if let Err(e) = cfg.check(n) {
+            panic!("{e}");
+        }
         let master = DetRng::new(cfg.seed);
         let nodes = (0..n)
             .map(|i| {
@@ -232,6 +246,36 @@ mod tests {
     fn deterministic() {
         let cfg = BurstyConfig::default();
         assert_eq!(run(8, cfg, 5_000), run(8, cfg, 5_000));
+    }
+
+    #[test]
+    fn check_names_the_broken_parameter() {
+        let base = BurstyConfig::default();
+        assert_eq!(base.check(2), Ok(()));
+        assert!(matches!(base.check(1), Err(ConfigError::BadNodeCount { n: 1, .. })));
+        let cases = [
+            ("peak_rate", BurstyConfig { peak_rate: 0.0, ..base }),
+            ("mean_on", BurstyConfig { mean_on: 0.5, ..base }),
+            ("mean_off", BurstyConfig { mean_off: -1.0, ..base }),
+            ("broadcast_frac", BurstyConfig { broadcast_frac: 1.5, ..base }),
+            ("short_len", BurstyConfig { short_len: 1, ..base }),
+            ("long_len", BurstyConfig { long_len: 0, ..base }),
+            ("long_frac", BurstyConfig { long_frac: -0.1, ..base }),
+        ];
+        for (want, cfg) in cases {
+            match cfg.check(16) {
+                Err(ConfigError::BadParameter { name, .. }) => assert_eq!(name, want),
+                other => panic!("{want}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn new_panics_with_the_check_message() {
+        let cfg = BurstyConfig { mean_on: 0.0, ..Default::default() };
+        let want = cfg.check(8).unwrap_err().to_string();
+        let got = std::panic::catch_unwind(|| Bursty::new(8, cfg)).unwrap_err();
+        assert_eq!(got.downcast_ref::<String>(), Some(&want));
     }
 
     #[test]

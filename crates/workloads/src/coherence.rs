@@ -18,10 +18,19 @@
 //! the workload is the *traffic shape* (a β-like broadcast share coupled to
 //! write behaviour, bursty request/response unicasts), not protocol
 //! verification.
+//!
+//! Each home node keeps its pending data responses in a FIFO. That is also
+//! their due order: every response is due `memory_delay` (a constant)
+//! after the fetch that scheduled it, and fetches arrive in nondecreasing
+//! cycles, so a later push is never due before an earlier one, and
+//! responses due in the same cycle leave in the order they were scheduled.
 
+use crate::limits;
 use crate::request::{MessageRequest, Workload};
+use quarc_core::config::ConfigError;
 use quarc_core::ids::NodeId;
-use quarc_engine::{Cycle, DetRng, EventQueue};
+use quarc_engine::{Cycle, DetRng};
+use std::collections::VecDeque;
 
 /// Parameters of the coherence workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +53,20 @@ pub struct CoherenceConfig {
     pub data_len: usize,
     /// Master seed.
     pub seed: u64,
+}
+
+impl CoherenceConfig {
+    /// Check that this traffic can run on `nodes` nodes.
+    pub fn check(&self, nodes: usize) -> Result<(), ConfigError> {
+        limits::nodes(nodes)?;
+        limits::rate("request_rate", self.request_rate)?;
+        limits::fraction("write_frac", self.write_frac)?;
+        limits::fraction("shared_frac", self.shared_frac)?;
+        limits::fraction("miss_frac", self.miss_frac)?;
+        limits::require(self.lines >= 1, "lines", "must be at least 1")?;
+        limits::msg_len("ctrl_len", self.ctrl_len)?;
+        limits::msg_len("data_len", self.data_len)
+    }
 }
 
 impl Default for CoherenceConfig {
@@ -69,35 +92,27 @@ pub struct Coherence {
     n: usize,
     rngs: Vec<DetRng>,
     next_arrival: Vec<Cycle>,
-    /// Pending data responses per home node: (due cycle, requester).
-    responses: Vec<EventQueue<NodeId>>,
+    /// Pending data responses per home node, (due cycle, requester), in
+    /// due order (module doc).
+    responses: Vec<VecDeque<(Cycle, NodeId)>>,
 }
 
 impl Coherence {
-    /// Build for an `n`-node network.
+    /// Build for an `n`-node network. Panics where
+    /// [`CoherenceConfig::check`] fails.
     pub fn new(n: usize, cfg: CoherenceConfig) -> Self {
-        assert!(n >= 2);
-        assert!(cfg.lines >= 1);
-        assert!(cfg.ctrl_len >= 2 && cfg.data_len >= 2);
+        if let Err(e) = cfg.check(n) {
+            panic!("{e}");
+        }
         let master = DetRng::new(cfg.seed);
         let mut rngs = Vec::with_capacity(n);
         let mut next_arrival = Vec::with_capacity(n);
         for i in 0..n {
             let mut rng = master.fork(i as u64);
-            next_arrival.push(if cfg.request_rate > 0.0 {
-                rng.geometric_gap(cfg.request_rate)
-            } else {
-                Cycle::MAX
-            });
+            next_arrival.push(rng.geometric_gap(cfg.request_rate));
             rngs.push(rng);
         }
-        Coherence {
-            cfg,
-            n,
-            rngs,
-            next_arrival,
-            responses: (0..n).map(|_| EventQueue::new()).collect(),
-        }
+        Coherence { cfg, n, rngs, next_arrival, responses: vec![VecDeque::new(); n] }
     }
 
     /// The home node of a cache line.
@@ -110,12 +125,12 @@ impl Workload for Coherence {
     fn poll_into(&mut self, node: NodeId, now: Cycle, out: &mut Vec<MessageRequest>) {
         let i = node.index();
 
-        // First, serve any data responses this node owes as home
-        // (`pop_due` rather than `drain_due`: no intermediate Vec).
-        while let Some((_, requester)) = self.responses[i].pop_due(now) {
-            if requester != node {
-                out.push(MessageRequest::unicast(node, requester, self.cfg.data_len));
-            }
+        // First, serve the data responses this node owes as home, each to
+        // the other node that fetched.
+        let owed = &mut self.responses[i];
+        while let Some(&(_, requester)) = owed.front().filter(|&&(due, _)| due <= now) {
+            owed.pop_front();
+            out.push(MessageRequest::unicast(node, requester, self.cfg.data_len));
         }
 
         if now < self.next_arrival[i] {
@@ -135,7 +150,13 @@ impl Workload for Coherence {
             let home = self.home_of(line);
             if home != node {
                 out.push(MessageRequest::unicast(node, home, self.cfg.ctrl_len));
-                self.responses[home.index()].push(now + self.cfg.memory_delay, node);
+                let due = now + self.cfg.memory_delay;
+                let queue = &mut self.responses[home.index()];
+                debug_assert!(
+                    queue.back().is_none_or(|&(last, _)| last <= due),
+                    "a response is due before one scheduled earlier"
+                );
+                queue.push_back((due, node));
             }
         }
     }
@@ -246,6 +267,36 @@ mod tests {
         }
         assert!(deepest >= 4, "home queues never held several responses: {deepest}");
         assert_eq!(h, 0xeb96_74e3_8062_e0f7);
+    }
+
+    #[test]
+    fn check_names_the_broken_parameter() {
+        let base = CoherenceConfig::default();
+        assert_eq!(base.check(2), Ok(()));
+        assert!(matches!(base.check(1), Err(ConfigError::BadNodeCount { n: 1, .. })));
+        let cases = [
+            ("request_rate", CoherenceConfig { request_rate: 1.5, ..base }),
+            ("write_frac", CoherenceConfig { write_frac: -0.1, ..base }),
+            ("shared_frac", CoherenceConfig { shared_frac: 2.0, ..base }),
+            ("miss_frac", CoherenceConfig { miss_frac: f64::NAN, ..base }),
+            ("lines", CoherenceConfig { lines: 0, ..base }),
+            ("ctrl_len", CoherenceConfig { ctrl_len: 1, ..base }),
+            ("data_len", CoherenceConfig { data_len: 0, ..base }),
+        ];
+        for (want, cfg) in cases {
+            match cfg.check(16) {
+                Err(ConfigError::BadParameter { name, .. }) => assert_eq!(name, want),
+                other => panic!("{want}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn new_panics_with_the_check_message() {
+        let cfg = CoherenceConfig { lines: 0, ..Default::default() };
+        let want = cfg.check(8).unwrap_err().to_string();
+        let got = std::panic::catch_unwind(|| Coherence::new(8, cfg)).unwrap_err();
+        assert_eq!(got.downcast_ref::<String>(), Some(&want));
     }
 
     #[test]

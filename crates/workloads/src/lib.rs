@@ -15,6 +15,7 @@
 
 pub mod bursty;
 pub mod coherence;
+mod limits;
 pub mod patterns;
 pub mod request;
 pub mod synthetic;

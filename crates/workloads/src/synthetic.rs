@@ -5,6 +5,7 @@
 //! horizontal axis is `rate` (messages per node per cycle), the curves are
 //! parameterised by `M` (8/16/32 flits), `N` and `β` (0/5/10%).
 
+use crate::limits;
 use crate::patterns::Pattern;
 use crate::request::{MessageRequest, Workload};
 use quarc_core::config::ConfigError;
@@ -33,27 +34,15 @@ impl SyntheticConfig {
         SyntheticConfig { rate, msg_len, broadcast_frac, pattern: Pattern::Uniform, seed }
     }
 
-    /// Check that this traffic can run on `nodes` nodes: the one statement
-    /// of the traffic limits, which `quarc_sim::PointSpec::check` applies to
-    /// every simulation point.
+    /// Check that this traffic can run on `nodes` nodes.
+    /// `quarc_sim::PointSpec::check` applies it to every simulation point.
     pub fn check(&self, nodes: usize) -> Result<(), ConfigError> {
-        let bad = |name, requirement| Err(ConfigError::BadParameter { name, requirement });
-        if nodes < 2 {
-            let requirement = "traffic needs at least two nodes";
-            return Err(ConfigError::BadNodeCount { n: nodes, requirement });
-        }
-        if !(2..=u32::MAX as usize).contains(&self.msg_len) {
-            return bad("msg_len", "must lie in [2, 2^32 - 1] flits (a packet is header + tail)");
-        }
-        if !(0.0..=1.0).contains(&self.broadcast_frac) {
-            return bad("beta", "must lie in [0, 1]");
-        }
-        // The rate is a per-cycle injection probability. Checked last:
-        // `Synthetic::new` accepts a zero rate once the rest holds.
-        if !(self.rate > 0.0 && self.rate <= 1.0) {
-            return bad("rate", "must be in (0, 1] messages/node/cycle");
-        }
-        Ok(())
+        limits::nodes(nodes)?;
+        limits::msg_len("msg_len", self.msg_len)?;
+        limits::fraction("beta", self.broadcast_frac)?;
+        // Checked last: `Synthetic::new` accepts a zero rate once the rest
+        // holds.
+        limits::rate("rate", self.rate)
     }
 }
 
@@ -97,11 +86,6 @@ impl Synthetic {
             })
             .collect();
         Synthetic { cfg, n, ln_one_minus_rate: (1.0 - cfg.rate).ln(), nodes }
-    }
-
-    /// The generator's configuration.
-    pub fn config(&self) -> &SyntheticConfig {
-        &self.cfg
     }
 }
 

@@ -5,7 +5,7 @@
 //! roof; see the individual crates for details:
 //!
 //! * [`core`] — topologies, flit format, routing, VC discipline;
-//! * [`engine`] — simulation kernel (clock, events, RNG, statistics);
+//! * [`engine`] — simulation kernel (cycle type, RNG, statistics);
 //! * [`workloads`] — traffic generation;
 //! * [`sim`] — the flit-level wormhole simulator;
 //! * [`campaign`] — parallel, deterministic experiment campaigns: declarative
