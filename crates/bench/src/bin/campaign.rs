@@ -496,7 +496,8 @@ fn main() {
             }
         }
     }
-    outln!("# total: {grand_executed} points simulated, {grand_cached} served from cache");
+    let points = if grand_executed == 1 { "point" } else { "points" };
+    outln!("# total: {grand_executed} {points} simulated, {grand_cached} served from cache");
     if grand_quarantined > 0 {
         // Deliberately exit 0: a fail-soft campaign that completed every
         // healthy point and *recorded* its failures succeeded at its job.
