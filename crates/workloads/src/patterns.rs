@@ -65,7 +65,7 @@ impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Pattern::Uniform => write!(f, "uniform"),
-            Pattern::Hotspot { node, frac } => write!(f, "hotspot({node},{frac})"),
+            Pattern::Hotspot { node, frac } => write!(f, "hotspot({},{frac})", node.index()),
             Pattern::Complement => write!(f, "complement"),
             Pattern::Neighbour => write!(f, "neighbour"),
             Pattern::BitReversal => write!(f, "bit-reversal"),
@@ -172,9 +172,10 @@ mod tests {
             assert_eq!(p.to_string().parse(), Ok(p));
         }
         assert_eq!("neighbor".parse(), Ok(Pattern::Neighbour));
-        // A hotspot is not read back, in its own spelling or the short one.
+        // A hotspot is written by its node index, and not read back.
         let hotspot = Pattern::Hotspot { node: NodeId(1), frac: 0.5 }.to_string();
-        for bad in [hotspot.as_str(), "hotspot(1,0.5)", "zigzag", "Uniform", ""] {
+        assert_eq!(hotspot, "hotspot(1,0.5)");
+        for bad in [hotspot.as_str(), "hotspot(n1,0.5)", "zigzag", "Uniform", ""] {
             assert!(bad.parse::<Pattern>().is_err(), "{bad:?}");
         }
     }
