@@ -1,4 +1,4 @@
-//! Closed-form mean-latency models.
+//! Mean-latency models and saturation bounds.
 //!
 //! These play the role of the paper's ref. \[8\] analytical models: an
 //! independent prediction the flit-level simulator must agree with at low and
@@ -9,21 +9,28 @@
 //!
 //! ## Unicast model
 //!
-//! Uniform traffic at `λ` messages/node/cycle, messages of `M` flits. Every
-//! physical channel `l` is an M/G/1 queue with arrival rate
-//! `λ·C_l/(n−1)` (where `C_l` counts source/destination pairs routed through
-//! `l`) and deterministic service `M`; injection ports likewise (the Quarc
-//! splits injection over four quadrant ports, the Spidergon funnels all of it
-//! through one — which is exactly why its source waiting explodes first).
-//! A pair's latency is
+//! One model for every topology, over its [`Routing`]: uniform traffic at
+//! `λ` messages/node/cycle, messages of `M` flits. Every physical channel
+//! `l` is an M/G/1 queue with arrival rate `λ·C_l/(n−1)` (where `C_l`
+//! counts source/destination pairs routed through `l`) and deterministic
+//! service `M`. So is every injection queue `q` of a source, with `C_q` the
+//! destinations [`Routing::unicast_queue`] sends through it: the Quarc
+//! splits injection over four quadrant queues, the Spidergon and the grids
+//! funnel all of it through one — which is exactly why the Spidergon's
+//! source waiting explodes first. A pair's latency is
 //!
 //! ```text
 //! L(s,t) = 1 (injection) + d(s,t) (header pipeline) + (M−1) (serialisation)
-//!        + W_port(quadrant(s,t)) + Σ_{l ∈ route(s,t)} W_l
+//!        + W_port(queue(s,t)) + Σ_{l ∈ route(s,t)} W_l
 //! ```
 //!
-//! averaged over all pairs from a representative source (the topologies are
-//! vertex-symmetric).
+//! averaged over all pairs, walked from node 0 alone where the topology is
+//! [`Routing::VERTEX_TRANSITIVE`].
+//!
+//! ## Saturation bound
+//!
+//! The offered rate at which the busiest of those queues, link or
+//! injection, reaches utilisation 1: `1 / (M · max(C_l, C_q) / (n−1))`.
 //!
 //! ## Zero-load broadcast
 //!
@@ -35,76 +42,82 @@
 //!   `M + 2` (hop + serialisation + header rewrite):
 //!   `≈ 3M + 2 + (n/4 − 1)(M + 2)`.
 
-use crate::linkload::{quarc_loads, spidergon_loads, LinkLoads};
+use crate::linkload::{sources, LinkLoads};
 use crate::mg1::{mg1_wait, DEFAULT_CV2};
-use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
 use quarc_core::routing::Routing;
-use quarc_core::topology::{QuarcTopology, SpidergonTopology};
+use quarc_core::topology::QuarcTopology;
 
 /// M/G/1 waiting time of a channel `count` of the `n − 1` destinations of
 /// each source route through, at rate `lambda` with `m`-flit messages.
 fn wait(n: usize, m: usize, lambda: f64, count: usize) -> Option<f64> {
     let m_f = m as f64;
-    mg1_wait(lambda * count as f64 / (n - 1) as f64 * m_f, m_f, DEFAULT_CV2)
+    // A channel every destination takes carries the node's whole λ, which
+    // `λ·(n−1)/(n−1)` can miss by an ulp.
+    let rate = if count == n - 1 { lambda } else { lambda * count as f64 / (n - 1) as f64 };
+    mg1_wait(rate * m_f, m_f, DEFAULT_CV2)
 }
 
-/// The module-level latency `L(s,t)` averaged over every destination of
-/// source 0 (`vertex_transitive`) or of every source, each route and its
-/// link loads walked with `topo`'s [`Routing`]. `port_wait(queue)` is the
-/// injection port's waiting time. `None` above saturation.
-fn mean_latency<R: Routing>(
-    topo: &R,
-    vertex_transitive: bool,
-    m: usize,
-    lambda: f64,
-    port_wait: impl Fn(usize) -> Option<f64>,
-) -> Option<f64> {
+/// How many of `src`'s `n − 1` destinations enter each of its local queues
+/// ([`Routing::unicast_queue`]), indexed by queue.
+fn queue_counts<R: Routing>(topo: &R, src: NodeId) -> Vec<usize> {
+    let mut counts = Vec::new();
+    for t in (0..topo.num_nodes()).map(NodeId::new).filter(|&t| t != src) {
+        let queue = topo.unicast_queue(src, t);
+        if counts.len() <= queue {
+            counts.resize(queue + 1, 0);
+        }
+        counts[queue] += 1;
+    }
+    counts
+}
+
+/// The offered rate (messages per node per cycle, `m`-flit messages) at
+/// which the first resource of `topo` saturates under uniform unicast
+/// traffic: the busier of its busiest link and its busiest injection queue.
+pub fn saturation_rate<R: Routing>(topo: &R, m: usize) -> f64 {
     let n = topo.num_nodes();
-    let loads = LinkLoads::uniform(topo, vertex_transitive);
-    let sources = if vertex_transitive { 1 } else { n };
-    let (mut total, mut route) = (0.0, Vec::new());
-    for s in (0..sources).map(NodeId::new) {
+    let link = LinkLoads::uniform(topo).max_count();
+    let queue = sources(topo).flat_map(|s| queue_counts(topo, s)).max().unwrap_or(0);
+    1.0 / (m as f64 * (link.max(queue) as f64 / (n - 1) as f64))
+}
+
+/// The module-level latency `L(s,t)` of `topo` at rate `lambda` (messages
+/// per node per cycle) with `m`-flit messages, averaged over every
+/// destination of each of its [`Routing::VERTEX_TRANSITIVE`] sources. Each
+/// route and its link loads are walked with `topo`'s [`Routing`]; an
+/// injection queue waits as a channel its share of the destinations route
+/// through. `None` above saturation.
+pub fn unicast_latency<R: Routing>(topo: &R, m: usize, lambda: f64) -> Option<f64> {
+    let n = topo.num_nodes();
+    let loads = LinkLoads::uniform(topo);
+    let (mut total, mut pairs, mut route) = (0.0, 0, Vec::new());
+    for s in sources(topo) {
+        let port_wait: Vec<_> =
+            queue_counts(topo, s).into_iter().map(|count| wait(n, m, lambda, count)).collect();
         for t in (0..n).map(NodeId::new).filter(|&t| t != s) {
             route.clear();
             topo.walk_unicast(s, t, |node, hop| route.push(loads.count(node, hop.out as usize)));
             let d = route.len() as f64;
-            let mut l = 1.0 + d + (m as f64 - 1.0) + port_wait(topo.unicast_queue(s, t))?;
+            let mut l = 1.0 + d + (m as f64 - 1.0) + port_wait[topo.unicast_queue(s, t)]?;
             for &count in &route {
                 l += wait(n, m, lambda, count)?;
             }
             total += l;
+            pairs += 1;
         }
     }
-    Some(total / (sources * (n - 1)) as f64)
+    Some(total / pairs as f64)
 }
 
-/// Mean unicast latency of an `n`-node Quarc at rate `lambda` (messages per
-/// node per cycle) with `m`-flit messages. `None` above saturation.
+/// [`unicast_latency`] of an `n`-node Quarc.
 pub fn quarc_unicast_latency(n: usize, m: usize, lambda: f64) -> Option<f64> {
-    let topo = QuarcTopology::new(n);
-    // Per-quadrant injection-port waiting: the port's arrival rate is the
-    // quadrant's share of the node's λ.
-    let mut dests = [0; 4];
-    for t in (1..n).map(NodeId::new) {
-        dests[topo.unicast_queue(NodeId(0), t)] += 1;
-    }
-    let port_wait = dests.map(|count| wait(n, m, lambda, count));
-    mean_latency(&topo, true, m, lambda, |quadrant| port_wait[quadrant])
+    unicast_latency(&QuarcTopology::new(n), m, lambda)
 }
 
-/// Mean unicast latency of an `n`-node Spidergon. `None` above saturation.
-pub fn spidergon_unicast_latency(n: usize, m: usize, lambda: f64) -> Option<f64> {
-    // Single injection port carries the node's entire λ.
-    let src_wait = mg1_wait(lambda * m as f64, m as f64, DEFAULT_CV2);
-    mean_latency(&SpidergonTopology::new(n), true, m, lambda, |_| src_wait)
-}
-
-/// Mean unicast latency of a mesh under XY routing. `None` above saturation.
-/// The mesh is not vertex-symmetric, so all sources are averaged.
-pub fn mesh_unicast_latency(topo: &GridTopology, m: usize, lambda: f64) -> Option<f64> {
-    let src_wait = mg1_wait(lambda * m as f64, m as f64, DEFAULT_CV2);
-    mean_latency(topo, false, m, lambda, |_| src_wait)
+/// [`saturation_rate`] of an `n`-node Quarc.
+pub fn quarc_saturation_rate(n: usize, m: usize) -> f64 {
+    saturation_rate(&QuarcTopology::new(n), m)
 }
 
 /// Zero-load Quarc broadcast completion latency.
@@ -119,28 +132,13 @@ pub fn spidergon_broadcast_zero_load(n: usize, m: usize) -> f64 {
     3.0 * m as f64 + 2.0 + (q - 1.0) * (m as f64 + 2.0)
 }
 
-/// The offered rate at which the first Quarc resource saturates.
-pub fn quarc_saturation_rate(n: usize, m: usize) -> f64 {
-    let loads = quarc_loads(n);
-    let link_share = loads.max_count() as f64 / (n - 1) as f64;
-    // Worst injection port serves n/4 of the n−1 destinations.
-    let port_share = (n as f64 / 4.0) / (n - 1) as f64;
-    1.0 / (m as f64 * link_share.max(port_share))
-}
-
-/// The offered rate at which the first Spidergon resource saturates.
-pub fn spidergon_saturation_rate(n: usize, m: usize) -> f64 {
-    let loads = spidergon_loads(n);
-    let link_share = loads.max_count() as f64 / (n - 1) as f64;
-    let port_share = 1.0; // the single port carries everything
-    1.0 / (m as f64 * link_share.max(port_share))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quarc_core::grid::GridTopology;
     use quarc_core::quadrant::unicast_hops;
     use quarc_core::ring::Ring;
+    use quarc_core::topology::SpidergonTopology;
 
     #[test]
     fn zero_load_limits_match_hop_formulas() {
@@ -169,7 +167,7 @@ mod tests {
     fn spidergon_latency_at_least_quarc() {
         for rate in [0.001, 0.01, 0.02] {
             let q = quarc_unicast_latency(16, 16, rate).unwrap();
-            let s = spidergon_unicast_latency(16, 16, rate).unwrap();
+            let s = unicast_latency(&SpidergonTopology::new(16), 16, rate).unwrap();
             assert!(s >= q - 1e-9, "rate {rate}: spidergon {s} < quarc {q}");
         }
     }
@@ -184,7 +182,7 @@ mod tests {
         for n in [16usize, 32, 64] {
             for m in [8usize, 16, 32] {
                 let q = quarc_saturation_rate(n, m);
-                let s = spidergon_saturation_rate(n, m);
+                let s = saturation_rate(&SpidergonTopology::new(n), m);
                 assert!(q >= s - 1e-12, "n={n} m={m}: quarc {q} < spidergon {s}");
                 assert!(q < 1.0 && s < 1.0);
             }
@@ -204,15 +202,15 @@ mod tests {
         // And that asymmetry shows up in the model's latencies at loads
         // approaching (but below) the shared link-saturation bound ~0.0586.
         let q = quarc_unicast_latency(n, m, rate).unwrap();
-        let s = spidergon_unicast_latency(n, m, rate).unwrap();
+        let s = unicast_latency(&SpidergonTopology::new(n), m, rate).unwrap();
         assert!(s > q + 5.0, "spidergon {s} vs quarc {q}");
     }
 
     #[test]
     fn model_unstable_above_saturation() {
-        let sat = spidergon_saturation_rate(16, 16);
-        assert!(spidergon_unicast_latency(16, 16, sat * 1.05).is_none());
-        assert!(spidergon_unicast_latency(16, 16, sat * 0.5).is_some());
+        let sat = saturation_rate(&SpidergonTopology::new(16), 16);
+        assert!(unicast_latency(&SpidergonTopology::new(16), 16, sat * 1.05).is_none());
+        assert!(unicast_latency(&SpidergonTopology::new(16), 16, sat * 0.5).is_some());
     }
 
     #[test]
@@ -229,7 +227,7 @@ mod tests {
     #[test]
     fn mesh_model_zero_load() {
         let topo = GridTopology::mesh(4, 4);
-        let l = mesh_unicast_latency(&topo, 8, 1e-9).unwrap();
+        let l = unicast_latency(&topo, 8, 1e-9).unwrap();
         // Mean Manhattan distance over ordered pairs s ≠ t of a 4×4 mesh:
         // E[|dx|+|dy|] = 2.5 including s = t, rescaled by 256/240.
         let mean_d = 2.5 * 256.0 / 240.0;
@@ -241,5 +239,28 @@ mod tests {
     fn saturation_decreases_with_message_length() {
         assert!(quarc_saturation_rate(16, 8) > quarc_saturation_rate(16, 16));
         assert!(quarc_saturation_rate(16, 16) > quarc_saturation_rate(16, 32));
+    }
+
+    #[test]
+    fn torus_bound_lies_between_the_mesh_and_the_port() {
+        // The wrap links only shorten routes, so the torus saturates no
+        // earlier than the mesh of the same side, and no later than its one
+        // injection queue, which carries the whole λ of M-flit messages.
+        let m = 8;
+        for n in [16usize, 64] {
+            let torus = saturation_rate(&GridTopology::square_torus(n), m);
+            let mesh = saturation_rate(&GridTopology::square_mesh(n), m);
+            assert!(mesh <= torus && torus <= 1.0 / m as f64, "n={n}: {mesh} {torus}");
+        }
+    }
+
+    #[test]
+    fn torus_model_unstable_above_saturation() {
+        for n in [16usize, 64] {
+            let topo = GridTopology::square_torus(n);
+            let sat = saturation_rate(&topo, 8);
+            assert!(unicast_latency(&topo, 8, sat * 0.5).is_some(), "n={n}");
+            assert!(unicast_latency(&topo, 8, sat * 1.05).is_none(), "n={n}");
+        }
     }
 }

@@ -1,16 +1,16 @@
 //! Per-link route counting under uniform traffic.
 //!
-//! For a vertex-symmetric topology with deterministic routing, the number of
+//! For a topology with deterministic routing, the number of
 //! source/destination pairs whose route traverses each physical channel fully
 //! determines channel utilisations — and the *imbalance* of these counts is
 //! the paper's §2.1 critique of the Spidergon ("the edge-asymmetric property
 //! of the Spidergon causes the number of messages that cross each physical
-//! link to vary severely").
+//! link to vary severely"). Any [`Routing`] impl can be counted; one that
+//! states [`Routing::VERTEX_TRANSITIVE`] (Quarc, Spidergon) is walked from
+//! node 0 alone, any other (mesh, torus) from every node.
 
-use quarc_core::grid::GridTopology;
 use quarc_core::ids::NodeId;
 use quarc_core::routing::Routing;
-use quarc_core::topology::{QuarcTopology, SpidergonTopology};
 
 /// Route counts per directed physical link (both VCs merged: they share the
 /// wire).
@@ -22,22 +22,28 @@ pub struct LinkLoads {
     ports: usize,
 }
 
+/// The sources whose routes stand for every source's: node 0 alone on a
+/// [`Routing::VERTEX_TRANSITIVE`] topology, else every node.
+pub(crate) fn sources<R: Routing>(topo: &R) -> impl Iterator<Item = NodeId> {
+    (0..if R::VERTEX_TRANSITIVE { 1 } else { topo.num_nodes() }).map(NodeId::new)
+}
+
 impl LinkLoads {
     /// Loads of `topo` under uniform all-pairs traffic, walking each route
     /// with the topology's own [`Routing`]. A vertex-transitive topology
-    /// (rotating the ring maps routes onto routes) walks from source 0 only:
-    /// every link of port `p` then carries that source's port-`p` total.
-    pub fn uniform<R: Routing>(topo: &R, vertex_transitive: bool) -> Self {
+    /// walks from source 0 only: every link of port `p` then carries that
+    /// source's port-`p` total.
+    pub fn uniform<R: Routing>(topo: &R) -> Self {
         let n = topo.num_nodes();
         let mut counts = vec![0; n * R::PORTS];
-        for s in (0..if vertex_transitive { 1 } else { n }).map(NodeId::new) {
+        for s in sources(topo) {
             for t in (0..n).map(NodeId::new).filter(|&t| t != s) {
                 topo.walk_unicast(s, t, |node, hop| {
                     counts[node * R::PORTS + hop.out as usize] += 1
                 });
             }
         }
-        if vertex_transitive {
+        if R::VERTEX_TRANSITIVE {
             let totals: Vec<usize> =
                 (0..R::PORTS).map(|p| counts.iter().skip(p).step_by(R::PORTS).sum()).collect();
             counts.iter_mut().enumerate().for_each(|(link, c)| *c = totals[link % R::PORTS]);
@@ -79,35 +85,19 @@ impl LinkLoads {
     }
 }
 
-/// Link loads of an `n`-node Quarc under uniform all-pairs traffic.
-pub fn quarc_loads(n: usize) -> LinkLoads {
-    LinkLoads::uniform(&QuarcTopology::new(n), true)
-}
-
-/// Link loads of an `n`-node Spidergon under uniform all-pairs traffic.
-pub fn spidergon_loads(n: usize) -> LinkLoads {
-    LinkLoads::uniform(&SpidergonTopology::new(n), true)
-}
-
-/// Link loads of a mesh (or torus) under uniform all-pairs dimension-ordered
-/// traffic, walked from every source.
-pub fn mesh_loads(topo: &GridTopology) -> LinkLoads {
-    LinkLoads::uniform(topo, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarc_core::grid::GridOut;
+    use quarc_core::grid::{GridOut, GridTopology};
     use quarc_core::ring::Ring;
-    use quarc_core::topology::{QuarcOut, SpiOut};
+    use quarc_core::topology::{QuarcOut, QuarcTopology, SpiOut, SpidergonTopology};
 
     #[test]
     fn quarc_is_edge_balanced_on_rims_and_crosses() {
         // Quarc's whole point: vertex AND edge symmetry. All CW rim links
         // carry identical load; both cross links at a node carry identical
         // load too.
-        let loads = quarc_loads(16);
+        let loads = LinkLoads::uniform(&QuarcTopology::new(16));
         let cw0 = loads.count(0, QuarcOut::RimCw.index());
         for node in 0..16 {
             assert_eq!(loads.count(node, QuarcOut::RimCw.index()), cw0);
@@ -121,8 +111,8 @@ mod tests {
     #[test]
     fn spidergon_cross_carries_double() {
         // The Spidergon spoke serves both cross quadrants; Quarc splits them.
-        let s = spidergon_loads(16);
-        let q = quarc_loads(16);
+        let s = LinkLoads::uniform(&SpidergonTopology::new(16));
+        let q = LinkLoads::uniform(&QuarcTopology::new(16));
         let s_cross = s.count(0, SpiOut::Cross.index());
         let q_xr = q.count(0, QuarcOut::CrossRight.index());
         let q_xl = q.count(0, QuarcOut::CrossLeft.index());
@@ -136,8 +126,8 @@ mod tests {
         // cross channel carries roughly half the Spidergon spoke's traffic,
         // "improving access to the cross-network nodes".
         for n in [16usize, 32, 64] {
-            let s = spidergon_loads(n);
-            let q = quarc_loads(n);
+            let s = LinkLoads::uniform(&SpidergonTopology::new(n));
+            let q = LinkLoads::uniform(&QuarcTopology::new(n));
             let spoke = s.count(0, SpiOut::Cross.index());
             let worst_quarc_cross = q
                 .count(0, QuarcOut::CrossRight.index())
@@ -152,8 +142,8 @@ mod tests {
     #[test]
     fn imbalance_metric_sane() {
         for n in [16usize, 32, 64] {
-            assert!(spidergon_loads(n).imbalance() >= 1.0);
-            assert!(quarc_loads(n).imbalance() >= 1.0);
+            assert!(LinkLoads::uniform(&SpidergonTopology::new(n)).imbalance() >= 1.0);
+            assert!(LinkLoads::uniform(&QuarcTopology::new(n)).imbalance() >= 1.0);
         }
     }
 
@@ -161,7 +151,7 @@ mod tests {
     fn total_link_traversals_equal_total_hops() {
         // Σ link counts = Σ over pairs of hop count.
         let ring = Ring::new(16);
-        let loads = quarc_loads(16);
+        let loads = LinkLoads::uniform(&QuarcTopology::new(16));
         let total: usize = loads.iter().sum();
         let hops: usize = ring
             .nodes()
@@ -175,7 +165,7 @@ mod tests {
     #[test]
     fn mesh_center_links_busier_than_edges() {
         let topo = GridTopology::mesh(4, 4);
-        let loads = mesh_loads(&topo);
+        let loads = LinkLoads::uniform(&topo);
         // East link out of (0,0) vs east link out of (1,1) — centre is busier
         // under XY routing.
         let edge = loads.count(topo.node_at(0, 0).index(), GridOut::XPlus.index());

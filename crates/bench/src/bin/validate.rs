@@ -16,6 +16,7 @@ use quarc_analytical as ana;
 use quarc_bench::outln;
 use quarc_campaign::CurveParams;
 use quarc_core::grid::GridTopology;
+use quarc_core::topology::SpidergonTopology;
 use quarc_core::topology::TopologyKind::{self, Mesh, Quarc, Spidergon};
 use quarc_sim::{run_point, RunSpec};
 
@@ -32,12 +33,13 @@ fn main() {
     };
 
     for (n, m) in [(16usize, 8usize), (16, 16), (32, 16)] {
-        let sat = ana::spidergon_saturation_rate(n, m);
+        let spidergon = SpidergonTopology::new(n);
+        let sat = ana::saturation_rate(&spidergon, m);
         for frac in [0.1, 0.2, 0.3] {
             let rate = sat * frac;
             let model = ana::quarc_unicast_latency(n, m, rate).unwrap_or(f64::NAN);
             print_row("quarc", n, m, rate, sim(Quarc, n, m, rate, 11), model);
-            let model = ana::spidergon_unicast_latency(n, m, rate).unwrap_or(f64::NAN);
+            let model = ana::unicast_latency(&spidergon, m, rate).unwrap_or(f64::NAN);
             print_row("spidergon", n, m, rate, sim(Spidergon, n, m, rate, 12), model);
         }
     }
@@ -46,7 +48,7 @@ fn main() {
     for (n, m) in [(16usize, 8usize), (16, 16)] {
         for rate in [0.005, 0.01, 0.02] {
             let topo = GridTopology::square_mesh(n);
-            let model = ana::mesh_unicast_latency(&topo, m, rate).unwrap_or(f64::NAN);
+            let model = ana::unicast_latency(&topo, m, rate).unwrap_or(f64::NAN);
             print_row("mesh", n, m, rate, sim(Mesh, n, m, rate, 13), model);
         }
     }

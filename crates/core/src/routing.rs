@@ -51,6 +51,10 @@ pub struct Route {
 pub trait Routing {
     /// Network ports per router (outgoing links; equally, link inputs).
     const PORTS: usize;
+    /// Rotating the topology maps every route onto a route, so the routes
+    /// from node 0 stand for those of every source (a ring's are; a mesh
+    /// edge's are not).
+    const VERTEX_TRANSITIVE: bool = false;
 
     /// Router count.
     fn num_nodes(&self) -> usize;
@@ -233,6 +237,7 @@ fn ring_hop_vc(ring: &Ring, node: usize, out: usize, cur: VcId) -> VcId {
 /// quadrant whose link it feeds (§2.4–2.5).
 impl Routing for QuarcTopology {
     const PORTS: usize = 4;
+    const VERTEX_TRANSITIVE: bool = true;
 
     fn num_nodes(&self) -> usize {
         self.ring().len()
@@ -286,6 +291,7 @@ fn spidergon_hop(ring: &Ring, node: usize, meta: &PacketMeta, cur: VcId) -> Rout
 /// Spidergon routing: across-first at every hop, one local queue.
 impl Routing for SpidergonTopology {
     const PORTS: usize = 3;
+    const VERTEX_TRANSITIVE: bool = true;
 
     fn num_nodes(&self) -> usize {
         self.ring().len()

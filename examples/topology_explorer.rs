@@ -12,7 +12,7 @@ use quarc::core::grid::GridTopology;
 use quarc::core::ids::NodeId;
 use quarc::core::quadrant::{diameter, mean_hops, quadrant_of};
 use quarc::core::ring::Ring;
-use quarc::core::topology::{QuarcOut, SpiOut};
+use quarc::core::topology::{QuarcOut, QuarcTopology, SpiOut, SpidergonTopology};
 
 fn main() {
     println!("== topology geometry ==");
@@ -40,8 +40,8 @@ fn main() {
     println!();
 
     println!("\n== per-link load under uniform all-pairs traffic (n = 16) ==");
-    let quarc = ana::quarc_loads(16);
-    let spider = ana::spidergon_loads(16);
+    let quarc = ana::LinkLoads::uniform(&QuarcTopology::new(16));
+    let spider = ana::LinkLoads::uniform(&SpidergonTopology::new(16));
     // Every link of a port carries the same load (both rings are
     // vertex-transitive), so node 0's outputs show them all.
     let show = |name: &str, loads: &ana::LinkLoads, ports: &[(&str, usize)]| {

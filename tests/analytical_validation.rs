@@ -7,6 +7,7 @@
 use quarc::analytical as ana;
 use quarc::core::config::NocConfig;
 use quarc::core::grid::GridTopology;
+use quarc::core::topology::SpidergonTopology;
 use quarc::sim::driver::{run, RunSpec};
 use quarc::sim::mesh_net::MeshNetwork;
 use quarc::sim::{QuarcNetwork, SpidergonNetwork};
@@ -36,11 +37,12 @@ fn quarc_simulator_matches_model_at_low_load() {
 #[test]
 fn spidergon_simulator_matches_model_at_low_load() {
     for (n, m) in [(16usize, 8usize), (32, 16)] {
-        let rate = ana::spidergon_saturation_rate(n, m) * 0.25;
+        let spidergon = SpidergonTopology::new(n);
+        let rate = ana::saturation_rate(&spidergon, m) * 0.25;
         let mut net = SpidergonNetwork::new(NocConfig::spidergon(n));
         let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, m, 0.0, 10));
         let res = run(&mut net, &mut wl, &spec());
-        let model = ana::spidergon_unicast_latency(n, m, rate).expect("below saturation");
+        let model = ana::unicast_latency(&spidergon, m, rate).expect("below saturation");
         let rel = (res.unicast_mean - model).abs() / model;
         assert!(
             rel < 0.15,
@@ -56,7 +58,7 @@ fn mesh_simulator_matches_model_at_low_load() {
     let mut net = MeshNetwork::new(NocConfig::mesh(n));
     let mut wl = Synthetic::new(n, SyntheticConfig::paper(rate, m, 0.0, 11));
     let res = run(&mut net, &mut wl, &spec());
-    let model = ana::mesh_unicast_latency(&GridTopology::square_mesh(n), m, rate).expect("stable");
+    let model = ana::unicast_latency(&GridTopology::square_mesh(n), m, rate).expect("stable");
     let rel = (res.unicast_mean - model).abs() / model;
     assert!(rel < 0.15, "mesh: sim {:.2} vs model {model:.2} (rel {rel:.3})", res.unicast_mean);
 }
