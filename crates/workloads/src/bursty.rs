@@ -61,6 +61,8 @@ impl BurstyConfig {
         limits::rate("peak_rate", self.peak_rate)?;
         limits::require(self.mean_on >= 1.0, "mean_on", "must be at least 1 cycle")?;
         limits::require(self.mean_off >= 0.0, "mean_off", "must be at least 0 cycles")?;
+        limits::dwell("mean_on", self.mean_on)?;
+        limits::dwell("mean_off", self.mean_off)?;
         limits::fraction("broadcast_frac", self.broadcast_frac)?;
         limits::msg_len("short_len", self.short_len)?;
         limits::msg_len("long_len", self.long_len)?;
@@ -257,6 +259,9 @@ mod tests {
             ("peak_rate", BurstyConfig { peak_rate: 0.0, ..base }),
             ("mean_on", BurstyConfig { mean_on: 0.5, ..base }),
             ("mean_off", BurstyConfig { mean_off: -1.0, ..base }),
+            ("mean_off", BurstyConfig { mean_off: 1e19, ..base }),
+            ("mean_off", BurstyConfig { mean_off: f64::INFINITY, ..base }),
+            ("mean_on", BurstyConfig { mean_on: 1e19, ..base }),
             ("broadcast_frac", BurstyConfig { broadcast_frac: 1.5, ..base }),
             ("short_len", BurstyConfig { short_len: 1, ..base }),
             ("long_len", BurstyConfig { long_len: 0, ..base }),

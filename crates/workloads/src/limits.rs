@@ -30,6 +30,12 @@ pub(crate) fn rate(name: &'static str, r: f64) -> Result<(), ConfigError> {
     require(r > 0.0 && r <= 1.0, name, "must be in (0, 1] messages/node/cycle")
 }
 
+/// A mean dwell time in cycles: finite and at most 10^9, so that twice it
+/// still fits a `usize` when a generator draws a phase below it.
+pub(crate) fn dwell(name: &'static str, mean: f64) -> Result<(), ConfigError> {
+    require(mean <= 1e9, name, "must be finite and at most 1e9 cycles")
+}
+
 /// `Ok` where `ok` holds, else `name` breaks `requirement`.
 pub(crate) fn require(
     ok: bool,
