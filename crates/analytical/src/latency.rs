@@ -34,8 +34,12 @@
 //!
 //! ## Zero-load broadcast
 //!
-//! * Quarc (§2.5.2): four parallel streams, slowest travels `n/4` hops:
-//!   `1 + n/4 + (M−1)`.
+//! * Quarc (§2.5.2): four parallel streams leave the source in the cycle the
+//!   message is created; the slowest travels `n/4` hops, one cycle each,
+//!   and its tail arrives `M−1` cycles behind its header: `n/4 + (M−1)`,
+//!   exactly what the simulator counts for a lone broadcast (and for a lone
+//!   unicast over `n/4` hops, which the unicast model's injection term puts
+//!   one cycle higher).
 //! * Spidergon (ref. \[9\] chains, §2.2): the source streams three seed packets
 //!   back-to-back through its single port (`3M` cycles for the cross seed to
 //!   even leave), then each replication hop costs a full store-and-forward
@@ -122,7 +126,7 @@ pub fn quarc_saturation_rate(n: usize, m: usize) -> f64 {
 
 /// Zero-load Quarc broadcast completion latency.
 pub fn quarc_broadcast_zero_load(n: usize, m: usize) -> f64 {
-    1.0 + (n as f64 / 4.0) + (m as f64 - 1.0)
+    n as f64 / 4.0 + (m as f64 - 1.0)
 }
 
 /// Zero-load Spidergon broadcast completion latency (ref. \[9\] chain
