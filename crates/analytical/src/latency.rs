@@ -212,9 +212,15 @@ mod tests {
 
     #[test]
     fn model_unstable_above_saturation() {
-        let sat = saturation_rate(&SpidergonTopology::new(16), 16);
-        assert!(unicast_latency(&SpidergonTopology::new(16), 16, sat * 1.05).is_none());
-        assert!(unicast_latency(&SpidergonTopology::new(16), 16, sat * 0.5).is_some());
+        fn check<R: Routing>(topo: &R, m: usize) {
+            let sat = saturation_rate(topo, m);
+            assert!(unicast_latency(topo, m, sat * 1.05).is_none(), "n={}", topo.num_nodes());
+            assert!(unicast_latency(topo, m, sat * 0.5).is_some(), "n={}", topo.num_nodes());
+        }
+        check(&SpidergonTopology::new(16), 16);
+        for n in [16, 64] {
+            check(&GridTopology::square_torus(n), 8);
+        }
     }
 
     #[test]
@@ -247,24 +253,15 @@ mod tests {
 
     #[test]
     fn torus_bound_lies_between_the_mesh_and_the_port() {
-        // The wrap links only shorten routes, so the torus saturates no
-        // earlier than the mesh of the same side, and no later than its one
-        // injection queue, which carries the whole λ of M-flit messages.
+        // The wrap links relieve the mesh's busiest (centre) links, so the
+        // torus saturates no earlier than the mesh of the same side, and no
+        // later than its one injection queue allows: that queue carries the
+        // whole λ of M-flit messages.
         let m = 8;
         for n in [16usize, 64] {
             let torus = saturation_rate(&GridTopology::square_torus(n), m);
             let mesh = saturation_rate(&GridTopology::square_mesh(n), m);
             assert!(mesh <= torus && torus <= 1.0 / m as f64, "n={n}: {mesh} {torus}");
-        }
-    }
-
-    #[test]
-    fn torus_model_unstable_above_saturation() {
-        for n in [16usize, 64] {
-            let topo = GridTopology::square_torus(n);
-            let sat = saturation_rate(&topo, 8);
-            assert!(unicast_latency(&topo, 8, sat * 0.5).is_some(), "n={n}");
-            assert!(unicast_latency(&topo, 8, sat * 1.05).is_none(), "n={n}");
         }
     }
 }
