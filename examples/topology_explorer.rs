@@ -83,7 +83,7 @@ fn main() {
         let s0 = ana::spidergon_broadcast_zero_load(n, 16);
         println!("{n:<6} {sat:>12.4} {q0:>14.0} {s0:>14.0} {:>11.1}x", s0 / q0);
     }
-    println!("\n(zero-load broadcast gap grows with n: the Quarc pipeline costs n/4 + M");
+    println!("\n(zero-load broadcast gap grows with n: the Quarc pipeline costs n/4 + M - 1");
     println!(" cycles while the Spidergon chain pays ~M per replication hop — §3.2's");
     println!(" 'order of magnitude' at n = 64)");
 }
