@@ -86,12 +86,12 @@ pub fn saturation_rate<R: Routing>(topo: &R, m: usize) -> f64 {
     1.0 / (m as f64 * (link.max(queue) as f64 / (n - 1) as f64))
 }
 
-/// The module-level latency `L(s,t)` of `topo` at rate `lambda` (messages
-/// per node per cycle) with `m`-flit messages, averaged over every
-/// destination of each of its [`Routing::VERTEX_TRANSITIVE`] sources. Each
-/// route and its link loads are walked with `topo`'s [`Routing`]; an
-/// injection queue waits as a channel its share of the destinations route
-/// through. `None` above saturation.
+/// Mean unicast latency of `topo` at rate `lambda` (messages per node per
+/// cycle) with `m`-flit messages: the module doc's `L(s,t)` over every
+/// ordered pair, or every pair from node 0 on a
+/// [`Routing::VERTEX_TRANSITIVE`] topology. An injection queue waits as a
+/// channel its share of the destinations route through. `None` above
+/// saturation.
 pub fn unicast_latency<R: Routing>(topo: &R, m: usize, lambda: f64) -> Option<f64> {
     let n = topo.num_nodes();
     let loads = LinkLoads::uniform(topo);
