@@ -279,6 +279,43 @@ impl BitSlab {
         (self.data[row * self.stride + pos / 64] >> (pos % 64)) & 1 == 1
     }
 
+    /// A fresh bitstring with logical bits `0..count` set (a broadcast's
+    /// receiver set), filled word by word.
+    pub fn below(&mut self, count: usize) -> Bits {
+        if count <= INLINE_BITS {
+            return Bits((1 << count) - 1);
+        }
+        let mut b = Bits::ZERO;
+        self.set_bit(&mut b, count - 1);
+        let (base, last) = (self.check(b) * self.stride, (count - 1) / 64);
+        self.data[base..base + last].fill(!0);
+        self.data[base + last] = !0 >> (63 - (count - 1) % 64);
+        Bits(b.0 | 1)
+    }
+
+    /// The logical positions of `b`'s set bits, ascending: a word-by-word
+    /// walk, so a sparse row costs one step per word, not a
+    /// [`BitSlab::bit_at`] probe per position.
+    pub fn ones(&self, b: Bits) -> impl Iterator<Item = usize> + '_ {
+        let inline = b.is_inline().then(|| b.inline_value());
+        let (row, cur) = match inline {
+            Some(_) => (&[][..], 0),
+            None => {
+                let row = self.check(b);
+                (&self.data[row * self.stride..(row + 1) * self.stride], self.cursor[row] as usize)
+            }
+        };
+        let words = inline.into_iter().chain(row[cur / 64..].iter().copied()).enumerate();
+        words.flat_map(move |(j, word)| {
+            let mut word = if j == 0 { word & !0 << (cur % 64) } else { word };
+            std::iter::from_fn(move || {
+                let k = word.trailing_zeros() as usize;
+                word &= word.wrapping_sub(1);
+                (k < 64).then(|| j * 64 + k - cur % 64)
+            })
+        })
+    }
+
     /// Logical right-shift by one — the per-hop header advance. O(1) for
     /// slab rows (cursor bump + cached-bit0 refresh).
     #[inline]
@@ -296,21 +333,7 @@ impl BitSlab {
     /// Remaining deliveries encoded in the bitstring (bits at or above the
     /// cursor).
     pub fn popcount(&self, b: Bits) -> u32 {
-        if b.is_inline() {
-            return b.inline_value().count_ones();
-        }
-        let row = self.check(b);
-        let cur = self.cursor[row] as usize;
-        let base = row * self.stride;
-        let mut total = 0u32;
-        for w in cur / 64..self.stride {
-            let mut word = self.data[base + w];
-            if w == cur / 64 {
-                word &= !0u64 << (cur % 64);
-            }
-            total += word.count_ones();
-        }
-        total
+        self.ones(b).count() as u32
     }
 
     /// Deep-copy a bitstring for a forwarded clone. Inline values copy for
@@ -321,13 +344,8 @@ impl BitSlab {
         }
         let src_row = self.check(b);
         let row = self.alloc_row() as usize;
-        let (src_base, dst_base) = (src_row * self.stride, row * self.stride);
-        // Split the borrow: rows are disjoint (alloc never returns src_row
-        // because src is still live).
-        debug_assert_ne!(src_row, row);
-        for w in 0..self.stride {
-            self.data[dst_base + w] = self.data[src_base + w];
-        }
+        let src = src_row * self.stride;
+        self.data.copy_within(src..src + self.stride, row * self.stride);
         self.cursor[row] = self.cursor[src_row];
         Bits::handle(row as u32, self.generation[row], b.bit0())
     }
@@ -346,17 +364,10 @@ impl BitSlab {
     /// Remaining logical value as a `u128` (test/debug helper; panics if
     /// bits ≥ 128 positions above the cursor are set).
     pub fn to_u128(&self, b: Bits) -> u128 {
-        if b.is_inline() {
-            return u128::from(b.inline_value());
-        }
-        let mut v = 0u128;
-        for k in 0..self.stride * 64 {
-            if self.bit_at(b, k) {
-                assert!(k < 128, "bitstring does not fit in u128");
-                v |= 1 << k;
-            }
-        }
-        v
+        self.ones(b).fold(0, |v, k| {
+            assert!(k < 128, "bitstring does not fit in u128");
+            v | 1 << k
+        })
     }
 }
 

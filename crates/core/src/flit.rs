@@ -14,7 +14,7 @@
 //! holding the interned per-packet bookkeeping ([`PacketMeta`]), which is
 //! used only for statistics and invariant checking, never for routing
 //! decisions that the hardware could not make. Interning keeps the simulator
-//! hot path allocation-free: a flit is 12 bytes moved by value, and the
+//! hot path allocation-free: a flit is 8 bytes moved by value, and the
 //! ~56-byte metadata is written once at injection instead of being cloned on
 //! every hop, link slot and buffer push.
 
@@ -308,9 +308,10 @@ impl PacketTable {
                 PacketRef(slot)
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("packet table overflow");
+                let slot = self.slots.len();
+                assert!(slot < 1 << HANDLE_BITS, "packet table overflow: a flit holds 30 bits");
                 self.slots.push(meta);
-                PacketRef(slot)
+                PacketRef(slot as u32)
             }
         }
     }
@@ -347,38 +348,63 @@ impl PacketTable {
     }
 }
 
-/// One flit of a wormhole packet: a 12-byte `Copy` value. Everything
-/// per-packet lives in the [`PacketTable`]; the flit itself carries only its
-/// packet handle and its position within the worm.
+/// One flit of a wormhole packet: an 8-byte `Copy` value. Everything
+/// per-packet lives in the [`PacketTable`]; the flit carries only its packet
+/// handle, with its kind's 2-bit wire code in the handle word's top two bits
+/// (a table holds fewer than 2^30 slots), and its position within the worm,
+/// so a message may still be 2^32 − 1 flits long.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
-    /// Handle of the interned [`PacketMeta`] (see [`PacketTable`]).
-    pub packet: PacketRef,
-    /// Index of this flit within its packet (`0 == header`).
-    pub seq: u32,
-    /// Header / body / tail.
-    pub kind: FlitKind,
+    word: u32,
+    seq: u32,
 }
 
+/// Bits of a flit's handle word below its kind.
+const HANDLE_BITS: u32 = 30;
+
 impl Flit {
+    /// Flit `seq` (`0 == header`) of kind `kind` of interned packet `packet`.
+    #[inline]
+    pub fn new(packet: PacketRef, seq: u32, kind: FlitKind) -> Flit {
+        debug_assert!(packet.0 >> HANDLE_BITS == 0, "packet handle {packet} overflows 30 bits");
+        Flit { word: packet.0 | (kind.wire_bits() as u32) << HANDLE_BITS, seq }
+    }
+
+    /// Handle of the interned [`PacketMeta`] (see [`PacketTable`]).
+    #[inline]
+    pub fn packet(&self) -> PacketRef {
+        PacketRef(self.word & ((1 << HANDLE_BITS) - 1))
+    }
+
+    /// Index of this flit within its packet (`0 == header`).
+    #[inline]
+    pub fn seq(&self) -> u32 {
+        self.seq
+    }
+
+    /// Header / body / tail / single.
+    pub fn kind(&self) -> FlitKind {
+        FlitKind::from_wire_bits(u64::from(self.word >> HANDLE_BITS)).expect("2-bit kind")
+    }
+
     /// Is this the flit that claims the route? (`Single` flits are whole
     /// one-flit packets: header and tail at once.)
     #[inline]
     pub fn is_header(&self) -> bool {
-        matches!(self.kind, FlitKind::Header | FlitKind::Single)
+        matches!(self.word >> HANDLE_BITS, 0b00 | 0b11)
     }
 
     /// Is this the flit that releases the route? (`Single` flits are whole
     /// one-flit packets: header and tail at once.)
     #[inline]
     pub fn is_tail(&self) -> bool {
-        matches!(self.kind, FlitKind::Tail | FlitKind::Single)
+        self.word >> (HANDLE_BITS + 1) != 0
     }
 }
 
 impl fmt::Display for Flit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{} {}]", self.kind, self.seq, self.packet)
+        write!(f, "{}[{} {}]", self.kind(), self.seq, self.packet())
     }
 }
 
@@ -588,9 +614,21 @@ mod tests {
 
     #[test]
     fn single_flit_is_header_and_tail() {
-        let f = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Single };
+        let f = Flit::new(PacketRef(0), 0, FlitKind::Single);
         assert!(f.is_header() && f.is_tail());
         assert_eq!(f.to_string(), "S[0 #0]");
+    }
+
+    #[test]
+    fn flit_packs_its_kind_above_a_30_bit_handle() {
+        let (packet, seq) = (PacketRef((1 << 30) - 1), u32::MAX);
+        for kind in [FlitKind::Header, FlitKind::Body, FlitKind::Tail, FlitKind::Single] {
+            let f = Flit::new(packet, seq, kind);
+            assert_eq!((f.packet(), f.seq(), f.kind()), (packet, seq, kind));
+            assert_eq!(f.is_header(), matches!(kind, FlitKind::Header | FlitKind::Single));
+            assert_eq!(f.is_tail(), matches!(kind, FlitKind::Tail | FlitKind::Single));
+        }
+        assert_eq!(std::mem::size_of::<Flit>(), 8);
     }
 
     #[test]
@@ -623,7 +661,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let f = Flit { packet: PacketRef(5), seq: 0, kind: FlitKind::Header };
+        let f = Flit::new(PacketRef(5), 0, FlitKind::Header);
         assert_eq!(f.to_string(), "H[0 #5]");
     }
 

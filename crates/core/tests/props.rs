@@ -246,6 +246,37 @@ proptest! {
         prop_assert_eq!(slab.live_rows(), 0);
     }
 
+    /// The word-by-word set-bit walk lists exactly the positions a
+    /// `bit_at` scan finds, on inline values and on slab rows at every
+    /// cursor; `below` sets exactly the low `count` positions.
+    #[test]
+    fn set_bit_walk_matches_bit_at_scan(
+        positions in proptest::collection::vec(0usize..300, 0..40),
+        inline in any::<bool>(),
+        shifts in 0usize..200,
+        count in 0usize..300,
+    ) {
+        let mut slab = BitSlab::new(300);
+        let mut b = Bits::ZERO;
+        for &i in &positions {
+            slab.set_bit(&mut b, if inline { i % 63 } else { i });
+        }
+        prop_assert_eq!(b.is_inline(), positions.iter().all(|&i| inline || i < 63));
+        let scan = |slab: &BitSlab, b| (0..320).filter(|&k| slab.bit_at(b, k)).collect::<Vec<_>>();
+        for s in 0..shifts {
+            prop_assert_eq!(slab.ones(b).collect::<Vec<_>>(), scan(&slab, b), "after {} shifts", s);
+            slab.shift(&mut b);
+        }
+        let all = slab.below(count);
+        prop_assert_eq!(all.is_inline(), count <= 63);
+        prop_assert_eq!(slab.ones(all).collect::<Vec<_>>(), (0..count).collect::<Vec<_>>());
+        prop_assert_eq!(scan(&slab, all), (0..count).collect::<Vec<_>>());
+        prop_assert_eq!(all.bit0(), count > 0);
+        slab.release(b);
+        slab.release(all);
+        prop_assert_eq!(slab.live_rows(), 0);
+    }
+
     /// The quadrant decision is a function of the CW distance only
     /// (vertex symmetry of the topology).
     #[test]

@@ -21,7 +21,7 @@ use quarc_core::flit::{Flit, FlitKind, PacketRef};
 /// arbitration pass inspects the head of every occupied lane of every
 /// *active* router every cycle, and the mirror turns that inspection into
 /// reads of per-node-contiguous memory instead of chasing each lane's ring
-/// position. Push/pop pay one extra 12-byte copy to maintain it — they run
+/// position. Push/pop pay one extra 8-byte copy to maintain it — they run
 /// once per flit movement, while `head` runs once per occupied lane per
 /// arbitration pass.
 #[derive(Debug, Clone)]
@@ -41,7 +41,7 @@ impl LaneBufs {
     /// Buffers for `lanes` lanes of `depth` flits each.
     pub fn new(lanes: usize, depth: usize) -> Self {
         assert!(depth >= 1 && depth <= u16::MAX as usize);
-        let empty = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Body };
+        let empty = Flit::new(PacketRef(0), 0, FlitKind::Body);
         LaneBufs {
             flits: vec![empty; lanes * depth].into_boxed_slice(),
             state: vec![(0u16, 0u16); lanes].into_boxed_slice(),
@@ -128,7 +128,7 @@ mod tests {
     use super::*;
 
     fn flit(seq: u32) -> Flit {
-        Flit { packet: PacketRef(0), seq, kind: FlitKind::Body }
+        Flit::new(PacketRef(0), seq, FlitKind::Body)
     }
 
     #[test]
@@ -140,10 +140,10 @@ mod tests {
         b.push(1, flit(99));
         assert_eq!(b.len(0), 4);
         for i in 0..4 {
-            assert_eq!(b.pop(0).unwrap().seq, i);
+            assert_eq!(b.pop(0).unwrap().seq(), i);
         }
         assert!(b.is_empty(0));
-        assert_eq!(b.pop(1).unwrap().seq, 99);
+        assert_eq!(b.pop(1).unwrap().seq(), 99);
     }
 
     #[test]
@@ -151,12 +151,12 @@ mod tests {
         let mut b = LaneBufs::new(1, 3);
         for round in 0..10u32 {
             b.push(0, flit(round));
-            assert_eq!(b.pop(0).unwrap().seq, round);
+            assert_eq!(b.pop(0).unwrap().seq(), round);
         }
         assert!(b.is_empty(0));
         // The head now sits mid-ring: a full lane wraps, head first.
         (20..23).for_each(|s| b.push(0, flit(s)));
-        assert_eq!(b.iter(0).map(|f| f.seq).collect::<Vec<_>>(), [20, 21, 22]);
+        assert_eq!(b.iter(0).map(|f| f.seq()).collect::<Vec<_>>(), [20, 21, 22]);
     }
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
     fn front_does_not_consume() {
         let mut b = LaneBufs::new(1, 2);
         b.push(0, flit(7));
-        assert_eq!(b.head(0).seq, 7);
+        assert_eq!(b.head(0).seq(), 7);
         assert_eq!(b.len(0), 1);
         assert!(!b.is_empty(0));
     }
@@ -182,8 +182,8 @@ mod tests {
         b.push(0, flit(1));
         b.push(2, flit(2));
         assert!(b.is_empty(1));
-        assert_eq!(b.head(0).seq, 1);
-        assert_eq!(b.head(2).seq, 2);
+        assert_eq!(b.head(0).seq(), 1);
+        assert_eq!(b.head(2).seq(), 2);
         assert_eq!(b.pop(1), None);
     }
 }

@@ -38,7 +38,7 @@ use crate::driver::{NocSim, StallDiagnostics};
 use crate::fault::FaultState;
 use crate::link::{LinkBank, TaggedFlit};
 use crate::metrics::{FabricEvent, Metrics};
-use crate::packets::{message_meta, IdAlloc, PacketQueue};
+use crate::packets::{message_meta, IdAlloc, QueueBank};
 use crate::probe::{CounterSample, Phase, SimProbe};
 use crate::recovery::{DataDelivery, RecoveryAction, RecoveryState};
 use quarc_core::bits::BitSlab;
@@ -224,7 +224,7 @@ pub struct Fabric<R: RouterModel> {
     /// Injection queues, `node * QUEUES + queue`, holding whole packets
     /// (flits materialise on pop). Unbounded: the paper keeps packets in PE
     /// RAM and queues only addresses (§3.1).
-    inject_q: Box<[PacketQueue]>,
+    inject_q: QueueBank,
     /// Input buffers; lane `(node * PORTS + port) * vcs + vc`.
     in_buf: LaneBufs,
     /// Request lines per router (the `empty` signals of §2.3.1, inverted):
@@ -329,7 +329,7 @@ impl<R: RouterModel> Fabric<R> {
             nodes: n,
             vcs,
             now: 0,
-            inject_q: (0..n * R::QUEUES).map(|_| PacketQueue::new()).collect(),
+            inject_q: QueueBank::new(n * R::QUEUES),
             in_buf: LaneBufs::new(n * ports * vcs, cfg.buffer_depth),
             occ: vec![0; n],
             plans: vec![LanePlan::Idle; n * (ports * vcs + R::QUEUES)].into_boxed_slice(),
@@ -404,7 +404,7 @@ impl<R: RouterModel> Fabric<R> {
             let line = self.occ[node] >> bit & 1 != 0;
             check(line == head.is_some(), "occupancy bit ⇔ slot non-empty", (node, bit))?;
             let LanePlan::Routed(memo) = self.plans[self.plan_at(node, bit)] else { return Ok(()) };
-            let fresh = |h: Flit| self.model.route_slot(node, src, self.packets.meta(h.packet));
+            let fresh = |h: Flit| self.model.route_slot(node, src, self.packets.meta(h.packet()));
             let ok = head.is_some_and(|h| h.is_header() && fresh(h) == memo);
             check(ok, "route memo = the model's route for the head header", (node, bit))
         };
@@ -412,6 +412,7 @@ impl<R: RouterModel> Fabric<R> {
         // or the re-injection list — and holds a slab row iff its bitstring
         // spilled: a missed `release` leaks both.
         let (mut seen, mut packets, mut rows) = (vec![false; self.packets.capacity()], 0, 0);
+        let mut queued = seen.clone();
         let mut reach = |p: PacketRef| {
             if !std::mem::replace(&mut seen[p.index()], true) {
                 packets += 1;
@@ -426,22 +427,29 @@ impl<R: RouterModel> Fabric<R> {
             for bit in 0..R::PORTS * vcs {
                 let lane = node * R::PORTS * vcs + bit;
                 buffered += self.in_buf.len(lane) as u64;
-                self.in_buf.iter(lane).for_each(|f| reach(f.packet));
+                self.in_buf.iter(lane).for_each(|f| reach(f.packet()));
                 let head = (!self.in_buf.is_empty(lane)).then(|| *self.in_buf.head(lane));
                 slot(node, Src::Net { port: (bit / vcs) as u8, vc: (bit % vcs) as u8 }, head)?;
             }
             for queue in 0..R::QUEUES {
                 let q = node * R::QUEUES + queue;
-                backlog += self.inject_q[q].flits();
-                self.inject_q[q].packets().for_each(&mut reach);
-                slot(node, Src::Local { queue: queue as u8 }, self.inject_q[q].front())?;
+                let head = self.inject_q.front(q);
+                for (p, len) in self.inject_q.packets(q) {
+                    let once = !std::mem::replace(&mut queued[p.index()], true);
+                    let ok = once && len == self.packets.meta(p).len;
+                    check(ok, "a queued packet is queued once, with its len", (node, queue))?;
+                    backlog += len as usize;
+                    reach(p);
+                }
+                backlog -= head.map_or(0, |f| f.seq() as usize);
+                slot(node, Src::Local { queue: queue as u8 }, head)?;
             }
         }
         let wired = self.targets.iter().enumerate().filter(|(_, target)| target.0 != NO_LINK);
         for (lid, &(to, tin)) in wired {
             let flying = self.links.in_flight(lid).count();
             on_links += flying as u64;
-            self.links.in_flight(lid).for_each(|tf| reach(tf.flit.packet));
+            self.links.in_flight(lid).for_each(|tf| reach(tf.flit.packet()));
             let counted = self.links.is_empty(lid) == (flying == 0);
             check(counted, "LinkBank occupancy = slot walk", (lid, 0))?;
             for vc in 0..vcs {
@@ -561,11 +569,11 @@ impl<R: RouterModel> Fabric<R> {
                 let route = if let LanePlan::Routed(route) = memo {
                     route
                 } else {
-                    let route = self.model.route_slot(node, src, self.packets.meta(head.packet));
+                    let route = self.model.route_slot(node, src, self.packets.meta(head.packet()));
                     self.plans[at] = LanePlan::Routed(route);
                     route
                 };
-                self.plan_header(node, route, head.packet)
+                self.plan_header(node, route, head.packet())
             }
         };
         let (is_header, is_tail) = (head.is_header(), head.is_tail());
@@ -641,7 +649,7 @@ impl<R: RouterModel> Fabric<R> {
         for queue in 0..R::QUEUES {
             let bit = R::PORTS * vcs + queue;
             if occ >> bit & 1 != 0 {
-                let head = self.inject_q[node * R::QUEUES + queue].front().expect("occupied");
+                let head = self.inject_q.front(node * R::QUEUES + queue).expect("occupied");
                 let src = Src::Local { queue: queue as u8 };
                 file(R::PORTS + queue, self.request(node, src, bit, head));
             }
@@ -696,9 +704,9 @@ impl<R: RouterModel> Fabric<R> {
             }
             Src::Local { queue } => {
                 let q = node * R::QUEUES + queue as usize;
-                let flit = self.inject_q[q].pop().expect("planned flit");
+                let flit = self.inject_q.pop(q).expect("planned flit");
                 self.inject_backlog -= 1;
-                (flit, self.inject_q[q].is_empty())
+                (flit, self.inject_q.is_empty(q))
             }
         };
         if emptied {
@@ -721,7 +729,7 @@ impl<R: RouterModel> Fabric<R> {
         // above was not among them), so the message ledger still balances
         // (`expected == delivered + lost`) and drain loops terminate.
         if plan.dropped {
-            let meta = *self.packets.meta(flit.packet);
+            let meta = *self.packets.meta(flit.packet());
             // Dropped ACKs are pure control loss: the data source's timeout
             // covers them. Data drops write off their unreached receivers —
             // unless recovery is on, in which case every loss is deferred to
@@ -745,10 +753,10 @@ impl<R: RouterModel> Fabric<R> {
             // Routers (not sources) shift multicast bitstrings hop by hop,
             // so bit 0 always answers "does the next node take a copy?".
             if flit.is_header() && matches!(src, Src::Net { .. }) {
-                self.packets.advance_header(flit.packet);
+                self.packets.advance_header(flit.packet());
             }
             if flit.is_header() {
-                let meta = *self.packets.meta(flit.packet);
+                let meta = *self.packets.meta(flit.packet());
                 self.emit(FabricEvent::Hop { meta: &meta, node, port: o });
             }
             self.link_flits[lid] += 1;
@@ -761,7 +769,7 @@ impl<R: RouterModel> Fabric<R> {
             // Ejected, absorbed or drained to the tail: wormhole in-order
             // delivery means no flit of this packet exists anywhere any
             // more — retire it.
-            self.packets.release(flit.packet);
+            self.packets.release(flit.packet());
         }
     }
 
@@ -788,7 +796,7 @@ impl<R: RouterModel> Fabric<R> {
         is_header: bool,
         eject: bool,
     ) {
-        let meta = *self.packets.meta(flit.packet);
+        let meta = *self.packets.meta(flit.packet());
         if meta.class == TrafficClass::Ack {
             // ACK absorbed at the data source: a control packet, never a
             // tracked delivery (the data message may already be completed
@@ -915,7 +923,7 @@ impl<R: RouterModel> Fabric<R> {
     #[inline]
     fn enqueue(&mut self, node: usize, queue: usize, packet: PacketRef) {
         let len = self.packets.meta(packet).len;
-        self.inject_backlog += self.inject_q[node * R::QUEUES + queue].push_packet(packet, len);
+        self.inject_backlog += self.inject_q.push_packet(node * R::QUEUES + queue, packet, len);
         self.occ[node] |= 1 << (R::PORTS * self.vcs + queue);
         self.mark_node(node);
     }
@@ -1195,9 +1203,8 @@ impl<R: RouterModel> NocSim for Fabric<R> {
             .map(|node| {
                 let buffered: usize =
                     (node * lanes..(node + 1) * lanes).map(|lane| self.in_buf.len(lane)).sum();
-                let queued: usize = self.inject_q[node * R::QUEUES..(node + 1) * R::QUEUES]
-                    .iter()
-                    .map(PacketQueue::flits)
+                let queued: usize = (node * R::QUEUES..(node + 1) * R::QUEUES)
+                    .map(|q| self.inject_q.flits(q))
                     .sum();
                 (node as u32, (buffered + queued) as u32)
             })

@@ -46,10 +46,17 @@ use quarc_engine::{mix64, Cycle, DetRng};
 /// The realised fault set of one network instance.
 #[derive(Debug, Clone)]
 pub struct FaultState {
-    /// Whether any fault is scheduled at all — the one branch every hot
-    /// site pays when the plan is empty.
-    any: bool,
     onset: Cycle,
+    /// Routers and link ids, to size the tables on a first `block_link`.
+    size: (usize, usize),
+    /// Present only under a non-empty plan or after a `block_link`: a
+    /// fault-free network allocates nothing here.
+    tables: Option<Box<FaultTables>>,
+}
+
+/// What a fault plan or a block window realises, per link and per router.
+#[derive(Debug, Clone)]
+struct FaultTables {
     /// Per-link: permanently dead from `onset`.
     dead: Box<[bool]>,
     /// Per-link lossless block window `[from, until)` (`(0, 0)` = none):
@@ -69,6 +76,32 @@ pub struct FaultState {
     /// cycle while the plan is live, because their feasibility changes
     /// with time, not with a tracked event.
     watch_nodes: Vec<u32>,
+}
+
+impl FaultTables {
+    fn new(nodes: usize, links: usize) -> Self {
+        FaultTables {
+            dead: vec![false; links].into_boxed_slice(),
+            block: vec![(0, 0); links].into_boxed_slice(),
+            blocked_until: 0,
+            drop_thresh: vec![0; links].into_boxed_slice(),
+            drop_salt: vec![0; links].into_boxed_slice(),
+            frozen: vec![false; nodes].into_boxed_slice(),
+            watch_nodes: Vec::new(),
+        }
+    }
+
+    /// Keep `node`'s router re-arbitrating every cycle.
+    fn watch(&mut self, node: usize) {
+        if !self.watch_nodes.contains(&(node as u32)) {
+            self.watch_nodes.push(node as u32);
+        }
+    }
+
+    fn set_block(&mut self, lid: usize, from: Cycle, until: Cycle) {
+        self.block[lid] = (from, until);
+        self.blocked_until = self.blocked_until.max(until);
+    }
 }
 
 /// Draw `count` distinct picks from `pool` (skipping already-`hit` entries,
@@ -100,30 +133,19 @@ impl FaultState {
         node_of_link: impl Fn(usize) -> usize,
         link_exists: impl Fn(usize) -> bool,
     ) -> Self {
-        let mut state = FaultState {
-            any: false,
-            onset: plan.onset,
-            dead: vec![false; links].into_boxed_slice(),
-            block: vec![(0, 0); links].into_boxed_slice(),
-            blocked_until: 0,
-            drop_thresh: vec![0u64; links].into_boxed_slice(),
-            drop_salt: vec![0u64; links].into_boxed_slice(),
-            frozen: vec![false; nodes].into_boxed_slice(),
-            watch_nodes: Vec::new(),
-        };
+        let mut state = FaultState { onset: plan.onset, size: (nodes, links), tables: None };
         if plan.is_empty() || links == 0 || nodes == 0 {
             return state;
         }
-        state.any = true;
+        let mut t = FaultTables::new(nodes, links);
         let pool: Vec<usize> = (0..links).filter(|&l| link_exists(l)).collect();
         let root = DetRng::new(plan.seed);
         let mut scratch = vec![false; links];
-        let watch = |state: &mut FaultState, lid: usize| state.watch(node_of_link(lid));
 
         let mut rng = root.fork(1);
         for lid in pick_distinct(&mut rng, &pool, plan.dead_links as usize, &mut scratch) {
-            state.dead[lid] = true;
-            watch(&mut state, lid);
+            t.dead[lid] = true;
+            t.watch(node_of_link(lid));
         }
         // Lossy and transient selections avoid the dead set (a dead link
         // already drops everything) but may overlap each other.
@@ -131,18 +153,18 @@ impl FaultState {
         let lossy = pick_distinct(&mut rng, &pool, plan.lossy_links as usize, &mut scratch);
         if plan.drop_per_64k > 0 {
             for lid in lossy {
-                state.drop_thresh[lid] = (plan.drop_per_64k as u64) << 48;
-                state.drop_salt[lid] = mix64(plan.seed ^ (lid as u64).wrapping_mul(0x9E37));
-                watch(&mut state, lid);
+                t.drop_thresh[lid] = (plan.drop_per_64k as u64) << 48;
+                t.drop_salt[lid] = mix64(plan.seed ^ (lid as u64).wrapping_mul(0x9E37));
+                t.watch(node_of_link(lid));
             }
         }
         let mut rng = root.fork(3);
-        let mut transient_scratch = state.dead.clone();
+        let mut transient_scratch = t.dead.clone();
         for lid in
             pick_distinct(&mut rng, &pool, plan.transient_links as usize, &mut transient_scratch)
         {
-            state.set_block(lid, plan.onset, plan.onset + plan.transient_cycles as u64);
-            watch(&mut state, lid);
+            t.set_block(lid, plan.onset, plan.onset + plan.transient_cycles as u64);
+            t.watch(node_of_link(lid));
         }
         let mut rng = root.fork(4);
         let mut node_scratch = vec![false; nodes];
@@ -150,16 +172,10 @@ impl FaultState {
         for node in
             pick_distinct(&mut rng, &node_pool, plan.frozen_routers as usize, &mut node_scratch)
         {
-            state.frozen[node] = true;
+            t.frozen[node] = true;
         }
+        state.tables = Some(Box::new(t));
         state
-    }
-
-    /// Keep `node`'s router re-arbitrating every cycle.
-    fn watch(&mut self, node: usize) {
-        if !self.watch_nodes.contains(&(node as u32)) {
-            self.watch_nodes.push(node as u32);
-        }
     }
 
     /// Block link `lid` (leaving router `node`) losslessly while `from ≤ now
@@ -169,14 +185,10 @@ impl FaultState {
     /// joins the watch list.
     pub fn block_link(&mut self, lid: usize, node: usize, from: Cycle, until: Cycle) {
         assert!(from < until);
-        self.any = true;
-        self.set_block(lid, from, until);
-        self.watch(node);
-    }
-
-    fn set_block(&mut self, lid: usize, from: Cycle, until: Cycle) {
-        self.block[lid] = (from, until);
-        self.blocked_until = self.blocked_until.max(until);
+        let (nodes, links) = self.size;
+        let tables = self.tables.get_or_insert_with(|| Box::new(FaultTables::new(nodes, links)));
+        tables.set_block(lid, from, until);
+        tables.watch(node);
     }
 
     /// A fault state scheduling nothing (for networks built without a plan).
@@ -189,28 +201,30 @@ impl FaultState {
     /// first, so an empty plan costs one predictable branch.
     #[inline]
     pub fn any(&self) -> bool {
-        self.any
+        self.tables.is_some()
     }
 
     /// Whether `node`'s arbitration is frozen at `now`.
     #[inline]
     pub fn node_frozen(&self, node: usize, now: Cycle) -> bool {
-        self.any && now >= self.onset && self.frozen[node]
+        self.tables.as_ref().is_some_and(|t| now >= self.onset && t.frozen[node])
     }
 
     /// Whether `lid` is permanently dead at `now` (drops new packets).
     #[cfg(test)]
     fn link_dead(&self, lid: usize, now: Cycle) -> bool {
-        self.any && now >= self.onset && self.dead[lid]
+        self.tables.as_ref().is_some_and(|t| now >= self.onset && t.dead[lid])
     }
 
     /// Whether `lid` is inside a lossless blocking window.
     #[inline]
     pub fn link_blocked(&self, lid: usize, now: Cycle) -> bool {
-        self.any && now < self.blocked_until && {
-            let (from, until) = self.block[lid];
-            now >= from && now < until
-        }
+        self.tables.as_ref().is_some_and(|t| {
+            now < t.blocked_until && {
+                let (from, until) = t.block[lid];
+                now >= from && now < until
+            }
+        })
     }
 
     /// Whether routing `packet` onto `lid` at `now` drops it. Combines the
@@ -219,33 +233,30 @@ impl FaultState {
     /// see module docs).
     #[inline]
     pub fn drops_packet(&self, lid: usize, packet: PacketId, now: Cycle) -> bool {
-        if !self.any || now < self.onset {
-            return false;
+        let Some(t) = self.tables.as_ref().filter(|_| now >= self.onset) else { return false };
+        t.dead[lid] || {
+            let thresh = t.drop_thresh[lid];
+            thresh != 0 && mix64(t.drop_salt[lid] ^ packet.0) < thresh
         }
-        if self.dead[lid] {
-            return true;
-        }
-        let thresh = self.drop_thresh[lid];
-        thresh != 0 && mix64(self.drop_salt[lid] ^ packet.0) < thresh
     }
 
     /// Nodes that must be re-marked grantable every cycle (sources of
     /// faulted links). Empty when the plan is empty.
     #[inline]
     pub fn watch_nodes(&self) -> &[u32] {
-        &self.watch_nodes
+        self.tables.as_ref().map_or(&[], |t| &t.watch_nodes)
     }
 
     /// Realised dead links.
     #[cfg(test)]
     fn dead_links(&self) -> Vec<usize> {
-        (0..self.dead.len()).filter(|&l| self.dead[l]).collect()
+        (0..self.size.1).filter(|&l| self.link_dead(l, Cycle::MAX)).collect()
     }
 
     /// Realised frozen routers.
     #[cfg(test)]
     fn frozen_routers(&self) -> Vec<usize> {
-        (0..self.frozen.len()).filter(|&n| self.frozen[n]).collect()
+        (0..self.size.0).filter(|&n| self.node_frozen(n, Cycle::MAX)).collect()
     }
 }
 
@@ -284,7 +295,7 @@ mod tests {
     #[test]
     fn empty_plan_schedules_nothing() {
         let s = FaultState::new(&FaultPlan::NONE, 16, 64, |l| l / 4, |_| true);
-        assert!(!s.any());
+        assert!(!s.any() && s.tables.is_none(), "an empty plan builds no tables");
         assert!(s.watch_nodes().is_empty());
         assert!(!s.link_dead(0, 1_000_000));
         assert!(!s.node_frozen(0, 1_000_000));
@@ -337,7 +348,8 @@ mod tests {
             ..FaultPlan::NONE
         };
         let s = FaultState::new(&p, 16, 64, |l| l / 4, |_| true);
-        let lossy = (0..64).find(|&l| s.drop_thresh[l] != 0).expect("lossy link");
+        let t = s.tables.as_ref().expect("a lossy plan builds the tables");
+        let lossy = (0..64).find(|&l| t.drop_thresh[l] != 0).expect("lossy link");
         let mut dropped = 0;
         for id in 0..1000u64 {
             let d1 = s.drops_packet(lossy, PacketId(id), 10);

@@ -47,8 +47,8 @@
 //! O(1) bookkeeping per flit event:
 //!
 //! * **Interned packet metadata** — the fabric owns a
-//!   [`quarc_core::flit::PacketTable`]; a `Flit` is a 12-byte `Copy` handle
-//!   (packet ref + seq + kind). Metadata is written once at
+//!   [`quarc_core::flit::PacketTable`]; a `Flit` is an 8-byte `Copy` handle
+//!   (packet ref with the kind in its top bits + seq). Metadata is written once at
 //!   injection, the slot is recycled when the tail is absorbed at the last
 //!   node of its path.
 //! * **Scratch reuse** — workload polling ([`quarc_workloads::Workload::poll_into`]),

@@ -114,7 +114,7 @@ mod tests {
     use quarc_core::flit::{FlitKind, PacketRef};
 
     fn tf(seq: u32, vc: VcId) -> TaggedFlit {
-        TaggedFlit { flit: Flit { packet: PacketRef(0), seq, kind: FlitKind::Body }, vc }
+        TaggedFlit { flit: Flit::new(PacketRef(0), seq, FlitKind::Body), vc }
     }
 
     /// Drive one cycle for `bank`: arrivals on every link, then the sends.
@@ -123,7 +123,7 @@ mod tests {
         let mut arrived = Vec::new();
         for link in 0..bank.occupied.len() {
             if let Some(a) = bank.arrive(link, idx) {
-                arrived.push((link, a.flit.seq));
+                arrived.push((link, a.flit.seq()));
             }
         }
         for (link, t) in sends {
@@ -134,9 +134,10 @@ mod tests {
 
     #[test]
     fn a_link_slot_is_sixteen_bytes() {
-        // A flit is its packet handle, sequence number and kind; a slot adds
-        // the downstream VC, and the empty slot needs no tag of its own.
-        assert_eq!(std::mem::size_of::<Flit>(), 12);
+        // A flit is its packet handle, with the kind in the handle word's
+        // top two bits, and its sequence number; a slot adds the downstream
+        // VC and the empty slot's tag.
+        assert_eq!(std::mem::size_of::<Flit>(), 8);
         assert_eq!(std::mem::size_of::<Option<TaggedFlit>>(), 16);
     }
 
@@ -208,6 +209,6 @@ mod tests {
         b.send(0, idx, tf(42, VcId::VC0));
         assert!(b.arrive(0, b.slot_index(8)).is_none());
         assert!(b.arrive(0, b.slot_index(9)).is_none());
-        assert_eq!(b.arrive(0, b.slot_index(10)).unwrap().flit.seq, 42);
+        assert_eq!(b.arrive(0, b.slot_index(10)).unwrap().flit.seq(), 42);
     }
 }

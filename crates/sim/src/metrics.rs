@@ -254,11 +254,11 @@ impl Metrics {
         if site >= self.site_progress.len() {
             self.site_progress.resize(site + 1, 0);
         }
-        let expected_seq = &mut self.site_progress[site];
+        let (expected_seq, seq) = (&mut self.site_progress[site], flit.seq());
         assert_eq!(
-            *expected_seq, flit.seq,
+            *expected_seq, seq,
             "out-of-order flit at {node}: packet {} seq {} (expected {})",
-            meta.packet, flit.seq, expected_seq
+            meta.packet, seq, expected_seq
         );
         *expected_seq += 1;
         if !flit.is_tail() {
@@ -538,7 +538,7 @@ mod tests {
             } else {
                 FlitKind::Body
             };
-            let flit = Flit { packet: PacketRef(0), seq, kind };
+            let flit = Flit::new(PacketRef(0), seq, kind);
             // One delivery site per node is enough for these tests (matches
             // the single-eject-port networks).
             let (node, site) = (node.index(), node.index());
@@ -606,7 +606,7 @@ mod tests {
         let mut m = Metrics::new();
         let id = created(&mut m, TrafficClass::Unicast, 0, 1);
         let pm = meta(id, 0, TrafficClass::Unicast, 1, 4);
-        let flit = Flit { packet: PacketRef(0), seq: 1, kind: FlitKind::Body };
+        let flit = Flit::new(PacketRef(0), 1, FlitKind::Body);
         m.record(5, FabricEvent::Deliver { meta: &pm, flit: &flit, node: 1, site: 1, clone: None });
     }
 

@@ -8,10 +8,10 @@
 //! each router model's [`RouterModel::plan`](crate::fabric::RouterModel::plan):
 //! `(local queue, meta)` pairs derived from the [`message_meta`] template.
 //! The fabric then draws packet ids ([`IdAlloc`]), interns each meta once in
-//! its `PacketTable` and enqueues it, through one routine, into a
-//! [`PacketQueue`] that holds whole packets and materialises their flits on
-//! pop — no intermediate `Vec<Flit>` per packet, nothing allocated per
-//! injection in steady state.
+//! its `PacketTable` and enqueues it, through one routine, into the
+//! network's [`QueueBank`], which holds whole packets and materialises their
+//! flits on pop — no intermediate `Vec<Flit>` per packet, nothing allocated
+//! per injection in steady state.
 
 use quarc_core::bits::Bits;
 use quarc_core::flit::{Flit, FlitKind, PacketMeta, PacketRef, TrafficClass};
@@ -19,7 +19,6 @@ use quarc_core::ids::{MessageId, PacketId};
 use quarc_core::ring::RingDir;
 use quarc_engine::Cycle;
 use quarc_workloads::MessageRequest;
-use std::collections::VecDeque;
 
 /// The `seq`-th flit of a `len`-flit packet: header, bodies, tail — or a
 /// lone `Single` flit for one-flit packets (the recovery layer's ACKs).
@@ -34,74 +33,89 @@ fn nth_flit(packet: PacketRef, seq: u32, len: u32) -> Flit {
     } else {
         FlitKind::Body
     };
-    Flit { packet, seq, kind }
+    Flit::new(packet, seq, kind)
 }
 
-/// A source-side injection queue holding whole packets as `(packet, len)`
-/// entries and materialising their flits on demand.
-///
-/// A queued flit is a pure function of `(packet, len, seq)` (see
-/// `nth_flit`), so there is no reason to serialise `len` 16-byte flits
-/// into a buffer at injection time: a saturated source queue holding a
-/// million flits is a few thousand 8-byte entries instead, and enqueueing a
-/// message costs one push per *packet* rather than one per flit. `front` /
-/// `pop` synthesise exactly the flit stream the eager serialisation
-/// produced, which the equivalence goldens pin down.
-#[derive(Debug, Clone, Default)]
-pub struct PacketQueue {
-    entries: VecDeque<(PacketRef, u32)>,
-    /// Sequence index of the next flit of the head entry.
-    head_seq: u32,
+/// The source-side injection queues of a whole network: FIFOs of whole
+/// packets whose flits materialise on demand (a queued flit is a pure
+/// function of `(packet, len, seq)`, see `nth_flit`), so enqueueing a
+/// message costs one push per *packet*, not one per flit. A packet sits in
+/// at most one queue, so the queues thread through one `(next, len)` pair
+/// per packet slot. Handles are stored `+ 1`: an empty queue is three zero
+/// words, and a large network's queue table stays out of resident memory
+/// wherever no source sends.
+#[derive(Debug, Clone)]
+pub struct QueueBank {
+    /// Per queue `(head + 1, tail + 1, seq of the head's next flit)`.
+    queues: Box<[(u32, u32, u32)]>,
+    /// Per packet slot `(next + 1, len)`: the packet behind it, its flits.
+    links: Vec<(u32, u32)>,
 }
 
-impl PacketQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
+impl QueueBank {
+    /// `queues` empty queues.
+    pub fn new(queues: usize) -> Self {
+        QueueBank { queues: vec![(0, 0, 0); queues].into_boxed_slice(), links: Vec::new() }
     }
 
-    /// Enqueue packet `packet` of `len` flits. Returns the flit count.
-    pub fn push_packet(&mut self, packet: PacketRef, len: u32) -> usize {
+    /// Enqueue packet `packet` of `len` flits on `queue`. Returns the flit
+    /// count.
+    pub fn push_packet(&mut self, queue: usize, packet: PacketRef, len: u32) -> usize {
         // Data packets carry header and tail flits (paper §2.6); the one
         // legal one-flit packet is the recovery layer's Single-flit ACK.
         assert!(len >= 1, "a packet needs at least one flit");
-        self.entries.push_back((packet, len));
+        if packet.index() >= self.links.len() {
+            self.links.resize(packet.index() + 1, (0, 0));
+        }
+        self.links[packet.index()] = (0, len);
+        let (head, tail, _) = &mut self.queues[queue];
+        match *tail {
+            0 => *head = packet.0 + 1,
+            last => self.links[last as usize - 1].0 = packet.0 + 1,
+        }
+        *tail = packet.0 + 1;
         len as usize
     }
 
-    /// The flit at the head of the queue, if any.
+    /// The flit at the head of `queue`, if any.
     #[inline]
-    pub fn front(&self) -> Option<Flit> {
-        self.entries.front().map(|&(packet, len)| nth_flit(packet, self.head_seq, len))
+    pub fn front(&self, queue: usize) -> Option<Flit> {
+        let (head, _, seq) = self.queues[queue];
+        let packet = head.checked_sub(1)?;
+        Some(nth_flit(PacketRef(packet), seq, self.links[packet as usize].1))
     }
 
-    /// Remove and return the head flit.
+    /// Remove and return the head flit of `queue`.
     #[inline]
-    pub fn pop(&mut self) -> Option<Flit> {
-        let &(packet, len) = self.entries.front()?;
-        let flit = nth_flit(packet, self.head_seq, len);
-        self.head_seq += 1;
-        if self.head_seq == len {
-            self.entries.pop_front();
-            self.head_seq = 0;
+    pub fn pop(&mut self, queue: usize) -> Option<Flit> {
+        let flit = self.front(queue)?;
+        let (next, len) = self.links[flit.packet().index()];
+        let q = &mut self.queues[queue];
+        q.2 += 1;
+        if q.2 == len {
+            *q = (next, if next == 0 { 0 } else { q.1 }, 0);
         }
         Some(flit)
     }
 
-    /// Whether no flit is queued.
+    /// Whether no flit is queued on `queue`.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn is_empty(&self, queue: usize) -> bool {
+        self.queues[queue].0 == 0
     }
 
-    /// Remaining flits (the head packet counts only its unsent tail-end).
-    pub fn flits(&self) -> usize {
-        self.entries.iter().map(|&(_, len)| len as usize).sum::<usize>() - self.head_seq as usize
+    /// Remaining flits on `queue` (the head packet counts only its unsent
+    /// tail-end).
+    pub fn flits(&self, queue: usize) -> usize {
+        let sent = self.queues[queue].2 as usize;
+        self.packets(queue).map(|(_, len)| len as usize).sum::<usize>() - sent
     }
 
-    /// The queued packets, head first.
-    pub fn packets(&self) -> impl Iterator<Item = PacketRef> + '_ {
-        self.entries.iter().map(|&(packet, _)| packet)
+    /// The packets queued on `queue` with their lengths, head first.
+    pub fn packets(&self, queue: usize) -> impl Iterator<Item = (PacketRef, u32)> + '_ {
+        let first = self.queues[queue].0.checked_sub(1);
+        std::iter::successors(first, |&p| self.links[p as usize].0.checked_sub(1))
+            .map(|p| (PacketRef(p), self.links[p as usize].1))
     }
 }
 
@@ -172,9 +186,9 @@ mod tests {
         }
     }
 
-    /// Drain a queue into the flit stream it will emit.
-    fn drain(mut q: PacketQueue) -> Vec<Flit> {
-        std::iter::from_fn(|| q.pop()).collect()
+    /// Drain `queue` into the flit stream it will emit.
+    fn drain(q: &mut QueueBank, queue: usize) -> Vec<Flit> {
+        std::iter::from_fn(|| q.pop(queue)).collect()
     }
 
     /// What the fabric does with `req` as message 9 of class `class`, sent
@@ -189,42 +203,42 @@ mod tests {
         let (mut model, base) = (R::new(&cfg), message_meta(req, MessageId(9), class, 100));
         let (mut table, mut planned) = (model.packet_table(), Vec::new());
         let receivers = model.plan(req, &base, table.bits_mut(), &mut planned);
-        let (mut ids, mut queues, mut flits) =
-            (IdAlloc::new(), vec![PacketQueue::new(); R::QUEUES], 0);
+        let (mut ids, mut queues, mut flits) = (IdAlloc::new(), QueueBank::new(R::QUEUES), 0);
         for (queue, meta) in planned {
             let pref = table.insert(PacketMeta { packet: ids.packet(), ..meta });
-            flits += queues[queue].push_packet(pref, meta.len);
+            flits += queues.push_packet(queue, pref, meta.len);
         }
-        (table, queues.into_iter().map(drain).collect(), receivers, flits)
+        (table, (0..R::QUEUES).map(|q| drain(&mut queues, q)).collect(), receivers, flits)
     }
 
     #[test]
     fn push_packet_shapes_header_body_tail() {
         let mut table = PacketTable::new();
         let pref = table.insert(meta(5));
-        let mut q = PacketQueue::new();
-        assert_eq!(q.push_packet(pref, 5), 5);
-        assert_eq!(q.flits(), 5);
-        let flits = drain(q);
+        let mut q = QueueBank::new(1);
+        assert_eq!(q.push_packet(0, pref, 5), 5);
+        assert_eq!(q.flits(0), 5);
+        let flits = drain(&mut q, 0);
         assert_eq!(flits.len(), 5);
-        assert_eq!(flits[0].kind, FlitKind::Header);
-        assert!(flits[1..4].iter().all(|f| f.kind == FlitKind::Body));
-        assert_eq!(flits[4].kind, FlitKind::Tail);
-        assert!(flits.iter().enumerate().all(|(i, f)| f.seq == i as u32));
-        assert!(flits.iter().all(|f| f.packet == pref));
+        assert_eq!(flits[0].kind(), FlitKind::Header);
+        assert!(flits[1..4].iter().all(|f| f.kind() == FlitKind::Body));
+        assert_eq!(flits[4].kind(), FlitKind::Tail);
+        assert!(flits.iter().enumerate().all(|(i, f)| f.seq() == i as u32));
+        assert!(flits.iter().all(|f| f.packet() == pref));
+        assert!(q.is_empty(0) && q.front(0).is_none());
     }
 
     #[test]
     fn two_flit_packet_has_no_body() {
         let mut table = PacketTable::new();
         let pref = table.insert(meta(2));
-        let mut q = PacketQueue::new();
-        q.push_packet(pref, 2);
-        assert_eq!(q.front().unwrap().kind, FlitKind::Header);
-        assert_eq!(q.pop().unwrap().kind, FlitKind::Header);
-        assert_eq!(q.front().unwrap().kind, FlitKind::Tail);
-        assert_eq!(q.pop().unwrap().kind, FlitKind::Tail);
-        assert!(q.is_empty());
+        let mut q = QueueBank::new(1);
+        q.push_packet(0, pref, 2);
+        assert_eq!(q.front(0).unwrap().kind(), FlitKind::Header);
+        assert_eq!(q.pop(0).unwrap().kind(), FlitKind::Header);
+        assert_eq!(q.front(0).unwrap().kind(), FlitKind::Tail);
+        assert_eq!(q.pop(0).unwrap().kind(), FlitKind::Tail);
+        assert!(q.is_empty(0));
     }
 
     #[test]
@@ -238,11 +252,11 @@ mod tests {
         // One packet, on the queue of the quadrant that routes 3 → 0.
         assert_eq!(queues.iter().filter(|q| !q.is_empty()).count(), 1);
         let f = queues.iter().flatten().next().copied().unwrap();
-        assert_eq!(f.kind, FlitKind::Single);
+        assert_eq!(f.kind(), FlitKind::Single);
         assert!(f.is_header() && f.is_tail());
-        assert_eq!(table.meta(f.packet).class, TrafficClass::Ack);
-        assert_eq!(table.meta(f.packet).message, MessageId(9), "acks name the data message");
-        assert_eq!(table.meta(f.packet).dst, NodeId(0));
+        assert_eq!(table.meta(f.packet()).class, TrafficClass::Ack);
+        assert_eq!(table.meta(f.packet()).message, MessageId(9), "acks name the data message");
+        assert_eq!(table.meta(f.packet()).dst, NodeId(0));
     }
 
     #[test]
@@ -252,17 +266,37 @@ mod tests {
         let mut table = PacketTable::new();
         let a = table.insert(meta(3));
         let b = table.insert(meta(2));
-        let mut q = PacketQueue::new();
-        q.push_packet(a, 3);
-        q.push_packet(b, 2);
-        assert_eq!(q.flits(), 5);
-        assert_eq!(q.packets().collect::<Vec<_>>(), [a, b]);
-        assert_eq!(q.pop().unwrap().packet, a);
-        assert_eq!(q.flits(), 4);
-        let rest = drain(q);
-        assert!(rest[..2].iter().all(|f| f.packet == a));
-        assert!(rest[2..].iter().all(|f| f.packet == b));
-        assert_eq!(rest.last().unwrap().kind, FlitKind::Tail);
+        let mut q = QueueBank::new(1);
+        q.push_packet(0, a, 3);
+        q.push_packet(0, b, 2);
+        assert_eq!(q.flits(0), 5);
+        assert_eq!(q.packets(0).collect::<Vec<_>>(), [(a, 3), (b, 2)]);
+        assert_eq!(q.pop(0).unwrap().packet(), a);
+        assert_eq!(q.flits(0), 4);
+        let rest = drain(&mut q, 0);
+        assert!(rest[..2].iter().all(|f| f.packet() == a));
+        assert!(rest[2..].iter().all(|f| f.packet() == b));
+        assert_eq!(rest.last().unwrap().kind(), FlitKind::Tail);
+    }
+
+    #[test]
+    fn queues_of_one_bank_are_independent_and_reuse_packet_slots() {
+        // Two queues threaded through the same link words: each keeps its
+        // own order, and a slot freed by a drained packet can be queued
+        // again, behind a packet of another queue's slot.
+        let (a, b, c) = (PacketRef(0), PacketRef(1), PacketRef(2));
+        let mut q = QueueBank::new(3);
+        q.push_packet(2, c, 2);
+        q.push_packet(0, a, 1);
+        q.push_packet(2, b, 1);
+        assert_eq!(q.packets(2).collect::<Vec<_>>(), [(c, 2), (b, 1)]);
+        assert_eq!(drain(&mut q, 0).iter().map(Flit::packet).collect::<Vec<_>>(), [a]);
+        assert!(q.is_empty(0) && q.is_empty(1));
+        q.push_packet(2, a, 3);
+        assert_eq!(q.flits(2), 6);
+        let packets: Vec<_> = drain(&mut q, 2).iter().map(Flit::packet).collect();
+        assert_eq!(packets, [c, c, b, a, a, a]);
+        assert!(q.is_empty(2) && q.flits(2) == 0);
     }
 
     fn expand_quarc(n: usize, req: &MessageRequest) -> (PacketTable, Vec<Vec<Flit>>, usize, usize) {
@@ -278,8 +312,8 @@ mod tests {
         // Queue 0 is the right quadrant's (0 → 3 is three hops clockwise).
         assert_eq!(queues[0].len(), 8);
         let head = queues[0][0];
-        assert_eq!(table.meta(head.packet).created_at, 100);
-        assert_eq!(table.meta(head.packet).message, MessageId(9));
+        assert_eq!(table.meta(head.packet()).created_at, 100);
+        assert_eq!(table.meta(head.packet()).message, MessageId(9));
         assert_eq!(table.live(), 1);
     }
 
@@ -292,9 +326,9 @@ mod tests {
         assert!(queues.iter().all(|q| q.len() == 4), "one packet per quadrant");
         // Distinct packet ids, same message id.
         let pkts: std::collections::HashSet<_> =
-            queues.iter().map(|q| table.meta(q[0].packet).packet).collect();
+            queues.iter().map(|q| table.meta(q[0].packet()).packet).collect();
         assert_eq!(pkts.len(), 4);
-        assert!(queues.iter().all(|q| table.meta(q[0].packet).message == MessageId(9)));
+        assert!(queues.iter().all(|q| table.meta(q[0].packet()).message == MessageId(9)));
     }
 
     #[test]
@@ -317,7 +351,7 @@ mod tests {
         let classes: Vec<TrafficClass> = queues[0]
             .iter()
             .filter(|f| f.is_header())
-            .map(|f| table.meta(f.packet).class)
+            .map(|f| table.meta(f.packet()).class)
             .collect();
         assert_eq!(classes.iter().filter(|c| **c == TrafficClass::ChainRim).count(), 2);
         assert_eq!(classes.iter().filter(|c| **c == TrafficClass::ChainCross).count(), 1);
@@ -332,7 +366,7 @@ mod tests {
         assert!(queues[0]
             .iter()
             .filter(|f| f.is_header())
-            .all(|f| table.meta(f.packet).class == TrafficClass::Unicast));
+            .all(|f| table.meta(f.packet()).class == TrafficClass::Unicast));
     }
 
     #[test]

@@ -614,7 +614,7 @@ mod tests {
         };
         // A single-flit packet copied at a branch node: the clone (with the
         // output the original continues on) precedes the reception.
-        let flit = Flit { packet: PacketRef(0), seq: 0, kind: FlitKind::Single };
+        let flit = Flit::new(PacketRef(0), 0, FlitKind::Single);
         p.record(
             5,
             FabricEvent::Deliver { meta: &meta, flit: &flit, node: 4, site: 0, clone: Some(1) },

@@ -249,11 +249,8 @@ impl RecoveryState {
                 self.bits.set_bit(&mut pending, dst.index());
             }
             TrafficClass::Broadcast => {
-                for i in 0..self.nodes {
-                    if i != req.src.index() {
-                        self.bits.set_bit(&mut pending, i);
-                    }
-                }
+                pending = self.bits.below(self.nodes);
+                self.bits.clear_bit(&mut pending, req.src.index());
             }
             TrafficClass::Multicast => {
                 for &t in &req.targets {
@@ -364,12 +361,9 @@ impl RecoveryState {
                 // Give up: write off receivers never served by any attempt.
                 // Served-but-unacked receivers are already in the delivered
                 // ledger — only the never-served ones are lost.
-                let mut lost = 0usize;
-                for i in 0..self.nodes {
-                    if self.bits.bit_at(entry.pending, i) && !self.bits.bit_at(entry.served, i) {
-                        lost += 1;
-                    }
-                }
+                let (pending, served) = (entry.pending, entry.served);
+                let lost =
+                    self.bits.ones(pending).filter(|&i| !self.bits.bit_at(served, i)).count();
                 let entry = &mut self.entries[slot];
                 let (p, s) = (entry.pending, entry.served);
                 let (src, class) = (entry.src, entry.class);
@@ -381,11 +375,7 @@ impl RecoveryState {
             }
             let attempt = entry.attempt + 1;
             targets.clear();
-            for i in 0..self.nodes {
-                if self.bits.bit_at(entry.pending, i) {
-                    targets.push(NodeId(i as u32));
-                }
-            }
+            targets.extend(self.bits.ones(entry.pending).map(NodeId::new));
             debug_assert!(!targets.is_empty(), "open window with empty pending set");
             let (src, class, len) = (entry.src, entry.class, entry.len);
             let next = now + self.policy.backoff(attempt) + self.jitter();
