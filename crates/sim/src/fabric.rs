@@ -252,6 +252,7 @@ pub struct Fabric<R: RouterModel> {
     packets: PacketTable,
     /// Packets a PE re-injects a header-rewrite cycle after the tail that
     /// interned them: `(node, queue, packet)` — see [`RouterModel::respawn`].
+    /// Reserved at two a node (one ejected tail, two chains): never grows.
     respawned: Vec<(u32, u32, PacketRef)>,
     /// Scratch reused across cycles (no per-cycle allocation).
     plan: Vec<(usize, PacketMeta)>,
@@ -341,7 +342,7 @@ impl<R: RouterModel> Fabric<R> {
             ids: IdAlloc::new(),
             metrics: Metrics::new(),
             packets: model.packet_table(),
-            respawned: Vec::new(),
+            respawned: Vec::with_capacity(2 * n),
             plan: Vec::new(),
             transfers: Vec::new(),
             poll_buf: Vec::new(),
