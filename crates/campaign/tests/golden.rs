@@ -4,11 +4,13 @@
 //!
 //! `determinism.rs` and `convergence.rs` hold run against run, so a change
 //! that reorders a field or re-rounds a number moves both sides and passes.
-//! These three tiny campaigns pin the formats themselves. Between them they
+//! These four tiny campaigns pin the formats themselves. Between them they
 //! cover a fixed-replication rate point and a watchdog-stalled point
-//! (`golden-fixed`), a convergence-controlled point (`golden-conv`) and a
-//! saturation search (`golden-sat`); each runs cold and then again from its
-//! own cache, so the cache's read path is held to the same bytes.
+//! (`golden-fixed`), a convergence-controlled point (`golden-conv`), a
+//! saturation search (`golden-sat`) and lossy links under ack/retransmit
+//! recovery (`golden-lossy`, the one cache key naming a fault plan and a
+//! recovery policy); each runs cold and then again from its own cache, so
+//! the cache's read path is held to the same bytes.
 //!
 //! Each cache entry's `key` line ends in the simulator-behaviour tag, a
 //! hash of `quarc-sim`'s equivalence goldens, so regenerating those moves
@@ -24,7 +26,7 @@
 use quarc_campaign::{
     run_campaign, CampaignOptions, CampaignSpec, CiTarget, Convergence, RateAxis,
 };
-use quarc_core::config::FaultPlan;
+use quarc_core::config::{FaultPlan, RecoveryPolicy};
 use quarc_core::topology::TopologyKind;
 use quarc_sim::RunSpec;
 use std::path::{Path, PathBuf};
@@ -72,6 +74,21 @@ fn sat() -> CampaignSpec {
     let mut spec = tiny("golden-sat");
     spec.rates = RateAxis::Saturation { rel_tol: 0.3, max_probes: 8 };
     spec.replications = 1;
+    spec
+}
+
+/// Two lossy links with recovery on: drops are retransmitted, so every
+/// receiver is still served.
+fn lossy() -> CampaignSpec {
+    let mut spec = tiny("golden-lossy");
+    spec.topologies = vec![TopologyKind::Quarc];
+    spec.rates = RateAxis::Explicit(vec![0.008]);
+    let plan =
+        FaultPlan { seed: 5, onset: 100, lossy_links: 2, drop_per_64k: 16_384, ..FaultPlan::NONE };
+    spec.faults = vec![plan];
+    spec.recoveries =
+        vec![RecoveryPolicy { seed: 1, ack_timeout: 200, max_retries: 3, jitter: 16 }];
+    spec.replications = 2;
     spec
 }
 
@@ -151,4 +168,14 @@ fn saturation_search_matches_goldens() {
     check(&sat());
     let json = std::fs::read_to_string(golden_dir().join("golden-sat.json")).unwrap();
     assert!(json.contains("\"kind\": \"saturation\""));
+}
+
+#[test]
+fn lossy_links_under_recovery_match_goldens() {
+    check(&lossy());
+    let cache = std::fs::read_to_string(golden_dir().join("golden-lossy.cache.json")).unwrap();
+    let key = cache.lines().find(|l| l.contains("\"key\"")).expect("a cache key");
+    assert!(key.contains("fault=s5o100d0f0l2p16384t0w0 rec=t200r3j16s1"), "{key}");
+    let json = std::fs::read_to_string(golden_dir().join("golden-lossy.json")).unwrap();
+    assert!(!json.contains("\"retransmissions\": 0,"), "every replication retransmits");
 }
